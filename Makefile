@@ -19,13 +19,14 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the address-resolution benchmarks (cold discovery vs the
-# lease-aware cache's hot/stale/cold-miss paths) and the batched-publish
+# lease-aware cache's hot/stale/cold-miss paths, and the serve path's
+# pipelined capacity over a loopback socket) and the batched-publish
 # benchmarks (RPCs per publish at 1/100/10k owned records), recording the
 # results as BENCH_resolve.json and BENCH_publish.json. Override
 # BENCHTIME (e.g. BENCHTIME=2s) for a statistically meaningful local run;
 # the 100x default is a CI smoke.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$|^BenchmarkServePipelinedTCP$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_resolve.txt
 	$(GO) run ./cmd/benchjson -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
@@ -55,15 +56,18 @@ bench-stretch:
 # recorded BENCH_*.json reports instead. The stretch leg gates on the
 # absolute stretch metrics (deterministic per seed, so enforceable as
 # hard bounds) rather than wall time, which varies with machine load —
-# hence the loose regress pct and -ignore-allocs.
+# hence the loose regress pct and -ignore-allocs. The pipelined serve
+# benchmark is gated on what it exists to show: replies share socket
+# writes (frames/write >= 2) at no extra allocation per frame.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
 	$(GO) run ./cmd/benchjson -suite gate -in bench_gate.txt -out bench_gate.json
 	@rm -f bench_gate.txt
 	$(GO) run ./cmd/benchgate -new bench_gate.json \
 		-baselines BENCH_resolve.json,BENCH_publish.json \
-		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel
+		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel \
+		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2'
 	@rm -f bench_gate.json
 	$(GO) test -run '^$$' -bench BenchmarkStretch -benchtime 1x \
 		./internal/stretch | tee stretch_gate.txt

@@ -483,52 +483,6 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 }
 
-func BenchmarkDiscover(b *testing.B) {
-	rng := rand.New(rand.NewSource(93))
-	g, err := topology.GenerateTransitStub(topology.DefaultTransitStub(500), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := simnet.NewNetwork(g, nil)
-	bn := core.NewNetwork(core.Config{
-		Naming:             core.Clustered,
-		StationaryFraction: 0.6,
-		Overlay:            overlay.DefaultConfig(),
-		ReplicationFactor:  2,
-		UnitCost:           1,
-	}, net, nil, rng)
-	var stats, mobs []*core.Peer
-	for i := 0; i < 120; i++ {
-		p, err := bn.AddPeer(core.Stationary, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = append(stats, p)
-	}
-	for i := 0; i < 80; i++ {
-		p, err := bn.AddPeer(core.Mobile, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mobs = append(mobs, p)
-	}
-	bn.RefreshEntries()
-	for _, m := range mobs {
-		if _, err := bn.PublishLocation(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := mobs[i%len(mobs)]
-		s := stats[i%len(stats)]
-		if _, _, err := bn.Discover(s, m.Key); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- helpers ---------------------------------------------------------------
 
 func itoa(n int) string {

@@ -26,6 +26,7 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 )
 
 // benchLine matches the fixed prefix of one result row, e.g.
@@ -38,10 +39,11 @@ import (
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.eE+]+) ns/op(.*)$`)
 
-// metricCol matches one "<value> <unit>/op" column after ns/op —
+// metricCol matches one "<value> <unit>" column after ns/op —
 // b.ReportMetric output and the -benchmem B/op and allocs/op columns
-// alike.
-var metricCol = regexp.MustCompile(`([\d.eE+-]+) ([\w-]+)/op`)
+// alike. A per-op unit is keyed without its "/op" ("allocs",
+// "median-stretch"); any other ratio keeps its full name ("frames/write").
+var metricCol = regexp.MustCompile(`([\d.eE+-]+) ([\w-]+/[\w-]+)`)
 
 type result struct {
 	Name       string             `json:"name"`
@@ -98,7 +100,8 @@ func main() {
 			if err != nil {
 				continue
 			}
-			switch col[2] {
+			unit := strings.TrimSuffix(col[2], "/op")
+			switch unit {
 			case "B":
 				r.BPerOp = v
 			case "allocs":
@@ -112,7 +115,7 @@ func main() {
 				if r.Metrics == nil {
 					r.Metrics = make(map[string]float64)
 				}
-				r.Metrics[col[2]] = v
+				r.Metrics[unit] = v
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, r)

@@ -196,9 +196,16 @@ func main() {
 			// Per-interval deltas show what the node is doing right now;
 			// cumulative totals only ever grow and bury the signal.
 			st := node.Stats()
-			delta := formatDelta(st.CountersDelta(prevStats))
+			delta := st.CountersDelta(prevStats)
 			prevStats = st
-			line := fmt.Sprintf("stats: Δ %s | %s", delta, gauges)
+			line := fmt.Sprintf("stats: Δ %s | %s", formatDelta(delta), gauges)
+			// Frames per write at the two coalescing points, this interval:
+			// 1.0 is a syscall per frame, higher is bursts sharing one.
+			for _, side := range []string{"serve", "pool"} {
+				if fpw := live.FramesPerWrite(delta, side); fpw > 0 {
+					line += fmt.Sprintf(" %s.frames/write=%.1f", side, fpw)
+				}
+			}
 			if len(st.Suspects) > 0 {
 				line += fmt.Sprintf(" suspects=%v", st.Suspects)
 			}

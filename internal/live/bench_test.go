@@ -153,6 +153,62 @@ func BenchmarkDiscover(b *testing.B) {
 	}
 }
 
+// BenchmarkServePipelinedTCP is the serve path's capacity over a real
+// socket: one loopback conn keeps 16 discovers outstanding against a
+// node, the shape a busy pooled session gives a stationary replica. The
+// client batches the same way the pool's writer does (Queue, flushed when
+// its Recv runs dry), so each side pays one write per burst; frames/write
+// is the server's side of that — replies per socket write — which `make
+// bench-gate` holds at 2 or more.
+func BenchmarkServePipelinedTCP(b *testing.B) {
+	const depth = 16
+	counters := metrics.NewCounters()
+	tcp := &transport.TCP{}
+	server := NewNode(Config{Name: "bench-serve", Counters: counters}, tcp)
+	if err := server.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { server.Close() })
+	key := hashkey.FromName("bench-target")
+	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, time.Now())
+	conn, err := tcp.Dial(server.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { conn.Close() })
+
+	req := &wire.Message{Type: wire.TDiscover, Key: key}
+	send := func() {
+		req.Seq++
+		if _, err := conn.Queue(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	recv := func() {
+		resp, err := conn.Recv()
+		if err != nil || !resp.Found {
+			b.Fatalf("reply: %v, %v", resp, err)
+		}
+		wire.PutMessage(resp)
+	}
+	for i := 0; i < depth; i++ {
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recv()
+		send()
+	}
+	b.StopTimer()
+	for i := 0; i < depth; i++ {
+		recv()
+	}
+	if writes := counters.Get("serve.flushes"); writes > 0 {
+		b.ReportMetric(float64(counters.Get("serve.frames"))/float64(writes), "frames/write")
+	}
+}
+
 // BenchmarkResolveHot is the steady state the cache buys: a fresh lease
 // answers every resolve with one sharded map read — no network, no
 // shared protocol lock.

@@ -11,9 +11,11 @@ package live
 // which is what keeps batch ingest allocation-free.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -318,8 +320,14 @@ func ownersForKey(cands []wire.Entry, h *peerHealth, key hashkey.Key, k, regions
 // stretch evaluation (internal/stretch) places records exactly as the
 // live node does.
 func SelectReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.Entry {
-	sort.Slice(cands, func(i, j int) bool {
-		return hashkey.Closer(key, cands[i].Key, cands[j].Key)
+	slices.SortFunc(cands, func(a, b wire.Entry) int {
+		switch {
+		case hashkey.Closer(key, a.Key, b.Key):
+			return -1
+		case hashkey.Closer(key, b.Key, a.Key):
+			return 1
+		}
+		return 0
 	})
 	if k >= len(cands) {
 		return cands
@@ -355,12 +363,14 @@ func SelectReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.
 // pre-proximity behavior. Exported so the simulation harness
 // (internal/stretch) measures the same ordering the live node runs.
 func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[string]time.Duration) {
-	sort.SliceStable(replicas, func(i, j int) bool {
-		si, sj := suspect[replicas[i].Addr], suspect[replicas[j].Addr]
-		if si != sj {
-			return !si
+	slices.SortStableFunc(replicas, func(a, b wire.Entry) int {
+		if sa, sb := suspect[a.Addr], suspect[b.Addr]; sa != sb {
+			if sb {
+				return -1
+			}
+			return 1
 		}
-		return eff[replicas[i].Addr] < eff[replicas[j].Addr]
+		return cmp.Compare(eff[a.Addr], eff[b.Addr])
 	})
 }
 

@@ -526,11 +526,26 @@ func (n *Node) acceptLoop(ls *listenerState) {
 // accepted connection.
 const serveConnWorkers = 64
 
-// serveConn serves one accepted connection. Each inbound message is
-// dispatched on its own goroutine (bounded by serveConnWorkers) with
-// responses serialized by a send mutex — a handler that blocks, or a
-// response that is slow to produce, cannot head-of-line-block the other
-// exchanges multiplexed on this connection.
+// servesInline reports whether t's handler never waits — not on the
+// network, not on another goroutine, not for longer than a table lookup —
+// so the connection's reader can run it between two frames. TPing and
+// TDiscover qualify: one allocation, and one store-shard read. The
+// publish, register and join handlers clone membership or registry views
+// (linear in the ring), TLeafExchange merges and copies a whole view, and
+// TUpdate re-advertises; those keep a goroutine of their own.
+func servesInline(t wire.MsgType) bool {
+	return t == wire.TPing || t == wire.TDiscover
+}
+
+// serveConn serves one accepted connection with one rule per frame. A
+// frame whose handler never waits (servesInline) is answered on this
+// goroutine and its reply queued on the conn: the replies to a burst of
+// pipelined requests leave in one write, when the read buffer has drained
+// and Recv is about to block (transport.Conn.Queue). Every other frame —
+// and every frame while the conn's sends may stall — gets its own
+// goroutine (bounded by serveConnWorkers) and an immediate Send, so a
+// handler that blocks cannot head-of-line-block the other exchanges
+// multiplexed on this connection.
 //
 // Fully handled frames (and shipped responses) go back to the wire
 // codec's message pool: the handlers copy everything they keep, so the
@@ -540,13 +555,36 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	defer n.wg.Done()
 	defer ls.forget(conn)
 	defer conn.Close()
-	var sendMu sync.Mutex
 	sem := make(chan struct{}, serveConnWorkers)
 	var handlers sync.WaitGroup
+	// batch counts the inline replies queued since the last write this
+	// loop saw; they all leave in one write, reported once it has happened.
+	var batch uint64
+	wrote := func() {
+		if batch > 0 {
+			n.cfg.Counters.Add("serve.frames", batch)
+			n.cfg.Counters.Add("serve.flushes", 1)
+			batch = 0
+		}
+	}
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			break
+		}
+		if servesInline(msg.Type) && !conn.SendStalls() {
+			resp := n.handle(msg)
+			wire.PutMessage(msg)
+			pending, err := conn.Queue(resp)
+			wire.PutMessage(resp)
+			if err != nil {
+				break
+			}
+			if pending <= 1 {
+				wrote() // the earlier replies have left
+			}
+			batch++
+			continue
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
@@ -556,16 +594,14 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 			resp := n.handle(msg)
 			wire.PutMessage(msg)
 			if resp != nil {
-				sendMu.Lock()
-				err := conn.Send(resp)
-				sendMu.Unlock()
+				// A failed Send needs no handling here: the conn is broken
+				// and the Recv loop is failing too.
+				_ = conn.Send(resp)
 				wire.PutMessage(resp)
-				if err != nil {
-					return // conn broken; the Recv loop is failing too
-				}
 			}
 		}(msg)
 	}
+	wrote()
 	handlers.Wait()
 }
 

@@ -2,10 +2,11 @@ package live
 
 // This file is the multiplexed connection pool under the RPC layer: one
 // long-lived transport.Conn per peer, shared by every concurrent exchange
-// with that peer. A writer goroutine serializes outbound frames, a reader
-// goroutine demultiplexes replies back to waiting callers by sequence
-// number — so an exchange costs a frame, not a dial, and many requests
-// are in flight on one connection at once. Broken sessions tear down,
+// with that peer. A writer goroutine puts every frame that is waiting
+// into one write, a reader goroutine demultiplexes replies back to
+// waiting callers by sequence number — so an exchange costs a frame, not
+// a dial, a burst of exchanges costs one syscall, and many requests are
+// in flight on one connection at once. Broken sessions tear down,
 // fail their waiters with retryable errors, and are transparently
 // re-dialed by the next attempt, composing with the retry/backoff and
 // circuit-breaker machinery in rpc.go.
@@ -20,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,17 +127,33 @@ type session struct {
 	dialErr error         // set before ready closes
 
 	conn    transport.Conn
-	writeCh chan *wire.Message
+	writeCh chan *outFrame
 
 	mu       sync.Mutex
 	torn     bool
 	err      error // teardown cause, set before done closes
 	pending  map[uint32]chan *wire.Message
 	nextSeq  uint32
-	inflight int
+	inflight int // exchanges between register and endUse
+	oneWay   int // one-way frames enqueued and not yet written
 	lastUse  time.Time
 
 	done chan struct{} // closed by teardown
+}
+
+// outFrame is one frame on its way to the writer: a private copy of the
+// caller's message (an abandoned attempt's frame may still sit in the
+// queue when the retry re-stamps Seq, so attempts never share a Message
+// with the writer).
+type outFrame struct {
+	wire.Message
+	oneWay bool // no exchange is waiting on it; see session.send
+}
+
+// idle reports whether evicting s would lose nothing: no exchange awaits
+// a reply and no one-way frame awaits the writer. Caller holds s.mu.
+func (s *session) idle() bool {
+	return !s.torn && s.inflight == 0 && s.oneWay == 0
 }
 
 // acquire returns a live session for addr, dialing one if absent. The
@@ -192,7 +210,7 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 			addr:    addr,
 			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
-			writeCh: make(chan *wire.Message, p.cfg.MaxInflight),
+			writeCh: make(chan *outFrame, p.cfg.MaxInflight),
 			pending: make(map[uint32]chan *wire.Message),
 			lastUse: time.Now(),
 		}
@@ -234,18 +252,62 @@ func (s *session) dial(ctx context.Context) error {
 	return nil
 }
 
+// writeLoop puts every frame that is waiting into one write.
 func (s *session) writeLoop() {
 	defer s.p.wg.Done()
 	for {
 		select {
 		case <-s.done:
 			return
-		case m := <-s.writeCh:
-			if err := s.conn.Send(m); err != nil {
+		case f := <-s.writeCh:
+			frames, oneWay, err := s.writeBurst(f)
+			if err != nil {
 				s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.addr, err))
 				return
 			}
+			s.p.counters.Add("pool.frames", frames)
+			s.p.counters.Add("pool.flushes", 1)
+			if oneWay > 0 {
+				s.mu.Lock()
+				s.oneWay -= oneWay
+				s.mu.Unlock()
+			}
 		}
+	}
+}
+
+// writeBurst queues f and every frame behind it, then flushes once. When
+// the queue first runs dry it yields the processor before looking again:
+// callers made runnable together (a burst of replies just woke them)
+// enqueue ahead of the syscall instead of each paying their own. Nothing
+// waits on a timer — a lone frame leaves after one yield with nobody else
+// to run.
+func (s *session) writeBurst(f *outFrame) (frames uint64, oneWay int, err error) {
+	yielded := false
+	for f != nil {
+		if _, err = s.conn.Queue(&f.Message); err != nil {
+			return
+		}
+		frames++
+		if f.oneWay {
+			oneWay++
+		}
+		if f = s.waiting(); f == nil && !yielded {
+			yielded = true
+			runtime.Gosched()
+			f = s.waiting()
+		}
+	}
+	return frames, oneWay, s.conn.Flush()
+}
+
+// waiting takes the next queued frame, or nil when there is none.
+func (s *session) waiting() *outFrame {
+	select {
+	case f := <-s.writeCh:
+		return f
+	default:
+		return nil
 	}
 }
 
@@ -315,7 +377,7 @@ func (s *session) teardownErr() error {
 
 // register assigns the next sequence number and parks a reply channel
 // for it. Fails if the session is already torn.
-func (s *session) register(m *wire.Message) (uint32, chan *wire.Message, error) {
+func (s *session) register(m *outFrame) (uint32, chan *wire.Message, error) {
 	s.mu.Lock()
 	if s.torn {
 		err := s.err
@@ -353,19 +415,15 @@ func (s *session) endUse() {
 // roundTrip runs one request/response exchange over the shared
 // connection, bounded by ctx. A slow reply to another caller cannot
 // block this one: each waiter parks on its own demux channel.
-//
-// The frame is enqueued as a private shallow copy: an abandoned attempt's
-// frame may still sit in the write queue when the retry re-stamps Seq, so
-// attempts must never share a Message with the writer.
 func (s *session) roundTrip(ctx context.Context, m *wire.Message) (*wire.Message, error) {
-	mm := *m
-	seq, reply, err := s.register(&mm)
+	f := &outFrame{Message: *m}
+	seq, reply, err := s.register(f)
 	if err != nil {
 		return nil, err
 	}
 	defer s.endUse()
 	select {
-	case s.writeCh <- &mm:
+	case s.writeCh <- f:
 	case <-s.done:
 		s.unregister(seq)
 		return nil, s.teardownErr()
@@ -386,9 +444,11 @@ func (s *session) roundTrip(ctx context.Context, m *wire.Message) (*wire.Message
 }
 
 // send enqueues a one-way frame (no reply expected) on the shared
-// connection.
+// connection. Until the writer has written it the session counts as in
+// use: evicting it would drop the frame, and nobody is waiting on a reply
+// to notice.
 func (s *session) send(ctx context.Context, m *wire.Message) error {
-	mm := *m
+	f := &outFrame{Message: *m, oneWay: true}
 	s.mu.Lock()
 	if s.torn {
 		err := s.err
@@ -396,17 +456,23 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 		return err
 	}
 	s.nextSeq++
-	mm.Seq = s.nextSeq
+	f.Seq = s.nextSeq
+	s.oneWay++
 	s.lastUse = time.Now()
 	s.mu.Unlock()
+	var err error
 	select {
-	case s.writeCh <- &mm:
+	case s.writeCh <- f:
 		return nil
 	case <-s.done:
-		return s.teardownErr()
+		err = s.teardownErr()
 	case <-ctx.Done():
-		return fmt.Errorf("live: pooled send to %s: %w", s.addr, ctx.Err())
+		err = fmt.Errorf("live: pooled send to %s: %w", s.addr, ctx.Err())
 	}
+	s.mu.Lock()
+	s.oneWay--
+	s.mu.Unlock()
+	return err
 }
 
 // roundTrip acquires (or dials) addr's session and runs one exchange.
@@ -451,7 +517,7 @@ func (p *pool) lruIdle() *session {
 		sh.mu.Lock()
 		for _, s := range sh.m {
 			s.mu.Lock()
-			idle := !s.torn && s.inflight == 0
+			idle := s.idle()
 			use := s.lastUse
 			s.mu.Unlock()
 			if idle && (oldest == nil || use.Before(oldestUse)) {
@@ -488,7 +554,7 @@ func (p *pool) evictIdle(now time.Time) {
 		sh.mu.Lock()
 		for _, s := range sh.m {
 			s.mu.Lock()
-			idle := !s.torn && s.inflight == 0 && now.Sub(s.lastUse) >= p.cfg.IdleTimeout
+			idle := s.idle() && now.Sub(s.lastUse) >= p.cfg.IdleTimeout
 			s.mu.Unlock()
 			if idle {
 				victims = append(victims, s)

@@ -9,6 +9,7 @@ package live
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,5 +349,123 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 	}
 	if Retryable(err) {
 		t.Error("ErrPoolClosed must not be retryable")
+	}
+}
+
+// updateSink is a hand-rolled peer that counts the one-way TUpdate frames
+// it receives.
+func startUpdateSink(t *testing.T, tr transport.Transport) (transport.Listener, *atomic.Int64) {
+	t.Helper()
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Int64
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(c transport.Conn) {
+				for {
+					m, err := c.Recv()
+					if err != nil {
+						return
+					}
+					if m.Type == wire.TUpdate {
+						got.Add(1)
+					}
+				}
+			}(c)
+		}
+	}()
+	t.Cleanup(func() { l.Close() })
+	return l, &got
+}
+
+// TestPoolOneWayFramesPinSession: one-way pushes wait for no reply, so
+// nothing but the write queue says the session is in use. At the
+// MaxSessions cap, acquiring a second peer while the first session's
+// writer still holds queued pushes must report saturation (the caller
+// falls back to a one-shot dial) — evicting the session would silently
+// drop LDT updates.
+func TestPoolOneWayFramesPinSession(t *testing.T) {
+	const pushes = 4
+	// The injected delay stalls the writer inside its first frame while
+	// the rest sit in the queue.
+	faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
+		Seed: 3, DelayMin: 150 * time.Millisecond, DelayMax: 150 * time.Millisecond,
+	})
+	sink, got := startUpdateSink(t, faulty.Endpoint("sink"))
+	other := startPingServer(t, faulty.Endpoint("other"))
+
+	p := newPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, nil, nil)
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < pushes; i++ {
+		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
+		if err := p.send(ctx, sink.Addr(), push); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if _, err := p.acquire(ctx, other.l.Addr()); err != errPoolSaturated {
+		t.Fatalf("acquire of a second peer over unwritten pushes: err = %v, want errPoolSaturated", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got.Load() != pushes {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink received %d/%d pushes", got.Load(), pushes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Written frames no longer pin the session: the slot can change hands.
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		_, err := p.acquire(ctx, other.l.Addr())
+		if err == nil {
+			break
+		}
+		if err != errPoolSaturated || time.Now().After(deadline) {
+			t.Fatalf("acquire after the pushes were written: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// recordingConn records the writer's use of the batching surface.
+type recordingConn struct {
+	transport.Conn // nil: the writer may touch nothing else
+	queued         []uint32
+	flushes        int
+}
+
+func (c *recordingConn) Queue(m *wire.Message) (int, error) {
+	c.queued = append(c.queued, m.Seq)
+	return len(c.queued), nil
+}
+
+func (c *recordingConn) Flush() error { c.flushes++; return nil }
+
+// TestPoolWriterDrainsQueueIntoOneWrite: whatever is already waiting when
+// the writer wakes shares its flush, in queue order.
+func TestPoolWriterDrainsQueueIntoOneWrite(t *testing.T) {
+	rec := &recordingConn{}
+	s := &session{conn: rec, writeCh: make(chan *outFrame, 8)}
+	for seq := uint32(1); seq <= 5; seq++ {
+		s.writeCh <- &outFrame{Message: wire.Message{Type: wire.TUpdate, Seq: seq}, oneWay: seq%2 == 0}
+	}
+	frames, oneWay, err := s.writeBurst(<-s.writeCh)
+	if err != nil || frames != 5 || oneWay != 2 {
+		t.Fatalf("writeBurst = (%d frames, %d one-way, %v), want (5, 2, nil)", frames, oneWay, err)
+	}
+	if rec.flushes != 1 {
+		t.Errorf("5 waiting frames took %d flushes, want 1", rec.flushes)
+	}
+	for i, seq := range rec.queued {
+		if seq != uint32(i+1) {
+			t.Fatalf("frames left in order %v, want 1..5", rec.queued)
+		}
 	}
 }

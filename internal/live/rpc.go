@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bristle/internal/transport"
@@ -51,6 +52,9 @@ type peerShard struct {
 // peers in the same shard, never with the whole fan-out of a publish.
 type peerTable struct {
 	shards [stateShards]peerShard
+	// suspects counts the non-closed breakers across all shards, so the
+	// steady state — nobody is suspect — is answered by one load.
+	suspects atomic.Int64
 }
 
 func (t *peerTable) init() {
@@ -96,12 +100,13 @@ func (t *peerTable) suspectAddrs() []string {
 }
 
 // suspectSet returns the set of peers whose breakers are non-closed,
-// nil when every breaker is closed — the steady state, in which the
-// whole scan costs one mutex round per shard and zero allocations.
-// One call snapshots suspicion for an entire fan-out, where the old
-// per-candidate sampling re-locked the table once per candidate per
-// key ranked.
+// nil when every breaker is closed — the steady state, which costs one
+// atomic load and no lock. One call snapshots suspicion for an entire
+// fan-out.
 func (t *peerTable) suspectSet() map[string]bool {
+	if t.suspects.Load() == 0 {
+		return nil
+	}
 	var out map[string]bool
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -160,6 +165,7 @@ func (n *Node) breakerResult(addr string, err error) {
 	if err == nil {
 		if b != nil {
 			if b.state != bkClosed {
+				n.peersTbl.suspects.Add(-1)
 				n.count("breaker.closes")
 				n.logf("peer %s healthy again; breaker closed", addr)
 			}
@@ -176,6 +182,9 @@ func (n *Node) breakerResult(addr string, err error) {
 	}
 	b.fails++
 	if b.state == bkHalfOpen || b.fails >= n.cfg.SuspicionThreshold {
+		if b.state == bkClosed {
+			n.peersTbl.suspects.Add(1)
+		}
 		if b.state != bkOpen {
 			n.count("breaker.trips")
 			n.logf("peer %s suspect after %d consecutive failures", addr, b.fails)

@@ -326,41 +326,67 @@ type faultyConn struct {
 	inner    Conn
 }
 
+// Send is Queue and an immediate flush: one fault pipeline serves both.
 func (c *faultyConn) Send(m *wire.Message) error {
+	if _, err := c.Queue(m); err != nil {
+		return err
+	}
+	return c.inner.Flush()
+}
+
+func (c *faultyConn) Flush() error { return c.inner.Flush() }
+
+// SendStalls holds while the profile delays frames: Queue sleeps on the
+// sender's goroutine.
+func (c *faultyConn) SendStalls() bool {
+	cfg := c.f.Config()
+	return cfg.DelayMax > 0 || cfg.Latency != nil || c.inner.SendStalls()
+}
+
+// Queue decides and counts this frame's faults — drop, delay, corruption,
+// duplication, once per frame however the caller batches — and queues
+// what survives on the inner conn. A lost frame reports zero pending.
+func (c *faultyConn) Queue(m *wire.Message) (int, error) {
 	f := c.f
 	if c.to != "" && f.partitioned(c.from, c.to) {
 		// A black-holed link: the frame is silently lost, the sender
 		// cannot tell. Retry layers above discover it via timeout.
 		f.count("fault.partition_drop")
-		return nil
+		return 0, nil
 	}
 	cfg := f.Config()
 	if c.link.chance(cfg.Drop) {
 		f.count("fault.drop")
-		return nil
+		return 0, nil
 	}
 	if d := c.link.delay(cfg.DelayMin, cfg.DelayMax); d > 0 {
 		f.count("fault.delay")
-		time.Sleep(d)
+		c.stall(d)
 	}
 	if cfg.Latency != nil {
 		if d := cfg.Latency(c.from, c.to); d > 0 {
 			f.count("fault.latency")
-			time.Sleep(d)
+			c.stall(d)
 		}
 	}
 	if c.link.chance(cfg.Corrupt) {
 		f.count("fault.corrupt")
-		return c.inner.Send(&wire.Message{Type: poisonType, Seq: m.Seq})
+		return c.inner.Queue(&wire.Message{Type: poisonType, Seq: m.Seq})
 	}
-	if err := c.inner.Send(m); err != nil {
-		return err
-	}
-	if c.link.chance(cfg.Duplicate) {
+	pending, err := c.inner.Queue(m)
+	if err == nil && c.link.chance(cfg.Duplicate) {
 		f.count("fault.duplicate")
-		return c.inner.Send(m)
+		return c.inner.Queue(m)
 	}
-	return nil
+	return pending, err
+}
+
+// stall holds the sender for d. Frames queued ahead of the delayed one
+// leave first: the slow link delays this frame, not its predecessors. (A
+// flush that fails is sticky and surfaces at the caller's next write.)
+func (c *faultyConn) stall(d time.Duration) {
+	_ = c.inner.Flush()
+	time.Sleep(d)
 }
 
 func (c *faultyConn) Recv() (*wire.Message, error) {

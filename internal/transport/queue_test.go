@@ -1,0 +1,208 @@
+package transport
+
+// Tests for the batching surface of Conn: Queue, Flush, the flush before a
+// Recv that would block, the sticky write error, and Faulty's per-frame
+// fault accounting over it.
+
+import (
+	"errors"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bristle/internal/metrics"
+	"bristle/internal/wire"
+)
+
+// countingConn counts the writes that reach the socket.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countedPair returns a framed client over a write-counting socket and
+// the accepted server side of the same loopback connection.
+func countedPair(t *testing.T) (Conn, *countingConn, Conn) {
+	t.Helper()
+	l, err := (&TCP{}).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	raw, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingConn{Conn: raw}
+	client := NewConn(counted)
+	t.Cleanup(func() { client.Close() })
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	return client, counted, server
+}
+
+func TestTCPQueueHoldsUntilFlush(t *testing.T) {
+	client, counted, server := countedPair(t)
+	for i := 1; i <= 5; i++ {
+		pending, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)})
+		if err != nil || pending != i {
+			t.Fatalf("Queue %d: pending=%d err=%v", i, pending, err)
+		}
+	}
+	server.SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if m, err := server.Recv(); !IsTimeout(err) {
+		t.Fatalf("queued frame left before any flush: %v, %v", m, err)
+	}
+	server.SetDeadline(time.Time{})
+	// Send goes out behind what was queued, all in one write.
+	if err := client.Send(&wire.Message{Type: wire.TPing, Seq: 6}); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint32(1); want <= 6; want++ {
+		m, err := server.Recv()
+		if err != nil || m.Seq != want {
+			t.Fatalf("frame %d: got %v, %v", want, m, err)
+		}
+	}
+	if got := counted.writes.Load(); got != 1 {
+		t.Errorf("6 frames took %d writes, want 1", got)
+	}
+	if pending, _ := client.Queue(&wire.Message{Type: wire.TPing}); pending != 1 {
+		t.Errorf("pending after a flush = %d, want 1", pending)
+	}
+}
+
+// A reader that answers with Queue never holds a reply while it waits for
+// input: the flush happens before Recv blocks.
+func TestTCPQueueFlushesBeforeBlockingRecv(t *testing.T) {
+	client, counted, server := countedPair(t)
+	for i := 1; i <= 3; i++ {
+		if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recvDone := make(chan error, 1)
+	go func() {
+		_, err := client.Recv() // nothing is coming yet: this blocks
+		recvDone <- err
+	}()
+	server.SetDeadline(time.Now().Add(5 * time.Second))
+	for want := uint32(1); want <= 3; want++ {
+		m, err := server.Recv()
+		if err != nil || m.Seq != want {
+			t.Fatalf("frame %d: got %v, %v", want, m, err)
+		}
+	}
+	if got := counted.writes.Load(); got != 1 {
+		t.Errorf("3 queued frames took %d writes, want 1", got)
+	}
+	if err := server.Send(&wire.Message{Type: wire.TPong}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-recvDone; err != nil {
+		t.Fatalf("blocked Recv: %v", err)
+	}
+}
+
+func TestTCPWriteErrorIsSticky(t *testing.T) {
+	client, _, _ := countedPair(t)
+	// An encode failure queues nothing and leaves the conn usable.
+	tooMany := &wire.Message{Type: wire.TPublishBatch, Entries: make([]wire.Entry, 70000)}
+	if _, err := client.Queue(tooMany); !errors.Is(err, wire.ErrEncode) {
+		t.Fatalf("oversized frame: err = %v, want ErrEncode", err)
+	}
+	if err := client.Send(&wire.Message{Type: wire.TPing}); err != nil {
+		t.Fatalf("send after an encode failure: %v", err)
+	}
+	client.Close()
+	first := client.Send(&wire.Message{Type: wire.TPing})
+	if first == nil {
+		t.Fatal("send on a closed socket succeeded")
+	}
+	if _, err := client.Queue(&wire.Message{Type: wire.TPing}); err != first {
+		t.Errorf("Queue after a failed write: %v, want the first error %v", err, first)
+	}
+	if err := client.Flush(); err != first {
+		t.Errorf("Flush after a failed write: %v, want the first error %v", err, first)
+	}
+}
+
+// TestFaultyQueueCountsPerFrame runs every frame fault through Queue over
+// a real socket: each is decided and counted once per frame, exactly as on
+// Send, and survivors still wait for the flush.
+func TestFaultyQueueCountsPerFrame(t *testing.T) {
+	const frames = 20
+	for _, tc := range []struct {
+		name    string
+		cfg     FaultConfig
+		counter string
+		arrive  int  // frames the receiver decodes after the flush
+		poison  bool // the first arrival is a corrupted frame
+	}{
+		{"drop", FaultConfig{Drop: 1}, "fault.drop", 0, false},
+		{"duplicate", FaultConfig{Duplicate: 1}, "fault.duplicate", 2 * frames, false},
+		{"corrupt", FaultConfig{Corrupt: 1}, "fault.corrupt", 0, true},
+		{"delay", FaultConfig{DelayMin: time.Millisecond, DelayMax: time.Millisecond}, "fault.delay", frames, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counters := metrics.NewCounters()
+			tc.cfg.Seed, tc.cfg.Counters = 11, counters
+			f := NewFaulty(&TCP{}, tc.cfg)
+			l, err := f.Endpoint("b").Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			client, err := f.Endpoint("a").Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			server, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+
+			if got, want := client.SendStalls(), tc.cfg.DelayMax > 0; got != want {
+				t.Errorf("SendStalls = %v, want %v", got, want)
+			}
+			for i := 0; i < frames; i++ {
+				if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := counters.Get(tc.counter); got != frames {
+				t.Errorf("%s = %d after %d queued frames, want one per frame", tc.counter, got, frames)
+			}
+			if err := client.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			server.SetDeadline(time.Now().Add(2 * time.Second))
+			if tc.poison {
+				if _, err := server.Recv(); !errors.Is(err, wire.ErrBadMagic) {
+					t.Fatalf("corrupted frame: err = %v, want ErrBadMagic", err)
+				}
+				return
+			}
+			for i := 0; i < tc.arrive; i++ {
+				if _, err := server.Recv(); err != nil {
+					t.Fatalf("frame %d/%d: %v", i, tc.arrive, err)
+				}
+			}
+			server.SetDeadline(time.Now().Add(50 * time.Millisecond))
+			if m, err := server.Recv(); !IsTimeout(err) {
+				t.Fatalf("more than %d frames arrived: %v, %v", tc.arrive, m, err)
+			}
+		})
+	}
+}

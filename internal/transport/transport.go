@@ -48,9 +48,31 @@ func IsTimeout(err error) bool {
 }
 
 // Conn is a bidirectional framed-message connection.
+//
+// Send, Queue and Flush are safe for any number of concurrent callers:
+// frames never interleave and leave in the order the calls were admitted.
+// A failed write is sticky — the stream's framing is gone, so every later
+// Send, Queue and Flush reports the same error. Recv has one caller at a
+// time.
 type Conn interface {
-	// Send writes one message. Safe for one concurrent sender.
+	// Send writes one message, behind anything queued before it, and
+	// returns once the transport has taken the bytes.
 	Send(*wire.Message) error
+	// Queue encodes one message into the conn's output buffer. It reaches
+	// the peer with the next Flush or Send, or before a Recv on this conn
+	// blocks — so a reader that answers requests with Queue pays one write
+	// per burst of requests and never holds a reply while it waits for
+	// input. pending counts the frames now buffered, this one included: 1
+	// means everything queued earlier has already left, in one write. (Mem
+	// delivers at once and always reports 1.)
+	Queue(*wire.Message) (pending int, err error)
+	// Flush writes everything queued, in one write.
+	Flush() error
+	// SendStalls reports whether Send and Queue may pause for something
+	// other than the peer's own backpressure — Faulty's injected link
+	// delay. A goroutine that must stay responsive, such as the conn's
+	// reader, hands its sends to another goroutine while this holds.
+	SendStalls() bool
 	// Recv blocks for the next message.
 	Recv() (*wire.Message, error)
 	// SetDeadline bounds every subsequent Send and Recv: an operation
@@ -135,7 +157,7 @@ func (t *TCP) DialContext(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	return NewConn(c), nil
 }
 
 type tcpListener struct{ l net.Listener }
@@ -145,32 +167,89 @@ func (tl *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	return NewConn(c), nil
 }
 func (tl *tcpListener) Close() error { return tl.l.Close() }
 func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
 
 type tcpConn struct {
-	c  net.Conn
-	r  *bufio.Reader
-	mu sync.Mutex // serializes writers; also guards scratch
+	c net.Conn
+	r *bufio.Reader // fed by flushReader
 
-	scratch []byte // reused frame-encode buffer, owned under mu
+	mu      sync.Mutex // serializes Send/Queue/Flush; guards the fields below
+	out     []byte     // encoded frames not yet written; reused across flushes
+	pending int        // frames in out
+	werr    error      // first failed write; sticky
 }
 
-func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c, r: bufio.NewReader(c)} }
+// NewConn frames any stream connection — what TCP's Dial and Accept
+// return, exported so a test can put its own net.Conn underneath.
+func NewConn(c net.Conn) Conn {
+	tc := &tcpConn{c: c}
+	tc.r = bufio.NewReader(flushReader{tc})
+	return tc
+}
+
+// flushReader is the source under a tcpConn's read buffer. The buffer
+// comes here only when it has run out of bytes, which is the moment before
+// Recv can block — with input still buffered, even half a frame of it
+// followed by nothing, queued output is already on its way.
+type flushReader struct{ tc *tcpConn }
+
+func (fr flushReader) Read(p []byte) (int, error) {
+	if err := fr.tc.Flush(); err != nil {
+		return 0, err
+	}
+	return fr.tc.c.Read(p)
+}
+
+// enqueue appends m's frame to out. Caller holds mu.
+func (tc *tcpConn) enqueue(m *wire.Message) error {
+	if tc.werr != nil {
+		return tc.werr
+	}
+	out, err := wire.AppendFrame(tc.out, m)
+	if err != nil {
+		return err // nothing was queued; the conn stays usable
+	}
+	tc.out = out
+	tc.pending++
+	return nil
+}
+
+// flush writes out in one Write. Caller holds mu.
+func (tc *tcpConn) flush() error {
+	if tc.werr != nil || tc.pending == 0 {
+		return tc.werr
+	}
+	_, tc.werr = tc.c.Write(tc.out)
+	tc.out, tc.pending = tc.out[:0], 0
+	return tc.werr
+}
 
 func (tc *tcpConn) Send(m *wire.Message) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	frame, err := wire.AppendFrame(tc.scratch[:0], m)
-	if err != nil {
+	if err := tc.enqueue(m); err != nil {
 		return err
 	}
-	tc.scratch = frame
-	_, err = tc.c.Write(frame)
-	return err
+	return tc.flush()
 }
+
+func (tc *tcpConn) Queue(m *wire.Message) (int, error) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	err := tc.enqueue(m)
+	return tc.pending, err
+}
+
+func (tc *tcpConn) Flush() error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.flush()
+}
+
+func (tc *tcpConn) SendStalls() bool { return false }
 
 func (tc *tcpConn) Recv() (*wire.Message, error)  { return wire.Decode(tc.r) }
 func (tc *tcpConn) SetDeadline(t time.Time) error { return tc.c.SetDeadline(t) }
@@ -372,6 +451,11 @@ func (c *memConn) Send(m *wire.Message) error {
 		return fmt.Errorf("%w: send", ErrTimeout)
 	}
 }
+
+// Queue delivers at once: a channel send is already as cheap as buffering.
+func (c *memConn) Queue(m *wire.Message) (int, error) { return 1, c.Send(m) }
+func (c *memConn) Flush() error                       { return nil }
+func (c *memConn) SendStalls() bool                   { return false }
 
 // SetDeadline bounds subsequent Send and Recv calls; the zero time clears
 // the bound.

@@ -3,10 +3,12 @@ package transport
 import (
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bristle/internal/hashkey"
 	"bristle/internal/wire"
 )
 
@@ -200,7 +202,12 @@ func TestMemSendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestTCPConcurrentSenders pins Conn's write contract under -race: eight
+// goroutines mix immediate sends, queued sends and flushes on one conn;
+// every frame must decode intact (no interleaving) and each goroutine's
+// frames must arrive in the order it issued them.
 func TestTCPConcurrentSenders(t *testing.T) {
+	const senders, perSender = 8, 60
 	tr := &TCP{}
 	l, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
@@ -208,19 +215,28 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	}
 	defer l.Close()
 
-	received := make(chan uint32, 100)
+	type result struct {
+		frames []*wire.Message
+		err    error
+	}
+	received := make(chan result, 1)
 	go func() {
+		var res result
+		defer func() { received <- res }()
 		conn, err := l.Accept()
 		if err != nil {
+			res.err = err
 			return
 		}
 		defer conn.Close()
-		for i := 0; i < 100; i++ {
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		for len(res.frames) < senders*perSender {
 			m, err := conn.Recv()
 			if err != nil {
+				res.err = err
 				return
 			}
-			received <- m.Seq
+			res.frames = append(res.frames, m)
 		}
 	}()
 
@@ -230,32 +246,51 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	}
 	defer c.Close()
 	var wg sync.WaitGroup
-	for g := 0; g < 10; g++ {
+	for g := 0; g < senders; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if err := c.Send(&wire.Message{Type: wire.TPing, Seq: uint32(g*10 + i)}); err != nil {
-					t.Errorf("send: %v", err)
+			for i := 0; i < perSender; i++ {
+				// Key carries the sender, Seq its position; the address
+				// gives every frame a different length.
+				m := &wire.Message{Type: wire.TPublish, Key: hashkey.Key(g), Seq: uint32(i)}
+				m.Self.Addr = strings.Repeat("x", (g*perSender+i)%97)
+				var err error
+				switch i % 3 {
+				case 0:
+					err = c.Send(m)
+				case 1:
+					_, err = c.Queue(m)
+				default:
+					if _, err = c.Queue(m); err == nil {
+						err = c.Flush()
+					}
+				}
+				if err != nil {
+					t.Errorf("sender %d frame %d: %v", g, i, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	// All 100 frames must arrive intact (no interleaved corruption).
-	seen := map[uint32]bool{}
-	for i := 0; i < 100; i++ {
-		select {
-		case s := <-received:
-			if seen[s] {
-				t.Fatalf("duplicate frame %d", s)
-			}
-			seen[s] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d/100 frames arrived", i)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res := <-received
+	if res.err != nil {
+		t.Fatalf("after %d/%d frames: %v", len(res.frames), senders*perSender, res.err)
+	}
+	next := make([]uint32, senders)
+	for _, m := range res.frames {
+		g := int(m.Key)
+		if m.Type != wire.TPublish || g >= senders || m.Seq != next[g] ||
+			m.Self.Addr != strings.Repeat("x", (g*perSender+int(m.Seq))%97) {
+			t.Fatalf("frame %v key=%d seq=%d addr=%q: mangled or out of order (sender expects seq %d)",
+				m.Type, m.Key, m.Seq, m.Self.Addr, next[g%senders])
 		}
+		next[g]++
 	}
 }
 
