@@ -19,15 +19,20 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the address-resolution benchmarks (cold discovery vs the
-# lease-aware cache's hot/stale/cold-miss paths, and the serve path's
-# pipelined capacity over a loopback socket) and the batched-publish
-# benchmarks (RPCs per publish at 1/100/10k owned records), recording the
-# results as BENCH_resolve.json and BENCH_publish.json. Override
-# BENCHTIME (e.g. BENCHTIME=2s) for a statistically meaningful local run;
-# the 100x default is a CI smoke.
+# lease-aware cache's hot/stale/cold-miss paths, the hot path's scaling
+# from one goroutine to GOMAXPROCS, the cache's own hit path from every
+# processor, and the serve path's pipelined capacity over a loopback
+# socket) and the batched-publish benchmarks (RPCs per publish at
+# 1/100/10k owned records), recording the results as BENCH_resolve.json
+# and BENCH_publish.json. The nodes and the cache run with counters and
+# gauges on, as bristled runs them. Override BENCHTIME (e.g. BENCHTIME=2s)
+# for a statistically meaningful local run; the 100x default is a CI
+# smoke.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$|^BenchmarkServePipelinedTCP$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_resolve.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$' \
+		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
 	$(GO) run ./cmd/benchjson -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkPublishIngestParallel|BenchmarkRegistryReadParallel' \
@@ -58,16 +63,22 @@ bench-stretch:
 # hard bounds) rather than wall time, which varies with machine load —
 # hence the loose regress pct and -ignore-allocs. The pipelined serve
 # benchmark is gated on what it exists to show: replies share socket
-# writes (frames/write >= 2) at no extra allocation per frame.
+# writes (frames/write >= 2) at no extra allocation per frame. The hot
+# resolve is gated on what the lock-free hit path exists to show: a
+# second processor is worth at least 0.7 of a first (scaling >= 0.7;
+# BenchmarkResolveHotScaling reports 1 when GOMAXPROCS is 1, where there
+# is nothing to scale to).
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$' \
+		-benchtime $(GATETIME) -benchmem ./internal/loccache | tee -a bench_gate.txt
 	$(GO) run ./cmd/benchjson -suite gate -in bench_gate.txt -out bench_gate.json
 	@rm -f bench_gate.txt
 	$(GO) run ./cmd/benchgate -new bench_gate.json \
 		-baselines BENCH_resolve.json,BENCH_publish.json \
-		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel \
-		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2'
+		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel,BenchmarkLookupHitParallel \
+		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2,BenchmarkResolveHotScaling/scaling=0.7'
 	@rm -f bench_gate.json
 	$(GO) test -run '^$$' -bench BenchmarkStretch -benchtime 1x \
 		./internal/stretch | tee stretch_gate.txt

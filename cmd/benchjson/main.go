@@ -42,8 +42,9 @@ var benchLine = regexp.MustCompile(
 // metricCol matches one "<value> <unit>" column after ns/op —
 // b.ReportMetric output and the -benchmem B/op and allocs/op columns
 // alike. A per-op unit is keyed without its "/op" ("allocs",
-// "median-stretch"); any other ratio keeps its full name ("frames/write").
-var metricCol = regexp.MustCompile(`([\d.eE+-]+) ([\w-]+/[\w-]+)`)
+// "median-stretch"); any other ratio keeps its full name ("frames/write"),
+// and so does a unit that is not a ratio at all ("scaling").
+var metricCol = regexp.MustCompile(`([\d.eE+-]+) ([\w-]+(?:/[\w-]+)?)`)
 
 type result struct {
 	Name       string             `json:"name"`

@@ -315,6 +315,11 @@ func (c *Cluster) bootFabricMobiles() error {
 	return <-errs // nil when the channel drained empty
 }
 
+// suspicionCooldown is how long a member's tripped breaker fails fast
+// before it admits a probe. The soak generator settles for longer than
+// this after a heal, so the next op probes instead of failing fast.
+const suspicionCooldown = 150 * time.Millisecond
+
 // nodeConfig mirrors the aggressive-but-bounded resilience settings the
 // chaos suites converged on: short per-attempt deadlines, several
 // jittered retries, a breaker that trips (and probes) fast.
@@ -330,7 +335,7 @@ func (c *Cluster) nodeConfig(m *member) live.Config {
 		RetryBase:          5 * time.Millisecond,
 		RetryMax:           50 * time.Millisecond,
 		SuspicionThreshold: 3,
-		SuspicionCooldown:  150 * time.Millisecond,
+		SuspicionCooldown:  suspicionCooldown,
 		Counters:           c.Counters,
 		Gauges:             c.Gauges,
 	}

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,11 @@ func TestScenarios(t *testing.T) {
 		registryUnderMoverCrash(),
 		batchedMoverManyKeys(),
 		rapidMovesUnderDuplication(),
+		triedMoveUnderPartition(),
+		// Before GenSchedule tried the moves it schedules under an open
+		// partition, this seed's step 12 (move m2 with [m3 m2] islanded
+		// from every stationary node) failed on every run.
+		pinnedSoak(1790557275300497660, 25),
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -296,6 +302,69 @@ func rapidMovesUnderDuplication() harness.Scenario {
 		},
 		Checkers: append(harness.DefaultCheckers(), &harness.NoResurrection{}),
 		Quiesce:  200 * time.Millisecond,
+	}
+}
+
+// triedMoveUnderPartition islands a mobile from every stationary node and
+// moves it inside a Try, the way the soak generator schedules a move
+// under an open partition. The republish finds no replica and the op is
+// tolerated — but the listener did swap, so the new address must enter
+// the bind history: BindOrder and NoResurrection judge every later
+// answer against that history, and the move after the heal has to rank
+// above the one nobody heard of.
+func triedMoveUnderPartition() harness.Scenario {
+	tried := harness.Try{Op: harness.Move{Node: "m1"}}
+	var lastAddr string
+	var lastOrder int
+	return harness.Scenario{
+		Name: "tried-move-under-partition",
+		Cluster: harness.Config{
+			Seed:        707,
+			Stationary:  []string{"s1", "s2", "s3"},
+			Mobile:      []string{"m1"},
+			LeaseTTL:    2 * time.Second,
+			Replication: 2,
+			Maintain:    maintain(),
+		},
+		Ops: []harness.Op{
+			harness.Publish{Node: "m1"},
+			harness.Register{Watcher: "s1", Target: "m1"},
+			harness.Partition{Name: "island", A: []string{"m1"}, B: []string{"s1", "s2", "s3"}},
+			tried,
+			harness.Heal{Name: "island"},
+			harness.Settle{For: 400 * time.Millisecond},
+			harness.Move{Node: "m1"},
+			harness.Resolve{From: "s2", Target: "m1", Within: 10 * time.Second},
+		},
+		Checkers: append(harness.DefaultCheckers(), &harness.NoResurrection{}, harness.CheckFunc{
+			Label: "every-listener-swap-is-in-the-bind-history",
+			Step: func(c *harness.Cluster, op harness.Op) error {
+				addr := c.Addr("m1")
+				order, bound := c.BindOrder(c.Key("m1"), addr)
+				if !bound || (addr != lastAddr && order <= lastOrder) {
+					return fmt.Errorf("after %s: m1 at %s has bind order %d (bound %v), last was %d at %s",
+						op, addr, order, bound, lastOrder, lastAddr)
+				}
+				if op == harness.Op(tried) && (addr == lastAddr || c.Moves("m1") != 1) {
+					return fmt.Errorf("the tried move did not swap the listener: still %s after %d moves", addr, c.Moves("m1"))
+				}
+				lastAddr, lastOrder = addr, order
+				return nil
+			},
+		}),
+		Quiesce: 200 * time.Millisecond,
+	}
+}
+
+// pinnedSoak replays the soak schedule GenSchedule derives from seed as a
+// table scenario: a seed that once failed stays in the suite.
+func pinnedSoak(seed int64, ops int) harness.Scenario {
+	cfg := harness.SoakCluster(seed)
+	return harness.Scenario{
+		Name:    fmt.Sprintf("soak-seed-%d", seed),
+		Cluster: cfg,
+		Ops:     harness.GenSchedule(cfg, rand.New(rand.NewSource(seed)), harness.SoakOptions{Ops: ops}),
+		Quiesce: 200 * time.Millisecond,
 	}
 }
 

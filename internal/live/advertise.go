@@ -180,7 +180,7 @@ func (n *Node) enqueueUpdate(addr string, msg *wire.Message) <-chan struct{} {
 	n.ensureFlusher()
 	done, coalesced := n.updq.enqueue(addr, msg)
 	if coalesced {
-		n.count("updates.coalesced")
+		n.ctr.updatesCoalesced.Inc()
 	}
 	return done
 }
@@ -252,7 +252,7 @@ func (n *Node) UpdateRegistryContext(ctx context.Context) error {
 	now := time.Now()
 	// Lapsed registrants miss the push by design.
 	if expired := n.registry.sweep(now); expired > 0 {
-		n.cfg.Counters.Add("registry.expired", uint64(expired))
+		n.ctr.registryExpired.Add(uint64(expired))
 	}
 	v := n.registry.snapshot()
 	members := make([]ldt.Member, 0, len(v.byKey))

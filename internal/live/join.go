@@ -65,21 +65,30 @@ func stationaryRegion(cfg Config) string {
 	return cfg.Region
 }
 
+// joinReject is why a TJoin was refused: the suffix of its
+// join.rejected.* counter.
+type joinReject string
+
+const (
+	// joinUnsigned: no proof, and this node requires one.
+	joinUnsigned joinReject = "unsigned"
+	// joinBadSig: the signature doesn't verify over the join statement.
+	joinBadSig joinReject = "bad_sig"
+	// joinKeyMismatch: the claimed key is not IDKey(pub, region, regions):
+	// a forged stationary/striped key, a region squat, or a key belonging
+	// to some other identity.
+	joinKeyMismatch joinReject = "key_mismatch"
+	// joinDuplicateID: the key is already bound to a different identity
+	// (or an unsigned join claims a verified key).
+	joinDuplicateID joinReject = "duplicate_id"
+)
+
 // verifyJoin checks a TJoin's identity claim. It returns "" to admit, or
-// a short reason slug — the suffix of the join.rejected.* counter — to
-// reject:
-//
-//	unsigned     — no proof, and this node requires one
-//	bad_sig      — the signature doesn't verify over the join statement
-//	key_mismatch — the claimed key is not IDKey(pub, region, regions):
-//	               a forged stationary/striped key, a region squat, or
-//	               a key belonging to some other identity
-//	duplicate_id — the key is already bound to a different identity
-//	               (or an unsigned join claims a verified key)
-func (n *Node) verifyJoin(m *wire.Message) string {
+// the reason to reject.
+func (n *Node) verifyJoin(m *wire.Message) joinReject {
 	if len(m.Pub) == 0 {
 		if n.cfg.RequireVerifiedJoins {
-			return "unsigned"
+			return joinUnsigned
 		}
 		// Unverified joins may coexist with verified ones, but must not
 		// claim a key some identity has already proven ownership of.
@@ -87,25 +96,25 @@ func (n *Node) verifyJoin(m *wire.Message) string {
 		_, taken := n.ids[m.Self.Key]
 		n.idsMu.Unlock()
 		if taken {
-			return "duplicate_id"
+			return joinDuplicateID
 		}
 		return ""
 	}
 	if !hashkey.VerifySig(m.Pub, joinStatement(m.Self, m.Region), m.Sig) {
-		return "bad_sig"
+		return joinBadSig
 	}
 	region := m.Region
 	if m.Self.Mobile {
 		region = "" // mobile keys never stripe, whatever the claim says
 	}
 	if hashkey.IDKey(m.Pub, region, n.cfg.Regions) != m.Self.Key {
-		return "key_mismatch"
+		return joinKeyMismatch
 	}
 	fp := sha256.Sum256(m.Pub)
 	n.idsMu.Lock()
 	defer n.idsMu.Unlock()
 	if prev, ok := n.ids[m.Self.Key]; ok && prev != fp {
-		return "duplicate_id"
+		return joinDuplicateID
 	}
 	n.ids[m.Self.Key] = fp
 	return ""
@@ -118,13 +127,13 @@ func (n *Node) verifyJoin(m *wire.Message) string {
 // be re-cloned) once per mobile client, so observers stay invisible
 // until their publish traffic introduces them to their record's owners.
 func (n *Node) handleJoin(m *wire.Message) *wire.Message {
-	n.count("join.requests")
+	n.ctr.joinRequests.Inc()
 	if why := n.verifyJoin(m); why != "" {
-		n.count("join.rejected." + why)
+		n.ctr.joinRejected[why].Inc()
 		n.logf("join rejected (%s) from %v (%s)", why, m.Self.Key, m.Self.Addr)
 		return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq}
 	}
-	n.count("join.accepted")
+	n.ctr.joinAccepted.Inc()
 	if n.cfg.Logger != nil {
 		n.logf("join from %v (%s)", m.Self.Key, m.Self.Addr)
 	}

@@ -232,7 +232,7 @@ func (n *Node) Registry() []wire.Entry {
 func (n *Node) SweepRegistry() int {
 	removed := n.registry.sweep(time.Now())
 	if removed > 0 {
-		n.cfg.Counters.Add("registry.expired", uint64(removed))
+		n.ctr.registryExpired.Add(uint64(removed))
 		n.logf("swept %d lapsed registrations", removed)
 	}
 	return removed

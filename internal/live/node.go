@@ -265,7 +265,8 @@ type Node struct {
 	cfg  Config
 	key  hashkey.Key
 	tr   transport.Transport
-	pool *pool // nil when cfg.Pool.Disabled
+	pool *pool    // nil when cfg.Pool.Disabled
+	ctr  counters // event handles into cfg.Counters
 
 	lifeMu    sync.Mutex
 	listener  *listenerState
@@ -343,6 +344,7 @@ func NewNode(cfg Config, tr transport.Transport) *Node {
 		cfg:     cfg,
 		key:     key,
 		tr:      tr,
+		ctr:     newCounters(cfg.Counters),
 		rng:     rand.New(rand.NewSource(int64(key))), // deterministic per-node jitter
 		updates: make(chan Update, 64),
 		owned:   make(map[hashkey.Key]struct{}),
@@ -562,8 +564,8 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	var batch uint64
 	wrote := func() {
 		if batch > 0 {
-			n.cfg.Counters.Add("serve.frames", batch)
-			n.cfg.Counters.Add("serve.flushes", 1)
+			n.ctr.serveFrames.Add(batch)
+			n.ctr.serveFlushes.Inc()
 			batch = 0
 		}
 	}

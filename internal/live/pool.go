@@ -78,10 +78,15 @@ type poolShard struct {
 
 // pool owns at most one session per peer address, sharded by address.
 type pool struct {
-	tr       transport.Transport
-	cfg      PoolConfig
-	counters *metrics.Counters
-	gauges   *metrics.Gauges
+	tr  transport.Transport
+	cfg PoolConfig
+
+	// Event and level handles, taken once at construction (nil without a
+	// registry, which counts nothing).
+	dials, broken, orphans      *metrics.Counter
+	evictionsCap, evictionsIdle *metrics.Counter
+	frames, flushes             *metrics.Counter // frames sent, and the writes that carried them
+	sessions, inflight          *metrics.Gauge
 
 	closed atomic.Bool
 	nsess  atomic.Int64 // reserved session slots (the MaxSessions cap)
@@ -93,10 +98,18 @@ type pool struct {
 
 func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
 	p := &pool{
-		tr:       tr,
-		cfg:      cfg.withDefaults(),
-		counters: counters,
-		gauges:   gauges,
+		tr:  tr,
+		cfg: cfg.withDefaults(),
+
+		dials:         counters.Counter("pool.dials"),
+		broken:        counters.Counter("pool.broken"),
+		orphans:       counters.Counter("pool.demux.orphans"),
+		evictionsCap:  counters.Counter("pool.evictions.cap"),
+		evictionsIdle: counters.Counter("pool.evictions.idle"),
+		frames:        counters.Counter("pool.frames"),
+		flushes:       counters.Counter("pool.flushes"),
+		sessions:      gauges.Gauge("pool.sessions"),
+		inflight:      gauges.Gauge("pool.inflight"),
 	}
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*session)
@@ -108,9 +121,6 @@ func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters,
 	}
 	return p
 }
-
-func (p *pool) count(name string)             { p.counters.Inc(name) }
-func (p *pool) gaugeAdd(name string, d int64) { p.gauges.Add(name, d) }
 
 // shard selects addr's slice of the session table (addrShard: the same
 // FNV-1a as the breaker and RTT tables).
@@ -201,7 +211,7 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 			if victim == nil {
 				return nil, errPoolSaturated
 			}
-			p.count("pool.evictions.cap")
+			p.evictionsCap.Inc()
 			victim.teardown(errSessionIdle) // its drop releases the slot
 			continue
 		}
@@ -215,7 +225,7 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 			lastUse: time.Now(),
 		}
 		sh.m[addr] = s
-		p.gauges.Set("pool.sessions", p.nsess.Load())
+		p.sessions.Set(p.nsess.Load())
 		sh.mu.Unlock()
 		return s, s.dial(ctx)
 	}
@@ -245,7 +255,7 @@ func (s *session) dial(ctx context.Context) error {
 	s.conn = conn
 	s.mu.Unlock()
 	close(s.ready)
-	s.p.count("pool.dials")
+	s.p.dials.Inc()
 	s.p.wg.Add(2)
 	go s.writeLoop()
 	go s.readLoop()
@@ -265,8 +275,8 @@ func (s *session) writeLoop() {
 				s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.addr, err))
 				return
 			}
-			s.p.counters.Add("pool.frames", frames)
-			s.p.counters.Add("pool.flushes", 1)
+			s.p.frames.Add(frames)
+			s.p.flushes.Inc()
 			if oneWay > 0 {
 				s.mu.Lock()
 				s.oneWay -= oneWay
@@ -332,7 +342,7 @@ func (s *session) readLoop() {
 		}
 		s.mu.Unlock()
 		if !ok {
-			s.p.count("pool.demux.orphans")
+			s.p.orphans.Inc()
 			continue
 		}
 		ch <- m // buffered (cap 1); never blocks
@@ -362,7 +372,7 @@ func (s *session) teardown(err error) {
 		close(ch) // closed reply channel = session failed; see roundTrip
 	}
 	if err != errSessionIdle && err != ErrPoolClosed {
-		s.p.count("pool.broken")
+		s.p.broken.Inc()
 	}
 }
 
@@ -392,7 +402,7 @@ func (s *session) register(m *outFrame) (uint32, chan *wire.Message, error) {
 	s.inflight++
 	s.lastUse = time.Now()
 	s.mu.Unlock()
-	s.p.gaugeAdd("pool.inflight", 1)
+	s.p.inflight.Add(1)
 	return seq, reply, nil
 }
 
@@ -409,7 +419,7 @@ func (s *session) endUse() {
 	s.inflight--
 	s.lastUse = time.Now()
 	s.mu.Unlock()
-	s.p.gaugeAdd("pool.inflight", -1)
+	s.p.inflight.Add(-1)
 }
 
 // roundTrip runs one request/response exchange over the shared
@@ -501,7 +511,7 @@ func (p *pool) drop(s *session) {
 	sh.mu.Lock()
 	if sh.m[s.addr] == s {
 		delete(sh.m, s.addr)
-		p.gauges.Set("pool.sessions", p.nsess.Add(-1))
+		p.sessions.Set(p.nsess.Add(-1))
 	}
 	sh.mu.Unlock()
 }
@@ -563,7 +573,7 @@ func (p *pool) evictIdle(now time.Time) {
 		sh.mu.Unlock()
 	}
 	for _, s := range victims {
-		p.count("pool.evictions.idle")
+		p.evictionsIdle.Inc()
 		s.teardown(errSessionIdle)
 	}
 }
@@ -588,7 +598,7 @@ func (p *pool) Close() {
 		sh.mu.Unlock()
 	}
 	p.nsess.Store(0)
-	p.gauges.Set("pool.sessions", 0)
+	p.sessions.Set(0)
 	if p.stopJanitor != nil {
 		close(p.stopJanitor)
 	}

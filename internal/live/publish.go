@@ -115,11 +115,7 @@ func (n *Node) PublishContext(ctx context.Context) error {
 				stored[rec.Key]++
 			}
 		}
-		n.cfg.Counters.Add("publish.records", uint64(len(selfRecs)))
-		n.cfg.Counters.Add("publish.accepted", uint64(accepted))
-		if rej := len(selfRecs) - accepted; rej > 0 {
-			n.cfg.Counters.Add("publish.stale_rejected", uint64(rej))
-		}
+		n.countIngest(len(selfRecs), accepted)
 	}
 
 	type chunkResult struct {
@@ -146,7 +142,7 @@ func (n *Node) PublishContext(ctx context.Context) error {
 					// classic single-record publish on the wire.
 					msg = &wire.Message{Type: wire.TPublish, Self: self}
 				}
-				n.count("publish.rpcs")
+				n.ctr.publishRPCs.Inc()
 				resp, err := n.request(ctx, addr, msg)
 				switch {
 				case err != nil:

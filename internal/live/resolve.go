@@ -78,7 +78,7 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 		return n.flightDiscover(key, false)
 	})
 	if shared {
-		n.count("loccache.coalesced")
+		n.ctr.coalesced.Inc()
 	}
 	return addr, err
 }
@@ -113,7 +113,7 @@ func (n *Node) flightDiscover(key hashkey.Key, revalidate bool) (string, error) 
 // miss as a negative entry. Transport failures cache nothing — absence
 // of evidence is not evidence of absence.
 func (n *Node) discoverAndFill(ctx context.Context, key hashkey.Key) (string, error) {
-	n.count("resolve.discoveries")
+	n.ctr.discoveries.Inc()
 	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -141,7 +141,7 @@ func (n *Node) launchRefresh(key hashkey.Key) bool {
 		return n.flightDiscover(key, true)
 	})
 	if started {
-		n.count("loccache.refreshes")
+		n.ctr.refreshes.Inc()
 	}
 	return started
 }

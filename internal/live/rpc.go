@@ -124,9 +124,6 @@ func (t *peerTable) suspectSet() map[string]bool {
 	return out
 }
 
-// count bumps a named counter on the node's registry (nil-safe).
-func (n *Node) count(name string) { n.cfg.Counters.Inc(name) }
-
 // breakerAllow consults addr's breaker before any network I/O. A closed
 // breaker admits the call; an open one past its cooldown moves to
 // half-open and admits this single call as the probe; anything else fails
@@ -144,10 +141,10 @@ func (n *Node) breakerAllow(addr string) error {
 	}
 	if b.state == bkOpen && !time.Now().Before(b.probeAt) {
 		b.state = bkHalfOpen
-		n.count("breaker.probes")
+		n.ctr.breakerProbes.Inc()
 		return nil
 	}
-	n.count("breaker.fastfail")
+	n.ctr.breakerFastfail.Inc()
 	return fmt.Errorf("%w: %s", ErrPeerSuspect, addr)
 }
 
@@ -166,7 +163,7 @@ func (n *Node) breakerResult(addr string, err error) {
 		if b != nil {
 			if b.state != bkClosed {
 				n.peersTbl.suspects.Add(-1)
-				n.count("breaker.closes")
+				n.ctr.breakerCloses.Inc()
 				n.logf("peer %s healthy again; breaker closed", addr)
 			}
 			delete(sh.m, addr)
@@ -186,7 +183,7 @@ func (n *Node) breakerResult(addr string, err error) {
 			n.peersTbl.suspects.Add(1)
 		}
 		if b.state != bkOpen {
-			n.count("breaker.trips")
+			n.ctr.breakerTrips.Inc()
 			n.logf("peer %s suspect after %d consecutive failures", addr, b.fails)
 		}
 		b.state = bkOpen
@@ -244,7 +241,7 @@ func (n *Node) requestRetry(ctx context.Context, addr string, m *wire.Message) (
 			if err := sleepCtx(ctx, pause); err != nil {
 				break // caller gave up mid-backoff
 			}
-			n.count("rpc.retries")
+			n.ctr.rpcRetries.Inc()
 		}
 		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
@@ -252,21 +249,21 @@ func (n *Node) requestRetry(ctx context.Context, addr string, m *wire.Message) (
 			}
 			break
 		}
-		n.count("rpc.attempts")
+		n.ctr.rpcAttempts.Inc()
 		resp, err := n.attempt(ctx, addr, m)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
 		if transport.IsTimeout(err) {
-			n.count("rpc.timeouts")
+			n.ctr.rpcTimeouts.Inc()
 		}
 		if !Retryable(err) {
-			n.count("rpc.fatal")
+			n.ctr.rpcFatal.Inc()
 			return nil, err
 		}
 	}
-	n.count("rpc.failures")
+	n.ctr.rpcFailures.Inc()
 	return nil, lastErr
 }
 
@@ -310,7 +307,7 @@ func (n *Node) attemptOnce(ctx context.Context, addr string, m *wire.Message) (*
 		if !errors.Is(err, errPoolSaturated) {
 			return resp, err
 		}
-		n.count("pool.fallbacks")
+		n.ctr.poolFallbacks.Inc()
 	}
 	return n.attemptDial(actx, addr, m)
 }
@@ -385,7 +382,7 @@ func (n *Node) oneWaySend(ctx context.Context, addr string, m *wire.Message) err
 		if !errors.Is(err, errPoolSaturated) {
 			return err
 		}
-		n.count("pool.fallbacks")
+		n.ctr.poolFallbacks.Inc()
 	}
 	conn, err := transport.DialContext(actx, n.tr, addr)
 	if err != nil {

@@ -153,14 +153,14 @@ func (n *Node) handlePublish(m *wire.Message) {
 		// A publisher is also a live peer worth knowing about.
 		n.members.update(m.Self)
 	}
-	n.count("publish.records")
+	n.ctr.publishRecords.Inc()
 	if ok {
-		n.count("publish.accepted")
+		n.ctr.publishAccepted.Inc()
 		if n.cfg.Logger != nil {
 			n.logf("stored location of %v → %s (epoch %d)", m.Self.Key, m.Self.Addr, m.Self.Epoch)
 		}
 	} else {
-		n.count("publish.stale_rejected")
+		n.ctr.publishStaleRejected.Inc()
 		if n.cfg.Logger != nil {
 			n.logf("rejected stale publish of %v → %s (epoch %d)", m.Self.Key, m.Self.Addr, m.Self.Epoch)
 		}
@@ -184,15 +184,19 @@ func (n *Node) handlePublishBatch(m *wire.Message) {
 		}
 	}
 	n.members.update(m.Self)
-	n.cfg.Counters.Add("publish.records", uint64(len(m.Entries)))
-	n.cfg.Counters.Add("publish.accepted", uint64(accepted))
-	if rejected := len(m.Entries) - accepted; rejected > 0 {
-		n.cfg.Counters.Add("publish.stale_rejected", uint64(rejected))
-	}
+	n.countIngest(len(m.Entries), accepted)
 	if n.cfg.Logger != nil {
 		n.logf("batch publish from %v: %d records, %d accepted (epoch %d)",
 			m.Self.Key, len(m.Entries), accepted, m.Self.Epoch)
 	}
+}
+
+// countIngest classifies a batch of ingested records: every one was
+// accepted or rejected as stale.
+func (n *Node) countIngest(records, accepted int) {
+	n.ctr.publishRecords.Add(uint64(records))
+	n.ctr.publishAccepted.Add(uint64(accepted))
+	n.ctr.publishStaleRejected.Add(uint64(records - accepted))
 }
 
 // handleDiscover answers a _discovery from this node's repository
@@ -240,13 +244,13 @@ func remainingTTLMilli(rec storedLoc) uint32 {
 // replica placement. The write-through shares one source of truth with
 // late-binding discover results.
 func (n *Node) handleUpdate(m *wire.Message) {
-	n.count("updates.received")
+	n.ctr.updatesReceived.Inc()
 	if !n.seen.observe(m.Self.Key, m.Self.Epoch) {
 		// An out-of-order push (delayed or duplicated by the network): the
 		// subject has already moved past this address. Applying it would
 		// regress every resolver behind this node's cache — and recursing
 		// would spread the regression down the delegated subtree.
-		n.count("updates.stale_rejected")
+		n.ctr.updatesStaleRejected.Inc()
 		if n.cfg.Logger != nil {
 			n.logf("rejected stale update: %v → %s (epoch %d, seen %d)",
 				m.Self.Key, m.Self.Addr, m.Self.Epoch, n.seen.get(m.Self.Key))
@@ -254,7 +258,7 @@ func (n *Node) handleUpdate(m *wire.Message) {
 		return
 	}
 	n.members.update(m.Self)
-	n.count("updates.applied")
+	n.ctr.updatesApplied.Inc()
 	if n.loc != nil {
 		// Epoch-aware write-through: belt and braces under the epochTable
 		// guard — a concurrent discover fill for the same key races this
@@ -266,7 +270,7 @@ func (n *Node) handleUpdate(m *wire.Message) {
 	default:
 		// Applications that don't drain updates must not block the tree —
 		// but the loss has to be observable, not silent.
-		n.count("updates.dropped")
+		n.ctr.updatesDropped.Inc()
 		if n.cfg.Logger != nil {
 			n.logf("updates channel full; dropped update for %v (%s)", m.Self.Key, m.Self.Addr)
 		}

@@ -7,24 +7,29 @@
 //
 //   - Fresh:    a live lease; serve it without touching the network.
 //   - Stale:    the lease lapsed recently (within StaleWindow); serve it
-//               anyway while a background refresh re-resolves the key
-//               (stale-while-revalidate — the paper's late binding with
-//               the latency hidden).
+//     anyway while a background refresh re-resolves the key
+//     (stale-while-revalidate — the paper's late binding with
+//     the latency hidden).
 //   - Negative: a recent _discovery answered "no record"; fail fast
-//               instead of re-asking every replica for NegativeTTL.
+//     instead of re-asking every replica for NegativeTTL.
 //   - Miss:     nothing usable; the caller must go to the network.
 //
-// The cache is sharded by key so concurrent resolves contend only on a
-// 1/Shards slice of the keyspace, never on the node's protocol mutex.
-// Each shard is bounded and evicts expired entries before live ones
-// (LRU-of-expired-first): under pressure the cache sheds dead weight and
-// keeps leases that still save round-trips.
+// The cache is sharded by key. A lookup that finds a usable answer takes
+// no lock and writes no memory another resolver writes: each shard's
+// index is an array of bucket chains read with atomic loads, entries are
+// immutable once linked, and recency is a per-entry flag a hit sets only
+// when it is clear. Writers (fills, invalidations, evictions) serialise
+// on the shard's mutex. Each shard is bounded and evicts expired entries
+// before live ones (LRU-of-expired-first): under pressure the cache sheds
+// dead weight and keeps leases that still save round-trips.
 package loccache
 
 import (
 	"container/list"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bristle/internal/hashkey"
@@ -73,7 +78,7 @@ type Config struct {
 	// StaleWindow is how long past its lease an entry may still be served
 	// as Stale; beyond it the entry reads as a Miss. Default 30s.
 	StaleWindow time.Duration
-	// Clock overrides time.Now, for tests. Nil uses time.Now.
+	// Clock overrides the clock, for tests. Nil reads the monotonic clock.
 	Clock func() time.Time
 	// Counters receives loccache.lookups/hit/miss/stale/negative/evicted
 	// events; nil disables them.
@@ -86,12 +91,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
-	// Round up to a power of two so the shard index is a mask, not a mod.
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	cfg.Shards = n
+	cfg.Shards = pow2(cfg.Shards) // the shard index is a mask, not a mod
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
 	}
@@ -102,14 +102,27 @@ func (cfg Config) withDefaults() Config {
 		cfg.StaleWindow = 30 * time.Second
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		// time.Now reads the wall clock and the monotonic clock; a lookup
+		// only ever compares instants, so it pays for the monotonic one.
+		base := time.Now()
+		cfg.Clock = func() time.Time { return base.Add(time.Since(base)) }
 	}
 	return cfg
 }
 
-// entry is one cached state-pair. lastUsed orders the early-binding
-// refresher's MRU ranking; elem is the entry's position in its shard's
-// LRU list (front = most recent).
+// pow2 rounds n up to a power of two.
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// entry is one cached state-pair. What a lookup answers from — key, addr,
+// lease, epoch — never changes once the entry is linked into its bucket:
+// a new binding for the key is a new entry, so a reader that found an
+// entry uses it without a lock. The remaining fields are bookkeeping.
 type entry struct {
 	key      hashkey.Key
 	addr     string
@@ -117,8 +130,21 @@ type entry struct {
 	hasTTL   bool
 	negative bool
 	epoch    uint64 // publisher's move counter; 0 = unordered
-	lastUsed time.Time
-	elem     *list.Element
+
+	// next is the rest of the bucket chain. Writers change it under the
+	// shard mutex; an unlinked entry keeps it, so a reader standing on the
+	// entry walks on into the chain as it was, and the garbage collector
+	// frees the entry once the last such reader has left.
+	next atomic.Pointer[entry]
+	// touched is a hit the LRU list has not seen yet. A hit sets it only
+	// when it is clear; eviction clears it and applies the promotion.
+	touched atomic.Bool
+	// lastUsed is the Unix second of the latest hit (of the fill, before
+	// any): the early-binding refresher's MRU ranking.
+	lastUsed atomic.Int64
+	// elem is the entry's position in its shard's LRU list, guarded by
+	// the shard mutex.
+	elem *list.Element
 }
 
 // state classifies e at instant now under the given stale window.
@@ -144,19 +170,42 @@ func (e *entry) expired(now time.Time) bool {
 	return (e.hasTTL || e.negative) && !now.Before(e.expires)
 }
 
+// used records a hit at now. On an entry that is hit continuously it
+// writes nothing: the flag is already set and the second has not changed,
+// so the entry's cache line stays shared between the processors reading
+// it.
+func (e *entry) used(now time.Time) {
+	if !e.touched.Load() {
+		e.touched.Store(true)
+	}
+	if sec := now.Unix(); e.lastUsed.Load() != sec {
+		e.lastUsed.Store(sec)
+	}
+}
+
+// shard is one independently written segment. buckets indexes its entries
+// by key: chains that writers change under mu and readers walk with
+// atomic loads only, allocated on the first insert. lru orders the same
+// entries for eviction (front = most recently promoted), under mu.
 type shard struct {
-	mu  sync.Mutex
-	m   map[hashkey.Key]*entry
-	lru *list.List // of *entry; front = most recently used
+	mu      sync.Mutex
+	lru     list.List
+	buckets atomic.Pointer[[]atomic.Pointer[entry]]
 }
 
 // Cache is a sharded, bounded, lease-aware location cache. All methods
 // are safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	mask     uint64
-	perShard int
-	shards   []shard
+	cfg        Config
+	shardMask  uint64
+	shardBits  uint
+	bucketMask uint64
+	perShard   int
+	shards     []shard
+
+	lookups, hit, miss, stale, negative *metrics.Counter
+	evicted, epochRejected              *metrics.Counter
+	entries                             *metrics.Gauge
 }
 
 // New builds a Cache from cfg (zero-value fields take defaults).
@@ -166,81 +215,117 @@ func New(cfg Config) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{
-		cfg:      cfg,
-		mask:     uint64(cfg.Shards - 1),
-		perShard: per,
-		shards:   make([]shard, cfg.Shards),
+	return &Cache{
+		cfg:        cfg,
+		shardMask:  uint64(cfg.Shards - 1),
+		shardBits:  uint(bits.TrailingZeros(uint(cfg.Shards))),
+		bucketMask: uint64(pow2(per) - 1),
+		perShard:   per,
+		shards:     make([]shard, cfg.Shards),
+
+		lookups:       cfg.Counters.Counter("loccache.lookups"),
+		hit:           cfg.Counters.Counter("loccache.hit"),
+		miss:          cfg.Counters.Counter("loccache.miss"),
+		stale:         cfg.Counters.Counter("loccache.stale"),
+		negative:      cfg.Counters.Counter("loccache.negative"),
+		evicted:       cfg.Counters.Counter("loccache.evicted"),
+		epochRejected: cfg.Counters.Counter("loccache.epoch_rejected"),
+		entries:       cfg.Gauges.Gauge("loccache.entries"),
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[hashkey.Key]*entry)
-		c.shards[i].lru = list.New()
-	}
-	return c
 }
 
 // shardOf picks the shard for key. Keys come from SHA-1 (hashkey), so
-// the low bits are already uniformly distributed.
+// the low bits are already uniformly distributed; the bits above them
+// pick the bucket.
 func (c *Cache) shardOf(key hashkey.Key) *shard {
-	return &c.shards[uint64(key)&c.mask]
+	return &c.shards[uint64(key)&c.shardMask]
 }
 
-func (c *Cache) count(name string) { c.cfg.Counters.Inc(name) }
+func (c *Cache) bucketOf(key hashkey.Key) uint64 {
+	return uint64(key) >> c.shardBits & c.bucketMask
+}
+
+// find returns key's entry, or nil. It takes no lock. Every entry it
+// visits was linked at some instant of the call: a replacement takes the
+// old entry's place in the chain with one store and a removed entry keeps
+// its next, so the walk never skips an entry that stayed linked.
+func (c *Cache) find(key hashkey.Key) *entry {
+	tbl := c.shardOf(key).buckets.Load()
+	if tbl == nil {
+		return nil
+	}
+	for e := (*tbl)[c.bucketOf(key)].Load(); e != nil; e = e.next.Load() {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// link returns the pointer that holds key's entry — its bucket's head or
+// its predecessor's next — or, when the key is absent, the nil pointer
+// that ends its chain. Caller holds s.mu. It allocates the buckets of a
+// shard that has none, which only a store reaches: removals start from an
+// entry they found.
+func (c *Cache) link(s *shard, key hashkey.Key) *atomic.Pointer[entry] {
+	tbl := s.buckets.Load()
+	if tbl == nil {
+		t := make([]atomic.Pointer[entry], c.bucketMask+1)
+		tbl = &t
+		s.buckets.Store(tbl)
+	}
+	p := &(*tbl)[c.bucketOf(key)]
+	for e := p.Load(); e != nil && e.key != key; e = p.Load() {
+		p = &e.next
+	}
+	return p
+}
 
 // Lookup classifies key and returns its cached address (empty unless
-// Fresh or Stale). A usable hit is promoted to the shard's MRU position
-// and counted (loccache.hit/stale/negative/miss). Every call also counts
-// loccache.lookups, so hit+stale+negative+miss == lookups is a checkable
-// conservation invariant (≤ while lookups are in flight, == at rest).
+// Fresh or Stale). A usable hit is marked for promotion to the shard's
+// MRU position and counted (loccache.hit/stale/negative/miss). Every call
+// also counts loccache.lookups, so hit+stale+negative+miss == lookups is
+// a checkable conservation invariant (≤ while lookups are in flight, ==
+// at rest). Only a lookup that finds an entry too old to serve takes the
+// shard's lock, to drop it.
 func (c *Cache) Lookup(key hashkey.Key) (string, State) {
-	c.count("loccache.lookups")
-	now := c.cfg.Clock()
-	s := c.shardOf(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if !ok {
-		s.mu.Unlock()
-		c.count("loccache.miss")
+	c.lookups.Inc()
+	e := c.find(key)
+	if e == nil {
+		c.miss.Inc()
 		return "", Miss
 	}
+	// The clock is read after the entry was found, on every lookup that
+	// found one: an answer is Fresh as of an instant inside the call.
+	now := c.cfg.Clock()
 	st := e.state(now, c.cfg.StaleWindow)
-	var addr string
-	switch st {
-	case Fresh, Stale:
-		addr = e.addr
-		e.lastUsed = now
-		s.lru.MoveToFront(e.elem)
-	case Miss:
-		// Too stale (or a lapsed negative) to be worth keeping.
-		s.removeLocked(e)
-		c.cfg.Gauges.Add("loccache.entries", -1)
-	}
-	s.mu.Unlock()
 	switch st {
 	case Fresh:
-		c.count("loccache.hit")
+		e.used(now)
+		c.hit.Inc()
+		return e.addr, st
 	case Stale:
-		c.count("loccache.stale")
+		e.used(now)
+		c.stale.Inc()
+		return e.addr, st
 	case Negative:
-		c.count("loccache.negative")
+		c.negative.Inc()
 	case Miss:
-		c.count("loccache.miss")
+		// Too stale (or a lapsed negative) to be worth keeping.
+		c.remove(key, e)
+		c.miss.Inc()
 	}
-	return addr, st
+	return "", st
 }
 
 // Peek classifies key without promoting it or recording metrics — a
 // read-only probe for introspection (CachedAddr, tests).
 func (c *Cache) Peek(key hashkey.Key) (string, State) {
-	now := c.cfg.Clock()
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok {
+	e := c.find(key)
+	if e == nil {
 		return "", Miss
 	}
-	st := e.state(now, c.cfg.StaleWindow)
+	st := e.state(c.cfg.Clock(), c.cfg.StaleWindow)
 	if st == Fresh || st == Stale {
 		return e.addr, st
 	}
@@ -250,13 +335,7 @@ func (c *Cache) Peek(key hashkey.Key) (string, State) {
 // Put stores addr for key under a lease of ttl (0 = no expiry), replacing
 // any previous entry — positive or negative — and promoting it to MRU.
 func (c *Cache) Put(key hashkey.Key, addr string, ttl time.Duration) {
-	now := c.cfg.Clock()
-	e := &entry{key: key, addr: addr, lastUsed: now}
-	if ttl > 0 {
-		e.hasTTL = true
-		e.expires = now.Add(ttl)
-	}
-	c.insert(e)
+	c.store(&entry{key: key, addr: addr}, ttl, false)
 }
 
 // PutEpoch stores addr for key like Put, but carries the publisher's
@@ -267,71 +346,72 @@ func (c *Cache) Put(key hashkey.Key, addr string, ttl time.Duration) {
 // entries (epoch 0) never outrank an ordered write — absence of an
 // ordering is not evidence of freshness.
 func (c *Cache) PutEpoch(key hashkey.Key, addr string, ttl time.Duration, epoch uint64) bool {
-	now := c.cfg.Clock()
-	e := &entry{key: key, addr: addr, epoch: epoch, lastUsed: now}
-	if ttl > 0 {
-		e.hasTTL = true
-		e.expires = now.Add(ttl)
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if old, ok := s.m[key]; ok && !old.negative && old.epoch > epoch {
-		s.mu.Unlock()
-		c.count("loccache.epoch_rejected")
-		return false
-	}
-	c.storeLocked(s, e)
-	s.mu.Unlock()
-	c.cfg.Gauges.Add("loccache.entries", 1)
-	return true
+	return c.store(&entry{key: key, addr: addr, epoch: epoch}, ttl, true)
 }
 
 // PutNegative records that key currently has no location record, so
 // resolves fail fast for NegativeTTL instead of re-asking the replicas.
 func (c *Cache) PutNegative(key hashkey.Key) {
-	now := c.cfg.Clock()
-	c.insert(&entry{
-		key:      key,
-		negative: true,
-		hasTTL:   true,
-		expires:  now.Add(c.cfg.NegativeTTL),
-		lastUsed: now,
-	})
+	c.store(&entry{key: key, negative: true}, c.cfg.NegativeTTL, false)
 }
 
-func (c *Cache) insert(e *entry) {
+// store starts e's lease and links it in place of any entry its key has,
+// evicting one if the shard is full. ordered makes a cached positive
+// entry of a newer epoch win instead.
+func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
+	now := c.cfg.Clock()
+	if ttl > 0 {
+		e.hasTTL = true
+		e.expires = now.Add(ttl)
+	}
+	e.lastUsed.Store(now.Unix())
+
 	s := c.shardOf(e.key)
 	s.mu.Lock()
-	c.storeLocked(s, e)
-	s.mu.Unlock()
-	c.cfg.Gauges.Add("loccache.entries", 1)
-}
-
-// storeLocked replaces any existing entry for e.key with e, evicting if
-// the shard is full. Caller holds s.mu and accounts the +1 entries gauge
-// after unlocking.
-func (c *Cache) storeLocked(s *shard, e *entry) {
-	now := e.lastUsed
-	if old, ok := s.m[e.key]; ok {
-		s.removeLocked(old)
-		c.cfg.Gauges.Add("loccache.entries", -1)
+	defer s.mu.Unlock()
+	p := c.link(s, e.key)
+	old := p.Load()
+	switch {
+	case old == nil && s.lru.Len() >= c.perShard:
+		c.evictLocked(s, now)
+		c.evicted.Inc()
+		p = c.link(s, e.key) // the victim may have been the end of this chain
+	case old == nil:
+		c.entries.Add(1)
+	case ordered && !old.negative && old.epoch > e.epoch:
+		c.epochRejected.Inc()
+		return false
+	default:
+		// Replace in place: the one store below swaps the binding, so the
+		// key is never absent, and a reader standing on old walks on
+		// through the next it keeps.
+		e.next.Store(old.next.Load())
+		s.lru.Remove(old.elem)
 	}
-	if len(s.m) >= c.perShard {
-		s.evictLocked(now)
-		c.count("loccache.evicted")
-		c.cfg.Gauges.Add("loccache.entries", -1)
-	}
-	s.m[e.key] = e
+	p.Store(e)
 	e.elem = s.lru.PushFront(e)
+	return true
 }
 
 // evictScan bounds how far from the LRU tail eviction searches for an
-// expired victim before settling for plain LRU — keeps insert O(1).
+// expired victim before settling for plain LRU, and how many pending
+// promotions it applies first — keeps insert O(1).
 const evictScan = 16
 
-// evictLocked drops one entry: the least-recently-used *expired* entry
-// within evictScan of the tail if any, else the LRU tail itself.
-func (s *shard) evictLocked(now time.Time) {
+// evictLocked drops one entry. It first gives every touched entry at the
+// tail its second chance — the promotion its hits asked for, applied here
+// because this is the one place recency order matters — then takes the
+// least-recently-used *expired* entry within evictScan of the tail if
+// any, else the LRU tail itself.
+func (c *Cache) evictLocked(s *shard, now time.Time) {
+	for i := 0; i < evictScan; i++ {
+		e := s.lru.Back().Value.(*entry)
+		if !e.touched.Load() {
+			break
+		}
+		e.touched.Store(false)
+		s.lru.MoveToFront(e.elem)
+	}
 	victim := s.lru.Back()
 	scanned := 0
 	for el := s.lru.Back(); el != nil && scanned < evictScan; el = el.Prev() {
@@ -341,29 +421,37 @@ func (s *shard) evictLocked(now time.Time) {
 		}
 		scanned++
 	}
-	if victim != nil {
-		s.removeLocked(victim.Value.(*entry))
-	}
+	c.unlinkLocked(s, victim.Value.(*entry))
 }
 
-func (s *shard) removeLocked(e *entry) {
-	delete(s.m, e.key)
+// unlinkLocked takes the linked entry e out of its chain and the LRU list.
+func (c *Cache) unlinkLocked(s *shard, e *entry) {
+	c.link(s, e.key).Store(e.next.Load())
 	s.lru.Remove(e.elem)
 }
 
-// Invalidate drops key's entry, if any.
-func (c *Cache) Invalidate(key hashkey.Key) {
+// remove drops key's entry — only if it still is e, when e is given: the
+// lookup that found e dead held no lock, so the key may have been filled
+// again since.
+func (c *Cache) remove(key hashkey.Key, e *entry) {
+	if c.find(key) == nil {
+		return
+	}
 	s := c.shardOf(key)
 	s.mu.Lock()
-	e, ok := s.m[key]
+	cur := c.link(s, key).Load()
+	ok := cur != nil && (e == nil || cur == e)
 	if ok {
-		s.removeLocked(e)
+		c.unlinkLocked(s, cur)
 	}
 	s.mu.Unlock()
 	if ok {
-		c.cfg.Gauges.Add("loccache.entries", -1)
+		c.entries.Add(-1)
 	}
 }
+
+// Invalidate drops key's entry, if any.
+func (c *Cache) Invalidate(key hashkey.Key) { c.remove(key, nil) }
 
 // Len reports the total number of entries across all shards.
 func (c *Cache) Len() int {
@@ -371,7 +459,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		n += s.lru.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -396,13 +484,14 @@ func (c *Cache) ExpiringSoon(k int, window time.Duration) []Candidate {
 	horizon := now.Add(window)
 	type ranked struct {
 		cand Candidate
-		used time.Time
+		used int64
 	}
 	var all []ranked
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, e := range s.m {
+		for el := s.lru.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry)
 			if e.negative || !e.hasTTL || e.expires.After(horizon) {
 				continue
 			}
@@ -411,12 +500,12 @@ func (c *Cache) ExpiringSoon(k int, window time.Duration) []Candidate {
 			}
 			all = append(all, ranked{
 				cand: Candidate{Key: e.key, Addr: e.addr, Expires: e.expires},
-				used: e.lastUsed,
+				used: e.lastUsed.Load(),
 			})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].used.After(all[j].used) })
+	sort.Slice(all, func(i, j int) bool { return all[i].used > all[j].used })
 	if k > len(all) {
 		k = len(all)
 	}

@@ -3,6 +3,7 @@ package loccache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,4 +302,185 @@ func TestPutEpochReplacesNegativeAndExpired(t *testing.T) {
 	if addr, st := c.Peek(k); st != Stale || addr != "A" {
 		t.Fatalf("stale peek: %q %v", addr, st)
 	}
+}
+
+// TestHitTakesNoLock pins the hot path's contract: with the key's shard
+// mutex held by someone else, a lookup that finds a usable entry still
+// answers.
+func TestHitTakesNoLock(t *testing.T) {
+	c := New(Config{})
+	k := hashkey.FromName("hot")
+	c.Put(k, "addr", time.Minute)
+
+	s := c.shardOf(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if addr, st := c.Lookup(k); st != Fresh || addr != "addr" {
+			t.Errorf("Lookup under a held shard lock: %q %v", addr, st)
+		}
+		if addr, st := c.Peek(k); st != Fresh || addr != "addr" {
+			t.Errorf("Peek under a held shard lock: %q %v", addr, st)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a Fresh Lookup/Peek waited for the shard mutex")
+	}
+}
+
+// TestTouchedKeyGetsSecondChance: a hit is applied to the LRU order by
+// the eviction that reaches the entry, not by the hit — so it has to
+// survive an eviction that does not reach it. k1 is hit, the next
+// eviction takes the older k0, and the one after finds k1 at the tail,
+// promotes it and takes the younger but untouched k2 instead.
+func TestTouchedKeyGetsSecondChance(t *testing.T) {
+	c := New(Config{Shards: 1, MaxEntries: 4})
+	var keys []hashkey.Key
+	for i := 0; i < 6; i++ {
+		keys = append(keys, hashkey.FromName(fmt.Sprintf("k%d", i)))
+	}
+	for _, k := range keys[:4] {
+		c.Put(k, "addr", time.Hour)
+	}
+	c.Lookup(keys[1])
+	c.Put(keys[4], "addr", time.Hour) // evicts k0
+	c.Put(keys[5], "addr", time.Hour) // k1's second chance; evicts k2
+	for i, want := range []State{Miss, Fresh, Miss, Fresh, Fresh, Fresh} {
+		if _, st := c.Peek(keys[i]); st != want {
+			t.Errorf("k%d: %v, want %v", i, st, want)
+		}
+	}
+	// The chance is spent: untouched since, k1 goes once k3 and k4 have.
+	for i := 6; i < 9; i++ {
+		c.Put(hashkey.FromName(fmt.Sprintf("k%d", i)), "addr", time.Hour)
+	}
+	if _, st := c.Peek(keys[1]); st != Miss {
+		t.Errorf("k1 kept a second chance it did not earn again: %v", st)
+	}
+}
+
+// TestReadersNeverSeeTornState runs 8 lock-free readers against writers
+// that replace, invalidate and overflow-evict entries of one bucket chain.
+// Every address encodes its key and epoch, so a reader can tell an address
+// that was never put for the key, and an epoch going backwards.
+func TestReadersNeverSeeTornState(t *testing.T) {
+	const bound = 8
+	ctrs := metrics.NewCounters()
+	c := New(Config{Shards: 1, MaxEntries: bound, Counters: ctrs})
+	// One shard, eight buckets: keys that differ only above bit 3 share
+	// bucket 0, so every operation below edits the chain readers walk.
+	key := func(i int) hashkey.Key { return hashkey.Key(i << 3) }
+	const (
+		replaced = 1 // only ever replaced: must never read Miss
+		flapped  = 2 // put and invalidated in turns
+		overflow = 3 // first of the keys that push each other out
+		nOver    = 32
+	)
+	addrOf := func(k, epoch int) string { return fmt.Sprintf("k%d@%d", k, epoch) }
+	c.PutEpoch(key(replaced), addrOf(replaced, 1), time.Hour, 1)
+
+	const rounds = 4000
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	writers.Add(2)
+	go func() { // replaces one key; its overflow inserts are the only evictions
+		defer writers.Done()
+		for e := 2; e < rounds; e++ {
+			if !c.PutEpoch(key(replaced), addrOf(replaced, e), time.Hour, uint64(e)) {
+				t.Errorf("rising epoch %d rejected", e)
+			}
+			o := overflow + e%nOver
+			c.PutEpoch(key(o), addrOf(o, e), time.Hour, uint64(e))
+			if n := c.Len(); n > bound {
+				t.Errorf("Len %d exceeds the bound %d", n, bound)
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for e := 1; e < rounds; e++ {
+			c.PutEpoch(key(flapped), addrOf(flapped, e), time.Hour, uint64(e))
+			c.Invalidate(key(flapped))
+		}
+	}()
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			lastEpoch := make(map[int]int)
+			check := func(k int, addr string, st State) {
+				if st == Miss {
+					if k == replaced {
+						t.Errorf("reader %d: the replaced-only key read Miss", r)
+					}
+					return
+				}
+				var gotKey, epoch int
+				if _, err := fmt.Sscanf(addr, "k%d@%d", &gotKey, &epoch); err != nil || gotKey != k || st != Fresh {
+					t.Errorf("reader %d: key %d answered %q %v", r, k, addr, st)
+					return
+				}
+				if epoch < lastEpoch[k] {
+					t.Errorf("reader %d: key %d went back from epoch %d to %d", r, k, lastEpoch[k], epoch)
+				}
+				lastEpoch[k] = epoch
+			}
+			// The overflow keys are only peeked: a hit would earn them a
+			// second chance, and eight touched entries around a freshly
+			// replaced one make that one the eviction's rightful victim.
+			for i := 0; !stop.Load(); i++ {
+				for _, k := range []int{replaced, flapped} {
+					addr, st := c.Lookup(key(k))
+					check(k, addr, st)
+				}
+				for _, k := range []int{replaced, flapped, overflow + i%nOver} {
+					addr, st := c.Peek(key(k))
+					check(k, addr, st)
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+
+	lookups := ctrs.Get("loccache.lookups")
+	outcomes := ctrs.Sum("loccache.hit", "loccache.stale", "loccache.negative", "loccache.miss")
+	if lookups == 0 || lookups != outcomes {
+		t.Fatalf("at rest: lookups %d != hit+stale+negative+miss %d", lookups, outcomes)
+	}
+}
+
+// BenchmarkLookupHitParallel is the cache's share of a hot resolve from
+// every processor at once, counters and the entries gauge on as a node
+// has them: 90% of the lookups on one key, the rest spread over 256. It
+// must not allocate, and — nothing on this path being shared and written
+// — its ns/op should fall as processors are added.
+func BenchmarkLookupHitParallel(b *testing.B) {
+	c := New(Config{Counters: metrics.NewCounters(), Gauges: metrics.NewGauges()})
+	hot := hashkey.FromName("hot")
+	c.Put(hot, "addr", time.Hour)
+	warm := make([]hashkey.Key, 256)
+	for i := range warm {
+		warm[i] = hashkey.FromName(fmt.Sprintf("warm-%d", i))
+		c.Put(warm[i], "addr", time.Hour)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			k := hot
+			if i%10 == 9 {
+				k = warm[i/10%len(warm)]
+			}
+			if _, st := c.Lookup(k); st != Fresh {
+				b.Errorf("lookup: %v", st)
+				return
+			}
+		}
+	})
 }

@@ -1,10 +1,9 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Counters is a concurrency-safe registry of named monotonic event
@@ -12,64 +11,71 @@ import (
 // make resilience behaviour observable: retries, timeouts, breaker trips,
 // injected faults. A nil *Counters is a valid no-op sink, so
 // instrumentation sites never need to guard against an absent registry.
+//
+// Counting takes no lock. A site that counts per request registers its
+// name once, at construction, and keeps the handle:
+//
+//	hits := counters.Counter("loccache.hit") // once
+//	hits.Inc()                               // per event: one atomic add
+//
+// Inc/Add by name resolve the name through the registry's copy-on-write
+// index to the same handle, so a count made either way is one number.
+// Only registering a name the registry has not seen takes the mutex.
 type Counters struct {
-	mu sync.Mutex
-	m  map[string]uint64
+	ix index[Counter]
 }
 
 // NewCounters returns an empty registry.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
+func NewCounters() *Counters { return &Counters{} }
+
+// Counter returns name's handle, registering the name on first use. A
+// registered name stays invisible to Snapshot, Names and String until it
+// has counted something. A nil registry returns a nil handle, which is a
+// no-op sink like the registry itself.
+func (c *Counters) Counter(name string) *Counter {
+	if c == nil {
+		return nil
+	}
+	return c.ix.get(name, newCounter)
 }
 
 // Inc adds 1 to the named counter.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
+func (c *Counters) Inc(name string) { c.Counter(name).Add(1) }
 
 // Add adds n to the named counter. No-op on a nil registry.
-func (c *Counters) Add(name string, n uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.m[name] += n
-	c.mu.Unlock()
-}
+func (c *Counters) Add(name string, n uint64) { c.Counter(name).Add(n) }
 
 // Get returns the named counter's value (0 when absent or nil registry).
 func (c *Counters) Get(name string) uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
+	return c.ix.lookup(name).Value()
 }
 
 // Sum returns the total of the named counters — the building block of
 // conservation invariants ("these outcomes partition those attempts").
 func (c *Counters) Sum(names ...string) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var total uint64
 	for _, name := range names {
-		total += c.m[name]
+		total += c.Get(name)
 	}
 	return total
 }
 
-// Snapshot copies every counter, for iteration without holding the lock.
+// Snapshot copies every counter that has counted something. It reads each
+// counter's cells one atomic load at a time: exact once the counted
+// activity is at rest, and never more than the adds in flight behind
+// while it is not.
 func (c *Counters) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64)
 	if c == nil {
 		return out
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range c.m {
-		out[k] = v
+	for name, h := range c.ix.all() {
+		if v := h.Value(); v > 0 {
+			out[name] = v
+		}
 	}
 	return out
 }
@@ -90,46 +96,91 @@ func (c *Counters) Diff(prev map[string]uint64) map[string]uint64 {
 			}
 			continue
 		}
-		if v > 0 {
-			out[k] = v
-		}
+		out[k] = v
 	}
 	return out
 }
 
-// Names returns the registered counter names in sorted order.
+// Names returns the names that have counted something, in sorted order.
 func (c *Counters) Names() []string {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+	return sortedNames(c.Snapshot())
 }
 
 // String renders the counters as "name=value" pairs in sorted order —
 // compact enough for a periodic log line.
-func (c *Counters) String() string {
-	snap := c.Snapshot()
-	if len(snap) == 0 {
-		return "(no events)"
+func (c *Counters) String() string { return render(c.Snapshot(), "(no events)") }
+
+// Counter is one named counter's handle. Its value is spread over one
+// cache-line-sized cell per processor (rounded up to a power of two), so
+// concurrent adds from different processors write different lines; the
+// value is the sum of the cells. A nil *Counter is a valid no-op sink.
+type Counter struct {
+	cells []cell
+}
+
+// cell fills a cache line. The cells of one counter are a single
+// allocation of a power-of-two multiple of 64 bytes, which the allocator
+// aligns to 64.
+type cell struct {
+	n atomic.Uint64
+	_ [56]byte
+}
+
+// stripeMask selects a cell: one per processor the machine has.
+var stripeMask = func() uint32 {
+	n := 1
+	for n < runtime.NumCPU() {
+		n <<= 1
 	}
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
+	return uint32(n - 1)
+}()
+
+func newCounter() *Counter { return &Counter{cells: make([]cell, stripeMask+1)} }
+
+// stripe is a processor's claim on one cell index. The claims circulate
+// through a sync.Pool, whose per-P slot hands the goroutines running on
+// one processor the same claim one after another, and the goroutines of
+// another processor a different one — the closest a program gets to a
+// processor id without reaching into the runtime.
+type stripe struct{ idx uint32 }
+
+var (
+	nextStripe atomic.Uint32
+	stripes    = sync.Pool{New: func() any { return &stripe{idx: nextStripe.Add(1)} }}
+)
+
+// Inc adds 1.
+func (c *Counter) Inc() { c.Add(1) }
+
+// Add adds n: one atomic operation on this processor's cell. Nothing deals
+// two processors distinct indexes for good (claims are dropped and redealt
+// across GC cycles), so a failed compare-and-swap — proof that another
+// processor is writing this cell right now — moves the claim to the next
+// index after counting.
+func (c *Counter) Add(n uint64) {
+	if c == nil {
+		return
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, snap[k])
+	s := stripes.Get().(*stripe)
+	cell := &c.cells[s.idx&stripeMask].n
+	if old := cell.Load(); !cell.CompareAndSwap(old, old+n) {
+		cell.Add(n)
+		s.idx = nextStripe.Add(1)
 	}
-	return b.String()
+	stripes.Put(s)
+}
+
+// Value returns the counter's current value (0 for a nil handle).
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	var v uint64
+	for i := range c.cells {
+		v += c.cells[i].n.Load()
+	}
+	return v
 }

@@ -92,3 +92,157 @@ func TestCountersConcurrent(t *testing.T) {
 		t.Fatalf("shared = %d, want 8000", got)
 	}
 }
+
+// TestCounterHandleAndNameAreOneNumber: 8 goroutines add to one counter,
+// half through its handle and half by name; nothing is lost and both
+// views read the same total.
+func TestCounterHandleAndNameAreOneNumber(t *testing.T) {
+	c := NewCounters()
+	h := c.Counter("shared")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if g%2 == 0 {
+					h.Add(3)
+				} else {
+					c.Add("shared", 3)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.Get("shared"); got != 24000 || h.Value() != got {
+		t.Fatalf("by name %d, by handle %d, want 24000", got, h.Value())
+	}
+}
+
+// TestCountersReadSurface replays one scripted sequence through the
+// lock-free registry and checks every read form against what the
+// mutex-and-map registry answered for it — with the difference the
+// handles introduce pinned too: a name that is registered but has not
+// counted anything is invisible.
+func TestCountersReadSurface(t *testing.T) {
+	c := NewCounters()
+	idle := c.Counter("idle") // registered, never counts
+	c.Inc("a")
+	c.Add("b", 5)
+	c.Counter("a").Add(2)
+
+	if got := c.Snapshot(); len(got) != 2 || got["a"] != 3 || got["b"] != 5 {
+		t.Fatalf("Snapshot = %v, want a=3 b=5", got)
+	}
+	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("Names = %v, want [a b]", got)
+	}
+	if got := c.String(); got != "a=3 b=5" {
+		t.Fatalf("String = %q", got)
+	}
+	if c.Get("a") != 3 || c.Get("idle") != 0 || c.Get("never") != 0 || idle.Value() != 0 {
+		t.Fatalf("Get: a=%d idle=%d never=%d", c.Get("a"), c.Get("idle"), c.Get("never"))
+	}
+	if got := c.Sum("a", "b", "idle", "never"); got != 8 {
+		t.Fatalf("Sum = %d, want 8", got)
+	}
+	if got := c.Names(); len(got) != 2 {
+		t.Fatalf("reading absent names registered them: %v", got)
+	}
+
+	prev := c.Snapshot()
+	c.Add("b", 1)
+	c.Inc("c")
+	if got := c.Diff(prev); len(got) != 2 || got["b"] != 1 || got["c"] != 1 {
+		t.Fatalf("Diff = %v, want b=1 c=1", got)
+	}
+	if got := NewCounters().String(); got != "(no events)" {
+		t.Fatalf("empty String = %q", got)
+	}
+}
+
+func TestNilHandlesAreNoOpSinks(t *testing.T) {
+	var c *Counters
+	h := c.Counter("x")
+	h.Inc() // must not panic
+	h.Add(5)
+	if h != nil || h.Value() != 0 {
+		t.Fatalf("nil registry handed out %v (value %d)", h, h.Value())
+	}
+	var g *Gauges
+	l := g.Gauge("x")
+	l.Add(1)
+	l.Set(7)
+	g.Add("x", 1)
+	g.Set("x", 7)
+	if l != nil || l.Value() != 0 || g.Get("x") != 0 || len(g.Snapshot()) != 0 {
+		t.Fatalf("nil gauges: handle %v value %d", l, l.Value())
+	}
+}
+
+// TestFirstUseRegistrationRace: goroutines that meet a name for the first
+// time at the same moment agree on one handle, and no count made through
+// a handle that lost the race is dropped.
+func TestFirstUseRegistrationRace(t *testing.T) {
+	c := NewCounters()
+	g := NewGauges()
+	const names, workers = 64, 8
+	handles := make([][names]*Counter, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				name := "n" + string(rune('0'+i/10)) + string(rune('0'+i%10))
+				handles[w][i] = c.Counter(name)
+				handles[w][i].Inc()
+				g.Add(name, 1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < names; i++ {
+		for w := 1; w < workers; w++ {
+			if handles[w][i] != handles[0][i] {
+				t.Fatalf("name %d: two handles for one name", i)
+			}
+		}
+		if got := handles[0][i].Value(); got != workers {
+			t.Fatalf("name %d counted %d, want %d", i, got, workers)
+		}
+	}
+	if got := len(c.Snapshot()); got != names {
+		t.Fatalf("%d names registered, want %d", got, names)
+	}
+	for name, v := range g.Snapshot() {
+		if v != workers {
+			t.Fatalf("gauge %s = %d, want %d", name, v, workers)
+		}
+	}
+}
+
+func TestGaugesBasics(t *testing.T) {
+	g := NewGauges()
+	idle := g.Gauge("idle") // registered, never moved
+	h := g.Gauge("level")
+	h.Add(2)
+	g.Add("level", -2) // back to zero, but it has been used: still listed
+	g.Set("pinned", 7)
+	g.Gauge("pinned").Add(1)
+	if got := g.Snapshot(); len(got) != 2 || got["level"] != 0 || got["pinned"] != 8 {
+		t.Fatalf("Snapshot = %v, want level=0 pinned=8", got)
+	}
+	if got := g.String(); got != "level=0 pinned=8" {
+		t.Fatalf("String = %q", got)
+	}
+	if got := g.NonZero(); len(got) != 1 || got["pinned"] != 8 {
+		t.Fatalf("NonZero = %v", got)
+	}
+	if g.Get("pinned") != 8 || g.Get("never") != 0 || idle.Value() != 0 {
+		t.Fatalf("Get: pinned=%d never=%d idle=%d", g.Get("pinned"), g.Get("never"), idle.Value())
+	}
+	if got := NewGauges().String(); got != "(no gauges)" {
+		t.Fatalf("empty String = %q", got)
+	}
+}

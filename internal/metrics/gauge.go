@@ -1,67 +1,55 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync/atomic"
 
 // Gauges is a concurrency-safe registry of named instantaneous values —
 // the level-style counterpart of Counters, used by the live connection
 // pool to expose how many sessions are open and how many requests are in
-// flight right now. Like Counters, a nil *Gauges is a valid no-op sink.
+// flight right now. Like Counters, a nil *Gauges is a valid no-op sink,
+// per-request sites hold a handle (Gauge) taken at construction, and
+// Add/Set by name resolve the name lock-free to the same handle.
 type Gauges struct {
-	mu sync.Mutex
-	m  map[string]int64
+	ix index[Gauge]
 }
 
 // NewGauges returns an empty registry.
-func NewGauges() *Gauges {
-	return &Gauges{m: make(map[string]int64)}
+func NewGauges() *Gauges { return &Gauges{} }
+
+// Gauge returns name's handle, registering the name on first use. A
+// registered gauge stays out of Snapshot and String until it has been
+// moved or set. A nil registry returns a nil handle, also a no-op sink.
+func (g *Gauges) Gauge(name string) *Gauge {
+	if g == nil {
+		return nil
+	}
+	return g.ix.get(name, func() *Gauge { return new(Gauge) })
 }
 
 // Add moves the named gauge by d (negative to decrement). No-op on a nil
 // registry.
-func (g *Gauges) Add(name string, d int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.m[name] += d
-	g.mu.Unlock()
-}
+func (g *Gauges) Add(name string, d int64) { g.Gauge(name).Add(d) }
 
 // Set pins the named gauge to v. No-op on a nil registry.
-func (g *Gauges) Set(name string, v int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.m[name] = v
-	g.mu.Unlock()
-}
+func (g *Gauges) Set(name string, v int64) { g.Gauge(name).Set(v) }
 
 // Get returns the named gauge's value (0 when absent or nil registry).
 func (g *Gauges) Get(name string) int64 {
 	if g == nil {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[name]
+	return g.ix.lookup(name).Value()
 }
 
-// Snapshot copies every gauge, for iteration without holding the lock.
+// Snapshot copies every gauge that has been moved or set.
 func (g *Gauges) Snapshot() map[string]int64 {
 	out := make(map[string]int64)
 	if g == nil {
 		return out
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for k, v := range g.m {
-		out[k] = v
+	for name, h := range g.ix.all() {
+		if h.used.Load() {
+			out[name] = h.Value()
+		}
 	}
 	return out
 }
@@ -79,22 +67,45 @@ func (g *Gauges) NonZero() map[string]int64 {
 }
 
 // String renders the gauges as "name=value" pairs in sorted order.
-func (g *Gauges) String() string {
-	snap := g.Snapshot()
-	if len(snap) == 0 {
-		return "(no gauges)"
+func (g *Gauges) String() string { return render(g.Snapshot(), "(no gauges)") }
+
+// Gauge is one named level's handle: a single atomic word, because Set
+// has to be exact and a value spread over cells (as Counter's is) cannot
+// be pinned in one step. Levels move per RPC and per cache fill, not per
+// cache hit. A nil *Gauge is a valid no-op sink.
+type Gauge struct {
+	v    atomic.Int64
+	used atomic.Bool // moved or set at least once
+}
+
+// Add moves the gauge by d (negative to decrement).
+func (g *Gauge) Add(d int64) {
+	if g == nil {
+		return
 	}
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
+	g.v.Add(d)
+	g.touch()
+}
+
+// Set pins the gauge to v.
+func (g *Gauge) Set(v int64) {
+	if g == nil {
+		return
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, snap[k])
+	g.v.Store(v)
+	g.touch()
+}
+
+func (g *Gauge) touch() {
+	if !g.used.Load() {
+		g.used.Store(true)
 	}
-	return b.String()
+}
+
+// Value returns the gauge's current value (0 for a nil handle).
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bristle/internal/metrics"
@@ -66,12 +67,34 @@ type FaultConfig struct {
 // peers are identified by their listener address.
 type Faulty struct {
 	inner Transport
+	ctr   atomic.Pointer[faultCounters] // handles into cfg.Counters
 
 	mu         sync.Mutex
 	cfg        FaultConfig
 	owners     map[string]string // listener addr → endpoint name
 	links      map[linkKey]*linkState
 	partitions map[string][]partitionRule
+}
+
+// faultCounters are the handles of the injected-fault events, taken from
+// FaultConfig.Counters whenever a profile is installed (all nil, counting
+// nothing, when the profile has no registry).
+type faultCounters struct {
+	drop, delay, latency, duplicate, corrupt *metrics.Counter
+	refuse, partitionDrop, partitionRefuse   *metrics.Counter
+}
+
+func newFaultCounters(r *metrics.Counters) *faultCounters {
+	return &faultCounters{
+		drop:            r.Counter("fault.drop"),
+		delay:           r.Counter("fault.delay"),
+		latency:         r.Counter("fault.latency"),
+		duplicate:       r.Counter("fault.duplicate"),
+		corrupt:         r.Counter("fault.corrupt"),
+		refuse:          r.Counter("fault.refuse"),
+		partitionDrop:   r.Counter("fault.partition_drop"),
+		partitionRefuse: r.Counter("fault.partition_refuse"),
+	}
 }
 
 type linkKey struct{ from, to string }
@@ -104,13 +127,14 @@ func (ls *linkState) delay(min, max time.Duration) time.Duration {
 
 // NewFaulty wraps inner with the given fault profile.
 func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
-	return &Faulty{
+	f := &Faulty{
 		inner:      inner,
-		cfg:        cfg,
 		owners:     make(map[string]string),
 		links:      make(map[linkKey]*linkState),
 		partitions: make(map[string][]partitionRule),
 	}
+	f.SetConfig(cfg)
+	return f
 }
 
 // SetConfig swaps the fault profile at runtime (e.g. to start chaos after
@@ -119,6 +143,7 @@ func (f *Faulty) SetConfig(cfg FaultConfig) {
 	f.mu.Lock()
 	f.cfg = cfg
 	f.mu.Unlock()
+	f.ctr.Store(newFaultCounters(cfg.Counters))
 }
 
 // Config returns the current fault profile.
@@ -233,13 +258,6 @@ func (f *Faulty) ownerOf(addr string) string {
 	return addr
 }
 
-func (f *Faulty) count(name string) {
-	f.mu.Lock()
-	c := f.cfg.Counters
-	f.mu.Unlock()
-	c.Inc(name)
-}
-
 // --- endpoint ---
 
 type faultyEndpoint struct {
@@ -269,13 +287,13 @@ func (e *faultyEndpoint) DialContext(ctx context.Context, addr string) (Conn, er
 	f := e.f
 	to := f.ownerOf(addr)
 	if f.partitioned(e.name, to) {
-		f.count("fault.partition_refuse")
+		f.ctr.Load().partitionRefuse.Inc()
 		return nil, fmt.Errorf("%w: %s (partitioned)", ErrRefused, addr)
 	}
 	link := f.linkFor(e.name, to)
 	cfg := f.Config()
 	if link.chance(cfg.RefuseDial) {
-		f.count("fault.refuse")
+		f.ctr.Load().refuse.Inc()
 		return nil, fmt.Errorf("%w: %s (injected)", ErrRefused, addr)
 	}
 	inner, err := DialContext(ctx, f.inner, addr)
@@ -351,31 +369,31 @@ func (c *faultyConn) Queue(m *wire.Message) (int, error) {
 	if c.to != "" && f.partitioned(c.from, c.to) {
 		// A black-holed link: the frame is silently lost, the sender
 		// cannot tell. Retry layers above discover it via timeout.
-		f.count("fault.partition_drop")
+		f.ctr.Load().partitionDrop.Inc()
 		return 0, nil
 	}
 	cfg := f.Config()
 	if c.link.chance(cfg.Drop) {
-		f.count("fault.drop")
+		f.ctr.Load().drop.Inc()
 		return 0, nil
 	}
 	if d := c.link.delay(cfg.DelayMin, cfg.DelayMax); d > 0 {
-		f.count("fault.delay")
+		f.ctr.Load().delay.Inc()
 		c.stall(d)
 	}
 	if cfg.Latency != nil {
 		if d := cfg.Latency(c.from, c.to); d > 0 {
-			f.count("fault.latency")
+			f.ctr.Load().latency.Inc()
 			c.stall(d)
 		}
 	}
 	if c.link.chance(cfg.Corrupt) {
-		f.count("fault.corrupt")
+		f.ctr.Load().corrupt.Inc()
 		return c.inner.Queue(&wire.Message{Type: poisonType, Seq: m.Seq})
 	}
 	pending, err := c.inner.Queue(m)
 	if err == nil && c.link.chance(cfg.Duplicate) {
-		f.count("fault.duplicate")
+		f.ctr.Load().duplicate.Inc()
 		return c.inner.Queue(m)
 	}
 	return pending, err
