@@ -7,7 +7,7 @@ SOAK_SECONDS ?= 60
 SOAK_EVENTS  ?= 400
 SOAK_SEED    ?= 0
 
-.PHONY: build test race bench bench-stretch bench-gate soak soak-10k clean
+.PHONY: build test race bench bench-check bench-stretch bench-gate loc soak soak-10k clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,21 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-check vets and tests the benchmark, which is its own module
+# (bench/go.mod) and so outside `go build ./... && go test ./...`: it
+# calls live's exported API, and this is what notices a name it uses
+# being renamed or deleted.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test Go lines of the packages ROADMAP item 4 puts on
+# a diet, one per line and their sum.
+loc:
+	@total=0; for p in internal/live internal/loccache internal/metrics; do \
+		n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); total=$$((total + n)); \
+		printf '%-20s %s\n' $$p $$n; \
+	done; printf '%-20s %s\n' total $$total
 
 # bench runs the address-resolution benchmarks (cold discovery vs the
 # lease-aware cache's hot/stale/cold-miss paths, the hot path's scaling

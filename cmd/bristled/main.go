@@ -68,7 +68,6 @@ func main() {
 	gossip := flag.Duration("gossip", 2*time.Second, "anti-entropy gossip interval")
 	stats := flag.Duration("stats", 30*time.Second, "resilience counter log interval (0 = only at exit)")
 	opTimeout := flag.Duration("op-timeout", 30*time.Second, "deadline for each foreground protocol operation")
-	noPool := flag.Bool("no-pool", false, "disable the multiplexed connection pool (dial per request)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (enables mutex/block profiling)")
 	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
@@ -105,9 +104,6 @@ func main() {
 	}
 	if *region != "" {
 		opts = append(opts, live.WithRegion(*region, splitCSV(*regions)...))
-	}
-	if *noPool {
-		opts = append(opts, live.WithoutPool())
 	}
 	switch {
 	case *identitySeed != "":

@@ -22,9 +22,11 @@
 //     evaluation.
 //   - internal/wire, internal/transport, internal/live — a deployable
 //     implementation of the location-management protocol over TCP: a
-//     pooled zero-allocation codec under a sharded, context-first node
-//     (no global lock on any request path; see DESIGN.md §13 for the
-//     lock map and internal/live's package doc for the file tour).
+//     pooled zero-allocation codec under a sharded node with one
+//     constructor (live.New), one context-taking method per operation
+//     and one RPC path, the connection pool (no global lock on any
+//     request path; see DESIGN.md §13 for the lock map and
+//     internal/live's package doc for the file tour).
 //   - internal/loccache, internal/metrics, internal/harness — the
 //     lease-aware location cache, counter/gauge registries, and the
 //     seeded scenario harness with protocol invariant checkers.

@@ -68,8 +68,6 @@ type Config struct {
 	Maintain *live.MaintainConfig
 	// OpTimeout bounds one scenario op (default 30s).
 	OpTimeout time.Duration
-	// Tune optionally adjusts one node's config before construction.
-	Tune func(name string, cfg *live.Config)
 	// Logf receives harness narration; nil silences it.
 	Logf func(format string, args ...interface{})
 	// Verified gives every member a deterministic cryptographic identity
@@ -320,45 +318,40 @@ func (c *Cluster) bootFabricMobiles() error {
 // this after a heal, so the next op probes instead of failing fast.
 const suspicionCooldown = 150 * time.Millisecond
 
-// nodeConfig mirrors the aggressive-but-bounded resilience settings the
+// nodeOptions mirrors the aggressive-but-bounded resilience settings the
 // chaos suites converged on: short per-attempt deadlines, several
 // jittered retries, a breaker that trips (and probes) fast.
-func (c *Cluster) nodeConfig(m *member) live.Config {
-	lc := live.Config{
-		Name:               m.name,
-		Capacity:           4,
-		Mobile:             m.mobile,
-		Replication:        c.cfg.Replication,
-		LeaseTTL:           c.cfg.LeaseTTL,
-		RequestTimeout:     250 * time.Millisecond,
-		RetryAttempts:      6,
-		RetryBase:          5 * time.Millisecond,
-		RetryMax:           50 * time.Millisecond,
-		SuspicionThreshold: 3,
-		SuspicionCooldown:  suspicionCooldown,
-		Counters:           c.Counters,
-		Gauges:             c.Gauges,
+func (c *Cluster) nodeOptions(m *member) []live.Option {
+	opts := []live.Option{
+		live.WithCapacity(4),
+		live.WithReplication(c.cfg.Replication),
+		live.WithLease(c.cfg.LeaseTTL),
+		live.WithRequestTimeout(250 * time.Millisecond),
+		live.WithRetryBudget(6, 5*time.Millisecond, 50*time.Millisecond, 0),
+		live.WithSuspicion(3, suspicionCooldown),
+		live.WithCounters(c.Counters),
+		live.WithGauges(c.Gauges),
+	}
+	if m.mobile {
+		opts = append(opts, live.WithMobile())
 	}
 	if m.ident != nil {
-		lc.Identity = m.ident
-		lc.RequireVerifiedJoins = true
+		opts = append(opts, live.WithIdentity(m.ident), live.WithVerifiedJoins())
 	}
 	if c.cfg.Fabric && m.mobile {
-		// Observers keep no ring membership and carry no pooled sessions:
-		// at production scale the per-mobile steady-state cost must stay
-		// O(1) — dial-per-request against its few record owners, not a
-		// multiplexed session table per node. Their request timeout is
-		// boot-scale, not chaos-scale: thousands of concurrent admissions
-		// queue on real hardware, and a 250ms deadline measures that queue,
-		// not the peer.
-		lc.JoinAsObserver = true
-		lc.Pool.Disabled = true
-		lc.RequestTimeout = 2 * time.Second
+		// Observers keep no ring membership and at rest no connection: at
+		// production scale the per-mobile steady-state cost must stay O(1),
+		// so the pool keeps one session — its few record owners take turns
+		// on it, or ride a short-lived one over the cap — and drops that
+		// one after a second unused. Their request timeout is boot-scale,
+		// not chaos-scale: thousands of concurrent admissions queue on real
+		// hardware, and a 250ms deadline measures that queue, not the peer.
+		opts = append(opts,
+			live.WithObserverJoin(),
+			live.WithPool(live.PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}),
+			live.WithRequestTimeout(2*time.Second))
 	}
-	if c.cfg.Tune != nil {
-		c.cfg.Tune(m.name, &lc)
-	}
-	return lc
+	return opts
 }
 
 // boot constructs and starts m's live node at listenAddr ("" allocates).
@@ -370,7 +363,10 @@ func (c *Cluster) nodeConfig(m *member) live.Config {
 // send is non-blocking and counts updates.dropped).
 func (c *Cluster) boot(name, listenAddr string) error {
 	m := c.members[name]
-	nd := live.NewNode(c.nodeConfig(m), c.Net.Endpoint(name))
+	nd, err := live.New(name, c.Net.Endpoint(name), c.nodeOptions(m)...)
+	if err != nil {
+		return fmt.Errorf("harness: build %s: %w", name, err)
+	}
 	if err := nd.Start(listenAddr); err != nil {
 		return fmt.Errorf("harness: start %s: %v", name, err)
 	}

@@ -104,7 +104,11 @@ func GenSchedule(cfg Config, rng *rand.Rand, opt SoakOptions) []Op {
 			crashed[victim] = true
 			ops = append(ops, Crash{Node: victim})
 
-		case roll < 0.60 && len(crashed) > 0:
+		case roll < 0.60 && len(crashed) > 0 && len(openPartitions) == 0:
+			// Never under an open partition: a split between the victim and
+			// the node it rejoins through refuses the join. (Nor a Try: the
+			// crashed set here would then disagree with the cluster.) The
+			// epilogue heals before it restarts.
 			victim := pick(sortedKeys(crashed))
 			delete(crashed, victim)
 			ops = append(ops, Restart{Node: victim})

@@ -27,6 +27,35 @@ func TestSoakScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestSoakScheduleNeverRestartsUnderPartition: a restart rejoins through
+// another member, and a split that separates the two refuses the join, so
+// the generator must keep every Restart outside a Partition..Heal span.
+func TestSoakScheduleNeverRestartsUnderPartition(t *testing.T) {
+	seeds := []int64{1790809329530286746} // failed tier-1 this way
+	for seed := int64(1); seed <= 500; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
+		cfg := harness.SoakCluster(seed)
+		open := 0
+		for i, op := range harness.GenSchedule(cfg, rand.New(rand.NewSource(seed)), harness.SoakOptions{Ops: 60}) {
+			if try, ok := op.(harness.Try); ok {
+				op = try.Op
+			}
+			switch op.(type) {
+			case harness.Partition:
+				open++
+			case harness.Heal:
+				open--
+			case harness.Restart:
+				if open > 0 {
+					t.Errorf("seed %d: step %d is %q with %d partition(s) open", seed, i, op, open)
+				}
+			}
+		}
+	}
+}
+
 // TestSoak runs randomized seeded mobility/churn scenarios until the
 // time budget runs out. Defaults are a CI-friendly smoke (one short
 // scenario); the nightly job raises the budget via env:

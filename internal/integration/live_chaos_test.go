@@ -7,6 +7,7 @@ package integration
 // cluster's observable surface.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -76,7 +77,7 @@ func TestLiveRingLeasesRefreshUnderChaos(t *testing.T) {
 	discoverFresh := func(from, target string) {
 		t.Helper()
 		must(from+" discover "+target, 15*time.Second, func() error {
-			addr, err := c.Node(from).Discover(c.Key(target))
+			addr, err := c.Node(from).DiscoverContext(context.Background(), c.Key(target))
 			if err != nil {
 				return err
 			}
@@ -96,7 +97,7 @@ func TestLiveRingLeasesRefreshUnderChaos(t *testing.T) {
 	// mechanism is alive, not just never-expiring storage.
 	c.StopMaintenance("u1")
 	must("u1 lease expiry after renewal stopped", 15*time.Second, func() error {
-		_, err := c.Node("t2").Discover(c.Key("u1"))
+		_, err := c.Node("t2").DiscoverContext(context.Background(), c.Key("u1"))
 		if errors.Is(err, live.ErrNotFound) {
 			return nil
 		}
@@ -146,7 +147,7 @@ func TestResolveCoalescesUnderChaos(t *testing.T) {
 	// Background traffic keeps the chaos non-vacuous: a single coalesced
 	// discovery alone exchanges too few frames to be guaranteed a drop.
 	for i := 0; i < 60; i++ {
-		_ = c.Node("a2").Ping(c.Addr("a3"))
+		_ = c.Node("a2").PingContext(context.Background(), c.Addr("a3"))
 	}
 
 	// Storm: 32 resolvers on one key through a node that has never seen

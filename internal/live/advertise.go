@@ -247,7 +247,7 @@ func (n *Node) updateFlusher() {
 // go through the coalescing queue — a second move queued before the
 // first finished replaces it — and this call waits until its own frames
 // (or newer ones that subsumed them) have been handed to the transport,
-// or ctx fires. Canonical form of UpdateRegistry (api.go).
+// or ctx fires.
 func (n *Node) UpdateRegistryContext(ctx context.Context) error {
 	now := time.Now()
 	// Lapsed registrants miss the push by design.

@@ -1,12 +1,11 @@
 package live
 
-// This file is the node's consolidated public surface. The
-// context-taking forms are canonical — they observe the caller's
+// This file is the node's public surface beyond publish (publish.go),
+// resolve/discover (resolve.go) and rebind (node.go): join, register and
+// ping, each one method taking the caller's context — it observes
 // cancellation and deadline end to end, through retries, backoff pauses,
-// dials, and pooled exchanges — and every suffix-less name below is a
-// one-line alias over context.Background(). Introspection is likewise
-// one method: Stats returns everything the ad-hoc accessors used to
-// expose (and more) as a single coherent snapshot.
+// dials, and pooled exchanges. Introspection is likewise one method:
+// Stats returns the node's observable state as a single coherent snapshot.
 
 import (
 	"context"
@@ -16,40 +15,6 @@ import (
 	"bristle/internal/loccache"
 	"bristle/internal/wire"
 )
-
-// Resolve is an alias for ResolveContext (resolve.go, the canonical
-// form) with the background context.
-func (n *Node) Resolve(key hashkey.Key) (string, error) {
-	return n.ResolveContext(context.Background(), key)
-}
-
-// Discover is an alias for DiscoverContext (resolve.go, the canonical
-// form) with the background context.
-func (n *Node) Discover(key hashkey.Key) (string, error) {
-	return n.DiscoverContext(context.Background(), key)
-}
-
-// Publish is an alias for PublishContext (publish.go, the canonical
-// form) with the background context.
-func (n *Node) Publish() error { return n.PublishContext(context.Background()) }
-
-// Rebind is an alias for RebindContext (node.go, the canonical form)
-// with the background context.
-func (n *Node) Rebind(listenAddr string) error {
-	return n.RebindContext(context.Background(), listenAddr)
-}
-
-// UpdateRegistry is an alias for UpdateRegistryContext (advertise.go,
-// the canonical form) with the background context.
-func (n *Node) UpdateRegistry() error {
-	return n.UpdateRegistryContext(context.Background())
-}
-
-// JoinVia is an alias for JoinViaContext (the canonical form) with the
-// background context.
-func (n *Node) JoinVia(bootstrapAddr string) error {
-	return n.JoinViaContext(context.Background(), bootstrapAddr)
-}
 
 // JoinViaContext contacts a bootstrap node, announces this node, and
 // adopts the returned membership. With an Identity configured the join
@@ -72,12 +37,6 @@ func (n *Node) JoinViaContext(ctx context.Context, bootstrapAddr string) error {
 	return nil
 }
 
-// RegisterWith is an alias for RegisterWithContext (the canonical form)
-// with the background context.
-func (n *Node) RegisterWith(targetAddr string) error {
-	return n.RegisterWithContext(context.Background(), targetAddr)
-}
-
 // RegisterWithContext records this node's interest in the movement of the
 // node currently reachable at targetAddr.
 func (n *Node) RegisterWithContext(ctx context.Context, targetAddr string) error {
@@ -90,10 +49,6 @@ func (n *Node) RegisterWithContext(ctx context.Context, targetAddr string) error
 	}
 	return nil
 }
-
-// Ping is an alias for PingContext (the canonical form) with the
-// background context.
-func (n *Node) Ping(addr string) error { return n.PingContext(context.Background(), addr) }
 
 // PingContext checks liveness of a peer address.
 func (n *Node) PingContext(ctx context.Context, addr string) error {
@@ -111,9 +66,6 @@ func (n *Node) PingContext(ctx context.Context, addr string) error {
 // still fresh. A read-only probe: it neither promotes the entry nor
 // records cache metrics.
 func (n *Node) CachedAddr(key hashkey.Key) (string, bool) {
-	if n.loc == nil {
-		return "", false
-	}
 	addr, state := n.loc.Peek(key)
 	if state != loccache.Fresh {
 		return "", false
@@ -141,11 +93,9 @@ type Stats struct {
 	// StoreRecords counts the location records this node holds as an
 	// owner/replica (including not-yet-lapsed leases).
 	StoreRecords int
-	// CacheEntries counts the location cache's entries (0 when the cache
-	// is disabled).
+	// CacheEntries counts the location cache's entries.
 	CacheEntries int
-	// PoolSessions counts the open pooled peer sessions (0 when pooling
-	// is disabled).
+	// PoolSessions counts the open pooled peer sessions.
 	PoolSessions int
 	// Suspects lists the peer addresses whose circuit breakers are open
 	// or half-open — the peers this node currently routes around. Sorted.
@@ -190,6 +140,8 @@ func (n *Node) Stats() Stats {
 		Peers:         n.members.size(),
 		Registrations: n.registry.size(),
 		StoreRecords:  n.store.size(),
+		CacheEntries:  n.loc.Len(),
+		PoolSessions:  n.pool.sessionCount(),
 		Suspects:      n.peersTbl.suspectAddrs(),
 		Region:        n.cfg.Region,
 		PeerRTTs:      n.peerRTTs(),
@@ -200,12 +152,6 @@ func (n *Node) Stats() Stats {
 	n.ownedMu.Lock()
 	s.OwnedKeys = len(n.owned)
 	n.ownedMu.Unlock()
-	if n.loc != nil {
-		s.CacheEntries = n.loc.Len()
-	}
-	if n.pool != nil {
-		s.PoolSessions = n.pool.sessionCount()
-	}
 	return s
 }
 

@@ -2,9 +2,9 @@ package live
 
 // Benchmarks for the live stack's two hot paths.
 //
-// BenchmarkRPC* contrast the two RPC transports: a fresh dial per
-// exchange (the pre-pool behaviour, kept as the saturation fallback)
-// versus multiplexing every exchange over one pooled connection.
+// BenchmarkRPCPooled* time one exchange over a pooled session, the only
+// way a node sends a frame: through the retry/breaker wrapping, from one
+// goroutine and from GOMAXPROCS, and (Raw) the pool's round trip alone.
 // Run with: go test -bench=BenchmarkRPC -benchmem ./internal/live
 //
 // BenchmarkDiscover and BenchmarkResolve* contrast address resolution
@@ -30,35 +30,22 @@ import (
 // benchPair starts a ping server and returns a client node plus the
 // server address. Retries are disabled: a benchmark exchange either works
 // or the benchmark should fail loudly.
-func benchPair(b *testing.B, pooled bool) (*Node, string) {
+func benchPair(b *testing.B) (*Node, string) {
 	b.Helper()
 	mem := transport.NewMem()
-	server := NewNode(Config{Name: "bench-server", Capacity: 2}, mem)
+	server := mustNode(b, Config{Name: "bench-server", Capacity: 2}, mem)
 	if err := server.Start(""); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { server.Close() })
 
-	cfg := Config{Name: "bench-client", Capacity: 1, RetryAttempts: 1}
-	cfg.Pool.Disabled = !pooled
-	client := NewNode(cfg, mem)
+	client := mustNode(b, Config{Name: "bench-client", Capacity: 1, RetryAttempts: 1}, mem)
 	b.Cleanup(func() { client.Close() })
 	return client, server.Addr()
 }
 
-func BenchmarkRPCSequentialDial(b *testing.B) {
-	client, addr := benchPair(b, false)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.PingContext(ctx, addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRPCPooled(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,23 +53,10 @@ func BenchmarkRPCPooled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkRPCSequentialDialParallel(b *testing.B) {
-	client, addr := benchPair(b, false)
-	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := client.PingContext(ctx, addr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkRPCPooledParallel(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -97,7 +71,7 @@ func BenchmarkRPCPooledParallel(b *testing.B) {
 // BenchmarkRPCPooledRaw measures the pool's round trip without the
 // breaker/retry wrapping — the mux floor itself.
 func BenchmarkRPCPooledRaw(b *testing.B) {
-	client, addr := benchPair(b, true)
+	client, addr := benchPair(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -125,25 +99,25 @@ func resolveBench(b *testing.B) (*Node, hashkey.Key, string) {
 	mem := transport.NewMem()
 	var servers []*Node
 	for _, name := range []string{"bench-a", "bench-b"} {
-		nd := NewNode(instrumented(Config{Name: name, Capacity: 4, RetryAttempts: 1}), mem)
+		nd := mustNode(b, instrumented(Config{Name: name, Capacity: 4, RetryAttempts: 1}), mem)
 		if err := nd.Start(""); err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { nd.Close() })
 		servers = append(servers, nd)
 	}
-	client := NewNode(instrumented(Config{Name: "bench-resolver", Capacity: 1, RetryAttempts: 1}), mem)
+	client := mustNode(b, instrumented(Config{Name: "bench-resolver", Capacity: 1, RetryAttempts: 1}), mem)
 	if err := client.Start(""); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { client.Close() })
 	for _, nd := range append(servers[1:], client) {
-		if err := nd.JoinVia(servers[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), servers[0].Addr()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	target := servers[0]
-	if err := target.Publish(); err != nil {
+	if err := target.PublishContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return client, target.Key(), target.Addr()
@@ -175,7 +149,7 @@ func BenchmarkServePipelinedTCP(b *testing.B) {
 	const depth = 16
 	counters := metrics.NewCounters()
 	tcp := &transport.TCP{}
-	server := NewNode(Config{Name: "bench-serve", Counters: counters}, tcp)
+	server := mustNode(b, Config{Name: "bench-serve", Counters: counters}, tcp)
 	if err := server.Start("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
@@ -348,20 +322,20 @@ func benchPublishCluster(b *testing.B, ownedKeys int) (*Node, *metrics.Counters)
 	mem := transport.NewMem()
 	var servers []*Node
 	for _, name := range []string{"bench-r1", "bench-r2", "bench-r3"} {
-		nd := NewNode(Config{Name: name, Capacity: 4, RetryAttempts: 1}, mem)
+		nd := mustNode(b, Config{Name: name, Capacity: 4, RetryAttempts: 1}, mem)
 		if err := nd.Start(""); err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { nd.Close() })
 		servers = append(servers, nd)
 	}
-	pub := NewNode(Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Counters: counters}, mem)
+	pub := mustNode(b, Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Counters: counters}, mem)
 	if err := pub.Start(""); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { pub.Close() })
 	for _, nd := range append(servers[1:], pub) {
-		if err := nd.JoinVia(servers[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), servers[0].Addr()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +385,7 @@ var sinkEntries []wire.Entry
 // bench` records this in BENCH_publish.json and `make bench-gate`
 // enforces the zero.
 func BenchmarkPublishIngestParallel(b *testing.B) {
-	n := NewNode(instrumented(Config{Name: "bench-ingest", Capacity: 4}), transport.NewMem())
+	n := mustNode(b, instrumented(Config{Name: "bench-ingest", Capacity: 4}), transport.NewMem())
 	if err := n.Start(""); err != nil {
 		b.Fatal(err)
 	}
@@ -440,7 +414,7 @@ func BenchmarkPublishIngestParallel(b *testing.B) {
 // instead of serializing on a node-global mutex as the monolithic node
 // did.
 func BenchmarkRegistryReadParallel(b *testing.B) {
-	n := NewNode(Config{Name: "bench-registry", Capacity: 4}, transport.NewMem())
+	n := mustNode(b, Config{Name: "bench-registry", Capacity: 4}, transport.NewMem())
 	if err := n.Start(""); err != nil {
 		b.Fatal(err)
 	}

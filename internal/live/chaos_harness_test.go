@@ -7,6 +7,7 @@
 package live_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -52,7 +53,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	discoverFresh := func(from, target string) {
 		t.Helper()
 		must(from+" discover "+target, 20*time.Second, func() error {
-			addr, err := c.Node(from).Discover(c.Key(target))
+			addr, err := c.Node(from).DiscoverContext(context.Background(), c.Key(target))
 			if errors.Is(err, live.ErrNotFound) {
 				t.Fatalf("%s discover %s: hit forbidden ErrNotFound", from, target)
 			}
@@ -97,7 +98,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	must("LDT update delivery", 30*time.Second, func() error {
 		for _, w := range c.Watchers("m1") {
 			if got, want := c.Observed(w, "m1"), c.Addr("m1"); got != want {
-				if err := c.Node("m1").UpdateRegistry(); err != nil {
+				if err := c.Node("m1").UpdateRegistryContext(context.Background()); err != nil {
 					return err
 				}
 				return fmt.Errorf("watcher %s observed %q, want %q", w, got, want)
@@ -110,14 +111,14 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	// s6 and marks it suspect — subsequent calls fail fast.
 	s6addr := c.Addr("s6")
 	for i := 0; i < 3; i++ {
-		if err := c.Node("s1").Ping(s6addr); err == nil {
+		if err := c.Node("s1").PingContext(context.Background(), s6addr); err == nil {
 			t.Fatal("ping across the partition succeeded")
 		}
 	}
 	if got := c.Counters.Get("breaker.trips"); got == 0 {
 		t.Fatal("partition produced no breaker trips")
 	}
-	if err := c.Node("s1").Ping(s6addr); !errors.Is(err, live.ErrPeerSuspect) {
+	if err := c.Node("s1").PingContext(context.Background(), s6addr); !errors.Is(err, live.ErrPeerSuspect) {
 		t.Fatalf("suspect peer not failing fast: %v", err)
 	}
 
@@ -136,7 +137,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 	}
 	must("s6 LDT update", 20*time.Second, func() error {
 		if got, want := c.Observed("s6", "m2"), c.Addr("m2"); got != want {
-			if err := c.Node("m2").UpdateRegistry(); err != nil {
+			if err := c.Node("m2").UpdateRegistryContext(context.Background()); err != nil {
 				return err
 			}
 			return fmt.Errorf("s6 observed %q, want %q", got, want)
@@ -146,7 +147,7 @@ func TestChaosRingConvergesUnderLossDelayAndPartition(t *testing.T) {
 
 	// The healed peer is readmitted after a successful probe.
 	must("s6 readmitted", 20*time.Second, func() error {
-		return c.Node("s1").Ping(s6addr)
+		return c.Node("s1").PingContext(context.Background(), s6addr)
 	})
 	if s := c.Node("s1").Stats().Suspects; len(s) != 0 {
 		t.Fatalf("breakers still open after recovery: %v", s)

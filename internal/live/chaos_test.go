@@ -7,6 +7,7 @@ package live
 // bootstrap they share.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -46,7 +47,7 @@ func startChaosRing(t *testing.T, faulty *transport.Faulty, names []string, mobi
 	nodes := make(map[string]*Node, len(names))
 	var started []*Node
 	for _, name := range names {
-		nd := NewNode(chaosNodeConfig(name, mobile[name], counters), faulty.Endpoint(name))
+		nd := mustNode(t, chaosNodeConfig(name, mobile[name], counters), faulty.Endpoint(name))
 		if err := nd.Start(""); err != nil {
 			t.Fatalf("start %s: %v", name, err)
 		}
@@ -55,7 +56,7 @@ func startChaosRing(t *testing.T, faulty *transport.Faulty, names []string, mobi
 	}
 	boot := started[0]
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(boot.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}
@@ -97,24 +98,24 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 		SuspicionCooldown:  300 * time.Millisecond,
 		Counters:           counters,
 	}
-	a := NewNode(cfg, mem)
+	a := mustNode(t, cfg, mem)
 	if err := a.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 
-	b := NewNode(Config{Name: "b", Capacity: 2}, mem)
+	b := mustNode(t, Config{Name: "b", Capacity: 2}, mem)
 	if err := b.Start("b-home"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Ping("b-home"); err != nil {
+	if err := a.PingContext(context.Background(), "b-home"); err != nil {
 		t.Fatalf("healthy ping: %v", err)
 	}
 	b.Close()
 
 	// Two consecutive failed exchanges reach the threshold.
 	for i := 0; i < 2; i++ {
-		if err := a.Ping("b-home"); err == nil {
+		if err := a.PingContext(context.Background(), "b-home"); err == nil {
 			t.Fatal("ping to dead peer succeeded")
 		}
 	}
@@ -127,7 +128,7 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 
 	// Fail fast: before the cooldown no I/O happens at all.
 	start := time.Now()
-	if err := a.Ping("b-home"); !errors.Is(err, ErrPeerSuspect) {
+	if err := a.PingContext(context.Background(), "b-home"); !errors.Is(err, ErrPeerSuspect) {
 		t.Fatalf("err = %v, want ErrPeerSuspect", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -139,13 +140,13 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 
 	// The peer comes back at the same address; after the cooldown the
 	// next call is admitted as a probe and closes the breaker.
-	b2 := NewNode(Config{Name: "b2", Capacity: 2}, mem)
+	b2 := mustNode(t, Config{Name: "b2", Capacity: 2}, mem)
 	if err := b2.Start("b-home"); err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
 	time.Sleep(320 * time.Millisecond)
-	if err := a.Ping("b-home"); err != nil {
+	if err := a.PingContext(context.Background(), "b-home"); err != nil {
 		t.Fatalf("probe after recovery: %v", err)
 	}
 	if s := a.Stats().Suspects; len(s) != 0 {
@@ -181,7 +182,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	nodes, cleanup := startChaosRing(t, faulty, names, map[string]bool{"mob": true}, counters)
 	defer cleanup()
 	mob := nodes["mob"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +220,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	// injected latency has to pull them up.
 	for round := 0; round < 8; round++ {
 		for _, owner := range owners {
-			if err := prober.Ping(owner.Addr); err != nil {
+			if err := prober.PingContext(context.Background(), owner.Addr); err != nil {
 				t.Fatalf("warm ping: %v", err)
 			}
 		}
@@ -246,7 +247,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	// replica first and falls over to the next-nearest; after
 	// SuspicionThreshold failed exchanges the near breaker trips.
 	for i := 0; i < 3; i++ {
-		addr, err := prober.Discover(mob.Key())
+		addr, err := prober.DiscoverContext(context.Background(), mob.Key())
 		if err != nil {
 			t.Fatalf("discover %d with dead nearest replica: %v", i, err)
 		}
@@ -270,7 +271,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	// With the suspect deprioritized (and failing fast when reached), the
 	// next discovery costs exactly one successful exchange.
 	before := counters.Get("rpc.attempts")
-	if _, err := prober.Discover(mob.Key()); err != nil {
+	if _, err := prober.DiscoverContext(context.Background(), mob.Key()); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters.Get("rpc.attempts") - before; got != 1 {

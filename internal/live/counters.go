@@ -14,7 +14,6 @@ type counters struct {
 	// rpc.go
 	breakerProbes, breakerFastfail, breakerCloses, breakerTrips *metrics.Counter
 	rpcRetries, rpcAttempts, rpcTimeouts, rpcFatal, rpcFailures *metrics.Counter
-	poolFallbacks                                               *metrics.Counter
 	// store.go and publish.go: every record ingested is accepted or
 	// stale-rejected; every push received is applied or stale-rejected
 	publishRecords, publishAccepted, publishStaleRejected *metrics.Counter
@@ -44,7 +43,6 @@ func newCounters(r *metrics.Counters) counters {
 		rpcTimeouts:     r.Counter("rpc.timeouts"),
 		rpcFatal:        r.Counter("rpc.fatal"),
 		rpcFailures:     r.Counter("rpc.failures"),
-		poolFallbacks:   r.Counter("pool.fallbacks"),
 
 		publishRecords:       r.Counter("publish.records"),
 		publishAccepted:      r.Counter("publish.accepted"),

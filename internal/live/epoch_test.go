@@ -8,6 +8,7 @@ package live
 // resolver's cache) back to a dead address.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -26,7 +27,7 @@ import (
 func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 	counters := metrics.NewCounters()
 	mem := transport.NewMem()
-	n := NewNode(Config{Name: "owner", Capacity: 2, Counters: counters}, mem)
+	n := mustNode(t, Config{Name: "owner", Capacity: 2, Counters: counters}, mem)
 	if err := n.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 func TestHandleUpdateRejectsStaleEpoch(t *testing.T) {
 	counters := metrics.NewCounters()
 	mem := transport.NewMem()
-	n := NewNode(Config{Name: "watcher", Capacity: 2, Counters: counters}, mem)
+	n := mustNode(t, Config{Name: "watcher", Capacity: 2, Counters: counters}, mem)
 	if err := n.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRebindBumpsEpoch(t *testing.T) {
 	defer cleanup()
 	mob := nodes["mob"]
 	before := mob.Stats().Epoch
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	after := mob.Stats().Epoch
@@ -137,7 +138,7 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 	var started []*Node
 	for _, name := range names {
 		cfg := Config{Name: name, Capacity: 4, Mobile: name == "mob", RequestTimeout: time.Second, Counters: counters}
-		nd := NewNode(cfg, mem)
+		nd := mustNode(t, cfg, mem)
 		if err := nd.Start(""); err != nil {
 			t.Fatalf("start %s: %v", name, err)
 		}
@@ -150,12 +151,12 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 		}
 	}()
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(started[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mob := nodes["mob"]
-	if err := mob.JoinVia(started[0].Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,7 +168,7 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 	mob.OwnKeys(keys...)
 
 	before := counters.Get("publish.rpcs")
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rpcs := counters.Get("publish.rpcs") - before
@@ -177,7 +178,7 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 		t.Fatalf("batched publish used %d RPCs, want 1..3 (O(replicas), not O(keys))", rpcs)
 	}
 	for _, k := range keys {
-		addr, err := nodes["s1"].Discover(k)
+		addr, err := nodes["s1"].DiscoverContext(context.Background(), k)
 		if err != nil {
 			t.Fatalf("discover %v: %v", k, err)
 		}
@@ -196,18 +197,18 @@ func TestPublishedKeysFollowRebind(t *testing.T) {
 	mob := nodes["mob"]
 	keys := []hashkey.Key{hashkey.FromName("obj-a"), hashkey.FromName("obj-b"), hashkey.FromName("obj-c")}
 	mob.OwnKeys(keys...)
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	oldAddr := mob.Addr()
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if mob.Addr() == oldAddr {
 		t.Fatal("rebind did not change address")
 	}
 	for _, k := range keys {
-		addr, err := nodes["s1"].Discover(k)
+		addr, err := nodes["s1"].DiscoverContext(context.Background(), k)
 		if err != nil {
 			t.Fatalf("discover after rebind: %v", err)
 		}
@@ -237,14 +238,14 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	defer cleanup()
 
 	mob, watcher := nodes["mob"], nodes["watcher"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.RegisterWith(mob.Addr()); err != nil {
+	if err := watcher.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for move := 0; move < 3; move++ {
-		if err := mob.Rebind(""); err != nil {
+		if err := mob.RebindContext(context.Background(), ""); err != nil {
 			t.Fatalf("move %d: %v", move, err)
 		}
 	}
@@ -252,7 +253,7 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		addr, err := nodes["s1"].Discover(mob.Key())
+		addr, err := nodes["s1"].DiscoverContext(context.Background(), mob.Key())
 		if err == nil && addr == final {
 			break
 		}
@@ -265,7 +266,7 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	// in flight for a while; none may flip any replica back.
 	time.Sleep(100 * time.Millisecond)
 	for i := 0; i < 10; i++ {
-		addr, err := nodes["s1"].Discover(mob.Key())
+		addr, err := nodes["s1"].DiscoverContext(context.Background(), mob.Key())
 		if err != nil {
 			t.Fatalf("re-discover: %v", err)
 		}
@@ -306,11 +307,11 @@ func TestCloseUnblocksLDTFanOut(t *testing.T) {
 	}
 
 	cfg := Config{Name: "relay", Capacity: 2, RequestTimeout: 20 * time.Second, RetryAttempts: 1}
-	n := NewNode(cfg, mem)
+	n := mustNode(t, cfg, mem)
 	if err := n.Start(""); err != nil {
 		t.Fatal(err)
 	}
-	sender := NewNode(Config{Name: "sender", Capacity: 1, RequestTimeout: time.Second}, mem)
+	sender := mustNode(t, Config{Name: "sender", Capacity: 1, RequestTimeout: time.Second}, mem)
 	if err := sender.Start(""); err != nil {
 		t.Fatal(err)
 	}

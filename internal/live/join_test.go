@@ -6,6 +6,7 @@ package live
 // the counters each one increments and the admission conservation law.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ var testRegions = []string{"east", "west", "south"}
 func startVerifier(t *testing.T) (*Node, func()) {
 	t.Helper()
 	mem := transport.NewMem()
-	nd := NewNode(Config{
+	nd := mustNode(t, Config{
 		Name:                 "verifier",
 		Identity:             hashkey.IdentityFromSeed([]byte("verifier")),
 		Region:               "east",
@@ -212,7 +213,7 @@ func TestJoinRejectsDuplicateIdentity(t *testing.T) {
 func startVerifierWithoutRequirement(t *testing.T) (*Node, func()) {
 	t.Helper()
 	mem := transport.NewMem()
-	nd := NewNode(Config{
+	nd := mustNode(t, Config{
 		Name:           "permissive",
 		Identity:       hashkey.IdentityFromSeed([]byte("permissive")),
 		RequestTimeout: time.Second,
@@ -257,7 +258,7 @@ func TestJoinObserverNotIngested(t *testing.T) {
 func TestJoinEndToEndVerified(t *testing.T) {
 	mem := transport.NewMem()
 	counters := metrics.NewCounters()
-	boot := NewNode(Config{
+	boot := mustNode(t, Config{
 		Name:                 "boot",
 		Identity:             hashkey.IdentityFromSeed([]byte("boot")),
 		Region:               "east",
@@ -271,7 +272,7 @@ func TestJoinEndToEndVerified(t *testing.T) {
 	}
 	defer boot.Close()
 
-	good := NewNode(Config{
+	good := mustNode(t, Config{
 		Name:           "good",
 		Identity:       hashkey.IdentityFromSeed([]byte("good")),
 		Mobile:         true,
@@ -281,17 +282,17 @@ func TestJoinEndToEndVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if err := good.JoinVia(boot.Addr()); err != nil {
+	if err := good.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 		t.Fatalf("verified join failed: %v", err)
 	}
 
 	// A node with no identity is refused outright.
-	legacy := NewNode(Config{Name: "legacy", Mobile: true, RequestTimeout: time.Second}, mem)
+	legacy := mustNode(t, Config{Name: "legacy", Mobile: true, RequestTimeout: time.Second}, mem)
 	if err := legacy.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer legacy.Close()
-	if err := legacy.JoinVia(boot.Addr()); err == nil {
+	if err := legacy.JoinViaContext(context.Background(), boot.Addr()); err == nil {
 		t.Fatal("unsigned join succeeded against a verifying bootstrap")
 	}
 	if got := counters.Get("join.rejected.unsigned"); got != 1 {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,15 +34,15 @@ func TestDeadDelegateSubtreeFallsBackToDiscovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(mob.Publish())
+	must(mob.PublishContext(context.Background()))
 	for _, w := range []string{"head", "w1", "w2", "w3"} {
-		must(nodes[w].RegisterWith(mob.Addr()))
+		must(nodes[w].RegisterWithContext(context.Background(), mob.Addr()))
 	}
 
 	// The delegate dies silently.
 	nodes["head"].Close()
 
-	must(mob.Rebind(""))
+	must(mob.RebindContext(context.Background(), ""))
 
 	// Workers w1..w3 were behind the dead delegate: they must NOT receive
 	// the proactive update.
@@ -61,14 +62,14 @@ func TestDeadDelegateSubtreeFallsBackToDiscovery(t *testing.T) {
 
 	// Late binding covers: every survivor resolves the fresh address.
 	for _, w := range []string{"w1", "w2", "w3"} {
-		addr, err := nodes[w].Discover(mob.Key())
+		addr, err := nodes[w].DiscoverContext(context.Background(), mob.Key())
 		if err != nil {
 			t.Fatalf("%s discovery after delegate death: %v", w, err)
 		}
 		if addr != mob.Addr() {
 			t.Fatalf("%s resolved stale address %s", w, addr)
 		}
-		if err := nodes[w].Ping(addr); err != nil {
+		if err := nodes[w].PingContext(context.Background(), addr); err != nil {
 			t.Fatalf("%s cannot reach resolved address: %v", w, err)
 		}
 	}
@@ -81,7 +82,7 @@ func TestConcurrentOperationsRace(t *testing.T) {
 	nodes, cleanup := startCluster(t, names, map[string]bool{"mob": true}, nil)
 	defer cleanup()
 	mob := nodes["mob"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,8 +114,8 @@ func TestConcurrentOperationsRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if addr, err := nodes["s1"].Discover(mob.Key()); err == nil {
-				nodes["s1"].RegisterWith(addr)
+			if addr, err := nodes["s1"].DiscoverContext(context.Background(), mob.Key()); err == nil {
+				nodes["s1"].RegisterWithContext(context.Background(), addr)
 			}
 		}
 	}()
@@ -123,7 +124,7 @@ func TestConcurrentOperationsRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := mob.Rebind(""); err != nil {
+			if err := mob.RebindContext(context.Background(), ""); err != nil {
 				t.Errorf("rebind %d: %v", i, err)
 				return
 			}
@@ -158,7 +159,7 @@ func TestConcurrentOperationsRace(t *testing.T) {
 	}
 
 	// System still coherent: final address resolvable.
-	addr, err := nodes["s2"].Discover(mob.Key())
+	addr, err := nodes["s2"].DiscoverContext(context.Background(), mob.Key())
 	if err != nil {
 		t.Fatalf("final discover: %v", err)
 	}
@@ -175,14 +176,14 @@ func TestRegisterSurvivesTargetRebind(t *testing.T) {
 	defer cleanup()
 	mob := nodes["mob"]
 	watch := nodes["watch"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := watch.RegisterWith(mob.Addr()); err != nil {
+	if err := watch.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := mob.Rebind(""); err != nil {
+		if err := mob.RebindContext(context.Background(), ""); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -201,19 +202,19 @@ func TestRegisterSurvivesTargetRebind(t *testing.T) {
 
 func TestMemTransportClosedBootstrapJoinFails(t *testing.T) {
 	mem := transport.NewMem()
-	boot := NewNode(Config{Name: "boot", Capacity: 2}, mem)
+	boot := mustNode(t, Config{Name: "boot", Capacity: 2}, mem)
 	if err := boot.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	addr := boot.Addr()
 	boot.Close()
 
-	joiner := NewNode(Config{Name: "joiner", Capacity: 2}, mem)
+	joiner := mustNode(t, Config{Name: "joiner", Capacity: 2}, mem)
 	if err := joiner.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer joiner.Close()
-	if err := joiner.JoinVia(addr); err == nil {
+	if err := joiner.JoinViaContext(context.Background(), addr); err == nil {
 		t.Fatal("join via dead bootstrap succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func startCluster(t *testing.T, names []string, mobile map[string]bool, caps map
 		if c, ok := caps[name]; ok {
 			cfg.Capacity = c
 		}
-		nd := NewNode(cfg, mem)
+		nd := mustNode(t, cfg, mem)
 		if err := nd.Start(""); err != nil {
 			t.Fatalf("start %s: %v", name, err)
 		}
@@ -33,7 +34,7 @@ func startCluster(t *testing.T, names []string, mobile map[string]bool, caps map
 	}
 	boot := started[0]
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(boot.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), boot.Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}
@@ -70,10 +71,10 @@ func TestPublishDiscoverRoundTrip(t *testing.T) {
 		map[string]bool{"mob": true}, nil)
 	defer cleanup()
 	mob := nodes["mob"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	addr, err := nodes["s1"].Discover(mob.Key())
+	addr, err := nodes["s1"].DiscoverContext(context.Background(), mob.Key())
 	if err != nil {
 		t.Fatalf("discover: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestPublishDiscoverRoundTrip(t *testing.T) {
 func TestDiscoverUnknownKeyMisses(t *testing.T) {
 	nodes, cleanup := startCluster(t, []string{"s1", "s2"}, nil, nil)
 	defer cleanup()
-	if _, err := nodes["s1"].Discover(hashkey.FromName("ghost")); err != ErrNotFound {
+	if _, err := nodes["s1"].DiscoverContext(context.Background(), hashkey.FromName("ghost")); err != ErrNotFound {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -95,18 +96,18 @@ func TestRebindRepublishesAndReachable(t *testing.T) {
 		map[string]bool{"mob": true}, nil)
 	defer cleanup()
 	mob := nodes["mob"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	oldAddr := mob.Addr()
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 	if mob.Addr() == oldAddr {
 		t.Fatal("rebind kept the old address")
 	}
 	// The location layer serves the new address.
-	addr, err := nodes["s1"].Discover(mob.Key())
+	addr, err := nodes["s1"].DiscoverContext(context.Background(), mob.Key())
 	if err != nil {
 		t.Fatalf("discover after rebind: %v", err)
 	}
@@ -114,11 +115,11 @@ func TestRebindRepublishesAndReachable(t *testing.T) {
 		t.Fatalf("discovered %s, want new %s", addr, mob.Addr())
 	}
 	// The old attachment point is really gone.
-	if err := nodes["s1"].Ping(oldAddr); err == nil {
+	if err := nodes["s1"].PingContext(context.Background(), oldAddr); err == nil {
 		t.Fatal("old address still answers")
 	}
 	// The new one answers.
-	if err := nodes["s1"].Ping(mob.Addr()); err != nil {
+	if err := nodes["s1"].PingContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatalf("new address unreachable: %v", err)
 	}
 }
@@ -126,7 +127,7 @@ func TestRebindRepublishesAndReachable(t *testing.T) {
 func TestRebindStationaryRejected(t *testing.T) {
 	nodes, cleanup := startCluster(t, []string{"s1", "s2"}, nil, nil)
 	defer cleanup()
-	if err := nodes["s1"].Rebind(""); err == nil {
+	if err := nodes["s1"].RebindContext(context.Background(), ""); err == nil {
 		t.Fatal("stationary node rebound")
 	}
 }
@@ -137,12 +138,12 @@ func TestRegisterAndLDTUpdatePush(t *testing.T) {
 	nodes, cleanup := startCluster(t, names, map[string]bool{"mob": true}, caps)
 	defer cleanup()
 	mob := nodes["mob"]
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// All five stationary nodes register interest.
 	for _, s := range []string{"s1", "s2", "s3", "s4", "s5"} {
-		if err := nodes[s].RegisterWith(mob.Addr()); err != nil {
+		if err := nodes[s].RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 			t.Fatalf("register %s: %v", s, err)
 		}
 	}
@@ -150,7 +151,7 @@ func TestRegisterAndLDTUpdatePush(t *testing.T) {
 		t.Fatalf("registry size %d, want 5", got)
 	}
 
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 
@@ -188,11 +189,11 @@ func TestUpdateDelegationRecursion(t *testing.T) {
 	defer cleanup()
 	mob := nodes["mob"]
 	for _, s := range names[:7] {
-		if err := nodes[s].RegisterWith(mob.Addr()); err != nil {
+		if err := nodes[s].RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range names[:7] {
@@ -209,29 +210,29 @@ func TestUpdateDelegationRecursion(t *testing.T) {
 
 func TestLeaseExpiryLive(t *testing.T) {
 	mem := transport.NewMem()
-	server := NewNode(Config{Name: "server", Capacity: 3}, mem)
+	server := mustNode(t, Config{Name: "server", Capacity: 3}, mem)
 	if err := server.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	mob := NewNode(Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 50 * time.Millisecond}, mem)
+	mob := mustNode(t, Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 50 * time.Millisecond}, mem)
 	if err := mob.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	if err := mob.JoinVia(server.Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh: resolvable.
-	if _, err := server.Discover(mob.Key()); err != nil {
+	if _, err := server.DiscoverContext(context.Background(), mob.Key()); err != nil {
 		t.Fatalf("fresh discover: %v", err)
 	}
 	time.Sleep(80 * time.Millisecond)
 	// Expired: the record must no longer be served.
-	if _, err := server.Discover(mob.Key()); err != ErrNotFound {
+	if _, err := server.DiscoverContext(context.Background(), mob.Key()); err != ErrNotFound {
 		t.Fatalf("expired discover: %v, want ErrNotFound", err)
 	}
 }
@@ -239,14 +240,14 @@ func TestLeaseExpiryLive(t *testing.T) {
 func TestPingPong(t *testing.T) {
 	nodes, cleanup := startCluster(t, []string{"s1", "s2"}, nil, nil)
 	defer cleanup()
-	if err := nodes["s1"].Ping(nodes["s2"].Addr()); err != nil {
+	if err := nodes["s1"].PingContext(context.Background(), nodes["s2"].Addr()); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 }
 
 func TestCloseIdempotentAndStopsServing(t *testing.T) {
 	mem := transport.NewMem()
-	nd := NewNode(Config{Name: "x", Capacity: 1}, mem)
+	nd := mustNode(t, Config{Name: "x", Capacity: 1}, mem)
 	if err := nd.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +258,12 @@ func TestCloseIdempotentAndStopsServing(t *testing.T) {
 	if err := nd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	other := NewNode(Config{Name: "y", Capacity: 1}, mem)
+	other := mustNode(t, Config{Name: "y", Capacity: 1}, mem)
 	if err := other.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	if err := other.Ping(addr); err == nil {
+	if err := other.PingContext(context.Background(), addr); err == nil {
 		t.Fatal("closed node still answers")
 	}
 }
@@ -270,28 +271,28 @@ func TestCloseIdempotentAndStopsServing(t *testing.T) {
 func TestLiveOverTCP(t *testing.T) {
 	// One end-to-end pass over real localhost sockets.
 	tr := &transport.TCP{}
-	server := NewNode(Config{Name: "tcp-server", Capacity: 3}, tr)
+	server := mustNode(t, Config{Name: "tcp-server", Capacity: 3}, tr)
 	if err := server.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
 
-	mob := NewNode(Config{Name: "tcp-mob", Capacity: 2, Mobile: true}, tr)
+	mob := mustNode(t, Config{Name: "tcp-mob", Capacity: 2, Mobile: true}, tr)
 	if err := mob.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer mob.Close()
 
-	watcher := NewNode(Config{Name: "tcp-watcher", Capacity: 2}, tr)
+	watcher := mustNode(t, Config{Name: "tcp-watcher", Capacity: 2}, tr)
 	if err := watcher.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer watcher.Close()
 
-	if err := mob.JoinVia(server.Addr()); err != nil {
+	if err := mob.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.JoinVia(server.Addr()); err != nil {
+	if err := watcher.JoinViaContext(context.Background(), server.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -301,13 +302,13 @@ func TestLiveOverTCP(t *testing.T) {
 		server.GossipOnce(rng)
 	}
 
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := watcher.RegisterWith(mob.Addr()); err != nil {
+	if err := watcher.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := mob.Rebind("127.0.0.1:0"); err != nil {
+	if err := mob.RebindContext(context.Background(), "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -318,8 +319,19 @@ func TestLiveOverTCP(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("TCP watcher never received the update")
 	}
-	addr, err := watcher.Discover(mob.Key())
+	addr, err := watcher.DiscoverContext(context.Background(), mob.Key())
 	if err != nil || addr != mob.Addr() {
 		t.Fatalf("TCP discover: %v %s", err, addr)
 	}
+}
+
+// mustNode builds a stopped node from a whole Config through newNode, the
+// step New ends in, so a test's configuration is validated like any other.
+func mustNode(tb testing.TB, cfg Config, tr transport.Transport) *Node {
+	tb.Helper()
+	n, err := newNode(cfg, tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -41,10 +42,12 @@ type MaintainConfig struct {
 }
 
 // StartMaintenance launches the node's periodic duties — anti-entropy
-// gossip and lease renewal — and returns a stop function. Stopping is
-// idempotent and waits for the loops to exit. Errors inside the loops are
-// logged (when a Logger is configured) and do not stop maintenance: a
-// missed gossip round or renewal retries on the next tick.
+// gossip, lease renewal, suspect probing, the registry sweep and the
+// early-binding refresher — and returns a stop function. Stopping is
+// idempotent, cancels whatever exchange a duty has in flight, and waits
+// for the loops to exit; closing the node stops them too. Errors inside
+// the loops are logged (when a Logger is configured) and do not stop
+// maintenance: a missed gossip round or renewal retries on the next tick.
 func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	if cfg.RenewInterval == 0 && n.cfg.LeaseTTL > 0 {
 		cfg.RenewInterval = n.cfg.LeaseTTL / 2
@@ -56,108 +59,54 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
+	topK := cfg.RefreshTopK
+	if topK <= 0 {
+		topK = 32
+	}
+	window := cfg.RefreshWindow
+	if window <= 0 {
+		window = 2 * cfg.RefreshInterval
+	}
 
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(n.runCtx)
 	var wg sync.WaitGroup
-
-	if cfg.GossipInterval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(cfg.GossipInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					if _, err := n.GossipOnce(rng); err != nil {
-						n.logf("maintenance gossip: %v", err)
-					}
-				}
-			}
-		}()
-	}
-	if cfg.RenewInterval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(cfg.RenewInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					if err := n.Publish(); err != nil {
-						n.logf("maintenance renew: %v", err)
-					}
-				}
-			}
-		}()
-	}
-	if cfg.ProbeInterval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(cfg.ProbeInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					n.ProbeSuspects()
-				}
-			}
-		}()
-	}
-	if cfg.RegistrySweepInterval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(cfg.RegistrySweepInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					n.SweepRegistry()
-				}
-			}
-		}()
-	}
-	if cfg.RefreshInterval > 0 && n.loc != nil {
-		topK := cfg.RefreshTopK
-		if topK <= 0 {
-			topK = 32
-		}
-		window := cfg.RefreshWindow
-		if window <= 0 {
-			window = 2 * cfg.RefreshInterval
+	// every runs duty once per interval until ctx ends; a zero interval
+	// disables the duty.
+	every := func(interval time.Duration, duty func()) {
+		if interval <= 0 {
+			return
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t := time.NewTicker(cfg.RefreshInterval)
+			t := time.NewTicker(interval)
 			defer t.Stop()
 			for {
 				select {
-				case <-done:
+				case <-ctx.Done():
 					return
 				case <-t.C:
-					n.refreshExpiring(topK, window)
+					duty()
 				}
 			}
 		}()
 	}
+	every(cfg.GossipInterval, func() {
+		if _, err := n.gossipOnce(ctx, rng); err != nil {
+			n.logf("maintenance gossip: %v", err)
+		}
+	})
+	every(cfg.RenewInterval, func() {
+		if err := n.PublishContext(ctx); err != nil {
+			n.logf("maintenance renew: %v", err)
+		}
+	})
+	every(cfg.ProbeInterval, func() { n.ProbeSuspects(ctx) })
+	every(cfg.RegistrySweepInterval, func() { n.SweepRegistry() })
+	every(cfg.RefreshInterval, func() { n.refreshExpiring(topK, window) })
 
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
+		cancel()
+		wg.Wait()
 	}
 }

@@ -240,7 +240,14 @@ func (n *Node) SweepRegistry() int {
 
 // GossipOnce performs one anti-entropy round with a random known peer,
 // exchanging membership views. Returns the number of entries learned.
+// Closing the node cancels the exchange.
 func (n *Node) GossipOnce(rng *rand.Rand) (int, error) {
+	return n.gossipOnce(n.runCtx, rng)
+}
+
+// gossipOnce is GossipOnce under the caller's context (the maintenance
+// loop's, which stop() cancels).
+func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	v := n.members.snapshot()
 	before := len(v.byKey)
 	others := make([]wire.Entry, 0, len(v.sorted))
@@ -264,7 +271,7 @@ func (n *Node) GossipOnce(rng *rand.Rand) (int, error) {
 		others = healthy
 	}
 	target := others[rng.Intn(len(others))]
-	resp, err := n.request(context.Background(), target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.sorted})
+	resp, err := n.request(ctx, target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.sorted})
 	if err != nil {
 		return 0, err
 	}

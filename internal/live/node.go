@@ -16,8 +16,8 @@
 //
 //   - node.go       — Config, lifecycle (Start/Close/Rebind), connection
 //     serving and dispatch
-//   - api.go        — the consolidated public surface: canonical
-//     *Context methods, their suffix-less aliases, Stats
+//   - api.go        — the public surface: join, register, ping, Stats
+//   - options.go    — New, the one constructor, its options and validation
 //   - store.go      — the sharded record repository and the ingest/serve
 //     handlers (publish, discover, update)
 //   - membership.go — copy-on-write membership and registry views;
@@ -28,11 +28,10 @@
 //   - rpc.go        — retries, backoff, sharded per-peer circuit breakers
 //   - pool.go       — the sharded multiplexed connection pool
 //
-// Every public operation that can touch the network has a Context-suffixed
-// form (PublishContext, DiscoverContext, ...) that observes the caller's
-// cancellation and deadline end to end — through retries, backoff pauses,
-// dials, and pooled exchanges. The suffix-less forms are one-line aliases
-// over context.Background(), collected in api.go.
+// Every public operation that can touch the network is called one way: a
+// Context-suffixed method (PublishContext, DiscoverContext, ...) that
+// observes the caller's cancellation and deadline end to end — through
+// retries, backoff pauses, dials, and pooled exchanges.
 package live
 
 import (
@@ -57,9 +56,8 @@ type Update struct {
 	Addr string
 }
 
-// Config parameterizes a live node. Prefer constructing nodes with New
-// and functional options (options.go); Config remains public for callers
-// that want to build the whole policy in one literal.
+// Config parameterizes a live node. It is what New's options (options.go)
+// write into; New validates it and fills the defaults.
 type Config struct {
 	// Name seeds the node's hash key (FromName), standing in for a stable
 	// node identity independent of its network address. When Identity is
@@ -128,13 +126,11 @@ type Config struct {
 	// SuspicionCooldown is how long a tripped breaker fails fast before it
 	// lets one probe through (half-open). Default 2s.
 	SuspicionCooldown time.Duration
-	// Pool tunes the multiplexed per-peer connection pool under the RPC
-	// layer. The zero value enables pooling with defaults; set
-	// Pool.Disabled to revert to dial-per-request exchanges.
+	// Pool tunes the multiplexed per-peer connection pool every exchange
+	// rides (pool.go). The zero value means the defaults.
 	Pool PoolConfig
-	// Cache tunes the lease-aware sharded location cache behind Resolve
-	// (resolve.go). The zero value enables the cache with defaults; set
-	// Cache.Disabled to make every resolve a network discovery.
+	// Cache tunes the lease-aware sharded location cache behind
+	// ResolveContext (resolve.go). The zero value means the defaults.
 	Cache CacheConfig
 	// Counters optionally records resilience events (rpc.retries,
 	// rpc.timeouts, breaker.trips, pool.dials, ...); nil disables them.
@@ -146,8 +142,7 @@ type Config struct {
 	Logger *log.Logger
 }
 
-// withDefaults fills every unset knob — the single place defaults live,
-// shared by NewNode and New.
+// withDefaults fills every unset knob — the single place defaults live.
 func (cfg Config) withDefaults() Config {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1
@@ -265,7 +260,7 @@ type Node struct {
 	cfg  Config
 	key  hashkey.Key
 	tr   transport.Transport
-	pool *pool    // nil when cfg.Pool.Disabled
+	pool *pool    // every outbound frame rides one of its sessions
 	ctr  counters // event handles into cfg.Counters
 
 	lifeMu    sync.Mutex
@@ -274,7 +269,6 @@ type Node struct {
 	flusherOn bool // update flusher goroutine started (advertise.go)
 
 	self atomic.Pointer[binding]
-	seq  atomic.Uint32 // one-shot (unpooled) exchange sequence numbers
 
 	members  membership    // known peers (incl. self); COW snapshots
 	registry registryTable // R(self): interested nodes, leased; COW
@@ -298,7 +292,7 @@ type Node struct {
 	// pushes (early binding) and discover answers (late binding) write
 	// through it; ResolveContext reads it. It is never served to the
 	// network, and the resolve hot path shares no lock with the protocol
-	// path. Nil when Cache.Disabled.
+	// path.
 	loc     *loccache.Cache
 	flights loccache.Group // coalesces concurrent discoveries per key
 	closed  atomic.Bool    // set by Close; gates background refreshes
@@ -321,9 +315,15 @@ type Node struct {
 	updq      *updateQueue // coalescing LDT push queue (advertise.go)
 }
 
-// NewNode creates a stopped node. Call Start to begin serving. (New in
-// options.go is the preferred constructor.)
-func NewNode(cfg Config, tr transport.Transport) *Node {
+// newNode is the step New ends in: it validates cfg, fills the defaults
+// and builds a stopped node.
+func newNode(cfg Config, tr transport.Transport) (*Node, error) {
+	if tr == nil {
+		return nil, errors.New("live: transport must not be nil")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	var key hashkey.Key
 	switch {
@@ -350,6 +350,15 @@ func NewNode(cfg Config, tr transport.Transport) *Node {
 		owned:   make(map[hashkey.Key]struct{}),
 		ids:     make(map[hashkey.Key][32]byte),
 		updq:    newUpdateQueue(),
+		pool:    newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges),
+		loc: loccache.New(loccache.Config{
+			Shards:      cfg.Cache.Shards,
+			MaxEntries:  cfg.Cache.MaxEntries,
+			NegativeTTL: cfg.Cache.NegativeTTL,
+			StaleWindow: cfg.Cache.StaleWindow,
+			Counters:    cfg.Counters,
+			Gauges:      cfg.Gauges,
+		}),
 	}
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
@@ -361,20 +370,7 @@ func NewNode(cfg Config, tr transport.Transport) *Node {
 	n.peersTbl.init()
 	n.rtt.init()
 	n.runCtx, n.runCancel = context.WithCancel(context.Background())
-	if !cfg.Pool.Disabled {
-		n.pool = newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges)
-	}
-	if !cfg.Cache.Disabled {
-		n.loc = loccache.New(loccache.Config{
-			Shards:      cfg.Cache.Shards,
-			MaxEntries:  cfg.Cache.MaxEntries,
-			NegativeTTL: cfg.Cache.NegativeTTL,
-			StaleWindow: cfg.Cache.StaleWindow,
-			Counters:    cfg.Counters,
-			Gauges:      cfg.Gauges,
-		})
-	}
-	return n
+	return n, nil
 }
 
 // Key returns the node's hash key.
@@ -454,9 +450,7 @@ func (n *Node) Close() error {
 	n.closed.Store(true) // stop launching background refreshes
 	n.runCancel()        // abort in-flight LDT fan-out and flusher sends
 	n.updq.close()       // unblock enqueue waiters; the flusher drains out
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 	if ls != nil {
 		ls.close()
 	}
@@ -468,7 +462,7 @@ func (n *Node) Close() error {
 // attachment point), republishes its location, and pushes the update
 // through its dissemination tree. Connections accepted through the old
 // attachment point close with it, exactly as a real relocation severs
-// them. Canonical form of Rebind (api.go).
+// them.
 func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if !n.cfg.Mobile {
 		return errors.New("live: node is not mobile")

@@ -1,10 +1,9 @@
 package live
 
-// This file is the package's preferred constructor: New(name, transport,
+// This file is the package's one constructor: New(name, transport,
 // options...). Functional options keep the call site readable, let the
 // defaults live in one place (Config.withDefaults), and let validation
-// reject contradictory policies before a node exists — NewNode(Config,
-// ...) remains for callers that want to spell out the whole Config.
+// reject contradictory policies before a node exists.
 
 import (
 	"errors"
@@ -96,16 +95,9 @@ func WithSuspicion(threshold int, cooldown time.Duration) Option {
 // WithPool tunes the multiplexed per-peer connection pool.
 func WithPool(pc PoolConfig) Option { return func(cfg *Config) { cfg.Pool = pc } }
 
-// WithoutPool reverts every exchange to dial-per-request.
-func WithoutPool() Option { return func(cfg *Config) { cfg.Pool.Disabled = true } }
-
 // WithResolveCache tunes the lease-aware sharded location cache behind
-// Resolve (sharding, bound, negative TTL, stale window).
+// ResolveContext (sharding, bound, negative TTL, stale window).
 func WithResolveCache(cc CacheConfig) Option { return func(cfg *Config) { cfg.Cache = cc } }
-
-// WithoutResolveCache disables the location cache: every Resolve becomes
-// a network discovery.
-func WithoutResolveCache() Option { return func(cfg *Config) { cfg.Cache.Disabled = true } }
 
 // WithCounters records resilience events (rpc.retries, breaker.trips,
 // pool.dials, ...) on the given registry.
@@ -122,25 +114,19 @@ func WithLogger(l *log.Logger) Option { return func(cfg *Config) { cfg.Logger = 
 // the package defaults and validating the result. Call Start to begin
 // serving.
 func New(name string, tr transport.Transport, opts ...Option) (*Node, error) {
-	if name == "" {
-		return nil, errors.New("live: node name must not be empty")
-	}
-	if tr == nil {
-		return nil, errors.New("live: transport must not be nil")
-	}
 	cfg := Config{Name: name}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return NewNode(cfg, tr), nil
+	return newNode(cfg, tr)
 }
 
 // validate rejects configurations no default can repair. It runs before
 // withDefaults, so zero values are fine — only explicit nonsense fails.
 func (cfg Config) validate() error {
+	if cfg.Name == "" {
+		return errors.New("live: node name must not be empty")
+	}
 	if cfg.Capacity < 0 {
 		return fmt.Errorf("live: capacity must be >= 0, got %g", cfg.Capacity)
 	}

@@ -1,10 +1,10 @@
 package live
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
+	"bristle/internal/hashkey"
 	"bristle/internal/metrics"
 	"bristle/internal/transport"
 )
@@ -43,41 +43,60 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 	if cfg.Counters != counters || cfg.Gauges != gauges {
 		t.Error("metrics registries not applied")
 	}
-	// Unset knobs get defaults; the pool is on by default.
+	// Unset knobs get defaults.
 	if cfg.Pool.MaxSessions != 64 || cfg.Pool.MaxInflight != 128 || cfg.Pool.IdleTimeout != 60*time.Second {
 		t.Errorf("pool defaults not applied: %+v", cfg.Pool)
 	}
-	if n.pool == nil {
-		t.Error("pool should be enabled by default")
-	}
 }
 
-func TestNewDefaultsMatchNewNode(t *testing.T) {
-	mem := transport.NewMem()
-	n, err := New("defaults", mem)
+// TestNewAcceptsHarnessOptionSets runs the two option sets the scenario
+// harness boots its members with (harness.nodeOptions: a stationary ring
+// member, and a fabric observer on a one-session pool) through New — every
+// construction is validated, so a set the validator rejected would take the
+// whole harness down.
+func TestNewAcceptsHarnessOptionSets(t *testing.T) {
+	id, err := hashkey.NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	legacy := NewNode(Config{Name: "defaults"}, mem)
-	defer legacy.Close()
-	if !reflect.DeepEqual(n.cfg, legacy.cfg) {
-		t.Errorf("New defaults diverge from NewNode:\n  New:     %+v\n  NewNode: %+v", n.cfg, legacy.cfg)
+	stationary := []Option{
+		WithCapacity(4),
+		WithReplication(3),
+		WithLease(2 * time.Second),
+		WithRequestTimeout(250 * time.Millisecond),
+		WithRetryBudget(6, 5*time.Millisecond, 50*time.Millisecond, 0),
+		WithSuspicion(3, 150*time.Millisecond),
+		WithCounters(metrics.NewCounters()),
+		WithGauges(metrics.NewGauges()),
+		WithIdentity(id),
+		WithVerifiedJoins(),
 	}
-}
-
-func TestNewWithoutPool(t *testing.T) {
-	mem := transport.NewMem()
-	n, err := New("poolless", mem, WithoutPool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if n.pool != nil {
-		t.Error("WithoutPool should leave the node unpooled")
-	}
-	if got := n.Stats().PoolSessions; got != 0 {
-		t.Errorf("PoolSessions on unpooled node = %d, want 0", got)
+	observer := append(append([]Option(nil), stationary...),
+		WithMobile(),
+		WithObserverJoin(),
+		WithPool(PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}),
+		WithRequestTimeout(2*time.Second),
+	)
+	for name, opts := range map[string][]Option{"stationary": stationary, "observer": observer} {
+		n, err := New(name, transport.NewMem(), opts...)
+		if err != nil {
+			t.Fatalf("%s option set rejected: %v", name, err)
+		}
+		cfg := n.cfg
+		n.Close()
+		if want := 6 * cfg.RequestTimeout; cfg.RetryBudget != want {
+			t.Errorf("%s: RetryBudget = %v, want the default attempts x timeout = %v", name, cfg.RetryBudget, want)
+		}
+		wantPool := PoolConfig{MaxSessions: 64, MaxInflight: 128, IdleTimeout: 60 * time.Second}
+		if name == "observer" {
+			wantPool = PoolConfig{MaxSessions: 1, MaxInflight: 128, IdleTimeout: time.Second}
+		}
+		if cfg.Pool != wantPool {
+			t.Errorf("%s: pool = %+v, want %+v", name, cfg.Pool, wantPool)
+		}
+		if cfg.JoinAsObserver != (name == "observer") || !cfg.RequireVerifiedJoins || cfg.Identity != id {
+			t.Errorf("%s: admission options not applied: %+v", name, cfg)
+		}
 	}
 }
 

@@ -9,13 +9,16 @@ package live
 // in flight on one connection at once. Broken sessions tear down,
 // fail their waiters with retryable errors, and are transparently
 // re-dialed by the next attempt, composing with the retry/backoff and
-// circuit-breaker machinery in rpc.go.
+// circuit-breaker machinery in rpc.go. This is the only way a node sends
+// a frame: there is no unpooled exchange.
 //
 // The session table is sharded by peer address (same FNV-1a layout as the
 // breaker table): acquiring a session for one peer never contends with
 // exchanges against peers in other shards. The global MaxSessions cap is
 // enforced with an atomic reservation counter rather than a pool-wide
-// lock.
+// lock, and it bounds the sessions kept, not the exchanges admitted: an
+// exchange that finds every session busy gets one over the cap, and the
+// pool sheds a session the moment one goes idle while it is over.
 
 import (
 	"context"
@@ -33,13 +36,10 @@ import (
 
 // PoolConfig tunes the per-peer multiplexed connection pool.
 type PoolConfig struct {
-	// Disabled reverts every exchange to the dial-per-request path (the
-	// pre-pool behaviour; also the baseline of BenchmarkRPCSequentialDial).
-	Disabled bool
-	// MaxSessions caps how many peers hold a pooled session at once. At
-	// the cap the least-recently-used idle session is evicted; if every
-	// session is busy the overflow exchange runs on a one-shot connection.
-	// Default 64.
+	// MaxSessions caps how many peers keep a pooled session. At the cap the
+	// least-recently-used idle session is evicted; if every session is busy
+	// the exchange gets a session over the cap (counted as pool.fallbacks),
+	// and the next session to go idle is closed. Default 64.
 	MaxSessions int
 	// MaxInflight bounds the outbound frames queued to one session's
 	// writer; enqueues past it wait (backpressure). Default 128.
@@ -62,13 +62,13 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// errPoolSaturated is internal: every session slot is busy, so the
-// caller should fall back to a one-shot connection for this exchange.
-var errPoolSaturated = errors.New("live: pool saturated")
-
-// errSessionIdle marks idle-eviction teardowns (never seen by callers:
-// an idle session has no waiters).
-var errSessionIdle = errors.New("live: session idle-evicted")
+// errEvictedIdle and errEvictedCap mark the teardown of a session nothing
+// was riding: unused for IdleTimeout, or given up for the MaxSessions cap.
+// A caller sees one only by losing a race with the eviction, and retries.
+var (
+	errEvictedIdle = errors.New("live: session evicted: idle")
+	errEvictedCap  = errors.New("live: session evicted: pool at its cap")
+)
 
 // poolShard is one slice of the per-peer session table.
 type poolShard struct {
@@ -85,6 +85,7 @@ type pool struct {
 	// registry, which counts nothing).
 	dials, broken, orphans      *metrics.Counter
 	evictionsCap, evictionsIdle *metrics.Counter
+	fallbacks                   *metrics.Counter // exchanges that found no slot
 	frames, flushes             *metrics.Counter // frames sent, and the writes that carried them
 	sessions, inflight          *metrics.Gauge
 
@@ -106,6 +107,7 @@ func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters,
 		orphans:       counters.Counter("pool.demux.orphans"),
 		evictionsCap:  counters.Counter("pool.evictions.cap"),
 		evictionsIdle: counters.Counter("pool.evictions.idle"),
+		fallbacks:     counters.Counter("pool.fallbacks"),
 		frames:        counters.Counter("pool.frames"),
 		flushes:       counters.Counter("pool.flushes"),
 		sessions:      gauges.Gauge("pool.sessions"),
@@ -170,12 +172,14 @@ func (s *session) idle() bool {
 // creator dials inline (bounded by its ctx); concurrent acquirers of the
 // same address wait for that dial instead of racing their own. At the
 // MaxSessions cap the least-recently-used idle session is evicted and
-// the acquire retried; with no idle victim the pool reports saturation
-// and the caller falls back to a one-shot dial.
+// the acquire retried; with no idle victim the session is admitted over
+// the cap, to be shed when a session next goes idle (surplus).
 func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
-	// Bounded retry: each round either returns, fails, or has evicted an
-	// idle victim (freeing a slot that a rival may steal first).
-	for tries := 0; tries < 4; tries++ {
+	// Each round returns, fails, has evicted an idle victim (freeing a slot
+	// that a rival may steal first), or has decided to go over the cap: no
+	// session was idle, or rivals stole the freed slot three times running.
+	over := false
+	for tries := 0; ; tries++ {
 		if p.closed.Load() {
 			return nil, ErrPoolClosed
 		}
@@ -205,15 +209,17 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 		// Absent: reserve a slot before inserting, so the cap holds
 		// globally without a pool-wide lock.
 		if p.nsess.Add(1) > int64(p.cfg.MaxSessions) {
-			p.nsess.Add(-1)
-			sh.mu.Unlock()
-			victim := p.lruIdle()
-			if victim == nil {
-				return nil, errPoolSaturated
+			if !over {
+				p.nsess.Add(-1)
+				sh.mu.Unlock()
+				if victim := p.lruIdle(); victim != nil && tries < 3 {
+					victim.teardown(errEvictedCap) // its drop releases the slot
+				} else {
+					over = true
+				}
+				continue
 			}
-			p.evictionsCap.Inc()
-			victim.teardown(errSessionIdle) // its drop releases the slot
-			continue
+			p.fallbacks.Inc()
 		}
 		s := &session{
 			p:       p,
@@ -229,7 +235,6 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 		sh.mu.Unlock()
 		return s, s.dial(ctx)
 	}
-	return nil, errPoolSaturated
 }
 
 // dial is run once, by the session's creator. On success it starts the
@@ -280,7 +285,11 @@ func (s *session) writeLoop() {
 			if oneWay > 0 {
 				s.mu.Lock()
 				s.oneWay -= oneWay
+				shed := s.surplus()
 				s.mu.Unlock()
+				if shed {
+					s.teardown(errEvictedCap)
+				}
 			}
 		}
 	}
@@ -371,7 +380,13 @@ func (s *session) teardown(err error) {
 	for _, ch := range pend {
 		close(ch) // closed reply channel = session failed; see roundTrip
 	}
-	if err != errSessionIdle && err != ErrPoolClosed {
+	switch err {
+	case errEvictedIdle:
+		s.p.evictionsIdle.Inc()
+	case errEvictedCap:
+		s.p.evictionsCap.Inc()
+	case ErrPoolClosed:
+	default:
 		s.p.broken.Inc()
 	}
 }
@@ -418,8 +433,21 @@ func (s *session) endUse() {
 	s.mu.Lock()
 	s.inflight--
 	s.lastUse = time.Now()
+	shed := s.surplus()
 	s.mu.Unlock()
 	s.p.inflight.Add(-1)
+	if shed {
+		s.teardown(errEvictedCap)
+	}
+}
+
+// surplus reports whether s, whose last exchange or one-way write has just
+// finished, should be closed: it is idle and the pool holds more sessions
+// than MaxSessions, because some acquire found every session busy and went
+// over the cap. Shedding the first session to go idle keeps an overflow at
+// the cost of one short-lived connection. Caller holds s.mu.
+func (s *session) surplus() bool {
+	return s.idle() && s.p.nsess.Load() > int64(s.p.cfg.MaxSessions)
 }
 
 // roundTrip runs one request/response exchange over the shared
@@ -573,8 +601,7 @@ func (p *pool) evictIdle(now time.Time) {
 		sh.mu.Unlock()
 	}
 	for _, s := range victims {
-		p.evictionsIdle.Inc()
-		s.teardown(errSessionIdle)
+		s.teardown(errEvictedIdle)
 	}
 }
 

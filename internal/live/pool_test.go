@@ -2,8 +2,8 @@ package live
 
 // Tests for the multiplexed connection pool: correct demultiplexing under
 // concurrency and injected frame faults, idle eviction, transparent
-// re-dial of broken sessions, saturation fallback, and the
-// head-of-line-blocking regression (a slow exchange must not delay a fast
+// re-dial of broken sessions, admission over the cap when every session is
+// busy, and the head-of-line-blocking regression (a slow exchange must not delay a fast
 // one sharing the connection).
 
 import (
@@ -50,7 +50,7 @@ func TestPoolConcurrentDemuxUnderFaults(t *testing.T) {
 		Duplicate: 0.15,
 	})
 
-	server := NewNode(Config{Name: "demux-server", Capacity: 2}, faulty.Endpoint("server"))
+	server := mustNode(t, Config{Name: "demux-server", Capacity: 2}, faulty.Endpoint("server"))
 	if err := server.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPoolConcurrentDemuxUnderFaults(t *testing.T) {
 
 	counters := metrics.NewCounters()
 	gauges := metrics.NewGauges()
-	client := NewNode(poolTestConfig("demux-client", counters, gauges), faulty.Endpoint("client"))
+	client := mustNode(t, poolTestConfig("demux-client", counters, gauges), faulty.Endpoint("client"))
 	defer client.Close()
 
 	const workers = 16
@@ -146,7 +146,7 @@ func TestPoolIdleEviction(t *testing.T) {
 	gauges := metrics.NewGauges()
 	cfg := poolTestConfig("idle-client", counters, gauges)
 	cfg.Pool.IdleTimeout = 40 * time.Millisecond
-	client := NewNode(cfg, mem)
+	client := mustNode(t, cfg, mem)
 	defer client.Close()
 
 	ctx := context.Background()
@@ -185,7 +185,7 @@ func TestPoolRedialAfterBrokenSession(t *testing.T) {
 	server := startPingServer(t, mem)
 
 	counters := metrics.NewCounters()
-	client := NewNode(poolTestConfig("redial-client", counters, nil), mem)
+	client := mustNode(t, poolTestConfig("redial-client", counters, nil), mem)
 	defer client.Close()
 
 	ctx := context.Background()
@@ -295,10 +295,11 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// TestPoolSaturationFallsBack pins the only session slot on a busy peer;
-// an exchange with a second peer must fall back to a one-shot dial and
-// still succeed.
-func TestPoolSaturationFallsBack(t *testing.T) {
+// TestPoolSaturationGoesOverCap pins the only session slot on a busy
+// peer; an exchange with a second peer must get a session over the cap and
+// succeed, and the pool must be back inside its cap once that session goes
+// idle — the overflow costs one short-lived connection.
+func TestPoolSaturationGoesOverCap(t *testing.T) {
 	mem := transport.NewMem()
 	slow := startSlowServer(t, mem, 300*time.Millisecond)
 	fastSrv := startPingServer(t, mem)
@@ -306,7 +307,7 @@ func TestPoolSaturationFallsBack(t *testing.T) {
 	counters := metrics.NewCounters()
 	cfg := poolTestConfig("saturated-client", counters, nil)
 	cfg.Pool.MaxSessions = 1
-	client := NewNode(cfg, mem)
+	client := mustNode(t, cfg, mem)
 	defer client.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -324,10 +325,20 @@ func TestPoolSaturationFallsBack(t *testing.T) {
 		t.Fatalf("ping during saturation: %v", err)
 	}
 	if got := counters.Get("pool.fallbacks"); got == 0 {
-		t.Errorf("pool.fallbacks = 0, want >= 1 (one-shot dial under saturation)")
+		t.Errorf("pool.fallbacks = 0, want >= 1 (the ping found no slot)")
+	}
+	// The ping's session went idle while the pool was over its cap.
+	if got := client.Stats().PoolSessions; got != 1 {
+		t.Errorf("PoolSessions after the overflow exchange = %d, want 1 (the pinned session)", got)
+	}
+	if got := counters.Get("pool.evictions.cap"); got != 1 {
+		t.Errorf("pool.evictions.cap = %d, want 1 (the overflow session, shed when idle)", got)
 	}
 	if err := <-slowDone; err != nil {
 		t.Fatalf("pinned exchange: %v", err)
+	}
+	if got := client.Stats().PoolSessions; got != 1 {
+		t.Errorf("PoolSessions at rest = %d, want 1", got)
 	}
 }
 
@@ -387,9 +398,9 @@ func startUpdateSink(t *testing.T, tr transport.Transport) (transport.Listener, 
 // TestPoolOneWayFramesPinSession: one-way pushes wait for no reply, so
 // nothing but the write queue says the session is in use. At the
 // MaxSessions cap, acquiring a second peer while the first session's
-// writer still holds queued pushes must report saturation (the caller
-// falls back to a one-shot dial) — evicting the session would silently
-// drop LDT updates.
+// writer still holds queued pushes must go over the cap — evicting the
+// session would silently drop LDT updates. Every push arrives, and only
+// then does the pool shed its way back inside the cap.
 func TestPoolOneWayFramesPinSession(t *testing.T) {
 	const pushes = 4
 	// The injected delay stalls the writer inside its first frame while
@@ -400,7 +411,8 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	sink, got := startUpdateSink(t, faulty.Endpoint("sink"))
 	other := startPingServer(t, faulty.Endpoint("other"))
 
-	p := newPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, nil, nil)
+	counters := metrics.NewCounters()
+	p := newPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters, nil)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -410,8 +422,11 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if _, err := p.acquire(ctx, other.l.Addr()); err != errPoolSaturated {
-		t.Fatalf("acquire of a second peer over unwritten pushes: err = %v, want errPoolSaturated", err)
+	if _, err := p.acquire(ctx, other.l.Addr()); err != nil {
+		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
+	}
+	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
+		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session kept (0) and the acquire over the cap (1)", evicted, over)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for got.Load() != pushes {
@@ -420,15 +435,11 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Written frames no longer pin the session: the slot can change hands.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		_, err := p.acquire(ctx, other.l.Addr())
-		if err == nil {
-			break
-		}
-		if err != errPoolSaturated || time.Now().After(deadline) {
-			t.Fatalf("acquire after the pushes were written: %v", err)
+	// Written frames no longer pin the session: it is idle in a pool over
+	// its cap, and goes.
+	for p.sessionCount() > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions = %d after the pushes were written, want 1", p.sessionCount())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

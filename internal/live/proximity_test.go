@@ -5,6 +5,7 @@ package live
 // unmeasured peers, and the sharded RTT estimator table.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -169,7 +170,7 @@ func TestSelectReplicasRegionDiversity(t *testing.T) {
 // every measured peer, and the jitter is frozen per snapshot (the sort
 // comparator must be consistent).
 func TestPeerHealthExploresUnknownPeers(t *testing.T) {
-	n := NewNode(Config{Name: "prober"}, transport.NewMem())
+	n := mustNode(t, Config{Name: "prober"}, transport.NewMem())
 	defer n.Close()
 	n.rtt.observe("measured-a", 10*time.Millisecond)
 	n.rtt.observe("measured-b", 30*time.Millisecond)
@@ -201,7 +202,7 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 // TestPeerHealthNoMeasurementsUsesFloor: with nothing measured the
 // exploration scale falls back to rttExploreFloor rather than zero.
 func TestPeerHealthNoMeasurementsUsesFloor(t *testing.T) {
-	n := NewNode(Config{Name: "cold"}, transport.NewMem())
+	n := mustNode(t, Config{Name: "cold"}, transport.NewMem())
 	defer n.Close()
 	cands := entries("p", "q")
 	sawNonZero := false
@@ -283,18 +284,18 @@ func TestRTTFedFromOrdinaryExchanges(t *testing.T) {
 			return 0
 		},
 	})
-	a := NewNode(Config{Name: "a"}, faulty.Endpoint("a"))
+	a := mustNode(t, Config{Name: "a"}, faulty.Endpoint("a"))
 	if err := a.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b := NewNode(Config{Name: "b"}, faulty.Endpoint("b"))
+	b := mustNode(t, Config{Name: "b"}, faulty.Endpoint("b"))
 	if err := b.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 	for i := 0; i < 4; i++ {
-		if err := a.Ping(b.Addr()); err != nil {
+		if err := a.PingContext(context.Background(), b.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}

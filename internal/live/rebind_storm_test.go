@@ -25,7 +25,7 @@ func TestRebindUnderConcurrentResolvers(t *testing.T) {
 	mem := transport.NewMem()
 	ctrs := metrics.NewCounters()
 	mk := func(name string, mobile bool) *Node {
-		n := NewNode(Config{
+		n := mustNode(t, Config{
 			Name:        name,
 			Capacity:    4,
 			Mobile:      mobile,
@@ -43,7 +43,7 @@ func TestRebindUnderConcurrentResolvers(t *testing.T) {
 	mob := mk("mob", true)
 	stationary := []*Node{s1, s2, s3}
 	for _, n := range []*Node{s2, s3, mob} {
-		if err := n.JoinVia(s1.Addr()); err != nil {
+		if err := n.JoinViaContext(context.Background(), s1.Addr()); err != nil {
 			t.Fatalf("join %s: %v", n.cfg.Name, err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestRebindUnderConcurrentResolvers(t *testing.T) {
 			}
 		}
 	}
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 	oldAddr := mob.Addr()
@@ -101,7 +101,7 @@ func TestRebindUnderConcurrentResolvers(t *testing.T) {
 
 	// Let the storm warm every cache onto the old address, then move.
 	time.Sleep(50 * time.Millisecond)
-	if err := mob.Rebind(""); err != nil {
+	if err := mob.RebindContext(context.Background(), ""); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 	if got := mob.Addr(); got == oldAddr {

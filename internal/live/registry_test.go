@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // never silent.
 func TestUpdateChannelDropCounted(t *testing.T) {
 	ctrs := metrics.NewCounters()
-	n := NewNode(Config{Name: "sink", Counters: ctrs}, transport.NewMem())
+	n := mustNode(t, Config{Name: "sink", Counters: ctrs}, transport.NewMem())
 	key := hashkey.FromName("subject")
 
 	const capacity = 64 // the updates channel's buffer
@@ -51,26 +52,26 @@ func TestUpdateChannelDropCounted(t *testing.T) {
 func TestRegistrationLeaseExpires(t *testing.T) {
 	mem := transport.NewMem()
 	ctrs := metrics.NewCounters()
-	target := NewNode(Config{Name: "target", Capacity: 2, Mobile: true, Counters: ctrs}, mem)
+	target := mustNode(t, Config{Name: "target", Capacity: 2, Mobile: true, Counters: ctrs}, mem)
 	if err := target.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer target.Close()
 
 	// dead registers under a 150ms lease, then disappears.
-	dead := NewNode(Config{Name: "dead", Capacity: 2, LeaseTTL: 150 * time.Millisecond}, mem)
+	dead := mustNode(t, Config{Name: "dead", Capacity: 2, LeaseTTL: 150 * time.Millisecond}, mem)
 	if err := dead.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	// keeper registers without a lease (TTL 0): interest never lapses.
-	keeper := NewNode(Config{Name: "keeper", Capacity: 2}, mem)
+	keeper := mustNode(t, Config{Name: "keeper", Capacity: 2}, mem)
 	if err := keeper.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer keeper.Close()
 
 	for _, nd := range []*Node{dead, keeper} {
-		if err := nd.RegisterWith(target.Addr()); err != nil {
+		if err := nd.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 		t.Fatalf("registry after lapse = %v, want only keeper", reg)
 	}
 	// ...and the LDT fan-out sweeps it out instead of pushing to it.
-	if err := target.UpdateRegistry(); err != nil {
+	if err := target.UpdateRegistryContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctrs.Get("registry.expired"); got != 1 {
@@ -107,16 +108,16 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 
 	// Re-registering renews a lease: a fresh 150ms registration is live
 	// again until it lapses anew.
-	late := NewNode(Config{Name: "late", Capacity: 2, LeaseTTL: 150 * time.Millisecond}, mem)
+	late := mustNode(t, Config{Name: "late", Capacity: 2, LeaseTTL: 150 * time.Millisecond}, mem)
 	if err := late.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	if err := late.RegisterWith(target.Addr()); err != nil {
+	if err := late.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if err := late.RegisterWith(target.Addr()); err != nil { // renewal resets the clock
+	if err := late.RegisterWithContext(context.Background(), target.Addr()); err != nil { // renewal resets the clock
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // 200ms after first register, 100ms after renewal
@@ -136,7 +137,7 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 func TestMaintenanceSweepsRegistry(t *testing.T) {
 	mem := transport.NewMem()
 	ctrs := metrics.NewCounters()
-	target := NewNode(Config{Name: "swept", Capacity: 2, Counters: ctrs}, mem)
+	target := mustNode(t, Config{Name: "swept", Capacity: 2, Counters: ctrs}, mem)
 	if err := target.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestMaintenanceSweepsRegistry(t *testing.T) {
 	stop := target.StartMaintenance(MaintainConfig{RegistrySweepInterval: 25 * time.Millisecond})
 	defer stop()
 
-	ghost := NewNode(Config{Name: "ghost", Capacity: 2, LeaseTTL: 50 * time.Millisecond}, mem)
+	ghost := mustNode(t, Config{Name: "ghost", Capacity: 2, LeaseTTL: 50 * time.Millisecond}, mem)
 	if err := ghost.Start(""); err != nil {
 		t.Fatal(err)
 	}
-	if err := ghost.RegisterWith(target.Addr()); err != nil {
+	if err := ghost.RegisterWithContext(context.Background(), target.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ghost.Close()

@@ -36,11 +36,8 @@ import (
 )
 
 // CacheConfig tunes the node's location cache (the resolve hot path).
-// The zero value enables the cache with defaults; set Disabled to make
-// every Resolve a network discovery.
+// The zero value means the defaults.
 type CacheConfig struct {
-	// Disabled turns the cache off entirely.
-	Disabled bool
 	// Shards is the number of independently locked cache segments
 	// (rounded up to a power of two). Default 16.
 	Shards int
@@ -61,9 +58,6 @@ type CacheConfig struct {
 // context bounds only this caller's wait — an in-flight discovery keeps
 // running for its other waiters.
 func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, error) {
-	if n.loc == nil {
-		return n.DiscoverContext(ctx, key)
-	}
 	addr, state := n.loc.Lookup(key)
 	switch state {
 	case loccache.Fresh:
@@ -152,9 +146,6 @@ func (n *Node) launchRefresh(key hashkey.Key) bool {
 // path keeps answering from fresh leases. Returns how many refresh
 // flights were started.
 func (n *Node) refreshExpiring(topK int, window time.Duration) int {
-	if n.loc == nil {
-		return 0
-	}
 	started := 0
 	for _, cand := range n.loc.ExpiringSoon(topK, window) {
 		if n.launchRefresh(cand.Key) {
@@ -174,9 +165,7 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 	if err != nil {
 		return "", err
 	}
-	if n.loc != nil {
-		n.loc.PutEpoch(key, addr, ttl, epoch)
-	}
+	n.loc.PutEpoch(key, addr, ttl, epoch)
 	return addr, nil
 }
 

@@ -25,19 +25,19 @@ func resolveCluster(t *testing.T, servers int) (client *Node, cluster []*Node, c
 	ctrs = metrics.NewCounters()
 	var all []*Node
 	for i := 0; i < servers; i++ {
-		nd := NewNode(Config{Name: fmt.Sprintf("srv%d", i), Capacity: 4, RequestTimeout: time.Second}, mem)
+		nd := mustNode(t, Config{Name: fmt.Sprintf("srv%d", i), Capacity: 4, RequestTimeout: time.Second}, mem)
 		if err := nd.Start(""); err != nil {
 			t.Fatalf("start: %v", err)
 		}
 		all = append(all, nd)
 	}
-	client = NewNode(Config{Name: "client", Capacity: 4, RequestTimeout: time.Second, Counters: ctrs}, mem)
+	client = mustNode(t, Config{Name: "client", Capacity: 4, RequestTimeout: time.Second, Counters: ctrs}, mem)
 	if err := client.Start(""); err != nil {
 		t.Fatalf("start client: %v", err)
 	}
 	all = append(all, client)
 	for _, nd := range all[1:] {
-		if err := nd.JoinVia(all[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), all[0].Addr()); err != nil {
 			t.Fatalf("join: %v", err)
 		}
 	}
@@ -152,23 +152,23 @@ func TestResolveCoalescesWaiters(t *testing.T) {
 // used to be cached without a TTL and never went stale.
 func TestDiscoveredAddressGoesStale(t *testing.T) {
 	mem := transport.NewMem()
-	server := NewNode(Config{Name: "server", Capacity: 3}, mem)
+	server := mustNode(t, Config{Name: "server", Capacity: 3}, mem)
 	if err := server.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	mob := NewNode(Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 150 * time.Millisecond}, mem)
+	mob := mustNode(t, Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 150 * time.Millisecond}, mem)
 	if err := mob.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	watcher := NewNode(Config{Name: "watcher", Capacity: 2, RequestTimeout: time.Second}, mem)
+	watcher := mustNode(t, Config{Name: "watcher", Capacity: 2, RequestTimeout: time.Second}, mem)
 	if err := watcher.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer watcher.Close()
 	for _, nd := range []*Node{mob, watcher} {
-		if err := nd.JoinVia(server.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), server.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 		mob.GossipOnce(rng)
 		watcher.GossipOnce(rng)
 	}
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +205,7 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 // to _discovery; answering a _discovery writes neither.
 func TestStoreAndCacheRoles(t *testing.T) {
 	mem := transport.NewMem()
-	n := NewNode(Config{Name: "subject", Capacity: 2}, mem)
+	n := mustNode(t, Config{Name: "subject", Capacity: 2}, mem)
 	if err := n.Start(""); err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +249,12 @@ func TestResolveHotPathServesFromCache(t *testing.T) {
 	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
 	target := cluster[1] // any stationary peer publishes itself
-	if err := target.Publish(); err != nil {
+	if err := target.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	for i := 0; i < 10; i++ {
-		addr, err := client.Resolve(target.Key())
+		addr, err := client.ResolveContext(context.Background(), target.Key())
 		if err != nil || addr != target.Addr() {
 			t.Fatalf("resolve %d: %q %v", i, addr, err)
 		}
@@ -274,7 +274,7 @@ func TestResolveNegativeCaching(t *testing.T) {
 	defer cleanup()
 	ghost := hashkey.FromName("ghost")
 	for i := 0; i < 5; i++ {
-		if _, err := client.Resolve(ghost); !errors.Is(err, ErrNotFound) {
+		if _, err := client.ResolveContext(context.Background(), ghost); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("resolve %d: %v", i, err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestResolveStaleWhileRevalidate(t *testing.T) {
 	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
 	target := cluster[1]
-	if err := target.Publish(); err != nil {
+	if err := target.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func TestResolveStaleWhileRevalidate(t *testing.T) {
 	client.loc.Put(target.Key(), "old-stale-addr", time.Millisecond)
 	time.Sleep(5 * time.Millisecond)
 
-	addr, err := client.Resolve(target.Key())
+	addr, err := client.ResolveContext(context.Background(), target.Key())
 	if err != nil || addr != "old-stale-addr" {
 		t.Fatalf("stale resolve returned %q %v, want the stale address immediately", addr, err)
 	}
@@ -331,7 +331,7 @@ func TestRefreshExpiringRenewsLease(t *testing.T) {
 	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
 	target := cluster[1]
-	if err := target.Publish(); err != nil {
+	if err := target.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -362,24 +362,24 @@ func TestRefreshExpiringRenewsLease(t *testing.T) {
 // original lease TTL without any foreground resolve.
 func TestMaintenanceRefresherKeepsLeaseFresh(t *testing.T) {
 	mem := transport.NewMem()
-	server := NewNode(Config{Name: "server", Capacity: 3}, mem)
+	server := mustNode(t, Config{Name: "server", Capacity: 3}, mem)
 	if err := server.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
 	ctrs := metrics.NewCounters()
-	mob := NewNode(Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 600 * time.Millisecond}, mem)
+	mob := mustNode(t, Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 600 * time.Millisecond}, mem)
 	if err := mob.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	watcher := NewNode(Config{Name: "watcher", Capacity: 2, RequestTimeout: time.Second, Counters: ctrs}, mem)
+	watcher := mustNode(t, Config{Name: "watcher", Capacity: 2, RequestTimeout: time.Second, Counters: ctrs}, mem)
 	if err := watcher.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer watcher.Close()
 	for _, nd := range []*Node{mob, watcher} {
-		if err := nd.JoinVia(server.Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), server.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,10 +389,10 @@ func TestMaintenanceRefresherKeepsLeaseFresh(t *testing.T) {
 		mob.GossipOnce(rng)
 		watcher.GossipOnce(rng)
 	}
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := watcher.Resolve(mob.Key()); err != nil {
+	if _, err := watcher.ResolveContext(context.Background(), mob.Key()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -426,7 +426,7 @@ func TestResolveConcurrentKeysRaceClean(t *testing.T) {
 	defer cleanup()
 	var keys []hashkey.Key
 	for _, nd := range cluster[:4] {
-		if err := nd.Publish(); err != nil {
+		if err := nd.PublishContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, nd.Key())
@@ -439,7 +439,7 @@ func TestResolveConcurrentKeysRaceClean(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := keys[(w+i)%len(keys)]
-				if _, err := client.Resolve(k); err != nil {
+				if _, err := client.ResolveContext(context.Background(), k); err != nil {
 					t.Errorf("worker %d resolve %v: %v", w, k, err)
 					return
 				}
@@ -447,41 +447,4 @@ func TestResolveConcurrentKeysRaceClean(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestResolveWithCacheDisabled: WithoutResolveCache degrades Resolve to
-// plain network discovery.
-func TestResolveWithCacheDisabled(t *testing.T) {
-	mem := transport.NewMem()
-	ctrs := metrics.NewCounters()
-	server := NewNode(Config{Name: "server", Capacity: 3}, mem)
-	if err := server.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, err := New("client", mem, WithoutResolveCache(), WithCounters(ctrs), WithRequestTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := client.JoinVia(server.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if addr, err := client.Resolve(server.Key()); err != nil || addr != server.Addr() {
-			t.Fatalf("resolve %d: %q %v", i, addr, err)
-		}
-	}
-	if _, ok := client.CachedAddr(server.Key()); ok {
-		t.Fatal("disabled cache still cached")
-	}
-	if got := ctrs.Get("loccache.hit"); got != 0 {
-		t.Fatalf("loccache.hit = %d with cache disabled", got)
-	}
 }

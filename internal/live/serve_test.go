@@ -71,7 +71,7 @@ type rawPeer struct {
 // it raw. The node's keys are serveKey(0..n-1).
 func serveFixture(t *testing.T, cfg Config, tr transport.Transport, n int) (*Node, *rawPeer) {
 	t.Helper()
-	server := NewNode(cfg, tr)
+	server := mustNode(t, cfg, tr)
 	if err := server.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestShardedNodeStressRace(t *testing.T) {
 	var started []*Node
 	for _, name := range names {
 		cfg := Config{Name: name, Capacity: 4, Mobile: name == "mob", RequestTimeout: time.Second, Counters: counters}
-		nd := NewNode(cfg, mem)
+		nd := mustNode(t, cfg, mem)
 		if err := nd.Start(""); err != nil {
 			t.Fatalf("start %s: %v", name, err)
 		}
@@ -53,7 +53,7 @@ func TestShardedNodeStressRace(t *testing.T) {
 		}
 	}()
 	for _, nd := range started[1:] {
-		if err := nd.JoinVia(started[0].Addr()); err != nil {
+		if err := nd.JoinViaContext(context.Background(), started[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,10 +64,10 @@ func TestShardedNodeStressRace(t *testing.T) {
 		keys[i] = hashkey.FromName(fmt.Sprintf("stress-res-%d", i))
 	}
 	mob.OwnKeys(keys...)
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RegisterWith(mob.Addr()); err != nil {
+	if err := client.RegisterWithContext(context.Background(), mob.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestOwnedKeysConcurrentWithPublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := mob.Publish(); err != nil {
+			if err := mob.PublishContext(context.Background()); err != nil {
 				t.Errorf("publish under churn: %v", err)
 				return
 			}
@@ -245,7 +245,7 @@ func TestOwnedKeysConcurrentWithPublish(t *testing.T) {
 	if !reflect.DeepEqual(got, wantSorted) {
 		t.Fatalf("owned set torn by concurrent churn: got %v, want %v", got, wantSorted)
 	}
-	if err := mob.Publish(); err != nil {
+	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := mob.Stats(); st.OwnedKeys != len(want) {
