@@ -56,6 +56,7 @@ func (n *Node) PingContext(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
+	defer wire.PutMessage(resp)
 	if resp.Type != wire.TPong {
 		return fmt.Errorf("live: unexpected ping response %v", resp.Type)
 	}

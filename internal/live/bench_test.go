@@ -76,7 +76,7 @@ func BenchmarkRPCPooledRaw(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := client.pool.roundTrip(ctx, addr, &wire.Message{Type: wire.TPing}); err != nil {
+			if _, err := client.pool.roundTrip(ctx, addr, &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 				b.Fatal(err)
 			}
 		}

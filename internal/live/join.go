@@ -138,7 +138,8 @@ func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 		n.logf("join from %v (%s)", m.Self.Key, m.Self.Addr)
 	}
 	if m.Observer {
-		return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: n.stationarySnapshot()}
+		// A copy: the reply's Entries are recycled with it (wire.PutMessage).
+		return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: append([]wire.Entry(nil), n.members.snapshot().stationary...)}
 	}
 	n.members.update(m.Self)
 	return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: n.KnownPeers()}

@@ -3,11 +3,13 @@ package live
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"bristle/internal/hashkey"
 	"bristle/internal/transport"
+	"bristle/internal/wire"
 )
 
 // startCluster boots n nodes on the mem transport, joined through the
@@ -334,4 +336,18 @@ func mustNode(tb testing.TB, cfg Config, tr transport.Transport) *Node {
 		tb.Fatal(err)
 	}
 	return n
+}
+
+// farOff is an attempt deadline for tests that call the pool directly and
+// mean their ctx to decide.
+func farOff() time.Time { return time.Now().Add(time.Minute) }
+
+// ownersOf is key's replica set in contact order, as one discover ranks it.
+func (n *Node) ownersOf(key hashkey.Key, k int) ([]wire.Entry, error) {
+	var scratch rankScratch
+	rk, err := n.rank(&scratch)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(rk.owners(key, k)), nil
 }

@@ -9,6 +9,8 @@ package live
 // lock-free fast path for the overwhelmingly common case of re-ingesting
 // a binding that is already known (every steady-state publish renewal),
 // which is what keeps batch ingest allocation-free.
+// Replica selection (ranking, below) reads the view's stationary peers
+// with no heap copy and no map per key.
 
 import (
 	"cmp"
@@ -27,7 +29,8 @@ import (
 
 // memberView is one immutable membership snapshot. sorted and stationary
 // are derived once at construction and must never be mutated — callers
-// that need to reorder entries (ownersForKey sorts in place) copy first.
+// that reorder entries, or hand them to a message that will be recycled,
+// copy first.
 type memberView struct {
 	byKey      map[hashkey.Key]wire.Entry
 	sorted     []wire.Entry // every entry, ascending by key (incl. self)
@@ -281,32 +284,6 @@ func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	return n.members.size() - before, nil
 }
 
-// stationarySnapshot returns a private copy of the known stationary
-// peers — the only legal owners of location records (Section 2.1; mobile
-// peers' addresses are exactly what's being resolved). A copy because
-// ownersForKey re-sorts its candidate slice in place.
-func (n *Node) stationarySnapshot() []wire.Entry {
-	v := n.members.snapshot()
-	if len(v.stationary) == 0 {
-		return nil
-	}
-	out := make([]wire.Entry, len(v.stationary))
-	copy(out, v.stationary)
-	return out
-}
-
-// ownersForKey picks the key's replica set via SelectReplicas and orders
-// it for contact: healthy before suspect, then by effective RTT (h is
-// one pre-sampled peerHealth snapshot, so a batched publish ranks
-// thousands of keys without re-locking the breaker table or re-drawing
-// exploration jitter per key). cands is re-sorted in place: the
-// returned slice aliases it and must be consumed before the next call.
-func ownersForKey(cands []wire.Entry, h *peerHealth, key hashkey.Key, k, regions int) []wire.Entry {
-	owners := SelectReplicas(cands, key, k, regions)
-	OrderReplicas(owners, h.suspect, h.eff)
-	return owners
-}
-
 // SelectReplicas picks key's k-replica set from cands: the k closest by
 // ring distance, diversified across regions when the deployment is
 // region-striped (regions = len(Config.Regions), 0 or 1 disables it).
@@ -345,14 +322,13 @@ func SelectReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.
 	// One in-place stable pass: bubble the closest candidate of each
 	// not-yet-seen region forward into the take region [0, taken), keeping
 	// everything else in distance order, then cut at k.
-	seen := make(map[int]bool, regions)
-	taken := 0
-	for i := 0; i < len(cands) && taken < k && len(seen) < regions; i++ {
-		ri := hashkey.RegionIndex(hashkey.FullRing(), cands[i].Key, regions)
-		if ri < 0 || seen[ri] {
+	region := func(e wire.Entry) int { return hashkey.RegionIndex(hashkey.FullRing(), e.Key, regions) }
+	taken := 0 // cands[:taken] are of distinct regions: the regions seen
+	for i := 0; i < len(cands) && taken < k && taken < regions; i++ {
+		ri := region(cands[i])
+		if ri < 0 || slices.ContainsFunc(cands[:taken], func(e wire.Entry) bool { return region(e) == ri }) {
 			continue
 		}
-		seen[ri] = true
 		e := cands[i]
 		copy(cands[taken+1:i+1], cands[taken:i])
 		cands[taken] = e
@@ -381,41 +357,55 @@ func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[strin
 	})
 }
 
-// peerHealth is one fan-out's frozen view of replica quality: the
-// suspect set (one scan of the breaker table, not one lock round per
-// candidate per key) and every candidate's effective RTT — the measured
-// EWMA where one exists, otherwise a jittered exploration bonus drawn
-// once per fan-out. Freezing both keeps replica ordering stable across
-// the thousands of keys of a batched publish and makes its cost
-// O(candidates) instead of O(candidates × keys).
-type peerHealth struct {
-	suspect map[string]bool
-	eff     map[string]time.Duration
+// ranking is one fan-out's frozen view of replica quality over ring, the
+// view's stationary peers — the only legal owners of location records
+// (Section 2.1; mobile peers' addresses are exactly what's being
+// resolved). eff[i] is ring[i]'s effective RTT: the measured EWMA where
+// one exists, otherwise a jittered exploration bonus drawn once per
+// fan-out, which keeps replica ordering stable across the thousands of
+// keys of a batched publish. suspect[i] says ring[i]'s breaker is not
+// closed; nil when nobody's is, which one atomic load decides.
+type ranking struct {
+	ring    []wire.Entry // ascending by key; shared with the view, never written
+	regions int
+	eff     []time.Duration
+	suspect []bool
+	cands   []wire.Entry // a copy of ring for owners to re-sort, key after key
 }
 
-// peerHealth samples suspicion and RTT once for a fan-out over cands.
-//
-// Unknown-RTT candidates draw an effective RTT uniformly in [0, mean of
-// the measured candidates] (floor rttExploreFloor when nothing is
-// measured yet): small enough that a new peer is tried ahead of far
-// replicas — which is how its estimate gets seeded — but random enough
-// that it doesn't permanently preempt the measured nearest one.
-func (n *Node) peerHealth(cands []wire.Entry) *peerHealth {
-	h := &peerHealth{
-		suspect: n.peersTbl.suspectSet(),
-		eff:     make(map[string]time.Duration, len(cands)),
+// rankScratch holds a ranking's arrays while the ring is small: declared
+// on its caller's stack, the ranking costs no allocation.
+type rankScratch struct {
+	eff     [16]time.Duration
+	suspect [16]bool
+	cands   [16]wire.Entry
+}
+
+// rank samples suspicion and RTT once for a fan-out over the known
+// stationary peers. Unknown-RTT candidates draw an effective RTT
+// uniformly in [0, mean of the measured candidates] (floor
+// rttExploreFloor when nothing is measured yet): small enough that a new
+// peer is tried ahead of far replicas — which is how its estimate gets
+// seeded — but random enough that it doesn't permanently preempt the
+// measured nearest one.
+func (n *Node) rank(s *rankScratch) (ranking, error) {
+	ring := n.members.snapshot().stationary
+	r := ranking{ring: ring, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
+	if len(ring) == 0 {
+		return r, errors.New("live: no known stationary peers")
 	}
+	const unknown = -1
 	var sum time.Duration
 	known := 0
-	for _, e := range cands {
-		if _, ok := h.eff[e.Addr]; ok {
-			continue
-		}
-		if est, _, ok := n.rtt.estimate(e.Addr); ok {
-			h.eff[e.Addr] = est
+	for _, e := range r.ring {
+		est, _, ok := n.rtt.estimate(e.Addr)
+		if ok {
 			sum += est
 			known++
+		} else {
+			est = unknown
 		}
+		r.eff = append(r.eff, est)
 	}
 	mean := rttExploreFloor
 	if known > 0 {
@@ -423,30 +413,48 @@ func (n *Node) peerHealth(cands []wire.Entry) *peerHealth {
 			mean = 1
 		}
 	}
-	for _, e := range cands {
-		if _, ok := h.eff[e.Addr]; !ok {
-			h.eff[e.Addr] = n.jitterDuration(mean)
+	n.rngMu.Lock()
+	for i, est := range r.eff {
+		if est == unknown {
+			r.eff[i] = time.Duration(n.rng.Int63n(int64(mean) + 1))
 		}
 	}
-	return h
-}
-
-// jitterDuration draws uniformly from [0, max] on the node's seeded rng.
-func (n *Node) jitterDuration(max time.Duration) time.Duration {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return time.Duration(n.rng.Int63n(int64(max) + 1))
-}
-
-// ownersOf returns the k known *stationary* peers closest to key,
-// replicated for §2.3.2 availability, ordered for contact: suspects
-// last, then ascending measured RTT — so publish and discovery fall
-// over across replicas nearest-healthy-first and pay a suspect peer's
-// timeout only when every healthy replica failed.
-func (n *Node) ownersOf(key hashkey.Key, k int) ([]wire.Entry, error) {
-	cands := n.stationarySnapshot()
-	if len(cands) == 0 {
-		return nil, errors.New("live: no known stationary peers")
+	n.rngMu.Unlock()
+	if n.peersTbl.suspects.Load() != 0 {
+		r.suspect = s.suspect[:0]
+		for _, e := range r.ring {
+			r.suspect = append(r.suspect, n.suspect(e.Addr))
+		}
 	}
-	return ownersForKey(cands, n.peerHealth(cands), key, k, len(n.cfg.Regions)), nil
+	return r, nil
+}
+
+// owners returns key's k replicas in contact order: SelectReplicas's set
+// (the k closest stationary peers, replicated for §2.3.2 availability) in
+// OrderReplicas's order (suspects last, then ascending effective RTT),
+// read from the ranking's arrays instead of maps. Publish and discovery
+// so fall over across replicas nearest-healthy-first and pay a suspect
+// peer's timeout only when every healthy replica failed. Only the k
+// selected are ordered. The result aliases cands until the next call.
+func (r *ranking) owners(key hashkey.Key, k int) []wire.Entry {
+	owners := SelectReplicas(r.cands, key, k, r.regions)
+	for i := 1; i < len(owners); i++ { // stable insertion sort
+		for j := i; j > 0 && r.before(owners[j].Key, owners[j-1].Key); j-- {
+			owners[j], owners[j-1] = owners[j-1], owners[j]
+		}
+	}
+	return owners
+}
+
+// before reports whether the peer with key a is contacted strictly ahead
+// of the one with key b.
+func (r *ranking) before(a, b hashkey.Key) bool {
+	row := func(k hashkey.Key) int {
+		return sort.Search(len(r.ring), func(i int) bool { return r.ring[i].Key >= k })
+	}
+	ia, ib := row(a), row(b)
+	if r.suspect != nil && r.suspect[ia] != r.suspect[ib] {
+		return r.suspect[ib]
+	}
+	return r.eff[ia] < r.eff[ib]
 }

@@ -295,7 +295,6 @@ type Node struct {
 	// path.
 	loc     *loccache.Cache
 	flights loccache.Group // coalesces concurrent discoveries per key
-	closed  atomic.Bool    // set by Close; gates background refreshes
 
 	peersTbl peerTable // sharded per-peer suspicion circuit breakers
 	rtt      rttTable  // sharded per-peer RTT estimators (rtt.go)
@@ -447,9 +446,8 @@ func (n *Node) Close() error {
 	n.stopped = true
 	ls := n.listener
 	n.lifeMu.Unlock()
-	n.closed.Store(true) // stop launching background refreshes
-	n.runCancel()        // abort in-flight LDT fan-out and flusher sends
-	n.updq.close()       // unblock enqueue waiters; the flusher drains out
+	n.runCancel()  // abort in-flight LDT fan-out, flusher sends and detached flights
+	n.updq.close() // unblock enqueue waiters; the flusher drains out
 	n.pool.Close()
 	if ls != nil {
 		ls.close()
@@ -544,9 +542,9 @@ func servesInline(t wire.MsgType) bool {
 // multiplexed on this connection.
 //
 // Fully handled frames (and shipped responses) go back to the wire
-// codec's message pool: the handlers copy everything they keep, so the
-// steady-state serve path recycles its messages instead of allocating
-// one per frame.
+// codec's message pool: the handlers copy everything they keep, and the
+// inline ones take their reply from that pool, so the steady-state serve
+// path recycles its messages and takes no more out than it puts in.
 func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	defer n.wg.Done()
 	defer ls.forget(conn)
@@ -606,7 +604,9 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 func (n *Node) handle(m *wire.Message) *wire.Message {
 	switch m.Type {
 	case wire.TPing:
-		return &wire.Message{Type: wire.TPong, Seq: m.Seq}
+		resp := wire.GetMessage()
+		resp.Type, resp.Seq = wire.TPong, m.Seq
+		return resp
 
 	case wire.TJoin:
 		return n.handleJoin(m)

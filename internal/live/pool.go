@@ -139,12 +139,12 @@ type session struct {
 	dialErr error         // set before ready closes
 
 	conn    transport.Conn
-	writeCh chan *outFrame
+	writeCh chan *waiter
 
 	mu       sync.Mutex
 	torn     bool
-	err      error // teardown cause, set before done closes
-	pending  map[uint32]chan *wire.Message
+	err      error              // teardown cause, set before done closes
+	pending  map[uint32]*waiter // exchanges awaiting a reply, by Seq
 	nextSeq  uint32
 	inflight int // exchanges between register and endUse
 	oneWay   int // one-way frames enqueued and not yet written
@@ -153,13 +153,32 @@ type session struct {
 	done chan struct{} // closed by teardown
 }
 
-// outFrame is one frame on its way to the writer: a private copy of the
-// caller's message (an abandoned attempt's frame may still sit in the
-// queue when the retry re-stamps Seq, so attempts never share a Message
-// with the writer).
-type outFrame struct {
+// waiter is one exchange on a session: the frame on its way to the writer
+// (a private copy: an abandoned attempt's frame may still sit in the
+// queue when the retry re-stamps Seq), the channel the reader hands the
+// reply to, and the timer that bounds the attempt. A request's waiter is
+// recycled once writer and caller have both let go, and only after a
+// reply: any other ending may leave its frame queued or a reply on its way.
+type waiter struct {
 	wire.Message
-	oneWay bool // no exchange is waiting on it; see session.send
+	oneWay bool               // no exchange is waiting on it; see session.send
+	reply  chan *wire.Message // cap 1: never blocks the reader
+	timer  *time.Timer        // stopped and drained while pooled
+	holds  atomic.Int32       // 2: the writer's and the caller's
+}
+
+var waiterPool = sync.Pool{New: func() interface{} {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{reply: make(chan *wire.Message, 1), timer: t}
+}}
+
+// release drops one hold; the last returns w to the pool.
+func (w *waiter) release() {
+	if w.holds.Add(-1) == 0 {
+		w.Message = wire.Message{}
+		waiterPool.Put(w)
+	}
 }
 
 // idle reports whether evicting s would lose nothing: no exchange awaits
@@ -169,12 +188,13 @@ func (s *session) idle() bool {
 }
 
 // acquire returns a live session for addr, dialing one if absent. The
-// creator dials inline (bounded by its ctx); concurrent acquirers of the
-// same address wait for that dial instead of racing their own. At the
+// creator dials inline, bounded by ctx and by (the one place an attempt
+// derives a context); concurrent acquirers of the same address wait for
+// that dial instead of racing their own. At the
 // MaxSessions cap the least-recently-used idle session is evicted and
 // the acquire retried; with no idle victim the session is admitted over
 // the cap, to be shed when a session next goes idle (surplus).
-func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
+func (p *pool) acquire(ctx context.Context, addr string, by time.Time) (*session, error) {
 	// Each round returns, fails, has evicted an idle victim (freeing a slot
 	// that a rival may steal first), or has decided to go over the cap: no
 	// session was idle, or rivals stole the freed slot three times running.
@@ -226,14 +246,16 @@ func (p *pool) acquire(ctx context.Context, addr string) (*session, error) {
 			addr:    addr,
 			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
-			writeCh: make(chan *outFrame, p.cfg.MaxInflight),
-			pending: make(map[uint32]chan *wire.Message),
+			writeCh: make(chan *waiter, p.cfg.MaxInflight),
+			pending: make(map[uint32]*waiter),
 			lastUse: time.Now(),
 		}
 		sh.m[addr] = s
 		p.sessions.Set(p.nsess.Load())
 		sh.mu.Unlock()
-		return s, s.dial(ctx)
+		dctx, cancel := context.WithDeadline(ctx, by)
+		defer cancel()
+		return s, s.dial(dctx)
 	}
 }
 
@@ -301,16 +323,19 @@ func (s *session) writeLoop() {
 // enqueue ahead of the syscall instead of each paying their own. Nothing
 // waits on a timer — a lone frame leaves after one yield with nobody else
 // to run.
-func (s *session) writeBurst(f *outFrame) (frames uint64, oneWay int, err error) {
+func (s *session) writeBurst(f *waiter) (frames uint64, oneWay int, err error) {
 	yielded := false
 	for f != nil {
-		if _, err = s.conn.Queue(&f.Message); err != nil {
+		_, err = s.conn.Queue(&f.Message)
+		if f.oneWay {
+			oneWay++
+		} else {
+			f.release()
+		}
+		if err != nil {
 			return
 		}
 		frames++
-		if f.oneWay {
-			oneWay++
-		}
 		if f = s.waiting(); f == nil && !yielded {
 			yielded = true
 			runtime.Gosched()
@@ -321,7 +346,7 @@ func (s *session) writeBurst(f *outFrame) (frames uint64, oneWay int, err error)
 }
 
 // waiting takes the next queued frame, or nil when there is none.
-func (s *session) waiting() *outFrame {
+func (s *session) waiting() *waiter {
 	select {
 	case f := <-s.writeCh:
 		return f
@@ -345,7 +370,7 @@ func (s *session) readLoop() {
 			return
 		}
 		s.mu.Lock()
-		ch, ok := s.pending[m.Seq]
+		w, ok := s.pending[m.Seq]
 		if ok {
 			delete(s.pending, m.Seq)
 		}
@@ -354,12 +379,13 @@ func (s *session) readLoop() {
 			s.p.orphans.Inc()
 			continue
 		}
-		ch <- m // buffered (cap 1); never blocks
+		w.reply <- m
 	}
 }
 
-// teardown closes the session exactly once: waiters fail, the conn
-// closes, and the pool forgets the session so the next attempt re-dials.
+// teardown closes the session exactly once: waiters fail (they watch
+// done), the conn closes, and the pool forgets the session so the next
+// attempt re-dials.
 func (s *session) teardown(err error) {
 	s.mu.Lock()
 	if s.torn {
@@ -369,7 +395,6 @@ func (s *session) teardown(err error) {
 	s.torn = true
 	s.err = err
 	conn := s.conn
-	pend := s.pending
 	s.pending = nil
 	s.mu.Unlock()
 	close(s.done)
@@ -377,9 +402,6 @@ func (s *session) teardown(err error) {
 		conn.Close()
 	}
 	s.p.drop(s)
-	for _, ch := range pend {
-		close(ch) // closed reply channel = session failed; see roundTrip
-	}
 	switch err {
 	case errEvictedIdle:
 		s.p.evictionsIdle.Inc()
@@ -400,33 +422,38 @@ func (s *session) teardownErr() error {
 	return ErrPoolClosed
 }
 
-// register assigns the next sequence number and parks a reply channel
-// for it. Fails if the session is already torn.
-func (s *session) register(m *outFrame) (uint32, chan *wire.Message, error) {
+// register assigns w the next sequence number and counts it against the
+// session: parked for its reply, or as a one-way frame the writer has yet
+// to write. Fails if the session is already torn.
+func (s *session) register(w *waiter) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.torn {
-		err := s.err
-		s.mu.Unlock()
-		return 0, nil, err
+		return s.err
 	}
 	s.nextSeq++
-	seq := s.nextSeq
-	m.Seq = seq
-	reply := make(chan *wire.Message, 1)
-	s.pending[seq] = reply
-	s.inflight++
+	w.Seq = s.nextSeq
 	s.lastUse = time.Now()
-	s.mu.Unlock()
+	if w.oneWay {
+		s.oneWay++
+		return nil
+	}
+	s.pending[w.Seq] = w
+	s.inflight++
 	s.p.inflight.Add(1)
-	return seq, reply, nil
+	return nil
 }
 
-func (s *session) unregister(seq uint32) {
+// abandon gives up on w's exchange, for cause or the session's teardown.
+func (s *session) abandon(w *waiter, cause error) error {
+	w.timer.Stop()
 	s.mu.Lock()
-	if s.pending != nil {
-		delete(s.pending, seq)
-	}
+	delete(s.pending, w.Seq) // a no-op once teardown has dropped the table
 	s.mu.Unlock()
+	if cause == nil {
+		return s.teardownErr()
+	}
+	return fmt.Errorf("live: pooled request to %s: %w", s.addr, cause)
 }
 
 func (s *session) endUse() {
@@ -451,33 +478,38 @@ func (s *session) surplus() bool {
 }
 
 // roundTrip runs one request/response exchange over the shared
-// connection, bounded by ctx. A slow reply to another caller cannot
-// block this one: each waiter parks on its own demux channel.
-func (s *session) roundTrip(ctx context.Context, m *wire.Message) (*wire.Message, error) {
-	f := &outFrame{Message: *m}
-	seq, reply, err := s.register(f)
-	if err != nil {
+// connection, bounded by ctx and by the attempt's deadline, whose expiry
+// reads as context.DeadlineExceeded (so transport.IsTimeout holds). A slow
+// reply to another caller cannot block this one: each parks on its own.
+func (s *session) roundTrip(ctx context.Context, m *wire.Message, by time.Time) (*wire.Message, error) {
+	w := waiterPool.Get().(*waiter)
+	w.Message = *m
+	w.holds.Store(2)
+	if err := s.register(w); err != nil {
 		return nil, err
 	}
 	defer s.endUse()
-	select {
-	case s.writeCh <- f:
-	case <-s.done:
-		s.unregister(seq)
-		return nil, s.teardownErr()
-	case <-ctx.Done():
-		s.unregister(seq)
-		return nil, fmt.Errorf("live: pooled request to %s: %w", s.addr, ctx.Err())
-	}
-	select {
-	case resp, ok := <-reply:
-		if !ok {
-			return nil, s.teardownErr()
+	w.timer.Reset(time.Until(by))
+	queue := s.writeCh
+	for {
+		select {
+		case queue <- w:
+			queue = nil // queued once; what is left is the reply, or giving up
+		case resp := <-w.reply:
+			// Pooled stopped and drained: under go.mod's go 1.22 a tick that
+			// beat Stop stays buffered, a later exchange's deadline.
+			if !w.timer.Stop() {
+				<-w.timer.C
+			}
+			w.release()
+			return resp, nil
+		case <-s.done:
+			return nil, s.abandon(w, nil)
+		case <-ctx.Done():
+			return nil, s.abandon(w, ctx.Err())
+		case <-w.timer.C:
+			return nil, s.abandon(w, context.DeadlineExceeded)
 		}
-		return resp, nil
-	case <-ctx.Done():
-		s.unregister(seq)
-		return nil, fmt.Errorf("live: pooled request to %s: %w", s.addr, ctx.Err())
 	}
 }
 
@@ -486,18 +518,10 @@ func (s *session) roundTrip(ctx context.Context, m *wire.Message) (*wire.Message
 // use: evicting it would drop the frame, and nobody is waiting on a reply
 // to notice.
 func (s *session) send(ctx context.Context, m *wire.Message) error {
-	f := &outFrame{Message: *m, oneWay: true}
-	s.mu.Lock()
-	if s.torn {
-		err := s.err
-		s.mu.Unlock()
+	f := &waiter{Message: *m, oneWay: true}
+	if err := s.register(f); err != nil {
 		return err
 	}
-	s.nextSeq++
-	f.Seq = s.nextSeq
-	s.oneWay++
-	s.lastUse = time.Now()
-	s.mu.Unlock()
 	var err error
 	select {
 	case s.writeCh <- f:
@@ -513,18 +537,19 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 	return err
 }
 
-// roundTrip acquires (or dials) addr's session and runs one exchange.
-func (p *pool) roundTrip(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	s, err := p.acquire(ctx, addr)
+// roundTrip acquires (or dials) addr's session and runs one exchange, to
+// end by the attempt's deadline.
+func (p *pool) roundTrip(ctx context.Context, addr string, m *wire.Message, by time.Time) (*wire.Message, error) {
+	s, err := p.acquire(ctx, addr, by)
 	if err != nil {
 		return nil, err
 	}
-	return s.roundTrip(ctx, m)
+	return s.roundTrip(ctx, m, by)
 }
 
 // send acquires (or dials) addr's session and enqueues a one-way frame.
-func (p *pool) send(ctx context.Context, addr string, m *wire.Message) error {
-	s, err := p.acquire(ctx, addr)
+func (p *pool) send(ctx context.Context, addr string, m *wire.Message, by time.Time) error {
+	s, err := p.acquire(ctx, addr, by)
 	if err != nil {
 		return err
 	}

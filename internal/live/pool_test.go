@@ -273,14 +273,14 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")})
+		_, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
 		slowDone <- err
 	}()
 	// Let the slow request reach the wire before racing it.
 	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
-	if _, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TPing}); err != nil {
+	if _, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatalf("fast ping: %v", err)
 	}
 	fast := time.Since(start)
@@ -316,7 +316,7 @@ func TestPoolSaturationGoesOverCap(t *testing.T) {
 	// Occupy the single slot with an in-flight exchange.
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := client.pool.roundTrip(ctx, slow.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")})
+		_, err := client.pool.roundTrip(ctx, slow.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")}, farOff())
 		slowDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -350,11 +350,11 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 
 	p := newPool(mem, PoolConfig{}, nil, nil)
 	ctx := context.Background()
-	if _, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}); err != nil {
+	if _, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	_, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing})
+	_, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}, farOff())
 	if err != ErrPoolClosed {
 		t.Fatalf("roundTrip after Close: err = %v, want ErrPoolClosed", err)
 	}
@@ -418,11 +418,11 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	defer cancel()
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
-		if err := p.send(ctx, sink.Addr(), push); err != nil {
+		if err := p.send(ctx, sink.Addr(), push, farOff()); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if _, err := p.acquire(ctx, other.l.Addr()); err != nil {
+	if _, err := p.acquire(ctx, other.l.Addr(), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
 	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
@@ -463,9 +463,9 @@ func (c *recordingConn) Flush() error { c.flushes++; return nil }
 // the writer wakes shares its flush, in queue order.
 func TestPoolWriterDrainsQueueIntoOneWrite(t *testing.T) {
 	rec := &recordingConn{}
-	s := &session{conn: rec, writeCh: make(chan *outFrame, 8)}
+	s := &session{conn: rec, writeCh: make(chan *waiter, 8)}
 	for seq := uint32(1); seq <= 5; seq++ {
-		s.writeCh <- &outFrame{Message: wire.Message{Type: wire.TUpdate, Seq: seq}, oneWay: seq%2 == 0}
+		s.writeCh <- &waiter{Message: wire.Message{Type: wire.TUpdate, Seq: seq}, oneWay: seq%2 == 0}
 	}
 	frames, oneWay, err := s.writeBurst(<-s.writeCh)
 	if err != nil || frames != 5 || oneWay != 2 {

@@ -174,17 +174,24 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 	defer n.Close()
 	n.rtt.observe("measured-a", 10*time.Millisecond)
 	n.rtt.observe("measured-b", 30*time.Millisecond)
-	cands := entries("measured-a", "measured-b", "unknown")
+	for i, e := range entries("measured-a", "measured-b", "unknown") {
+		e.Key = hashkey.Key(i + 1) // the ring, and eff with it, is ascending by key
+		n.members.update(e)
+	}
 
 	mean := 20 * time.Millisecond
 	leadCount := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		h := n.peerHealth(cands)
-		if h.eff["measured-a"] != 10*time.Millisecond || h.eff["measured-b"] != 30*time.Millisecond {
+		var scratch rankScratch
+		h, err := n.rank(&scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.eff[0] != 10*time.Millisecond || h.eff[1] != 30*time.Millisecond {
 			t.Fatalf("measured eff wrong: %v", h.eff)
 		}
-		ex := h.eff["unknown"]
+		ex := h.eff[2]
 		if ex < 0 || ex > mean {
 			t.Fatalf("exploration jitter %v outside [0, %v]", ex, mean)
 		}
@@ -204,15 +211,22 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 func TestPeerHealthNoMeasurementsUsesFloor(t *testing.T) {
 	n := mustNode(t, Config{Name: "cold"}, transport.NewMem())
 	defer n.Close()
-	cands := entries("p", "q")
+	for i, e := range entries("p", "q") {
+		e.Key = hashkey.Key(i + 1)
+		n.members.update(e)
+	}
 	sawNonZero := false
 	for i := 0; i < 100; i++ {
-		h := n.peerHealth(cands)
-		for _, addr := range []string{"p", "q"} {
-			if h.eff[addr] < 0 || h.eff[addr] > rttExploreFloor {
-				t.Fatalf("cold jitter %v outside [0, %v]", h.eff[addr], rttExploreFloor)
+		var scratch rankScratch
+		h, err := n.rank(&scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eff := range h.eff {
+			if eff < 0 || eff > rttExploreFloor {
+				t.Fatalf("cold jitter %v outside [0, %v]", eff, rttExploreFloor)
 			}
-			if h.eff[addr] > 0 {
+			if eff > 0 {
 				sawNonZero = true
 			}
 		}

@@ -9,7 +9,6 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -76,16 +75,16 @@ func (n *Node) PublishContext(ctx context.Context) error {
 		records = append(records, wire.Entry{Key: k, Addr: self.Addr, TTLMilli: self.TTLMilli, Epoch: self.Epoch})
 	}
 	n.ownedMu.Unlock()
-	cands := n.stationarySnapshot()
-	if len(cands) == 0 {
-		return errors.New("live: no known stationary peers")
+	// One ranking serves the whole fan-out: suspicion is sampled once (not
+	// one lock round per record) and every candidate's effective RTT —
+	// measured or exploration-jittered — is frozen, so replica ordering
+	// cannot flap mid-batch.
+	var scratch rankScratch
+	rk, err := n.rank(&scratch)
+	if err != nil {
+		return err
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Key < records[j].Key })
-	// One peerHealth snapshot ranks the whole fan-out: suspicion is one
-	// breaker-table scan (not one lock round per record) and every
-	// candidate's effective RTT — measured or exploration-jittered — is
-	// frozen, so replica ordering cannot flap mid-batch.
-	health := n.peerHealth(cands)
 
 	// Group every record's replica set by owner address. Self-owned
 	// records (a stationary node can be its own replica) are ingested
@@ -94,7 +93,7 @@ func (n *Node) PublishContext(ctx context.Context) error {
 	var order []string
 	var selfRecs []wire.Entry
 	for _, rec := range records {
-		for _, owner := range ownersForKey(cands, health, rec.Key, n.cfg.Replication, len(n.cfg.Regions)) {
+		for _, owner := range rk.owners(rec.Key, n.cfg.Replication) {
 			if owner.Key == n.key {
 				selfRecs = append(selfRecs, rec)
 				continue

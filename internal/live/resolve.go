@@ -17,7 +17,9 @@ package live
 //              replica.
 //   Miss     → go to the network, but through a singleflight group:
 //              concurrent misses for one key share a single _discovery
-//              RPC (counted as loccache.coalesced).
+//              RPC (counted as loccache.coalesced), which the caller
+//              that missed first runs itself, under its own context
+//              and one RetryBudget across the record's replicas.
 //
 // DiscoverContext remains the always-network form (late binding forced);
 // it now write-throughs its answer — with the replica's remaining lease —
@@ -55,8 +57,8 @@ type CacheConfig struct {
 // lease answers immediately; a stale one answers while a background
 // refresh re-resolves; a cache miss goes to the network through a
 // singleflight group so N concurrent misses cost one _discovery. The
-// context bounds only this caller's wait — an in-flight discovery keeps
-// running for its other waiters.
+// context bounds only this caller's wait — a discovery others wait on
+// keeps running when the caller that started it gives up.
 func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, error) {
 	addr, state := n.loc.Lookup(key)
 	switch state {
@@ -68,8 +70,15 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 		n.launchRefresh(key)
 		return addr, nil
 	}
+	// The first run is this caller's, under ctx. A second is Group.Do
+	// continuing a flight this caller gave up on, under the node's lifetime.
+	flown := false
 	addr, shared, err := n.flights.Do(ctx, key, func() (string, error) {
-		return n.flightDiscover(key, false)
+		if flown {
+			return n.flightDiscover(n.runCtx, key, false)
+		}
+		flown = true
+		return n.flightDiscover(ctx, key, false)
 	})
 	if shared {
 		n.ctr.coalesced.Inc()
@@ -77,10 +86,10 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 	return addr, err
 }
 
-// flightDiscover is the body of one singleflight discovery: a detached
-// context (bounded by the node's retry budget, not any one waiter's
-// deadline) so the flight outlives impatient waiters, then one network
-// resolution written through the cache.
+// flightDiscover is the body of one singleflight discovery: one network
+// resolution written through the cache, bounded by ctx and by one retry
+// budget that starts now — so a flight under a context that never ends
+// (the node's own) still ends.
 //
 // A demand-miss flight (revalidate=false) double-checks the cache first:
 // a caller can miss, lose its timeslice, and only start its flight after
@@ -88,7 +97,7 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 // turns that duplicate into a cache answer instead of a second
 // _discovery. Refresh flights (revalidate=true) exist precisely to
 // replace a still-cached entry, so they always go to the network.
-func (n *Node) flightDiscover(key hashkey.Key, revalidate bool) (string, error) {
+func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key, revalidate bool) (string, error) {
 	if !revalidate {
 		switch addr, state := n.loc.Lookup(key); state {
 		case loccache.Fresh:
@@ -97,20 +106,12 @@ func (n *Node) flightDiscover(key hashkey.Key, revalidate bool) (string, error) 
 			return "", ErrNotFound
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RetryBudget)
-	defer cancel()
-	return n.discoverAndFill(ctx, key)
-}
-
-// discoverAndFill performs one network discovery and records the outcome
-// in the cache: a found address under its remaining lease, a definitive
-// miss as a negative entry. Transport failures cache nothing — absence
-// of evidence is not evidence of absence.
-func (n *Node) discoverAndFill(ctx context.Context, key hashkey.Key) (string, error) {
 	n.ctr.discoveries.Inc()
-	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
+	addr, ttl, epoch, err := n.discoverNetwork(ctx, time.Now().Add(n.cfg.RetryBudget), key)
 	switch {
 	case errors.Is(err, ErrNotFound):
+		// A definitive miss is cached; a transport failure is not one —
+		// absence of evidence is not evidence of absence.
 		n.loc.PutNegative(key)
 		return "", err
 	case err != nil:
@@ -128,11 +129,11 @@ func (n *Node) discoverAndFill(ctx context.Context, key hashkey.Key) (string, er
 // already in flight (or the node is closing). Reports whether a flight
 // was started.
 func (n *Node) launchRefresh(key hashkey.Key) bool {
-	if n.closed.Load() {
+	if n.runCtx.Err() != nil {
 		return false
 	}
 	started := n.flights.Launch(key, func() (string, error) {
-		return n.flightDiscover(key, true)
+		return n.flightDiscover(n.runCtx, key, true)
 	})
 	if started {
 		n.ctr.refreshes.Inc()
@@ -161,7 +162,7 @@ func (n *Node) refreshExpiring(topK int, window time.Duration) int {
 // location cache, so a subsequent ResolveContext answers locally until
 // the lease lapses. Prefer ResolveContext on hot paths.
 func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, error) {
-	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
+	addr, ttl, epoch, err := n.discoverNetwork(ctx, time.Time{}, key)
 	if err != nil {
 		return "", err
 	}
@@ -173,34 +174,33 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 // over across them (§2.3.2) in suspicion-aware order. The replicas are
 // tried sequentially on purpose: the common case is answered by the
 // first healthy replica for the cost of one exchange, and the ordering
-// (healthy first) already bounds the tail. Returns the address, the
-// remaining lease the serving replica reported (0 = no lease), and the
-// publish epoch the record was bound under.
-func (n *Node) discoverNetwork(ctx context.Context, key hashkey.Key) (string, time.Duration, uint64, error) {
-	owners, err := n.ownersOf(key, n.cfg.Replication)
+// (healthy first) already bounds the tail. All of them share budget (the
+// zero time gives each exchange a RetryBudget of its own). Returns the
+// address, the remaining lease the serving replica reported (0 = no
+// lease), and the publish epoch the record was bound under.
+func (n *Node) discoverNetwork(ctx context.Context, budget time.Time, key hashkey.Key) (string, time.Duration, uint64, error) {
+	var scratch rankScratch
+	rk, err := n.rank(&scratch)
 	if err != nil {
 		return "", 0, 0, err
 	}
 	var lastErr error = ErrNotFound
-	for _, owner := range owners {
+	for _, owner := range rk.owners(key, n.cfg.Replication) {
+		req := wire.Message{Type: wire.TDiscover, Key: key}
 		var resp *wire.Message
 		if owner.Key == n.key {
-			resp = n.handleDiscover(&wire.Message{Type: wire.TDiscover, Key: key})
-		} else {
-			resp, err = n.request(ctx, owner.Addr, &wire.Message{Type: wire.TDiscover, Key: key})
-			if err != nil {
-				lastErr = fmt.Errorf("live: discover via %s: %w", owner.Addr, err)
-				continue
-			}
-		}
-		if resp.Type != wire.TDiscoverResp || !resp.Found {
+			resp = n.handleDiscover(&req)
+		} else if resp, err = n.requestBy(ctx, budget, owner.Addr, &req); err != nil {
+			lastErr = fmt.Errorf("live: discover via %s: %w", owner.Addr, err)
 			continue
 		}
-		ttl := time.Duration(resp.Self.TTLMilli) * time.Millisecond
-		return resp.Self.Addr, ttl, resp.Self.Epoch, nil
+		// What is read out of the reply before it is recycled does not alias it.
+		found := resp.Type == wire.TDiscoverResp && resp.Found
+		rec := resp.Self
+		wire.PutMessage(resp)
+		if found {
+			return rec.Addr, time.Duration(rec.TTLMilli) * time.Millisecond, rec.Epoch, nil
+		}
 	}
-	if lastErr != ErrNotFound {
-		return "", 0, 0, lastErr
-	}
-	return "", 0, 0, ErrNotFound
+	return "", 0, 0, lastErr
 }

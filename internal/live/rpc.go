@@ -9,8 +9,10 @@ package live
 //
 // Every exchange, request or one-way, rides the multiplexed connection
 // pool (pool.go): one long-lived connection per peer, demultiplexed by
-// sequence number. Every exchange is bounded by the caller's context on
-// top of the per-attempt RequestTimeout.
+// sequence number. Every exchange is bounded by the caller's context, by
+// its retry budget (an instant) and per attempt by RequestTimeout; the
+// earlier of the last two is the one timer an attempt arms (pool.go's
+// waiter) — no context is derived for an attempt unless it has to dial.
 
 import (
 	"context"
@@ -51,9 +53,10 @@ type peerShard struct {
 // peers in the same shard, never with the whole fan-out of a publish.
 type peerTable struct {
 	shards [stateShards]peerShard
-	// suspects counts the non-closed breakers across all shards, so the
-	// steady state — nobody is suspect — is answered by one load.
-	suspects atomic.Int64
+	// entries counts the breakers in all shards and suspects the non-closed
+	// ones among them, so the steady states — no peer has a failure on
+	// record, nobody is suspect — are each answered by one load.
+	entries, suspects atomic.Int64
 }
 
 func (t *peerTable) init() {
@@ -98,37 +101,12 @@ func (t *peerTable) suspectAddrs() []string {
 	return out
 }
 
-// suspectSet returns the set of peers whose breakers are non-closed,
-// nil when every breaker is closed — the steady state, which costs one
-// atomic load and no lock. One call snapshots suspicion for an entire
-// fan-out.
-func (t *peerTable) suspectSet() map[string]bool {
-	if t.suspects.Load() == 0 {
-		return nil
-	}
-	var out map[string]bool
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for addr, b := range sh.m {
-			if b.state != bkClosed {
-				if out == nil {
-					out = make(map[string]bool)
-				}
-				out[addr] = true
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // breakerAllow consults addr's breaker before any network I/O. A closed
 // breaker admits the call; an open one past its cooldown moves to
 // half-open and admits this single call as the probe; anything else fails
 // fast with ErrPeerSuspect.
 func (n *Node) breakerAllow(addr string) error {
-	if n.cfg.SuspicionThreshold < 0 {
+	if n.cfg.SuspicionThreshold < 0 || n.peersTbl.entries.Load() == 0 {
 		return nil
 	}
 	sh := n.peersTbl.shard(addr)
@@ -150,15 +128,22 @@ func (n *Node) breakerAllow(addr string) error {
 // breakerResult records the outcome of an exchange with addr. Success
 // closes (and forgets) the breaker; failures accumulate and trip it at
 // SuspicionThreshold, or re-open it immediately from half-open.
-func (n *Node) breakerResult(addr string, err error) {
-	if n.cfg.SuspicionThreshold < 0 {
+// abandoned marks a failure caused by the caller giving up: no evidence
+// against the peer, but if the call was the half-open probe nothing else
+// leaves that state, so the breaker goes back to open, a probe due at once.
+func (n *Node) breakerResult(addr string, err error, abandoned bool) {
+	if n.cfg.SuspicionThreshold < 0 || errors.Is(err, ErrPeerSuspect) {
+		return // a fast-fail is not fresh evidence
+	}
+	if (err == nil || abandoned) && n.peersTbl.entries.Load() == 0 {
 		return
 	}
 	sh := n.peersTbl.shard(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	b := sh.m[addr]
-	if err == nil {
+	switch {
+	case err == nil:
 		if b != nil {
 			if b.state != bkClosed {
 				n.peersTbl.suspects.Add(-1)
@@ -166,15 +151,19 @@ func (n *Node) breakerResult(addr string, err error) {
 				n.logf("peer %s healthy again; breaker closed", addr)
 			}
 			delete(sh.m, addr)
+			n.peersTbl.entries.Add(-1)
 		}
 		return
-	}
-	if errors.Is(err, ErrPeerSuspect) {
-		return // a fast-fail is not fresh evidence
+	case abandoned:
+		if b != nil && b.state == bkHalfOpen {
+			b.state, b.probeAt = bkOpen, time.Now()
+		}
+		return
 	}
 	if b == nil {
 		b = &breaker{}
 		sh.m[addr] = b
+		n.peersTbl.entries.Add(1)
 	}
 	b.fails++
 	if b.state == bkHalfOpen || b.fails >= n.cfg.SuspicionThreshold {
@@ -216,25 +205,32 @@ func (n *Node) ProbeSuspects(ctx context.Context) {
 // with capped exponential backoff and full jitter, each attempt bounded
 // by RequestTimeout, all attempts bounded by RetryBudget and by ctx.
 func (n *Node) request(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
+	return n.requestBy(ctx, time.Time{}, addr, m)
+}
+
+// requestBy is request under a budget the exchanges of one operation
+// share; the zero time starts a RetryBudget now.
+func (n *Node) requestBy(ctx context.Context, budget time.Time, addr string, m *wire.Message) (*wire.Message, error) {
 	if err := n.breakerAllow(addr); err != nil {
 		return nil, err
 	}
-	resp, err := n.requestRetry(ctx, addr, m)
-	// A failure caused by the caller giving up (ctx canceled or expired)
-	// is not evidence against the peer; success still counts in its favor.
-	if err == nil || ctx.Err() == nil {
-		n.breakerResult(addr, err)
-	}
+	resp, err := n.requestRetry(ctx, budget, addr, m)
+	// A failure caused by the caller giving up — its ctx ended, or the
+	// budget it brought ran out — is not evidence against the peer.
+	gaveUp := err != nil && (ctx.Err() != nil || !budget.IsZero() && !time.Now().Before(budget))
+	n.breakerResult(addr, err, gaveUp)
 	return resp, err
 }
 
-func (n *Node) requestRetry(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	deadline := time.Now().Add(n.cfg.RetryBudget)
+func (n *Node) requestRetry(ctx context.Context, budget time.Time, addr string, m *wire.Message) (*wire.Message, error) {
+	if budget.IsZero() {
+		budget = time.Now().Add(n.cfg.RetryBudget)
+	}
 	var lastErr error
 	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
 		if attempt > 0 {
 			pause := n.backoff(attempt)
-			if time.Now().Add(pause).After(deadline) {
+			if time.Now().Add(pause).After(budget) {
 				break // budget exhausted: report the last real error
 			}
 			if err := sleepCtx(ctx, pause); err != nil {
@@ -242,15 +238,29 @@ func (n *Node) requestRetry(ctx context.Context, addr string, m *wire.Message) (
 			}
 			n.ctr.rpcRetries.Inc()
 		}
-		if err := ctx.Err(); err != nil {
+		start := time.Now()
+		err := ctx.Err()
+		if err == nil && !start.Before(budget) {
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("live: request to %s: %w", addr, err)
 			}
 			break
 		}
 		n.ctr.rpcAttempts.Inc()
-		resp, err := n.attempt(ctx, addr, m)
+		// One exchange over addr's pooled session. A success folds its
+		// round-trip time into addr's RTT estimator (rtt.go) — proximity data
+		// comes for free with the traffic the node already sends. Failures
+		// feed nothing: a timeout's duration measures the timeout.
+		by := start.Add(n.cfg.RequestTimeout)
+		if budget.Before(by) {
+			by = budget
+		}
+		resp, err := n.pool.roundTrip(ctx, addr, m, by)
 		if err == nil {
+			n.rtt.observe(addr, time.Since(start))
 			return resp, nil
 		}
 		lastErr = err
@@ -281,23 +291,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attempt runs a single exchange over addr's pooled session, bounded by
-// min(ctx, RequestTimeout), and on success folds its measured round-trip
-// time into addr's RTT estimator (rtt.go) — proximity data comes for free
-// with the traffic the node already sends, never from extra probes.
-// Failures feed nothing: a timeout's duration measures the timeout, not
-// the link.
-func (n *Node) attempt(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	actx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	resp, err := n.pool.roundTrip(actx, addr, m)
-	if err == nil {
-		n.rtt.observe(addr, time.Since(start))
-	}
-	return resp, err
-}
-
 // backoff returns the pause before the attempt-th retry: full jitter over
 // an exponentially growing cap — uniform in [0, min(RetryMax,
 // RetryBase·2^(attempt-1))] — which decorrelates the retry storms of
@@ -319,11 +312,10 @@ func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 	if err := n.breakerAllow(addr); err != nil {
 		return err
 	}
-	actx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
+	by := time.Now().Add(n.cfg.RequestTimeout)
+	actx, cancel := context.WithDeadline(ctx, by)
 	defer cancel()
-	err := n.pool.send(actx, addr, m)
-	if err == nil || ctx.Err() == nil {
-		n.breakerResult(addr, err)
-	}
+	err := n.pool.send(actx, addr, m, by)
+	n.breakerResult(addr, err, err != nil && ctx.Err() != nil)
 	return err
 }

@@ -104,10 +104,9 @@ type PeerRTT struct {
 }
 
 // peerRTTs snapshots the RTT table for Stats, ascending by RTT (address
-// as tiebreak). Reads are lock-free; only the suspect flags take the
-// breaker shard locks, once each.
+// as tiebreak). Reads are lock-free; only the suspect flags take a
+// breaker shard lock, once per peer.
 func (n *Node) peerRTTs() []PeerRTT {
-	suspects := n.peersTbl.suspectSet()
 	var out []PeerRTT
 	for i := range n.rtt.shards {
 		v := n.rtt.shards[i].view.Load()
@@ -116,7 +115,7 @@ func (n *Node) peerRTTs() []PeerRTT {
 			if cnt == 0 {
 				continue
 			}
-			out = append(out, PeerRTT{Addr: addr, RTT: time.Duration(val), Samples: cnt, Suspect: suspects[addr]})
+			out = append(out, PeerRTT{Addr: addr, RTT: time.Duration(val), Samples: cnt, Suspect: n.suspect(addr)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

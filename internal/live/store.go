@@ -210,7 +210,8 @@ func (n *Node) countIngest(records, accepted int) {
 // it, late-binding results would never go stale client-side.
 func (n *Node) handleDiscover(m *wire.Message) *wire.Message {
 	rec, ok := n.store.get(m.Key)
-	resp := &wire.Message{Type: wire.TDiscoverResp, Seq: m.Seq, Key: m.Key}
+	resp := wire.GetMessage() // whoever takes the reply puts it back
+	resp.Type, resp.Seq, resp.Key = wire.TDiscoverResp, m.Seq, m.Key
 	if ok && rec.valid(time.Now()) {
 		resp.Found = true
 		resp.Self = wire.Entry{Key: m.Key, Addr: rec.addr, TTLMilli: remainingTTLMilli(rec), Epoch: rec.epoch}

@@ -211,6 +211,11 @@ func getEntrySlice(n int) []Entry {
 	return s[:0]
 }
 
+// GetMessage borrows a zeroed Message from the codec's pool, for a sender
+// that builds a frame and returns it with PutMessage once it is written:
+// the pool then gives as many as it takes on a node that only answers.
+func GetMessage() *Message { return msgPool.Get().(*Message) }
+
 // PutMessage returns a Message produced by Decode to the codec's pool.
 // Only call it from a receive path that fully consumed the message (no
 // reference to the Message or its Entries slice may survive the call;
@@ -305,8 +310,7 @@ func Decode(r io.Reader) (*Message, error) {
 		payloadPool.Put(pb)
 		return nil, err
 	}
-	m := msgPool.Get().(*Message)
-	*m = Message{}
+	m := GetMessage()
 	err := decodeBody(m, mtype, payload)
 	*pb = payload[:0]
 	payloadPool.Put(pb)
