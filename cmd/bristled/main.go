@@ -164,7 +164,7 @@ func main() {
 	})
 	defer stopMaint()
 
-	prevStats := node.Stats()
+	prev := counters.Snapshot()
 	var statsTick <-chan time.Time
 	if *stats > 0 {
 		t := time.NewTicker(*stats)
@@ -191,9 +191,11 @@ func main() {
 		case <-statsTick:
 			// Per-interval deltas show what the node is doing right now;
 			// cumulative totals only ever grow and bury the signal.
+			delta := counters.Diff(prev)
+			for name, d := range delta {
+				prev[name] += d
+			}
 			st := node.Stats()
-			delta := st.CountersDelta(prevStats)
-			prevStats = st
 			line := fmt.Sprintf("stats: Δ %s | %s", formatDelta(delta), gauges)
 			// Frames per write at the two coalescing points, this interval:
 			// 1.0 is a syscall per frame, higher is bursts sharing one.

@@ -1,9 +1,9 @@
 package live
 
 // This file is the LDT push path: UpdateRegistryContext (the paper's
-// Figure 4 fan-out to registered correspondents) and advertise (the
-// recursive re-delegation each tree level performs), both feeding a
-// coalescing per-node update queue.
+// Figure 4 fan-out to registered correspondents) and the re-delegation
+// each tree level performs on receiving an update (store.go), both one
+// fanOut feeding a coalescing per-node update queue.
 //
 // The queue is the write-side dual of the resolve path's singleflight:
 // where N concurrent resolvers share one _discovery, N pending pushes of
@@ -19,7 +19,6 @@ package live
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -249,44 +248,16 @@ func (n *Node) updateFlusher() {
 // (or newer ones that subsumed them) have been handed to the transport,
 // or ctx fires.
 func (n *Node) UpdateRegistryContext(ctx context.Context) error {
-	now := time.Now()
 	// Lapsed registrants miss the push by design.
-	if expired := n.registry.sweep(now); expired > 0 {
+	if expired := n.registry.sweep(time.Now()); expired > 0 {
 		n.ctr.registryExpired.Add(uint64(expired))
 	}
 	v := n.registry.snapshot()
-	members := make([]ldt.Member, 0, len(v.byKey))
-	index := make(map[int32]wire.Entry, len(v.byKey))
-	i := int32(1)
+	registrants := make([]wire.Entry, 0, len(v.byKey))
 	for _, r := range v.byKey {
-		members = append(members, ldt.Member{ID: i, Capacity: r.entry.Capacity})
-		index[i] = r.entry
-		i++
+		registrants = append(registrants, r.entry)
 	}
-	self := n.SelfEntry()
-	rootCap := n.cfg.Capacity
-	if len(members) == 0 {
-		return nil
-	}
-	sort.Slice(members, func(a, b int) bool { return members[a].ID < members[b].ID })
-
-	tree, err := ldt.Build(ldt.Member{ID: 0, Capacity: rootCap}, members, ldt.Params{UnitCost: 1})
-	if err != nil {
-		return err
-	}
-	// Convert the tree's first level into wire delegations: each direct
-	// child receives its whole subtree as entries.
-	var dones []<-chan struct{}
-	for _, child := range tree.Root.Children {
-		entry, ok := index[child.Member.ID]
-		if !ok {
-			continue
-		}
-		delegated := collectSubtree(child, index)
-		msg := &wire.Message{Type: wire.TUpdate, Self: self, Entries: delegated}
-		dones = append(dones, n.enqueueUpdate(entry.Addr, msg))
-	}
-	for _, done := range dones {
+	for _, done := range n.fanOut(n.SelfEntry(), registrants) {
 		select {
 		case <-done:
 		case <-ctx.Done():
@@ -296,50 +267,42 @@ func (n *Node) UpdateRegistryContext(ctx context.Context) error {
 	return nil
 }
 
-// advertise forwards an update to the heads of a delegated subset,
-// re-partitioning by capacity (the receiving node runs Figure 4 on the
-// subset it was handed). Fire-and-forget: the frames are queued for the
-// flusher and this returns immediately — a handler must never block its
-// connection's worker on downstream fan-out.
-func (n *Node) advertise(subject wire.Entry, delegated []wire.Entry) {
-	if len(delegated) == 0 {
-		return
+// fanOut is one level of Figure 4, run by the mover on its registry and by
+// every receiver of an update on the subset it was delegated: it schedules
+// recipients into a capacity-aware tree under this node, and queues for
+// each of the tree's first-level heads one TUpdate about subject that
+// delegates the head's whole subtree to it. It only queues — the flusher
+// sends — and returns each queued frame's done channel.
+func (n *Node) fanOut(subject wire.Entry, recipients []wire.Entry) []<-chan struct{} {
+	if len(recipients) == 0 {
+		return nil
 	}
-	members := make([]ldt.Member, len(delegated))
-	index := make(map[int32]wire.Entry, len(delegated))
-	for i, e := range delegated {
-		id := int32(i + 1)
-		members[i] = ldt.Member{ID: id, Capacity: e.Capacity}
-		index[id] = e
+	// Member i+1 is recipients[i]; 0 is this node, the root.
+	members := make([]ldt.Member, len(recipients))
+	for i, e := range recipients {
+		members[i] = ldt.Member{ID: int32(i + 1), Capacity: e.Capacity}
 	}
 	tree, err := ldt.Build(ldt.Member{ID: 0, Capacity: n.cfg.Capacity}, members, ldt.Params{UnitCost: 1})
 	if err != nil {
-		n.logf("advertise: %v", err)
-		return
+		n.logf("ldt fan-out: %v", err)
+		return nil
 	}
-	for _, child := range tree.Root.Children {
-		entry, ok := index[child.Member.ID]
-		if !ok {
-			continue
-		}
-		sub := collectSubtree(child, index)
-		n.enqueueUpdate(entry.Addr, &wire.Message{Type: wire.TUpdate, Self: subject, Entries: sub})
-	}
-}
-
-// collectSubtree gathers the wire entries of every node strictly below
-// root in the tree (root itself is the recipient).
-func collectSubtree(root *ldt.Node, index map[int32]wire.Entry) []wire.Entry {
-	var out []wire.Entry
-	var rec func(*ldt.Node)
-	rec = func(t *ldt.Node) {
+	// A head's subtree is every node strictly below it: the head itself is
+	// the frame's recipient.
+	var sub []wire.Entry
+	var below func(*ldt.Node)
+	below = func(t *ldt.Node) {
 		for _, c := range t.Children {
-			if e, ok := index[c.Member.ID]; ok {
-				out = append(out, e)
-			}
-			rec(c)
+			sub = append(sub, recipients[c.Member.ID-1])
+			below(c)
 		}
 	}
-	rec(root)
-	return out
+	dones := make([]<-chan struct{}, 0, len(tree.Root.Children))
+	for _, head := range tree.Root.Children {
+		sub = nil // each frame owns its entries
+		below(head)
+		msg := &wire.Message{Type: wire.TUpdate, Self: subject, Entries: sub}
+		dones = append(dones, n.enqueueUpdate(recipients[head.Member.ID-1].Addr, msg))
+	}
+	return dones
 }

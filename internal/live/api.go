@@ -143,34 +143,14 @@ func (n *Node) Stats() Stats {
 		StoreRecords:  n.store.size(),
 		CacheEntries:  n.loc.Len(),
 		PoolSessions:  n.pool.sessionCount(),
-		Suspects:      n.peersTbl.suspectAddrs(),
 		Region:        n.cfg.Region,
-		PeerRTTs:      n.peerRTTs(),
 		Counters:      n.cfg.Counters.Snapshot(),
 	}
+	s.Suspects, s.PeerRTTs = n.peers.peerStats()
 	s.ServeFramesPerWrite = FramesPerWrite(s.Counters, "serve")
 	s.PoolFramesPerWrite = FramesPerWrite(s.Counters, "pool")
 	n.ownedMu.Lock()
 	s.OwnedKeys = len(n.owned)
 	n.ownedMu.Unlock()
 	return s
-}
-
-// CountersDelta returns the per-counter increase since prev (an earlier
-// Stats snapshot), omitting counters that did not change — the shape a
-// periodic stats reporter wants.
-func (s Stats) CountersDelta(prev Stats) map[string]uint64 {
-	out := make(map[string]uint64)
-	for k, v := range s.Counters {
-		if p, ok := prev.Counters[k]; ok && p <= v {
-			if v > p {
-				out[k] = v - p
-			}
-			continue
-		}
-		if v > 0 {
-			out[k] = v
-		}
-	}
-	return out
 }

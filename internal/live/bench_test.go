@@ -73,10 +73,11 @@ func BenchmarkRPCPooledParallel(b *testing.B) {
 func BenchmarkRPCPooledRaw(b *testing.B) {
 	client, addr := benchPair(b)
 	ctx := context.Background()
+	peer := client.peers.get(addr, true)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := client.pool.roundTrip(ctx, addr, &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+			if _, err := client.pool.roundTrip(ctx, peer, &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -225,8 +225,8 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 			}
 		}
 	}
-	nearEst, _, okNear := prober.rtt.estimate(near.Addr)
-	farEst, _, okFar := prober.rtt.estimate(far.Addr)
+	nearEst, okNear := prober.peers.get(near.Addr, false).estimate()
+	farEst, okFar := prober.peers.get(far.Addr, false).estimate()
 	if !okNear || !okFar || nearEst < time.Millisecond || farEst <= nearEst {
 		t.Fatalf("warmed estimates near=%v far=%v, want 1ms <= near < far", nearEst, farEst)
 	}
@@ -255,7 +255,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 			t.Fatalf("discover %d resolved %s", i, addr)
 		}
 	}
-	if !prober.suspect(near.Addr) {
+	if !prober.peers.get(near.Addr, false).suspect() {
 		t.Fatal("dead nearest replica never became suspect")
 	}
 	// Suspicion outranks RTT: the dead replica's estimate is still the

@@ -102,15 +102,7 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	sh := client.peersTbl.shard(owners[0].Addr)
-	sh.mu.Lock()
-	b := sh.m[owners[0].Addr]
-	fails := 0
-	if b != nil {
-		fails = b.fails
-	}
-	sh.mu.Unlock()
-	if fails == 0 {
+	if client.peers.get(owners[0].Addr, true).fails.Load() == 0 {
 		t.Fatalf("no failure on record against the silent replica %s: %s", owners[0].Addr, counters)
 	}
 	before := counters.Get("resolve.discoveries")
@@ -131,7 +123,7 @@ func TestAttemptTimerNeverLeaksATick(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)
 	counters := metrics.NewCounters()
-	client := mustNode(t, Config{Name: "racer", RetryAttempts: 1, SuspicionThreshold: -1,
+	client := mustNode(t, Config{Name: "racer", RetryAttempts: 1, SuspicionThreshold: 1 << 30,
 		RequestTimeout: 10 * time.Second, Counters: counters}, mem)
 	defer client.Close()
 	ctx := context.Background()

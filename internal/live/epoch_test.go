@@ -2,7 +2,7 @@ package live
 
 // Regression tests for the epoch-ordered update paths and the batched
 // publish. The handler-level tests are deterministic reproductions of
-// the stale-address-resurrection bugs: before epochs, handlePublish and
+// the stale-address-resurrection bugs: before epochs, publish ingest and
 // handleUpdate were last-writer-wins, so a frame the network delayed or
 // duplicated past a newer binding would drag the repository (or a
 // resolver's cache) back to a dead address.
@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,8 +35,8 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 	defer n.Close()
 
 	key := hashkey.FromName("subject")
-	n.handlePublish(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-B", Epoch: 2}})
-	n.handlePublish(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-A", Epoch: 1}})
+	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-B", Epoch: 2}})
+	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-A", Epoch: 1}})
 
 	resp := n.handleDiscover(&wire.Message{Type: wire.TDiscover, Key: key})
 	if !resp.Found || resp.Self.Addr != "addr-B" {
@@ -51,9 +52,9 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 	// at least a reachable address from this key's past, while a lapsed
 	// lease is a promise nobody renewed.
 	key2 := hashkey.FromName("subject-2")
-	n.handlePublish(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-B", Epoch: 2, TTLMilli: 1}})
+	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-B", Epoch: 2, TTLMilli: 1}})
 	time.Sleep(5 * time.Millisecond)
-	n.handlePublish(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-A", Epoch: 1, TTLMilli: 60000}})
+	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-A", Epoch: 1, TTLMilli: 60000}})
 	if resp := n.handleDiscover(&wire.Message{Type: wire.TDiscover, Key: key2}); !resp.Found || resp.Self.Addr != "addr-A" {
 		t.Fatalf("expired record still outranks: got %q (found %v), want addr-A", resp.Self.Addr, resp.Found)
 	}
@@ -185,6 +186,120 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 		if addr != mob.Addr() {
 			t.Fatalf("key %v resolved to %q, want %q", k, addr, mob.Addr())
 		}
+	}
+}
+
+// frameTap records the type of every frame its node's sessions write.
+type frameTap struct {
+	transport.Transport
+	mu    sync.Mutex
+	types []wire.MsgType
+}
+
+func (t *frameTap) Dial(addr string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	return &tapConn{Conn: c, tap: t}, err
+}
+
+type tapConn struct {
+	transport.Conn
+	tap *frameTap
+}
+
+func (c *tapConn) Queue(m *wire.Message) (int, error) {
+	c.tap.mu.Lock()
+	c.tap.types = append(c.tap.types, m.Type)
+	c.tap.mu.Unlock()
+	return c.Conn.Queue(m)
+}
+
+// TestKeylessMobilePublishesOneBatchPerReplica: a mobile owning nothing
+// beyond its identity key publishes the way every node does — one
+// TPublishBatch, a batch of one, to each of its replicas, never the
+// single-record frame — and ingest accounts for the record like any other:
+// on every replica, records == accepted + stale_rejected.
+func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
+	mem := transport.NewMem()
+	ctx := context.Background()
+	var stationaries []*Node
+	ingest := map[*Node]*metrics.Counters{}
+	for _, name := range []string{"s1", "s2", "s3"} {
+		counters := metrics.NewCounters()
+		nd := mustNode(t, Config{Name: name, Capacity: 4, Counters: counters}, mem)
+		if err := nd.Start(""); err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		if len(stationaries) > 0 {
+			if err := nd.JoinViaContext(ctx, stationaries[0].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stationaries = append(stationaries, nd)
+		ingest[nd] = counters
+	}
+	tap := &frameTap{Transport: mem}
+	counters := metrics.NewCounters()
+	mob := mustNode(t, Config{Name: "mob", Mobile: true, Replication: 2, Counters: counters}, tap)
+	if err := mob.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	defer mob.Close()
+	if err := mob.JoinViaContext(ctx, stationaries[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(mob.members.snapshot().stationary); got != 3 {
+		t.Fatalf("mobile knows %d stationaries, want 3", got)
+	}
+
+	publishAndCount := func(wantAccepted, wantStale uint64) {
+		t.Helper()
+		if err := mob.PublishContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var records, accepted, stale uint64
+		for nd, c := range ingest {
+			r, a, s := c.Get("publish.records"), c.Get("publish.accepted"), c.Get("publish.stale_rejected")
+			if r != a+s {
+				t.Errorf("%s: publish.records %d != accepted %d + stale_rejected %d", nd.cfg.Name, r, a, s)
+			}
+			records, accepted, stale = records+r, accepted+a, stale+s
+		}
+		if rpcs := counters.Get("publish.rpcs"); rpcs != records || accepted != wantAccepted || stale != wantStale {
+			t.Fatalf("publish.rpcs %d; replicas ingested %d records, %d accepted, %d stale; want %d accepted, %d stale, one record per RPC",
+				rpcs, records, accepted, stale, wantAccepted, wantStale)
+		}
+	}
+	publishAndCount(2, 0)
+	// The same publication again, after a replica has heard of a later
+	// binding: the batch of one is rejected there exactly as a record of a
+	// larger batch would be.
+	later := mob.SelfEntry()
+	later.Epoch++
+	owners, err := mob.ownersOf(mob.Key(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range stationaries {
+		if nd.Key() == owners[0].Key {
+			nd.store.apply(later, time.Now())
+		}
+	}
+	publishAndCount(3, 1)
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	batches := 0
+	for _, typ := range tap.types {
+		switch typ {
+		case wire.TPublishBatch:
+			batches++
+		case wire.TPublish:
+			t.Error("a single-record TPublish frame left the node")
+		}
+	}
+	if batches != 4 {
+		t.Errorf("%d TPublishBatch frames for two publications at replication 2, want 4", batches)
 	}
 }
 

@@ -20,17 +20,6 @@ type MaintainConfig struct {
 	// probed so they can be readmitted without waiting for live traffic to
 	// half-open them. Zero disables background probing.
 	ProbeInterval time.Duration
-	// RefreshInterval is the early-binding refresher period: each tick
-	// re-resolves the most-recently-used cached locations whose lease is
-	// about to lapse, so steady-state sends keep answering from fresh
-	// leases instead of blocking on reactive discovery. Zero disables it.
-	RefreshInterval time.Duration
-	// RefreshTopK bounds how many MRU cache entries one refresh tick may
-	// re-resolve. Default 32.
-	RefreshTopK int
-	// RefreshWindow is how far ahead of lease expiry an entry becomes
-	// eligible for refresh. Default 2×RefreshInterval.
-	RefreshWindow time.Duration
 	// RegistrySweepInterval is how often lapsed registrations (registrants
 	// whose lease expired without a renewing re-register) are swept out of
 	// R(self). Zero derives LeaseTTL/2 when a lease is set, else disables
@@ -42,8 +31,8 @@ type MaintainConfig struct {
 }
 
 // StartMaintenance launches the node's periodic duties — anti-entropy
-// gossip, lease renewal, suspect probing, the registry sweep and the
-// early-binding refresher — and returns a stop function. Stopping is
+// gossip, lease renewal, suspect probing and the registry sweep — and
+// returns a stop function. Stopping is
 // idempotent, cancels whatever exchange a duty has in flight, and waits
 // for the loops to exit; closing the node stops them too. Errors inside
 // the loops are logged (when a Logger is configured) and do not stop
@@ -58,14 +47,6 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	rng := cfg.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	topK := cfg.RefreshTopK
-	if topK <= 0 {
-		topK = 32
-	}
-	window := cfg.RefreshWindow
-	if window <= 0 {
-		window = 2 * cfg.RefreshInterval
 	}
 
 	ctx, cancel := context.WithCancel(n.runCtx)
@@ -103,7 +84,6 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	})
 	every(cfg.ProbeInterval, func() { n.ProbeSuspects(ctx) })
 	every(cfg.RegistrySweepInterval, func() { n.SweepRegistry() })
-	every(cfg.RefreshInterval, func() { n.refreshExpiring(topK, window) })
 
 	return func() {
 		cancel()

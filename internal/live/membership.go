@@ -266,7 +266,7 @@ func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	// full set so an all-suspect view still gossips (and probes).
 	healthy := others[:0:0]
 	for _, e := range others {
-		if !n.suspect(e.Addr) {
+		if !n.peers.get(e.Addr, false).suspect() {
 			healthy = append(healthy, e)
 		}
 	}
@@ -373,6 +373,11 @@ type ranking struct {
 	cands   []wire.Entry // a copy of ring for owners to re-sort, key after key
 }
 
+// rttExploreFloor is the exploration scale used when no candidate has a
+// measured RTT yet: unknown peers draw a jittered effective RTT in
+// [0, floor] so the very first fan-outs spread across replicas.
+const rttExploreFloor = time.Millisecond
+
 // rankScratch holds a ranking's arrays while the ring is small: declared
 // on its caller's stack, the ranking costs no allocation.
 type rankScratch struct {
@@ -397,8 +402,14 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 	const unknown = -1
 	var sum time.Duration
 	known := 0
+	// One lookup per ring member answers both questions about it.
+	anySuspect := n.peers.suspects.Load() != 0
+	if anySuspect {
+		r.suspect = s.suspect[:0]
+	}
 	for _, e := range r.ring {
-		est, _, ok := n.rtt.estimate(e.Addr)
+		p := n.peers.get(e.Addr, false)
+		est, ok := p.estimate()
 		if ok {
 			sum += est
 			known++
@@ -406,6 +417,9 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 			est = unknown
 		}
 		r.eff = append(r.eff, est)
+		if anySuspect {
+			r.suspect = append(r.suspect, p.suspect())
+		}
 	}
 	mean := rttExploreFloor
 	if known > 0 {
@@ -420,12 +434,6 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 		}
 	}
 	n.rngMu.Unlock()
-	if n.peersTbl.suspects.Load() != 0 {
-		r.suspect = s.suspect[:0]
-		for _, e := range r.ring {
-			r.suspect = append(r.suspect, n.suspect(e.Addr))
-		}
-	}
 	return r, nil
 }
 

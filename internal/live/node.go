@@ -25,8 +25,10 @@
 //   - publish.go    — the owned-key set and the batched publish fan-out
 //   - resolve.go    — the cache-first resolve hot path
 //   - advertise.go  — the coalescing LDT push queue and fan-out
-//   - rpc.go        — retries, backoff, sharded per-peer circuit breakers
-//   - pool.go       — the sharded multiplexed connection pool
+//   - peer.go       — the one per-peer table: RTT estimate, circuit
+//     breaker and pooled session of every address
+//   - rpc.go        — retries, backoff, the retry budget
+//   - pool.go       — the multiplexed connection pool
 //
 // Every public operation that can touch the network is called one way: a
 // Context-suffixed method (PublishContext, DiscoverContext, ...) that
@@ -120,8 +122,7 @@ type Config struct {
 	RetryBudget time.Duration
 	// SuspicionThreshold is how many consecutive failed exchanges trip a
 	// peer's circuit breaker; tripped peers fail fast and are deprioritized
-	// as replicas until a probe succeeds. Default 3; negative disables
-	// suspicion entirely.
+	// as replicas until a probe succeeds. Default 3.
 	SuspicionThreshold int
 	// SuspicionCooldown is how long a tripped breaker fails fast before it
 	// lets one probe through (half-open). Default 2s.
@@ -129,9 +130,6 @@ type Config struct {
 	// Pool tunes the multiplexed per-peer connection pool every exchange
 	// rides (pool.go). The zero value means the defaults.
 	Pool PoolConfig
-	// Cache tunes the lease-aware sharded location cache behind
-	// ResolveContext (resolve.go). The zero value means the defaults.
-	Cache CacheConfig
 	// Counters optionally records resilience events (rpc.retries,
 	// rpc.timeouts, breaker.trips, pool.dials, ...); nil disables them.
 	Counters *metrics.Counters
@@ -172,8 +170,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.SuspicionCooldown = 2 * time.Second
 	}
 	cfg.Pool = cfg.Pool.withDefaults()
-	// Cache defaults live in loccache.Config.withDefaults; zero values
-	// pass through so one place owns them.
 	return cfg
 }
 
@@ -254,8 +250,9 @@ type binding struct {
 //     reads are lock-free, writes clone under a private writer mutex.
 //   - store and seen are sixteen-way key-sharded tables (store.go).
 //   - owned has its own small mutex (publish.go).
-//   - breakers live in a sharded per-peer table (rpc.go); pooled
-//     sessions in a sharded address table (pool.go).
+//   - peers is the one per-address table (peer.go): RTT estimates and
+//     breaker state are atomics, each record's mutex guards its breaker
+//     transitions and its pooled session.
 type Node struct {
 	cfg  Config
 	key  hashkey.Key
@@ -296,8 +293,7 @@ type Node struct {
 	loc     *loccache.Cache
 	flights loccache.Group // coalesces concurrent discoveries per key
 
-	peersTbl peerTable // sharded per-peer suspicion circuit breakers
-	rtt      rttTable  // sharded per-peer RTT estimators (rtt.go)
+	peers peerTable // every address's RTT estimate, breaker and session (peer.go)
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // seeds retry jitter; per-node deterministic
@@ -349,16 +345,10 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		owned:   make(map[hashkey.Key]struct{}),
 		ids:     make(map[hashkey.Key][32]byte),
 		updq:    newUpdateQueue(),
-		pool:    newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges),
-		loc: loccache.New(loccache.Config{
-			Shards:      cfg.Cache.Shards,
-			MaxEntries:  cfg.Cache.MaxEntries,
-			NegativeTTL: cfg.Cache.NegativeTTL,
-			StaleWindow: cfg.Cache.StaleWindow,
-			Counters:    cfg.Counters,
-			Gauges:      cfg.Gauges,
-		}),
+		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
+	n.peers.init()
+	n.pool = newPool(tr, cfg.Pool, &n.peers, cfg.Counters, cfg.Gauges)
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
 	n.self.Store(&binding{epoch: nextEpoch(0)})
@@ -366,8 +356,6 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 	n.registry.init()
 	n.store.init()
 	n.seen.init()
-	n.peersTbl.init()
-	n.rtt.init()
 	n.runCtx, n.runCancel = context.WithCancel(context.Background())
 	return n, nil
 }
@@ -611,11 +599,11 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	case wire.TJoin:
 		return n.handleJoin(m)
 
-	case wire.TPublish:
-		n.handlePublish(m)
-		return &wire.Message{Type: wire.TPublishAck, Seq: m.Seq, Found: true}
-
-	case wire.TPublishBatch:
+	case wire.TPublish, wire.TPublishBatch:
+		if m.Type == wire.TPublish {
+			// The one-record frame is the batch whose only record is Self.
+			m.Entries = append(m.Entries[:0], m.Self)
+		}
 		n.handlePublishBatch(m)
 		return &wire.Message{Type: wire.TPublishAck, Seq: m.Seq, Found: true}
 

@@ -84,7 +84,7 @@ func WithRetryBudget(attempts int, base, max, total time.Duration) Option {
 
 // WithSuspicion tunes the per-peer circuit breakers: threshold
 // consecutive failures trip a breaker, which fails fast for cooldown
-// before admitting a probe. A negative threshold disables suspicion.
+// before admitting a probe.
 func WithSuspicion(threshold int, cooldown time.Duration) Option {
 	return func(cfg *Config) {
 		cfg.SuspicionThreshold = threshold
@@ -94,10 +94,6 @@ func WithSuspicion(threshold int, cooldown time.Duration) Option {
 
 // WithPool tunes the multiplexed per-peer connection pool.
 func WithPool(pc PoolConfig) Option { return func(cfg *Config) { cfg.Pool = pc } }
-
-// WithResolveCache tunes the lease-aware sharded location cache behind
-// ResolveContext (sharding, bound, negative TTL, stale window).
-func WithResolveCache(cc CacheConfig) Option { return func(cfg *Config) { cfg.Cache = cc } }
 
 // WithCounters records resilience events (rpc.retries, breaker.trips,
 // pool.dials, ...) on the given registry.
@@ -160,14 +156,11 @@ func (cfg Config) validate() error {
 			return fmt.Errorf("live: region %q is not in the declared region set %v", cfg.Region, cfg.Regions)
 		}
 	}
-	if cfg.Pool.MaxSessions < 0 || cfg.Pool.MaxInflight < 0 {
+	if cfg.SuspicionThreshold < 0 {
+		return fmt.Errorf("live: suspicion threshold must be >= 0, got %d", cfg.SuspicionThreshold)
+	}
+	if cfg.Pool.MaxSessions < 0 || cfg.Pool.MaxInflight < 0 || cfg.Pool.IdleTimeout < 0 {
 		return errors.New("live: pool limits must be >= 0")
-	}
-	if cfg.Cache.Shards < 0 || cfg.Cache.MaxEntries < 0 {
-		return errors.New("live: cache sizes must be >= 0")
-	}
-	if cfg.Cache.NegativeTTL < 0 || cfg.Cache.StaleWindow < 0 {
-		return errors.New("live: cache durations must be >= 0")
 	}
 	return nil
 }

@@ -115,6 +115,8 @@ func TestNewValidation(t *testing.T) {
 		{"negative timeout", "x", mem, []Option{WithRequestTimeout(-time.Second)}},
 		{"base above max", "x", mem, []Option{WithRetryBudget(3, time.Second, time.Millisecond, time.Minute)}},
 		{"negative pool limits", "x", mem, []Option{WithPool(PoolConfig{MaxSessions: -1})}},
+		{"negative idle timeout", "x", mem, []Option{WithPool(PoolConfig{IdleTimeout: -time.Second})}},
+		{"negative suspicion threshold", "x", mem, []Option{WithSuspicion(-1, time.Second)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,13 +12,13 @@ package live
 // circuit-breaker machinery in rpc.go. This is the only way a node sends
 // a frame: there is no unpooled exchange.
 //
-// The session table is sharded by peer address (same FNV-1a layout as the
-// breaker table): acquiring a session for one peer never contends with
-// exchanges against peers in other shards. The global MaxSessions cap is
-// enforced with an atomic reservation counter rather than a pool-wide
-// lock, and it bounds the sessions kept, not the exchanges admitted: an
-// exchange that finds every session busy gets one over the cap, and the
-// pool sheds a session the moment one goes idle while it is over.
+// A peer's session hangs off its record in the peer table (peer.go), under
+// that record's mutex: acquiring a session for one peer never contends
+// with exchanges against another. The global MaxSessions cap is enforced
+// with an atomic reservation counter rather than a pool-wide lock, and it
+// bounds the sessions kept, not the exchanges admitted: an exchange that
+// finds every session busy gets one over the cap, and the pool sheds a
+// session the moment one goes idle while it is over.
 
 import (
 	"context"
@@ -44,8 +44,7 @@ type PoolConfig struct {
 	// MaxInflight bounds the outbound frames queued to one session's
 	// writer; enqueues past it wait (backpressure). Default 128.
 	MaxInflight int
-	// IdleTimeout evicts sessions with no traffic for this long. Zero
-	// defaults to 60s; negative disables idle eviction.
+	// IdleTimeout evicts sessions with no traffic for this long. Default 60s.
 	IdleTimeout time.Duration
 }
 
@@ -56,7 +55,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 128
 	}
-	if c.IdleTimeout == 0 {
+	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 60 * time.Second
 	}
 	return c
@@ -70,16 +69,11 @@ var (
 	errEvictedCap  = errors.New("live: session evicted: pool at its cap")
 )
 
-// poolShard is one slice of the per-peer session table.
-type poolShard struct {
-	mu sync.Mutex
-	m  map[string]*session
-}
-
-// pool owns at most one session per peer address, sharded by address.
+// pool owns at most one session per peer: the sess of its record in peers.
 type pool struct {
-	tr  transport.Transport
-	cfg PoolConfig
+	tr    transport.Transport
+	cfg   PoolConfig
+	peers *peerTable
 
 	// Event and level handles, taken once at construction (nil without a
 	// registry, which counts nothing).
@@ -91,16 +85,16 @@ type pool struct {
 
 	closed atomic.Bool
 	nsess  atomic.Int64 // reserved session slots (the MaxSessions cap)
-	shards [stateShards]poolShard
 
 	stopJanitor chan struct{}
 	wg          sync.WaitGroup // janitor + per-session read/write loops
 }
 
-func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
+func newPool(tr transport.Transport, cfg PoolConfig, peers *peerTable, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
 	p := &pool{
-		tr:  tr,
-		cfg: cfg.withDefaults(),
+		tr:    tr,
+		cfg:   cfg.withDefaults(),
+		peers: peers,
 
 		dials:         counters.Counter("pool.dials"),
 		broken:        counters.Counter("pool.broken"),
@@ -112,28 +106,18 @@ func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters,
 		flushes:       counters.Counter("pool.flushes"),
 		sessions:      gauges.Gauge("pool.sessions"),
 		inflight:      gauges.Gauge("pool.inflight"),
-	}
-	for i := range p.shards {
-		p.shards[i].m = make(map[string]*session)
-	}
-	if p.cfg.IdleTimeout > 0 {
-		p.stopJanitor = make(chan struct{})
-		p.wg.Add(1)
-		go p.janitor()
-	}
-	return p
-}
 
-// shard selects addr's slice of the session table (addrShard: the same
-// FNV-1a as the breaker and RTT tables).
-func (p *pool) shard(addr string) *poolShard {
-	return &p.shards[addrShard(addr)]
+		stopJanitor: make(chan struct{}),
+	}
+	p.wg.Add(1)
+	go p.janitor()
+	return p
 }
 
 // session is one peer's long-lived multiplexed connection.
 type session struct {
 	p    *pool
-	addr string
+	peer *peer
 
 	ready   chan struct{} // closed once the creator's dial resolved
 	dialErr error         // set before ready closes
@@ -187,39 +171,35 @@ func (s *session) idle() bool {
 	return !s.torn && s.inflight == 0 && s.oneWay == 0
 }
 
-// acquire returns a live session for addr, dialing one if absent. The
-// creator dials inline, bounded by ctx and by (the one place an attempt
-// derives a context); concurrent acquirers of the same address wait for
-// that dial instead of racing their own. At the
+// acquire returns a live session for pr, dialing one if absent. The
+// creator dials inline, bounded by ctx and by the attempt's deadline (the
+// one place an attempt derives a context); concurrent acquirers of the
+// same peer wait for that dial instead of racing their own. At the
 // MaxSessions cap the least-recently-used idle session is evicted and
 // the acquire retried; with no idle victim the session is admitted over
 // the cap, to be shed when a session next goes idle (surplus).
-func (p *pool) acquire(ctx context.Context, addr string, by time.Time) (*session, error) {
+func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, error) {
 	// Each round returns, fails, has evicted an idle victim (freeing a slot
 	// that a rival may steal first), or has decided to go over the cap: no
 	// session was idle, or rivals stole the freed slot three times running.
 	over := false
 	for tries := 0; ; tries++ {
+		pr.mu.Lock()
+		// Close marks closed before sweeping the peers, so an acquire that
+		// sees closed==false here either beats the sweep (its session is
+		// swept and torn down with the rest) or observes closed==true.
 		if p.closed.Load() {
+			pr.mu.Unlock()
 			return nil, ErrPoolClosed
 		}
-		sh := p.shard(addr)
-		sh.mu.Lock()
-		// Close CAS-marks closed before sweeping the shards, so an acquire
-		// that sees closed==false here either beats the sweep (its session
-		// is swept and torn down with the rest) or observes closed==true.
-		if p.closed.Load() {
-			sh.mu.Unlock()
-			return nil, ErrPoolClosed
-		}
-		if s, ok := sh.m[addr]; ok {
-			sh.mu.Unlock()
+		if s := pr.sess; s != nil {
+			pr.mu.Unlock()
 			select {
 			case <-s.ready:
 			case <-s.done:
 				return nil, s.teardownErr()
 			case <-ctx.Done():
-				return nil, fmt.Errorf("live: pooled dial %s: %w", addr, ctx.Err())
+				return nil, fmt.Errorf("live: pooled dial %s: %w", pr.addr, ctx.Err())
 			}
 			if s.dialErr != nil {
 				return nil, s.dialErr
@@ -231,7 +211,7 @@ func (p *pool) acquire(ctx context.Context, addr string, by time.Time) (*session
 		if p.nsess.Add(1) > int64(p.cfg.MaxSessions) {
 			if !over {
 				p.nsess.Add(-1)
-				sh.mu.Unlock()
+				pr.mu.Unlock()
 				if victim := p.lruIdle(); victim != nil && tries < 3 {
 					victim.teardown(errEvictedCap) // its drop releases the slot
 				} else {
@@ -243,16 +223,16 @@ func (p *pool) acquire(ctx context.Context, addr string, by time.Time) (*session
 		}
 		s := &session{
 			p:       p,
-			addr:    addr,
+			peer:    pr,
 			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
 			writeCh: make(chan *waiter, p.cfg.MaxInflight),
 			pending: make(map[uint32]*waiter),
 			lastUse: time.Now(),
 		}
-		sh.m[addr] = s
+		pr.sess = s
 		p.sessions.Set(p.nsess.Load())
-		sh.mu.Unlock()
+		pr.mu.Unlock()
 		dctx, cancel := context.WithDeadline(ctx, by)
 		defer cancel()
 		return s, s.dial(dctx)
@@ -262,7 +242,7 @@ func (p *pool) acquire(ctx context.Context, addr string, by time.Time) (*session
 // dial is run once, by the session's creator. On success it starts the
 // session's read and write loops.
 func (s *session) dial(ctx context.Context) error {
-	conn, err := transport.DialContext(ctx, s.p.tr, s.addr)
+	conn, err := transport.DialContext(ctx, s.p.tr, s.peer.addr)
 	if err != nil {
 		s.dialErr = err
 		close(s.ready)
@@ -299,7 +279,7 @@ func (s *session) writeLoop() {
 		case f := <-s.writeCh:
 			frames, oneWay, err := s.writeBurst(f)
 			if err != nil {
-				s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.addr, err))
+				s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, err))
 				return
 			}
 			s.p.frames.Add(frames)
@@ -366,7 +346,7 @@ func (s *session) readLoop() {
 	for {
 		m, err := s.conn.Recv()
 		if err != nil {
-			s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.addr, err))
+			s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.peer.addr, err))
 			return
 		}
 		s.mu.Lock()
@@ -453,7 +433,7 @@ func (s *session) abandon(w *waiter, cause error) error {
 	if cause == nil {
 		return s.teardownErr()
 	}
-	return fmt.Errorf("live: pooled request to %s: %w", s.addr, cause)
+	return fmt.Errorf("live: pooled request to %s: %w", s.peer.addr, cause)
 }
 
 func (s *session) endUse() {
@@ -529,7 +509,7 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 	case <-s.done:
 		err = s.teardownErr()
 	case <-ctx.Done():
-		err = fmt.Errorf("live: pooled send to %s: %w", s.addr, ctx.Err())
+		err = fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, ctx.Err())
 	}
 	s.mu.Lock()
 	s.oneWay--
@@ -537,19 +517,19 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 	return err
 }
 
-// roundTrip acquires (or dials) addr's session and runs one exchange, to
+// roundTrip acquires (or dials) pr's session and runs one exchange, to
 // end by the attempt's deadline.
-func (p *pool) roundTrip(ctx context.Context, addr string, m *wire.Message, by time.Time) (*wire.Message, error) {
-	s, err := p.acquire(ctx, addr, by)
+func (p *pool) roundTrip(ctx context.Context, pr *peer, m *wire.Message, by time.Time) (*wire.Message, error) {
+	s, err := p.acquire(ctx, pr, by)
 	if err != nil {
 		return nil, err
 	}
 	return s.roundTrip(ctx, m, by)
 }
 
-// send acquires (or dials) addr's session and enqueues a one-way frame.
-func (p *pool) send(ctx context.Context, addr string, m *wire.Message, by time.Time) error {
-	s, err := p.acquire(ctx, addr, by)
+// send acquires (or dials) pr's session and enqueues a one-way frame.
+func (p *pool) send(ctx context.Context, pr *peer, m *wire.Message, by time.Time) error {
+	s, err := p.acquire(ctx, pr, by)
 	if err != nil {
 		return err
 	}
@@ -560,34 +540,43 @@ func (p *pool) send(ctx context.Context, addr string, m *wire.Message, by time.T
 // its slot reservation. The identity check makes the double-drop from
 // the dial-failure path (drop + teardown→drop) harmless.
 func (p *pool) drop(s *session) {
-	sh := p.shard(s.addr)
-	sh.mu.Lock()
-	if sh.m[s.addr] == s {
-		delete(sh.m, s.addr)
+	pr := s.peer
+	pr.mu.Lock()
+	if pr.sess == s {
+		pr.sess = nil
 		p.sessions.Set(p.nsess.Add(-1))
 	}
-	sh.mu.Unlock()
+	pr.mu.Unlock()
+}
+
+// current snapshots the sessions the peers hold. What a caller decides
+// from it is a best effort under concurrent churn, which eviction tolerates
+// by design: tearing down a session that was replaced meanwhile is a no-op.
+func (p *pool) current() []*session {
+	var out []*session
+	p.peers.each(func(pr *peer) {
+		pr.mu.Lock()
+		if pr.sess != nil {
+			out = append(out, pr.sess)
+		}
+		pr.mu.Unlock()
+	})
+	return out
 }
 
 // lruIdle returns the least-recently-used session with nothing in
-// flight, or nil. Shards are scanned one at a time; the answer is a best
-// effort under concurrent churn, which eviction tolerates by design.
+// flight, or nil.
 func (p *pool) lruIdle() *session {
 	var oldest *session
 	var oldestUse time.Time
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.m {
-			s.mu.Lock()
-			idle := s.idle()
-			use := s.lastUse
-			s.mu.Unlock()
-			if idle && (oldest == nil || use.Before(oldestUse)) {
-				oldest, oldestUse = s, use
-			}
+	for _, s := range p.current() {
+		s.mu.Lock()
+		idle := s.idle()
+		use := s.lastUse
+		s.mu.Unlock()
+		if idle && (oldest == nil || use.Before(oldestUse)) {
+			oldest, oldestUse = s, use
 		}
-		sh.mu.Unlock()
 	}
 	return oldest
 }
@@ -611,22 +600,13 @@ func (p *pool) janitor() {
 }
 
 func (p *pool) evictIdle(now time.Time) {
-	var victims []*session
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.m {
-			s.mu.Lock()
-			idle := s.idle() && now.Sub(s.lastUse) >= p.cfg.IdleTimeout
-			s.mu.Unlock()
-			if idle {
-				victims = append(victims, s)
-			}
+	for _, s := range p.current() {
+		s.mu.Lock()
+		idle := s.idle() && now.Sub(s.lastUse) >= p.cfg.IdleTimeout
+		s.mu.Unlock()
+		if idle {
+			s.teardown(errEvictedIdle)
 		}
-		sh.mu.Unlock()
-	}
-	for _, s := range victims {
-		s.teardown(errEvictedIdle)
 	}
 }
 
@@ -639,23 +619,9 @@ func (p *pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	var victims []*session
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.m {
-			victims = append(victims, s)
-		}
-		sh.m = make(map[string]*session)
-		sh.mu.Unlock()
-	}
-	p.nsess.Store(0)
-	p.sessions.Set(0)
-	if p.stopJanitor != nil {
-		close(p.stopJanitor)
-	}
-	for _, s := range victims {
-		s.teardown(ErrPoolClosed)
+	close(p.stopJanitor)
+	for _, s := range p.current() {
+		s.teardown(ErrPoolClosed) // its drop releases the slot
 	}
 	p.wg.Wait()
 }

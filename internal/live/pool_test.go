@@ -20,8 +20,8 @@ import (
 )
 
 // poolTestConfig returns a client policy tuned for fast tests: short
-// per-attempt timeouts, quick retries, suspicion off (injected faults
-// must not trip breakers and mask pool behaviour).
+// per-attempt timeouts, quick retries, a suspicion threshold out of reach
+// (injected faults must not trip breakers and mask pool behaviour).
 func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gauges) Config {
 	return Config{
 		Name:               name,
@@ -31,10 +31,17 @@ func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gau
 		RetryBase:          2 * time.Millisecond,
 		RetryMax:           20 * time.Millisecond,
 		RetryBudget:        10 * time.Second,
-		SuspicionThreshold: -1,
+		SuspicionThreshold: 1 << 30,
 		Counters:           counters,
 		Gauges:             gauges,
 	}
+}
+
+// newTestPool is a pool over a peer table of its own, without a node.
+func newTestPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters) *pool {
+	peers := &peerTable{}
+	peers.init()
+	return newPool(tr, cfg, peers, counters, nil)
 }
 
 // TestPoolConcurrentDemuxUnderFaults hammers one pooled session from many
@@ -266,21 +273,21 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	const slowFor = 400 * time.Millisecond
 	l := startSlowServer(t, mem, slowFor)
 
-	p := newPool(mem, PoolConfig{}, nil, nil)
+	p := newTestPool(mem, PoolConfig{}, nil)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
+		_, err := p.roundTrip(ctx, p.peers.get(l.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
 		slowDone <- err
 	}()
 	// Let the slow request reach the wire before racing it.
 	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
-	if _, err := p.roundTrip(ctx, l.Addr(), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, p.peers.get(l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatalf("fast ping: %v", err)
 	}
 	fast := time.Since(start)
@@ -316,7 +323,7 @@ func TestPoolSaturationGoesOverCap(t *testing.T) {
 	// Occupy the single slot with an in-flight exchange.
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := client.pool.roundTrip(ctx, slow.Addr(), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")}, farOff())
+		_, err := client.pool.roundTrip(ctx, client.peers.get(slow.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")}, farOff())
 		slowDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -348,13 +355,13 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)
 
-	p := newPool(mem, PoolConfig{}, nil, nil)
+	p := newTestPool(mem, PoolConfig{}, nil)
 	ctx := context.Background()
-	if _, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, p.peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	_, err := p.roundTrip(ctx, server.l.Addr(), &wire.Message{Type: wire.TPing}, farOff())
+	_, err := p.roundTrip(ctx, p.peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff())
 	if err != ErrPoolClosed {
 		t.Fatalf("roundTrip after Close: err = %v, want ErrPoolClosed", err)
 	}
@@ -412,17 +419,17 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	other := startPingServer(t, faulty.Endpoint("other"))
 
 	counters := metrics.NewCounters()
-	p := newPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters, nil)
+	p := newTestPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
-		if err := p.send(ctx, sink.Addr(), push, farOff()); err != nil {
+		if err := p.send(ctx, p.peers.get(sink.Addr(), true), push, farOff()); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if _, err := p.acquire(ctx, other.l.Addr(), farOff()); err != nil {
+	if _, err := p.acquire(ctx, p.peers.get(other.l.Addr(), true), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
 	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {

@@ -172,8 +172,8 @@ func TestSelectReplicasRegionDiversity(t *testing.T) {
 func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 	n := mustNode(t, Config{Name: "prober"}, transport.NewMem())
 	defer n.Close()
-	n.rtt.observe("measured-a", 10*time.Millisecond)
-	n.rtt.observe("measured-b", 30*time.Millisecond)
+	n.peers.get("measured-a", true).observe(10 * time.Millisecond)
+	n.peers.get("measured-b", true).observe(30 * time.Millisecond)
 	for i, e := range entries("measured-a", "measured-b", "unknown") {
 		e.Key = hashkey.Key(i + 1) // the ring, and eff with it, is ascending by key
 		n.members.update(e)
@@ -237,33 +237,42 @@ func TestPeerHealthNoMeasurementsUsesFloor(t *testing.T) {
 }
 
 func TestRTTTableObserveEstimate(t *testing.T) {
-	var tbl rttTable
+	var tbl peerTable
 	tbl.init()
-	if _, _, ok := tbl.estimate("nobody"); ok {
+	if _, ok := tbl.get("nobody", false).estimate(); ok {
 		t.Fatal("estimate for unseen peer should be absent")
 	}
-	tbl.observe("p", 10*time.Millisecond)
-	est, samples, ok := tbl.estimate("p")
-	if !ok || samples != 1 || est != 10*time.Millisecond {
-		t.Fatalf("first sample = (%v, %d, %v), want exactly 10ms", est, samples, ok)
+	samples := func(addr string) uint32 {
+		_, n := tbl.get(addr, false).rtt.Load()
+		return n
 	}
-	tbl.observe("p", 20*time.Millisecond)
-	est, samples, _ = tbl.estimate("p")
+	p := tbl.get("p", true)
+	if _, ok := p.estimate(); ok {
+		t.Fatal("estimate for an admitted but unmeasured peer should be absent")
+	}
+	p.observe(10 * time.Millisecond)
+	est, ok := tbl.get("p", false).estimate()
+	if !ok || samples("p") != 1 || est != 10*time.Millisecond {
+		t.Fatalf("first sample = (%v, %d, %v), want exactly 10ms", est, samples("p"), ok)
+	}
+	p.observe(20 * time.Millisecond)
+	est, _ = p.estimate()
 	want := time.Duration((1-rttAlpha)*float64(10*time.Millisecond) + rttAlpha*float64(20*time.Millisecond))
-	if samples != 2 || est < want-time.Millisecond || est > want+time.Millisecond {
-		t.Fatalf("smoothed = (%v, %d), want ~%v", est, samples, want)
+	if samples("p") != 2 || est < want-time.Millisecond || est > want+time.Millisecond {
+		t.Fatalf("smoothed = (%v, %d), want ~%v", est, samples("p"), want)
 	}
 	// Non-positive durations (clock granularity) still count as samples.
-	tbl.observe("q", 0)
-	if _, samples, ok := tbl.estimate("q"); !ok || samples != 1 {
+	tbl.get("q", true).observe(0)
+	if _, ok := tbl.get("q", false).estimate(); !ok || samples("q") != 1 {
 		t.Fatal("zero-duration sample not counted")
 	}
 }
 
-// TestRTTTableConcurrent hammers observe/estimate across peers and
-// goroutines; run under -race this pins the lock-free read discipline.
+// TestRTTTableConcurrent hammers admission, observe and estimate across
+// peers and goroutines; run under -race this pins the lock-free read
+// discipline, and that racing admissions of one address end in one record.
 func TestRTTTableConcurrent(t *testing.T) {
-	var tbl rttTable
+	var tbl peerTable
 	tbl.init()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -272,15 +281,16 @@ func TestRTTTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				addr := fmt.Sprintf("peer-%d", i%37)
-				tbl.observe(addr, time.Duration(g+1)*time.Millisecond)
-				tbl.estimate(addr)
+				tbl.get(addr, true).observe(time.Duration(g+1) * time.Millisecond)
+				tbl.get(addr, false).estimate()
 			}
 		}(g)
 	}
 	wg.Wait()
 	for i := 0; i < 37; i++ {
-		if _, samples, ok := tbl.estimate(fmt.Sprintf("peer-%d", i)); !ok || samples == 0 {
-			t.Fatalf("peer-%d missing after concurrent observes", i)
+		_, samples := tbl.get(fmt.Sprintf("peer-%d", i), true).rtt.Load()
+		if want := uint32(8 * (2000 / 37)); samples < want {
+			t.Fatalf("peer-%d has %d samples after concurrent observes, want >= %d: an admission lost its record", i, samples, want)
 		}
 	}
 }
@@ -313,8 +323,9 @@ func TestRTTFedFromOrdinaryExchanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est, samples, ok := a.rtt.estimate(b.Addr())
-	if !ok || samples != 4 {
+	peer := a.peers.get(b.Addr(), false)
+	est, ok := peer.estimate()
+	if _, samples := peer.rtt.Load(); !ok || samples != 4 {
 		t.Fatalf("estimate = (%v, %d, %v), want 4 samples", est, samples, ok)
 	}
 	if est < 4*time.Millisecond || est > 50*time.Millisecond {

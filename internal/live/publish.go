@@ -60,9 +60,9 @@ const publishBatchMax = 8192
 // publication, k-replicated). Records are grouped by owner replica so a
 // move re-homes N keys in O(replicas) RPCs, not O(N): each distinct
 // replica address receives one TPublishBatch (chunked at
-// publishBatchMax) ingested record-by-record on the far side. A node
-// owning nothing beyond its identity key sends the classic single-record
-// TPublish. It succeeds when every record was stored at ≥1 replica.
+// publishBatchMax) ingested record-by-record on the far side; a node
+// owning nothing beyond its identity key sends a batch of one. It succeeds
+// when every record was stored at ≥1 replica.
 func (n *Node) PublishContext(ctx context.Context) error {
 	now := time.Now()
 	// One atomic read of (addr, epoch): every record of this publication
@@ -136,11 +136,6 @@ func (n *Node) PublishContext(ctx context.Context) error {
 				// Each replica gets its own message: Seq is stamped per
 				// exchange, so concurrent fan-out must not share frames.
 				msg := &wire.Message{Type: wire.TPublishBatch, Self: self, Entries: chunk}
-				if len(records) == 1 {
-					// Nothing owned beyond the identity key: keep the
-					// classic single-record publish on the wire.
-					msg = &wire.Message{Type: wire.TPublish, Self: self}
-				}
 				n.ctr.publishRPCs.Inc()
 				resp, err := n.request(ctx, addr, msg)
 				switch {

@@ -37,22 +37,6 @@ import (
 	"bristle/internal/wire"
 )
 
-// CacheConfig tunes the node's location cache (the resolve hot path).
-// The zero value means the defaults.
-type CacheConfig struct {
-	// Shards is the number of independently locked cache segments
-	// (rounded up to a power of two). Default 16.
-	Shards int
-	// MaxEntries bounds the cache across all shards. Default 4096.
-	MaxEntries int
-	// NegativeTTL is how long a "no record" discovery answer suppresses
-	// repeat lookups for the same key. Default 1s.
-	NegativeTTL time.Duration
-	// StaleWindow is how long past its lease an entry may still be served
-	// while a background refresh runs. Default 30s.
-	StaleWindow time.Duration
-}
-
 // ResolveContext resolves key's current address, cache first. A fresh
 // lease answers immediately; a stale one answers while a background
 // refresh re-resolves; a cache miss goes to the network through a
@@ -126,34 +110,16 @@ func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key, revalidate b
 }
 
 // launchRefresh starts a background re-resolution of key unless one is
-// already in flight (or the node is closing). Reports whether a flight
-// was started.
-func (n *Node) launchRefresh(key hashkey.Key) bool {
+// already in flight (or the node is closing).
+func (n *Node) launchRefresh(key hashkey.Key) {
 	if n.runCtx.Err() != nil {
-		return false
+		return
 	}
-	started := n.flights.Launch(key, func() (string, error) {
+	if n.flights.Launch(key, func() (string, error) {
 		return n.flightDiscover(n.runCtx, key, true)
-	})
-	if started {
+	}) {
 		n.ctr.refreshes.Inc()
 	}
-	return started
-}
-
-// refreshExpiring re-resolves up to topK most-recently-used cached
-// entries whose lease lapses within window — the early-binding refresher
-// step: renew the working set's bindings before they expire so the hot
-// path keeps answering from fresh leases. Returns how many refresh
-// flights were started.
-func (n *Node) refreshExpiring(topK int, window time.Duration) int {
-	started := 0
-	for _, cand := range n.loc.ExpiringSoon(topK, window) {
-		if n.launchRefresh(cand.Key) {
-			started++
-		}
-	}
-	return started
 }
 
 // DiscoverContext resolves key's current address through the location

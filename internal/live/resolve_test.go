@@ -214,7 +214,7 @@ func TestStoreAndCacheRoles(t *testing.T) {
 	published := hashkey.FromName("published")
 	pushed := hashkey.FromName("pushed")
 
-	n.handlePublish(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: published, Addr: "10.0.0.1:1"}})
+	n.handlePublishBatch(&wire.Message{Type: wire.TPublishBatch, Entries: []wire.Entry{{Key: published, Addr: "10.0.0.1:1"}}})
 	n.handleUpdate(&wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: pushed, Addr: "10.0.0.2:2"}})
 
 	// The publication is served to the network but is not a learned
@@ -321,100 +321,6 @@ func TestResolveStaleWhileRevalidate(t *testing.T) {
 	}
 	if got := ctrs.Get("loccache.refreshes"); got == 0 {
 		t.Fatal("no refresh flight recorded")
-	}
-}
-
-// TestRefreshExpiringRenewsLease: the early-binding refresher re-resolves
-// an entry before its lease lapses, so the hot path never observes the
-// expiry.
-func TestRefreshExpiringRenewsLease(t *testing.T) {
-	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
-	defer cleanup()
-	target := cluster[1]
-	if err := target.PublishContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A lease about to lapse (the server record itself has no TTL, so the
-	// refresh will fetch a fresh, unleased binding).
-	client.loc.Put(target.Key(), target.Addr(), 200*time.Millisecond)
-
-	if started := client.refreshExpiring(8, 400*time.Millisecond); started != 1 {
-		t.Fatalf("refreshExpiring started %d flights, want 1", started)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ctrs.Get("resolve.discoveries") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("refresh flight never discovered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// An entry far from expiry is not eligible.
-	client.loc.Put(hashkey.FromName("durable"), "x", time.Hour)
-	if started := client.refreshExpiring(8, 400*time.Millisecond); started != 0 {
-		t.Fatalf("refreshExpiring touched a durable lease (%d flights)", started)
-	}
-}
-
-// TestMaintenanceRefresherKeepsLeaseFresh runs the real maintenance loop:
-// a mobile renews its own publication while the watcher's refresher keeps
-// the watcher-side lease fresh, so CachedAddr stays valid well past the
-// original lease TTL without any foreground resolve.
-func TestMaintenanceRefresherKeepsLeaseFresh(t *testing.T) {
-	mem := transport.NewMem()
-	server := mustNode(t, Config{Name: "server", Capacity: 3}, mem)
-	if err := server.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	ctrs := metrics.NewCounters()
-	mob := mustNode(t, Config{Name: "mob", Capacity: 2, Mobile: true, LeaseTTL: 600 * time.Millisecond}, mem)
-	if err := mob.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer mob.Close()
-	watcher := mustNode(t, Config{Name: "watcher", Capacity: 2, RequestTimeout: time.Second, Counters: ctrs}, mem)
-	if err := watcher.Start(""); err != nil {
-		t.Fatal(err)
-	}
-	defer watcher.Close()
-	for _, nd := range []*Node{mob, watcher} {
-		if err := nd.JoinViaContext(context.Background(), server.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 3; i++ {
-		server.GossipOnce(rng)
-		mob.GossipOnce(rng)
-		watcher.GossipOnce(rng)
-	}
-	if err := mob.PublishContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := watcher.ResolveContext(context.Background(), mob.Key()); err != nil {
-		t.Fatal(err)
-	}
-
-	stopMob := mob.StartMaintenance(MaintainConfig{RenewInterval: 150 * time.Millisecond})
-	defer stopMob()
-	stopWatch := watcher.StartMaintenance(MaintainConfig{RefreshInterval: 100 * time.Millisecond, RefreshTopK: 8})
-	defer stopWatch()
-
-	// Sample well past the original 600ms lease: the refresher must keep
-	// the watcher-side entry fresh the whole time.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := watcher.CachedAddr(mob.Key()); !ok {
-			// Stale is tolerable only mid-refresh; a hard miss is not.
-			if _, state := watcher.loc.Peek(mob.Key()); state == loccache.Miss || state == loccache.Negative {
-				t.Fatalf("watcher lost the binding (state %v) despite the refresher", state)
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if got := ctrs.Get("loccache.refreshes"); got == 0 {
-		t.Fatal("maintenance refresher never fired")
 	}
 }
 

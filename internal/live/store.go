@@ -2,8 +2,7 @@ package live
 
 // This file is the node's repository fragment — the location records it
 // holds as an owner/replica of other nodes' keys — plus the server-side
-// handlers that ingest and serve them (TPublish, TPublishBatch,
-// TDiscover, TUpdate).
+// handlers that ingest and serve them (TPublishBatch, TDiscover, TUpdate).
 //
 // Both tables are sharded sixteen ways by key, mirroring loccache's
 // layout: a publish batch ingesting thousands of records contends only
@@ -147,27 +146,8 @@ func (t *epochTable) get(k hashkey.Key) uint64 {
 	return sh.m[k]
 }
 
-func (n *Node) handlePublish(m *wire.Message) {
-	ok := n.store.apply(m.Self, time.Now())
-	if ok {
-		// A publisher is also a live peer worth knowing about.
-		n.members.update(m.Self)
-	}
-	n.ctr.publishRecords.Inc()
-	if ok {
-		n.ctr.publishAccepted.Inc()
-		if n.cfg.Logger != nil {
-			n.logf("stored location of %v → %s (epoch %d)", m.Self.Key, m.Self.Addr, m.Self.Epoch)
-		}
-	} else {
-		n.ctr.publishStaleRejected.Inc()
-		if n.cfg.Logger != nil {
-			n.logf("rejected stale publish of %v → %s (epoch %d)", m.Self.Key, m.Self.Addr, m.Self.Epoch)
-		}
-	}
-}
-
-// handlePublishBatch ingests a multi-record publish record by record,
+// handlePublishBatch ingests a publish — every publish is a batch, a host's
+// identity record and the keys it owns moving together — record by record,
 // each under its own shard lock: concurrent discovers never stall behind
 // the batch, and two batches for one publisher interleave per key with
 // the epoch check breaking every tie. A discover served mid-batch may
@@ -183,7 +163,7 @@ func (n *Node) handlePublishBatch(m *wire.Message) {
 			accepted++
 		}
 	}
-	n.members.update(m.Self)
+	n.members.update(m.Self) // a publisher is also a live peer worth knowing about
 	n.countIngest(len(m.Entries), accepted)
 	if n.cfg.Logger != nil {
 		n.logf("batch publish from %v: %d records, %d accepted (epoch %d)",
@@ -278,10 +258,9 @@ func (n *Node) handleUpdate(m *wire.Message) {
 		n.logf("location update: %v now at %s, delegating %d", m.Self.Key, m.Self.Addr, len(m.Entries))
 	}
 	// Re-advertise to the delegated subtree (Figure 4 recursion) through
-	// the coalescing queue: the handler returns immediately, the flusher
+	// the coalescing queue: the handler returns immediately (it must never
+	// block its connection's worker on downstream fan-out), the flusher
 	// sends under the node's lifecycle context — a Close mid-fan-out
 	// aborts the recursion instead of stalling behind it.
-	if len(m.Entries) > 0 {
-		n.advertise(m.Self, m.Entries)
-	}
+	n.fanOut(m.Self, m.Entries)
 }

@@ -27,7 +27,6 @@ package loccache
 import (
 	"container/list"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,9 +138,6 @@ type entry struct {
 	// touched is a hit the LRU list has not seen yet. A hit sets it only
 	// when it is clear; eviction clears it and applies the promotion.
 	touched atomic.Bool
-	// lastUsed is the Unix second of the latest hit (of the fill, before
-	// any): the early-binding refresher's MRU ranking.
-	lastUsed atomic.Int64
 	// elem is the entry's position in its shard's LRU list, guarded by
 	// the shard mutex.
 	elem *list.Element
@@ -170,16 +166,11 @@ func (e *entry) expired(now time.Time) bool {
 	return (e.hasTTL || e.negative) && !now.Before(e.expires)
 }
 
-// used records a hit at now. On an entry that is hit continuously it
-// writes nothing: the flag is already set and the second has not changed,
-// so the entry's cache line stays shared between the processors reading
-// it.
-func (e *entry) used(now time.Time) {
+// used records a hit. On an entry already touched it writes nothing, so
+// the entry's cache line stays shared between the processors reading it.
+func (e *entry) used() {
 	if !e.touched.Load() {
 		e.touched.Store(true)
-	}
-	if sec := now.Unix(); e.lastUsed.Load() != sec {
-		e.lastUsed.Store(sec)
 	}
 }
 
@@ -301,11 +292,11 @@ func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	st := e.state(now, c.cfg.StaleWindow)
 	switch st {
 	case Fresh:
-		e.used(now)
+		e.used()
 		c.hit.Inc()
 		return e.addr, st
 	case Stale:
-		e.used(now)
+		e.used()
 		c.stale.Inc()
 		return e.addr, st
 	case Negative:
@@ -364,7 +355,6 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 		e.hasTTL = true
 		e.expires = now.Add(ttl)
 	}
-	e.lastUsed.Store(now.Unix())
 
 	s := c.shardOf(e.key)
 	s.mu.Lock()
@@ -463,55 +453,4 @@ func (c *Cache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Candidate is one entry the early-binding refresher should re-resolve.
-type Candidate struct {
-	Key     hashkey.Key
-	Addr    string
-	Expires time.Time
-}
-
-// ExpiringSoon returns up to k positive, leased entries whose lease
-// lapses within window (including already-stale ones a refresh would
-// revive), most-recently-used first — the working set worth re-binding
-// early so steady-state sends never block on discovery.
-func (c *Cache) ExpiringSoon(k int, window time.Duration) []Candidate {
-	if k <= 0 {
-		return nil
-	}
-	now := c.cfg.Clock()
-	horizon := now.Add(window)
-	type ranked struct {
-		cand Candidate
-		used int64
-	}
-	var all []ranked
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.negative || !e.hasTTL || e.expires.After(horizon) {
-				continue
-			}
-			if e.state(now, c.cfg.StaleWindow) == Miss {
-				continue // too far gone; demand traffic can revive it
-			}
-			all = append(all, ranked{
-				cand: Candidate{Key: e.key, Addr: e.addr, Expires: e.expires},
-				used: e.lastUsed.Load(),
-			})
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].used > all[j].used })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]Candidate, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].cand
-	}
-	return out
 }

@@ -55,9 +55,9 @@ func (g *Group) Do(ctx context.Context, key hashkey.Key, fn func() (string, erro
 }
 
 // Launch starts a detached flight for key if none is running and reports
-// whether it did — the fire-and-forget form behind stale-while-revalidate
-// and the early-binding refresher. Nobody waits on the result here; a
-// concurrent Do for the same key joins the launched flight.
+// whether it did — the fire-and-forget form behind stale-while-revalidate.
+// Nobody waits on the result here; a concurrent Do for the same key joins
+// the launched flight.
 func (g *Group) Launch(key hashkey.Key, fn func() (string, error)) bool {
 	f, leader := g.join(key)
 	if leader {

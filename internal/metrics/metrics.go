@@ -139,47 +139,6 @@ func RDP(baseline, optimized float64) float64 {
 	return baseline / optimized
 }
 
-// Histogram counts integer-valued observations in unit bins.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int)}
-}
-
-// Add counts one observation of value v.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the number of observations equal to v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns Count(v)/Total (0 when empty).
-func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// Keys returns the observed values in ascending order.
-func (h *Histogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // Table renders aligned text tables matching the paper's row/series style.
 type Table struct {
 	header []string

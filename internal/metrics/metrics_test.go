@@ -123,30 +123,6 @@ func TestRDP(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{1, 2, 2, 3, 3, 3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Count(3) != 3 || h.Count(99) != 0 {
-		t.Fatal("Count wrong")
-	}
-	if got := h.Fraction(2); math.Abs(got-1.0/3) > 1e-9 {
-		t.Fatalf("Fraction(2) = %v", got)
-	}
-	keys := h.Keys()
-	if len(keys) != 3 || keys[0] != 1 || keys[2] != 3 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	empty := NewHistogram()
-	if empty.Fraction(1) != 0 {
-		t.Fatal("empty histogram Fraction != 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("M/N (%)", "hops", "rdp")
 	tb.AddRow(10, 5.25, 1.0)
