@@ -147,7 +147,7 @@ soak-10k:
 		BRISTLE_SOAK_SEED=$(SOAK_SEED) $(GO) test -count=1 \
 		-run 'TestSoak10k$$' -timeout 30m -v ./internal/harness | tee soak10k.log
 
+# clean removes the scratch files the targets above write and nothing that
+# is committed: BENCH_*.json are the baselines bench-gate compares against.
 clean:
-	rm -f bench_resolve.txt BENCH_resolve.json bench_publish.txt BENCH_publish.json \
-		bench_gate.txt bench_gate.json bench_stretch.txt BENCH_stretch.json \
-		stretch_gate.txt stretch_gate.json cold_gate.txt cold_gate.json
+	rm -f bench_*.txt *_gate.txt *_gate.json soak10k.log

@@ -19,8 +19,7 @@ type counters struct {
 	publishRecords, publishAccepted, publishStaleRejected *metrics.Counter
 	publishRPCs                                           *metrics.Counter
 	updatesReceived, updatesApplied, updatesStaleRejected *metrics.Counter
-	updatesDropped, updatesCoalesced                      *metrics.Counter
-	registryExpired                                       *metrics.Counter
+	updatesDropped, registryExpired                       *metrics.Counter
 	// node.go: inline replies and the socket writes that carried them
 	serveFrames, serveFlushes *metrics.Counter
 	// join.go: every request is accepted or rejected for one reason
@@ -52,7 +51,6 @@ func newCounters(r *metrics.Counters) counters {
 		updatesApplied:       r.Counter("updates.applied"),
 		updatesStaleRejected: r.Counter("updates.stale_rejected"),
 		updatesDropped:       r.Counter("updates.dropped"),
-		updatesCoalesced:     r.Counter("updates.coalesced"),
 		registryExpired:      r.Counter("registry.expired"),
 
 		serveFrames:  r.Counter("serve.frames"),

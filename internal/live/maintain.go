@@ -20,12 +20,6 @@ type MaintainConfig struct {
 	// probed so they can be readmitted without waiting for live traffic to
 	// half-open them. Zero disables background probing.
 	ProbeInterval time.Duration
-	// RegistrySweepInterval is how often lapsed registrations (registrants
-	// whose lease expired without a renewing re-register) are swept out of
-	// R(self). Zero derives LeaseTTL/2 when a lease is set, else disables
-	// the sweep; the LDT fan-out also sweeps inline, so the periodic sweep
-	// only bounds how long a dead registrant occupies memory.
-	RegistrySweepInterval time.Duration
 	// Rand seeds gossip partner selection; nil uses a time-seeded source.
 	Rand *rand.Rand
 }
@@ -40,9 +34,6 @@ type MaintainConfig struct {
 func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	if cfg.RenewInterval == 0 && n.cfg.LeaseTTL > 0 {
 		cfg.RenewInterval = n.cfg.LeaseTTL / 2
-	}
-	if cfg.RegistrySweepInterval == 0 && n.cfg.LeaseTTL > 0 {
-		cfg.RegistrySweepInterval = n.cfg.LeaseTTL / 2
 	}
 	rng := cfg.Rand
 	if rng == nil {
@@ -83,7 +74,10 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 		}
 	})
 	every(cfg.ProbeInterval, func() { n.ProbeSuspects(ctx) })
-	every(cfg.RegistrySweepInterval, func() { n.SweepRegistry() })
+	// Lapsed registrations leave R(self) every half lease; the LDT fan-out
+	// also sweeps inline, so this only bounds how long a dead registrant
+	// occupies memory.
+	every(n.cfg.LeaseTTL/2, func() { n.SweepRegistry() })
 
 	return func() {
 		cancel()

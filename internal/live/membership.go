@@ -427,6 +427,9 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 			mean = 1
 		}
 	}
+	if known == len(ring) {
+		return r, nil // nothing to draw: the node-wide rngMu stays untaken
+	}
 	n.rngMu.Lock()
 	for i, est := range r.eff {
 		if est == unknown {

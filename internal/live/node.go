@@ -24,7 +24,8 @@
 //     join/gossip/register; replica selection
 //   - publish.go    — the owned-key set and the batched publish fan-out
 //   - resolve.go    — the cache-first resolve hot path
-//   - advertise.go  — the coalescing LDT push queue and fan-out
+//   - advertise.go  — the LDT fan-out: each head's update, straight to
+//     its session
 //   - peer.go       — the one per-peer table: RTT estimate, circuit
 //     breaker and pooled session of every address
 //   - rpc.go        — retries, backoff, the retry budget
@@ -244,7 +245,7 @@ type binding struct {
 // update, register, resolve) takes a lock shared with any other concern:
 //
 //   - lifeMu guards lifecycle transitions only (listener swaps, the stop
-//     flag, flusher startup); handlers never touch it.
+//     flag); handlers never touch it.
 //   - self is the atomically published (addr, epoch) binding.
 //   - members and registry are copy-on-write snapshots (membership.go):
 //     reads are lock-free, writes clone under a private writer mutex.
@@ -260,10 +261,9 @@ type Node struct {
 	pool *pool    // every outbound frame rides one of its sessions
 	ctr  counters // event handles into cfg.Counters
 
-	lifeMu    sync.Mutex
-	listener  *listenerState
-	stopped   bool
-	flusherOn bool // update flusher goroutine started (advertise.go)
+	lifeMu   sync.Mutex
+	listener *listenerState
+	stopped  bool
 
 	self atomic.Pointer[binding]
 
@@ -303,11 +303,10 @@ type Node struct {
 
 	// runCtx is the node's lifecycle context: canceled by Close, it bounds
 	// every background send the node originates on its own behalf (LDT
-	// re-advertisement, the update flusher) so shutdown never stalls on
+	// re-advertisement, detached flights) so shutdown never stalls on
 	// in-flight fan-out.
 	runCtx    context.Context
 	runCancel context.CancelFunc
-	updq      *updateQueue // coalescing LDT push queue (advertise.go)
 }
 
 // newNode is the step New ends in: it validates cfg, fills the defaults
@@ -344,7 +343,6 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		updates: make(chan Update, 64),
 		owned:   make(map[hashkey.Key]struct{}),
 		ids:     make(map[hashkey.Key][32]byte),
-		updq:    newUpdateQueue(),
 		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
 	n.peers.init()
@@ -434,8 +432,7 @@ func (n *Node) Close() error {
 	n.stopped = true
 	ls := n.listener
 	n.lifeMu.Unlock()
-	n.runCancel()  // abort in-flight LDT fan-out, flusher sends and detached flights
-	n.updq.close() // unblock enqueue waiters; the flusher drains out
+	n.runCancel() // abort in-flight LDT fan-out and detached flights
 	n.pool.Close()
 	if ls != nil {
 		ls.close()

@@ -133,16 +133,19 @@ func TestRegistrationLeaseExpires(t *testing.T) {
 }
 
 // TestMaintenanceSweepsRegistry proves the background sweep alone — no
-// LDT push — evicts lapsed registrations.
+// LDT push — evicts lapsed registrations, every half lease of the node
+// that holds them.
 func TestMaintenanceSweepsRegistry(t *testing.T) {
 	mem := transport.NewMem()
 	ctrs := metrics.NewCounters()
-	target := mustNode(t, Config{Name: "swept", Capacity: 2, Counters: ctrs}, mem)
+	target := mustNode(t, Config{Name: "swept", Capacity: 2, LeaseTTL: 50 * time.Millisecond, Counters: ctrs}, mem)
 	if err := target.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer target.Close()
-	stop := target.StartMaintenance(MaintainConfig{RegistrySweepInterval: 25 * time.Millisecond})
+	// The lease also sets the renewal period; an hour keeps the sweep the
+	// only duty that runs.
+	stop := target.StartMaintenance(MaintainConfig{RenewInterval: time.Hour})
 	defer stop()
 
 	ghost := mustNode(t, Config{Name: "ghost", Capacity: 2, LeaseTTL: 50 * time.Millisecond}, mem)

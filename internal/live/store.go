@@ -125,10 +125,12 @@ func (t *epochTable) shard(k hashkey.Key) *epochShard {
 }
 
 // observe admits epoch for key unless a strictly newer epoch was already
-// ingested; admission records it. The check-and-record is atomic per
-// key's shard, so two racing pushes of different epochs resolve to the
-// newer one no matter the interleaving.
-func (t *epochTable) observe(k hashkey.Key, epoch uint64) bool {
+// ingested; admission records it and runs apply. Check, record and apply
+// are one step under the key's shard lock, so two pushes racing on two
+// handler goroutines take effect in epoch order no matter the
+// interleaving — in what apply writes and in what it hands the
+// application. apply must not block.
+func (t *epochTable) observe(k hashkey.Key, epoch uint64, apply func()) bool {
 	sh := t.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -136,6 +138,7 @@ func (t *epochTable) observe(k hashkey.Key, epoch uint64) bool {
 		return false
 	}
 	sh.m[k] = epoch
+	apply()
 	return true
 }
 
@@ -226,7 +229,23 @@ func remainingTTLMilli(rec storedLoc) uint32 {
 // late-binding discover results.
 func (n *Node) handleUpdate(m *wire.Message) {
 	n.ctr.updatesReceived.Inc()
-	if !n.seen.observe(m.Self.Key, m.Self.Epoch) {
+	// The push is applied under the epoch guard: every frame has a handler
+	// goroutine of its own, and two about one subject must reach the cache
+	// and the application's stream in epoch order, not in scheduling order.
+	dropped := false
+	applied := n.seen.observe(m.Self.Key, m.Self.Epoch, func() {
+		n.members.update(m.Self)
+		// Epoch-aware write-through: belt and braces under the epochTable
+		// guard — a concurrent discover fill for the same key races this
+		// write, and the cache's own newest-epoch-wins breaks the tie.
+		n.loc.PutEpoch(m.Self.Key, m.Self.Addr, time.Duration(m.Self.TTLMilli)*time.Millisecond, m.Self.Epoch)
+		select {
+		case n.updates <- Update{Key: m.Self.Key, Addr: m.Self.Addr}:
+		default:
+			dropped = true
+		}
+	})
+	if !applied {
 		// An out-of-order push (delayed or duplicated by the network): the
 		// subject has already moved past this address. Applying it would
 		// regress every resolver behind this node's cache — and recursing
@@ -238,29 +257,20 @@ func (n *Node) handleUpdate(m *wire.Message) {
 		}
 		return
 	}
-	n.members.update(m.Self)
 	n.ctr.updatesApplied.Inc()
-	// Epoch-aware write-through: belt and braces under the epochTable
-	// guard — a concurrent discover fill for the same key races this
-	// write, and the cache's own newest-epoch-wins breaks the tie.
-	n.loc.PutEpoch(m.Self.Key, m.Self.Addr, time.Duration(m.Self.TTLMilli)*time.Millisecond, m.Self.Epoch)
-	select {
-	case n.updates <- Update{Key: m.Self.Key, Addr: m.Self.Addr}:
-	default:
+	if dropped {
 		// Applications that don't drain updates must not block the tree —
 		// but the loss has to be observable, not silent.
 		n.ctr.updatesDropped.Inc()
-		if n.cfg.Logger != nil {
-			n.logf("updates channel full; dropped update for %v (%s)", m.Self.Key, m.Self.Addr)
-		}
+		n.logf("updates channel full; dropped update for %v (%s)", m.Self.Key, m.Self.Addr)
 	}
 	if n.cfg.Logger != nil {
 		n.logf("location update: %v now at %s, delegating %d", m.Self.Key, m.Self.Addr, len(m.Entries))
 	}
-	// Re-advertise to the delegated subtree (Figure 4 recursion) through
-	// the coalescing queue: the handler returns immediately (it must never
-	// block its connection's worker on downstream fan-out), the flusher
-	// sends under the node's lifecycle context — a Close mid-fan-out
-	// aborts the recursion instead of stalling behind it.
-	n.fanOut(m.Self, m.Entries)
+	// Re-advertise to the delegated subtree (Figure 4 recursion) on this
+	// frame's own goroutine (TUpdate is never servesInline), so no
+	// goroutine outlives its handler; the sends run under the node's
+	// lifecycle context — a Close mid-fan-out aborts the recursion instead
+	// of stalling behind it.
+	n.fanOut(n.runCtx, m.Self, m.Entries)
 }
