@@ -35,7 +35,7 @@ bench-check:
 bench-run:
 	bash bench/run.sh --seconds $(SECONDS)
 
-# loc prints the non-test Go lines of the packages ROADMAP item 4 puts on
+# loc prints the non-test Go lines of the packages ROADMAP item 7 puts on
 # a diet, one per line and their sum.
 loc:
 	@total=0; for p in internal/live internal/loccache internal/metrics; do \
@@ -60,7 +60,7 @@ bench:
 		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
 	$(GO) run ./cmd/benchjson -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkPublishIngestParallel|BenchmarkRegistryReadParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkPublishIngestParallel' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_publish.txt
 	$(GO) run ./cmd/benchjson -suite publish -in bench_publish.txt -out BENCH_publish.json
 	@rm -f bench_publish.txt
@@ -77,16 +77,16 @@ bench-stretch:
 	@rm -f bench_stretch.txt
 
 # bench-gate re-measures the hot-path benchmarks and fails if any of them
-# regressed more than 20% in ns/op against the committed BENCH_*.json
-# baselines, gained allocations, or lost a zero-allocation guarantee.
-# GATETIME trades gate runtime for measurement stability. Only the
-# allocation-free paths are gated: their timings are stable because they
-# never touch the GC, while alloc-heavy benchmarks (RegistryReadParallel
-# et al.) jitter past any useful threshold and are tracked via the
-# recorded BENCH_*.json reports instead. The stretch leg gates on the
-# absolute stretch metrics (deterministic per seed, so enforceable as
-# hard bounds) rather than wall time, which varies with machine load —
-# hence the loose regress pct and -ignore-allocs. The pipelined serve
+# gained allocations or lost a zero-allocation guarantee against the
+# committed BENCH_*.json baselines — hard bounds, they do not jitter — or
+# more than doubled its ns/op. The timing bound is that loose on purpose:
+# the two RunParallel hit benchmarks are bimodal on a 2-vCPU VM (39 or
+# 66 ns, +69 %, at an untouched commit), so a tighter one is a coin;
+# timings are judged by alternating paired runs (ROADMAP item 3(a)).
+# GATETIME trades gate runtime for measurement stability. The stretch
+# leg gates on the absolute stretch metrics (deterministic per seed, so
+# enforceable as hard bounds) rather than wall time, which varies with
+# machine load — hence -ignore-allocs. The pipelined serve
 # benchmark is gated on what it exists to show: replies share socket
 # writes (frames/write >= 2) at no extra allocation per frame. The hot
 # resolve is gated on what the lock-free hit path exists to show: a
@@ -94,7 +94,7 @@ bench-stretch:
 # BenchmarkResolveHotScaling reports 1 when GOMAXPROCS is 1, where there
 # is nothing to scale to). The cold leg gates what the cold resolve is
 # held to — allocations per miss and per discover, which do not jitter —
-# and leaves its timing, which does, a factor of two.
+# and leaves its timing, which does, the same factor of two.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
@@ -103,7 +103,7 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -suite gate -in bench_gate.txt -out bench_gate.json
 	@rm -f bench_gate.txt
 	$(GO) run ./cmd/benchgate -new bench_gate.json \
-		-baselines BENCH_resolve.json,BENCH_publish.json \
+		-baselines BENCH_resolve.json,BENCH_publish.json -max-regress-pct 100 \
 		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel,BenchmarkLookupHitParallel \
 		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2,BenchmarkResolveHotScaling/scaling=0.7'
 	@rm -f bench_gate.json

@@ -255,7 +255,7 @@ func TestFanOutUnreachableHeadDelaysNoOther(t *testing.T) {
 	// head whatever the keys are: of the six live registrants, the four
 	// dealt to the two live heads' partitions are reachable.
 	hole := wire.Entry{Key: hashkey.FromName("hole"), Addr: bl.Addr(), Capacity: 9}
-	mover.registry.put(hole.Key, registration{entry: hole})
+	mover.registry.put(registration{entry: hole})
 	const reachable = 4
 
 	start := time.Now()

@@ -31,9 +31,7 @@ func (n *Node) JoinViaContext(ctx context.Context, bootstrapAddr string) error {
 	if resp.Type != wire.TJoinResp || !resp.Found {
 		return fmt.Errorf("live: join rejected by %s", bootstrapAddr)
 	}
-	for _, e := range resp.Entries {
-		n.members.merge(n.key, e)
-	}
+	n.members.apply(hearsay, resp.Entries...)
 	return nil
 }
 

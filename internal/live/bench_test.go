@@ -18,10 +18,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bristle/internal/hashkey"
+	"bristle/internal/loccache"
 	"bristle/internal/metrics"
 	"bristle/internal/transport"
 	"bristle/internal/wire"
@@ -93,14 +95,15 @@ func instrumented(cfg Config) Config {
 	return cfg
 }
 
-// resolveBench starts a two-server ring with a published target record
-// and returns a warmed client plus the target's key and address.
-func resolveBench(b *testing.B) (*Node, hashkey.Key, string) {
+// resolveBench starts a two-server ring with a target record published
+// under lease (0: none) and returns a warmed client plus the target's key
+// and address.
+func resolveBench(b *testing.B, lease time.Duration) (*Node, hashkey.Key, string) {
 	b.Helper()
 	mem := transport.NewMem()
 	var servers []*Node
 	for _, name := range []string{"bench-a", "bench-b"} {
-		nd := mustNode(b, instrumented(Config{Name: name, Capacity: 4, RetryAttempts: 1}), mem)
+		nd := mustNode(b, instrumented(Config{Name: name, Capacity: 4, RetryAttempts: 1, LeaseTTL: lease}), mem)
 		if err := nd.Start(""); err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +131,7 @@ func resolveBench(b *testing.B) (*Node, hashkey.Key, string) {
 // _discovery round trip (forced late binding) — what every lookup cost
 // before the location cache existed.
 func BenchmarkDiscover(b *testing.B) {
-	client, key, _ := resolveBench(b)
+	client, key, _ := resolveBench(b, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -199,7 +202,7 @@ func BenchmarkServePipelinedTCP(b *testing.B) {
 // answers every resolve from one bucket-chain walk, a clock read and two
 // counter adds — no network, no lock.
 func BenchmarkResolveHot(b *testing.B) {
-	client, key, _ := resolveBench(b)
+	client, key, _ := resolveBench(b, 0)
 	ctx := context.Background()
 	if _, err := client.ResolveContext(ctx, key); err != nil {
 		b.Fatal(err) // warm the cache
@@ -216,7 +219,7 @@ func BenchmarkResolveHot(b *testing.B) {
 // BenchmarkResolveHotParallel: the hot path under contention — many
 // goroutines resolving the same key concurrently.
 func BenchmarkResolveHotParallel(b *testing.B) {
-	client, key, _ := resolveBench(b)
+	client, key, _ := resolveBench(b, 0)
 	ctx := context.Background()
 	if _, err := client.ResolveContext(ctx, key); err != nil {
 		b.Fatal(err)
@@ -240,7 +243,7 @@ func BenchmarkResolveHotParallel(b *testing.B) {
 // holds it at 0.7 or more. One processor is its own baseline: there the
 // metric is 1 by definition.
 func BenchmarkResolveHotScaling(b *testing.B) {
-	client, key, _ := resolveBench(b)
+	client, key, _ := resolveBench(b, 0)
 	ctx := context.Background()
 	if _, err := client.ResolveContext(ctx, key); err != nil {
 		b.Fatal(err)
@@ -278,7 +281,7 @@ func BenchmarkResolveHotScaling(b *testing.B) {
 // lapsed, so each resolve serves the stale address immediately and (at
 // most once at a time) launches a background refresh flight.
 func BenchmarkResolveStale(b *testing.B) {
-	client, key, addr := resolveBench(b)
+	client, key, addr := resolveBench(b, 0)
 	ctx := context.Background()
 	client.loc.Put(key, addr, time.Nanosecond)
 	time.Sleep(time.Millisecond)
@@ -300,18 +303,32 @@ func BenchmarkResolveStale(b *testing.B) {
 }
 
 // BenchmarkResolveColdMiss: the worst case with the cache on — every
-// iteration misses (the entry is invalidated each time) and pays the
-// singleflight + network + fill.
+// iteration misses (the cache's clock jumps past the entry's lease and
+// stale window each time, so the lookup finds it dead and drops it) and
+// pays the singleflight + network + fill.
 func BenchmarkResolveColdMiss(b *testing.B) {
-	client, key, _ := resolveBench(b)
+	const lease = time.Minute
+	client, key, _ := resolveBench(b, lease)
+	var ahead atomic.Int64 // how far the cache's clock runs ahead, ns
+	client.loc = loccache.New(loccache.Config{
+		Clock:    func() time.Time { return time.Now().Add(time.Duration(ahead.Load())) },
+		Counters: client.cfg.Counters,
+		Gauges:   client.cfg.Gauges,
+	})
 	ctx := context.Background()
+	served := func() uint64 { return client.cfg.Counters.Sum("loccache.hit", "loccache.stale") }
+	before := served()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		client.loc.Invalidate(key)
+		ahead.Add(int64(2 * lease))
 		if _, err := client.ResolveContext(ctx, key); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if hits := served() - before; hits != 0 {
+		b.Fatalf("%d of %d resolves were answered from the cache", hits, b.N)
 	}
 }
 
@@ -374,9 +391,6 @@ func BenchmarkPublishBatch1(b *testing.B)   { benchmarkPublishBatch(b, 0) }
 func BenchmarkPublishBatch100(b *testing.B) { benchmarkPublishBatch(b, 99) }
 func BenchmarkPublishBatch10k(b *testing.B) { benchmarkPublishBatch(b, 9999) }
 
-// sinkEntries keeps the compiler from eliding the registry reads below.
-var sinkEntries []wire.Entry
-
 // BenchmarkPublishIngestParallel drives the server-side batch ingest path
 // (handlePublishBatch) from all cores at once against a bare node — the
 // hot serve loop as the wire dispatch runs it, minus the transport. The
@@ -405,31 +419,6 @@ func BenchmarkPublishIngestParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			n.handlePublishBatch(msg)
-		}
-	})
-}
-
-// BenchmarkRegistryReadParallel reads R(self) from all cores while the
-// table sits behind its copy-on-write snapshot: the reads share no lock
-// with each other or with writers, so throughput must scale with cores
-// instead of serializing on a node-global mutex as the monolithic node
-// did.
-func BenchmarkRegistryReadParallel(b *testing.B) {
-	n := mustNode(b, Config{Name: "bench-registry", Capacity: 4}, transport.NewMem())
-	if err := n.Start(""); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { n.Close() })
-	for i := 0; i < 64; i++ {
-		e := wire.Entry{Key: hashkey.FromName(fmt.Sprintf("bench-reg-%d", i)), Addr: fmt.Sprintf("mem:reg-%d", i), Capacity: 1}
-		n.registry.put(e.Key, registration{entry: e})
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			sinkEntries = n.Registry()
 		}
 	})
 }

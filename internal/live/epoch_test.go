@@ -21,6 +21,12 @@ import (
 	"bristle/internal/wire"
 )
 
+// publishOf is the publish of one record as it arrives at a replica: a
+// batch whose only entry is its sender's own.
+func publishOf(e wire.Entry) *wire.Message {
+	return &wire.Message{Type: wire.TPublishBatch, Self: e, Entries: []wire.Entry{e}}
+}
+
 // TestHandlePublishRejectsStaleEpoch replays the exact frame order a
 // duplicated-and-delayed publish produces: the epoch-2 binding (addr B)
 // lands first, then the epoch-1 ghost (addr A) arrives late. The store
@@ -35,8 +41,8 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 	defer n.Close()
 
 	key := hashkey.FromName("subject")
-	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-B", Epoch: 2}})
-	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key, Addr: "addr-A", Epoch: 1}})
+	n.handle(publishOf(wire.Entry{Key: key, Addr: "addr-B", Epoch: 2}))
+	n.handle(publishOf(wire.Entry{Key: key, Addr: "addr-A", Epoch: 1}))
 
 	resp := n.handleDiscover(&wire.Message{Type: wire.TDiscover, Key: key})
 	if !resp.Found || resp.Self.Addr != "addr-B" {
@@ -52,9 +58,9 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 	// at least a reachable address from this key's past, while a lapsed
 	// lease is a promise nobody renewed.
 	key2 := hashkey.FromName("subject-2")
-	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-B", Epoch: 2, TTLMilli: 1}})
+	n.handle(publishOf(wire.Entry{Key: key2, Addr: "addr-B", Epoch: 2, TTLMilli: 1}))
 	time.Sleep(5 * time.Millisecond)
-	n.handle(&wire.Message{Type: wire.TPublish, Self: wire.Entry{Key: key2, Addr: "addr-A", Epoch: 1, TTLMilli: 60000}})
+	n.handle(publishOf(wire.Entry{Key: key2, Addr: "addr-A", Epoch: 1, TTLMilli: 60000}))
 	if resp := n.handleDiscover(&wire.Message{Type: wire.TDiscover, Key: key2}); !resp.Found || resp.Self.Addr != "addr-A" {
 		t.Fatalf("expired record still outranks: got %q (found %v), want addr-A", resp.Self.Addr, resp.Found)
 	}
@@ -291,11 +297,8 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	defer tap.mu.Unlock()
 	batches := 0
 	for _, typ := range tap.types {
-		switch typ {
-		case wire.TPublishBatch:
+		if typ == wire.TPublishBatch {
 			batches++
-		case wire.TPublish:
-			t.Error("a single-record TPublish frame left the node")
 		}
 	}
 	if batches != 4 {

@@ -141,6 +141,6 @@ func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 		// A copy: the reply's Entries are recycled with it (wire.PutMessage).
 		return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: append([]wire.Entry(nil), n.members.snapshot().stationary...)}
 	}
-	n.members.update(m.Self)
+	n.members.apply(direct, m.Self)
 	return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: n.KnownPeers()}
 }

@@ -163,7 +163,7 @@ func TestMaintenanceStopCancelsBlockedRenew(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mob.Close()
-	mob.members.update(wire.Entry{Key: hashkey.FromName("hole"), Addr: hole.Addr(), Capacity: 1})
+	mob.members.apply(direct, wire.Entry{Key: hashkey.FromName("hole"), Addr: hole.Addr(), Capacity: 1})
 
 	stop := mob.StartMaintenance(MaintainConfig{RenewInterval: 5 * time.Millisecond})
 	deadline := time.Now().Add(5 * time.Second)

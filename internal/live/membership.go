@@ -1,14 +1,16 @@
 package live
 
-// This file is the node's membership and registry state, both held as
-// copy-on-write snapshots behind atomic pointers: readers (KnownPeers,
-// Registry, replica selection for every publish and discover) load one
-// pointer and walk an immutable view — no lock, no contention with
-// writers or with each other. Writers clone under a small private mutex
-// and swap the pointer; the membership write path additionally has a
-// lock-free fast path for the overwhelmingly common case of re-ingesting
-// a binding that is already known (every steady-state publish renewal),
-// which is what keeps batch ingest allocation-free.
+// This file is the node's membership and registry state, each table in
+// the one form its traffic asks for. Membership is read by every publish
+// and discover (replica selection) and written only when a frame carries
+// news: one immutable key-sorted slice behind an atomic pointer, so
+// readers (KnownPeers, rank) load a pointer and walk it with no lock, and
+// a writer applies a whole frame to one clone and swaps once. The unlocked
+// "is any of this news?" pass in front makes re-ingesting known bindings —
+// every steady-state publish renewal — free, which is what keeps batch
+// ingest allocation-free. R(self) is the opposite: written by every
+// registrant every half lease and read once per move, so it is a mutex
+// and a map.
 // Replica selection (ranking, below) reads the view's stationary peers
 // with no heap copy and no map per key.
 
@@ -17,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -27,87 +30,105 @@ import (
 	"bristle/internal/wire"
 )
 
-// memberView is one immutable membership snapshot. sorted and stationary
-// are derived once at construction and must never be mutated — callers
-// that reorder entries, or hand them to a message that will be recycled,
-// copy first.
+// memberView is one immutable membership snapshot: every known entry
+// (self included) ascending by key, and the non-mobile subset derived
+// from it once. Neither is ever mutated — callers that reorder entries,
+// or hand them to a message that will be recycled, copy first.
 type memberView struct {
-	byKey      map[hashkey.Key]wire.Entry
-	sorted     []wire.Entry // every entry, ascending by key (incl. self)
-	stationary []wire.Entry // the non-mobile subset, ascending by key
+	all        []wire.Entry
+	stationary []wire.Entry
+	gen        int // the swaps that led to this view; tests count them per frame
 }
 
-func (v *memberView) with(e wire.Entry) *memberView {
-	nv := &memberView{byKey: make(map[hashkey.Key]wire.Entry, len(v.byKey)+1)}
-	for k, cur := range v.byKey {
-		nv.byKey[k] = cur
+// source says whose word an entry is, which decides how it is admitted.
+type source bool
+
+const (
+	// direct is the subject's own word — a publisher's, joiner's or pusher's
+	// Self, this node's own binding. It overwrites at an equal epoch (a
+	// renewal may change lease or capacity without a move) and is dropped
+	// only when older than what is known.
+	direct source = false
+	// hearsay is a third party's word — a directory, a gossip reply, a leaf
+	// exchange. It is adopted only for an unknown key or at a strictly
+	// newer epoch (a later binding by definition, so adopting it is
+	// idempotent and never regresses an address), and never about self.
+	hearsay source = true
+)
+
+// admit looks e up in all, which is ascending by key: i is where e's key
+// is or belongs, known whether it is there, and news whether e changes
+// the table of the node with key self.
+func admit(all []wire.Entry, e wire.Entry, from source, self hashkey.Key) (i int, known, news bool) {
+	i, known = slices.BinarySearchFunc(all, e.Key, func(cur wire.Entry, k hashkey.Key) int {
+		return cmp.Compare(cur.Key, k)
+	})
+	switch {
+	case from == hearsay && e.Key == self: // a node knows itself best
+	case !known:
+		news = true
+	case from == hearsay:
+		news = e.Epoch > all[i].Epoch
+	default:
+		news = e.Epoch >= all[i].Epoch && e != all[i]
 	}
-	nv.byKey[e.Key] = e
-	nv.sorted = make([]wire.Entry, 0, len(nv.byKey))
-	for _, cur := range nv.byKey {
-		nv.sorted = append(nv.sorted, cur)
-	}
-	sort.Slice(nv.sorted, func(i, j int) bool { return nv.sorted[i].Key < nv.sorted[j].Key })
-	for _, cur := range nv.sorted {
-		if !cur.Mobile {
-			nv.stationary = append(nv.stationary, cur)
-		}
-	}
-	return nv
+	return i, known, news
 }
 
-// membership is the COW membership table.
+// membership is the COW membership table of the node with key self.
 type membership struct {
+	self hashkey.Key
 	mu   sync.Mutex // serializes writers only
 	view atomic.Pointer[memberView]
 }
 
-func (m *membership) init() {
-	m.view.Store(&memberView{byKey: make(map[hashkey.Key]wire.Entry)})
+func (m *membership) init(self hashkey.Key) {
+	m.self = self
+	m.view.Store(&memberView{})
 }
 
 func (m *membership) snapshot() *memberView { return m.view.Load() }
 
-// update records e under newest-epoch-wins: an entry carrying an older
-// epoch than the one already known is out-of-order news and is dropped;
-// an equal epoch overwrites (a renewal may legitimately change lease or
-// capacity without a move). The unlocked identical-entry check in front
-// makes re-ingesting a known binding — every steady-state publish — free.
-func (m *membership) update(e wire.Entry) {
-	if cur, ok := m.view.Load().byKey[e.Key]; ok && cur == e {
+// apply is the one writer: it takes a frame's entries in arrival order
+// under admit's rules on one clone of the view, and publishes the clone
+// with one swap. A frame that carries no news costs its lookups and
+// nothing else.
+func (m *membership) apply(from source, entries ...wire.Entry) {
+	isNews := func(all []wire.Entry) bool {
+		return slices.ContainsFunc(entries, func(e wire.Entry) bool {
+			_, _, news := admit(all, e, from, m.self)
+			return news
+		})
+	}
+	if !isNews(m.view.Load().all) {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := m.view.Load()
-	if cur, ok := v.byKey[e.Key]; ok && (cur.Epoch > e.Epoch || cur == e) {
-		return
+	if !isNews(v.all) {
+		return // another writer got there first
 	}
-	m.view.Store(v.with(e))
+	nv := &memberView{all: make([]wire.Entry, len(v.all), len(v.all)+len(entries)), gen: v.gen + 1}
+	copy(nv.all, v.all)
+	for _, e := range entries {
+		switch i, known, news := admit(nv.all, e, from, m.self); {
+		case !news:
+		case known:
+			nv.all[i] = e
+		default:
+			nv.all = slices.Insert(nv.all, i, e)
+		}
+	}
+	for _, e := range nv.all {
+		if !e.Mobile {
+			nv.stationary = append(nv.stationary, e)
+		}
+	}
+	m.view.Store(nv)
 }
 
-// merge adopts a gossiped peer entry if the key is unknown or the entry
-// carries a strictly newer epoch (the ordering makes adopting hearsay
-// safe: a newer epoch is a later binding by definition, so merge stays
-// idempotent and can never regress an address). The caller's own entry
-// is never adopted from hearsay.
-func (m *membership) merge(selfKey hashkey.Key, e wire.Entry) {
-	if e.Key == selfKey {
-		return
-	}
-	if cur, ok := m.view.Load().byKey[e.Key]; ok && e.Epoch <= cur.Epoch {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.view.Load()
-	if cur, ok := v.byKey[e.Key]; ok && e.Epoch <= cur.Epoch {
-		return
-	}
-	m.view.Store(v.with(e))
-}
-
-func (m *membership) size() int { return len(m.view.Load().byKey) }
+func (m *membership) size() int { return len(m.view.Load().all) }
 
 // registration is one R(self) entry held under its registrant's lease: a
 // registrant that stops renewing its interest (re-registering) lapses out
@@ -123,66 +144,65 @@ func (r registration) live(now time.Time) bool {
 	return !r.hasTTL || now.Before(r.expires)
 }
 
-type registryView struct {
-	byKey map[hashkey.Key]registration
-}
-
-// registryTable is the COW R(self) table: TRegister writes, the LDT
-// fan-out and Registry read, the sweeps rebuild without lapsed leases.
+// registryTable is R(self): TRegister writes it, the LDT fan-out and
+// Registry read it, the sweeps delete lapsed leases from it.
 type registryTable struct {
-	mu   sync.Mutex // serializes writers only
-	view atomic.Pointer[registryView]
+	mu sync.Mutex
+	m  map[hashkey.Key]registration
 }
 
-func (t *registryTable) init() {
-	t.view.Store(&registryView{byKey: make(map[hashkey.Key]registration)})
-}
+func (t *registryTable) init() { t.m = make(map[hashkey.Key]registration) }
 
-func (t *registryTable) snapshot() *registryView { return t.view.Load() }
-
-func (t *registryTable) put(k hashkey.Key, reg registration) {
+// put records reg under newest-epoch-wins: a registration older than the
+// one held is a delayed or duplicated frame from before its registrant
+// moved, and must not put the old address back; an equal epoch renews the
+// lease.
+func (t *registryTable) put(reg registration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.view.Load()
-	nv := &registryView{byKey: make(map[hashkey.Key]registration, len(v.byKey)+1)}
-	for key, r := range v.byKey {
-		nv.byKey[key] = r
+	if cur, ok := t.m[reg.entry.Key]; ok && cur.entry.Epoch > reg.entry.Epoch {
+		return
 	}
-	nv.byKey[k] = reg
-	t.view.Store(nv)
+	t.m[reg.entry.Key] = reg
 }
 
 // sweep drops registrations whose lease lapsed before now, returning how
-// many were removed. When nothing lapsed, the view is left untouched.
+// many were removed.
 func (t *registryTable) sweep(now time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.view.Load()
-	lapsed := 0
-	for _, r := range v.byKey {
+	before := len(t.m)
+	for k, r := range t.m {
 		if !r.live(now) {
-			lapsed++
+			delete(t.m, k)
 		}
 	}
-	if lapsed == 0 {
-		return 0
-	}
-	nv := &registryView{byKey: make(map[hashkey.Key]registration, len(v.byKey)-lapsed)}
-	for k, r := range v.byKey {
-		if r.live(now) {
-			nv.byKey[k] = r
-		}
-	}
-	t.view.Store(nv)
-	return lapsed
+	return before - len(t.m)
 }
 
-func (t *registryTable) size() int { return len(t.view.Load().byKey) }
+// live returns the entries whose lease has not lapsed at now, ascending
+// by key.
+func (t *registryTable) live(now time.Time) []wire.Entry {
+	t.mu.Lock()
+	out := make([]wire.Entry, 0, len(t.m))
+	for _, r := range t.m {
+		if r.live(now) {
+			out = append(out, r.entry)
+		}
+	}
+	t.mu.Unlock()
+	slices.SortFunc(out, func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) })
+	return out
+}
+
+func (t *registryTable) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
 
 func (n *Node) handleLeafExchange(m *wire.Message) *wire.Message {
-	for _, e := range m.Entries {
-		n.members.merge(n.key, e)
-	}
+	n.members.apply(hearsay, m.Entries...)
 	return &wire.Message{Type: wire.TLeafExchange, Seq: m.Seq, Found: true, Entries: n.KnownPeers()}
 }
 
@@ -196,7 +216,7 @@ func (n *Node) handleRegister(m *wire.Message) *wire.Message {
 		reg.hasTTL = true
 		reg.expires = time.Now().Add(time.Duration(m.Self.TTLMilli) * time.Millisecond)
 	}
-	n.registry.put(m.Self.Key, reg)
+	n.registry.put(reg)
 	if n.cfg.Logger != nil {
 		n.logf("register from %v (%s)", m.Self.Key, m.Self.Addr)
 	}
@@ -206,27 +226,12 @@ func (n *Node) handleRegister(m *wire.Message) *wire.Message {
 // KnownPeers returns the node's current membership view (including
 // itself), sorted by key. Lock-free: it copies one immutable snapshot.
 func (n *Node) KnownPeers() []wire.Entry {
-	v := n.members.snapshot()
-	out := make([]wire.Entry, len(v.sorted))
-	copy(out, v.sorted)
-	return out
+	return slices.Clone(n.members.snapshot().all)
 }
 
 // Registry returns R(self): the entries registered as interested in this
-// node's movement whose lease has not lapsed, sorted by key. Lock-free:
-// it reads one immutable snapshot.
-func (n *Node) Registry() []wire.Entry {
-	now := time.Now()
-	v := n.registry.snapshot()
-	out := make([]wire.Entry, 0, len(v.byKey))
-	for _, r := range v.byKey {
-		if r.live(now) {
-			out = append(out, r.entry)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+// node's movement whose lease has not lapsed, sorted by key.
+func (n *Node) Registry() []wire.Entry { return n.registry.live(time.Now()) }
 
 // SweepRegistry drops registrations whose lease has lapsed and returns
 // how many were removed (counted as registry.expired). StartMaintenance
@@ -252,9 +257,9 @@ func (n *Node) GossipOnce(rng *rand.Rand) (int, error) {
 // loop's, which stop() cancels).
 func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	v := n.members.snapshot()
-	before := len(v.byKey)
-	others := make([]wire.Entry, 0, len(v.sorted))
-	for _, e := range v.sorted {
+	before := len(v.all)
+	others := make([]wire.Entry, 0, len(v.all))
+	for _, e := range v.all {
 		if e.Key != n.key {
 			others = append(others, e)
 		}
@@ -274,13 +279,11 @@ func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 		others = healthy
 	}
 	target := others[rng.Intn(len(others))]
-	resp, err := n.request(ctx, target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.sorted})
+	resp, err := n.request(ctx, target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.all})
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range resp.Entries {
-		n.members.merge(n.key, e)
-	}
+	n.members.apply(hearsay, resp.Entries...)
 	return n.members.size() - before, nil
 }
 
@@ -427,16 +430,11 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 			mean = 1
 		}
 	}
-	if known == len(ring) {
-		return r, nil // nothing to draw: the node-wide rngMu stays untaken
-	}
-	n.rngMu.Lock()
 	for i, est := range r.eff {
 		if est == unknown {
-			r.eff[i] = time.Duration(n.rng.Int63n(int64(mean) + 1))
+			r.eff[i] = time.Duration(randv2.Int64N(int64(mean) + 1))
 		}
 	}
-	n.rngMu.Unlock()
 	return r, nil
 }
 

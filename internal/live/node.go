@@ -20,8 +20,9 @@
 //   - options.go    — New, the one constructor, its options and validation
 //   - store.go      — the sharded record repository and the ingest/serve
 //     handlers (publish, discover, update)
-//   - membership.go — copy-on-write membership and registry views;
-//     join/gossip/register; replica selection
+//   - membership.go — membership (one sorted slice, swapped once per
+//     frame) and the registry (a mutex and a map); gossip/register;
+//     replica selection
 //   - publish.go    — the owned-key set and the batched publish fan-out
 //   - resolve.go    — the cache-first resolve hot path
 //   - advertise.go  — the LDT fan-out: each head's update, straight to
@@ -41,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"log"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,8 +247,11 @@ type binding struct {
 //   - lifeMu guards lifecycle transitions only (listener swaps, the stop
 //     flag); handlers never touch it.
 //   - self is the atomically published (addr, epoch) binding.
-//   - members and registry are copy-on-write snapshots (membership.go):
-//     reads are lock-free, writes clone under a private writer mutex.
+//   - members is one immutable key-sorted slice behind an atomic pointer
+//     (membership.go): reads are lock-free, and a frame that carries news
+//     clones it once under a private writer mutex and swaps once.
+//   - registry, written far more often than read, is a map under its own
+//     mutex.
 //   - store and seen are sixteen-way key-sharded tables (store.go).
 //   - owned has its own small mutex (publish.go).
 //   - peers is the one per-address table (peer.go): RTT estimates and
@@ -267,8 +270,8 @@ type Node struct {
 
 	self atomic.Pointer[binding]
 
-	members  membership    // known peers (incl. self); COW snapshots
-	registry registryTable // R(self): interested nodes, leased; COW
+	members  membership    // known peers (incl. self); one COW slice
+	registry registryTable // R(self): interested nodes, leased; locked map
 	store    recordStore   // sharded repository of published records
 	seen     epochTable    // sharded newest-ingested TUpdate epochs
 
@@ -294,9 +297,6 @@ type Node struct {
 	flights loccache.Group // coalesces concurrent discoveries per key
 
 	peers peerTable // every address's RTT estimate, breaker and session (peer.go)
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // seeds retry jitter; per-node deterministic
 
 	wg      sync.WaitGroup
 	updates chan Update
@@ -339,7 +339,6 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		key:     key,
 		tr:      tr,
 		ctr:     newCounters(cfg.Counters),
-		rng:     rand.New(rand.NewSource(int64(key))), // deterministic per-node jitter
 		updates: make(chan Update, 64),
 		owned:   make(map[hashkey.Key]struct{}),
 		ids:     make(map[hashkey.Key][32]byte),
@@ -350,7 +349,7 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
 	n.self.Store(&binding{epoch: nextEpoch(0)})
-	n.members.init()
+	n.members.init(key)
 	n.registry.init()
 	n.store.init()
 	n.seen.init()
@@ -414,7 +413,7 @@ func (n *Node) Start(listenAddr string) error {
 	b := n.self.Load()
 	n.self.Store(&binding{addr: ls.addr(), epoch: b.epoch})
 	n.lifeMu.Unlock()
-	n.members.update(n.SelfEntry())
+	n.members.apply(direct, n.SelfEntry())
 
 	n.wg.Add(1)
 	go n.acceptLoop(ls)
@@ -465,7 +464,7 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	b := n.self.Load()
 	n.self.Store(&binding{addr: ls.addr(), epoch: nextEpoch(b.epoch)})
 	n.lifeMu.Unlock()
-	n.members.update(n.SelfEntry())
+	n.members.apply(direct, n.SelfEntry())
 	if old != nil {
 		old.close() // the old attachment point disappears
 	}
@@ -509,9 +508,10 @@ const serveConnWorkers = 64
 // network, not on another goroutine, not for longer than a table lookup —
 // so the connection's reader can run it between two frames. TPing and
 // TDiscover qualify: one allocation, and one store-shard read. The
-// publish, register and join handlers clone membership or registry views
-// (linear in the ring), TLeafExchange merges and copies a whole view, and
-// TUpdate re-advertises; those keep a goroutine of their own.
+// publish and join handlers clone the membership view (linear in the
+// ring) when their sender is news, TLeafExchange merges and copies a whole
+// view, TRegister waits for the registry's mutex, and TUpdate
+// re-advertises; those keep a goroutine of their own.
 func servesInline(t wire.MsgType) bool {
 	return t == wire.TPing || t == wire.TDiscover
 }
@@ -596,11 +596,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	case wire.TJoin:
 		return n.handleJoin(m)
 
-	case wire.TPublish, wire.TPublishBatch:
-		if m.Type == wire.TPublish {
-			// The one-record frame is the batch whose only record is Self.
-			m.Entries = append(m.Entries[:0], m.Self)
-		}
+	case wire.TPublishBatch:
 		n.handlePublishBatch(m)
 		return &wire.Message{Type: wire.TPublishAck, Seq: m.Seq, Found: true}
 

@@ -159,7 +159,7 @@ func (cfg Config) validate() error {
 	if cfg.SuspicionThreshold < 0 {
 		return fmt.Errorf("live: suspicion threshold must be >= 0, got %d", cfg.SuspicionThreshold)
 	}
-	if cfg.Pool.MaxSessions < 0 || cfg.Pool.MaxInflight < 0 || cfg.Pool.IdleTimeout < 0 {
+	if cfg.Pool.MaxSessions < 0 || cfg.Pool.IdleTimeout < 0 {
 		return errors.New("live: pool limits must be >= 0")
 	}
 	return nil

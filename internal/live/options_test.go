@@ -44,7 +44,7 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 		t.Error("metrics registries not applied")
 	}
 	// Unset knobs get defaults.
-	if cfg.Pool.MaxSessions != 64 || cfg.Pool.MaxInflight != 128 || cfg.Pool.IdleTimeout != 60*time.Second {
+	if cfg.Pool.MaxSessions != 64 || cfg.Pool.IdleTimeout != 60*time.Second {
 		t.Errorf("pool defaults not applied: %+v", cfg.Pool)
 	}
 }
@@ -87,9 +87,9 @@ func TestNewAcceptsHarnessOptionSets(t *testing.T) {
 		if want := 6 * cfg.RequestTimeout; cfg.RetryBudget != want {
 			t.Errorf("%s: RetryBudget = %v, want the default attempts x timeout = %v", name, cfg.RetryBudget, want)
 		}
-		wantPool := PoolConfig{MaxSessions: 64, MaxInflight: 128, IdleTimeout: 60 * time.Second}
+		wantPool := PoolConfig{MaxSessions: 64, IdleTimeout: 60 * time.Second}
 		if name == "observer" {
-			wantPool = PoolConfig{MaxSessions: 1, MaxInflight: 128, IdleTimeout: time.Second}
+			wantPool = PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}
 		}
 		if cfg.Pool != wantPool {
 			t.Errorf("%s: pool = %+v, want %+v", name, cfg.Pool, wantPool)

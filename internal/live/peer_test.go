@@ -120,7 +120,7 @@ func TestSuspicionViewsAgree(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		addr := fmt.Sprintf("mem:peer-%d", i)
 		addrs = append(addrs, addr)
-		client.members.update(wire.Entry{Key: hashkey.Key(i + 1), Addr: addr})
+		client.members.apply(direct, wire.Entry{Key: hashkey.Key(i + 1), Addr: addr})
 		switch i % 3 {
 		case 0:
 			nd := mustNode(t, Config{Name: addr}, mem)

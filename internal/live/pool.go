@@ -41,9 +41,6 @@ type PoolConfig struct {
 	// the exchange gets a session over the cap (counted as pool.fallbacks),
 	// and the next session to go idle is closed. Default 64.
 	MaxSessions int
-	// MaxInflight bounds the outbound frames queued to one session's
-	// writer; enqueues past it wait (backpressure). Default 128.
-	MaxInflight int
 	// IdleTimeout evicts sessions with no traffic for this long. Default 60s.
 	IdleTimeout time.Duration
 }
@@ -52,14 +49,15 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 128
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 60 * time.Second
 	}
 	return c
 }
+
+// sessionInflight bounds the outbound frames queued to one session's
+// writer; enqueues past it wait (backpressure).
+const sessionInflight = 128
 
 // errEvictedIdle and errEvictedCap mark the teardown of a session nothing
 // was riding: unused for IdleTimeout, or given up for the MaxSessions cap.
@@ -226,7 +224,7 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 			peer:    pr,
 			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
-			writeCh: make(chan *waiter, p.cfg.MaxInflight),
+			writeCh: make(chan *waiter, sessionInflight),
 			pending: make(map[uint32]*waiter),
 			lastUse: time.Now(),
 		}

@@ -176,7 +176,7 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 	n.peers.get("measured-b", true).observe(30 * time.Millisecond)
 	for i, e := range entries("measured-a", "measured-b", "unknown") {
 		e.Key = hashkey.Key(i + 1) // the ring, and eff with it, is ascending by key
-		n.members.update(e)
+		n.members.apply(direct, e)
 	}
 
 	mean := 20 * time.Millisecond
@@ -213,7 +213,7 @@ func TestPeerHealthNoMeasurementsUsesFloor(t *testing.T) {
 	defer n.Close()
 	for i, e := range entries("p", "q") {
 		e.Key = hashkey.Key(i + 1)
-		n.members.update(e)
+		n.members.apply(direct, e)
 	}
 	sawNonZero := false
 	for i := 0; i < 100; i++ {

@@ -199,7 +199,7 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 	}
 }
 
-// TestStoreAndCacheRoles pins the two location maps' roles: a TPublish
+// TestStoreAndCacheRoles pins the two location maps' roles: a publish
 // lands in the repository fragment (store) and is served to _discovery;
 // a TUpdate push lands in the learned-location cache and is NOT served
 // to _discovery; answering a _discovery writes neither.

@@ -15,6 +15,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"bristle/internal/transport"
@@ -137,9 +138,7 @@ func (n *Node) backoff(attempt int) time.Duration {
 	if cap > n.cfg.RetryMax || cap <= 0 {
 		cap = n.cfg.RetryMax
 	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return time.Duration(n.rng.Int63n(int64(cap) + 1))
+	return time.Duration(rand.Int64N(int64(cap) + 1))
 }
 
 // oneWay sends m to addr without waiting for a response. It still

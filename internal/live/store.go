@@ -166,7 +166,7 @@ func (n *Node) handlePublishBatch(m *wire.Message) {
 			accepted++
 		}
 	}
-	n.members.update(m.Self) // a publisher is also a live peer worth knowing about
+	n.members.apply(direct, m.Self) // a publisher is also a live peer worth knowing about
 	n.countIngest(len(m.Entries), accepted)
 	if n.cfg.Logger != nil {
 		n.logf("batch publish from %v: %d records, %d accepted (epoch %d)",
@@ -234,7 +234,7 @@ func (n *Node) handleUpdate(m *wire.Message) {
 	// and the application's stream in epoch order, not in scheduling order.
 	dropped := false
 	applied := n.seen.observe(m.Self.Key, m.Self.Epoch, func() {
-		n.members.update(m.Self)
+		n.members.apply(direct, m.Self)
 		// Epoch-aware write-through: belt and braces under the epochTable
 		// guard — a concurrent discover fill for the same key races this
 		// write, and the cache's own newest-epoch-wins breaks the tie.

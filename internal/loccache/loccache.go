@@ -6,12 +6,12 @@
 // machinery acts on:
 //
 //   - Fresh:    a live lease; serve it without touching the network.
-//   - Stale:    the lease lapsed recently (within StaleWindow); serve it
+//   - Stale:    the lease lapsed recently (within staleWindow); serve it
 //     anyway while a background refresh re-resolves the key
 //     (stale-while-revalidate — the paper's late binding with
 //     the latency hidden).
 //   - Negative: a recent _discovery answered "no record"; fail fast
-//     instead of re-asking every replica for NegativeTTL.
+//     instead of re-asking every replica for negativeTTL.
 //   - Miss:     nothing usable; the caller must go to the network.
 //
 // The cache is sharded by key. A lookup that finds a usable answer takes
@@ -43,7 +43,7 @@ const (
 	Miss State = iota
 	// Fresh: the lease is live; the address is authoritative enough to use.
 	Fresh
-	// Stale: the lease lapsed within StaleWindow; usable optimistically
+	// Stale: the lease lapsed within staleWindow; usable optimistically
 	// while a refresh runs.
 	Stale
 	// Negative: a recent discovery proved the record absent; fail fast.
@@ -63,20 +63,21 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes a Cache. The zero value is usable: every field has a
-// default applied by New.
+const (
+	// numShards is the number of independently locked segments, a power of
+	// two: the shard index is a mask, not a mod.
+	numShards = 16
+	// maxEntries bounds the whole cache, spread evenly across the shards.
+	maxEntries = 4096
+	// negativeTTL is how long a "no record" answer is trusted.
+	negativeTTL = time.Second
+	// staleWindow is how long past its lease an entry may still be served
+	// as Stale; beyond it the entry reads as a Miss.
+	staleWindow = 30 * time.Second
+)
+
+// Config is what a Cache is given. The zero value is usable.
 type Config struct {
-	// Shards is the number of independently locked segments; rounded up
-	// to a power of two. Default 16.
-	Shards int
-	// MaxEntries bounds the whole cache (spread evenly across shards).
-	// Default 4096.
-	MaxEntries int
-	// NegativeTTL is how long a "no record" answer is trusted. Default 1s.
-	NegativeTTL time.Duration
-	// StaleWindow is how long past its lease an entry may still be served
-	// as Stale; beyond it the entry reads as a Miss. Default 30s.
-	StaleWindow time.Duration
 	// Clock overrides the clock, for tests. Nil reads the monotonic clock.
 	Clock func() time.Time
 	// Counters receives loccache.lookups/hit/miss/stale/negative/evicted
@@ -84,29 +85,6 @@ type Config struct {
 	Counters *metrics.Counters
 	// Gauges exposes loccache.entries; nil disables it.
 	Gauges *metrics.Gauges
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	cfg.Shards = pow2(cfg.Shards) // the shard index is a mask, not a mod
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 4096
-	}
-	if cfg.NegativeTTL <= 0 {
-		cfg.NegativeTTL = time.Second
-	}
-	if cfg.StaleWindow <= 0 {
-		cfg.StaleWindow = 30 * time.Second
-	}
-	if cfg.Clock == nil {
-		// time.Now reads the wall clock and the monotonic clock; a lookup
-		// only ever compares instants, so it pays for the monotonic one.
-		base := time.Now()
-		cfg.Clock = func() time.Time { return base.Add(time.Since(base)) }
-	}
-	return cfg
 }
 
 // pow2 rounds n up to a power of two.
@@ -143,8 +121,8 @@ type entry struct {
 	elem *list.Element
 }
 
-// state classifies e at instant now under the given stale window.
-func (e *entry) state(now time.Time, staleWindow time.Duration) State {
+// state classifies e at instant now.
+func (e *entry) state(now time.Time) State {
 	if e.negative {
 		if now.Before(e.expires) {
 			return Negative
@@ -187,7 +165,7 @@ type shard struct {
 // Cache is a sharded, bounded, lease-aware location cache. All methods
 // are safe for concurrent use.
 type Cache struct {
-	cfg        Config
+	clock      func() time.Time
 	shardMask  uint64
 	shardBits  uint
 	bucketMask uint64
@@ -199,20 +177,25 @@ type Cache struct {
 	entries                             *metrics.Gauge
 }
 
-// New builds a Cache from cfg (zero-value fields take defaults).
-func New(cfg Config) *Cache {
-	cfg = cfg.withDefaults()
-	per := cfg.MaxEntries / cfg.Shards
-	if per < 1 {
-		per = 1
+// New builds a Cache from cfg.
+func New(cfg Config) *Cache { return newCache(cfg, numShards, maxEntries/numShards) }
+
+// newCache builds a Cache of nShards shards (a power of two) holding
+// perShard entries each; tests build tiny ones to watch eviction.
+func newCache(cfg Config, nShards, perShard int) *Cache {
+	if cfg.Clock == nil {
+		// time.Now reads the wall clock and the monotonic clock; a lookup
+		// only ever compares instants, so it pays for the monotonic one.
+		base := time.Now()
+		cfg.Clock = func() time.Time { return base.Add(time.Since(base)) }
 	}
 	return &Cache{
-		cfg:        cfg,
-		shardMask:  uint64(cfg.Shards - 1),
-		shardBits:  uint(bits.TrailingZeros(uint(cfg.Shards))),
-		bucketMask: uint64(pow2(per) - 1),
-		perShard:   per,
-		shards:     make([]shard, cfg.Shards),
+		clock:      cfg.Clock,
+		shardMask:  uint64(nShards - 1),
+		shardBits:  uint(bits.TrailingZeros(uint(nShards))),
+		bucketMask: uint64(pow2(perShard) - 1),
+		perShard:   perShard,
+		shards:     make([]shard, nShards),
 
 		lookups:       cfg.Counters.Counter("loccache.lookups"),
 		hit:           cfg.Counters.Counter("loccache.hit"),
@@ -288,8 +271,7 @@ func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	}
 	// The clock is read after the entry was found, on every lookup that
 	// found one: an answer is Fresh as of an instant inside the call.
-	now := c.cfg.Clock()
-	st := e.state(now, c.cfg.StaleWindow)
+	st := e.state(c.clock())
 	switch st {
 	case Fresh:
 		e.used()
@@ -303,7 +285,7 @@ func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 		c.negative.Inc()
 	case Miss:
 		// Too stale (or a lapsed negative) to be worth keeping.
-		c.remove(key, e)
+		c.remove(e)
 		c.miss.Inc()
 	}
 	return "", st
@@ -316,7 +298,7 @@ func (c *Cache) Peek(key hashkey.Key) (string, State) {
 	if e == nil {
 		return "", Miss
 	}
-	st := e.state(c.cfg.Clock(), c.cfg.StaleWindow)
+	st := e.state(c.clock())
 	if st == Fresh || st == Stale {
 		return e.addr, st
 	}
@@ -341,16 +323,16 @@ func (c *Cache) PutEpoch(key hashkey.Key, addr string, ttl time.Duration, epoch 
 }
 
 // PutNegative records that key currently has no location record, so
-// resolves fail fast for NegativeTTL instead of re-asking the replicas.
+// resolves fail fast for negativeTTL instead of re-asking the replicas.
 func (c *Cache) PutNegative(key hashkey.Key) {
-	c.store(&entry{key: key, negative: true}, c.cfg.NegativeTTL, false)
+	c.store(&entry{key: key, negative: true}, negativeTTL, false)
 }
 
 // store starts e's lease and links it in place of any entry its key has,
 // evicting one if the shard is full. ordered makes a cached positive
 // entry of a newer epoch win instead.
 func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
-	now := c.cfg.Clock()
+	now := c.clock()
 	if ttl > 0 {
 		e.hasTTL = true
 		e.expires = now.Add(ttl)
@@ -420,28 +402,21 @@ func (c *Cache) unlinkLocked(s *shard, e *entry) {
 	s.lru.Remove(e.elem)
 }
 
-// remove drops key's entry — only if it still is e, when e is given: the
-// lookup that found e dead held no lock, so the key may have been filled
-// again since.
-func (c *Cache) remove(key hashkey.Key, e *entry) {
-	if c.find(key) == nil {
-		return
-	}
-	s := c.shardOf(key)
+// remove drops e, the entry a lookup found dead under its key — only if
+// it still is the key's entry: the lookup held no lock, so the key may
+// have been filled again since.
+func (c *Cache) remove(e *entry) {
+	s := c.shardOf(e.key)
 	s.mu.Lock()
-	cur := c.link(s, key).Load()
-	ok := cur != nil && (e == nil || cur == e)
+	ok := c.link(s, e.key).Load() == e
 	if ok {
-		c.unlinkLocked(s, cur)
+		c.unlinkLocked(s, e)
 	}
 	s.mu.Unlock()
 	if ok {
 		c.entries.Add(-1)
 	}
 }
-
-// Invalidate drops key's entry, if any.
-func (c *Cache) Invalidate(key hashkey.Key) { c.remove(key, nil) }
 
 // Len reports the total number of entries across all shards.
 func (c *Cache) Len() int {

@@ -32,10 +32,18 @@ func (fc *fakeClock) advance(d time.Duration) {
 	fc.mu.Unlock()
 }
 
+// drop removes key's entry, if it has one, the way a lookup that found it
+// dead would.
+func drop(c *Cache, key hashkey.Key) {
+	if e := c.find(key); e != nil {
+		c.remove(e)
+	}
+}
+
 func TestLookupStates(t *testing.T) {
 	fc := newFakeClock()
 	ctrs := metrics.NewCounters()
-	c := New(Config{NegativeTTL: time.Second, StaleWindow: 5 * time.Second, Clock: fc.now, Counters: ctrs})
+	c := New(Config{Clock: fc.now, Counters: ctrs})
 	k := hashkey.FromName("a")
 
 	if _, st := c.Lookup(k); st != Miss {
@@ -52,7 +60,7 @@ func TestLookupStates(t *testing.T) {
 		t.Fatalf("stale lookup: %q %v", addr, st)
 	}
 
-	fc.advance(10 * time.Second) // beyond stale window
+	fc.advance(staleWindow) // beyond the stale window
 	if _, st := c.Lookup(k); st != Miss {
 		t.Fatalf("dead lookup: state %v, want Miss", st)
 	}
@@ -64,7 +72,7 @@ func TestLookupStates(t *testing.T) {
 	if _, st := c.Lookup(k); st != Negative {
 		t.Fatalf("negative lookup: state %v, want Negative", st)
 	}
-	fc.advance(2 * time.Second) // negative TTL lapsed
+	fc.advance(2 * negativeTTL) // negative TTL lapsed
 	if _, st := c.Lookup(k); st != Miss {
 		t.Fatalf("lapsed negative: state %v, want Miss", st)
 	}
@@ -108,7 +116,7 @@ func TestEvictionPrefersExpired(t *testing.T) {
 	fc := newFakeClock()
 	ctrs := metrics.NewCounters()
 	// Single shard, capacity 4, so eviction order is fully observable.
-	c := New(Config{Shards: 1, MaxEntries: 4, StaleWindow: time.Hour, Clock: fc.now, Counters: ctrs})
+	c := newCache(Config{Clock: fc.now, Counters: ctrs}, 1, 4)
 
 	expired := hashkey.FromName("expired")
 	c.Put(expired, "old", time.Second)
@@ -146,7 +154,7 @@ func TestEvictionPrefersExpired(t *testing.T) {
 
 func TestEvictionFallsBackToLRU(t *testing.T) {
 	fc := newFakeClock()
-	c := New(Config{Shards: 1, MaxEntries: 3, Clock: fc.now})
+	c := newCache(Config{Clock: fc.now}, 1, 3)
 	keys := []hashkey.Key{hashkey.FromName("k0"), hashkey.FromName("k1"), hashkey.FromName("k2")}
 	for _, k := range keys {
 		c.Put(k, "addr", time.Hour)
@@ -172,14 +180,14 @@ func TestEntriesGauge(t *testing.T) {
 	if got := g.Get("loccache.entries"); got != 2 {
 		t.Fatalf("entries gauge %d, want 2", got)
 	}
-	c.Invalidate(a)
+	drop(c, a)
 	if got := g.Get("loccache.entries"); got != 1 {
 		t.Fatalf("entries gauge after invalidate %d, want 1", got)
 	}
 }
 
 func TestConcurrentShardAccess(t *testing.T) {
-	c := New(Config{Shards: 16, MaxEntries: 256})
+	c := newCache(Config{}, 16, 16)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -196,7 +204,7 @@ func TestConcurrentShardAccess(t *testing.T) {
 				case 2:
 					c.PutNegative(k)
 				case 3:
-					c.Invalidate(k)
+					drop(c, k)
 				}
 			}
 		}(w)
@@ -208,7 +216,7 @@ func TestConcurrentShardAccess(t *testing.T) {
 }
 
 func TestShardBoundHolds(t *testing.T) {
-	c := New(Config{Shards: 4, MaxEntries: 64})
+	c := newCache(Config{}, 4, 16)
 	for i := 0; i < 10_000; i++ {
 		c.Put(hashkey.FromName(fmt.Sprintf("k%d", i)), "addr", time.Minute)
 	}
@@ -262,7 +270,7 @@ func TestPutEpochNewestWins(t *testing.T) {
 // stale (the guard still holds until the entry is actually dropped).
 func TestPutEpochReplacesNegativeAndExpired(t *testing.T) {
 	fc := newFakeClock()
-	c := New(Config{NegativeTTL: time.Second, StaleWindow: 5 * time.Second, Clock: fc.now})
+	c := New(Config{Clock: fc.now})
 	k := hashkey.FromName("x")
 
 	c.PutNegative(k)
@@ -328,7 +336,7 @@ func TestHitTakesNoLock(t *testing.T) {
 // eviction takes the older k0, and the one after finds k1 at the tail,
 // promotes it and takes the younger but untouched k2 instead.
 func TestTouchedKeyGetsSecondChance(t *testing.T) {
-	c := New(Config{Shards: 1, MaxEntries: 4})
+	c := newCache(Config{}, 1, 4)
 	var keys []hashkey.Key
 	for i := 0; i < 6; i++ {
 		keys = append(keys, hashkey.FromName(fmt.Sprintf("k%d", i)))
@@ -360,7 +368,7 @@ func TestTouchedKeyGetsSecondChance(t *testing.T) {
 func TestReadersNeverSeeTornState(t *testing.T) {
 	const bound = 8
 	ctrs := metrics.NewCounters()
-	c := New(Config{Shards: 1, MaxEntries: bound, Counters: ctrs})
+	c := newCache(Config{Counters: ctrs}, 1, bound)
 	// One shard, eight buckets: keys that differ only above bit 3 share
 	// bucket 0, so every operation below edits the chain readers walk.
 	key := func(i int) hashkey.Key { return hashkey.Key(i << 3) }
@@ -394,7 +402,7 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 		defer writers.Done()
 		for e := 1; e < rounds; e++ {
 			c.PutEpoch(key(flapped), addrOf(flapped, e), time.Hour, uint64(e))
-			c.Invalidate(key(flapped))
+			drop(c, key(flapped))
 		}
 	}()
 	for r := 0; r < 8; r++ {

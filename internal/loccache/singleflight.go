@@ -108,10 +108,3 @@ func (g *Group) fly(ctx context.Context, key hashkey.Key, f *flight, fn func() (
 	f.addr, f.err = addr, err
 	return addr, err
 }
-
-// Inflight reports how many flights are currently running.
-func (g *Group) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.flights)
-}

@@ -13,6 +13,13 @@ import (
 	"bristle/internal/hashkey"
 )
 
+// inflight counts the flights g has in the air.
+func inflight(g *Group) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.flights)
+}
+
 func TestDoCoalescesConcurrentCallers(t *testing.T) {
 	var g Group
 	k := hashkey.FromName("k")
@@ -113,7 +120,7 @@ func TestLaunchDeduplicates(t *testing.T) {
 		t.Fatal("second Launch started a duplicate flight")
 	}
 	close(gate)
-	for g.Inflight() != 0 {
+	for inflight(&g) != 0 {
 		time.Sleep(time.Millisecond)
 	}
 	if calls.Load() != 1 {
@@ -167,8 +174,8 @@ func TestLeaderFliesOnCallerGoroutine(t *testing.T) {
 	if flier != caller {
 		t.Fatalf("flight ran on goroutine %s, its caller is %s", flier, caller)
 	}
-	if g.Inflight() != 0 {
-		t.Fatalf("%d flights left behind", g.Inflight())
+	if inflight(&g) != 0 {
+		t.Fatalf("%d flights left behind", inflight(&g))
 	}
 }
 
@@ -216,7 +223,7 @@ func TestImpatientLeaderDetachesFlight(t *testing.T) {
 	if r := <-leader; !errors.Is(r.err, context.DeadlineExceeded) || r.shared {
 		t.Fatalf("leader = %+v, want its own DeadlineExceeded", r)
 	}
-	if n := g.Inflight(); n != 1 {
+	if n := inflight(&g); n != 1 {
 		t.Fatalf("Inflight = %d after the leader left, want the flight still up", n)
 	}
 	select {
@@ -235,7 +242,7 @@ func TestImpatientLeaderDetachesFlight(t *testing.T) {
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("body ran %d times, want 2", got)
 	}
-	for g.Inflight() != 0 {
+	for inflight(&g) != 0 {
 		time.Sleep(time.Millisecond)
 	}
 }

@@ -125,11 +125,11 @@ func DialContext(ctx context.Context, tr Transport, addr string) (Conn, error) {
 // --- TCP ---
 
 // TCP is the production transport over the operating system's TCP stack.
-// The zero value is ready to use. DialTimeout bounds connection attempts
-// (default 5s).
-type TCP struct {
-	DialTimeout time.Duration
-}
+// The zero value is ready to use.
+type TCP struct{}
+
+// tcpDialTimeout bounds a connection attempt whose context does not.
+const tcpDialTimeout = 5 * time.Second
 
 // Listen binds a TCP listener; addr ":0" picks a free port.
 func (t *TCP) Listen(addr string) (Listener, error) {
@@ -146,13 +146,9 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 }
 
 // DialContext connects to a listener address, bounded by both ctx and
-// DialTimeout — whichever expires first aborts the attempt.
+// tcpDialTimeout — whichever expires first aborts the attempt.
 func (t *TCP) DialContext(ctx context.Context, addr string) (Conn, error) {
-	timeout := t.DialTimeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: tcpDialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err

@@ -254,7 +254,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 			for i := 0; i < perSender; i++ {
 				// Key carries the sender, Seq its position; the address
 				// gives every frame a different length.
-				m := &wire.Message{Type: wire.TPublish, Key: hashkey.Key(g), Seq: uint32(i)}
+				m := &wire.Message{Type: wire.TPublishBatch, Key: hashkey.Key(g), Seq: uint32(i)}
 				m.Self.Addr = strings.Repeat("x", (g*perSender+i)%97)
 				var err error
 				switch i % 3 {
@@ -285,7 +285,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	next := make([]uint32, senders)
 	for _, m := range res.frames {
 		g := int(m.Key)
-		if m.Type != wire.TPublish || g >= senders || m.Seq != next[g] ||
+		if m.Type != wire.TPublishBatch || g >= senders || m.Seq != next[g] ||
 			m.Self.Addr != strings.Repeat("x", (g*perSender+int(m.Seq))%97) {
 			t.Fatalf("frame %v key=%d seq=%d addr=%q: mangled or out of order (sender expects seq %d)",
 				m.Type, m.Key, m.Seq, m.Self.Addr, next[g%senders])
@@ -295,7 +295,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 }
 
 func TestTCPDialRefused(t *testing.T) {
-	tr := &TCP{DialTimeout: 500 * time.Millisecond}
+	tr := &TCP{}
 	if _, err := tr.Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}

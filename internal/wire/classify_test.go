@@ -59,7 +59,7 @@ func FuzzDecode(f *testing.F) {
 	seeds := []*Message{
 		{Type: TPing},
 		{Type: TDiscover, Key: 42, Seq: 7},
-		{Type: TPublish, Self: Entry{Key: 9, Addr: "10.0.0.1:1", Capacity: 2, TTLMilli: 500, Mobile: true, Epoch: 17}},
+		{Type: TPublishBatch, Self: Entry{Key: 9, Addr: "10.0.0.1:1", Capacity: 2, TTLMilli: 500, Mobile: true, Epoch: 17}},
 		{Type: TJoinResp, Found: true, Entries: []Entry{{Key: 1, Addr: "a:1"}, {Key: 2, Addr: "b:2"}}},
 		// Batched publish: empty batch, and a mixed-epoch batch (records
 		// written at different moves sharing one frame).

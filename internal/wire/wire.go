@@ -41,8 +41,9 @@ const (
 	// TPing / TPong are liveness probes.
 	TPing MsgType = iota + 1
 	TPong
-	// TPublish stores a mobile node's state-pair at a stationary node.
-	TPublish
+	// 3 was TPublish, the one-record publish: every publish is a
+	// TPublishBatch now, and the number stays reserved.
+	_
 	// TPublishAck confirms a publish.
 	TPublishAck
 	// TDiscover asks the stationary layer for a key's current address.
@@ -76,8 +77,6 @@ func (t MsgType) String() string {
 		return "ping"
 	case TPong:
 		return "pong"
-	case TPublish:
-		return "publish"
 	case TPublishAck:
 		return "publish-ack"
 	case TDiscover:

@@ -25,7 +25,7 @@ func roundTrip(t *testing.T, m *Message) *Message {
 }
 
 func TestRoundTripAllTypes(t *testing.T) {
-	types := []MsgType{TPing, TPong, TPublish, TPublishAck, TDiscover,
+	types := []MsgType{TPing, TPong, TPublishAck, TDiscover,
 		TDiscoverResp, TRegister, TRegisterAck, TUpdate, TJoin, TJoinResp,
 		TLeafExchange, TPublishBatch}
 	for _, typ := range types {
@@ -78,7 +78,7 @@ func TestRoundTripPublishBatch(t *testing.T) {
 // TestEpochSurvivesRoundTrip pins the epoch's full 64-bit width.
 func TestEpochSurvivesRoundTrip(t *testing.T) {
 	for _, epoch := range []uint64{0, 1, 1 << 32, ^uint64(0)} {
-		m := &Message{Type: TPublish, Self: Entry{Key: 5, Addr: "a:1", Epoch: epoch}}
+		m := &Message{Type: TPublishBatch, Self: Entry{Key: 5, Addr: "a:1", Epoch: epoch}}
 		if got := roundTrip(t, m); got.Self.Epoch != epoch {
 			t.Fatalf("epoch %d decoded as %d", epoch, got.Self.Epoch)
 		}
@@ -185,7 +185,7 @@ func TestDecodeOversizedRejected(t *testing.T) {
 }
 
 func TestDecodeTruncatedFrame(t *testing.T) {
-	frame, _ := Encode(&Message{Type: TPublish, Self: Entry{Addr: "x:1"}})
+	frame, _ := Encode(&Message{Type: TPublishBatch, Self: Entry{Addr: "x:1"}})
 	for cut := 1; cut < len(frame); cut += 3 {
 		if _, err := Decode(bytes.NewReader(frame[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -203,7 +203,7 @@ func TestDecodeCorruptEntryCount(t *testing.T) {
 }
 
 func TestEncodeAddressTooLong(t *testing.T) {
-	m := &Message{Type: TPublish, Self: Entry{Addr: strings.Repeat("a", 70000)}}
+	m := &Message{Type: TPublishBatch, Self: Entry{Addr: strings.Repeat("a", 70000)}}
 	if _, err := Encode(m); err == nil {
 		t.Fatal("oversized address accepted")
 	}
