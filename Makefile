@@ -47,9 +47,9 @@ loc:
 # lease-aware cache's hot/stale/cold-miss paths, the hot path's scaling
 # from one goroutine to GOMAXPROCS, the cache's own hit path from every
 # processor, and the serve path's pipelined capacity over a loopback
-# socket) and the batched-publish benchmarks (RPCs per publish at
-# 1/100/10k owned records), recording the results as BENCH_resolve.json
-# and BENCH_publish.json. The nodes and the cache run with counters and
+# socket) and the publish benchmarks (RPCs per full publish, and per
+# move's one-record publish, at 1/100/10k owned records), recording the
+# results as BENCH_resolve.json and BENCH_publish.json. The nodes and the cache run with counters and
 # gauges on, as bristled runs them. Override BENCHTIME (e.g. BENCHTIME=2s)
 # for a statistically meaningful local run; the 100x default is a CI
 # smoke.
@@ -60,7 +60,7 @@ bench:
 		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
 	$(GO) run ./cmd/benchjson -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkPublishIngestParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkMovePublish|BenchmarkPublishIngestParallel' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_publish.txt
 	$(GO) run ./cmd/benchjson -suite publish -in bench_publish.txt -out BENCH_publish.json
 	@rm -f bench_publish.txt

@@ -982,11 +982,17 @@ func (c *Cluster) Register(watcher, target string) error {
 
 // Resolve resolves target's key from from's cache-first resolve path.
 func (c *Cluster) Resolve(from, target string) (string, error) {
+	return c.ResolveKey(from, c.Key(target))
+}
+
+// ResolveKey resolves key — a member's own or one it owns — through
+// from's resolve path.
+func (c *Cluster) ResolveKey(from string, key hashkey.Key) (string, error) {
 	fn := c.Node(from)
 	if fn == nil || !c.Alive(from) {
 		return "", fmt.Errorf("harness: resolve: %s is not live", from)
 	}
-	return fn.ResolveContext(c.opCtxDo(), c.Key(target))
+	return fn.ResolveContext(c.opCtxDo(), key)
 }
 
 // Gossip runs anti-entropy rounds across every live ring member. Fabric

@@ -35,6 +35,7 @@ func TestScenarios(t *testing.T) {
 		partitionDuringRebind(),
 		registryUnderMoverCrash(),
 		batchedMoverManyKeys(),
+		ownedKeysThroughReplicaRestart(),
 		rapidMovesUnderDuplication(),
 		triedMoveUnderPartition(),
 		// Before GenSchedule tried the moves it schedules under an open
@@ -271,6 +272,68 @@ func batchedMoverManyKeys() harness.Scenario {
 					return nil
 				},
 			}),
+		Quiesce: 200 * time.Millisecond,
+	}
+}
+
+// ownedKeysThroughReplicaRestart is the owner indirection's story: a
+// mobile's owned keys are stored at the replicas as pointers to its
+// identity record, so its moves rewrite one record per replica — and a
+// replica that restarts between moves comes back holding none of them.
+// The mover's next publish, after the ring has gossiped the restart,
+// gives the replica everything again; until then a resolve falls over to
+// the key's other replica. Every owned key, like the mover's own, must
+// stay resolvable to the current address from everywhere, and no cache
+// may ever walk one back.
+func ownedKeysThroughReplicaRestart() harness.Scenario {
+	keys := make([]hashkey.Key, 64)
+	for i := range keys {
+		keys[i] = hashkey.FromName(fmt.Sprintf("owned-%d", i))
+	}
+	stationary := []string{"s1", "s2", "s3", "s4"}
+	// The stationary nearest m1's key is the first replica of its identity
+	// record, and with 64 keys on two of four nodes holds owned records too.
+	replica := stationary[0]
+	for _, name := range stationary[1:] {
+		if hashkey.Closer(hashkey.FromName("m1"), hashkey.FromName(name), hashkey.FromName(replica)) {
+			replica = name
+		}
+	}
+	var resolves []harness.Op
+	for _, from := range []string{"s1", "s3"} {
+		resolves = append(resolves, harness.Resolve{From: from, Target: "m1", Within: 10 * time.Second})
+	}
+	return harness.Scenario{
+		Name: "owned-keys-through-replica-restart",
+		Cluster: harness.Config{
+			Seed:        808,
+			Stationary:  stationary,
+			Mobile:      []string{"m1"},
+			LeaseTTL:    2 * time.Second,
+			Replication: 2,
+			Maintain:    maintain(),
+		},
+		Ops: append([]harness.Op{
+			harness.Own{Node: "m1", Keys: keys},
+			harness.Publish{Node: "m1"},
+			harness.Register{Watcher: "s2", Target: "m1"},
+			harness.Move{Node: "m1"},
+			harness.Move{Node: "m1"},
+			harness.Move{Node: "m1"},
+			harness.Crash{Node: replica},
+			harness.Move{Node: "m1"},
+			harness.Restart{Node: replica},
+			harness.Move{Node: "m1"},
+			harness.Gossip{Rounds: 2},
+			harness.Move{Node: "m1"},
+		}, resolves...),
+		Checkers: []harness.Checker{
+			&harness.Resolvability{Owned: len(keys)},
+			&harness.NoResurrection{Owned: len(keys)},
+			&harness.UpdateDelivery{},
+			&harness.NoLeaks{},
+			&harness.CounterConservation{},
+		},
 		Quiesce: 200 * time.Millisecond,
 	}
 }

@@ -81,6 +81,9 @@ type Resolvability struct {
 	// exceed the lease TTL: a resolver legitimately serves a cached old
 	// address until the lease lapses. Default 20s.
 	Deadline time.Duration
+	// Owned extends the claim from each target's own key to up to this
+	// many of the keys it owns.
+	Owned int
 }
 
 func (r *Resolvability) Name() string { return "resolvability" }
@@ -108,14 +111,22 @@ func (r *Resolvability) AtQuiescence(c *Cluster) error {
 		if from == target {
 			continue
 		}
-		err := Eventually(deadline, func() error {
-			return resolveOnce(c, from, target, true)
-		})
-		if err != nil {
-			return err
+		keys := append([]hashkey.Key{c.Key(target)}, firstOf(c.Owned(target), r.Owned)...)
+		for _, key := range keys {
+			err := Eventually(deadline, func() error {
+				return resolveKeyOnce(c, from, target, key, true)
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// firstOf returns at most n of keys.
+func firstOf(keys []hashkey.Key, n int) []hashkey.Key {
+	return keys[:min(n, len(keys))]
 }
 
 // UpdateDelivery asserts the LDT contract: a node holding a live
@@ -256,6 +267,10 @@ func (CounterConservation) AfterShutdown(c *Cluster) error {
 // lifetime.
 type NoResurrection struct {
 	NopChecker
+	// Owned extends the probe from each mover's own key to up to this many
+	// of the keys it owns, as the observers' caches hold them.
+	Owned int
+
 	mu   sync.Mutex
 	seen map[string]int // observation point → highest bind order seen
 }
@@ -288,9 +303,11 @@ func (r *NoResurrection) probe(c *Cluster) error {
 			continue
 		}
 		key := c.Key(target)
-		if addr, ok := c.Node(from).CachedAddr(key); ok {
-			if err := r.observe(c, "cache "+from, target, key, addr); err != nil {
-				return err
+		for _, k := range append([]hashkey.Key{key}, firstOf(c.Owned(target), r.Owned)...) {
+			if addr, ok := c.Node(from).CachedAddr(k); ok {
+				if err := r.observe(c, "cache "+from, target, k, addr); err != nil {
+					return err
+				}
 			}
 		}
 		if addr := c.Observed(from, target); addr != "" {
@@ -309,7 +326,7 @@ func (r *NoResurrection) observe(c *Cluster, point, target string, key hashkey.K
 	if !bound {
 		return fmt.Errorf("%s holds %q for %s: never a bound address", point, addr, target)
 	}
-	id := point + "|" + target
+	id := fmt.Sprintf("%s|%s|%v", point, target, key)
 	if prev := r.seen[id]; order < prev {
 		return fmt.Errorf("%s resurrected %s's bind #%d (%q) after seeing bind #%d",
 			point, target, order, addr, prev)

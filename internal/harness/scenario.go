@@ -119,15 +119,21 @@ var errNeverBound = errors.New("resolved an address never bound to the target")
 // requires the target's current address; otherwise any historically
 // valid address passes (stale within lease is correct behaviour).
 func resolveOnce(c *Cluster, from, target string, wantFresh bool) error {
-	addr, err := c.Resolve(from, target)
+	return resolveKeyOnce(c, from, target, c.Key(target), wantFresh)
+}
+
+// resolveKeyOnce is resolveOnce for any key target publishes: its own or
+// one it owns.
+func resolveKeyOnce(c *Cluster, from, target string, key hashkey.Key, wantFresh bool) error {
+	addr, err := c.ResolveKey(from, key)
 	if err != nil {
-		return fmt.Errorf("resolve %s→%s: %w", from, target, err)
+		return fmt.Errorf("resolve %s→%s (%v): %w", from, target, key, err)
 	}
-	if !c.EverBound(c.Key(target), addr) {
-		return fmt.Errorf("resolve %s→%s: %w: %q", from, target, errNeverBound, addr)
+	if !c.EverBound(key, addr) {
+		return fmt.Errorf("resolve %s→%s (%v): %w: %q", from, target, key, errNeverBound, addr)
 	}
 	if wantFresh && addr != c.Addr(target) {
-		return fmt.Errorf("resolve %s→%s: stale %q, current %q", from, target, addr, c.Addr(target))
+		return fmt.Errorf("resolve %s→%s (%v): stale %q, current %q", from, target, key, addr, c.Addr(target))
 	}
 	return nil
 }

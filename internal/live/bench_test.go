@@ -159,7 +159,7 @@ func BenchmarkServePipelinedTCP(b *testing.B) {
 	}
 	b.Cleanup(func() { server.Close() })
 	key := hashkey.FromName("bench-target")
-	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, time.Now())
+	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, key, time.Now())
 	conn, err := tcp.Dial(server.Addr())
 	if err != nil {
 		b.Fatal(err)
@@ -333,8 +333,9 @@ func BenchmarkResolveColdMiss(b *testing.B) {
 }
 
 // benchPublishCluster starts three stationary replicas plus one mobile
-// publisher that owns ownedKeys resource records beyond its identity key.
-func benchPublishCluster(b *testing.B, ownedKeys int) (*Node, *metrics.Counters) {
+// publisher that owns ownedKeys resource records beyond its identity key
+// and places every record on replication of the three (0: the default).
+func benchPublishCluster(b *testing.B, ownedKeys, replication int) (*Node, *metrics.Counters) {
 	b.Helper()
 	counters := metrics.NewCounters()
 	mem := transport.NewMem()
@@ -347,7 +348,7 @@ func benchPublishCluster(b *testing.B, ownedKeys int) (*Node, *metrics.Counters)
 		b.Cleanup(func() { nd.Close() })
 		servers = append(servers, nd)
 	}
-	pub := mustNode(b, Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Counters: counters}, mem)
+	pub := mustNode(b, Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Replication: replication, Counters: counters}, mem)
 	if err := pub.Start(""); err != nil {
 		b.Fatal(err)
 	}
@@ -365,20 +366,31 @@ func benchPublishCluster(b *testing.B, ownedKeys int) (*Node, *metrics.Counters)
 	return pub, counters
 }
 
-// benchmarkPublishBatch measures one full publication of the publisher's
-// record set (1, 100, or 10k records) and reports the measured RPC count
-// per publish — the tentpole's O(replicas) claim as a recorded metric:
-// rpcs/op must stay ~constant (≤ one frame chunk per distinct replica
-// address) while records/op grows 10000×. `make bench` records these in
-// BENCH_publish.json.
-func benchmarkPublishBatch(b *testing.B, ownedKeys int) {
-	pub, counters := benchPublishCluster(b, ownedKeys)
+// benchmarkPublish measures one publication by a publisher of 1, 100 or
+// 10k records and reports the measured RPC count per publish. Full is the
+// publish that carries the whole record set — the first one, a renewal,
+// the one after the owned set or the ring changed: rpcs/op stays
+// ~constant (≤ one frame chunk per distinct replica address) while
+// records/op grows 10000×. Otherwise it is the publish a move makes after
+// one full publish: the binding alone to every holder, so with the holder
+// set held equal across sizes (every record on all three replicas) rpcs/op,
+// B/op and allocs/op read the same at 10k records as at 1. `make bench`
+// records both in BENCH_publish.json.
+func benchmarkPublish(b *testing.B, ownedKeys int, full bool) {
+	replication := 0
+	if !full {
+		replication = 3
+	}
+	pub, counters := benchPublishCluster(b, ownedKeys, replication)
 	ctx := context.Background()
+	if err := pub.PublishContext(ctx); err != nil {
+		b.Fatal(err)
+	}
 	before := counters.Get("publish.rpcs")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pub.PublishContext(ctx); err != nil {
+		if err := pub.publish(ctx, full); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,9 +399,13 @@ func benchmarkPublishBatch(b *testing.B, ownedKeys int) {
 	b.ReportMetric(float64(rpcs)/float64(b.N), "rpcs/op")
 }
 
-func BenchmarkPublishBatch1(b *testing.B)   { benchmarkPublishBatch(b, 0) }
-func BenchmarkPublishBatch100(b *testing.B) { benchmarkPublishBatch(b, 99) }
-func BenchmarkPublishBatch10k(b *testing.B) { benchmarkPublishBatch(b, 9999) }
+func BenchmarkPublishBatch1(b *testing.B)   { benchmarkPublish(b, 0, true) }
+func BenchmarkPublishBatch100(b *testing.B) { benchmarkPublish(b, 99, true) }
+func BenchmarkPublishBatch10k(b *testing.B) { benchmarkPublish(b, 9999, true) }
+
+func BenchmarkMovePublish1(b *testing.B)   { benchmarkPublish(b, 0, false) }
+func BenchmarkMovePublish100(b *testing.B) { benchmarkPublish(b, 99, false) }
+func BenchmarkMovePublish10k(b *testing.B) { benchmarkPublish(b, 9999, false) }
 
 // BenchmarkPublishIngestParallel drives the server-side batch ingest path
 // (handlePublishBatch) from all cores at once against a bare node — the

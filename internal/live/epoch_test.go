@@ -288,7 +288,7 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	}
 	for _, nd := range stationaries {
 		if nd.Key() == owners[0].Key {
-			nd.store.apply(later, time.Now())
+			nd.store.apply(later, later.Key, time.Now())
 		}
 	}
 	publishAndCount(3, 1)
@@ -306,9 +306,9 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	}
 }
 
-// TestPublishedKeysFollowRebind: the whole point of the owned set — a
-// move re-homes every record, and the rebound epoch makes the new
-// bindings authoritative.
+// TestPublishedKeysFollowRebind: the whole point of the owned set — every
+// owned key follows its owner's move, and the rebound epoch makes the new
+// binding authoritative.
 func TestPublishedKeysFollowRebind(t *testing.T) {
 	nodes, cleanup := startCluster(t, []string{"s1", "s2", "s3", "mob"}, map[string]bool{"mob": true}, nil)
 	defer cleanup()
@@ -341,7 +341,10 @@ func TestPublishedKeysFollowRebind(t *testing.T) {
 // possibly twice and late) through three rapid moves. Every stationary
 // replica and the watcher's cache must settle on the final address —
 // pre-epoch, a late duplicate of an earlier publish could win the race
-// and stick, because nothing newer would ever displace it again.
+// and stick, because nothing newer would ever displace it again. The
+// mover's owned keys settle with it: a late duplicate of the full batch
+// from before the moves re-arms their records, which name the mover, and
+// cannot put back the address that batch was sent from.
 func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	counters := metrics.NewCounters()
 	faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
@@ -356,6 +359,8 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	defer cleanup()
 
 	mob, watcher := nodes["mob"], nodes["watcher"]
+	owned := testKeys("obj", 32)
+	mob.OwnKeys(owned...)
 	if err := mob.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +373,27 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 		}
 	}
 	final := mob.Addr()
+	// regressed names a replica that serves one of the mover's keys at
+	// anything but the final binding.
+	regressed := func() string {
+		for _, k := range append(owned, mob.Key()) {
+			owners, err := mob.ownersOf(k, mob.cfg.Replication)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range owners {
+				for _, nd := range nodes {
+					if nd.Key() != o.Key {
+						continue
+					}
+					if got, found := servedBy(nd, k); !found || got.Addr != final || got.Epoch != mob.Stats().Epoch {
+						return fmt.Sprintf("%s serves key %v at (%q, epoch %d, found %v)", nd.cfg.Name, k, got.Addr, got.Epoch, found)
+					}
+				}
+			}
+		}
+		return ""
+	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -377,6 +403,12 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("replicas never converged on final address: got %q (%v), want %q", addr, err, final)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for regressed() != "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged on (%q, epoch %d): %s", final, mob.Stats().Epoch, regressed())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -390,6 +422,9 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 		}
 		if addr != final {
 			t.Fatalf("stale address resurrected after convergence: %q, want %q", addr, final)
+		}
+		if bad := regressed(); bad != "" {
+			t.Fatalf("stale binding resurrected after convergence: %s", bad)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -23,7 +23,8 @@
 //   - membership.go — membership (one sorted slice, swapped once per
 //     frame) and the registry (a mutex and a map); gossip/register;
 //     replica selection
-//   - publish.go    — the owned-key set and the batched publish fan-out
+//   - publish.go    — the owned-key set and the publish fan-out: full, or
+//     a move's one record per replica
 //   - resolve.go    — the cache-first resolve hot path
 //   - advertise.go  — the LDT fan-out: each head's update, straight to
 //     its session
@@ -253,7 +254,8 @@ type binding struct {
 //   - registry, written far more often than read, is a map under its own
 //     mutex.
 //   - store and seen are sixteen-way key-sharded tables (store.go).
-//   - owned has its own small mutex (publish.go).
+//   - owned, and what the node remembers of its last full publish, have
+//     their own small mutex (publish.go).
 //   - peers is the one per-address table (peer.go): RTT estimates and
 //     breaker state are atomics, each record's mutex guards its breaker
 //     transitions and its pooled session.
@@ -282,11 +284,18 @@ type Node struct {
 	idsMu sync.Mutex
 	ids   map[hashkey.Key][32]byte
 
-	// owned is the set of resource keys published at this node's address
-	// beyond its own identity key — the records a move must re-home. All
-	// of them ride one TPublishBatch per owner replica.
-	ownedMu sync.Mutex
-	owned   map[hashkey.Key]struct{}
+	// owned is the set of resource keys published as this node's, beyond
+	// its own identity key; replicas resolve them through this node's
+	// record, so only a full publish carries them. ownedGen counts what
+	// leaves some replica owed a full publish — every OwnKeys and
+	// DisownKeys, every holder that missed a frame — and full is the last
+	// full publish that reached every holder: while full.gen == ownedGen
+	// (and the ring and the leases agree, publish.go) a move sends one
+	// record.
+	ownedMu  sync.Mutex
+	owned    map[hashkey.Key]struct{}
+	ownedGen uint64
+	full     fullPublish
 
 	// loc holds locations this node has *learned* about others — TUpdate
 	// pushes (early binding) and discover answers (late binding) write
@@ -441,10 +450,13 @@ func (n *Node) Close() error {
 }
 
 // RebindContext moves a mobile node to a new listener (a new network
-// attachment point), republishes its location, and pushes the update
-// through its dissemination tree. Connections accepted through the old
-// attachment point close with it, exactly as a real relocation severs
-// them.
+// attachment point), republishes its location — one record per replica
+// when that is all the replicas lack (publish.go) — and pushes the update
+// through its dissemination tree. The two run side by side and each to
+// its end: registrants hear of the move though no replica can be reached
+// (early binding does not depend on late binding's repository), and the
+// error reports both. Connections accepted through the old attachment
+// point close with it, exactly as a real relocation severs them.
 func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if !n.cfg.Mobile {
 		return errors.New("live: node is not mobile")
@@ -472,10 +484,10 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	go n.acceptLoop(ls)
 	n.logf("rebound to %s", n.Addr())
 
-	if err := n.PublishContext(ctx); err != nil {
-		return err
-	}
-	return n.UpdateRegistryContext(ctx)
+	pushed := make(chan error, 1)
+	go func() { pushed <- n.UpdateRegistryContext(ctx) }()
+	err = n.publish(ctx, false)
+	return errors.Join(err, <-pushed)
 }
 
 func (n *Node) logf(format string, args ...interface{}) {

@@ -1,31 +1,38 @@
 package live
 
-// This file is the publish path: the owned-key set (the resource records
-// a mobile host re-homes when it moves) and PublishContext, the
-// O(replicas) batched publication. The owned set has its own small
-// mutex — OwnKeys/DisownKeys/OwnedKeys and a concurrent PublishContext
-// never touch any other node state, so key churn can ride alongside a
-// large in-flight publication.
+// This file is the publish path: the owned-key set and publish, the one
+// function behind PublishContext and a move's republication.
+//
+// Replicas store an owned key as key → owner and the address once, in the
+// owner's identity record (store.go), so the two publications differ only
+// in what the batch holds. A full publish carries the binding and every
+// owned key to the replicas of each; a move carries the binding alone —
+// one record — to every replica the last full publish reached, and each
+// owned key answers with the new address the moment that record lands.
+// The owned set, and what the node remembers of its last full publish,
+// share one small mutex: OwnKeys/DisownKeys/OwnedKeys and a concurrent
+// publish never touch any other node state.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"bristle/internal/hashkey"
 	"bristle/internal/wire"
 )
 
-// OwnKeys adds resource keys to the set this node publishes at its own
-// address: PublishContext re-homes them all (batched per owner replica)
-// and every rebind moves them with the node.
+// OwnKeys adds resource keys to the set this node publishes as its own:
+// the next publish, a move's included, carries them all to their replicas
+// (batched per replica), and every later move takes them along at no cost.
 func (n *Node) OwnKeys(keys ...hashkey.Key) {
 	n.ownedMu.Lock()
 	defer n.ownedMu.Unlock()
 	for _, k := range keys {
 		n.owned[k] = struct{}{}
 	}
+	n.ownedGen++
 }
 
 // DisownKeys removes resource keys from the owned set. Already-published
@@ -36,45 +43,77 @@ func (n *Node) DisownKeys(keys ...hashkey.Key) {
 	for _, k := range keys {
 		delete(n.owned, k)
 	}
+	n.ownedGen++
 }
 
 // OwnedKeys returns the resource keys currently published at this node's
 // address (beyond its identity key), sorted.
 func (n *Node) OwnedKeys() []hashkey.Key {
 	n.ownedMu.Lock()
+	out := n.ownedLocked()
+	n.ownedMu.Unlock()
+	slices.Sort(out)
+	return out
+}
+
+// ownedLocked copies the owned set, unsorted; the caller holds ownedMu.
+func (n *Node) ownedLocked() []hashkey.Key {
 	out := make([]hashkey.Key, 0, len(n.owned))
 	for k := range n.owned {
 		out = append(out, k)
 	}
-	n.ownedMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// fullPublish is what a node keeps of its last full publish that every
+// holder acknowledged: while it still describes the world, a move owes
+// those holders one record and nobody else anything.
+type fullPublish struct {
+	gen     uint64       // Node.ownedGen when it read the owned set
+	at      time.Time    // when it started; the owned records' leases run from here
+	ring    []wire.Entry // the stationary ring it placed records on
+	holders []string     // every replica address it stored at
+}
+
+// sameRing reports whether two stationary rings place every key on the
+// same replicas and those replicas still hold what they were sent: same
+// keys at the same addresses, none restarted (a restart is a new epoch
+// and an empty store).
+func sameRing(a, b []wire.Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y wire.Entry) bool {
+		return x.Key == y.Key && x.Addr == y.Addr && x.Epoch == y.Epoch
+	})
 }
 
 // publishBatchMax bounds the records per TPublishBatch frame, keeping a
 // worst-case frame comfortably under wire.MaxFrame.
 const publishBatchMax = 8192
 
-// PublishContext pushes this node's current address — and every record
-// in its owned set — to the owners of each key (the paper's location
-// publication, k-replicated). Records are grouped by owner replica so a
-// move re-homes N keys in O(replicas) RPCs, not O(N): each distinct
-// replica address receives one TPublishBatch (chunked at
-// publishBatchMax) ingested record-by-record on the far side; a node
-// owning nothing beyond its identity key sends a batch of one. It succeeds
-// when every record was stored at ≥1 replica.
-func (n *Node) PublishContext(ctx context.Context) error {
+// PublishContext pushes this node's current address, and every key in
+// its owned set as a record naming this node its owner, to the replicas
+// of each (the paper's location publication, k-replicated). Records are
+// grouped by replica, so N keys cost O(replicas) RPCs, not O(N): each
+// distinct replica address receives one TPublishBatch (chunked at
+// publishBatchMax) led by the binding; a node owning nothing sends
+// batches of that one record. It succeeds when the binding was stored at
+// ≥1 replica of the node's own key; a replica that could not be reached
+// is sent everything again by the next publish.
+func (n *Node) PublishContext(ctx context.Context) error { return n.publish(ctx, true) }
+
+// publish is every publication. A move asks for full=false and gets the
+// one-record form — the binding alone, to the holders of the last full
+// publish and the replicas of the node's own key — when that is all the
+// replicas lack: the owned set is what the last full publish sent, the
+// ring is the one it sent it to, no holder has missed a frame since, and
+// the owned records' leases are less than half run (with no maintenance
+// loop renewing them, a node that keeps moving renews them here).
+// Anything else is a full publish, which is also what repairs a holder
+// that missed a binding.
+func (n *Node) publish(ctx context.Context, full bool) error {
 	now := time.Now()
 	// One atomic read of (addr, epoch): every record of this publication
 	// asserts the same binding, even against a concurrent rebind.
 	self := n.SelfEntry()
-	n.ownedMu.Lock()
-	records := make([]wire.Entry, 0, 1+len(n.owned))
-	records = append(records, self)
-	for k := range n.owned {
-		records = append(records, wire.Entry{Key: k, Addr: self.Addr, TTLMilli: self.TTLMilli, Epoch: self.Epoch})
-	}
-	n.ownedMu.Unlock()
 	// One ranking serves the whole fan-out: suspicion is sampled once (not
 	// one lock round per record) and every candidate's effective RTT —
 	// measured or exploration-jittered — is frozen, so replica ordering
@@ -84,93 +123,102 @@ func (n *Node) PublishContext(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(records, func(i, j int) bool { return records[i].Key < records[j].Key })
+	// Every batch leads with the binding: it is the record the others
+	// resolve through, and the whole of a move's batch. The batches share
+	// this one until a record is appended, which copies (its capacity is 1).
+	binding := []wire.Entry{self}
+	batches := make(map[string][]wire.Entry, len(rk.ring))
+	identity := make([]string, 0, n.cfg.Replication)
+	for _, o := range rk.owners(self.Key, n.cfg.Replication) {
+		identity = append(identity, o.Addr)
+		batches[o.Addr] = binding
+	}
 
-	// Group every record's replica set by owner address. Self-owned
-	// records (a stationary node can be its own replica) are ingested
-	// locally without a frame.
-	groups := make(map[string][]wire.Entry)
-	var order []string
-	var selfRecs []wire.Entry
-	for _, rec := range records {
-		for _, owner := range rk.owners(rec.Key, n.cfg.Replication) {
-			if owner.Key == n.key {
-				selfRecs = append(selfRecs, rec)
-				continue
+	n.ownedMu.Lock()
+	gen, last := n.ownedGen, n.full
+	full = full || last.holders == nil || last.gen != gen || !sameRing(last.ring, rk.ring) ||
+		n.cfg.LeaseTTL > 0 && now.Sub(last.at) >= n.cfg.LeaseTTL/2
+	var keys []hashkey.Key
+	if full {
+		keys = n.ownedLocked()
+	}
+	n.ownedMu.Unlock()
+	if !full {
+		for _, addr := range last.holders {
+			batches[addr] = binding
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		rec := wire.Entry{Key: k, TTLMilli: self.TTLMilli, Epoch: self.Epoch}
+		for _, o := range rk.owners(k, n.cfg.Replication) {
+			b := batches[o.Addr]
+			if b == nil {
+				b = binding
 			}
-			if _, ok := groups[owner.Addr]; !ok {
-				order = append(order, owner.Addr)
-			}
-			groups[owner.Addr] = append(groups[owner.Addr], rec)
+			batches[o.Addr] = append(b, rec)
 		}
 	}
 
-	stored := make(map[hashkey.Key]int, len(records)) // replicas holding each record
-	if len(selfRecs) > 0 {
-		accepted := 0
-		for _, rec := range selfRecs {
-			if n.store.apply(rec, now) {
-				accepted++
-				stored[rec.Key]++
-			}
-		}
-		n.countIngest(len(selfRecs), accepted)
-	}
-
-	type chunkResult struct {
-		recs []wire.Entry
+	type outcome struct {
+		addr string
 		err  error
 	}
-	results := make(chan chunkResult)
-	outstanding := 0
-	for _, addr := range order {
-		recs := groups[addr]
-		outstanding += (len(recs) + publishBatchMax - 1) / publishBatchMax
-		go func(addr string, recs []wire.Entry) {
-			for start := 0; start < len(recs); start += publishBatchMax {
-				end := start + publishBatchMax
-				if end > len(recs) {
-					end = len(recs)
-				}
-				chunk := recs[start:end]
-				// Each replica gets its own message: Seq is stamped per
-				// exchange, so concurrent fan-out must not share frames.
-				msg := &wire.Message{Type: wire.TPublishBatch, Self: self, Entries: chunk}
-				n.ctr.publishRPCs.Inc()
-				resp, err := n.request(ctx, addr, msg)
-				switch {
-				case err != nil:
-					results <- chunkResult{chunk, fmt.Errorf("live: publish to %s: %w", addr, err)}
-				case resp.Type != wire.TPublishAck:
-					results <- chunkResult{chunk, fmt.Errorf("live: unexpected publish response %v", resp.Type)}
-				default:
-					results <- chunkResult{chunk, nil}
-				}
-			}
-		}(addr, recs)
+	results := make(chan outcome, len(batches))
+	for addr, recs := range batches {
+		go func() { results <- outcome{addr, n.sendBatch(ctx, addr, self, recs)} }()
 	}
+	bound := false // the binding is stored at a replica of this node's own key
+	holders := make([]string, 0, len(batches))
 	var lastErr error
-	for i := 0; i < outstanding; i++ {
+	for range batches {
 		r := <-results
 		if r.err != nil {
 			lastErr = r.err
+			n.logf("%v", r.err)
 			continue
 		}
-		for _, rec := range r.recs {
-			stored[rec.Key]++
-		}
+		holders = append(holders, r.addr)
+		bound = bound || slices.Contains(identity, r.addr)
 	}
-	missing := 0
-	for _, rec := range records {
-		if stored[rec.Key] == 0 {
-			missing++
-		}
+	n.ownedMu.Lock()
+	switch {
+	case lastErr != nil:
+		n.ownedGen++ // a holder missed this frame: the next publish is full and repairs it
+	case full:
+		// The ring is copied: keeping the ranking's own slice would move the
+		// ranking's scratch to the heap on every publish, a move's included.
+		n.full = fullPublish{gen: gen, at: now, ring: slices.Clone(rk.ring), holders: holders}
 	}
-	if missing > 0 {
-		if lastErr != nil {
-			return fmt.Errorf("live: publish: %d of %d records stored nowhere: %w", missing, len(records), lastErr)
+	n.ownedMu.Unlock()
+	if !bound {
+		return fmt.Errorf("live: publish: binding stored at no replica of %v: %w", self.Key, lastErr)
+	}
+	return nil
+}
+
+// sendBatch delivers one holder's records, a frame per publishBatchMax of
+// them, each under self as the sender whose binding the receiver ingests.
+// A stationary node that is its own replica ingests without a frame.
+func (n *Node) sendBatch(ctx context.Context, addr string, self wire.Entry, recs []wire.Entry) error {
+	for len(recs) > 0 {
+		chunk := recs[:min(len(recs), publishBatchMax)]
+		recs = recs[len(chunk):]
+		// Each frame gets its own message: Seq is stamped per exchange, so
+		// the concurrent fan-out must not share them.
+		msg := &wire.Message{Type: wire.TPublishBatch, Self: self, Entries: chunk}
+		if addr == self.Addr {
+			n.handlePublishBatch(msg)
+			continue
 		}
-		return fmt.Errorf("live: publish: %d of %d records stored nowhere", missing, len(records))
+		n.ctr.publishRPCs.Inc()
+		resp, err := n.request(ctx, addr, msg)
+		switch {
+		case err != nil:
+			return fmt.Errorf("live: publish to %s: %w", addr, err)
+		case resp.Type != wire.TPublishAck:
+			return fmt.Errorf("live: publish to %s: unexpected response %v", addr, resp.Type)
+		}
 	}
 	return nil
 }

@@ -214,7 +214,7 @@ func TestStoreAndCacheRoles(t *testing.T) {
 	published := hashkey.FromName("published")
 	pushed := hashkey.FromName("pushed")
 
-	n.handlePublishBatch(&wire.Message{Type: wire.TPublishBatch, Entries: []wire.Entry{{Key: published, Addr: "10.0.0.1:1"}}})
+	n.handlePublishBatch(publishOf(wire.Entry{Key: published, Addr: "10.0.0.1:1"}))
 	n.handleUpdate(&wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: pushed, Addr: "10.0.0.2:2"}})
 
 	// The publication is served to the network but is not a learned

@@ -4,6 +4,12 @@ package live
 // holds as an owner/replica of other nodes' keys — plus the server-side
 // handlers that ingest and serve them (TPublishBatch, TDiscover, TUpdate).
 //
+// A replica holds a publisher's address once, in the publisher's identity
+// record. A key the publisher owns is stored as key → (owner's identity
+// key, epoch, lease) with no address of its own, and a discover for it is
+// answered through the owner's record on the same replica: a move
+// rewrites one record per replica however many keys follow the mover.
+//
 // Both tables are sharded sixteen ways by key, mirroring loccache's
 // layout: a publish batch ingesting thousands of records contends only
 // per shard, never with concurrent discovers for unrelated keys, and
@@ -27,15 +33,20 @@ import (
 // a mask.
 const stateShards = 16
 
+// storedLoc is one repository record. owner is the identity key of the
+// publisher it came from: the record under that key itself is the
+// publisher's identity record and holds its address; every other record
+// is an owned key's, holds no address, and resolves through owner.
 type storedLoc struct {
-	addr    string
+	owner   hashkey.Key
+	addr    string // identity records only
 	expires time.Time
 	hasTTL  bool
 	epoch   uint64 // publisher's move counter; newest-epoch-wins
 }
 
-func (s storedLoc) valid(now time.Time) bool {
-	return s.addr != "" && (!s.hasTTL || now.Before(s.expires))
+func (s storedLoc) live(now time.Time) bool {
+	return !s.hasTTL || now.Before(s.expires)
 }
 
 type storeShard struct {
@@ -61,20 +72,25 @@ func (s *recordStore) shard(k hashkey.Key) *storeShard {
 	return &s.shards[uint64(k)&(stateShards-1)]
 }
 
-// apply ingests one published record under newest-epoch-wins: a record
-// whose epoch is older than the live one already stored is the ghost of
-// a pre-move publication (a frame transport.Faulty delayed or
-// duplicated) and must not resurrect the old address. A record whose
-// lease has lapsed no longer outranks anything. Reports whether the
-// record was stored.
-func (s *recordStore) apply(e wire.Entry, now time.Time) bool {
+// apply ingests one record published by the node whose identity key is
+// owner, under newest-epoch-wins: a record whose epoch is older than the
+// live one already stored is the ghost of a pre-move publication (a frame
+// transport.Faulty delayed or duplicated) and must not resurrect the old
+// address — or, for an owned key, hand it back to an owner it has left. A
+// record whose lease has lapsed no longer outranks anything. Only the
+// owner's own record keeps e's address. Reports whether the record was
+// stored.
+func (s *recordStore) apply(e wire.Entry, owner hashkey.Key, now time.Time) bool {
 	sh := s.shard(e.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if old, ok := sh.m[e.Key]; ok && old.valid(now) && old.epoch > e.Epoch {
+	if old, ok := sh.m[e.Key]; ok && old.live(now) && old.epoch > e.Epoch {
 		return false
 	}
-	rec := storedLoc{addr: e.Addr, epoch: e.Epoch}
+	rec := storedLoc{owner: owner, epoch: e.Epoch}
+	if e.Key == owner {
+		rec.addr = e.Addr
+	}
 	if e.TTLMilli > 0 {
 		rec.hasTTL = true
 		rec.expires = now.Add(time.Duration(e.TTLMilli) * time.Millisecond)
@@ -149,20 +165,26 @@ func (t *epochTable) get(k hashkey.Key) uint64 {
 	return sh.m[k]
 }
 
-// handlePublishBatch ingests a publish — every publish is a batch, a host's
-// identity record and the keys it owns moving together — record by record,
-// each under its own shard lock: concurrent discovers never stall behind
-// the batch, and two batches for one publisher interleave per key with
-// the epoch check breaking every tie. A discover served mid-batch may
-// see a partially applied move, but never a regressed record — the
-// not-yet-applied keys still answer with the previous (epoch-older)
-// binding, exactly as they would have an instant earlier, and the next
-// record to land supersedes it.
+// handlePublishBatch ingests a publish — every publish is a batch — record
+// by record, each under its own shard lock: concurrent discovers never
+// stall behind the batch, and two batches for one publisher interleave per
+// key with the epoch check breaking every tie. The sender's binding,
+// m.Self, is ingested first, as its identity record, at every replica a
+// batch reaches; an entry under the sender's own key stands for that
+// record in the count, and every other entry is a key the sender owns,
+// stored without an address. So a move is complete at this replica the
+// moment the one identity record lands: every owned key answers with the
+// new address from then on, and none can answer with an older one.
 func (n *Node) handlePublishBatch(m *wire.Message) {
 	now := time.Now()
+	bound := n.store.apply(m.Self, m.Self.Key, now)
 	accepted := 0
 	for i := range m.Entries {
-		if n.store.apply(m.Entries[i], now) {
+		stored := bound
+		if e := &m.Entries[i]; e.Key != m.Self.Key {
+			stored = n.store.apply(*e, m.Self.Key, now)
+		}
+		if stored {
 			accepted++
 		}
 	}
@@ -188,29 +210,43 @@ func (n *Node) countIngest(records, accepted int) {
 // owns — it expressed no interest in the key, and polluting its cache
 // here would let third-party queries evict its own working set.
 //
-// The response carries the record's remaining lease, so the querier's
-// cache entry expires exactly when the repository record does — without
-// it, late-binding results would never go stale client-side.
+// An owned key is answered through its owner's identity record — one more
+// read, of a second shard once the first is released, never both held —
+// with the owner's address and epoch; either record's lapsed lease makes
+// the answer not-found.
+//
+// The response carries the remaining lease, the shorter of the two for an
+// owned key, so the querier's cache entry expires exactly when the
+// repository's answer would — without it, late-binding results would
+// never go stale client-side.
 func (n *Node) handleDiscover(m *wire.Message) *wire.Message {
+	now := time.Now()
 	rec, ok := n.store.get(m.Key)
+	ttl := remainingTTLMilli(rec, now)
+	if ok && rec.owner != m.Key && rec.live(now) {
+		rec, ok = n.store.get(rec.owner)
+		if own := remainingTTLMilli(rec, now); own != 0 && (ttl == 0 || own < ttl) {
+			ttl = own
+		}
+	}
 	resp := wire.GetMessage() // whoever takes the reply puts it back
 	resp.Type, resp.Seq, resp.Key = wire.TDiscoverResp, m.Seq, m.Key
-	if ok && rec.valid(time.Now()) {
+	if ok && rec.addr != "" && rec.live(now) {
 		resp.Found = true
-		resp.Self = wire.Entry{Key: m.Key, Addr: rec.addr, TTLMilli: remainingTTLMilli(rec), Epoch: rec.epoch}
+		resp.Self = wire.Entry{Key: m.Key, Addr: rec.addr, TTLMilli: ttl, Epoch: rec.epoch}
 	}
 	return resp
 }
 
-// remainingTTLMilli converts a stored record's remaining lease into the
-// wire's millisecond form: 0 means "no lease", so a live-but-nearly-done
-// lease clamps up to 1ms rather than becoming immortal, and durations
-// beyond the uint32 range saturate.
-func remainingTTLMilli(rec storedLoc) uint32 {
+// remainingTTLMilli converts what is left of a stored record's lease at
+// now into the wire's millisecond form: 0 means "no lease", so a
+// live-but-nearly-done lease clamps up to 1ms rather than becoming
+// immortal, and durations beyond the uint32 range saturate.
+func remainingTTLMilli(rec storedLoc, now time.Time) uint32 {
 	if !rec.hasTTL {
 		return 0
 	}
-	ms := time.Until(rec.expires) / time.Millisecond
+	ms := rec.expires.Sub(now) / time.Millisecond
 	switch {
 	case ms < 1:
 		return 1
