@@ -232,10 +232,10 @@ func (c *Cluster) addMember(name string, mobile bool) {
 	c.names = append(c.names, name)
 }
 
-// ringNames returns the members joined into ring membership: everyone in
-// the classic shape, only the stationary core under Fabric (mobiles are
-// observers there and never appear in any COW membership view until they
-// publish).
+// ringNames returns the members that join and gossip with the ring:
+// everyone in the classic shape, only the stationary core under Fabric
+// (mobiles are observers there). Either way the ring itself holds the
+// stationaries only.
 func (c *Cluster) ringNames() []string {
 	if !c.cfg.Fabric {
 		return c.names
@@ -449,11 +449,12 @@ func (c *Cluster) startMaintenance(m *member) {
 }
 
 // gossipUntilFull runs anti-entropy rounds until every ring member knows
-// every ring member, bounded at 16 rounds. Fabric observers are not ring
-// members and take no part.
+// every stationary — the ring never holds a mobile, though classic-shape
+// mobiles join and gossip — bounded at 16 rounds. Fabric observers take no
+// part.
 func (c *Cluster) gossipUntilFull() error {
 	ring := c.ringNames()
-	want := len(ring)
+	want := len(c.cfg.Stationary)
 	for round := 0; round < 16; round++ {
 		full := true
 		for _, name := range ring {

@@ -36,14 +36,17 @@ func (n *Node) JoinViaContext(ctx context.Context, bootstrapAddr string) error {
 }
 
 // RegisterWithContext records this node's interest in the movement of the
-// node currently reachable at targetAddr.
+// node currently reachable at targetAddr. A target whose R(self) is full
+// of live registrations refuses: the error wraps ErrOverloaded.
 func (n *Node) RegisterWithContext(ctx context.Context, targetAddr string) error {
 	resp, err := n.request(ctx, targetAddr, &wire.Message{Type: wire.TRegister, Self: n.SelfEntry()})
-	if err != nil {
+	switch {
+	case err != nil:
 		return fmt.Errorf("live: register with %s: %w", targetAddr, err)
-	}
-	if resp.Type != wire.TRegisterAck || !resp.Found {
-		return fmt.Errorf("live: registration rejected by %s", targetAddr)
+	case resp.Type != wire.TRegisterAck:
+		return fmt.Errorf("live: register with %s: unexpected response %v", targetAddr, resp.Type)
+	case !resp.Found:
+		return fmt.Errorf("live: register with %s: %w", targetAddr, ErrOverloaded)
 	}
 	return nil
 }
@@ -81,7 +84,8 @@ type Stats struct {
 	Key   hashkey.Key
 	Addr  string
 	Epoch uint64
-	// Peers is the size of the membership view (including self).
+	// Peers is the size of the stationary ring this node knows (self
+	// included when stationary); mobiles are never counted.
 	Peers int
 	// Registrations is the size of R(self), including not-yet-swept
 	// lapsed leases.

@@ -411,8 +411,8 @@ func BenchmarkMovePublish10k(b *testing.B) { benchmarkPublish(b, 9999, false) }
 // (handlePublishBatch) from all cores at once against a bare node — the
 // hot serve loop as the wire dispatch runs it, minus the transport. The
 // steady state re-ingests a known batch (same addresses, same epoch):
-// every record overwrites its existing shard slot and the membership
-// fast path short-circuits, so the path must report 0 allocs/op. `make
+// every record overwrites its existing shard slot (a publish never
+// touches membership), so the path must report 0 allocs/op. `make
 // bench` records this in BENCH_publish.json and `make bench-gate`
 // enforces the zero.
 func BenchmarkPublishIngestParallel(b *testing.B) {

@@ -68,9 +68,15 @@ func startChaosRing(t *testing.T, faulty *transport.Faulty, names []string, mobi
 			}
 		}
 	}
+	stationaries := 0
+	for _, name := range names {
+		if !mobile[name] {
+			stationaries++
+		}
+	}
 	for name, nd := range started {
-		if got := len(nd.KnownPeers()); got != len(names) {
-			t.Fatalf("node %v knows %d peers, want %d", name, got, len(names))
+		if got := len(nd.KnownPeers()); got != stationaries {
+			t.Fatalf("node %v knows %d peers, want the %d stationaries", name, got, stationaries)
 		}
 	}
 	return nodes, func() {

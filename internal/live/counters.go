@@ -19,9 +19,10 @@ type counters struct {
 	publishRecords, publishAccepted, publishStaleRejected *metrics.Counter
 	publishRPCs                                           *metrics.Counter
 	updatesReceived, updatesApplied, updatesStaleRejected *metrics.Counter
-	updatesDropped, registryExpired                       *metrics.Counter
-	// node.go: inline replies and the socket writes that carried them
-	serveFrames, serveFlushes *metrics.Counter
+	updatesDropped, registryExpired, registryShed         *metrics.Counter
+	// node.go: replies queued on the reader and the socket writes that
+	// carried them; accepted conns shed at the bound
+	serveFrames, serveFlushes, serveShed *metrics.Counter
 	// join.go: every request is accepted or rejected for one reason
 	joinRequests, joinAccepted *metrics.Counter
 	joinRejected               map[joinReject]*metrics.Counter
@@ -52,9 +53,11 @@ func newCounters(r *metrics.Counters) counters {
 		updatesStaleRejected: r.Counter("updates.stale_rejected"),
 		updatesDropped:       r.Counter("updates.dropped"),
 		registryExpired:      r.Counter("registry.expired"),
+		registryShed:         r.Counter("registry.shed"),
 
 		serveFrames:  r.Counter("serve.frames"),
 		serveFlushes: r.Counter("serve.flushes"),
+		serveShed:    r.Counter("serve.shed"),
 
 		joinRequests: r.Counter("join.requests"),
 		joinAccepted: r.Counter("join.accepted"),

@@ -68,9 +68,9 @@ func TestHandlePublishRejectsStaleEpoch(t *testing.T) {
 
 // TestHandleUpdateRejectsStaleEpoch drives the early-binding path with
 // the same out-of-order delivery: the epoch-3 push (addr C) first, then
-// a duplicated epoch-2 push (addr B). Neither the location cache nor the
-// membership map may regress, and the stale push must not recurse into
-// the delegated subtree.
+// a duplicated epoch-2 push (addr B). The location cache may not regress,
+// the subject never enters the ring, and the stale push must not recurse
+// into the delegated subtree.
 func TestHandleUpdateRejectsStaleEpoch(t *testing.T) {
 	counters := metrics.NewCounters()
 	mem := transport.NewMem()
@@ -88,8 +88,8 @@ func TestHandleUpdateRejectsStaleEpoch(t *testing.T) {
 		t.Fatalf("cache resurrected stale address: got %q (ok %v), want addr-C", addr, ok)
 	}
 	for _, p := range n.KnownPeers() {
-		if p.Key == subject && p.Addr != "addr-C" {
-			t.Fatalf("peers map resurrected stale address: %q", p.Addr)
+		if p.Key == subject {
+			t.Fatalf("a pushed subject entered the ring: %+v", p)
 		}
 	}
 	if got := counters.Get("updates.stale_rejected"); got != 1 {
@@ -254,7 +254,7 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	if err := mob.JoinViaContext(ctx, stationaries[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(mob.members.snapshot().stationary); got != 3 {
+	if got := len(mob.members.snapshot().ring); got != 3 {
 		t.Fatalf("mobile knows %d stationaries, want 3", got)
 	}
 

@@ -15,6 +15,9 @@ package live
 //   - ErrBacklogFull     transient backpressure from transport dial — the
 //                        peer exists but its accept queue stayed saturated;
 //                        re-exported from transport for discoverability.
+//   - ErrOverloaded      backpressure from the peer itself: a table it
+//                        bounds is full of live entries and it shed the
+//                        request. Back off before trying again.
 //   - wire.Fatal(err)    true for errors no retry can cure (protocol
 //                        version mismatch, unencodable local message);
 //                        everything else a live exchange returns is
@@ -51,6 +54,11 @@ var (
 	// accept queue stayed saturated for the bounded dial wait. Treat it as
 	// backpressure (retry soon), not absence.
 	ErrBacklogFull = transport.ErrBacklogFull
+
+	// ErrOverloaded is returned when a peer refused a request because a
+	// table it bounds — R(self), its registry — is full of live entries.
+	// Treat it as backpressure (retry after backing off), not absence.
+	ErrOverloaded = errors.New("live: peer overloaded")
 )
 
 // Retryable reports whether a backed-off retry of the same exchange may

@@ -120,12 +120,10 @@ func (n *Node) verifyJoin(m *wire.Message) joinReject {
 	return ""
 }
 
-// handleJoin admits (or rejects) a joining node. Admitted non-observer
-// joiners are ingested into ring membership and receive the full view;
-// admitted observers receive the stationary directory only and are NOT
-// ingested — at production scale the membership table must not grow (and
-// be re-cloned) once per mobile client, so observers stay invisible
-// until their publish traffic introduces them to their record's owners.
+// handleJoin admits (or rejects) a joining node. An admitted stationary
+// joiner enters the ring unless it asked only to observe; a mobile joiner
+// never does (membership.go). Every admitted joiner receives the ring, so
+// the reply is sized by the stationary layer, not by the mobile fleet.
 func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 	n.ctr.joinRequests.Inc()
 	if why := n.verifyJoin(m); why != "" {
@@ -137,10 +135,9 @@ func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 	if n.cfg.Logger != nil {
 		n.logf("join from %v (%s)", m.Self.Key, m.Self.Addr)
 	}
-	if m.Observer {
-		// A copy: the reply's Entries are recycled with it (wire.PutMessage).
-		return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: append([]wire.Entry(nil), n.members.snapshot().stationary...)}
+	if !m.Observer {
+		n.members.apply(direct, m.Self)
 	}
-	n.members.apply(direct, m.Self)
+	// A copy: the reply's Entries are recycled with it (wire.PutMessage).
 	return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: n.KnownPeers()}
 }

@@ -57,13 +57,16 @@ func startCluster(t *testing.T, names []string, mobile map[string]bool, caps map
 	return nodes, cleanup
 }
 
+// TestJoinAndGossipConverges: joins and gossip give every node, mobile or
+// stationary, the whole stationary ring — and nothing else: the mobiles
+// joined and gossiped too, yet no view holds one.
 func TestJoinAndGossipConverges(t *testing.T) {
 	names := []string{"s1", "s2", "s3", "m1", "m2"}
 	nodes, cleanup := startCluster(t, names, map[string]bool{"m1": true, "m2": true}, nil)
 	defer cleanup()
 	for name, nd := range nodes {
-		if got := len(nd.KnownPeers()); got != len(names) {
-			t.Errorf("%s knows %d peers, want %d", name, got, len(names))
+		if got := nd.KnownPeers(); len(got) != 3 || slices.ContainsFunc(got, func(e wire.Entry) bool { return e.Mobile }) {
+			t.Errorf("%s knows %v, want the 3 stationaries", name, got)
 		}
 	}
 }

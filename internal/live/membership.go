@@ -1,18 +1,22 @@
 package live
 
 // This file is the node's membership and registry state, each table in
-// the one form its traffic asks for. Membership is read by every publish
-// and discover (replica selection) and written only when a frame carries
-// news: one immutable key-sorted slice behind an atomic pointer, so
-// readers (KnownPeers, rank) load a pointer and walk it with no lock, and
-// a writer applies a whole frame to one clone and swaps once. The unlocked
-// "is any of this news?" pass in front makes re-ingesting known bindings —
-// every steady-state publish renewal — free, which is what keeps batch
-// ingest allocation-free. R(self) is the opposite: written by every
-// registrant every half lease and read once per move, so it is a mutex
-// and a map.
-// Replica selection (ranking, below) reads the view's stationary peers
-// with no heap copy and no map per key.
+// the one form its traffic asks for. Membership is the stationary ring:
+// the paper's repository layer, the only legal holders of location
+// records. A mobile is found through its identity record at its replicas
+// (store.go), never through the directory, so no mobile entry is ever
+// admitted — the ring, every gossip and leaf-exchange frame and every join
+// reply are sized by the stationary layer however large the mobile fleet
+// grows, and no publish, register or update writes membership at all. The
+// ring is read by every publish and discover (replica selection) and
+// written only when a join or gossip frame carries news: one immutable
+// key-sorted slice behind an atomic pointer, so readers (KnownPeers, rank)
+// load a pointer and walk it with no lock, and a writer applies a whole
+// frame to one clone and swaps once. R(self) is the opposite: written by
+// every registrant every half lease and read once per move, so it is a
+// mutex and a map, held to registryMax entries.
+// Replica selection (ranking, below) reads the ring with no heap copy and
+// no map per key.
 
 import (
 	"cmp"
@@ -30,24 +34,23 @@ import (
 	"bristle/internal/wire"
 )
 
-// memberView is one immutable membership snapshot: every known entry
-// (self included) ascending by key, and the non-mobile subset derived
-// from it once. Neither is ever mutated — callers that reorder entries,
-// or hand them to a message that will be recycled, copy first.
+// memberView is one immutable membership snapshot: every known stationary
+// (self included, when stationary) ascending by key. The ring is never
+// mutated — callers that reorder entries, or hand them to a message that
+// will be recycled, copy first.
 type memberView struct {
-	all        []wire.Entry
-	stationary []wire.Entry
-	gen        int // the swaps that led to this view; tests count them per frame
+	ring []wire.Entry
+	gen  int // the swaps that led to this view; tests count them per frame
 }
 
 // source says whose word an entry is, which decides how it is admitted.
 type source bool
 
 const (
-	// direct is the subject's own word — a publisher's, joiner's or pusher's
-	// Self, this node's own binding. It overwrites at an equal epoch (a
-	// renewal may change lease or capacity without a move) and is dropped
-	// only when older than what is known.
+	// direct is the subject's own word — a joiner's Self, this node's own
+	// binding. It overwrites at an equal epoch (a rejoin may change lease or
+	// capacity without a move) and is dropped only when older than what is
+	// known.
 	direct source = false
 	// hearsay is a third party's word — a directory, a gossip reply, a leaf
 	// exchange. It is adopted only for an unknown key or at a strictly
@@ -56,21 +59,22 @@ const (
 	hearsay source = true
 )
 
-// admit looks e up in all, which is ascending by key: i is where e's key
+// admit looks e up in ring, which is ascending by key: i is where e's key
 // is or belongs, known whether it is there, and news whether e changes
-// the table of the node with key self.
-func admit(all []wire.Entry, e wire.Entry, from source, self hashkey.Key) (i int, known, news bool) {
-	i, known = slices.BinarySearchFunc(all, e.Key, func(cur wire.Entry, k hashkey.Key) int {
+// the ring of the node with key self. A mobile entry is never news.
+func admit(ring []wire.Entry, e wire.Entry, from source, self hashkey.Key) (i int, known, news bool) {
+	i, known = slices.BinarySearchFunc(ring, e.Key, func(cur wire.Entry, k hashkey.Key) int {
 		return cmp.Compare(cur.Key, k)
 	})
 	switch {
+	case e.Mobile: // found through its record, never through the directory
 	case from == hearsay && e.Key == self: // a node knows itself best
 	case !known:
 		news = true
 	case from == hearsay:
-		news = e.Epoch > all[i].Epoch
+		news = e.Epoch > ring[i].Epoch
 	default:
-		news = e.Epoch >= all[i].Epoch && e != all[i]
+		news = e.Epoch >= ring[i].Epoch && e != ring[i]
 	}
 	return i, known, news
 }
@@ -94,41 +98,36 @@ func (m *membership) snapshot() *memberView { return m.view.Load() }
 // with one swap. A frame that carries no news costs its lookups and
 // nothing else.
 func (m *membership) apply(from source, entries ...wire.Entry) {
-	isNews := func(all []wire.Entry) bool {
+	isNews := func(ring []wire.Entry) bool {
 		return slices.ContainsFunc(entries, func(e wire.Entry) bool {
-			_, _, news := admit(all, e, from, m.self)
+			_, _, news := admit(ring, e, from, m.self)
 			return news
 		})
 	}
-	if !isNews(m.view.Load().all) {
+	if !isNews(m.view.Load().ring) {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := m.view.Load()
-	if !isNews(v.all) {
+	if !isNews(v.ring) {
 		return // another writer got there first
 	}
-	nv := &memberView{all: make([]wire.Entry, len(v.all), len(v.all)+len(entries)), gen: v.gen + 1}
-	copy(nv.all, v.all)
+	nv := &memberView{ring: make([]wire.Entry, len(v.ring), len(v.ring)+len(entries)), gen: v.gen + 1}
+	copy(nv.ring, v.ring)
 	for _, e := range entries {
-		switch i, known, news := admit(nv.all, e, from, m.self); {
+		switch i, known, news := admit(nv.ring, e, from, m.self); {
 		case !news:
 		case known:
-			nv.all[i] = e
+			nv.ring[i] = e
 		default:
-			nv.all = slices.Insert(nv.all, i, e)
-		}
-	}
-	for _, e := range nv.all {
-		if !e.Mobile {
-			nv.stationary = append(nv.stationary, e)
+			nv.ring = slices.Insert(nv.ring, i, e)
 		}
 	}
 	m.view.Store(nv)
 }
 
-func (m *membership) size() int { return len(m.view.Load().all) }
+func (m *membership) size() int { return len(m.view.Load().ring) }
 
 // registration is one R(self) entry held under its registrant's lease: a
 // registrant that stops renewing its interest (re-registering) lapses out
@@ -144,26 +143,38 @@ func (r registration) live(now time.Time) bool {
 	return !r.hasTTL || now.Before(r.expires)
 }
 
+// registryMax bounds R(self): the registrations one node holds, and so
+// the registrants one move pushes to.
+const registryMax = 1 << 14
+
 // registryTable is R(self): TRegister writes it, the LDT fan-out and
-// Registry read it, the sweeps delete lapsed leases from it.
+// Registry read it, the sweeps delete lapsed leases from it. It holds at
+// most max registrations.
 type registryTable struct {
-	mu sync.Mutex
-	m  map[hashkey.Key]registration
+	mu  sync.Mutex
+	m   map[hashkey.Key]registration
+	max int
 }
 
-func (t *registryTable) init() { t.m = make(map[hashkey.Key]registration) }
+func (t *registryTable) init(max int) { t.m, t.max = make(map[hashkey.Key]registration), max }
 
 // put records reg under newest-epoch-wins: a registration older than the
 // one held is a delayed or duplicated frame from before its registrant
 // moved, and must not put the old address back; an equal epoch renews the
-// lease.
-func (t *registryTable) put(reg registration) {
+// lease. A new registrant is refused while the table is full: put reports
+// false.
+func (t *registryTable) put(reg registration) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cur, ok := t.m[reg.entry.Key]; ok && cur.entry.Epoch > reg.entry.Epoch {
-		return
+	cur, ok := t.m[reg.entry.Key]
+	switch {
+	case ok && cur.entry.Epoch > reg.entry.Epoch:
+	case !ok && len(t.m) >= t.max:
+		return false
+	default:
+		t.m[reg.entry.Key] = reg
 	}
-	t.m[reg.entry.Key] = reg
+	return true
 }
 
 // sweep drops registrations whose lease lapsed before now, returning how
@@ -209,24 +220,30 @@ func (n *Node) handleLeafExchange(m *wire.Message) *wire.Message {
 // handleRegister records the sender's interest in this node's movement.
 // The registrant's own lease bounds that interest: re-registering renews
 // it, silence lets it lapse (swept by maintenance and by the LDT fan-out
-// itself).
+// itself). A new registrant finding R(self) full makes room by sweeping
+// the lapsed leases; failing that it is shed (registry.shed) with a
+// refusal, which RegisterWithContext reports as ErrOverloaded.
 func (n *Node) handleRegister(m *wire.Message) *wire.Message {
 	reg := registration{entry: m.Self}
 	if m.Self.TTLMilli > 0 {
 		reg.hasTTL = true
 		reg.expires = time.Now().Add(time.Duration(m.Self.TTLMilli) * time.Millisecond)
 	}
-	n.registry.put(reg)
+	if !n.registry.put(reg) && (n.SweepRegistry() == 0 || !n.registry.put(reg)) {
+		n.ctr.registryShed.Inc()
+		return &wire.Message{Type: wire.TRegisterAck, Seq: m.Seq}
+	}
 	if n.cfg.Logger != nil {
 		n.logf("register from %v (%s)", m.Self.Key, m.Self.Addr)
 	}
 	return &wire.Message{Type: wire.TRegisterAck, Seq: m.Seq, Found: true}
 }
 
-// KnownPeers returns the node's current membership view (including
-// itself), sorted by key. Lock-free: it copies one immutable snapshot.
+// KnownPeers returns the stationary ring as this node knows it (itself
+// included when it is stationary), sorted by key. Lock-free: it copies one
+// immutable snapshot.
 func (n *Node) KnownPeers() []wire.Entry {
-	return slices.Clone(n.members.snapshot().all)
+	return slices.Clone(n.members.snapshot().ring)
 }
 
 // Registry returns R(self): the entries registered as interested in this
@@ -246,8 +263,8 @@ func (n *Node) SweepRegistry() int {
 	return removed
 }
 
-// GossipOnce performs one anti-entropy round with a random known peer,
-// exchanging membership views. Returns the number of entries learned.
+// GossipOnce performs one anti-entropy round with a random stationary,
+// exchanging views of the ring. Returns the number of entries learned.
 // Closing the node cancels the exchange.
 func (n *Node) GossipOnce(rng *rand.Rand) (int, error) {
 	return n.gossipOnce(n.runCtx, rng)
@@ -257,9 +274,9 @@ func (n *Node) GossipOnce(rng *rand.Rand) (int, error) {
 // loop's, which stop() cancels).
 func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	v := n.members.snapshot()
-	before := len(v.all)
-	others := make([]wire.Entry, 0, len(v.all))
-	for _, e := range v.all {
+	before := len(v.ring)
+	others := make([]wire.Entry, 0, len(v.ring))
+	for _, e := range v.ring {
 		if e.Key != n.key {
 			others = append(others, e)
 		}
@@ -279,7 +296,7 @@ func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 		others = healthy
 	}
 	target := others[rng.Intn(len(others))]
-	resp, err := n.request(ctx, target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.all})
+	resp, err := n.request(ctx, target.Addr, &wire.Message{Type: wire.TLeafExchange, Entries: v.ring})
 	if err != nil {
 		return 0, err
 	}
@@ -360,13 +377,13 @@ func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[strin
 	})
 }
 
-// ranking is one fan-out's frozen view of replica quality over ring, the
-// view's stationary peers — the only legal owners of location records
-// (Section 2.1; mobile peers' addresses are exactly what's being
-// resolved). eff[i] is ring[i]'s effective RTT: the measured EWMA where
-// one exists, otherwise a jittered exploration bonus drawn once per
-// fan-out, which keeps replica ordering stable across the thousands of
-// keys of a batched publish. suspect[i] says ring[i]'s breaker is not
+// ranking is one fan-out's frozen view of replica quality over the
+// stationary ring — the only legal owners of location records (Section
+// 2.1; mobile peers' addresses are exactly what's being resolved). eff[i]
+// is ring[i]'s effective RTT: the measured EWMA where one exists,
+// otherwise a jittered exploration bonus drawn once per fan-out, which
+// keeps replica ordering stable across the thousands of keys of a batched
+// publish. suspect[i] says ring[i]'s breaker is not
 // closed; nil when nobody's is, which one atomic load decides.
 type ranking struct {
 	ring    []wire.Entry // ascending by key; shared with the view, never written
@@ -397,7 +414,7 @@ type rankScratch struct {
 // seeded — but random enough that it doesn't permanently preempt the
 // measured nearest one.
 func (n *Node) rank(s *rankScratch) (ranking, error) {
-	ring := n.members.snapshot().stationary
+	ring := n.members.snapshot().ring
 	r := ranking{ring: ring, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
 	if len(ring) == 0 {
 		return r, errors.New("live: no known stationary peers")

@@ -3,6 +3,7 @@ package live
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,27 +11,29 @@ import (
 	"time"
 
 	"bristle/internal/hashkey"
+	"bristle/internal/metrics"
 	"bristle/internal/transport"
 	"bristle/internal/wire"
 )
 
 // refMembers is the membership table as a map written one entry at a
 // time — what the table was before it became one slice written once per
-// frame, kept as the reference the slice is compared against.
+// frame, kept as the reference the slice is compared against. Like the
+// table, it never admits a mobile.
 type refMembers struct {
 	self  hashkey.Key
 	byKey map[hashkey.Key]wire.Entry
 }
 
 func (r *refMembers) update(e wire.Entry) {
-	if cur, ok := r.byKey[e.Key]; ok && (cur.Epoch > e.Epoch || cur == e) {
+	if cur, ok := r.byKey[e.Key]; e.Mobile || ok && (cur.Epoch > e.Epoch || cur == e) {
 		return
 	}
 	r.byKey[e.Key] = e
 }
 
 func (r *refMembers) merge(e wire.Entry) {
-	if e.Key == r.self {
+	if e.Mobile || e.Key == r.self {
 		return
 	}
 	if cur, ok := r.byKey[e.Key]; ok && e.Epoch <= cur.Epoch {
@@ -39,19 +42,14 @@ func (r *refMembers) merge(e wire.Entry) {
 	r.byKey[e.Key] = e
 }
 
-// views returns what a memberView of the map holds: every entry and the
-// stationary ones, each ascending by key.
-func (r *refMembers) views() (all, stationary []wire.Entry) {
+// ring returns what a memberView of the map holds: every entry, ascending
+// by key.
+func (r *refMembers) ring() (ring []wire.Entry) {
 	for _, e := range r.byKey {
-		all = append(all, e)
+		ring = append(ring, e)
 	}
-	slices.SortFunc(all, func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) })
-	for _, e := range all {
-		if !e.Mobile {
-			stationary = append(stationary, e)
-		}
-	}
-	return all, stationary
+	slices.SortFunc(ring, func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) })
+	return ring
 }
 
 // TestMembershipMatchesEntryAtATimeReference drives seeded random frames
@@ -88,10 +86,9 @@ func TestMembershipMatchesEntryAtATimeReference(t *testing.T) {
 				}
 			}
 			after := m.snapshot()
-			all, stationary := ref.views()
-			if !slices.Equal(after.all, all) || !slices.Equal(after.stationary, stationary) {
-				t.Fatalf("seed %d frame %d (hearsay=%v) %v:\n all        %v\n want       %v\n stationary %v\n want       %v",
-					seed, frame, from, entries, after.all, all, after.stationary, stationary)
+			if ring := ref.ring(); !slices.Equal(after.ring, ring) {
+				t.Fatalf("seed %d frame %d (hearsay=%v) %v:\n ring %v\n want %v",
+					seed, frame, from, entries, after.ring, ring)
 			}
 			if after.gen-before.gen > 1 {
 				t.Fatalf("seed %d frame %d: %d swaps for one frame", seed, frame, after.gen-before.gen)
@@ -138,7 +135,7 @@ func TestJoinAdoptsDirectoryInOneView(t *testing.T) {
 	}); got != 1 {
 		t.Fatalf("joining a %d-stationary ring swapped the view %d times, want 1", ring, got)
 	}
-	if got := len(joiner.members.snapshot().stationary); got != ring {
+	if got := len(joiner.members.snapshot().ring); got != ring {
 		t.Fatalf("joiner knows %d stationaries, want %d", got, ring)
 	}
 
@@ -161,6 +158,60 @@ func TestJoinAdoptsDirectoryInOneView(t *testing.T) {
 	// A frame with no news publishes nothing.
 	if got := swaps(joiner, func() { joiner.members.apply(hearsay, directory...) }); got != 0 {
 		t.Fatalf("a directory of known entries swapped the view %d times, want 0", got)
+	}
+}
+
+// TestMobilesNeverEnterTheRing: a mobile fleet that joins, gossips,
+// publishes and pushes its moves leaves every ring as it found it, so a
+// join reply and a leaf-exchange reply carry the stationaries and nothing
+// else, however many mobiles there are.
+func TestMobilesNeverEnterTheRing(t *testing.T) {
+	ctx := context.Background()
+	names := []string{"s1", "s2", "s3"}
+	mobile := map[string]bool{}
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("m%02d", i)
+		names = append(names, name)
+		mobile[name] = true
+	}
+	nodes, cleanup := startCluster(t, names, mobile, nil)
+	defer cleanup()
+	s1 := nodes["s1"]
+	for name, nd := range nodes {
+		if !mobile[name] {
+			continue
+		}
+		if err := s1.RegisterWithContext(ctx, nd.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.PublishContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.RebindContext(ctx, ""); err != nil { // publishes and pushes to s1
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every move's push to reach s1", func() bool {
+		for name, nd := range nodes {
+			if addr, ok := s1.CachedAddr(nd.Key()); mobile[name] && (!ok || addr != nd.Addr()) {
+				return false
+			}
+		}
+		return true
+	})
+	for name, nd := range nodes {
+		if got := nd.Stats().Peers; got != 3 {
+			t.Errorf("%s's ring holds %d entries, want the 3 stationaries", name, got)
+		}
+	}
+	late := wire.Entry{Key: hashkey.FromName("late"), Addr: "mem:late", Mobile: true, Epoch: 1}
+	for what, resp := range map[string]*wire.Message{
+		"join reply":          s1.handleJoin(&wire.Message{Type: wire.TJoin, Self: late}),
+		"leaf-exchange reply": s1.handleLeafExchange(&wire.Message{Type: wire.TLeafExchange, Entries: []wire.Entry{late}}),
+	} {
+		if len(resp.Entries) != 3 || slices.ContainsFunc(resp.Entries, func(e wire.Entry) bool { return e.Mobile }) {
+			t.Errorf("%s carries %v, want the 3 stationaries", what, resp.Entries)
+		}
 	}
 }
 
@@ -198,12 +249,61 @@ func TestRegistryKeepsNewestEpoch(t *testing.T) {
 	}
 }
 
+// TestRegistryShedsWhenFull: R(self) holds at most its bound. A renewal or
+// a newer epoch of a held registrant always lands; a new registrant
+// finding the table full takes the room of a lapsed lease, and with none
+// lapsed is shed — counted, and reported to the registrant as
+// ErrOverloaded.
+func TestRegistryShedsWhenFull(t *testing.T) {
+	mem := transport.NewMem()
+	counters := metrics.NewCounters()
+	target := mustNode(t, Config{Name: "target", Capacity: 2, Counters: counters}, mem)
+	target.registry.init(2)
+	if err := target.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	defer target.Close()
+	register := func(name string, lease time.Duration) error {
+		nd := mustNode(t, Config{Name: name, Capacity: 1, LeaseTTL: lease}, mem)
+		if err := nd.Start(""); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		return nd.RegisterWithContext(context.Background(), target.Addr())
+	}
+	const short = 200 * time.Millisecond
+	if err := register("short", short); err != nil {
+		t.Fatal(err)
+	}
+	if err := register("long", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := register("refused", time.Hour); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("a third registrant on a full R(self) got %v, want ErrOverloaded", err)
+	}
+	if got := counters.Get("registry.shed"); got != 1 {
+		t.Fatalf("registry.shed = %d, want 1", got)
+	}
+	renewal := target.Registry()[0]
+	renewal.Epoch++
+	if resp := target.handleRegister(&wire.Message{Type: wire.TRegister, Self: renewal}); !resp.Found {
+		t.Fatal("a held registrant's newer epoch was shed")
+	}
+	time.Sleep(short + 50*time.Millisecond) // "short" lapses
+	if err := register("admitted", time.Hour); err != nil {
+		t.Fatalf("a registrant was refused though a lease had lapsed: %v", err)
+	}
+	if got := target.Stats().Registrations; got != 2 {
+		t.Fatalf("R(self) holds %d, want its bound of 2", got)
+	}
+}
+
 // TestRegistryListsLiveSortedAndSweepsInPlace pins the table itself: live
 // lists unlapsed leases ascending by key whatever order they arrived in,
 // and sweep deletes the lapsed ones and counts them.
 func TestRegistryListsLiveSortedAndSweepsInPlace(t *testing.T) {
 	var reg registryTable
-	reg.init()
+	reg.init(registryMax)
 	now := time.Now()
 	for _, k := range []hashkey.Key{9, 2, 7, 4} {
 		reg.put(registration{entry: wire.Entry{Key: k}}) // no lease

@@ -3,8 +3,9 @@
 // register, and LDT-driven location updates, with leases, exactly as
 // Section 2.3 describes.
 //
-// A live node keeps full membership knowledge refreshed by anti-entropy
-// gossip — appropriate for the small rings a single machine can host.
+// A live node keeps full knowledge of the stationary ring refreshed by
+// anti-entropy gossip — appropriate for the small rings a single machine
+// can host; mobiles are found through their records, never the ring.
 // (The O(log N) routing-state behaviour of large overlays is exercised by
 // the simulation packages; the live node demonstrates the protocol end to
 // end: a mobile node re-binds to a new port, republishes, pushes updates
@@ -20,9 +21,9 @@
 //   - options.go    — New, the one constructor, its options and validation
 //   - store.go      — the sharded record repository and the ingest/serve
 //     handlers (publish, discover, update)
-//   - membership.go — membership (one sorted slice, swapped once per
-//     frame) and the registry (a mutex and a map); gossip/register;
-//     replica selection
+//   - membership.go — membership (the stationary ring: one sorted slice,
+//     swapped once per frame) and the registry (a mutex and a map);
+//     gossip/register; replica selection
 //   - publish.go    — the owned-key set and the publish fan-out: full, or
 //     a move's one record per replica
 //   - resolve.go    — the cache-first resolve hot path
@@ -78,10 +79,9 @@ type Config struct {
 	// no identity proof. (Joins that carry a proof are always verified,
 	// with or without this flag.)
 	RequireVerifiedJoins bool
-	// JoinAsObserver makes this node's joins request the stationary
-	// directory without being ingested into ring membership — the scalable
-	// admission mode for client/mobile nodes, which stationary peers learn
-	// about through publish traffic instead of join-time gossip.
+	// JoinAsObserver makes this node's joins request the stationary ring
+	// without entering it. Mobile nodes never enter a ring (membership.go):
+	// they are found through their location records, not the directory.
 	JoinAsObserver bool
 	// Capacity is the advertised C_X used to schedule LDTs.
 	Capacity float64
@@ -175,6 +175,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// maxAcceptedConns bounds the connections one attachment point serves at
+// once. A remote pool holds one long-lived connection per peer, so the
+// bound is on peers talking to this node at the same time.
+const maxAcceptedConns = 4096
+
 // listenerState is one network attachment point: the listener plus every
 // connection accepted through it, so closing the attachment also closes
 // the long-lived multiplexed connections remote pools hold against it
@@ -185,24 +190,26 @@ type listenerState struct {
 	mu     sync.Mutex
 	closed bool
 	conns  map[transport.Conn]struct{}
+	max    int // conns served at once; past it an accepted conn is shed
 }
 
 func newListenerState(l transport.Listener) *listenerState {
-	return &listenerState{l: l, conns: make(map[transport.Conn]struct{})}
+	return &listenerState{l: l, conns: make(map[transport.Conn]struct{}), max: maxAcceptedConns}
 }
 
 func (ls *listenerState) addr() string { return ls.l.Addr() }
 
-// track registers an accepted conn; false means the attachment already
-// closed and the conn must not be served.
-func (ls *listenerState) track(c transport.Conn) bool {
+// track registers an accepted conn. closed means the attachment already
+// closed, full that it already serves max conns; either way the conn must
+// not be served.
+func (ls *listenerState) track(c transport.Conn) (closed, full bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if ls.closed {
-		return false
+	if ls.closed || len(ls.conns) >= ls.max {
+		return ls.closed, !ls.closed
 	}
 	ls.conns[c] = struct{}{}
-	return true
+	return false, false
 }
 
 func (ls *listenerState) forget(c transport.Conn) {
@@ -248,9 +255,10 @@ type binding struct {
 //   - lifeMu guards lifecycle transitions only (listener swaps, the stop
 //     flag); handlers never touch it.
 //   - self is the atomically published (addr, epoch) binding.
-//   - members is one immutable key-sorted slice behind an atomic pointer
-//     (membership.go): reads are lock-free, and a frame that carries news
-//     clones it once under a private writer mutex and swaps once.
+//   - members, the stationary ring, is one immutable key-sorted slice
+//     behind an atomic pointer (membership.go): reads are lock-free, and a
+//     join or gossip frame that carries news clones it once under a
+//     private writer mutex and swaps once.
 //   - registry, written far more often than read, is a map under its own
 //     mutex.
 //   - store and seen are sixteen-way key-sharded tables (store.go).
@@ -272,7 +280,7 @@ type Node struct {
 
 	self atomic.Pointer[binding]
 
-	members  membership    // known peers (incl. self); one COW slice
+	members  membership    // the stationary ring (incl. self if stationary); one COW slice
 	registry registryTable // R(self): interested nodes, leased; locked map
 	store    recordStore   // sharded repository of published records
 	seen     epochTable    // sharded newest-ingested TUpdate epochs
@@ -307,8 +315,9 @@ type Node struct {
 
 	peers peerTable // every address's RTT estimate, breaker and session (peer.go)
 
-	wg      sync.WaitGroup
-	updates chan Update
+	wg       sync.WaitGroup
+	updates  chan Update
+	forwards chan struct{} // a slot per TUpdate forward in flight (store.go)
 
 	// runCtx is the node's lifecycle context: canceled by Close, it bounds
 	// every background send the node originates on its own behalf (LDT
@@ -344,22 +353,23 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		key = hashkey.FromName(cfg.Name)
 	}
 	n := &Node{
-		cfg:     cfg,
-		key:     key,
-		tr:      tr,
-		ctr:     newCounters(cfg.Counters),
-		updates: make(chan Update, 64),
-		owned:   make(map[hashkey.Key]struct{}),
-		ids:     make(map[hashkey.Key][32]byte),
-		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
+		cfg:      cfg,
+		key:      key,
+		tr:       tr,
+		ctr:      newCounters(cfg.Counters),
+		updates:  make(chan Update, 64),
+		forwards: make(chan struct{}, forwardsMax),
+		owned:    make(map[hashkey.Key]struct{}),
+		ids:      make(map[hashkey.Key][32]byte),
+		loc:      loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
 	n.peers.init()
-	n.pool = newPool(tr, cfg.Pool, &n.peers, cfg.Counters, cfg.Gauges)
+	n.pool = newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges)
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
 	n.self.Store(&binding{epoch: nextEpoch(0)})
 	n.members.init(key)
-	n.registry.init()
+	n.registry.init(registryMax)
 	n.store.init()
 	n.seen.init()
 	n.runCtx, n.runCancel = context.WithCancel(context.Background())
@@ -422,7 +432,7 @@ func (n *Node) Start(listenAddr string) error {
 	b := n.self.Load()
 	n.self.Store(&binding{addr: ls.addr(), epoch: b.epoch})
 	n.lifeMu.Unlock()
-	n.members.apply(direct, n.SelfEntry())
+	n.members.apply(direct, n.SelfEntry()) // a stationary is in its own ring; a mobile is in none
 
 	n.wg.Add(1)
 	go n.acceptLoop(ls)
@@ -476,7 +486,6 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	b := n.self.Load()
 	n.self.Store(&binding{addr: ls.addr(), epoch: nextEpoch(b.epoch)})
 	n.lifeMu.Unlock()
-	n.members.apply(direct, n.SelfEntry())
 	if old != nil {
 		old.close() // the old attachment point disappears
 	}
@@ -503,53 +512,44 @@ func (n *Node) acceptLoop(ls *listenerState) {
 		if err != nil {
 			return
 		}
-		if !ls.track(conn) {
+		if closed, full := ls.track(conn); closed || full {
+			// Shed: the dialer's session sees the conn torn and its retry
+			// layer backs off, exactly as after any broken connection.
 			conn.Close()
-			return
+			if closed {
+				return
+			}
+			n.ctr.serveShed.Inc()
+			continue
 		}
 		n.wg.Add(1)
 		go n.serveConn(ls, conn)
 	}
 }
 
-// serveConnWorkers bounds the concurrently running handlers of one
-// accepted connection.
-const serveConnWorkers = 64
-
-// servesInline reports whether t's handler never waits — not on the
-// network, not on another goroutine, not for longer than a table lookup —
-// so the connection's reader can run it between two frames. TPing and
-// TDiscover qualify: one allocation, and one store-shard read. The
-// publish and join handlers clone the membership view (linear in the
-// ring) when their sender is news, TLeafExchange merges and copies a whole
-// view, TRegister waits for the registry's mutex, and TUpdate
-// re-advertises; those keep a goroutine of their own.
-func servesInline(t wire.MsgType) bool {
-	return t == wire.TPing || t == wire.TDiscover
-}
-
-// serveConn serves one accepted connection with one rule per frame. A
-// frame whose handler never waits (servesInline) is answered on this
-// goroutine and its reply queued on the conn: the replies to a burst of
-// pipelined requests leave in one write, when the read buffer has drained
-// and Recv is about to block (transport.Conn.Queue). Every other frame —
-// and every frame while the conn's sends may stall — gets its own
-// goroutine (bounded by serveConnWorkers) and an immediate Send, so a
-// handler that blocks cannot head-of-line-block the other exchanges
-// multiplexed on this connection.
+// serveConn serves one accepted connection on one goroutine, its reader.
+// Every handler is a bounded table read or write — membership is the
+// stationary ring, so no frame from the mobile fleet clones it — and runs
+// between two reads, in the order the frames arrived, with its reply
+// queued on the conn: the replies to a burst of pipelined requests leave
+// in one write, when the read buffer has drained and Recv is about to
+// block (transport.Conn.Queue). The one part of a handler that leaves the
+// reader is TUpdate's forwarding (store.go). While the conn's sends may
+// stall (transport.Conn.SendStalls), a reply is sent from a goroutine of
+// its own, so a sleeping send holds up neither the reads behind it nor
+// the other replies.
 //
 // Fully handled frames (and shipped responses) go back to the wire
-// codec's message pool: the handlers copy everything they keep, and the
-// inline ones take their reply from that pool, so the steady-state serve
-// path recycles its messages and takes no more out than it puts in.
+// codec's message pool: the handlers copy everything they keep, so the
+// steady-state serve path recycles its messages and takes no more out
+// than it puts in.
 func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	defer n.wg.Done()
 	defer ls.forget(conn)
 	defer conn.Close()
-	sem := make(chan struct{}, serveConnWorkers)
-	var handlers sync.WaitGroup
-	// batch counts the inline replies queued since the last write this
-	// loop saw; they all leave in one write, reported once it has happened.
+	var sends sync.WaitGroup
+	// batch counts the replies queued since the last write this loop saw;
+	// they all leave in one write, reported once it has happened.
 	var batch uint64
 	wrote := func() {
 		if batch > 0 {
@@ -563,37 +563,34 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 		if err != nil {
 			break
 		}
-		if servesInline(msg.Type) && !conn.SendStalls() {
-			resp := n.handle(msg)
-			wire.PutMessage(msg)
-			pending, err := conn.Queue(resp)
-			wire.PutMessage(resp)
-			if err != nil {
-				break
-			}
-			if pending <= 1 {
-				wrote() // the earlier replies have left
-			}
-			batch++
+		resp := n.handle(msg)
+		wire.PutMessage(msg)
+		if resp == nil {
 			continue
 		}
-		sem <- struct{}{}
-		handlers.Add(1)
-		go func(msg *wire.Message) {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			resp := n.handle(msg)
-			wire.PutMessage(msg)
-			if resp != nil {
+		if conn.SendStalls() {
+			sends.Add(1)
+			go func() {
+				defer sends.Done()
 				// A failed Send needs no handling here: the conn is broken
 				// and the Recv loop is failing too.
 				_ = conn.Send(resp)
 				wire.PutMessage(resp)
-			}
-		}(msg)
+			}()
+			continue
+		}
+		pending, err := conn.Queue(resp)
+		wire.PutMessage(resp)
+		if err != nil {
+			break
+		}
+		if pending <= 1 {
+			wrote() // the earlier replies have left
+		}
+		batch++
 	}
 	wrote()
-	handlers.Wait()
+	sends.Wait()
 }
 
 // handle dispatches one inbound message and returns the response frame

@@ -51,9 +51,9 @@ func WithVerifiedJoins() Option {
 	return func(cfg *Config) { cfg.RequireVerifiedJoins = true }
 }
 
-// WithObserverJoin makes the node's joins request the stationary
-// directory without being ingested into ring membership — the scalable
-// admission mode for client/mobile nodes.
+// WithObserverJoin makes the node's joins request the stationary ring
+// without entering it. A mobile never enters a ring anyway; this lets a
+// stationary node use the ring as a client.
 func WithObserverJoin() Option {
 	return func(cfg *Config) { cfg.JoinAsObserver = true }
 }

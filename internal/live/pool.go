@@ -67,11 +67,11 @@ var (
 	errEvictedCap  = errors.New("live: session evicted: pool at its cap")
 )
 
-// pool owns at most one session per peer: the sess of its record in peers.
+// pool owns at most one session per peer: the sess of its record in the
+// peer table.
 type pool struct {
-	tr    transport.Transport
-	cfg   PoolConfig
-	peers *peerTable
+	tr  transport.Transport
+	cfg PoolConfig
 
 	// Event and level handles, taken once at construction (nil without a
 	// registry, which counts nothing).
@@ -84,15 +84,20 @@ type pool struct {
 	closed atomic.Bool
 	nsess  atomic.Int64 // reserved session slots (the MaxSessions cap)
 
+	// held is every session a peer holds, so the janitor, cap eviction and
+	// Close walk the pool's own few sessions, not every address the node
+	// has ever tried. mu is taken under a peer's mutex, never around one.
+	mu   sync.Mutex
+	held map[*session]struct{}
+
 	stopJanitor chan struct{}
 	wg          sync.WaitGroup // janitor + per-session read/write loops
 }
 
-func newPool(tr transport.Transport, cfg PoolConfig, peers *peerTable, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
+func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
 	p := &pool{
-		tr:    tr,
-		cfg:   cfg.withDefaults(),
-		peers: peers,
+		tr:  tr,
+		cfg: cfg.withDefaults(),
 
 		dials:         counters.Counter("pool.dials"),
 		broken:        counters.Counter("pool.broken"),
@@ -105,6 +110,7 @@ func newPool(tr transport.Transport, cfg PoolConfig, peers *peerTable, counters 
 		sessions:      gauges.Gauge("pool.sessions"),
 		inflight:      gauges.Gauge("pool.inflight"),
 
+		held:        make(map[*session]struct{}),
 		stopJanitor: make(chan struct{}),
 	}
 	p.wg.Add(1)
@@ -183,13 +189,6 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 	over := false
 	for tries := 0; ; tries++ {
 		pr.mu.Lock()
-		// Close marks closed before sweeping the peers, so an acquire that
-		// sees closed==false here either beats the sweep (its session is
-		// swept and torn down with the rest) or observes closed==true.
-		if p.closed.Load() {
-			pr.mu.Unlock()
-			return nil, ErrPoolClosed
-		}
 		if s := pr.sess; s != nil {
 			pr.mu.Unlock()
 			select {
@@ -228,6 +227,18 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 			pending: make(map[uint32]*waiter),
 			lastUse: time.Now(),
 		}
+		// Close marks closed before it snapshots held, so a session joins
+		// held before that snapshot — to be torn down with the rest — or
+		// not at all.
+		p.mu.Lock()
+		if p.closed.Load() {
+			p.mu.Unlock()
+			p.nsess.Add(-1)
+			pr.mu.Unlock()
+			return nil, ErrPoolClosed
+		}
+		p.held[s] = struct{}{}
+		p.mu.Unlock()
 		pr.sess = s
 		p.sessions.Set(p.nsess.Load())
 		pr.mu.Unlock()
@@ -542,6 +553,9 @@ func (p *pool) drop(s *session) {
 	pr.mu.Lock()
 	if pr.sess == s {
 		pr.sess = nil
+		p.mu.Lock()
+		delete(p.held, s)
+		p.mu.Unlock()
 		p.sessions.Set(p.nsess.Add(-1))
 	}
 	pr.mu.Unlock()
@@ -551,14 +565,12 @@ func (p *pool) drop(s *session) {
 // from it is a best effort under concurrent churn, which eviction tolerates
 // by design: tearing down a session that was replaced meanwhile is a no-op.
 func (p *pool) current() []*session {
-	var out []*session
-	p.peers.each(func(pr *peer) {
-		pr.mu.Lock()
-		if pr.sess != nil {
-			out = append(out, pr.sess)
-		}
-		pr.mu.Unlock()
-	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*session, 0, len(p.held))
+	for s := range p.held {
+		out = append(out, s)
+	}
 	return out
 }
 

@@ -37,11 +37,12 @@ func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gau
 	}
 }
 
-// newTestPool is a pool over a peer table of its own, without a node.
-func newTestPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters) *pool {
+// newTestPool is a pool without a node, and a peer table of its own for
+// the sessions to hang off.
+func newTestPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters) (*pool, *peerTable) {
 	peers := &peerTable{}
 	peers.init()
-	return newPool(tr, cfg, peers, counters, nil)
+	return newPool(tr, cfg, counters, nil), peers
 }
 
 // TestPoolConcurrentDemuxUnderFaults hammers one pooled session from many
@@ -273,21 +274,21 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	const slowFor = 400 * time.Millisecond
 	l := startSlowServer(t, mem, slowFor)
 
-	p := newTestPool(mem, PoolConfig{}, nil)
+	p, peers := newTestPool(mem, PoolConfig{}, nil)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := p.roundTrip(ctx, p.peers.get(l.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
+		_, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
 		slowDone <- err
 	}()
 	// Let the slow request reach the wire before racing it.
 	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
-	if _, err := p.roundTrip(ctx, p.peers.get(l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatalf("fast ping: %v", err)
 	}
 	fast := time.Since(start)
@@ -355,13 +356,13 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)
 
-	p := newTestPool(mem, PoolConfig{}, nil)
+	p, peers := newTestPool(mem, PoolConfig{}, nil)
 	ctx := context.Background()
-	if _, err := p.roundTrip(ctx, p.peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	_, err := p.roundTrip(ctx, p.peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff())
+	_, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff())
 	if err != ErrPoolClosed {
 		t.Fatalf("roundTrip after Close: err = %v, want ErrPoolClosed", err)
 	}
@@ -419,17 +420,17 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	other := startPingServer(t, faulty.Endpoint("other"))
 
 	counters := metrics.NewCounters()
-	p := newTestPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters)
+	p, peers := newTestPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
-		if err := p.send(ctx, p.peers.get(sink.Addr(), true), push, farOff()); err != nil {
+		if err := p.send(ctx, peers.get(sink.Addr(), true), push, farOff()); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if _, err := p.acquire(ctx, p.peers.get(other.l.Addr(), true), farOff()); err != nil {
+	if _, err := p.acquire(ctx, peers.get(other.l.Addr(), true), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
 	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {

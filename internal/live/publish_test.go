@@ -77,7 +77,7 @@ func (r *pubRing) gossip() {
 	r.t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	current := func() bool {
-		view := r.mob.members.snapshot().stationary
+		view := r.mob.members.snapshot().ring
 		if len(view) != len(r.ring) {
 			return false
 		}

@@ -1,14 +1,14 @@
 package live
 
-// Tests for serveConn's dispatch rule over real sockets: frames whose
-// handlers never wait are answered on the reader goroutine with their
-// replies coalesced into one write per burst; everything else keeps its
-// own goroutine and cannot delay them.
+// Tests for serveConn over real sockets: every frame is answered on the
+// reader goroutine with the replies coalesced into one write per burst;
+// the two things that leave the reader — a TUpdate's forwarding and the
+// sends of a conn that may stall — cannot delay the rest.
 
 import (
 	"bufio"
+	"context"
 	"fmt"
-	"log"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -180,34 +180,95 @@ func TestServeFlushesBehindPartialFrame(t *testing.T) {
 	peer.expectDiscovered(3)
 }
 
-// gatedWriter blocks every Write while shut: a Logger on top of it parks
-// whichever handler logs next.
-type gatedWriter struct {
-	shut    atomic.Bool
-	entered chan struct{} // one token per Write that found the gate shut
-	open    chan struct{}
-}
-
-func (g *gatedWriter) Write(p []byte) (int, error) {
-	if g.shut.Load() {
-		g.entered <- struct{}{}
-		<-g.open
+// An attachment point serves at most its bound of conns at once: one more
+// is closed on accept and counted, and room freed by a closed conn is
+// served again.
+func TestAcceptedConnsShedAtBound(t *testing.T) {
+	mem := transport.NewMem()
+	counters := metrics.NewCounters()
+	server := mustNode(t, Config{Name: "serve-bound", Counters: counters}, mem)
+	if err := server.Start(""); err != nil {
+		t.Fatal(err)
 	}
-	return len(p), nil
+	defer server.Close()
+	ls := server.listener
+	ls.mu.Lock()
+	ls.max = 2
+	ls.mu.Unlock()
+
+	ping := func(c transport.Conn) error {
+		if err := c.Send(&wire.Message{Type: wire.TPing, Seq: 1}); err != nil {
+			return err
+		}
+		_, err := c.Recv()
+		return err
+	}
+	var conns []transport.Conn
+	for i := 0; i < 3; i++ {
+		c, err := mem.Dial(server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns = append(conns, c)
+	}
+	for i, c := range conns[:2] {
+		if err := ping(c); err != nil {
+			t.Fatalf("conn %d under the bound: %v", i, err)
+		}
+	}
+	if err := ping(conns[2]); err == nil {
+		t.Fatal("the conn past the bound was served")
+	}
+	if got := counters.Get("serve.shed"); got != 1 {
+		t.Fatalf("serve.shed = %d, want 1", got)
+	}
+	conns[0].Close()
+	waitFor(t, "the closed conn to leave the attachment", func() bool {
+		ls.mu.Lock()
+		defer ls.mu.Unlock()
+		return len(ls.conns) == 1
+	})
+	c, err := mem.Dial(server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := ping(c); err != nil {
+		t.Fatalf("a conn admitted into freed room: %v", err)
+	}
 }
 
-// A handler parked on the goroutine path holds up neither the reader nor
-// the replies to inline frames behind it on the same conn.
-func TestServeParkedHandlerDoesNotDelayInlineReplies(t *testing.T) {
-	gate := &gatedWriter{entered: make(chan struct{}, 1), open: make(chan struct{})}
-	cfg := Config{Name: "serve-parked", Logger: log.New(gate, "", 0)}
-	_, peer := serveFixture(t, cfg, &transport.TCP{}, 8)
+// parkedDialTCP is transport.TCP whose dials to park wait until their
+// context ends: a head that is never reached, without a packet sent.
+type parkedDialTCP struct {
+	transport.TCP
+	park    string
+	entered chan struct{} // one token per parked dial
+}
 
-	gate.shut.Store(true)
-	peer.write(nil, &wire.Message{Type: wire.TRegister, Seq: 500, Self: wire.Entry{Key: 7, Addr: "192.0.2.200:1"}})
-	<-gate.entered // handleRegister is inside its log line and stays there
+func (p *parkedDialTCP) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
+	if addr == p.park {
+		p.entered <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return p.TCP.DialContext(ctx, addr)
+}
 
-	var frames []*wire.Message
+// TUpdate's forwarding is the one part of serving a frame that leaves the
+// conn's reader. With the delegated head's dial parked for a minute, the
+// discovers pipelined behind the update are answered at once, and Close
+// aborts the parked forward instead of waiting it out.
+func TestServeParkedForwardDoesNotDelayReplies(t *testing.T) {
+	tr := &parkedDialTCP{park: "127.0.0.1:1", entered: make(chan struct{}, 1)}
+	server, peer := serveFixture(t, Config{Name: "serve-forward", RequestTimeout: time.Minute}, tr, 8)
+
+	frames := []*wire.Message{{
+		Type:    wire.TUpdate,
+		Self:    wire.Entry{Key: 7, Addr: "192.0.2.200:1", Epoch: 1},
+		Entries: []wire.Entry{{Key: 8, Addr: tr.park, Capacity: 1}},
+	}}
 	for i := 0; i < 8; i++ {
 		frames = append(frames, discover(i))
 	}
@@ -215,10 +276,43 @@ func TestServeParkedHandlerDoesNotDelayInlineReplies(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		peer.expectDiscovered(i)
 	}
+	<-tr.entered // the forward is parked in its dial
 
-	gate.shut.Store(false)
-	close(gate.open)
-	if m := peer.read(); m.Type != wire.TRegisterAck || m.Seq != 500 {
-		t.Fatalf("parked handler's reply: %v seq=%d", m.Type, m.Seq)
+	closed := make(chan struct{})
+	go func() {
+		server.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited behind the parked forward")
+	}
+}
+
+// While a conn's sends may stall (transport.Faulty with a delay profile),
+// each reply leaves from a goroutine of its own: pipelined requests are
+// answered in about one delay, not one delay per frame.
+func TestServeStallingSendsLeaveSideBySide(t *testing.T) {
+	const burst, delay = 10, 50 * time.Millisecond
+	faulty := transport.NewFaulty(&transport.TCP{}, transport.FaultConfig{Seed: 1, DelayMin: delay, DelayMax: delay})
+	_, peer := serveFixture(t, Config{Name: "serve-stalls"}, faulty.Endpoint("server"), 0)
+
+	var frames []*wire.Message
+	for i := 0; i < burst; i++ {
+		frames = append(frames, &wire.Message{Type: wire.TPing, Seq: uint32(i + 1)})
+	}
+	start := time.Now()
+	peer.write(nil, frames...)
+	seen := map[uint32]bool{}
+	for i := 0; i < burst; i++ {
+		if m := peer.read(); m.Type != wire.TPong || seen[m.Seq] {
+			t.Fatalf("reply %d: %v seq=%d", i, m.Type, m.Seq)
+		} else {
+			seen[m.Seq] = true
+		}
+	}
+	if elapsed := time.Since(start); elapsed > burst*delay/2 {
+		t.Errorf("%d replies over a %v link took %v: the sends queued behind each other", burst, delay, elapsed)
 	}
 }

@@ -21,6 +21,7 @@ package live
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,7 +144,7 @@ func (t *epochTable) shard(k hashkey.Key) *epochShard {
 // observe admits epoch for key unless a strictly newer epoch was already
 // ingested; admission records it and runs apply. Check, record and apply
 // are one step under the key's shard lock, so two pushes racing on two
-// handler goroutines take effect in epoch order no matter the
+// connections' readers take effect in epoch order no matter the
 // interleaving — in what apply writes and in what it hands the
 // application. apply must not block.
 func (t *epochTable) observe(k hashkey.Key, epoch uint64, apply func()) bool {
@@ -188,7 +189,6 @@ func (n *Node) handlePublishBatch(m *wire.Message) {
 			accepted++
 		}
 	}
-	n.members.apply(direct, m.Self) // a publisher is also a live peer worth knowing about
 	n.countIngest(len(m.Entries), accepted)
 	if n.cfg.Logger != nil {
 		n.logf("batch publish from %v: %d records, %d accepted (epoch %d)",
@@ -256,6 +256,9 @@ func remainingTTLMilli(rec storedLoc, now time.Time) uint32 {
 	return uint32(ms)
 }
 
+// forwardsMax bounds the TUpdate forwards a node runs at once.
+const forwardsMax = 64
+
 // handleUpdate ingests a proactive location push (early binding). The
 // subject's new address belongs in the location *cache* — this node
 // registered interest and learned where the subject moved — not in the
@@ -265,12 +268,12 @@ func remainingTTLMilli(rec storedLoc, now time.Time) uint32 {
 // late-binding discover results.
 func (n *Node) handleUpdate(m *wire.Message) {
 	n.ctr.updatesReceived.Inc()
-	// The push is applied under the epoch guard: every frame has a handler
-	// goroutine of its own, and two about one subject must reach the cache
-	// and the application's stream in epoch order, not in scheduling order.
+	// The push is applied under the epoch guard: one connection's pushes
+	// arrive in order on its reader, but two relays' pushes about one
+	// subject arrive on two readers, and must reach the cache and the
+	// application's stream in epoch order, not in scheduling order.
 	dropped := false
 	applied := n.seen.observe(m.Self.Key, m.Self.Epoch, func() {
-		n.members.apply(direct, m.Self)
 		// Epoch-aware write-through: belt and braces under the epochTable
 		// guard — a concurrent discover fill for the same key races this
 		// write, and the cache's own newest-epoch-wins breaks the tie.
@@ -303,10 +306,27 @@ func (n *Node) handleUpdate(m *wire.Message) {
 	if n.cfg.Logger != nil {
 		n.logf("location update: %v now at %s, delegating %d", m.Self.Key, m.Self.Addr, len(m.Entries))
 	}
-	// Re-advertise to the delegated subtree (Figure 4 recursion) on this
-	// frame's own goroutine (TUpdate is never servesInline), so no
-	// goroutine outlives its handler; the sends run under the node's
-	// lifecycle context — a Close mid-fan-out aborts the recursion instead
-	// of stalling behind it.
-	n.fanOut(n.runCtx, m.Self, m.Entries)
+	if len(m.Entries) == 0 {
+		return
+	}
+	// Re-advertise to the delegated subtree (Figure 4 recursion): the one
+	// part of serving a frame that leaves the connection's reader, because
+	// it dials, and a head parked in a dial must not stall the frames behind
+	// this one. At most forwardsMax run at once; past that the reader waits
+	// for a slot, which pushes back on the senders. A forward runs under the
+	// node's lifecycle context — a Close mid-fan-out aborts the recursion
+	// instead of stalling behind it — and Close waits for it. m is recycled
+	// once handled, so the goroutine takes copies.
+	select {
+	case n.forwards <- struct{}{}:
+	case <-n.runCtx.Done():
+		return
+	}
+	subject, sub := m.Self, slices.Clone(m.Entries)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		defer func() { <-n.forwards }()
+		n.fanOut(n.runCtx, subject, sub)
+	}()
 }
