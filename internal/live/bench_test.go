@@ -159,7 +159,7 @@ func BenchmarkServePipelinedTCP(b *testing.B) {
 	}
 	b.Cleanup(func() { server.Close() })
 	key := hashkey.FromName("bench-target")
-	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, key, time.Now())
+	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, key, monotime())
 	conn, err := tcp.Dial(server.Addr())
 	if err != nil {
 		b.Fatal(err)

@@ -288,7 +288,7 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	}
 	for _, nd := range stationaries {
 		if nd.Key() == owners[0].Key {
-			nd.store.apply(later, later.Key, time.Now())
+			nd.store.apply(later, later.Key, monotime())
 		}
 	}
 	publishAndCount(3, 1)

@@ -135,13 +135,10 @@ func (m *membership) size() int { return len(m.view.Load().ring) }
 // registers without a lease.
 type registration struct {
 	entry   wire.Entry
-	expires time.Time
-	hasTTL  bool
+	expires int64 // monotime when the lease lapses; 0 = no lease
 }
 
-func (r registration) live(now time.Time) bool {
-	return !r.hasTTL || now.Before(r.expires)
-}
+func (r registration) live(now int64) bool { return r.expires == 0 || now < r.expires }
 
 // registryMax bounds R(self): the registrations one node holds, and so
 // the registrants one move pushes to.
@@ -179,7 +176,7 @@ func (t *registryTable) put(reg registration) bool {
 
 // sweep drops registrations whose lease lapsed before now, returning how
 // many were removed.
-func (t *registryTable) sweep(now time.Time) int {
+func (t *registryTable) sweep(now int64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	before := len(t.m)
@@ -193,7 +190,7 @@ func (t *registryTable) sweep(now time.Time) int {
 
 // live returns the entries whose lease has not lapsed at now, ascending
 // by key.
-func (t *registryTable) live(now time.Time) []wire.Entry {
+func (t *registryTable) live(now int64) []wire.Entry {
 	t.mu.Lock()
 	out := make([]wire.Entry, 0, len(t.m))
 	for _, r := range t.m {
@@ -224,11 +221,7 @@ func (n *Node) handleLeafExchange(m *wire.Message) *wire.Message {
 // the lapsed leases; failing that it is shed (registry.shed) with a
 // refusal, which RegisterWithContext reports as ErrOverloaded.
 func (n *Node) handleRegister(m *wire.Message) *wire.Message {
-	reg := registration{entry: m.Self}
-	if m.Self.TTLMilli > 0 {
-		reg.hasTTL = true
-		reg.expires = time.Now().Add(time.Duration(m.Self.TTLMilli) * time.Millisecond)
-	}
+	reg := registration{entry: m.Self, expires: leaseEnd(monotime(), m.Self.TTLMilli)}
 	if !n.registry.put(reg) && (n.SweepRegistry() == 0 || !n.registry.put(reg)) {
 		n.ctr.registryShed.Inc()
 		return &wire.Message{Type: wire.TRegisterAck, Seq: m.Seq}
@@ -248,14 +241,14 @@ func (n *Node) KnownPeers() []wire.Entry {
 
 // Registry returns R(self): the entries registered as interested in this
 // node's movement whose lease has not lapsed, sorted by key.
-func (n *Node) Registry() []wire.Entry { return n.registry.live(time.Now()) }
+func (n *Node) Registry() []wire.Entry { return n.registry.live(monotime()) }
 
 // SweepRegistry drops registrations whose lease has lapsed and returns
 // how many were removed (counted as registry.expired). StartMaintenance
 // calls it periodically; the LDT fan-out also sweeps inline, so the
 // periodic sweep only bounds how long a dead registrant occupies memory.
 func (n *Node) SweepRegistry() int {
-	removed := n.registry.sweep(time.Now())
+	removed := n.registry.sweep(monotime())
 	if removed > 0 {
 		n.ctr.registryExpired.Add(uint64(removed))
 		n.logf("swept %d lapsed registrations", removed)

@@ -244,7 +244,7 @@ func TestRegistryKeepsNewestEpoch(t *testing.T) {
 
 	time.Sleep(2 * time.Millisecond)
 	n.handleRegister(&wire.Message{Type: wire.TRegister, Self: reg})
-	if got := held(); !got.expires.After(first.expires) {
+	if got := held(); got.expires <= first.expires {
 		t.Fatalf("an equal-epoch register did not renew the lease: %v, first %v", got.expires, first.expires)
 	}
 }
@@ -304,14 +304,14 @@ func TestRegistryShedsWhenFull(t *testing.T) {
 func TestRegistryListsLiveSortedAndSweepsInPlace(t *testing.T) {
 	var reg registryTable
 	reg.init(registryMax)
-	now := time.Now()
+	now := monotime()
 	for _, k := range []hashkey.Key{9, 2, 7, 4} {
 		reg.put(registration{entry: wire.Entry{Key: k}}) // no lease
 	}
 	for _, k := range []hashkey.Key{8, 1} {
-		reg.put(registration{entry: wire.Entry{Key: k}, hasTTL: true, expires: now.Add(time.Second)})
+		reg.put(registration{entry: wire.Entry{Key: k}, expires: leaseEnd(now, 1000)})
 	}
-	keys := func(at time.Time) (ks []hashkey.Key) {
+	keys := func(at int64) (ks []hashkey.Key) {
 		for _, e := range reg.live(at) {
 			ks = append(ks, e.Key)
 		}
@@ -320,7 +320,7 @@ func TestRegistryListsLiveSortedAndSweepsInPlace(t *testing.T) {
 	if got, want := keys(now), []hashkey.Key{1, 2, 4, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("live = %v, want %v", got, want)
 	}
-	later := now.Add(2 * time.Second)
+	later := now + int64(2*time.Second)
 	if got, want := keys(later), []hashkey.Key{2, 4, 7, 9}; !slices.Equal(got, want) {
 		t.Fatalf("live after the leases lapsed = %v, want %v", got, want)
 	}

@@ -77,7 +77,7 @@ func serveFixture(t *testing.T, cfg Config, tr transport.Transport, n int) (*Nod
 	}
 	t.Cleanup(func() { server.Close() })
 	for i := 0; i < n; i++ {
-		server.store.apply(wire.Entry{Key: serveKey(i), Addr: serveAddr(i), Epoch: 1}, serveKey(i), time.Now())
+		server.store.apply(wire.Entry{Key: serveKey(i), Addr: serveAddr(i), Epoch: 1}, serveKey(i), monotime())
 	}
 	c, err := net.Dial("tcp", server.Addr())
 	if err != nil {

@@ -34,6 +34,24 @@ import (
 // a mask.
 const stateShards = 16
 
+// clockBase is the instant monotime counts from.
+var clockBase = time.Now()
+
+// monotime reads the monotonic clock as nanoseconds since clockBase. A
+// lease is only ever compared with another instant, so this is the one
+// clock read its check needs (time.Now reads the wall clock as well), and
+// the comparison is one of integers.
+func monotime() int64 { return int64(time.Since(clockBase)) }
+
+// leaseEnd is the monotime at which a lease of ttlMilli milliseconds
+// granted at now lapses, or 0 for the zero lease, which never does.
+func leaseEnd(now int64, ttlMilli uint32) int64 {
+	if ttlMilli == 0 {
+		return 0
+	}
+	return now + int64(ttlMilli)*int64(time.Millisecond)
+}
+
 // storedLoc is one repository record. owner is the identity key of the
 // publisher it came from: the record under that key itself is the
 // publisher's identity record and holds its address; every other record
@@ -41,14 +59,11 @@ const stateShards = 16
 type storedLoc struct {
 	owner   hashkey.Key
 	addr    string // identity records only
-	expires time.Time
-	hasTTL  bool
+	expires int64  // monotime when the lease lapses; 0 = no lease
 	epoch   uint64 // publisher's move counter; newest-epoch-wins
 }
 
-func (s storedLoc) live(now time.Time) bool {
-	return !s.hasTTL || now.Before(s.expires)
-}
+func (s storedLoc) live(now int64) bool { return s.expires == 0 || now < s.expires }
 
 type storeShard struct {
 	mu sync.Mutex
@@ -81,20 +96,16 @@ func (s *recordStore) shard(k hashkey.Key) *storeShard {
 // record whose lease has lapsed no longer outranks anything. Only the
 // owner's own record keeps e's address. Reports whether the record was
 // stored.
-func (s *recordStore) apply(e wire.Entry, owner hashkey.Key, now time.Time) bool {
+func (s *recordStore) apply(e wire.Entry, owner hashkey.Key, now int64) bool {
 	sh := s.shard(e.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if old, ok := sh.m[e.Key]; ok && old.live(now) && old.epoch > e.Epoch {
 		return false
 	}
-	rec := storedLoc{owner: owner, epoch: e.Epoch}
+	rec := storedLoc{owner: owner, expires: leaseEnd(now, e.TTLMilli), epoch: e.Epoch}
 	if e.Key == owner {
 		rec.addr = e.Addr
-	}
-	if e.TTLMilli > 0 {
-		rec.hasTTL = true
-		rec.expires = now.Add(time.Duration(e.TTLMilli) * time.Millisecond)
 	}
 	sh.m[e.Key] = rec
 	return true
@@ -177,7 +188,7 @@ func (t *epochTable) get(k hashkey.Key) uint64 {
 // moment the one identity record lands: every owned key answers with the
 // new address from then on, and none can answer with an older one.
 func (n *Node) handlePublishBatch(m *wire.Message) {
-	now := time.Now()
+	now := monotime()
 	bound := n.store.apply(m.Self, m.Self.Key, now)
 	accepted := 0
 	for i := range m.Entries {
@@ -220,7 +231,7 @@ func (n *Node) countIngest(records, accepted int) {
 // repository's answer would — without it, late-binding results would
 // never go stale client-side.
 func (n *Node) handleDiscover(m *wire.Message) *wire.Message {
-	now := time.Now()
+	now := monotime()
 	rec, ok := n.store.get(m.Key)
 	ttl := remainingTTLMilli(rec, now)
 	if ok && rec.owner != m.Key && rec.live(now) {
@@ -242,11 +253,11 @@ func (n *Node) handleDiscover(m *wire.Message) *wire.Message {
 // now into the wire's millisecond form: 0 means "no lease", so a
 // live-but-nearly-done lease clamps up to 1ms rather than becoming
 // immortal, and durations beyond the uint32 range saturate.
-func remainingTTLMilli(rec storedLoc, now time.Time) uint32 {
-	if !rec.hasTTL {
+func remainingTTLMilli(rec storedLoc, now int64) uint32 {
+	if rec.expires == 0 {
 		return 0
 	}
-	ms := rec.expires.Sub(now) / time.Millisecond
+	ms := (rec.expires - now) / int64(time.Millisecond)
 	switch {
 	case ms < 1:
 		return 1

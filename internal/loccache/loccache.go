@@ -26,6 +26,7 @@ package loccache
 
 import (
 	"container/list"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,8 @@ const (
 
 // Config is what a Cache is given. The zero value is usable.
 type Config struct {
-	// Clock overrides the clock, for tests. Nil reads the monotonic clock.
+	// Clock overrides the clock, for tests; leases count from its first
+	// reading. Nil reads the monotonic clock.
 	Clock func() time.Time
 	// Counters receives loccache.lookups/hit/miss/stale/negative/evicted
 	// events; nil disables them.
@@ -96,6 +98,9 @@ func pow2(n int) int {
 	return p
 }
 
+// never is the expiry of an entry stored without a lease.
+const never = math.MaxInt64
+
 // entry is one cached state-pair. What a lookup answers from — key, addr,
 // lease, epoch — never changes once the entry is linked into its bucket:
 // a new binding for the key is a new entry, so a reader that found an
@@ -103,8 +108,7 @@ func pow2(n int) int {
 type entry struct {
 	key      hashkey.Key
 	addr     string
-	expires  time.Time
-	hasTTL   bool
+	expires  int64 // the cache's clock (Cache.now) when the lease lapses, or never
 	negative bool
 	epoch    uint64 // publisher's move counter; 0 = unordered
 
@@ -121,18 +125,16 @@ type entry struct {
 	elem *list.Element
 }
 
-// state classifies e at instant now.
-func (e *entry) state(now time.Time) State {
-	if e.negative {
-		if now.Before(e.expires) {
-			return Negative
-		}
-		return Miss
-	}
-	if !e.hasTTL || now.Before(e.expires) {
+// state classifies e at instant now. A live lease is one comparison; only
+// a lapsed one is measured against the stale window, and an entry without
+// a lease never gets that far.
+func (e *entry) state(now int64) State {
+	switch {
+	case now < e.expires && e.negative:
+		return Negative
+	case now < e.expires:
 		return Fresh
-	}
-	if now.Before(e.expires.Add(staleWindow)) {
+	case !e.negative && now-e.expires < int64(staleWindow):
 		return Stale
 	}
 	return Miss
@@ -140,9 +142,7 @@ func (e *entry) state(now time.Time) State {
 
 // expired reports whether e's lease (or negative TTL) has lapsed — the
 // eviction preference, independent of the stale window.
-func (e *entry) expired(now time.Time) bool {
-	return (e.hasTTL || e.negative) && !now.Before(e.expires)
-}
+func (e *entry) expired(now int64) bool { return now >= e.expires }
 
 // used records a hit. On an entry already touched it writes nothing, so
 // the entry's cache line stays shared between the processors reading it.
@@ -165,7 +165,8 @@ type shard struct {
 // Cache is a sharded, bounded, lease-aware location cache. All methods
 // are safe for concurrent use.
 type Cache struct {
-	clock      func() time.Time
+	clock      func() time.Time // nil: the monotonic clock
+	base       time.Time        // the instant now counts from
 	shardMask  uint64
 	shardBits  uint
 	bucketMask uint64
@@ -183,14 +184,13 @@ func New(cfg Config) *Cache { return newCache(cfg, numShards, maxEntries/numShar
 // newCache builds a Cache of nShards shards (a power of two) holding
 // perShard entries each; tests build tiny ones to watch eviction.
 func newCache(cfg Config, nShards, perShard int) *Cache {
-	if cfg.Clock == nil {
-		// time.Now reads the wall clock and the monotonic clock; a lookup
-		// only ever compares instants, so it pays for the monotonic one.
-		base := time.Now()
-		cfg.Clock = func() time.Time { return base.Add(time.Since(base)) }
+	base := time.Now()
+	if cfg.Clock != nil {
+		base = cfg.Clock()
 	}
 	return &Cache{
 		clock:      cfg.Clock,
+		base:       base,
 		shardMask:  uint64(nShards - 1),
 		shardBits:  uint(bits.TrailingZeros(uint(nShards))),
 		bucketMask: uint64(pow2(perShard) - 1),
@@ -206,6 +206,16 @@ func newCache(cfg Config, nShards, perShard int) *Cache {
 		epochRejected: cfg.Counters.Counter("loccache.epoch_rejected"),
 		entries:       cfg.Gauges.Gauge("loccache.entries"),
 	}
+}
+
+// now reads the clock as nanoseconds since the cache was built. A lookup
+// only compares instants, so it reads the monotonic clock alone (time.Now
+// would read the wall clock too), and a lease is one integer comparison.
+func (c *Cache) now() int64 {
+	if c.clock == nil {
+		return int64(time.Since(c.base))
+	}
+	return int64(c.clock().Sub(c.base))
 }
 
 // shardOf picks the shard for key. Keys come from SHA-1 (hashkey), so
@@ -271,7 +281,7 @@ func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	}
 	// The clock is read after the entry was found, on every lookup that
 	// found one: an answer is Fresh as of an instant inside the call.
-	st := e.state(c.clock())
+	st := e.state(c.now())
 	switch st {
 	case Fresh:
 		e.used()
@@ -298,7 +308,7 @@ func (c *Cache) Peek(key hashkey.Key) (string, State) {
 	if e == nil {
 		return "", Miss
 	}
-	st := e.state(c.clock())
+	st := e.state(c.now())
 	if st == Fresh || st == Stale {
 		return e.addr, st
 	}
@@ -332,10 +342,10 @@ func (c *Cache) PutNegative(key hashkey.Key) {
 // evicting one if the shard is full. ordered makes a cached positive
 // entry of a newer epoch win instead.
 func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
-	now := c.clock()
-	if ttl > 0 {
-		e.hasTTL = true
-		e.expires = now.Add(ttl)
+	now := c.now()
+	e.expires = never
+	if end := now + int64(ttl); ttl > 0 && end > now { // else none, or too long to count
+		e.expires = end
 	}
 
 	s := c.shardOf(e.key)
@@ -375,7 +385,7 @@ const evictScan = 16
 // because this is the one place recency order matters — then takes the
 // least-recently-used *expired* entry within evictScan of the tail if
 // any, else the LRU tail itself.
-func (c *Cache) evictLocked(s *shard, now time.Time) {
+func (c *Cache) evictLocked(s *shard, now int64) {
 	for i := 0; i < evictScan; i++ {
 		e := s.lru.Back().Value.(*entry)
 		if !e.touched.Load() {

@@ -2,6 +2,7 @@ package loccache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,6 +96,73 @@ func TestNoTTLNeverExpires(t *testing.T) {
 	fc.advance(1000 * time.Hour)
 	if addr, st := c.Lookup(k); st != Fresh || addr != "addr" {
 		t.Fatalf("no-TTL entry: %q %v, want Fresh", addr, st)
+	}
+}
+
+// TestLeaseBoundariesToTheNanosecond: a lease is Fresh up to the last
+// nanosecond before it lapses and Stale from that instant, Stale up to the
+// last nanosecond of the stale window and a Miss from there; a negative
+// answer is trusted for exactly negativeTTL; a lease too long to represent
+// saturates to no expiry instead of wrapping into the past.
+func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
+	const lease = 2 * time.Second
+	for _, tc := range []struct {
+		at   time.Duration
+		want State
+	}{
+		{0, Fresh},
+		{lease - 1, Fresh},
+		{lease, Stale},
+		{lease + staleWindow - 1, Stale},
+		{lease + staleWindow, Miss},
+	} {
+		fc := newFakeClock()
+		c := New(Config{Clock: fc.now})
+		k := hashkey.FromName("bounded")
+		c.Put(k, "addr", lease)
+		fc.advance(tc.at)
+		if _, st := c.Peek(k); st != tc.want {
+			t.Errorf("lease %v read at +%v: %v, want %v", lease, tc.at, st, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		at   time.Duration
+		want State
+	}{{negativeTTL - 1, Negative}, {negativeTTL, Miss}} {
+		fc := newFakeClock()
+		c := New(Config{Clock: fc.now})
+		k := hashkey.FromName("absent")
+		c.PutNegative(k)
+		fc.advance(tc.at)
+		if _, st := c.Peek(k); st != tc.want {
+			t.Errorf("negative answer read at +%v: %v, want %v", tc.at, st, tc.want)
+		}
+	}
+	fc := newFakeClock()
+	c := New(Config{Clock: fc.now})
+	k := hashkey.FromName("endless")
+	fc.advance(time.Hour)
+	c.Put(k, "addr", math.MaxInt64)
+	fc.advance(1000 * time.Hour)
+	if _, st := c.Peek(k); st != Fresh {
+		t.Fatalf("a lease past the clock's range read %v, want Fresh", st)
+	}
+}
+
+// TestHitReadsTheClockOnce: a lookup that finds a usable entry reads the
+// clock once, and one that finds nothing does not read it.
+func TestHitReadsTheClockOnce(t *testing.T) {
+	fc := newFakeClock()
+	var reads atomic.Int64
+	c := New(Config{Clock: func() time.Time { reads.Add(1); return fc.now() }})
+	k := hashkey.FromName("hot")
+	c.Put(k, "addr", time.Minute)
+	reads.Store(0)
+	if _, st := c.Lookup(k); st != Fresh || reads.Load() != 1 {
+		t.Fatalf("a hit read the clock %d times (%v), want once", reads.Load(), st)
+	}
+	if _, st := c.Lookup(hashkey.FromName("cold")); st != Miss || reads.Load() != 1 {
+		t.Fatalf("an empty lookup read the clock (%d reads, %v)", reads.Load()-1, st)
 	}
 }
 
@@ -450,6 +518,22 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 	outcomes := ctrs.Sum("loccache.hit", "loccache.stale", "loccache.negative", "loccache.miss")
 	if lookups == 0 || lookups != outcomes {
 		t.Fatalf("at rest: lookups %d != hit+stale+negative+miss %d", lookups, outcomes)
+	}
+}
+
+// BenchmarkLookupHit is one cache hit on one processor, counters and the
+// entries gauge on as a node has them: one clock read, a bucket walk and
+// two counter adds.
+func BenchmarkLookupHit(b *testing.B) {
+	c := New(Config{Counters: metrics.NewCounters(), Gauges: metrics.NewGauges()})
+	hot := hashkey.FromName("hot")
+	c.Put(hot, "addr", time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, st := c.Lookup(hot); st != Fresh {
+			b.Fatalf("lookup: %v", st)
+		}
 	}
 }
 

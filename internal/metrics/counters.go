@@ -2,8 +2,8 @@ package metrics
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+	_ "unsafe" // go:linkname
 )
 
 // Counters is a concurrency-safe registry of named monotonic event
@@ -129,48 +129,42 @@ type cell struct {
 	_ [56]byte
 }
 
-// stripeMask selects a cell: one per processor the machine has.
-var stripeMask = func() uint32 {
+// cellMask selects a cell by processor id: one cell per processor the
+// machine has, or per processor the scheduler runs at start-up if that is
+// more. A processor added later shares a cell, which the atomic add keeps
+// exact.
+var cellMask = func() int {
 	n := 1
-	for n < runtime.NumCPU() {
+	for n < max(runtime.NumCPU(), runtime.GOMAXPROCS(0)) {
 		n <<= 1
 	}
-	return uint32(n - 1)
+	return n - 1
 }()
 
-func newCounter() *Counter { return &Counter{cells: make([]cell, stripeMask+1)} }
+func newCounter() *Counter { return &Counter{cells: make([]cell, cellMask+1)} }
 
-// stripe is a processor's claim on one cell index. The claims circulate
-// through a sync.Pool, whose per-P slot hands the goroutines running on
-// one processor the same claim one after another, and the goroutines of
-// another processor a different one — the closest a program gets to a
-// processor id without reaching into the runtime.
-type stripe struct{ idx uint32 }
+// procPin returns the id of the processor running the caller and keeps the
+// caller on it until procUnpin: the runtime's own way of giving each
+// processor its slot, the one sync.Pool uses.
+//
+//go:linkname procPin runtime.procPin
+func procPin() int
 
-var (
-	nextStripe atomic.Uint32
-	stripes    = sync.Pool{New: func() any { return &stripe{idx: nextStripe.Add(1)} }}
-)
+//go:linkname procUnpin runtime.procUnpin
+func procUnpin()
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n: one atomic operation on this processor's cell. Nothing deals
-// two processors distinct indexes for good (claims are dropped and redealt
-// across GC cycles), so a failed compare-and-swap — proof that another
-// processor is writing this cell right now — moves the claim to the next
-// index after counting.
+// Add adds n to the running processor's cell: one atomic add, made while
+// the caller cannot migrate, to a line no other processor writes unless
+// GOMAXPROCS was raised past the cell count.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	s := stripes.Get().(*stripe)
-	cell := &c.cells[s.idx&stripeMask].n
-	if old := cell.Load(); !cell.CompareAndSwap(old, old+n) {
-		cell.Add(n)
-		s.idx = nextStripe.Add(1)
-	}
-	stripes.Put(s)
+	c.cells[procPin()&cellMask].n.Add(n)
+	procUnpin()
 }
 
 // Value returns the counter's current value (0 for a nil handle).

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -245,4 +246,55 @@ func TestGaugesBasics(t *testing.T) {
 	if got := NewGauges().String(); got != "(no gauges)" {
 		t.Fatalf("empty String = %q", got)
 	}
+}
+
+// TestCounterAddsToRunningProcessorsCell: on one processor every add lands
+// in that processor's cell; with twice as many processors as cells, so
+// that two share each cell, concurrent adds still lose nothing.
+func TestCounterAddsToRunningProcessorsCell(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h := NewCounters().Counter("x")
+	for i := 0; i < 1000; i++ {
+		h.Inc()
+	}
+	if got := h.cells[0].n.Load(); got != 1000 || h.Value() != 1000 {
+		t.Fatalf("processor 0's cell holds %d of %d adds, want all 1000", got, h.Value())
+	}
+
+	runtime.GOMAXPROCS(2 * len(h.cells))
+	const workers, adds = 16, 10000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				h.Add(2)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := h.Value(), uint64(1000+2*workers*adds); got != want {
+		t.Fatalf("Value = %d, want %d", got, want)
+	}
+}
+
+// BenchmarkCounterAdd is one add through a handle on one processor.
+func BenchmarkCounterAdd(b *testing.B) {
+	h := NewCounters().Counter("x")
+	for i := 0; i < b.N; i++ {
+		h.Inc()
+	}
+}
+
+// BenchmarkCounterAddParallel is one add through a shared handle from
+// every processor at once: each adds to its own cell, so the ns/op should
+// fall as processors are added.
+func BenchmarkCounterAddParallel(b *testing.B) {
+	h := NewCounters().Counter("x")
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			h.Inc()
+		}
+	})
 }
