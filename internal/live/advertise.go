@@ -3,24 +3,27 @@ package live
 // This file is the LDT push path: UpdateRegistryContext (the paper's
 // Figure 4 fan-out to registered correspondents) and the re-delegation
 // each tree level performs on receiving an update (store.go), both one
-// fanOut that hands each head's frame straight to the head's pooled
+// fanOut that hands each head's frame, head by head, to the head's pooled
 // session. The tree is the load-spreading mechanism; nothing else sits
 // between it and the socket, so what a sender-side queue might promise
 // is kept elsewhere:
 //
-//   - Ordering is the receiver's: epochTable.observe drops a push older
-//     than one already ingested before it is applied or re-delegated, and
-//     a session delivers one sender's frames to a peer in FIFO order.
-//   - Shutdown is the contexts': the mover's sends end with its caller's
-//     ctx, a relay's with the node's lifecycle context, which Close
-//     cancels — a fan-out parked in a dial aborts instead of stalling it.
-//   - A slow head is concurrency's: heads are sent side by side, so an
-//     unreachable one costs its own subtree a late binding and nobody
-//     else anything.
+//   - Ordering is FIFO along each tree path: a move's fanOut enqueues
+//     before the next move's, a session writes one sender's frames in
+//     order, and a relay forwards on the reader that received them. Over
+//     an unchanged registry every move takes the same paths, so no push
+//     overtakes another; epochTable.observe drops what a changed tree or
+//     the network still reorders before it is applied or re-delegated.
+//   - Shutdown is the pool's: a send only enqueues, and a dial still
+//     running when the node closes ends with the pool's life.
+//   - A slow head is its session's: its frames wait behind its dial, not
+//     in front of the other heads', so an unreachable head costs its own
+//     subtree a late binding and nobody else anything. Only a head whose
+//     sessionInflight queue is full holds a sender up, for at most
+//     RequestTimeout.
 
 import (
 	"context"
-	"sync"
 
 	"bristle/internal/ldt"
 	"bristle/internal/wire"
@@ -43,9 +46,9 @@ func (n *Node) UpdateRegistryContext(ctx context.Context) error {
 // every receiver of an update on the subset it was delegated: it schedules
 // recipients into a capacity-aware tree under this node and sends each of
 // the tree's first-level heads one TUpdate about subject that delegates
-// the head's whole subtree to it. It returns when every head's send has
-// ended; a failed head is logged, not returned (§2.3.2: its subtree
-// recovers through late binding).
+// the head's whole subtree to it. It returns when every head's frame is
+// queued on its session or has failed; a failed head is logged, not
+// returned (§2.3.2: its subtree recovers through late binding).
 func (n *Node) fanOut(ctx context.Context, subject wire.Entry, recipients []wire.Entry) {
 	if len(recipients) == 0 {
 		return
@@ -70,19 +73,13 @@ func (n *Node) fanOut(ctx context.Context, subject wire.Entry, recipients []wire
 			below(c)
 		}
 	}
-	var heads sync.WaitGroup
 	for _, head := range tree.Root.Children {
 		sub = nil // each frame owns its entries
 		below(head)
 		addr := recipients[head.Member.ID-1].Addr
 		msg := &wire.Message{Type: wire.TUpdate, Self: subject, Entries: sub}
-		heads.Add(1)
-		go func() {
-			defer heads.Done()
-			if err := n.oneWay(ctx, addr, msg); err != nil {
-				n.logf("update push to %s failed: %v", addr, err)
-			}
-		}()
+		if err := n.oneWay(ctx, addr, msg); err != nil {
+			n.logf("update push to %s failed: %v", addr, err)
+		}
 	}
-	heads.Wait()
 }

@@ -2,11 +2,11 @@ package live
 
 // Tests for the LDT push path as it is: fanOut hands each head's TUpdate
 // straight to the head's pooled session. What a sender-side queue once
-// promised is pinned here against the mechanisms that keep it — the
-// receiver's epoch guard (no registrant is pushed backwards), the contexts
-// (epoch_test.go's TestCloseUnblocksLDTFanOut), concurrency across heads
-// (a black-holed head delays nobody), and the handler owning its sends (no
-// goroutine is left behind).
+// promised is pinned here against the mechanisms that keep it — FIFO
+// sessions and forwarding on the reader (no registrant is pushed
+// backwards), the pool's life (epoch_test.go's TestCloseUnblocksLDTFanOut),
+// sessions that dial on their own (a black-holed head delays nobody), and
+// the handler owning its sends (no goroutine is left behind).
 
 import (
 	"context"
@@ -60,9 +60,9 @@ func holding(nodes []*Node, key hashkey.Key, addr string) int {
 
 // TestMoverOutrunsItsTree moves a mobile twenty times back to back, faster
 // than its 32-registrant tree delivers, over links of three delays with
-// and without duplication. Nothing on the sending side orders or merges
-// the pushes; the receivers' epoch guard alone must keep every registrant
-// from ever stepping back, and every cache must end on the final address.
+// and without duplication. Nothing on the sending side merges the pushes;
+// no registrant may ever step back, every cache must end on the final
+// address, and on a clean link every push must arrive once and in order.
 // The counts are logged for EXPERIMENTS.md's ablation table.
 func TestMoverOutrunsItsTree(t *testing.T) {
 	const registrants, moves = 32, 20
@@ -157,10 +157,10 @@ func TestMoverOutrunsItsTree(t *testing.T) {
 			}
 			// Over an unchanged registry every move builds the same tree, so
 			// consecutive epochs reach a registrant down the same chain of
-			// FIFO sessions. On the slowest clean link the moves are some 20 ms
-			// apart, far more than two handlers of one relay can trade places
-			// by: nothing arrives out of order, nothing is pruned.
-			if link.delay == 10*time.Millisecond && link.dup == 0 {
+			// FIFO sessions, each relay forwarding on the reader that received
+			// them: on a clean link, however fast the moves, nothing arrives
+			// out of order and nothing is pruned.
+			if link.dup == 0 {
 				if r, s := get("updates.received"), get("updates.stale_rejected"); r != moves*registrants || s != 0 {
 					t.Errorf("updates.received %d, stale_rejected %d; want %d and 0: the moves took different paths", r, s, moves*registrants)
 				}
@@ -224,9 +224,9 @@ func TestUpdateRegistrySameHeadsEveryMove(t *testing.T) {
 // TestFanOutUnreachableHeadDelaysNoOther: one head is a black hole (its
 // dial parks until RequestTimeout) beside two live heads. The live heads'
 // subtrees hold the new address well inside RequestTimeout, a second push
-// started while the first is still parked reaches them too, and both
-// pushes return nil — a dead head is late binding's problem, not the
-// caller's.
+// started behind the parked dial reaches them too, and both pushes return
+// nil before the dial ends — a push waits on no dial, and a dead head is
+// late binding's problem, not the caller's.
 func TestFanOutUnreachableHeadDelaysNoOther(t *testing.T) {
 	const requestTimeout = time.Second
 	mem := transport.NewMem()
@@ -272,18 +272,13 @@ func TestFanOutUnreachableHeadDelaysNoOther(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > requestTimeout/2 {
 		t.Errorf("live subtrees waited %v behind the black-holed head (RequestTimeout %v)", elapsed, requestTimeout)
 	}
-	select {
-	case err := <-pushes:
-		t.Fatalf("a push returned (%v) with the black hole's dial still parked", err)
-	default:
-	}
 	for i := 0; i < 2; i++ {
 		if err := <-pushes; err != nil {
 			t.Errorf("UpdateRegistryContext = %v, want nil: a failed head is logged, not returned", err)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > 2*requestTimeout {
-		t.Errorf("the pushes took %v, want about one RequestTimeout (%v)", elapsed, requestTimeout)
+	if elapsed := time.Since(start); elapsed >= requestTimeout {
+		t.Errorf("the pushes returned after %v, want before the black hole's dial ends (RequestTimeout %v)", elapsed, requestTimeout)
 	}
 	if got := received.Get("updates.received"); got != 2*reachable {
 		t.Errorf("updates.received = %d, want %d", got, 2*reachable)

@@ -434,10 +434,10 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 }
 
 // TestCloseUnblocksLDTFanOut: a node handling a TUpdate whose delegated
-// subtree includes an unreachable peer re-advertises on the handler's own
-// goroutine, which parks in the dial. The sends are bounded by the node's
-// lifecycle context, not by RequestTimeout alone: Close cancels it, the
-// handler returns, and Close returns promptly, leaking no goroutines.
+// subtree includes an unreachable peer re-advertises to it, and the peer's
+// session parks in the dial. The dial is bounded by the pool's life, not
+// by RequestTimeout alone: Close ends it, and returns promptly, leaking no
+// goroutines.
 func TestCloseUnblocksLDTFanOut(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	mem := transport.NewMem()
@@ -470,7 +470,7 @@ func TestCloseUnblocksLDTFanOut(t *testing.T) {
 	defer sender.Close()
 
 	// Deliver, over the wire, an update that delegates the black hole to
-	// the relay: its handler will park inside the dial.
+	// the relay: its session to the black hole will park inside the dial.
 	msg := &wire.Message{
 		Type:    wire.TUpdate,
 		Self:    wire.Entry{Key: hashkey.FromName("mover"), Addr: "mem:nowhere", Capacity: 1, Epoch: 1},
@@ -480,7 +480,7 @@ func TestCloseUnblocksLDTFanOut(t *testing.T) {
 		t.Fatalf("send update: %v", err)
 	}
 	// Wait until the relay has ingested the update: ingest precedes the
-	// fan-out the handler is now parked in.
+	// fan-out whose dial is now parked.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		select {

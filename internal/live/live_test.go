@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,6 +135,51 @@ func TestRebindStationaryRejected(t *testing.T) {
 	defer cleanup()
 	if err := nodes["s1"].RebindContext(context.Background(), ""); err == nil {
 		t.Fatal("stationary node rebound")
+	}
+}
+
+// TestStartTwiceErrs: a started node refuses a second Start and keeps its
+// one listener, so no accept loop is orphaned and Close returns promptly.
+func TestStartTwiceErrs(t *testing.T) {
+	n := mustNode(t, Config{Name: "twice"}, transport.NewMem())
+	if err := n.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	first := n.Addr()
+	if err := n.Start(""); err == nil {
+		t.Error("a second Start succeeded")
+	}
+	if n.Addr() != first {
+		t.Errorf("the second Start moved the node from %s to %s", first, n.Addr())
+	}
+	closed := make(chan struct{})
+	go func() {
+		n.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind an orphaned accept loop")
+	}
+}
+
+// TestRebindAfterCloseErrStopped: a closed node does not move — it opens
+// no listener at the new address and says why.
+func TestRebindAfterCloseErrStopped(t *testing.T) {
+	mem := transport.NewMem()
+	n := mustNode(t, Config{Name: "closed-mover", Mobile: true, RequestTimeout: time.Second}, mem)
+	if err := n.Start(""); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	const next = "mem:after-close"
+	if err := n.RebindContext(context.Background(), next); !errors.Is(err, ErrStopped) {
+		t.Errorf("RebindContext on a closed node = %v, want ErrStopped", err)
+	}
+	if c, err := mem.Dial(next); err == nil {
+		c.Close()
+		t.Error("the closed node accepted a dial at the address it was asked to move to")
 	}
 }
 

@@ -315,9 +315,8 @@ type Node struct {
 
 	peers peerTable // every address's RTT estimate, breaker and session (peer.go)
 
-	wg       sync.WaitGroup
-	updates  chan Update
-	forwards chan struct{} // a slot per TUpdate forward in flight (store.go)
+	wg      sync.WaitGroup
+	updates chan Update
 
 	// runCtx is the node's lifecycle context: canceled by Close, it bounds
 	// every background send the node originates on its own behalf (LDT
@@ -353,18 +352,18 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		key = hashkey.FromName(cfg.Name)
 	}
 	n := &Node{
-		cfg:      cfg,
-		key:      key,
-		tr:       tr,
-		ctr:      newCounters(cfg.Counters),
-		updates:  make(chan Update, 64),
-		forwards: make(chan struct{}, forwardsMax),
-		owned:    make(map[hashkey.Key]struct{}),
-		ids:      make(map[hashkey.Key][32]byte),
-		loc:      loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
+		cfg:     cfg,
+		key:     key,
+		tr:      tr,
+		ctr:     newCounters(cfg.Counters),
+		updates: make(chan Update, 64),
+		owned:   make(map[hashkey.Key]struct{}),
+		ids:     make(map[hashkey.Key][32]byte),
+		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
 	n.peers.init()
-	n.pool = newPool(tr, cfg.Pool, cfg.Counters, cfg.Gauges)
+	oneWayResult := func(p *peer, err error) { p.breakerResult(n, err, false) }
+	n.pool = newPool(tr, cfg.Pool, oneWayResult, cfg.Counters, cfg.Gauges)
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
 	n.self.Store(&binding{epoch: nextEpoch(0)})
@@ -415,7 +414,8 @@ func nextEpoch(prev uint64) uint64 {
 }
 
 // Start binds a listener on listenAddr (":0" for an ephemeral port) and
-// begins serving the protocol.
+// begins serving the protocol. A node starts once: a mobile moves with
+// RebindContext.
 func (n *Node) Start(listenAddr string) error {
 	l, err := n.tr.Listen(listenAddr)
 	if err != nil {
@@ -423,10 +423,16 @@ func (n *Node) Start(listenAddr string) error {
 	}
 	ls := newListenerState(l)
 	n.lifeMu.Lock()
-	if n.stopped {
+	switch {
+	case n.stopped:
+		err = ErrStopped
+	case n.listener != nil: // a second accept loop would orphan the first
+		err = errors.New("live: node already started")
+	}
+	if err != nil {
 		n.lifeMu.Unlock()
 		ls.close()
-		return ErrStopped
+		return err
 	}
 	n.listener = ls
 	b := n.self.Load()
@@ -460,13 +466,14 @@ func (n *Node) Close() error {
 }
 
 // RebindContext moves a mobile node to a new listener (a new network
-// attachment point), republishes its location — one record per replica
-// when that is all the replicas lack (publish.go) — and pushes the update
-// through its dissemination tree. The two run side by side and each to
-// its end: registrants hear of the move though no replica can be reached
-// (early binding does not depend on late binding's repository), and the
-// error reports both. Connections accepted through the old attachment
-// point close with it, exactly as a real relocation severs them.
+// attachment point), pushes the update through its dissemination tree and
+// republishes its location — one record per replica when that is all the
+// replicas lack (publish.go). The push only enqueues a frame per head, so
+// it comes first and costs the publish nothing: registrants hear of the
+// move though no replica can be reached (early binding does not depend on
+// late binding's repository), and the error reports both. Connections
+// accepted through the old attachment point close with it, exactly as a
+// real relocation severs them. A closed node does not move.
 func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if !n.cfg.Mobile {
 		return errors.New("live: node is not mobile")
@@ -477,6 +484,11 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	}
 	ls := newListenerState(newL)
 	n.lifeMu.Lock()
+	if n.stopped {
+		n.lifeMu.Unlock()
+		ls.close()
+		return ErrStopped
+	}
 	old := n.listener
 	n.listener = ls
 	// The new binding supersedes every frame sent for the old one: the
@@ -493,10 +505,8 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	go n.acceptLoop(ls)
 	n.logf("rebound to %s", n.Addr())
 
-	pushed := make(chan error, 1)
-	go func() { pushed <- n.UpdateRegistryContext(ctx) }()
-	err = n.publish(ctx, false)
-	return errors.Join(err, <-pushed)
+	pushed := n.UpdateRegistryContext(ctx)
+	return errors.Join(n.publish(ctx, false), pushed)
 }
 
 func (n *Node) logf(format string, args ...interface{}) {
@@ -533,11 +543,10 @@ func (n *Node) acceptLoop(ls *listenerState) {
 // between two reads, in the order the frames arrived, with its reply
 // queued on the conn: the replies to a burst of pipelined requests leave
 // in one write, when the read buffer has drained and Recv is about to
-// block (transport.Conn.Queue). The one part of a handler that leaves the
-// reader is TUpdate's forwarding (store.go). While the conn's sends may
-// stall (transport.Conn.SendStalls), a reply is sent from a goroutine of
-// its own, so a sleeping send holds up neither the reads behind it nor
-// the other replies.
+// block (transport.Conn.Queue). TUpdate's forwarding too only enqueues
+// (store.go). While the conn's sends may stall (transport.Conn.SendStalls),
+// a reply is sent from a goroutine of its own, so a sleeping send holds up
+// neither the reads behind it nor the other replies.
 //
 // Fully handled frames (and shipped responses) go back to the wire
 // codec's message pool: the handlers copy everything they keep, so the

@@ -6,11 +6,12 @@ package live
 // into one write, a reader goroutine demultiplexes replies back to
 // waiting callers by sequence number — so an exchange costs a frame, not
 // a dial, a burst of exchanges costs one syscall, and many requests are
-// in flight on one connection at once. Broken sessions tear down,
-// fail their waiters with retryable errors, and are transparently
-// re-dialed by the next attempt, composing with the retry/backoff and
-// circuit-breaker machinery in rpc.go. This is the only way a node sends
-// a frame: there is no unpooled exchange.
+// in flight on one connection at once. A session dials on its own
+// goroutine, then becomes the writer: frames queue behind the dial, and no
+// caller waits on one. Broken sessions tear down, fail their waiters with
+// retryable errors, and are re-dialed by the next attempt, composing with
+// the retry/backoff and circuit-breaker machinery in rpc.go. This is the
+// only way a node sends a frame: there is no unpooled exchange.
 //
 // A peer's session hangs off its record in the peer table (peer.go), under
 // that record's mutex: acquiring a session for one peer never contends
@@ -90,14 +91,20 @@ type pool struct {
 	mu   sync.Mutex
 	held map[*session]struct{}
 
-	stopJanitor chan struct{}
-	wg          sync.WaitGroup // janitor + per-session read/write loops
+	// oneWayResult feeds a peer's breaker what only the pool sees of a
+	// one-way frame: queued on a connected session, or its dial's outcome.
+	oneWayResult func(*peer, error)
+
+	life context.Context // bounds every dial and the janitor; Close cancels it
+	stop context.CancelFunc
+	wg   sync.WaitGroup // janitor + per-session run and read loops
 }
 
-func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters, gauges *metrics.Gauges) *pool {
+func newPool(tr transport.Transport, cfg PoolConfig, oneWayResult func(*peer, error), counters *metrics.Counters, gauges *metrics.Gauges) *pool {
 	p := &pool{
-		tr:  tr,
-		cfg: cfg.withDefaults(),
+		tr:           tr,
+		cfg:          cfg.withDefaults(),
+		oneWayResult: oneWayResult,
 
 		dials:         counters.Counter("pool.dials"),
 		broken:        counters.Counter("pool.broken"),
@@ -110,9 +117,9 @@ func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters,
 		sessions:      gauges.Gauge("pool.sessions"),
 		inflight:      gauges.Gauge("pool.inflight"),
 
-		held:        make(map[*session]struct{}),
-		stopJanitor: make(chan struct{}),
+		held: make(map[*session]struct{}),
 	}
+	p.life, p.stop = context.WithCancel(context.Background())
 	p.wg.Add(1)
 	go p.janitor()
 	return p
@@ -120,16 +127,12 @@ func newPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters,
 
 // session is one peer's long-lived multiplexed connection.
 type session struct {
-	p    *pool
-	peer *peer
-
-	ready   chan struct{} // closed once the creator's dial resolved
-	dialErr error         // set before ready closes
-
-	conn    transport.Conn
-	writeCh chan *waiter
+	p       *pool
+	peer    *peer
+	writeCh chan *waiter // frames wait here for the writer, the dial first
 
 	mu       sync.Mutex
+	conn     transport.Conn // nil until the dial succeeds
 	torn     bool
 	err      error              // teardown cause, set before done closes
 	pending  map[uint32]*waiter // exchanges awaiting a reply, by Seq
@@ -175,14 +178,12 @@ func (s *session) idle() bool {
 	return !s.torn && s.inflight == 0 && s.oneWay == 0
 }
 
-// acquire returns a live session for pr, dialing one if absent. The
-// creator dials inline, bounded by ctx and by the attempt's deadline (the
-// one place an attempt derives a context); concurrent acquirers of the
-// same peer wait for that dial instead of racing their own. At the
-// MaxSessions cap the least-recently-used idle session is evicted and
-// the acquire retried; with no idle victim the session is admitted over
-// the cap, to be shed when a session next goes idle (surplus).
-func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, error) {
+// acquire returns pr's session, creating one if absent and starting its
+// run, which dials by by. It never waits on a dial. At the MaxSessions cap
+// the least-recently-used idle session is evicted and the acquire retried;
+// with no idle victim the session is admitted over the cap, to be shed
+// when a session next goes idle (surplus).
+func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 	// Each round returns, fails, has evicted an idle victim (freeing a slot
 	// that a rival may steal first), or has decided to go over the cap: no
 	// session was idle, or rivals stole the freed slot three times running.
@@ -191,16 +192,6 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 		pr.mu.Lock()
 		if s := pr.sess; s != nil {
 			pr.mu.Unlock()
-			select {
-			case <-s.ready:
-			case <-s.done:
-				return nil, s.teardownErr()
-			case <-ctx.Done():
-				return nil, fmt.Errorf("live: pooled dial %s: %w", pr.addr, ctx.Err())
-			}
-			if s.dialErr != nil {
-				return nil, s.dialErr
-			}
 			return s, nil
 		}
 		// Absent: reserve a slot before inserting, so the cap holds
@@ -221,7 +212,6 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 		s := &session{
 			p:       p,
 			peer:    pr,
-			ready:   make(chan struct{}),
 			done:    make(chan struct{}),
 			writeCh: make(chan *waiter, sessionInflight),
 			pending: make(map[uint32]*waiter),
@@ -229,7 +219,7 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 		}
 		// Close marks closed before it snapshots held, so a session joins
 		// held before that snapshot — to be torn down with the rest — or
-		// not at all.
+		// not at all; its run is counted before Close can wait.
 		p.mu.Lock()
 		if p.closed.Load() {
 			p.mu.Unlock()
@@ -238,49 +228,51 @@ func (p *pool) acquire(ctx context.Context, pr *peer, by time.Time) (*session, e
 			return nil, ErrPoolClosed
 		}
 		p.held[s] = struct{}{}
+		p.wg.Add(1)
 		p.mu.Unlock()
 		pr.sess = s
 		p.sessions.Set(p.nsess.Load())
 		pr.mu.Unlock()
-		dctx, cancel := context.WithDeadline(ctx, by)
-		defer cancel()
-		return s, s.dial(dctx)
+		go s.run(by)
+		return s, nil
 	}
 }
 
-// dial is run once, by the session's creator. On success it starts the
-// session's read and write loops.
-func (s *session) dial(ctx context.Context) error {
+// run dials under the pool's life and by the creating attempt's deadline,
+// then starts the reader and becomes the writer. A failed dial tears the
+// session down, which a waiting request sees and records; the pool records
+// it when only one-way frames were waiting.
+func (s *session) run(by time.Time) {
+	defer s.p.wg.Done()
+	ctx, cancel := context.WithDeadline(s.p.life, by)
 	conn, err := transport.DialContext(ctx, s.p.tr, s.peer.addr)
+	cancel()
 	if err != nil {
-		s.dialErr = err
-		close(s.ready)
-		s.p.drop(s)
-		s.teardown(err)
-		return err
+		if s.teardown(err) {
+			s.p.oneWayResult(s.peer, err)
+		}
+		return
 	}
 	s.mu.Lock()
 	if s.torn { // pool closed or session evicted while dialing
-		err := s.err
 		s.mu.Unlock()
 		conn.Close()
-		s.dialErr = err
-		close(s.ready)
-		return err
+		return
 	}
 	s.conn = conn
+	oneWayOnly := s.inflight == 0 && s.oneWay > 0
 	s.mu.Unlock()
-	close(s.ready)
 	s.p.dials.Inc()
-	s.p.wg.Add(2)
-	go s.writeLoop()
+	if oneWayOnly {
+		s.p.oneWayResult(s.peer, nil)
+	}
+	s.p.wg.Add(1)
 	go s.readLoop()
-	return nil
+	s.writeLoop()
 }
 
 // writeLoop puts every frame that is waiting into one write.
 func (s *session) writeLoop() {
-	defer s.p.wg.Done()
 	for {
 		select {
 		case <-s.done:
@@ -374,16 +366,18 @@ func (s *session) readLoop() {
 
 // teardown closes the session exactly once: waiters fail (they watch
 // done), the conn closes, and the pool forgets the session so the next
-// attempt re-dials.
-func (s *session) teardown(err error) {
+// attempt re-dials. It reports whether this call tore a session only
+// one-way frames were riding, whose callers will not hear of err.
+func (s *session) teardown(err error) (oneWayOnly bool) {
 	s.mu.Lock()
 	if s.torn {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	s.torn = true
 	s.err = err
 	conn := s.conn
+	oneWayOnly = s.inflight == 0 && s.oneWay > 0
 	s.pending = nil
 	s.mu.Unlock()
 	close(s.done)
@@ -400,6 +394,7 @@ func (s *session) teardown(err error) {
 	default:
 		s.p.broken.Inc()
 	}
+	return oneWayOnly
 }
 
 func (s *session) teardownErr() error {
@@ -413,24 +408,25 @@ func (s *session) teardownErr() error {
 
 // register assigns w the next sequence number and counts it against the
 // session: parked for its reply, or as a one-way frame the writer has yet
-// to write. Fails if the session is already torn.
-func (s *session) register(w *waiter) error {
+// to write. It reports whether the session's dial had succeeded, and fails
+// if the session is already torn.
+func (s *session) register(w *waiter) (dialed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.torn {
-		return s.err
+		return false, s.err
 	}
 	s.nextSeq++
 	w.Seq = s.nextSeq
 	s.lastUse = time.Now()
 	if w.oneWay {
 		s.oneWay++
-		return nil
+	} else {
+		s.pending[w.Seq] = w
+		s.inflight++
+		s.p.inflight.Add(1)
 	}
-	s.pending[w.Seq] = w
-	s.inflight++
-	s.p.inflight.Add(1)
-	return nil
+	return s.conn != nil, nil
 }
 
 // abandon gives up on w's exchange, for cause or the session's teardown.
@@ -474,7 +470,7 @@ func (s *session) roundTrip(ctx context.Context, m *wire.Message, by time.Time) 
 	w := waiterPool.Get().(*waiter)
 	w.Message = *m
 	w.holds.Store(2)
-	if err := s.register(w); err != nil {
+	if _, err := s.register(w); err != nil {
 		return nil, err
 	}
 	defer s.endUse()
@@ -505,15 +501,18 @@ func (s *session) roundTrip(ctx context.Context, m *wire.Message, by time.Time) 
 // send enqueues a one-way frame (no reply expected) on the shared
 // connection. Until the writer has written it the session counts as in
 // use: evicting it would drop the frame, and nobody is waiting on a reply
-// to notice.
+// to notice. A frame queued behind the dial is recorded with its outcome.
 func (s *session) send(ctx context.Context, m *wire.Message) error {
 	f := &waiter{Message: *m, oneWay: true}
-	if err := s.register(f); err != nil {
+	dialed, err := s.register(f)
+	if err != nil {
 		return err
 	}
-	var err error
 	select {
 	case s.writeCh <- f:
+		if dialed {
+			s.p.oneWayResult(s.peer, nil)
+		}
 		return nil
 	case <-s.done:
 		err = s.teardownErr()
@@ -526,19 +525,20 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 	return err
 }
 
-// roundTrip acquires (or dials) pr's session and runs one exchange, to
-// end by the attempt's deadline.
+// roundTrip acquires pr's session and runs one exchange, to end by the
+// attempt's deadline.
 func (p *pool) roundTrip(ctx context.Context, pr *peer, m *wire.Message, by time.Time) (*wire.Message, error) {
-	s, err := p.acquire(ctx, pr, by)
+	s, err := p.acquire(pr, by)
 	if err != nil {
 		return nil, err
 	}
 	return s.roundTrip(ctx, m, by)
 }
 
-// send acquires (or dials) pr's session and enqueues a one-way frame.
+// send acquires pr's session and enqueues a one-way frame; a session it
+// creates dials by by.
 func (p *pool) send(ctx context.Context, pr *peer, m *wire.Message, by time.Time) error {
-	s, err := p.acquire(ctx, pr, by)
+	s, err := p.acquire(pr, by)
 	if err != nil {
 		return err
 	}
@@ -546,8 +546,7 @@ func (p *pool) send(ctx context.Context, pr *peer, m *wire.Message, by time.Time
 }
 
 // drop forgets s unless a newer session already replaced it, releasing
-// its slot reservation. The identity check makes the double-drop from
-// the dial-failure path (drop + teardown→drop) harmless.
+// its slot reservation.
 func (p *pool) drop(s *session) {
 	pr := s.peer
 	pr.mu.Lock()
@@ -601,7 +600,7 @@ func (p *pool) janitor() {
 	defer t.Stop()
 	for {
 		select {
-		case <-p.stopJanitor:
+		case <-p.life.Done():
 			return
 		case now := <-t.C:
 			p.evictIdle(now)
@@ -623,15 +622,17 @@ func (p *pool) evictIdle(now time.Time) {
 // sessionCount reports the current number of pooled sessions.
 func (p *pool) sessionCount() int { return int(p.nsess.Load()) }
 
-// Close tears down every session and stops the janitor, then waits for
-// all pool goroutines to exit. Idempotent.
+// Close tears down every session, then ends the pool's life — the dials
+// still running and the janitor — and waits for all pool goroutines to
+// exit. Tearing down first makes a dial cut short by Close fail its
+// waiters with ErrPoolClosed, not with the cancellation. Idempotent.
 func (p *pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(p.stopJanitor)
 	for _, s := range p.current() {
 		s.teardown(ErrPoolClosed) // its drop releases the slot
 	}
+	p.stop()
 	p.wg.Wait()
 }

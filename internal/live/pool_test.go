@@ -8,6 +8,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,12 +38,12 @@ func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gau
 	}
 }
 
-// newTestPool is a pool without a node, and a peer table of its own for
-// the sessions to hang off.
+// newTestPool is a pool without a node, hence without breakers, and a peer
+// table of its own for the sessions to hang off.
 func newTestPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters) (*pool, *peerTable) {
 	peers := &peerTable{}
 	peers.init()
-	return newPool(tr, cfg, counters, nil), peers
+	return newPool(tr, cfg, func(*peer, error) {}, counters, nil), peers
 }
 
 // TestPoolConcurrentDemuxUnderFaults hammers one pooled session from many
@@ -430,7 +431,7 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
-	if _, err := p.acquire(ctx, peers.get(other.l.Addr(), true), farOff()); err != nil {
+	if _, err := p.acquire(peers.get(other.l.Addr(), true), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
 	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
@@ -450,6 +451,138 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 			t.Fatalf("sessions = %d after the pushes were written, want 1", p.sessionCount())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// gatedDial is a Mem transport whose dials wait until open closes, then
+// fail with fail when it is set.
+type gatedDial struct {
+	*transport.Mem
+	open chan struct{}
+	fail error
+}
+
+func (g *gatedDial) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if g.fail != nil {
+		return nil, g.fail
+	}
+	return g.Mem.DialContext(ctx, addr)
+}
+
+// sessionRequests reports how many requests wait on pr's session.
+func sessionRequests(pr *peer) int {
+	pr.mu.Lock()
+	s := pr.sess
+	pr.mu.Unlock()
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight
+}
+
+// TestPoolOneWayReturnsBeforeItsDial: a one-way send to a peer whose dial
+// is parked returns at once, and its frame is written when the dial
+// completes.
+func TestPoolOneWayReturnsBeforeItsDial(t *testing.T) {
+	mem := transport.NewMem()
+	sink, got := startUpdateSink(t, mem)
+	gate := &gatedDial{Mem: mem, open: make(chan struct{})}
+	p, peers := newTestPool(gate, PoolConfig{}, nil)
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
+	if err := p.send(ctx, peers.get(sink.Addr(), true), push, farOff()); err != nil {
+		t.Fatalf("one-way send behind a parked dial: %v", err)
+	}
+	close(gate.open)
+	waitFor(t, "the queued frame to be written once the dial completes", func() bool { return got.Load() == 1 })
+}
+
+// TestPoolRequestBehindFailedDial: a request queued behind a dial that
+// fails gets that dial's error, retryable like any broken session's.
+func TestPoolRequestBehindFailedDial(t *testing.T) {
+	mem := transport.NewMem()
+	server := startPingServer(t, mem)
+	gate := &gatedDial{Mem: mem, open: make(chan struct{}), fail: transport.ErrRefused}
+	p, peers := newTestPool(gate, PoolConfig{}, nil)
+	defer p.Close()
+	pr := peers.get(server.l.Addr(), true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TPing}, farOff())
+		done <- err
+	}()
+	waitFor(t, "the request to queue behind the dial", func() bool { return sessionRequests(pr) == 1 })
+	close(gate.open)
+	err := <-done
+	if !errors.Is(err, transport.ErrRefused) || !Retryable(err) {
+		t.Fatalf("request behind a refused dial = %v, want the retryable refusal", err)
+	}
+	waitFor(t, "the failed session to go", func() bool { return p.sessionCount() == 0 })
+}
+
+// TestPoolPushesToRefusingHeadTripBreaker: SuspicionThreshold one-way
+// pushes to a head that refuses every dial open its breaker, and the next
+// push fails fast — though each push returned before its dial failed.
+func TestPoolPushesToRefusingHeadTripBreaker(t *testing.T) {
+	const threshold = 3
+	counters := metrics.NewCounters()
+	n := mustNode(t, Config{Name: "pusher", RequestTimeout: time.Second, SuspicionThreshold: threshold, Counters: counters}, transport.NewMem())
+	defer n.Close()
+	const head = "mem:refusing"
+	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
+	pr := n.peers.get(head, true)
+	for i := int32(1); i <= threshold; i++ {
+		if err := n.oneWay(context.Background(), head, push); err != nil {
+			t.Fatalf("push %d: %v, want it queued behind the dial", i, err)
+		}
+		waitFor(t, "the refused dial to count against the head", func() bool { return pr.fails.Load() == i })
+	}
+	if !pr.suspect() || counters.Get("breaker.trips") != 1 {
+		t.Fatalf("suspect %v, breaker.trips %d after %d refused dials: want the breaker open once", pr.suspect(), counters.Get("breaker.trips"), threshold)
+	}
+	if err := n.oneWay(context.Background(), head, push); !errors.Is(err, ErrPeerSuspect) {
+		t.Errorf("push to a suspect head = %v, want ErrPeerSuspect", err)
+	}
+}
+
+// TestPoolFailedDialCountsOnce: a request and a one-way frame wait behind
+// one dial that fails. The request's caller records the failure; the pool,
+// which records a dial only one-way frames were waiting on, stays silent:
+// one dial, one failure on the breaker.
+func TestPoolFailedDialCountsOnce(t *testing.T) {
+	gate := &gatedDial{Mem: transport.NewMem(), open: make(chan struct{}), fail: transport.ErrRefused}
+	cfg := poolTestConfig("dial-once", nil, nil)
+	cfg.RetryAttempts = 1
+	n := mustNode(t, cfg, gate)
+	defer n.Close()
+	const addr = "mem:peer"
+	pr := n.peers.get(addr, true)
+	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
+	if err := n.oneWay(context.Background(), addr, push); err != nil {
+		t.Fatalf("push behind the parked dial: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.request(context.Background(), addr, &wire.Message{Type: wire.TPing})
+		done <- err
+	}()
+	waitFor(t, "the request to queue behind the dial", func() bool { return sessionRequests(pr) == 1 })
+	close(gate.open)
+	if err := <-done; !errors.Is(err, transport.ErrRefused) {
+		t.Fatalf("request = %v, want the refusal", err)
+	}
+	waitFor(t, "the failed session to go", func() bool { return n.pool.sessionCount() == 0 })
+	if got := pr.fails.Load(); got != 1 {
+		t.Errorf("one failed dial counted %d breaker failures, want 1", got)
 	}
 }
 

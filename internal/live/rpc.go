@@ -10,7 +10,9 @@ package live
 // sequence number. Every exchange is bounded by the caller's context, by
 // its retry budget (an instant) and per attempt by RequestTimeout; the
 // earlier of the last two is the one timer an attempt arms (pool.go's
-// waiter) — no context is derived for an attempt unless it has to dial.
+// waiter), and it covers the dial of a session the attempt finds new:
+// the session dials on its own goroutine, and the attempt waits on its
+// reply, not on the dial.
 
 import (
 	"context"
@@ -141,9 +143,10 @@ func (n *Node) backoff(attempt int) time.Duration {
 	return time.Duration(rand.Int64N(int64(cap) + 1))
 }
 
-// oneWay sends m to addr without waiting for a response. It still
-// consults the breaker (a suspect peer fails fast; late binding covers
-// the missed push) and feeds the outcome back into it.
+// oneWay enqueues m for addr, waiting on no reply and no dial: only on a
+// full session queue, for at most RequestTimeout. A suspect peer fails
+// fast (late binding covers the missed push); a failure to enqueue feeds
+// the breaker, and what follows is the pool's to record (oneWayResult).
 func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 	p := n.peers.get(addr, true)
 	if err := p.breakerAllow(n); err != nil {
@@ -153,6 +156,8 @@ func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 	actx, cancel := context.WithDeadline(ctx, by)
 	defer cancel()
 	err := n.pool.send(actx, p, m, by)
-	p.breakerResult(n, err, err != nil && ctx.Err() != nil)
+	if err != nil {
+		p.breakerResult(n, err, ctx.Err() != nil)
+	}
 	return err
 }

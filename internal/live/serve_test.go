@@ -256,10 +256,10 @@ func (p *parkedDialTCP) DialContext(ctx context.Context, addr string) (transport
 	return p.TCP.DialContext(ctx, addr)
 }
 
-// TUpdate's forwarding is the one part of serving a frame that leaves the
-// conn's reader. With the delegated head's dial parked for a minute, the
+// TUpdate's forwarding runs on the conn's reader, and the delegated head's
+// session dials on its own. With that dial parked for a minute, the
 // discovers pipelined behind the update are answered at once, and Close
-// aborts the parked forward instead of waiting it out.
+// aborts the parked dial instead of waiting it out.
 func TestServeParkedForwardDoesNotDelayReplies(t *testing.T) {
 	tr := &parkedDialTCP{park: "127.0.0.1:1", entered: make(chan struct{}, 1)}
 	server, peer := serveFixture(t, Config{Name: "serve-forward", RequestTimeout: time.Minute}, tr, 8)

@@ -21,7 +21,6 @@ package live
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -267,9 +266,6 @@ func remainingTTLMilli(rec storedLoc, now int64) uint32 {
 	return uint32(ms)
 }
 
-// forwardsMax bounds the TUpdate forwards a node runs at once.
-const forwardsMax = 64
-
 // handleUpdate ingests a proactive location push (early binding). The
 // subject's new address belongs in the location *cache* — this node
 // registered interest and learned where the subject moved — not in the
@@ -317,27 +313,8 @@ func (n *Node) handleUpdate(m *wire.Message) {
 	if n.cfg.Logger != nil {
 		n.logf("location update: %v now at %s, delegating %d", m.Self.Key, m.Self.Addr, len(m.Entries))
 	}
-	if len(m.Entries) == 0 {
-		return
-	}
-	// Re-advertise to the delegated subtree (Figure 4 recursion): the one
-	// part of serving a frame that leaves the connection's reader, because
-	// it dials, and a head parked in a dial must not stall the frames behind
-	// this one. At most forwardsMax run at once; past that the reader waits
-	// for a slot, which pushes back on the senders. A forward runs under the
-	// node's lifecycle context — a Close mid-fan-out aborts the recursion
-	// instead of stalling behind it — and Close waits for it. m is recycled
-	// once handled, so the goroutine takes copies.
-	select {
-	case n.forwards <- struct{}{}:
-	case <-n.runCtx.Done():
-		return
-	}
-	subject, sub := m.Self, slices.Clone(m.Entries)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() { <-n.forwards }()
-		n.fanOut(n.runCtx, subject, sub)
-	}()
+	// Re-advertise to the delegated subtree (Figure 4 recursion) on the
+	// reader, in arrival order: a forward only enqueues on the heads'
+	// sessions, which dial on their own, and copies what it sends from m.
+	n.fanOut(n.runCtx, m.Self, m.Entries)
 }
