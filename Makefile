@@ -35,8 +35,8 @@ bench-check:
 bench-run:
 	bash bench/run.sh --seconds $(SECONDS)
 
-# loc prints the non-test Go lines of the packages ROADMAP item 7 puts on
-# a diet, one per line and their sum.
+# loc prints the non-test Go lines of the packages ROADMAP's line-count
+# diet covers, one per line and their sum.
 loc:
 	@total=0; for p in internal/live internal/loccache internal/metrics; do \
 		n=$$(cat $$(ls $$p/*.go | grep -v _test.go) | wc -l); total=$$((total + n)); \
@@ -44,7 +44,7 @@ loc:
 	done; printf '%-20s %s\n' total $$total
 
 # bench runs the address-resolution benchmarks (cold discovery vs the
-# lease-aware cache's hot/stale/cold-miss paths, the hot path's scaling
+# lease-aware cache's hot/cold-miss paths, the hot path's scaling
 # from one goroutine to GOMAXPROCS, the cache's own hit path from every
 # processor, and the serve path's pipelined capacity over a loopback
 # socket) and the publish benchmarks (RPCs per full publish, and per
@@ -82,7 +82,8 @@ bench-stretch:
 # more than doubled its ns/op. The timing bound is that loose on purpose:
 # the two RunParallel hit benchmarks are bimodal on a 2-vCPU VM (39 or
 # 66 ns, +69 %, at an untouched commit), so a tighter one is a coin;
-# timings are judged by alternating paired runs (ROADMAP item 3(a)).
+# timings are judged by alternating paired runs (ROADMAP: gate timings
+# by pairs, not by baselines).
 # GATETIME trades gate runtime for measurement stability. The stretch
 # leg gates on the absolute stretch metrics (deterministic per seed, so
 # enforceable as hard bounds) rather than wall time, which varies with

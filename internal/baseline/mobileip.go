@@ -62,7 +62,7 @@ func (m *MobileIP) AssignHomeAgent(h simnet.HostID) {
 	m.register(h)
 }
 
-// register refreshes the care-of binding at the home agent, paying the
+// register renews the care-of binding at the home agent, paying the
 // registration round to the HA.
 func (m *MobileIP) register(h simnet.HostID) {
 	ha, ok := m.homeAgent[h]

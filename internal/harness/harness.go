@@ -475,7 +475,7 @@ func (c *Cluster) gossipUntilFull() error {
 
 // recordAddr records addr as the newest binding for key, stamping it
 // with the key's next bind-order number. Re-binding a known address (a
-// Restart reoccupying its machine) refreshes its order: the checkers ask
+// Restart reoccupying its machine) renews its order: the checkers ask
 // "how recent is this answer", not "when was it first seen".
 func (c *Cluster) recordAddr(key hashkey.Key, addr string) {
 	c.mu.Lock()

@@ -118,7 +118,7 @@ func TestLiveRingLeasesRefreshUnderChaos(t *testing.T) {
 }
 
 // TestResolveCoalescesUnderChaos drives the cache-first resolve path —
-// singleflight discovery, lease write-through, negative caching — through
+// singleflight discovery and lease write-through — through
 // a lossy, delaying transport. A burst of concurrent resolvers for one
 // freshly published key must all converge on the right address while the
 // coalescing keeps the number of network discoveries far below the

@@ -69,16 +69,12 @@ func (n *Node) PingContext(ctx context.Context, addr string) error {
 // records cache metrics.
 func (n *Node) CachedAddr(key hashkey.Key) (string, bool) {
 	addr, state := n.loc.Peek(key)
-	if state != loccache.Fresh {
-		return "", false
-	}
-	return addr, true
+	return addr, state == loccache.Fresh
 }
 
 // Stats is a coherent point-in-time snapshot of a node's observable
 // state — identity, binding, table sizes, suspicion, and the counter
-// registry — replacing the former piecemeal accessors (Epoch,
-// PoolSessions, CacheEntries, Suspects).
+// registry.
 type Stats struct {
 	// Key is the node's hash key; Addr and Epoch its current binding.
 	Key   hashkey.Key

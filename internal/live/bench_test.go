@@ -10,8 +10,7 @@ package live
 // BenchmarkDiscover and BenchmarkResolve* contrast address resolution
 // with and without the lease-aware location cache: Discover always pays
 // a network round trip; ResolveHot answers from a fresh lease,
-// ResolveStale serves optimistically while revalidating, ResolveColdMiss
-// pays the network plus the cache fill. `make bench` records these in
+// ResolveColdMiss pays the network plus the cache fill. `make bench` records these in
 // BENCH_resolve.json for cross-PR comparison.
 import (
 	"context"
@@ -277,34 +276,9 @@ func BenchmarkResolveHotScaling(b *testing.B) {
 	b.ReportMetric(scaling, "scaling")
 }
 
-// BenchmarkResolveStale measures stale-while-revalidate: the lease has
-// lapsed, so each resolve serves the stale address immediately and (at
-// most once at a time) launches a background refresh flight.
-func BenchmarkResolveStale(b *testing.B) {
-	client, key, addr := resolveBench(b, 0)
-	ctx := context.Background()
-	client.loc.Put(key, addr, time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := client.ResolveContext(ctx, key)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// A background refresh may freshen the entry mid-run; re-stale it
-		// outside the interesting path only when that happened.
-		if _, ok := client.CachedAddr(key); ok {
-			b.StopTimer()
-			client.loc.Put(key, got, time.Nanosecond)
-			b.StartTimer()
-		}
-	}
-}
-
 // BenchmarkResolveColdMiss: the worst case with the cache on — every
-// iteration misses (the cache's clock jumps past the entry's lease and
-// stale window each time, so the lookup finds it dead and drops it) and
+// iteration misses (the cache's clock jumps past the entry's lease each
+// time, so the lookup finds it lapsed and drops it) and
 // pays the singleflight + network + fill.
 func BenchmarkResolveColdMiss(b *testing.B) {
 	const lease = time.Minute
@@ -316,7 +290,7 @@ func BenchmarkResolveColdMiss(b *testing.B) {
 		Gauges:   client.cfg.Gauges,
 	})
 	ctx := context.Background()
-	served := func() uint64 { return client.cfg.Counters.Sum("loccache.hit", "loccache.stale") }
+	served := func() uint64 { return client.cfg.Counters.Get("loccache.hit") }
 	before := served()
 	b.ReportAllocs()
 	b.ResetTimer()

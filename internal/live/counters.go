@@ -10,7 +10,7 @@ import "bristle/internal/metrics"
 // configured every handle is nil, which counts nothing.
 type counters struct {
 	// resolve.go
-	coalesced, discoveries, refreshes *metrics.Counter
+	coalesced, discoveries *metrics.Counter
 	// rpc.go
 	breakerProbes, breakerFastfail, breakerCloses, breakerTrips *metrics.Counter
 	rpcRetries, rpcAttempts, rpcTimeouts, rpcFatal, rpcFailures *metrics.Counter
@@ -32,7 +32,6 @@ func newCounters(r *metrics.Counters) counters {
 	c := counters{
 		coalesced:   r.Counter("loccache.coalesced"),
 		discoveries: r.Counter("resolve.discoveries"),
-		refreshes:   r.Counter("loccache.refreshes"),
 
 		breakerProbes:   r.Counter("breaker.probes"),
 		breakerFastfail: r.Counter("breaker.fastfail"),

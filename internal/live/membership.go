@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	randv2 "math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -373,11 +372,10 @@ func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[strin
 // ranking is one fan-out's frozen view of replica quality over the
 // stationary ring — the only legal owners of location records (Section
 // 2.1; mobile peers' addresses are exactly what's being resolved). eff[i]
-// is ring[i]'s effective RTT: the measured EWMA where one exists,
-// otherwise a jittered exploration bonus drawn once per fan-out, which
-// keeps replica ordering stable across the thousands of keys of a batched
-// publish. suspect[i] says ring[i]'s breaker is not
-// closed; nil when nobody's is, which one atomic load decides.
+// is ring[i]'s measured EWMA RTT, or 0 when it has none: an unmeasured
+// replica is contacted first, which is how its estimate gets seeded, and
+// ranks by that estimate from then on. suspect[i] says ring[i]'s breaker
+// is not closed; nil when nobody's is, which one atomic load decides.
 type ranking struct {
 	ring    []wire.Entry // ascending by key; shared with the view, never written
 	regions int
@@ -385,11 +383,6 @@ type ranking struct {
 	suspect []bool
 	cands   []wire.Entry // a copy of ring for owners to re-sort, key after key
 }
-
-// rttExploreFloor is the exploration scale used when no candidate has a
-// measured RTT yet: unknown peers draw a jittered effective RTT in
-// [0, floor] so the very first fan-outs spread across replicas.
-const rttExploreFloor = time.Millisecond
 
 // rankScratch holds a ranking's arrays while the ring is small: declared
 // on its caller's stack, the ranking costs no allocation.
@@ -400,21 +393,14 @@ type rankScratch struct {
 }
 
 // rank samples suspicion and RTT once for a fan-out over the known
-// stationary peers. Unknown-RTT candidates draw an effective RTT
-// uniformly in [0, mean of the measured candidates] (floor
-// rttExploreFloor when nothing is measured yet): small enough that a new
-// peer is tried ahead of far replicas — which is how its estimate gets
-// seeded — but random enough that it doesn't permanently preempt the
-// measured nearest one.
+// stationary peers, as OrderReplicas reads them: an unmeasured peer
+// ranks at 0, ahead of every measured one.
 func (n *Node) rank(s *rankScratch) (ranking, error) {
 	ring := n.members.snapshot().ring
 	r := ranking{ring: ring, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
 	if len(ring) == 0 {
 		return r, errors.New("live: no known stationary peers")
 	}
-	const unknown = -1
-	var sum time.Duration
-	known := 0
 	// One lookup per ring member answers both questions about it.
 	anySuspect := n.peers.suspects.Load() != 0
 	if anySuspect {
@@ -422,27 +408,10 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 	}
 	for _, e := range r.ring {
 		p := n.peers.get(e.Addr, false)
-		est, ok := p.estimate()
-		if ok {
-			sum += est
-			known++
-		} else {
-			est = unknown
-		}
+		est, _ := p.estimate()
 		r.eff = append(r.eff, est)
 		if anySuspect {
 			r.suspect = append(r.suspect, p.suspect())
-		}
-	}
-	mean := rttExploreFloor
-	if known > 0 {
-		if mean = sum / time.Duration(known); mean <= 0 {
-			mean = 1
-		}
-	}
-	for i, est := range r.eff {
-		if est == unknown {
-			r.eff[i] = time.Duration(randv2.Int64N(int64(mean) + 1))
 		}
 	}
 	return r, nil

@@ -141,6 +141,17 @@ func (p *peer) estimate() (time.Duration, bool) {
 // record of an address never reached is not suspect.
 func (p *peer) suspect() bool { return p != nil && p.state.Load() != bkClosed }
 
+// probeDue reports whether p's breaker is open with its cooldown over: a
+// call made now would be admitted as the probe.
+func (p *peer) probeDue() bool {
+	if p.state.Load() != bkOpen {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state.Load() == bkOpen && !time.Now().Before(p.probeAt)
+}
+
 // breakerAllow consults p's breaker before any network I/O. A closed
 // breaker admits the call; an open one past its cooldown moves to
 // half-open and admits this single call as the probe; anything else fails

@@ -213,3 +213,39 @@ func TestSuspicionViewsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeSuspectsWaitsOutTheCooldown: ProbeSuspects pings a suspect only
+// once its cooldown has passed. A peer still in cooldown costs no attempt
+// and no fast-fail; once the cooldown is over, the probe goes out.
+func TestProbeSuspectsWaitsOutTheCooldown(t *testing.T) {
+	const addr = "mem:nobody"
+	counters := metrics.NewCounters()
+	client := mustNode(t, Config{Name: "client", RetryAttempts: 1, RequestTimeout: 100 * time.Millisecond,
+		SuspicionThreshold: 1, SuspicionCooldown: time.Hour, Counters: counters}, transport.NewMem())
+	defer client.Close()
+	ctx := context.Background()
+	if err := client.PingContext(ctx, addr); err == nil {
+		t.Fatal("ping to an address nobody serves succeeded")
+	}
+	p := client.peers.get(addr, false)
+	if !p.suspect() {
+		t.Fatalf("one failure did not trip the breaker (%s)", counters)
+	}
+
+	fastfail, attempts := counters.Get("breaker.fastfail"), counters.Get("rpc.attempts")
+	for i := 0; i < 3; i++ {
+		client.ProbeSuspects(ctx)
+	}
+	if f, a := counters.Get("breaker.fastfail"), counters.Get("rpc.attempts"); f != fastfail || a != attempts {
+		t.Fatalf("probing a peer in cooldown: breaker.fastfail %d → %d, rpc.attempts %d → %d; want both unchanged",
+			fastfail, f, attempts, a)
+	}
+
+	p.mu.Lock()
+	p.probeAt = time.Now() // the cooldown is over
+	p.mu.Unlock()
+	client.ProbeSuspects(ctx)
+	if got := counters.Get("breaker.probes"); got != 1 {
+		t.Fatalf("breaker.probes = %d after the cooldown, want 1", got)
+	}
+}

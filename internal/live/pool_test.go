@@ -531,11 +531,14 @@ func TestPoolRequestBehindFailedDial(t *testing.T) {
 
 // TestPoolPushesToRefusingHeadTripBreaker: SuspicionThreshold one-way
 // pushes to a head that refuses every dial open its breaker, and the next
-// push fails fast — though each push returned before its dial failed.
+// push fails fast — though each push returned before its dial failed. Each
+// dial is refused only once its push has returned: an instant refusal
+// could tear the session down before the push is queued on it.
 func TestPoolPushesToRefusingHeadTripBreaker(t *testing.T) {
 	const threshold = 3
 	counters := metrics.NewCounters()
-	n := mustNode(t, Config{Name: "pusher", RequestTimeout: time.Second, SuspicionThreshold: threshold, Counters: counters}, transport.NewMem())
+	gate := &gatedDial{Mem: transport.NewMem(), open: make(chan struct{}), fail: transport.ErrRefused}
+	n := mustNode(t, Config{Name: "pusher", RequestTimeout: time.Second, SuspicionThreshold: threshold, Counters: counters}, gate)
 	defer n.Close()
 	const head = "mem:refusing"
 	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
@@ -544,10 +547,13 @@ func TestPoolPushesToRefusingHeadTripBreaker(t *testing.T) {
 		if err := n.oneWay(context.Background(), head, push); err != nil {
 			t.Fatalf("push %d: %v, want it queued behind the dial", i, err)
 		}
+		gate.open <- struct{}{} // refuse this push's dial
 		waitFor(t, "the refused dial to count against the head", func() bool { return pr.fails.Load() == i })
 	}
-	if !pr.suspect() || counters.Get("breaker.trips") != 1 {
-		t.Fatalf("suspect %v, breaker.trips %d after %d refused dials: want the breaker open once", pr.suspect(), counters.Get("breaker.trips"), threshold)
+	// The breaker counts the failure before it opens.
+	waitFor(t, "the breaker to open", pr.suspect)
+	if got := counters.Get("breaker.trips"); got != 1 {
+		t.Fatalf("breaker.trips %d after %d refused dials: want the breaker open once", got, threshold)
 	}
 	if err := n.oneWay(context.Background(), head, push); !errors.Is(err, ErrPeerSuspect) {
 		t.Errorf("push to a suspect head = %v, want ErrPeerSuspect", err)

@@ -1,12 +1,13 @@
 package live
 
 // White-box tests for proximity-aware replica selection: the OrderReplicas
-// comparator (suspicion outranks RTT), the exploration jitter for
-// unmeasured peers, and the sharded RTT estimator table.
+// comparator (suspicion outranks RTT), unmeasured peers contacted first,
+// and the sharded RTT estimator table.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -165,10 +166,9 @@ func TestSelectReplicasRegionDiversity(t *testing.T) {
 }
 
 // TestPeerHealthExploresUnknownPeers pins the exploration policy: an
-// unmeasured candidate gets a jittered effective RTT in [0, mean of the
-// measured candidates], so it is neither always first nor exiled behind
-// every measured peer, and the jitter is frozen per snapshot (the sort
-// comparator must be consistent).
+// unmeasured replica ranks at zero, so it leads owners — every fan-out,
+// no draw involved — until one exchange measures it, and from then on it
+// ranks by its estimate.
 func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 	n := mustNode(t, Config{Name: "prober"}, transport.NewMem())
 	defer n.Close()
@@ -178,61 +178,25 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 		e.Key = hashkey.Key(i + 1) // the ring, and eff with it, is ascending by key
 		n.members.apply(direct, e)
 	}
-
-	mean := 20 * time.Millisecond
-	leadCount := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
+	order := func() []string {
 		var scratch rankScratch
-		h, err := n.rank(&scratch)
+		r, err := n.rank(&scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.eff[0] != 10*time.Millisecond || h.eff[1] != 30*time.Millisecond {
-			t.Fatalf("measured eff wrong: %v", h.eff)
-		}
-		ex := h.eff[2]
-		if ex < 0 || ex > mean {
-			t.Fatalf("exploration jitter %v outside [0, %v]", ex, mean)
-		}
-		if ex < 10*time.Millisecond {
-			leadCount++
-		}
+		return addrsOf(r.owners(hashkey.Key(2), 3))
 	}
-	// The jitter is uniform over [0, 20ms]: the unknown peer should lead
-	// (draw under measured-a's 10ms) roughly half the time.
-	if leadCount == 0 || leadCount == trials {
-		t.Fatalf("unknown peer led %d/%d fan-outs; exploration is degenerate", leadCount, trials)
-	}
-}
 
-// TestPeerHealthNoMeasurementsUsesFloor: with nothing measured the
-// exploration scale falls back to rttExploreFloor rather than zero.
-func TestPeerHealthNoMeasurementsUsesFloor(t *testing.T) {
-	n := mustNode(t, Config{Name: "cold"}, transport.NewMem())
-	defer n.Close()
-	for i, e := range entries("p", "q") {
-		e.Key = hashkey.Key(i + 1)
-		n.members.apply(direct, e)
-	}
-	sawNonZero := false
-	for i := 0; i < 100; i++ {
-		var scratch rankScratch
-		h, err := n.rank(&scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, eff := range h.eff {
-			if eff < 0 || eff > rttExploreFloor {
-				t.Fatalf("cold jitter %v outside [0, %v]", eff, rttExploreFloor)
-			}
-			if eff > 0 {
-				sawNonZero = true
-			}
+	want := []string{"unknown", "measured-a", "measured-b"}
+	for i := 0; i < 20; i++ {
+		if got := order(); !slices.Equal(got, want) {
+			t.Fatalf("fan-out %d before any exchange: owners %v, want %v", i, got, want)
 		}
 	}
-	if !sawNonZero {
-		t.Fatal("cold exploration jitter never non-zero")
+	n.peers.get("unknown", true).observe(20 * time.Millisecond) // one exchange
+	want = []string{"measured-a", "unknown", "measured-b"}
+	if got := order(); !slices.Equal(got, want) {
+		t.Fatalf("after one exchange: owners %v, want %v", got, want)
 	}
 }
 

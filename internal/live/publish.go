@@ -115,9 +115,8 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	// asserts the same binding, even against a concurrent rebind.
 	self := n.SelfEntry()
 	// One ranking serves the whole fan-out: suspicion is sampled once (not
-	// one lock round per record) and every candidate's effective RTT —
-	// measured or exploration-jittered — is frozen, so replica ordering
-	// cannot flap mid-batch.
+	// one lock round per record) and every candidate's RTT estimate is
+	// frozen, so replica ordering cannot flap mid-batch.
 	var scratch rankScratch
 	rk, err := n.rank(&scratch)
 	if err != nil {

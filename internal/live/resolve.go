@@ -7,19 +7,16 @@ package live
 // Figure 2). Both feed the same lease-aware sharded cache
 // (internal/loccache), and ResolveContext reads it first:
 //
-//   Fresh    → answer from the lease; no lock shared with the protocol
-//              path, no network.
-//   Stale    → answer optimistically and re-resolve in the background
-//              (stale-while-revalidate); steady-state senders never
-//              block on discovery.
-//   Negative → a recent _discovery already proved the record absent;
-//              fail fast with ErrNotFound instead of re-polling every
-//              replica.
-//   Miss     → go to the network, but through a singleflight group:
-//              concurrent misses for one key share a single _discovery
-//              RPC (counted as loccache.coalesced), which the caller
-//              that missed first runs itself, under its own context
-//              and one RetryBudget across the record's replicas.
+//   Fresh → answer from the lease; no lock shared with the protocol
+//           path, no network.
+//   Miss  → no entry, or one whose lease has lapsed: go to the network,
+//           as the paper's correspondent asks the location repository
+//           once its binding lapses, but through a singleflight group:
+//           concurrent misses for one key share a single _discovery
+//           RPC (counted as loccache.coalesced), which the caller that
+//           missed first runs itself, under its own context and one
+//           RetryBudget across the record's replicas. A lapsed address
+//           is never answered.
 //
 // DiscoverContext remains the always-network form (late binding forced);
 // it now write-throughs its answer — with the replica's remaining lease —
@@ -28,7 +25,6 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -38,20 +34,12 @@ import (
 )
 
 // ResolveContext resolves key's current address, cache first. A fresh
-// lease answers immediately; a stale one answers while a background
-// refresh re-resolves; a cache miss goes to the network through a
+// lease answers immediately; anything else goes to the network through a
 // singleflight group so N concurrent misses cost one _discovery. The
 // context bounds only this caller's wait — a discovery others wait on
 // keeps running when the caller that started it gives up.
 func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, error) {
-	addr, state := n.loc.Lookup(key)
-	switch state {
-	case loccache.Fresh:
-		return addr, nil
-	case loccache.Negative:
-		return "", ErrNotFound
-	case loccache.Stale:
-		n.launchRefresh(key)
+	if addr, state := n.loc.Lookup(key); state == loccache.Fresh {
 		return addr, nil
 	}
 	// The first run is this caller's, under ctx. A second is Group.Do
@@ -59,10 +47,10 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 	flown := false
 	addr, shared, err := n.flights.Do(ctx, key, func() (string, error) {
 		if flown {
-			return n.flightDiscover(n.runCtx, key, false)
+			return n.flightDiscover(n.runCtx, key)
 		}
 		flown = true
-		return n.flightDiscover(ctx, key, false)
+		return n.flightDiscover(ctx, key)
 	})
 	if shared {
 		n.ctr.coalesced.Inc()
@@ -75,30 +63,18 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 // budget that starts now — so a flight under a context that never ends
 // (the node's own) still ends.
 //
-// A demand-miss flight (revalidate=false) double-checks the cache first:
-// a caller can miss, lose its timeslice, and only start its flight after
-// a concurrent flight for the same key already completed — the re-lookup
-// turns that duplicate into a cache answer instead of a second
-// _discovery. Refresh flights (revalidate=true) exist precisely to
-// replace a still-cached entry, so they always go to the network.
-func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key, revalidate bool) (string, error) {
-	if !revalidate {
-		switch addr, state := n.loc.Lookup(key); state {
-		case loccache.Fresh:
-			return addr, nil
-		case loccache.Negative:
-			return "", ErrNotFound
-		}
+// A flight double-checks the cache first: a caller can miss, lose its
+// timeslice, and only start its flight after a concurrent flight for the
+// same key already completed — the re-lookup turns that duplicate into a
+// cache answer instead of a second _discovery. Nothing is cached from a
+// failed discovery, a "no record" answer included.
+func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, error) {
+	if addr, state := n.loc.Lookup(key); state == loccache.Fresh {
+		return addr, nil
 	}
 	n.ctr.discoveries.Inc()
 	addr, ttl, epoch, err := n.discoverNetwork(ctx, time.Now().Add(n.cfg.RetryBudget), key)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		// A definitive miss is cached; a transport failure is not one —
-		// absence of evidence is not evidence of absence.
-		n.loc.PutNegative(key)
-		return "", err
-	case err != nil:
+	if err != nil {
 		return "", err
 	}
 	// Epoch-aware fill: if an LDT push raced this discovery with a newer
@@ -107,19 +83,6 @@ func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key, revalidate b
 	// the newer cached address).
 	n.loc.PutEpoch(key, addr, ttl, epoch)
 	return addr, nil
-}
-
-// launchRefresh starts a background re-resolution of key unless one is
-// already in flight (or the node is closing).
-func (n *Node) launchRefresh(key hashkey.Key) {
-	if n.runCtx.Err() != nil {
-		return
-	}
-	if n.flights.Launch(key, func() (string, error) {
-		return n.flightDiscover(n.runCtx, key, true)
-	}) {
-		n.ctr.refreshes.Inc()
-	}
 }
 
 // DiscoverContext resolves key's current address through the location

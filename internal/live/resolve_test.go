@@ -57,13 +57,17 @@ func resolveCluster(t *testing.T, servers int) (client *Node, cluster []*Node, c
 }
 
 // TestResolveStormSingleDiscovery is the concurrent-miss contract: a
-// storm of ResolveContext calls for one missing key must issue exactly
+// storm of ResolveContext calls for one uncached key must issue exactly
 // one network _discovery — every other caller either coalesces onto the
-// in-flight request or is answered by the negative entry it produced.
+// in-flight request or is answered by the lease it filled, at its first
+// lookup or at the re-check of a flight it started after that one landed.
 func TestResolveStormSingleDiscovery(t *testing.T) {
-	client, _, ctrs, cleanup := resolveCluster(t, 3)
+	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
-	ghost := hashkey.FromName("ghost")
+	target := cluster[1]
+	if err := target.PublishContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	const stormers = 64
 	start := make(chan struct{})
@@ -73,8 +77,8 @@ func TestResolveStormSingleDiscovery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := client.ResolveContext(context.Background(), ghost); !errors.Is(err, ErrNotFound) {
-				t.Errorf("storm resolve: %v, want ErrNotFound", err)
+			if addr, err := client.ResolveContext(context.Background(), target.Key()); err != nil || addr != target.Addr() {
+				t.Errorf("storm resolve: %q %v, want %q", addr, err, target.Addr())
 			}
 		}()
 	}
@@ -85,10 +89,10 @@ func TestResolveStormSingleDiscovery(t *testing.T) {
 		t.Fatalf("resolve.discoveries = %d, want exactly 1 for %d concurrent misses", got, stormers)
 	}
 	coalesced := ctrs.Get("loccache.coalesced")
-	negative := ctrs.Get("loccache.negative")
-	if coalesced+negative != stormers-1 {
-		t.Fatalf("coalesced(%d) + negative(%d) = %d, want %d (every non-leader served without a discovery)",
-			coalesced, negative, coalesced+negative, stormers-1)
+	hit := ctrs.Get("loccache.hit")
+	if coalesced+hit != stormers-1 {
+		t.Fatalf("coalesced(%d) + hit(%d) = %d, want %d (every non-leader served without a discovery)",
+			coalesced, hit, coalesced+hit, stormers-1)
 	}
 }
 
@@ -102,14 +106,14 @@ func TestResolveCoalescesWaiters(t *testing.T) {
 	client, _, ctrs, cleanup := resolveCluster(t, 2)
 	defer cleanup()
 	key := hashkey.FromName("slow")
-	gate := make(chan struct{})
-	if !client.flights.Launch(key, func() (string, error) {
+	gate, started := make(chan struct{}), make(chan struct{})
+	go client.flights.Do(context.Background(), key, func() (string, error) {
+		close(started)
 		<-gate
 		client.loc.Put(key, "1.2.3.4:5", time.Minute)
 		return "1.2.3.4:5", nil
-	}) {
-		t.Fatal("could not start gated flight")
-	}
+	})
+	<-started
 
 	const waiters = 10
 	var wg sync.WaitGroup
@@ -148,8 +152,8 @@ func TestResolveCoalescesWaiters(t *testing.T) {
 
 // TestDiscoveredAddressGoesStale is the lease-propagation regression:
 // a late-binding (DiscoverContext) result must carry the repository
-// record's remaining lease into the client cache and expire there. It
-// used to be cached without a TTL and never went stale.
+// record's remaining lease into the client cache and expire there: once
+// the lease lapses the entry reads as a Miss, never as a usable address.
 func TestDiscoveredAddressGoesStale(t *testing.T) {
 	mem := transport.NewMem()
 	server := mustNode(t, Config{Name: "server", Capacity: 3}, mem)
@@ -194,8 +198,8 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 	if got, ok := watcher.CachedAddr(mob.Key()); ok {
 		t.Fatalf("discovered address still fresh after its lease lapsed: %q", got)
 	}
-	if _, state := watcher.loc.Peek(mob.Key()); state != loccache.Stale {
-		t.Fatalf("entry state %v after lease lapse, want Stale", state)
+	if got, state := watcher.loc.Peek(mob.Key()); state != loccache.Miss || got != "" {
+		t.Fatalf("entry %q %v after lease lapse, want Miss", got, state)
 	}
 }
 
@@ -267,8 +271,9 @@ func TestResolveHotPathServesFromCache(t *testing.T) {
 	}
 }
 
-// TestResolveNegativeCaching: a definitive "no record" answer suppresses
-// repeat discoveries for the negative TTL.
+// TestResolveNegativeCaching: a "no record" answer is not cached — each
+// resolve of a missing key asks the replicas again, so a record published
+// a moment later is found by the next resolve.
 func TestResolveNegativeCaching(t *testing.T) {
 	client, _, ctrs, cleanup := resolveCluster(t, 2)
 	defer cleanup()
@@ -278,16 +283,13 @@ func TestResolveNegativeCaching(t *testing.T) {
 			t.Fatalf("resolve %d: %v", i, err)
 		}
 	}
-	if got := ctrs.Get("resolve.discoveries"); got != 1 {
-		t.Fatalf("resolve.discoveries = %d, want 1 (four negative hits)", got)
-	}
-	if got := ctrs.Get("loccache.negative"); got != 4 {
-		t.Fatalf("loccache.negative = %d, want 4", got)
+	if got := ctrs.Get("resolve.discoveries"); got != 5 {
+		t.Fatalf("resolve.discoveries = %d, want 5 (one per resolve)", got)
 	}
 }
 
-// TestResolveStaleWhileRevalidate: a lapsed lease is served immediately
-// while a background flight re-resolves and freshens the entry.
+// TestResolveStaleWhileRevalidate: a lapsed lease is never answered —
+// the resolve asks the replicas and returns the current address.
 func TestResolveStaleWhileRevalidate(t *testing.T) {
 	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
@@ -296,31 +298,19 @@ func TestResolveStaleWhileRevalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plant an already-stale entry with a superseded address.
+	// Plant an entry with a superseded address and let its lease lapse.
 	client.loc.Put(target.Key(), "old-stale-addr", time.Millisecond)
 	time.Sleep(5 * time.Millisecond)
 
 	addr, err := client.ResolveContext(context.Background(), target.Key())
-	if err != nil || addr != "old-stale-addr" {
-		t.Fatalf("stale resolve returned %q %v, want the stale address immediately", addr, err)
+	if err != nil || addr != target.Addr() {
+		t.Fatalf("resolve after the lease lapsed returned %q %v, want %q", addr, err, target.Addr())
 	}
-	if got := ctrs.Get("loccache.stale"); got != 1 {
-		t.Fatalf("loccache.stale = %d, want 1", got)
+	if got := ctrs.Get("resolve.discoveries"); got != 1 {
+		t.Fatalf("resolve.discoveries = %d, want 1", got)
 	}
-
-	// The background refresh replaces the stale address with the real one.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got, ok := client.CachedAddr(target.Key()); ok && got == target.Addr() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background refresh never freshened the stale entry")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := ctrs.Get("loccache.refreshes"); got == 0 {
-		t.Fatal("no refresh flight recorded")
+	if got, ok := client.CachedAddr(target.Key()); !ok || got != target.Addr() {
+		t.Fatalf("cache after the resolve: %q %v, want %q fresh", got, ok, target.Addr())
 	}
 }
 

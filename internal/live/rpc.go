@@ -25,15 +25,17 @@ import (
 )
 
 // ProbeSuspects pings every suspect peer whose cooldown allows a probe;
-// a successful probe closes the breaker. Failures only refresh the
-// breaker's own state, so this is safe to call from a maintenance loop.
-// (The suspect list itself is surfaced through Stats().Suspects.)
+// a successful probe closes the breaker. A peer still in its cooldown is
+// skipped, so a call costs it no attempt and no fast-fail. Failures only
+// refresh the breaker's own state, so this is safe to call from a
+// maintenance loop. (The suspect list itself is surfaced through
+// Stats().Suspects.)
 func (n *Node) ProbeSuspects(ctx context.Context) {
 	if n.peers.suspects.Load() == 0 {
 		return
 	}
 	n.peers.each(func(p *peer) {
-		if p.suspect() && n.PingContext(ctx, p.addr) == nil {
+		if p.probeDue() && n.PingContext(ctx, p.addr) == nil {
 			n.logf("probe of suspect %s succeeded", p.addr)
 		}
 	})

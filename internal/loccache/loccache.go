@@ -2,17 +2,12 @@
 // stack's resolve hot path. It holds the <key, addr> state-pairs a node
 // has *learned* about other nodes — pushed through dissemination trees
 // (early binding) or fetched reactively via _discovery (late binding,
-// Figure 2) — and classifies every lookup into the states the binding
-// machinery acts on:
+// Figure 2) — and classifies every lookup into one of two states:
 //
-//   - Fresh:    a live lease; serve it without touching the network.
-//   - Stale:    the lease lapsed recently (within staleWindow); serve it
-//     anyway while a background refresh re-resolves the key
-//     (stale-while-revalidate — the paper's late binding with
-//     the latency hidden).
-//   - Negative: a recent _discovery answered "no record"; fail fast
-//     instead of re-asking every replica for negativeTTL.
-//   - Miss:     nothing usable; the caller must go to the network.
+//   - Fresh: a live lease; serve it without touching the network.
+//   - Miss:  nothing usable — no entry, or one whose lease has lapsed;
+//     the caller must go to the network. A lapsed entry is dropped by
+//     the lookup that finds it.
 //
 // The cache is sharded by key. A lookup that finds a usable answer takes
 // no lock and writes no memory another resolver writes: each shard's
@@ -44,24 +39,13 @@ const (
 	Miss State = iota
 	// Fresh: the lease is live; the address is authoritative enough to use.
 	Fresh
-	// Stale: the lease lapsed within staleWindow; usable optimistically
-	// while a refresh runs.
-	Stale
-	// Negative: a recent discovery proved the record absent; fail fast.
-	Negative
 )
 
 func (s State) String() string {
-	switch s {
-	case Fresh:
+	if s == Fresh {
 		return "fresh"
-	case Stale:
-		return "stale"
-	case Negative:
-		return "negative"
-	default:
-		return "miss"
 	}
+	return "miss"
 }
 
 const (
@@ -70,11 +54,6 @@ const (
 	numShards = 16
 	// maxEntries bounds the whole cache, spread evenly across the shards.
 	maxEntries = 4096
-	// negativeTTL is how long a "no record" answer is trusted.
-	negativeTTL = time.Second
-	// staleWindow is how long past its lease an entry may still be served
-	// as Stale; beyond it the entry reads as a Miss.
-	staleWindow = 30 * time.Second
 )
 
 // Config is what a Cache is given. The zero value is usable.
@@ -82,7 +61,7 @@ type Config struct {
 	// Clock overrides the clock, for tests; leases count from its first
 	// reading. Nil reads the monotonic clock.
 	Clock func() time.Time
-	// Counters receives loccache.lookups/hit/miss/stale/negative/evicted
+	// Counters receives loccache.lookups/hit/miss/evicted
 	// events; nil disables them.
 	Counters *metrics.Counters
 	// Gauges exposes loccache.entries; nil disables it.
@@ -106,11 +85,10 @@ const never = math.MaxInt64
 // a new binding for the key is a new entry, so a reader that found an
 // entry uses it without a lock. The remaining fields are bookkeeping.
 type entry struct {
-	key      hashkey.Key
-	addr     string
-	expires  int64 // the cache's clock (Cache.now) when the lease lapses, or never
-	negative bool
-	epoch    uint64 // publisher's move counter; 0 = unordered
+	key     hashkey.Key
+	addr    string
+	expires int64  // the cache's clock (Cache.now) when the lease lapses, or never
+	epoch   uint64 // publisher's move counter; 0 = unordered
 
 	// next is the rest of the bucket chain. Writers change it under the
 	// shard mutex; an unlinked entry keeps it, so a reader standing on the
@@ -125,23 +103,8 @@ type entry struct {
 	elem *list.Element
 }
 
-// state classifies e at instant now. A live lease is one comparison; only
-// a lapsed one is measured against the stale window, and an entry without
-// a lease never gets that far.
-func (e *entry) state(now int64) State {
-	switch {
-	case now < e.expires && e.negative:
-		return Negative
-	case now < e.expires:
-		return Fresh
-	case !e.negative && now-e.expires < int64(staleWindow):
-		return Stale
-	}
-	return Miss
-}
-
-// expired reports whether e's lease (or negative TTL) has lapsed — the
-// eviction preference, independent of the stale window.
+// expired reports whether e's lease has lapsed at instant now: a lookup
+// reads it as a Miss, and eviction takes it ahead of a live entry.
 func (e *entry) expired(now int64) bool { return now >= e.expires }
 
 // used records a hit. On an entry already touched it writes nothing, so
@@ -173,9 +136,9 @@ type Cache struct {
 	perShard   int
 	shards     []shard
 
-	lookups, hit, miss, stale, negative *metrics.Counter
-	evicted, epochRejected              *metrics.Counter
-	entries                             *metrics.Gauge
+	lookups, hit, miss     *metrics.Counter
+	evicted, epochRejected *metrics.Counter
+	entries                *metrics.Gauge
 }
 
 // New builds a Cache from cfg.
@@ -200,8 +163,6 @@ func newCache(cfg Config, nShards, perShard int) *Cache {
 		lookups:       cfg.Counters.Counter("loccache.lookups"),
 		hit:           cfg.Counters.Counter("loccache.hit"),
 		miss:          cfg.Counters.Counter("loccache.miss"),
-		stale:         cfg.Counters.Counter("loccache.stale"),
-		negative:      cfg.Counters.Counter("loccache.negative"),
 		evicted:       cfg.Counters.Counter("loccache.evicted"),
 		epochRejected: cfg.Counters.Counter("loccache.epoch_rejected"),
 		entries:       cfg.Gauges.Gauge("loccache.entries"),
@@ -266,12 +227,11 @@ func (c *Cache) link(s *shard, key hashkey.Key) *atomic.Pointer[entry] {
 }
 
 // Lookup classifies key and returns its cached address (empty unless
-// Fresh or Stale). A usable hit is marked for promotion to the shard's
-// MRU position and counted (loccache.hit/stale/negative/miss). Every call
-// also counts loccache.lookups, so hit+stale+negative+miss == lookups is
-// a checkable conservation invariant (≤ while lookups are in flight, ==
-// at rest). Only a lookup that finds an entry too old to serve takes the
-// shard's lock, to drop it.
+// Fresh). A hit is marked for promotion to the shard's MRU position and
+// counted (loccache.hit/miss). Every call also counts loccache.lookups, so
+// hit+miss == lookups is a checkable conservation invariant (≤ while
+// lookups are in flight, == at rest). Only a lookup that finds a lapsed
+// entry takes the shard's lock, to drop it.
 func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	c.lookups.Inc()
 	e := c.find(key)
@@ -281,66 +241,46 @@ func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	}
 	// The clock is read after the entry was found, on every lookup that
 	// found one: an answer is Fresh as of an instant inside the call.
-	st := e.state(c.now())
-	switch st {
-	case Fresh:
-		e.used()
-		c.hit.Inc()
-		return e.addr, st
-	case Stale:
-		e.used()
-		c.stale.Inc()
-		return e.addr, st
-	case Negative:
-		c.negative.Inc()
-	case Miss:
-		// Too stale (or a lapsed negative) to be worth keeping.
+	if e.expired(c.now()) {
 		c.remove(e)
 		c.miss.Inc()
-	}
-	return "", st
-}
-
-// Peek classifies key without promoting it or recording metrics — a
-// read-only probe for introspection (CachedAddr, tests).
-func (c *Cache) Peek(key hashkey.Key) (string, State) {
-	e := c.find(key)
-	if e == nil {
 		return "", Miss
 	}
-	st := e.state(c.now())
-	if st == Fresh || st == Stale {
-		return e.addr, st
+	e.used()
+	c.hit.Inc()
+	return e.addr, Fresh
+}
+
+// Peek classifies key without promoting it, dropping it or recording
+// metrics — a read-only probe for introspection (CachedAddr, tests).
+func (c *Cache) Peek(key hashkey.Key) (string, State) {
+	e := c.find(key)
+	if e == nil || e.expired(c.now()) {
+		return "", Miss
 	}
-	return "", st
+	return e.addr, Fresh
 }
 
 // Put stores addr for key under a lease of ttl (0 = no expiry), replacing
-// any previous entry — positive or negative — and promoting it to MRU.
+// any previous entry and promoting it to MRU.
 func (c *Cache) Put(key hashkey.Key, addr string, ttl time.Duration) {
 	c.store(&entry{key: key, addr: addr}, ttl, false)
 }
 
 // PutEpoch stores addr for key like Put, but carries the publisher's
-// epoch and applies newest-epoch-wins: if the cached entry is a positive
-// record with a strictly newer epoch, the write is rejected (counted as
-// loccache.epoch_rejected) and the cache keeps the newer address.
-// Reports whether the write was applied. Negative entries and plain Put
-// entries (epoch 0) never outrank an ordered write — absence of an
-// ordering is not evidence of freshness.
+// epoch and applies newest-epoch-wins: if the cached entry — lapsed or
+// not, until a lookup drops it — has a strictly newer epoch, the write is
+// rejected (counted as loccache.epoch_rejected) and the cache keeps the
+// newer address. Reports whether the write was applied. Plain Put entries
+// (epoch 0) never outrank an ordered write — absence of an ordering is
+// not evidence of freshness.
 func (c *Cache) PutEpoch(key hashkey.Key, addr string, ttl time.Duration, epoch uint64) bool {
 	return c.store(&entry{key: key, addr: addr, epoch: epoch}, ttl, true)
 }
 
-// PutNegative records that key currently has no location record, so
-// resolves fail fast for negativeTTL instead of re-asking the replicas.
-func (c *Cache) PutNegative(key hashkey.Key) {
-	c.store(&entry{key: key, negative: true}, negativeTTL, false)
-}
-
 // store starts e's lease and links it in place of any entry its key has,
-// evicting one if the shard is full. ordered makes a cached positive
-// entry of a newer epoch win instead.
+// evicting one if the shard is full. ordered makes a cached entry of a
+// newer epoch win instead.
 func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 	now := c.now()
 	e.expires = never
@@ -360,7 +300,7 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 		p = c.link(s, e.key) // the victim may have been the end of this chain
 	case old == nil:
 		c.entries.Add(1)
-	case ordered && !old.negative && old.epoch > e.epoch:
+	case ordered && old.epoch > e.epoch:
 		c.epochRejected.Inc()
 		return false
 	default:

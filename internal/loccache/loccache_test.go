@@ -56,32 +56,18 @@ func TestLookupStates(t *testing.T) {
 		t.Fatalf("fresh lookup: %q %v", addr, st)
 	}
 
-	fc.advance(3 * time.Second) // lease lapsed, within stale window
-	if addr, st := c.Lookup(k); st != Stale || addr != "addr1" {
-		t.Fatalf("stale lookup: %q %v", addr, st)
-	}
-
-	fc.advance(staleWindow) // beyond the stale window
-	if _, st := c.Lookup(k); st != Miss {
-		t.Fatalf("dead lookup: state %v, want Miss", st)
+	fc.advance(3 * time.Second) // lease lapsed
+	if addr, st := c.Lookup(k); st != Miss || addr != "" {
+		t.Fatalf("lapsed lookup: %q %v, want Miss", addr, st)
 	}
 	if c.Len() != 0 {
-		t.Fatalf("dead entry not dropped: len %d", c.Len())
-	}
-
-	c.PutNegative(k)
-	if _, st := c.Lookup(k); st != Negative {
-		t.Fatalf("negative lookup: state %v, want Negative", st)
-	}
-	fc.advance(2 * negativeTTL) // negative TTL lapsed
-	if _, st := c.Lookup(k); st != Miss {
-		t.Fatalf("lapsed negative: state %v, want Miss", st)
+		t.Fatalf("lapsed entry not dropped: len %d", c.Len())
 	}
 
 	for _, want := range []struct {
 		name string
 		n    uint64
-	}{{"loccache.hit", 1}, {"loccache.stale", 1}, {"loccache.negative", 1}, {"loccache.miss", 3}} {
+	}{{"loccache.lookups", 3}, {"loccache.hit", 1}, {"loccache.miss", 2}} {
 		if got := ctrs.Get(want.name); got != want.n {
 			t.Errorf("%s = %d, want %d", want.name, got, want.n)
 		}
@@ -100,10 +86,9 @@ func TestNoTTLNeverExpires(t *testing.T) {
 }
 
 // TestLeaseBoundariesToTheNanosecond: a lease is Fresh up to the last
-// nanosecond before it lapses and Stale from that instant, Stale up to the
-// last nanosecond of the stale window and a Miss from there; a negative
-// answer is trusted for exactly negativeTTL; a lease too long to represent
-// saturates to no expiry instead of wrapping into the past.
+// nanosecond before it lapses and a Miss from that instant; a lease too
+// long to represent saturates to no expiry instead of wrapping into the
+// past.
 func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
 	const lease = 2 * time.Second
 	for _, tc := range []struct {
@@ -112,9 +97,7 @@ func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
 	}{
 		{0, Fresh},
 		{lease - 1, Fresh},
-		{lease, Stale},
-		{lease + staleWindow - 1, Stale},
-		{lease + staleWindow, Miss},
+		{lease, Miss},
 	} {
 		fc := newFakeClock()
 		c := New(Config{Clock: fc.now})
@@ -123,19 +106,6 @@ func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
 		fc.advance(tc.at)
 		if _, st := c.Peek(k); st != tc.want {
 			t.Errorf("lease %v read at +%v: %v, want %v", lease, tc.at, st, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		at   time.Duration
-		want State
-	}{{negativeTTL - 1, Negative}, {negativeTTL, Miss}} {
-		fc := newFakeClock()
-		c := New(Config{Clock: fc.now})
-		k := hashkey.FromName("absent")
-		c.PutNegative(k)
-		fc.advance(tc.at)
-		if _, st := c.Peek(k); st != tc.want {
-			t.Errorf("negative answer read at +%v: %v, want %v", tc.at, st, tc.want)
 		}
 	}
 	fc := newFakeClock()
@@ -166,20 +136,6 @@ func TestHitReadsTheClockOnce(t *testing.T) {
 	}
 }
 
-func TestPutReplacesNegative(t *testing.T) {
-	fc := newFakeClock()
-	c := New(Config{Clock: fc.now})
-	k := hashkey.FromName("b")
-	c.PutNegative(k)
-	c.Put(k, "found", time.Minute)
-	if addr, st := c.Lookup(k); st != Fresh || addr != "found" {
-		t.Fatalf("positive put did not replace negative: %q %v", addr, st)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len %d, want 1", c.Len())
-	}
-}
-
 func TestEvictionPrefersExpired(t *testing.T) {
 	fc := newFakeClock()
 	ctrs := metrics.NewCounters()
@@ -194,12 +150,12 @@ func TestEvictionPrefersExpired(t *testing.T) {
 		live = append(live, k)
 		c.Put(k, "addr", time.Hour)
 	}
-	fc.advance(2 * time.Second) // only "expired" has lapsed
-
-	// Touch the expired entry so plain LRU would evict a live one instead.
-	if _, st := c.Lookup(expired); st != Stale {
-		t.Fatalf("setup: expected stale, got %v", st)
+	// Touch the entry while it is live, so plain LRU would evict a live
+	// one instead.
+	if _, st := c.Lookup(expired); st != Fresh {
+		t.Fatalf("setup: expected fresh, got %v", st)
 	}
+	fc.advance(2 * time.Second) // only "expired" has lapsed
 
 	over := hashkey.FromName("overflow")
 	c.Put(over, "new", time.Hour)
@@ -270,7 +226,7 @@ func TestConcurrentShardAccess(t *testing.T) {
 				case 1:
 					c.Lookup(k)
 				case 2:
-					c.PutNegative(k)
+					c.Put(k, "lapsed", time.Nanosecond)
 				case 3:
 					drop(c, k)
 				}
@@ -333,24 +289,29 @@ func TestPutEpochNewestWins(t *testing.T) {
 	}
 }
 
-// TestPutEpochReplacesNegativeAndExpired: a negative entry never blocks
-// an ordered positive write, and epoch memory survives the entry going
-// stale (the guard still holds until the entry is actually dropped).
-func TestPutEpochReplacesNegativeAndExpired(t *testing.T) {
+// TestPutEpochRemembersLapsedEpoch: epoch memory survives the lease
+// lapsing — the guard holds until a lookup drops the entry — while the
+// lapsed address itself reads as a Miss.
+func TestPutEpochRemembersLapsedEpoch(t *testing.T) {
 	fc := newFakeClock()
 	c := New(Config{Clock: fc.now})
 	k := hashkey.FromName("x")
 
-	c.PutNegative(k)
 	if !c.PutEpoch(k, "A", time.Second, 5) {
-		t.Fatal("ordered write lost to a negative entry")
+		t.Fatal("first ordered write rejected")
 	}
-	fc.advance(2 * time.Second) // entry now stale, still present
+	fc.advance(2 * time.Second) // lease lapsed, entry still present
 	if c.PutEpoch(k, "OLD", time.Second, 4) {
-		t.Fatal("stale entry lost its epoch memory")
+		t.Fatal("lapsed entry lost its epoch memory")
 	}
-	if addr, st := c.Peek(k); st != Stale || addr != "A" {
-		t.Fatalf("stale peek: %q %v", addr, st)
+	if addr, st := c.Peek(k); st != Miss || addr != "" {
+		t.Fatalf("lapsed peek: %q %v, want Miss", addr, st)
+	}
+	if _, st := c.Lookup(k); st != Miss {
+		t.Fatalf("lapsed lookup: %v, want Miss", st)
+	}
+	if !c.PutEpoch(k, "OLD", time.Second, 4) {
+		t.Fatal("a write was rejected after the lapsed entry was dropped")
 	}
 }
 
@@ -515,9 +476,9 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 	readers.Wait()
 
 	lookups := ctrs.Get("loccache.lookups")
-	outcomes := ctrs.Sum("loccache.hit", "loccache.stale", "loccache.negative", "loccache.miss")
+	outcomes := ctrs.Sum("loccache.hit", "loccache.miss")
 	if lookups == 0 || lookups != outcomes {
-		t.Fatalf("at rest: lookups %d != hit+stale+negative+miss %d", lookups, outcomes)
+		t.Fatalf("at rest: lookups %d != hit+miss %d", lookups, outcomes)
 	}
 }
 

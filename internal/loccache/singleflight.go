@@ -54,18 +54,6 @@ func (g *Group) Do(ctx context.Context, key hashkey.Key, fn func() (string, erro
 	}
 }
 
-// Launch starts a detached flight for key if none is running and reports
-// whether it did — the fire-and-forget form behind stale-while-revalidate.
-// Nobody waits on the result here; a concurrent Do for the same key joins
-// the launched flight.
-func (g *Group) Launch(key hashkey.Key, fn func() (string, error)) bool {
-	f, leader := g.join(key)
-	if leader {
-		go g.fly(context.Background(), key, f, fn)
-	}
-	return leader
-}
-
 // join returns key's flight, and whether the caller created it just now.
 func (g *Group) join(key hashkey.Key) (f *flight, leader bool) {
 	g.mu.Lock()

@@ -78,9 +78,7 @@ func TestDoWaiterCancellationLeavesFlightRunning(t *testing.T) {
 		return "late", nil
 	}
 
-	if !g.Launch(k, fn) {
-		t.Fatal("Launch refused with no flight running")
-	}
+	go g.Do(context.Background(), k, fn)
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -100,35 +98,6 @@ func TestDoWaiterCancellationLeavesFlightRunning(t *testing.T) {
 	close(gate)
 	if addr := <-done; addr != "late" {
 		t.Fatalf("patient waiter got %q, want late", addr)
-	}
-}
-
-func TestLaunchDeduplicates(t *testing.T) {
-	var g Group
-	k := hashkey.FromName("k")
-	gate := make(chan struct{})
-	var calls atomic.Int32
-	fn := func() (string, error) {
-		calls.Add(1)
-		<-gate
-		return "", nil
-	}
-	if !g.Launch(k, fn) {
-		t.Fatal("first Launch refused")
-	}
-	if g.Launch(k, fn) {
-		t.Fatal("second Launch started a duplicate flight")
-	}
-	close(gate)
-	for inflight(&g) != 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls.Load())
-	}
-	// After completion the key is free again.
-	if !g.Launch(k, func() (string, error) { return "", nil }) {
-		t.Fatal("Launch refused after flight completed")
 	}
 }
 

@@ -8,7 +8,7 @@
 // keys, live.SelectReplicas region-diverse k-closest sets) and the
 // contact ordering is exactly the live node's (live.OrderReplicas over
 // per-peer EWMA RTT estimates fed only by the client's own exchanges,
-// with the same exploration jitter for unmeasured peers). Toggling
+// an unmeasured peer contacted first). Toggling
 // RegionPlacement and LatencyOrdering isolates each mechanism's
 // contribution; the random baseline (both off) is the pre-proximity
 // behavior. Runs are fully deterministic per seed.
@@ -64,7 +64,7 @@ type Config struct {
 	// region diversity, as a live deployment configured WithRegion does.
 	RegionPlacement bool
 	// LatencyOrdering contacts replicas in live.OrderReplicas order
-	// (measured EWMA RTT, exploration jitter for unknowns). Off, clients
+	// (measured EWMA RTT, unmeasured replicas first). Off, clients
 	// contact replicas in placement (key-distance) order.
 	LatencyOrdering bool
 	// RTTNoise perturbs each RTT observation by a uniform multiplicative
@@ -185,29 +185,14 @@ func Run(cfg Config) (Result, error) {
 		replicas := ordered[:len(set)]
 		copy(replicas, set)
 		if cfg.LatencyOrdering {
+			// As the live node ranks: an unmeasured replica is missing
+			// from eff, so it compares at zero, ahead of every measured one.
 			eff := make(map[string]time.Duration, len(replicas))
-			var sum time.Duration
-			known := 0
 			for _, e := range replicas {
 				if est, ok := cl.est[e.Addr]; ok {
 					if v, n := est.Load(); n > 0 {
 						eff[e.Addr] = time.Duration(v)
-						sum += eff[e.Addr]
-						known++
 					}
-				}
-			}
-			// The live node's exploration policy: unknowns draw uniformly
-			// in [0, mean of the measured]; floor 1ms when nothing is.
-			mean := time.Millisecond
-			if known > 0 {
-				if mean = sum / time.Duration(known); mean <= 0 {
-					mean = 1
-				}
-			}
-			for _, e := range replicas {
-				if _, ok := eff[e.Addr]; !ok {
-					eff[e.Addr] = time.Duration(rng.Int63n(int64(mean) + 1))
 				}
 			}
 			live.OrderReplicas(replicas, nil, eff)
