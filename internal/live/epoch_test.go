@@ -202,8 +202,8 @@ type frameTap struct {
 	types []wire.MsgType
 }
 
-func (t *frameTap) Dial(addr string) (transport.Conn, error) {
-	c, err := t.Transport.Dial(addr)
+func (t *frameTap) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := t.Transport.DialContext(ctx, addr)
 	return &tapConn{Conn: c, tap: t}, err
 }
 

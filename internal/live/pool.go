@@ -245,7 +245,7 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 func (s *session) run(by time.Time) {
 	defer s.p.wg.Done()
 	ctx, cancel := context.WithDeadline(s.p.life, by)
-	conn, err := transport.DialContext(ctx, s.p.tr, s.peer.addr)
+	conn, err := s.p.tr.DialContext(ctx, s.peer.addr)
 	cancel()
 	if err != nil {
 		if s.teardown(err) {

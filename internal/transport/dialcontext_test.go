@@ -7,19 +7,6 @@ import (
 	"time"
 )
 
-// legacyDialer is a Transport WITHOUT DialContext, to exercise the
-// compatibility fallback in the package-level DialContext helper.
-type legacyDialer struct {
-	inner *Mem
-	dials int
-}
-
-func (d *legacyDialer) Listen(addr string) (Listener, error) { return d.inner.Listen(addr) }
-func (d *legacyDialer) Dial(addr string) (Conn, error) {
-	d.dials++
-	return d.inner.Dial(addr)
-}
-
 func TestDialContextCanceledBeforeDial(t *testing.T) {
 	m := NewMem()
 	if _, err := m.Listen("srv"); err != nil {
@@ -27,7 +14,7 @@ func TestDialContextCanceledBeforeDial(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DialContext(ctx, m, "srv"); !errors.Is(err, context.Canceled) {
+	if _, err := m.DialContext(ctx, "srv"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dial with canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -60,34 +47,6 @@ func TestMemDialContextDeadlineBeatsBacklogWait(t *testing.T) {
 	}
 	if waited >= time.Second {
 		t.Errorf("dial waited %v; the context deadline (30ms) should have cut the 5s backlog wait", waited)
-	}
-}
-
-// TestDialContextFallsBackToPlainDial verifies transports without a
-// DialContext method still work through the helper (using plain Dial).
-func TestDialContextFallsBackToPlainDial(t *testing.T) {
-	d := &legacyDialer{inner: NewMem()}
-	l, err := d.Listen("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go l.Accept()
-	c, err := DialContext(context.Background(), d, "srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if d.dials != 1 {
-		t.Errorf("fallback used Dial %d times, want 1", d.dials)
-	}
-	// Even on the fallback path, an already-dead context must not dial.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := DialContext(ctx, d, "srv"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("fallback with canceled ctx: err = %v, want context.Canceled", err)
-	}
-	if d.dials != 1 {
-		t.Errorf("canceled fallback still dialed (dials = %d)", d.dials)
 	}
 }
 

@@ -166,9 +166,9 @@ func (f *Faulty) Listen(addr string) (Listener, error) { return f.Endpoint("").L
 // Dial implements Transport for the anonymous endpoint.
 func (f *Faulty) Dial(addr string) (Conn, error) { return f.Endpoint("").Dial(addr) }
 
-// DialContext implements ContextDialer for the anonymous endpoint.
+// DialContext implements Transport for the anonymous endpoint.
 func (f *Faulty) DialContext(ctx context.Context, addr string) (Conn, error) {
-	return f.Endpoint("").(ContextDialer).DialContext(ctx, addr)
+	return f.Endpoint("").DialContext(ctx, addr)
 }
 
 // Partition installs (or extends) a named one-way partition: dials and
@@ -296,7 +296,7 @@ func (e *faultyEndpoint) DialContext(ctx context.Context, addr string) (Conn, er
 		f.ctr.Load().refuse.Inc()
 		return nil, fmt.Errorf("%w: %s (injected)", ErrRefused, addr)
 	}
-	inner, err := DialContext(ctx, f.inner, addr)
+	inner, err := f.inner.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -420,6 +420,4 @@ func (c *faultyConn) Recv() (*wire.Message, error) {
 	return m, nil
 }
 
-func (c *faultyConn) SetDeadline(t time.Time) error { return c.inner.SetDeadline(t) }
-func (c *faultyConn) Close() error                  { return c.inner.Close() }
-func (c *faultyConn) RemoteAddr() string            { return c.inner.RemoteAddr() }
+func (c *faultyConn) Close() error { return c.inner.Close() }

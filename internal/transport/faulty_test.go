@@ -26,6 +26,7 @@ func faultyPair(t *testing.T, f *Faulty, from, to string) (Conn, Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { client.Close(); server.Close() })
 	return client, server
 }
 
@@ -41,9 +42,8 @@ func TestFaultyDropLosesFrames(t *testing.T) {
 	if err := client.Send(&wire.Message{Type: wire.TPing, Seq: 1}); err != nil {
 		t.Fatalf("dropped send must look successful, got %v", err)
 	}
-	server.SetDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := server.Recv(); !IsTimeout(err) {
-		t.Fatalf("dropped frame arrived anyway (err=%v)", err)
+	if r := recvWithin(server, 50*time.Millisecond); r != nil {
+		t.Fatalf("dropped frame arrived anyway (%v, %v)", r.m, r.err)
 	}
 	if c.Get("fault.drop") == 0 {
 		t.Fatal("drop not counted")
@@ -84,7 +84,6 @@ func TestFaultyDuplicateDeliversTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		server.SetDeadline(time.Now().Add(time.Second))
 		m, err := server.Recv()
 		if err != nil {
 			t.Fatalf("copy %d: %v", i, err)
@@ -164,9 +163,8 @@ func TestFaultyPartitionDropsEstablishedClientFrames(t *testing.T) {
 	if err := client.Send(&wire.Message{Type: wire.TPing}); err != nil {
 		t.Fatalf("black-holed send must look successful, got %v", err)
 	}
-	server.SetDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := server.Recv(); !IsTimeout(err) {
-		t.Fatalf("frame crossed the partition (err=%v)", err)
+	if r := recvWithin(server, 50*time.Millisecond); r != nil {
+		t.Fatalf("frame crossed the partition (%v, %v)", r.m, r.err)
 	}
 	if c.Get("fault.partition_drop") == 0 {
 		t.Fatal("partition drop not counted")
@@ -209,9 +207,8 @@ func TestFaultySetConfigTogglesChaos(t *testing.T) {
 	if err := client.Send(&wire.Message{Type: wire.TPing, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	server.SetDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := server.Recv(); !IsTimeout(err) {
-		t.Fatalf("chaos phase delivered anyway (err=%v)", err)
+	if r := recvWithin(server, 50*time.Millisecond); r != nil {
+		t.Fatalf("chaos phase delivered anyway (%v, %v)", r.m, r.err)
 	}
 }
 

@@ -6,6 +6,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -15,20 +16,20 @@ import (
 	"bristle/internal/wire"
 )
 
-// countingConn counts the writes that reach the socket.
-type countingConn struct {
-	net.Conn
+// countingRW counts the writes that reach the stream under a conn.
+type countingRW struct {
+	io.ReadWriteCloser
 	writes atomic.Int64
 }
 
-func (c *countingConn) Write(p []byte) (int, error) {
+func (c *countingRW) Write(p []byte) (int, error) {
 	c.writes.Add(1)
-	return c.Conn.Write(p)
+	return c.ReadWriteCloser.Write(p)
 }
 
-// countedPair returns a framed client over a write-counting socket and
+// tcpCountedPair returns a framed client over a write-counting socket and
 // the accepted server side of the same loopback connection.
-func countedPair(t *testing.T) (Conn, *countingConn, Conn) {
+func tcpCountedPair(t *testing.T) (Conn, *countingRW, Conn) {
 	t.Helper()
 	l, err := (&TCP{}).Listen("127.0.0.1:0")
 	if err != nil {
@@ -39,7 +40,7 @@ func countedPair(t *testing.T) (Conn, *countingConn, Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted := &countingConn{Conn: raw}
+	counted := &countingRW{ReadWriteCloser: raw}
 	client := NewConn(counted)
 	t.Cleanup(func() { client.Close() })
 	server, err := l.Accept()
@@ -50,19 +51,29 @@ func countedPair(t *testing.T) (Conn, *countingConn, Conn) {
 	return client, counted, server
 }
 
-func TestTCPQueueHoldsUntilFlush(t *testing.T) {
-	client, counted, server := countedPair(t)
+// memCountedPair is tcpCountedPair over Mem's pipes.
+func memCountedPair(t *testing.T) (Conn, *countingRW, Conn) {
+	a2b, b2a := newPipe(), newPipe()
+	counted := &countingRW{ReadWriteCloser: &memEnd{in: b2a, out: a2b}}
+	client, server := NewConn(counted), NewConn(&memEnd{in: a2b, out: b2a})
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, counted, server
+}
+
+func TestTCPQueueHoldsUntilFlush(t *testing.T) { queueHoldsUntilFlush(t, tcpCountedPair) }
+func TestMemQueueHoldsUntilFlush(t *testing.T) { queueHoldsUntilFlush(t, memCountedPair) }
+
+func queueHoldsUntilFlush(t *testing.T, pair func(*testing.T) (Conn, *countingRW, Conn)) {
+	client, counted, server := pair(t)
 	for i := 1; i <= 5; i++ {
 		pending, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)})
 		if err != nil || pending != i {
 			t.Fatalf("Queue %d: pending=%d err=%v", i, pending, err)
 		}
 	}
-	server.SetDeadline(time.Now().Add(50 * time.Millisecond))
-	if m, err := server.Recv(); !IsTimeout(err) {
-		t.Fatalf("queued frame left before any flush: %v, %v", m, err)
+	if got := counted.writes.Load(); got != 0 {
+		t.Fatalf("queued frames left before any flush: %d writes", got)
 	}
-	server.SetDeadline(time.Time{})
 	// Send goes out behind what was queued, all in one write.
 	if err := client.Send(&wire.Message{Type: wire.TPing, Seq: 6}); err != nil {
 		t.Fatal(err)
@@ -84,7 +95,14 @@ func TestTCPQueueHoldsUntilFlush(t *testing.T) {
 // A reader that answers with Queue never holds a reply while it waits for
 // input: the flush happens before Recv blocks.
 func TestTCPQueueFlushesBeforeBlockingRecv(t *testing.T) {
-	client, counted, server := countedPair(t)
+	queueFlushesBeforeBlockingRecv(t, tcpCountedPair)
+}
+func TestMemQueueFlushesBeforeBlockingRecv(t *testing.T) {
+	queueFlushesBeforeBlockingRecv(t, memCountedPair)
+}
+
+func queueFlushesBeforeBlockingRecv(t *testing.T, pair func(*testing.T) (Conn, *countingRW, Conn)) {
+	client, counted, server := pair(t)
 	for i := 1; i <= 3; i++ {
 		if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
 			t.Fatal(err)
@@ -95,7 +113,6 @@ func TestTCPQueueFlushesBeforeBlockingRecv(t *testing.T) {
 		_, err := client.Recv() // nothing is coming yet: this blocks
 		recvDone <- err
 	}()
-	server.SetDeadline(time.Now().Add(5 * time.Second))
 	for want := uint32(1); want <= 3; want++ {
 		m, err := server.Recv()
 		if err != nil || m.Seq != want {
@@ -113,8 +130,11 @@ func TestTCPQueueFlushesBeforeBlockingRecv(t *testing.T) {
 	}
 }
 
-func TestTCPWriteErrorIsSticky(t *testing.T) {
-	client, _, _ := countedPair(t)
+func TestTCPWriteErrorIsSticky(t *testing.T) { writeErrorIsSticky(t, tcpCountedPair) }
+func TestMemWriteErrorIsSticky(t *testing.T) { writeErrorIsSticky(t, memCountedPair) }
+
+func writeErrorIsSticky(t *testing.T, pair func(*testing.T) (Conn, *countingRW, Conn)) {
+	client, _, _ := pair(t)
 	// An encode failure queues nothing and leaves the conn usable.
 	tooMany := &wire.Message{Type: wire.TPublishBatch, Entries: make([]wire.Entry, 70000)}
 	if _, err := client.Queue(tooMany); !errors.Is(err, wire.ErrEncode) {
@@ -126,7 +146,7 @@ func TestTCPWriteErrorIsSticky(t *testing.T) {
 	client.Close()
 	first := client.Send(&wire.Message{Type: wire.TPing})
 	if first == nil {
-		t.Fatal("send on a closed socket succeeded")
+		t.Fatal("send on a closed stream succeeded")
 	}
 	if _, err := client.Queue(&wire.Message{Type: wire.TPing}); err != first {
 		t.Errorf("Queue after a failed write: %v, want the first error %v", err, first)
@@ -187,7 +207,6 @@ func TestFaultyQueueCountsPerFrame(t *testing.T) {
 			if err := client.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			server.SetDeadline(time.Now().Add(2 * time.Second))
 			if tc.poison {
 				if _, err := server.Recv(); !errors.Is(err, wire.ErrBadMagic) {
 					t.Fatalf("corrupted frame: err = %v, want ErrBadMagic", err)
@@ -199,9 +218,8 @@ func TestFaultyQueueCountsPerFrame(t *testing.T) {
 					t.Fatalf("frame %d/%d: %v", i, tc.arrive, err)
 				}
 			}
-			server.SetDeadline(time.Now().Add(50 * time.Millisecond))
-			if m, err := server.Recv(); !IsTimeout(err) {
-				t.Fatalf("more than %d frames arrived: %v, %v", tc.arrive, m, err)
+			if r := recvWithin(server, 50*time.Millisecond); r != nil {
+				t.Fatalf("more than %d frames arrived: %v, %v", tc.arrive, r.m, r.err)
 			}
 		})
 	}

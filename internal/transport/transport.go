@@ -1,7 +1,9 @@
 // Package transport abstracts how live Bristle nodes exchange wire
 // frames: a TCP transport for real deployments and an in-memory transport
-// for fast, deterministic tests. Both expose the same Dial/Listen
-// contract, so internal/live is transport-agnostic.
+// for fast, deterministic tests. Both hand out the same framed Conn over a
+// byte stream — a socket for TCP, an in-process pipe for Mem — so the
+// framing, batching and flush before a blocking read that internal/live
+// relies on are the same code on both.
 package transport
 
 import (
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -31,18 +34,12 @@ var (
 	// callers can treat it as backpressure (retry soon) rather than
 	// absence.
 	ErrBacklogFull = errors.New("transport: accept backlog full")
-	// ErrTimeout is returned by Send/Recv when a deadline set with
-	// SetDeadline expires.
-	ErrTimeout = errors.New("transport: i/o timeout")
 )
 
-// IsTimeout reports whether err represents an exceeded deadline on any
-// transport (the in-memory ErrTimeout sentinel or a net.Error timeout
-// from the TCP stack).
+// IsTimeout reports whether err represents an exceeded deadline: a
+// net.Error timeout from the TCP stack, or context.DeadlineExceeded from
+// a bounded dial or exchange.
 func IsTimeout(err error) bool {
-	if errors.Is(err, ErrTimeout) {
-		return true
-	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }
@@ -63,8 +60,7 @@ type Conn interface {
 	// blocks — so a reader that answers requests with Queue pays one write
 	// per burst of requests and never holds a reply while it waits for
 	// input. pending counts the frames now buffered, this one included: 1
-	// means everything queued earlier has already left, in one write. (Mem
-	// delivers at once and always reports 1.)
+	// means everything queued earlier has already left, in one write.
 	Queue(*wire.Message) (pending int, err error)
 	// Flush writes everything queued, in one write.
 	Flush() error
@@ -75,15 +71,8 @@ type Conn interface {
 	SendStalls() bool
 	// Recv blocks for the next message.
 	Recv() (*wire.Message, error)
-	// SetDeadline bounds every subsequent Send and Recv: an operation
-	// still blocked at t fails with an error satisfying IsTimeout. The
-	// zero time clears the deadline. It lets callers bound an exchange at
-	// the socket level, so a hung peer cannot block a reader forever.
-	SetDeadline(t time.Time) error
 	// Close tears the connection down; pending Recv returns an error.
 	Close() error
-	// RemoteAddr names the peer (dialable for TCP).
-	RemoteAddr() string
 }
 
 // Listener accepts inbound connections.
@@ -98,28 +87,9 @@ type Listener interface {
 type Transport interface {
 	Listen(addr string) (Listener, error)
 	Dial(addr string) (Conn, error)
-}
-
-// ContextDialer is implemented by transports whose connection attempts
-// can be bounded by a context, so a caller's deadline covers the dial
-// itself and not just post-dial I/O. TCP, Mem, and Faulty endpoints all
-// implement it.
-type ContextDialer interface {
+	// DialContext dials like Dial, and ctx bounds the connection attempt
+	// itself: an ended ctx fails the dial with ctx's error.
 	DialContext(ctx context.Context, addr string) (Conn, error)
-}
-
-// DialContext dials addr through tr, honoring ctx when the transport
-// supports it and falling back to a plain Dial otherwise (after a
-// fast-path check that ctx is still live). The error for an expired
-// deadline satisfies IsTimeout.
-func DialContext(ctx context.Context, tr Transport, addr string) (Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	if cd, ok := tr.(ContextDialer); ok {
-		return cd.DialContext(ctx, addr)
-	}
-	return tr.Dial(addr)
 }
 
 // --- TCP ---
@@ -168,9 +138,11 @@ func (tl *tcpListener) Accept() (Conn, error) {
 func (tl *tcpListener) Close() error { return tl.l.Close() }
 func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
 
-type tcpConn struct {
-	c net.Conn
-	r *bufio.Reader // fed by flushReader
+// streamConn frames messages over a byte stream: a socket for TCP, one end
+// of a pipe pair for Mem.
+type streamConn struct {
+	rw io.ReadWriteCloser
+	r  *bufio.Reader // fed by flushReader
 
 	mu      sync.Mutex // serializes Send/Queue/Flush; guards the fields below
 	out     []byte     // encoded frames not yet written; reused across flushes
@@ -178,85 +150,83 @@ type tcpConn struct {
 	werr    error      // first failed write; sticky
 }
 
-// NewConn frames any stream connection — what TCP's Dial and Accept
-// return, exported so a test can put its own net.Conn underneath.
-func NewConn(c net.Conn) Conn {
-	tc := &tcpConn{c: c}
-	tc.r = bufio.NewReader(flushReader{tc})
-	return tc
+// NewConn frames any byte stream — what TCP's Dial and Accept return over
+// a socket, and Mem's over a pipe; exported so a test can put its own
+// net.Conn underneath.
+func NewConn(rw io.ReadWriteCloser) Conn {
+	sc := &streamConn{rw: rw}
+	sc.r = bufio.NewReader(flushReader{sc})
+	return sc
 }
 
-// flushReader is the source under a tcpConn's read buffer. The buffer
+// flushReader is the source under a streamConn's read buffer. The buffer
 // comes here only when it has run out of bytes, which is the moment before
 // Recv can block — with input still buffered, even half a frame of it
 // followed by nothing, queued output is already on its way.
-type flushReader struct{ tc *tcpConn }
+type flushReader struct{ sc *streamConn }
 
 func (fr flushReader) Read(p []byte) (int, error) {
-	if err := fr.tc.Flush(); err != nil {
+	if err := fr.sc.Flush(); err != nil {
 		return 0, err
 	}
-	return fr.tc.c.Read(p)
+	return fr.sc.rw.Read(p)
 }
 
 // enqueue appends m's frame to out. Caller holds mu.
-func (tc *tcpConn) enqueue(m *wire.Message) error {
-	if tc.werr != nil {
-		return tc.werr
+func (sc *streamConn) enqueue(m *wire.Message) error {
+	if sc.werr != nil {
+		return sc.werr
 	}
-	out, err := wire.AppendFrame(tc.out, m)
+	out, err := wire.AppendFrame(sc.out, m)
 	if err != nil {
 		return err // nothing was queued; the conn stays usable
 	}
-	tc.out = out
-	tc.pending++
+	sc.out = out
+	sc.pending++
 	return nil
 }
 
 // flush writes out in one Write. Caller holds mu.
-func (tc *tcpConn) flush() error {
-	if tc.werr != nil || tc.pending == 0 {
-		return tc.werr
+func (sc *streamConn) flush() error {
+	if sc.werr != nil || sc.pending == 0 {
+		return sc.werr
 	}
-	_, tc.werr = tc.c.Write(tc.out)
-	tc.out, tc.pending = tc.out[:0], 0
-	return tc.werr
+	_, sc.werr = sc.rw.Write(sc.out)
+	sc.out, sc.pending = sc.out[:0], 0
+	return sc.werr
 }
 
-func (tc *tcpConn) Send(m *wire.Message) error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if err := tc.enqueue(m); err != nil {
+func (sc *streamConn) Send(m *wire.Message) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if err := sc.enqueue(m); err != nil {
 		return err
 	}
-	return tc.flush()
+	return sc.flush()
 }
 
-func (tc *tcpConn) Queue(m *wire.Message) (int, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	err := tc.enqueue(m)
-	return tc.pending, err
+func (sc *streamConn) Queue(m *wire.Message) (int, error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	err := sc.enqueue(m)
+	return sc.pending, err
 }
 
-func (tc *tcpConn) Flush() error {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.flush()
+func (sc *streamConn) Flush() error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.flush()
 }
 
-func (tc *tcpConn) SendStalls() bool { return false }
-
-func (tc *tcpConn) Recv() (*wire.Message, error)  { return wire.Decode(tc.r) }
-func (tc *tcpConn) SetDeadline(t time.Time) error { return tc.c.SetDeadline(t) }
-func (tc *tcpConn) Close() error                  { return tc.c.Close() }
-func (tc *tcpConn) RemoteAddr() string            { return tc.c.RemoteAddr().String() }
+func (sc *streamConn) SendStalls() bool             { return false }
+func (sc *streamConn) Recv() (*wire.Message, error) { return wire.Decode(sc.r) }
+func (sc *streamConn) Close() error                 { return sc.rw.Close() }
 
 // --- In-memory ---
 
 // Mem is an in-process transport keyed by string addresses. It is safe
-// for concurrent use and delivers frames through buffered channels —
-// deterministic and fast for tests.
+// for concurrent use. Its conns are the same framed conns TCP hands out,
+// over a pair of in-process byte pipes instead of a socket.
 type Mem struct {
 	// BacklogWait bounds how long Dial waits for a saturated accept
 	// backlog to drain before failing with ErrBacklogFull (default 100ms).
@@ -279,7 +249,7 @@ func (m *Mem) Listen(addr string) (Listener, error) {
 	defer m.mu.Unlock()
 	if addr == "" || addr == ":0" {
 		m.nextAuto++
-		addr = memAutoAddr(m.nextAuto)
+		addr = "mem:" + strconv.Itoa(m.nextAuto)
 	}
 	if _, taken := m.listeners[addr]; taken {
 		return nil, errors.New("transport: address in use: " + addr)
@@ -292,24 +262,6 @@ func (m *Mem) Listen(addr string) (Listener, error) {
 	}
 	m.listeners[addr] = l
 	return l, nil
-}
-
-func memAutoAddr(n int) string {
-	return "mem:" + itoa(n)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // Dial connects to a registered listener. When the listener's accept
@@ -325,18 +277,21 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 // backlog wait — as soon as ctx is cancelled or its deadline passes, so
 // the caller's deadline bounds the whole dial, not just post-dial I/O.
 func (m *Mem) DialContext(ctx context.Context, addr string) (Conn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
 	m.mu.Lock()
 	l, ok := m.listeners[addr]
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
 	}
-	client, server := newMemPair(addr)
+	client, server := newMemPair()
 	select {
 	case <-l.closed:
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
 	case l.backlog <- server:
-		return client, nil
+		return l.admitted(client, addr)
 	default:
 	}
 	wait := m.BacklogWait
@@ -349,7 +304,7 @@ func (m *Mem) DialContext(ctx context.Context, addr string) (Conn, error) {
 	case <-l.closed:
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
 	case l.backlog <- server:
-		return client, nil
+		return l.admitted(client, addr)
 	case <-ctx.Done():
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, ctx.Err())
 	case <-timer.C:
@@ -380,124 +335,137 @@ func (l *memListener) Accept() (Conn, error) {
 	}
 }
 
+// Close refuses further dials and closes every conn still waiting in the
+// backlog, as a closing TCP listener resets its unaccepted connections:
+// their dialers read EOF instead of waiting for an accept that never comes.
 func (l *memListener) Close() error {
 	l.once.Do(func() {
 		l.owner.remove(l.addr)
 		close(l.closed)
 	})
-	return nil
-}
-func (l *memListener) Addr() string { return l.addr }
-
-type memConn struct {
-	out    chan *wire.Message
-	in     chan *wire.Message
-	closed chan struct{}
-	once   sync.Once
-	peer   *memConn
-	remote string
-
-	dmu      sync.Mutex
-	deadline time.Time
-}
-
-func newMemPair(serverAddr string) (client, server *memConn) {
-	a2b := make(chan *wire.Message, 256)
-	b2a := make(chan *wire.Message, 256)
-	client = &memConn{out: a2b, in: b2a, closed: make(chan struct{}), remote: serverAddr}
-	server = &memConn{out: b2a, in: a2b, closed: make(chan struct{}), remote: "mem:client"}
-	client.peer, server.peer = server, client
-	return client, server
-}
-
-func (c *memConn) Send(m *wire.Message) error {
-	// Round-trip through the codec so the mem transport exercises exactly
-	// the same encoding invariants as TCP, using pooled scratch so the
-	// detour costs no per-frame allocation.
-	fp := wire.GetFrame()
-	frame, err := wire.AppendFrame(*fp, m)
-	if err != nil {
-		wire.PutFrame(fp)
-		return err
-	}
-	copied, err := wire.Decode(bytes.NewReader(frame))
-	*fp = frame[:0]
-	wire.PutFrame(fp)
-	if err != nil {
-		return err
-	}
-	// Closed checks take priority over an available buffer slot.
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return io.ErrClosedPipe
-	default:
-	}
-	expired, stop := c.deadlineTimer()
-	defer stop()
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return io.ErrClosedPipe
-	case c.out <- copied:
-		return nil
-	case <-expired:
-		return fmt.Errorf("%w: send", ErrTimeout)
-	}
-}
-
-// Queue delivers at once: a channel send is already as cheap as buffering.
-func (c *memConn) Queue(m *wire.Message) (int, error) { return 1, c.Send(m) }
-func (c *memConn) Flush() error                       { return nil }
-func (c *memConn) SendStalls() bool                   { return false }
-
-// SetDeadline bounds subsequent Send and Recv calls; the zero time clears
-// the bound.
-func (c *memConn) SetDeadline(t time.Time) error {
-	c.dmu.Lock()
-	c.deadline = t
-	c.dmu.Unlock()
+	l.drain()
 	return nil
 }
 
-// deadlineTimer arms a timer for the current deadline. A nil channel
-// (no deadline) never fires in a select.
-func (c *memConn) deadlineTimer() (<-chan time.Time, func()) {
-	c.dmu.Lock()
-	d := c.deadline
-	c.dmu.Unlock()
-	if d.IsZero() {
-		return nil, func() {}
-	}
-	t := time.NewTimer(time.Until(d))
-	return t.C, func() { t.Stop() }
-}
-
-func (c *memConn) Recv() (*wire.Message, error) {
-	expired, stop := c.deadlineTimer()
-	defer stop()
-	select {
-	case m := <-c.in:
-		return m, nil
-	case <-expired:
-		return nil, fmt.Errorf("%w: recv", ErrTimeout)
-	case <-c.closed:
-		return nil, ErrClosed
-	case <-c.peer.closed:
-		// Drain anything already queued before reporting EOF.
+func (l *memListener) drain() {
+	for {
 		select {
-		case m := <-c.in:
-			return m, nil
+		case c := <-l.backlog:
+			c.Close()
 		default:
-			return nil, io.EOF
+			return
 		}
 	}
 }
 
-func (c *memConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
+// admitted finishes a dial whose server end entered the backlog. A Close
+// that raced the dial may have drained the backlog before the entry
+// arrived, so the dialer drains it after such a Close and reports the
+// dial refused.
+func (l *memListener) admitted(client Conn, addr string) (Conn, error) {
+	select {
+	case <-l.closed:
+		l.drain()
+		client.Close()
+		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
+	default:
+		return client, nil
+	}
+}
+
+func (l *memListener) Addr() string { return l.addr }
+
+// newMemPair returns the two framed ends of a new in-process connection.
+func newMemPair() (client, server Conn) {
+	a2b, b2a := newPipe(), newPipe()
+	return NewConn(&memEnd{in: b2a, out: a2b}), NewConn(&memEnd{in: a2b, out: b2a})
+}
+
+// memEnd is one end of an in-process connection: it reads one pipe and
+// writes the other.
+type memEnd struct{ in, out *pipe }
+
+func (e *memEnd) Read(p []byte) (int, error)  { return e.in.read(p) }
+func (e *memEnd) Write(p []byte) (int, error) { return e.out.write(p) }
+
+// Close drops this end's unread input and lets the peer drain what this
+// end already wrote before it reads EOF.
+func (e *memEnd) Close() error {
+	e.in.closeRead()
+	e.out.closeWrite()
 	return nil
 }
-func (c *memConn) RemoteAddr() string { return c.remote }
+
+// pipe carries one direction of an in-process connection: the bytes
+// written and not yet read, bounded at wire.MaxFrame the way a socket
+// buffer is bounded, so a writer ahead of its reader waits.
+type pipe struct {
+	mu      sync.Mutex
+	cond    sync.Cond // signals every change of buf, rclosed or wclosed
+	buf     bytes.Buffer
+	rclosed bool // the reading end closed: input is dropped, writes fail
+	wclosed bool // the writing end closed: the reader drains, then EOF
+}
+
+func newPipe() *pipe {
+	p := &pipe{}
+	p.cond.L = &p.mu
+	return p
+}
+
+func (p *pipe) write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for n < len(b) {
+		switch {
+		case p.wclosed:
+			return n, ErrClosed
+		case p.rclosed:
+			return n, io.ErrClosedPipe
+		}
+		room := wire.MaxFrame - p.buf.Len()
+		if room == 0 {
+			p.cond.Wait()
+			continue
+		}
+		chunk := min(room, len(b)-n)
+		p.buf.Write(b[n : n+chunk])
+		n += chunk
+		p.cond.Broadcast()
+	}
+	return n, nil
+}
+
+func (p *pipe) read(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		switch {
+		case p.rclosed:
+			return 0, ErrClosed
+		case p.buf.Len() > 0:
+			n, _ := p.buf.Read(b)
+			p.cond.Broadcast()
+			return n, nil
+		case p.wclosed:
+			return 0, io.EOF
+		}
+		p.cond.Wait()
+	}
+}
+
+func (p *pipe) closeRead() {
+	p.mu.Lock()
+	p.rclosed = true
+	p.buf.Reset()
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+func (p *pipe) closeWrite() {
+	p.mu.Lock()
+	p.wclosed = true
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}

@@ -61,6 +61,26 @@ func exerciseTransport(t *testing.T, tr Transport, addr string) {
 			t.Fatalf("echo %d mismatch: %+v", i, m)
 		}
 	}
+	// A pipelined burst: queued frames leave in one flush, and the replies
+	// come back in order.
+	const burst = 32
+	for i := 0; i < burst; i++ {
+		if _, err := c.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(100 + i)}); err != nil {
+			t.Fatalf("Queue %d: %v", i, err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	for i := 0; i < burst; i++ {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatalf("burst Recv %d: %v", i, err)
+		}
+		if m.Type != wire.TPong || m.Seq != uint32(100+i) {
+			t.Fatalf("burst echo %d out of order: %+v", i, m)
+		}
+	}
 	c.Close()
 	wg.Wait()
 	if serverErr != nil {
@@ -229,7 +249,6 @@ func TestTCPConcurrentSenders(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(10 * time.Second))
 		for len(res.frames) < senders*perSender {
 			m, err := conn.Recv()
 			if err != nil {
@@ -366,59 +385,156 @@ func TestMemDialWaitsForBacklogDrain(t *testing.T) {
 	}
 }
 
-func TestMemConnDeadlineUnblocksRecv(t *testing.T) {
-	m := NewMem()
-	l, _ := m.Listen("dl")
-	client, err := m.Dial("dl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	client.SetDeadline(time.Now().Add(30 * time.Millisecond))
-	start := time.Now()
-	_, err = client.Recv()
-	if !errors.Is(err, ErrTimeout) || !IsTimeout(err) {
-		t.Fatalf("Recv past deadline: %v, want ErrTimeout", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("deadline did not bound Recv")
-	}
-	// Clearing the deadline restores blocking semantics: queued frames
-	// still arrive.
-	client.SetDeadline(time.Time{})
+// recvResult is what one Recv returned.
+type recvResult struct {
+	m   *wire.Message
+	err error
 }
 
-// TestTCPConnDeadlineUnblocksRecv is the satellite bugfix regression: a
-// hung peer (accepts, never answers) must cost at most the deadline, at
-// the socket level.
-func TestTCPConnDeadlineUnblocksRecv(t *testing.T) {
-	tr := &TCP{}
-	l, err := tr.Listen("127.0.0.1:0")
+// recvWithin runs one Recv on c and waits at most d for it, returning nil
+// when nothing arrived in time. That Recv stays parked until c closes, so
+// it is the last one a test makes on c.
+func recvWithin(c Conn, d time.Duration) *recvResult {
+	done := make(chan recvResult, 1)
+	go func() {
+		m, err := c.Recv()
+		done <- recvResult{m, err}
+	}()
+	select {
+	case r := <-done:
+		return &r
+	case <-time.After(d):
+		return nil
+	}
+}
+
+// memPair returns the dialed and the accepted end of one Mem conn.
+func memPair(t *testing.T) (client, server Conn) {
+	t.Helper()
+	m := NewMem()
+	l, err := m.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go l.Accept() // hung peer: accepts and goes silent
+	t.Cleanup(func() { l.Close() })
+	if client, err = m.Dial(l.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if server, err = l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
 
-	c, err := tr.Dial(l.Addr())
+// fullFrame returns a message whose frame is one byte longer than a Mem
+// pipe holds, with a payload still within wire.MaxFrame.
+func fullFrame(t *testing.T) *wire.Message {
+	t.Helper()
+	const n = 16
+	m := &wire.Message{Type: wire.TPublishBatch}
+	size := func() int {
+		frame, err := wire.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(frame)
+	}
+	m.Entries = make([]wire.Entry, n)
+	addrs := wire.MaxFrame + 1 - size() // the address bytes still to add
+	for i := range m.Entries {
+		l := addrs / n
+		if i == n-1 {
+			l += addrs % n
+		}
+		m.Entries[i] = wire.Entry{Key: hashkey.Key(i), Addr: strings.Repeat(string(rune('a'+i)), l)}
+	}
+	if got := size(); got != wire.MaxFrame+1 {
+		t.Fatalf("frame is %d bytes, want %d", got, wire.MaxFrame+1)
+	}
+	return m
+}
+
+// A frame larger than a Mem pipe crosses to a reader that starts late: the
+// writer waits at the bound, then completes once the reader drains it.
+func TestMemPipeHoldsAWriterAtTheBound(t *testing.T) {
+	client, server := memPair(t)
+	m := fullFrame(t)
+	sent := make(chan error, 1)
+	go func() { sent <- client.Send(m) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("a frame past the pipe's bound was taken with no reader (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	got, err := server.Recv()
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if len(got.Entries) != len(m.Entries) {
+		t.Fatalf("got %d entries, want %d", len(got.Entries), len(m.Entries))
+	}
+	for i, e := range got.Entries {
+		if e.Key != m.Entries[i].Key || e.Addr != m.Entries[i].Addr {
+			t.Fatalf("entry %d mangled in the pipe", i)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+}
+
+// A writer parked on a full pipe fails when either end closes, instead of
+// waiting for a reader that is gone.
+func TestMemParkedWriterFailsOnClose(t *testing.T) {
+	for _, closer := range []string{"writer", "reader"} {
+		t.Run(closer, func(t *testing.T) {
+			client, server := memPair(t)
+			m := fullFrame(t)
+			sent := make(chan error, 1)
+			go func() { sent <- client.Send(m) }()
+			select {
+			case err := <-sent:
+				t.Fatalf("Send returned before the pipe filled: %v", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if closer == "writer" {
+				client.Close()
+			} else {
+				server.Close()
+			}
+			select {
+			case err := <-sent:
+				if err == nil {
+					t.Fatal("parked Send succeeded after its conn closed")
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("parked Send still blocked after the close")
+			}
+		})
+	}
+}
+
+// Closing a listener closes the conns dialed into its backlog and never
+// accepted, as a TCP listener resets them: their dialers read EOF rather
+// than wait for an accept that will not come.
+func TestMemListenerCloseClosesItsBacklog(t *testing.T) {
+	m := NewMem()
+	l, err := m.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetDeadline(time.Now().Add(50 * time.Millisecond))
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Recv()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !IsTimeout(err) {
-			t.Fatalf("Recv err = %v, want a timeout", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv still blocked on a hung peer despite deadline")
+	l.Close()
+	r := recvWithin(c, time.Second)
+	if r == nil {
+		t.Fatal("Recv on a conn left in a closed listener's backlog still blocked after 1s")
+	}
+	if r.err != io.EOF {
+		t.Fatalf("Recv = %v, %v; want EOF", r.m, r.err)
 	}
 }

@@ -157,27 +157,6 @@ type Message struct {
 // type (1), payload length (4).
 const headerSize = 8
 
-// framePool recycles encode scratch buffers so a steady stream of frames
-// (the hot path of a multiplexed connection) allocates nothing per frame.
-var framePool = sync.Pool{
-	New: func() interface{} { b := make([]byte, 0, 1024); return &b },
-}
-
-// GetFrame borrows a reusable frame buffer from the codec's pool. Pass
-// its (length-zero) contents to AppendFrame and return it with PutFrame
-// once the encoded bytes have been written out.
-func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
-
-// PutFrame returns a buffer borrowed with GetFrame to the pool. Buffers
-// that grew past MaxFrame are dropped rather than cached.
-func PutFrame(b *[]byte) {
-	if b == nil || cap(*b) > MaxFrame+headerSize {
-		return
-	}
-	*b = (*b)[:0]
-	framePool.Put(b)
-}
-
 // payloadPool recycles decode scratch: the frame payload is parsed and
 // fully copied into the returned Message, so the raw bytes can be reused.
 var payloadPool = sync.Pool{
@@ -234,8 +213,8 @@ func PutMessage(m *Message) {
 }
 
 // AppendFrame appends m encoded as one complete frame to dst and returns
-// the extended slice. With a pooled dst (GetFrame/PutFrame) the encode
-// path is allocation-free.
+// the extended slice. Appending to a reused dst (a conn's output buffer)
+// makes the encode path allocation-free.
 func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, byte(Magic>>8), byte(Magic&0xFF), Version, byte(m.Type), 0, 0, 0, 0)
