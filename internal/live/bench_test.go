@@ -78,7 +78,7 @@ func BenchmarkRPCPooledRaw(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := client.pool.roundTrip(ctx, peer, &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+			if _, err := client.pool.roundTrip(ctx, peer, &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,9 +116,9 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 }
 
 // TestAttemptTimerNeverLeaksATick: exchanges whose replies race a tiny
-// RequestTimeout return their waiters, timers included, to the pool; none
-// of them may carry a fired timer's tick into a later exchange, which
-// would read it as its own deadline.
+// RequestTimeout return their waiters, deadlines included, to the pool;
+// none of them may carry a deadline that fired, or is firing, into a later
+// exchange, which would read it as its own.
 func TestAttemptTimerNeverLeaksATick(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)

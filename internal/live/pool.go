@@ -8,9 +8,12 @@ package live
 // a dial, a burst of exchanges costs one syscall, and many requests are
 // in flight on one connection at once. A session dials on its own
 // goroutine, then becomes the writer: frames queue behind the dial, and no
-// caller waits on one. Broken sessions tear down, fail their waiters with
-// retryable errors, and are re-dialed by the next attempt, composing with
-// the retry/backoff and circuit-breaker machinery in rpc.go. This is the
+// caller waits on one. A caller parks on one channel, its waiter's reply,
+// which exactly one of four settles: the reader with the reply, the
+// attempt's deadline, the session's teardown or the caller's own context.
+// Broken sessions tear down, fail their waiters with retryable errors,
+// and are re-dialed by the next attempt, composing with the
+// retry/backoff and circuit-breaker machinery in rpc.go. This is the
 // only way a node sends a frame: there is no unpooled exchange.
 //
 // A peer's session hangs off its record in the peer table (peer.go), under
@@ -137,37 +140,75 @@ type session struct {
 	err      error              // teardown cause, set before done closes
 	pending  map[uint32]*waiter // exchanges awaiting a reply, by Seq
 	nextSeq  uint32
-	inflight int // exchanges between register and endUse
-	oneWay   int // one-way frames enqueued and not yet written
-	lastUse  time.Time
+	inflight int       // exchanges between register and endUse
+	oneWay   int       // one-way frames enqueued and not yet written
+	lastUse  time.Time // when the latest exchange or one-way frame started
 
 	done chan struct{} // closed by teardown
 }
 
 // waiter is one exchange on a session: the frame on its way to the writer
 // (a private copy: an abandoned attempt's frame may still sit in the
-// queue when the retry re-stamps Seq), the channel the reader hands the
-// reply to, and the timer that bounds the attempt. A request's waiter is
-// recycled once writer and caller have both let go, and only after a
-// reply: any other ending may leave its frame queued or a reply on its way.
+// queue when the retry re-stamps Seq), the channel its caller parks on,
+// and the timer that bounds the attempt. settle is the only send into
+// reply, and the first settler wins. A request's waiter is recycled once
+// writer and caller have both let go, and only after a reply whose
+// deadline was stopped before it fired: any other ending may leave its
+// frame queued, a reply on its way or the deadline's settle running.
 type waiter struct {
 	wire.Message
-	oneWay bool               // no exchange is waiting on it; see session.send
-	reply  chan *wire.Message // cap 1: never blocks the reader
-	timer  *time.Timer        // stopped and drained while pooled
-	holds  atomic.Int32       // 2: the writer's and the caller's
+	oneWay  bool               // no exchange is waiting on it; see session.send
+	reply   chan *wire.Message // cap 1: the one settle never blocks
+	timer   *time.Timer        // runs expire; stopped while pooled
+	settled atomic.Bool
+	cause   error        // why a nil reply ended the exchange; set by settle
+	holds   atomic.Int32 // 2: the writer's and the caller's
 }
 
 var waiterPool = sync.Pool{New: func() interface{} {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &waiter{reply: make(chan *wire.Message, 1), timer: t}
+	w := &waiter{reply: make(chan *wire.Message, 1)}
+	w.timer = time.AfterFunc(time.Hour, w.expire)
+	w.timer.Stop()
+	return w
 }}
+
+// settle ends w's exchange with the reply m, or with cause when m is nil,
+// unless another settler came first. It reports whether this call won.
+func (w *waiter) settle(m *wire.Message, cause error) bool {
+	if !w.settled.CompareAndSwap(false, true) {
+		return false
+	}
+	w.cause = cause
+	w.reply <- m
+	return true
+}
+
+// expire is the attempt's deadline, which reads as
+// context.DeadlineExceeded (so transport.IsTimeout holds).
+func (w *waiter) expire() { w.settle(nil, context.DeadlineExceeded) }
+
+// wait parks until w is settled, settling it with ctx's error if ctx ends
+// first. A caller without a ctx to watch pays a plain receive.
+func (w *waiter) wait(ctx context.Context) *wire.Message {
+	done := ctx.Done()
+	if done == nil {
+		return <-w.reply
+	}
+	select {
+	case m := <-w.reply:
+		return m
+	case <-done:
+		w.settle(nil, ctx.Err()) // loses to a settler that came first
+		return <-w.reply
+	}
+}
 
 // release drops one hold; the last returns w to the pool.
 func (w *waiter) release() {
 	if w.holds.Add(-1) == 0 {
 		w.Message = wire.Message{}
+		w.settled.Store(false)
+		w.cause = nil
 		waiterPool.Put(w)
 	}
 }
@@ -338,10 +379,10 @@ func (s *session) waiting() *waiter {
 
 // readLoop demultiplexes inbound frames to their waiting callers by
 // sequence number. Replies nobody is waiting for — a duplicated frame's
-// second answer, or the answer to an abandoned (timed-out) request — are
-// counted and dropped. Any receive error tears the session down: on a
-// real stream a framing error is unrecoverable, and a fresh connection
-// is one retry away.
+// second answer, or the answer to a request already settled otherwise
+// (timed out, or its caller gone) — are counted and dropped. Any receive
+// error tears the session down: on a real stream a framing error is
+// unrecoverable, and a fresh connection is one retry away.
 func (s *session) readLoop() {
 	defer s.p.wg.Done()
 	for {
@@ -356,18 +397,16 @@ func (s *session) readLoop() {
 			delete(s.pending, m.Seq)
 		}
 		s.mu.Unlock()
-		if !ok {
+		if !ok || !w.settle(m, nil) {
 			s.p.orphans.Inc()
-			continue
 		}
-		w.reply <- m
 	}
 }
 
-// teardown closes the session exactly once: waiters fail (they watch
-// done), the conn closes, and the pool forgets the session so the next
-// attempt re-dials. It reports whether this call tore a session only
-// one-way frames were riding, whose callers will not hear of err.
+// teardown closes the session exactly once: every pending waiter is
+// settled with err, the conn closes, and the pool forgets the session so
+// the next attempt re-dials. It reports whether this call tore a session
+// only one-way frames were riding, whose callers will not hear of err.
 func (s *session) teardown(err error) (oneWayOnly bool) {
 	s.mu.Lock()
 	if s.torn {
@@ -378,8 +417,12 @@ func (s *session) teardown(err error) (oneWayOnly bool) {
 	s.err = err
 	conn := s.conn
 	oneWayOnly = s.inflight == 0 && s.oneWay > 0
+	pending := s.pending
 	s.pending = nil
 	s.mu.Unlock()
+	for _, w := range pending {
+		w.settle(nil, err)
+	}
 	close(s.done)
 	if conn != nil {
 		conn.Close()
@@ -397,20 +440,12 @@ func (s *session) teardown(err error) (oneWayOnly bool) {
 	return oneWayOnly
 }
 
-func (s *session) teardownErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	return ErrPoolClosed
-}
-
 // register assigns w the next sequence number and counts it against the
 // session: parked for its reply, or as a one-way frame the writer has yet
-// to write. It reports whether the session's dial had succeeded, and fails
+// to write. start, when the exchange began, becomes the session's
+// lastUse. It reports whether the session's dial had succeeded, and fails
 // if the session is already torn.
-func (s *session) register(w *waiter) (dialed bool, err error) {
+func (s *session) register(w *waiter, start time.Time) (dialed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.torn {
@@ -418,7 +453,7 @@ func (s *session) register(w *waiter) (dialed bool, err error) {
 	}
 	s.nextSeq++
 	w.Seq = s.nextSeq
-	s.lastUse = time.Now()
+	s.lastUse = start
 	if w.oneWay {
 		s.oneWay++
 	} else {
@@ -429,22 +464,24 @@ func (s *session) register(w *waiter) (dialed bool, err error) {
 	return s.conn != nil, nil
 }
 
-// abandon gives up on w's exchange, for cause or the session's teardown.
-func (s *session) abandon(w *waiter, cause error) error {
+// abandon ends w's exchange, settled without a reply: it forgets w and
+// returns the cause. The deadline and the caller's ctx settle with the
+// bare context errors, which gain the peer's name; a teardown's cause
+// already names it.
+func (s *session) abandon(w *waiter) error {
 	w.timer.Stop()
 	s.mu.Lock()
 	delete(s.pending, w.Seq) // a no-op once teardown has dropped the table
 	s.mu.Unlock()
-	if cause == nil {
-		return s.teardownErr()
+	if w.cause == context.DeadlineExceeded || w.cause == context.Canceled {
+		return fmt.Errorf("live: pooled request to %s: %w", s.peer.addr, w.cause)
 	}
-	return fmt.Errorf("live: pooled request to %s: %w", s.peer.addr, cause)
+	return w.cause
 }
 
 func (s *session) endUse() {
 	s.mu.Lock()
 	s.inflight--
-	s.lastUse = time.Now()
 	shed := s.surplus()
 	s.mu.Unlock()
 	s.p.inflight.Add(-1)
@@ -463,39 +500,39 @@ func (s *session) surplus() bool {
 }
 
 // roundTrip runs one request/response exchange over the shared
-// connection, bounded by ctx and by the attempt's deadline, whose expiry
-// reads as context.DeadlineExceeded (so transport.IsTimeout holds). A slow
-// reply to another caller cannot block this one: each parks on its own.
-func (s *session) roundTrip(ctx context.Context, m *wire.Message, by time.Time) (*wire.Message, error) {
+// connection, begun at start and bounded by ctx and by the attempt's
+// deadline by. A slow reply to another caller cannot block this one: each
+// parks on its own waiter.
+func (s *session) roundTrip(ctx context.Context, m *wire.Message, start, by time.Time) (*wire.Message, error) {
 	w := waiterPool.Get().(*waiter)
 	w.Message = *m
 	w.holds.Store(2)
-	if _, err := s.register(w); err != nil {
+	if _, err := s.register(w, start); err != nil {
 		return nil, err
 	}
 	defer s.endUse()
-	w.timer.Reset(time.Until(by))
-	queue := s.writeCh
-	for {
+	w.timer.Reset(by.Sub(start))
+	var resp *wire.Message
+	select {
+	case s.writeCh <- w:
+		resp = w.wait(ctx)
+	default: // a full queue
 		select {
-		case queue <- w:
-			queue = nil // queued once; what is left is the reply, or giving up
-		case resp := <-w.reply:
-			// Pooled stopped and drained: under go.mod's go 1.22 a tick that
-			// beat Stop stays buffered, a later exchange's deadline.
-			if !w.timer.Stop() {
-				<-w.timer.C
-			}
-			w.release()
-			return resp, nil
-		case <-s.done:
-			return nil, s.abandon(w, nil)
+		case s.writeCh <- w:
+			resp = w.wait(ctx)
+		case resp = <-w.reply:
 		case <-ctx.Done():
-			return nil, s.abandon(w, ctx.Err())
-		case <-w.timer.C:
-			return nil, s.abandon(w, context.DeadlineExceeded)
+			w.settle(nil, ctx.Err())
+			resp = <-w.reply
 		}
 	}
+	if resp == nil {
+		return nil, s.abandon(w)
+	}
+	if w.timer.Stop() {
+		w.release()
+	}
+	return resp, nil
 }
 
 // send enqueues a one-way frame (no reply expected) on the shared
@@ -504,7 +541,7 @@ func (s *session) roundTrip(ctx context.Context, m *wire.Message, by time.Time) 
 // to notice. A frame queued behind the dial is recorded with its outcome.
 func (s *session) send(ctx context.Context, m *wire.Message) error {
 	f := &waiter{Message: *m, oneWay: true}
-	dialed, err := s.register(f)
+	dialed, err := s.register(f, time.Now())
 	if err != nil {
 		return err
 	}
@@ -515,7 +552,7 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 		}
 		return nil
 	case <-s.done:
-		err = s.teardownErr()
+		err = s.err // written before done closed
 	case <-ctx.Done():
 		err = fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, ctx.Err())
 	}
@@ -525,14 +562,14 @@ func (s *session) send(ctx context.Context, m *wire.Message) error {
 	return err
 }
 
-// roundTrip acquires pr's session and runs one exchange, to end by the
-// attempt's deadline.
-func (p *pool) roundTrip(ctx context.Context, pr *peer, m *wire.Message, by time.Time) (*wire.Message, error) {
+// roundTrip acquires pr's session and runs one exchange, begun at start,
+// to end by the attempt's deadline.
+func (p *pool) roundTrip(ctx context.Context, pr *peer, m *wire.Message, start, by time.Time) (*wire.Message, error) {
 	s, err := p.acquire(pr, by)
 	if err != nil {
 		return nil, err
 	}
-	return s.roundTrip(ctx, m, by)
+	return s.roundTrip(ctx, m, start, by)
 }
 
 // send acquires pr's session and enqueues a one-way frame; a session it

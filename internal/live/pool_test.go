@@ -282,14 +282,14 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, farOff())
+		_, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("slow")}, time.Now(), farOff())
 		slowDone <- err
 	}()
 	// Let the slow request reach the wire before racing it.
 	time.Sleep(50 * time.Millisecond)
 
 	start := time.Now()
-	if _, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, peers.get(l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
 		t.Fatalf("fast ping: %v", err)
 	}
 	fast := time.Since(start)
@@ -325,7 +325,7 @@ func TestPoolSaturationGoesOverCap(t *testing.T) {
 	// Occupy the single slot with an in-flight exchange.
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := client.pool.roundTrip(ctx, client.peers.get(slow.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")}, farOff())
+		_, err := client.pool.roundTrip(ctx, client.peers.get(slow.Addr(), true), &wire.Message{Type: wire.TDiscover, Key: hashkey.FromName("x")}, time.Now(), farOff())
 		slowDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -359,11 +359,11 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 
 	p, peers := newTestPool(mem, PoolConfig{}, nil)
 	ctx := context.Background()
-	if _, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff()); err != nil {
+	if _, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	_, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, farOff())
+	_, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff())
 	if err != ErrPoolClosed {
 		t.Fatalf("roundTrip after Close: err = %v, want ErrPoolClosed", err)
 	}
@@ -517,7 +517,7 @@ func TestPoolRequestBehindFailedDial(t *testing.T) {
 	pr := peers.get(server.l.Addr(), true)
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TPing}, farOff())
+		_, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TPing}, time.Now(), farOff())
 		done <- err
 	}()
 	waitFor(t, "the request to queue behind the dial", func() bool { return sessionRequests(pr) == 1 })
@@ -625,5 +625,158 @@ func TestPoolWriterDrainsQueueIntoOneWrite(t *testing.T) {
 		if seq != uint32(i+1) {
 			t.Fatalf("frames left in order %v, want 1..5", rec.queued)
 		}
+	}
+}
+
+// startDiscoverEcho is a hand-rolled peer that answers every discover with
+// its own key, each reply sent on its own goroutine: a reply delayed on
+// the wire holds up no other.
+func startDiscoverEcho(t *testing.T, tr transport.Transport) transport.Listener {
+	t.Helper()
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(c transport.Conn) {
+				for {
+					m, err := c.Recv()
+					if err != nil {
+						return
+					}
+					go c.Send(&wire.Message{Type: wire.TDiscoverResp, Seq: m.Seq, Key: m.Key, Found: true})
+				}
+			}(c)
+		}
+	}()
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// parkedSession returns pr's session once n exchanges are parked on it.
+func parkedSession(t *testing.T, pr *peer, n int) *session {
+	t.Helper()
+	waitFor(t, "the callers to park", func() bool { return sessionRequests(pr) == n })
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.sess
+}
+
+// TestRoundTripSettlesOnceAcrossDeadline runs distinct-key discovers over
+// a link whose reply delays straddle the attempt's deadline, so replies
+// and deadlines race to settle the same waiters, which are recycled
+// between exchanges. Each exchange ends with exactly one outcome, a reply
+// only ever reaches the exchange that asked for it, and every reply that
+// lost to its deadline is counted as an orphan.
+func TestRoundTripSettlesOnceAcrossDeadline(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	var replies atomic.Int64
+	faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
+		Latency: func(from, to string) time.Duration {
+			if to != "" {
+				return 0 // requests leave at once
+			}
+			return time.Duration(replies.Add(1)%5) * timeout / 2 // replies: 0 to twice the deadline
+		},
+	})
+	l := startDiscoverEcho(t, faulty.Endpoint("server"))
+	counters := metrics.NewCounters()
+	p, peers := newTestPool(faulty.Endpoint("client"), PoolConfig{}, counters)
+	defer p.Close()
+	pr := peers.get(l.Addr(), true)
+
+	const workers, each = 16, 25
+	var answered, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				key := hashkey.Key(w*each + i + 1)
+				start := time.Now()
+				resp, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TDiscover, Key: key}, start, start.Add(timeout))
+				switch {
+				case err == nil && resp != nil && resp.Key == key:
+					answered.Add(1)
+				case err == nil && resp != nil:
+					t.Errorf("discover of %v answered for %v: a reply crossed exchanges", key, resp.Key)
+				case resp == nil && transport.IsTimeout(err):
+					timedOut.Add(1)
+				default:
+					t.Errorf("discover of %v = (%v, %v), want a reply or a timeout", key, resp, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if answered.Load() == 0 || timedOut.Load() == 0 {
+		t.Fatalf("%d answered, %d timed out: the delays must straddle the deadline", answered.Load(), timedOut.Load())
+	}
+	waitFor(t, "every late reply to be counted as an orphan", func() bool {
+		return counters.Get("pool.demux.orphans") == uint64(timedOut.Load())
+	})
+}
+
+// TestTeardownSettlesParkedCallers: a session torn down under 64 parked
+// callers hands each of them its cause at once; none waits for its
+// deadline.
+func TestTeardownSettlesParkedCallers(t *testing.T) {
+	const callers = 64
+	mem := transport.NewMem()
+	sink, _ := startUpdateSink(t, mem) // reads every frame, answers none
+	p, peers := newTestPool(mem, PoolConfig{}, nil)
+	defer p.Close()
+	pr := peers.get(sink.Addr(), true)
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TPing}, time.Now(), farOff())
+			errs <- err
+		}()
+	}
+	s := parkedSession(t, pr, callers)
+	cause := errors.New("torn under test")
+	torn := time.Now()
+	s.teardown(cause)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, cause) {
+			t.Errorf("parked caller %d: %v, want the teardown cause", i, err)
+		}
+	}
+	if took := time.Since(torn); took > 100*time.Millisecond {
+		t.Errorf("%d parked callers took %v to hear of the teardown, want under 100ms", callers, took)
+	}
+}
+
+// TestRoundTripCancelledWhileParked: a caller whose ctx ends while it is
+// parked returns ctx's error and leaves nothing pending on the session.
+func TestRoundTripCancelledWhileParked(t *testing.T) {
+	mem := transport.NewMem()
+	sink, _ := startUpdateSink(t, mem)
+	p, peers := newTestPool(mem, PoolConfig{}, nil)
+	defer p.Close()
+	pr := peers.get(sink.Addr(), true)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.roundTrip(ctx, pr, &wire.Message{Type: wire.TPing}, time.Now(), farOff())
+		done <- err
+	}()
+	s := parkedSession(t, pr, 1)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller = %v, want context.Canceled", err)
+	}
+	s.mu.Lock()
+	pending, inflight := len(s.pending), s.inflight
+	s.mu.Unlock()
+	if pending != 0 || inflight != 0 {
+		t.Errorf("after the cancel: %d pending, %d in flight, want none", pending, inflight)
 	}
 }

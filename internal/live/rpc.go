@@ -64,9 +64,12 @@ func (n *Node) requestBy(ctx context.Context, budget time.Time, addr string, m *
 	return resp, err
 }
 
+// requestRetry reads the clock once per attempt, at its start, plus once
+// more on a success to time it and once before each backoff.
 func (n *Node) requestRetry(ctx context.Context, budget time.Time, p *peer, m *wire.Message) (*wire.Message, error) {
+	start := time.Now()
 	if budget.IsZero() {
-		budget = time.Now().Add(n.cfg.RetryBudget)
+		budget = start.Add(n.cfg.RetryBudget)
 	}
 	var lastErr error
 	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
@@ -79,8 +82,8 @@ func (n *Node) requestRetry(ctx context.Context, budget time.Time, p *peer, m *w
 				break // caller gave up mid-backoff
 			}
 			n.ctr.rpcRetries.Inc()
+			start = time.Now()
 		}
-		start := time.Now()
 		err := ctx.Err()
 		if err == nil && !start.Before(budget) {
 			err = context.DeadlineExceeded
@@ -100,7 +103,7 @@ func (n *Node) requestRetry(ctx context.Context, budget time.Time, p *peer, m *w
 		if budget.Before(by) {
 			by = budget
 		}
-		resp, err := n.pool.roundTrip(ctx, p, m, by)
+		resp, err := n.pool.roundTrip(ctx, p, m, start, by)
 		if err == nil {
 			p.observe(time.Since(start))
 			return resp, nil

@@ -14,13 +14,13 @@
 // index is an array of bucket chains read with atomic loads, entries are
 // immutable once linked, and recency is a per-entry flag a hit sets only
 // when it is clear. Writers (fills, invalidations, evictions) serialise
-// on the shard's mutex. Each shard is bounded and evicts expired entries
-// before live ones (LRU-of-expired-first): under pressure the cache sheds
-// dead weight and keeps leases that still save round-trips.
+// on the shard's mutex. Each shard is bounded and evicts with a CLOCK
+// ring that takes an expired entry near its hand before a live one: under
+// pressure the cache sheds dead weight and keeps leases that still save
+// round-trips.
 package loccache
 
 import (
-	"container/list"
 	"math"
 	"math/bits"
 	"sync"
@@ -95,12 +95,13 @@ type entry struct {
 	// entry walks on into the chain as it was, and the garbage collector
 	// frees the entry once the last such reader has left.
 	next atomic.Pointer[entry]
-	// touched is a hit the LRU list has not seen yet. A hit sets it only
-	// when it is clear; eviction clears it and applies the promotion.
+	// touched is a hit the clock hand has not passed yet. A hit sets it
+	// only when it is clear; the hand clears it, which is the entry's
+	// second chance.
 	touched atomic.Bool
-	// elem is the entry's position in its shard's LRU list, guarded by
-	// the shard mutex.
-	elem *list.Element
+	// slot is the entry's index in its shard's ring, guarded by the shard
+	// mutex.
+	slot int
 }
 
 // expired reports whether e's lease has lapsed at instant now: a lookup
@@ -117,12 +118,21 @@ func (e *entry) used() {
 
 // shard is one independently written segment. buckets indexes its entries
 // by key: chains that writers change under mu and readers walk with
-// atomic loads only, allocated on the first insert. lru orders the same
-// entries for eviction (front = most recently promoted), under mu.
+// atomic loads only, allocated on the first insert. ring holds the same
+// entries, in no order, for the clock hand to sweep; ring and hand are
+// guarded by mu.
 type shard struct {
 	mu      sync.Mutex
-	lru     list.List
+	ring    []slot
+	hand    int
 	buckets atomic.Pointer[[]atomic.Pointer[entry]]
+}
+
+// slot is one place on a shard's ring: an entry and a copy of its expiry,
+// so the expired-first scan reads contiguous memory and no entry.
+type slot struct {
+	e       *entry
+	expires int64
 }
 
 // Cache is a sharded, bounded, lease-aware location cache. All methods
@@ -227,10 +237,10 @@ func (c *Cache) link(s *shard, key hashkey.Key) *atomic.Pointer[entry] {
 }
 
 // Lookup classifies key and returns its cached address (empty unless
-// Fresh). A hit is marked for promotion to the shard's MRU position and
-// counted (loccache.hit/miss). Every call also counts loccache.lookups, so
-// hit+miss == lookups is a checkable conservation invariant (≤ while
-// lookups are in flight, == at rest). Only a lookup that finds a lapsed
+// Fresh). A hit is marked touched, a second chance against the clock
+// hand, and counted (loccache.hit/miss). Every call also counts
+// loccache.lookups, so hit+miss == lookups is a checkable conservation
+// invariant (≤ while lookups are in flight, == at rest). Only a lookup that finds a lapsed
 // entry takes the shard's lock, to drop it.
 func (c *Cache) Lookup(key hashkey.Key) (string, State) {
 	c.lookups.Inc()
@@ -262,7 +272,8 @@ func (c *Cache) Peek(key hashkey.Key) (string, State) {
 }
 
 // Put stores addr for key under a lease of ttl (0 = no expiry), replacing
-// any previous entry and promoting it to MRU.
+// any previous entry; a replacement the clock hand is near is marked
+// touched, as a hit would be.
 func (c *Cache) Put(key hashkey.Key, addr string, ttl time.Duration) {
 	c.store(&entry{key: key, addr: addr}, ttl, false)
 }
@@ -294,11 +305,20 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 	p := c.link(s, e.key)
 	old := p.Load()
 	switch {
-	case old == nil && s.lru.Len() >= c.perShard:
-		c.evictLocked(s, now)
+	case old == nil && len(s.ring) >= c.perShard:
+		e.slot = s.victim(now)
+		victim := s.ring[e.slot].e
+		c.link(s, victim.key).Store(victim.next.Load())
 		c.evicted.Inc()
-		p = c.link(s, e.key) // the victim may have been the end of this chain
+		if c.bucketOf(victim.key) == c.bucketOf(e.key) {
+			p = c.link(s, e.key) // the victim may have been the end of this chain
+		}
 	case old == nil:
+		if s.ring == nil {
+			s.ring = make([]slot, 0, c.perShard)
+		}
+		e.slot = len(s.ring)
+		s.ring = append(s.ring, slot{})
 		c.entries.Add(1)
 	case ordered && old.epoch > e.epoch:
 		c.epochRejected.Inc()
@@ -308,48 +328,52 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 		// key is never absent, and a reader standing on old walks on
 		// through the next it keeps.
 		e.next.Store(old.next.Load())
-		s.lru.Remove(old.elem)
+		e.slot = old.slot
+		// A replacement counts as a use when the hand will reach its slot
+		// within half a turn. Further off, a second chance would let it
+		// outlive an insert made at the same moment by a turn.
+		if n := len(s.ring); (e.slot-s.hand+n)%n < n/2 {
+			e.touched.Store(true)
+		}
 	}
 	p.Store(e)
-	e.elem = s.lru.PushFront(e)
+	s.ring[e.slot] = slot{e: e, expires: e.expires}
 	return true
 }
 
-// evictScan bounds how far from the LRU tail eviction searches for an
-// expired victim before settling for plain LRU, and how many pending
-// promotions it applies first — keeps insert O(1).
+// evictScan bounds how far past the clock hand eviction looks for an
+// expired victim before it sweeps for an untouched one.
 const evictScan = 16
 
-// evictLocked drops one entry. It first gives every touched entry at the
-// tail its second chance — the promotion its hits asked for, applied here
-// because this is the one place recency order matters — then takes the
-// least-recently-used *expired* entry within evictScan of the tail if
-// any, else the LRU tail itself.
-func (c *Cache) evictLocked(s *shard, now int64) {
-	for i := 0; i < evictScan; i++ {
-		e := s.lru.Back().Value.(*entry)
+// victim picks the slot of a full shard's entry to evict and moves the
+// hand past it: the first slot within evictScan of the hand whose lease
+// has lapsed, else the first untouched entry the hand reaches, clearing
+// the touched entries it passes — their second chance. The sweep ends
+// within one turn of the ring: by then it has cleared every bit. Caller
+// holds s.mu.
+func (s *shard) victim(now int64) int {
+	n := len(s.ring)
+	v := s.hand
+	for i := 0; i < evictScan && i < n; i++ {
+		if now >= s.ring[v].expires {
+			s.hand = (v + 1) % n
+			return v
+		}
+		if v++; v == n {
+			v = 0
+		}
+	}
+	for v = s.hand; ; {
+		e := s.ring[v].e
 		if !e.touched.Load() {
-			break
+			s.hand = (v + 1) % n
+			return v
 		}
 		e.touched.Store(false)
-		s.lru.MoveToFront(e.elem)
-	}
-	victim := s.lru.Back()
-	scanned := 0
-	for el := s.lru.Back(); el != nil && scanned < evictScan; el = el.Prev() {
-		if el.Value.(*entry).expired(now) {
-			victim = el
-			break
+		if v++; v == n {
+			v = 0
 		}
-		scanned++
 	}
-	c.unlinkLocked(s, victim.Value.(*entry))
-}
-
-// unlinkLocked takes the linked entry e out of its chain and the LRU list.
-func (c *Cache) unlinkLocked(s *shard, e *entry) {
-	c.link(s, e.key).Store(e.next.Load())
-	s.lru.Remove(e.elem)
 }
 
 // remove drops e, the entry a lookup found dead under its key — only if
@@ -358,9 +382,20 @@ func (c *Cache) unlinkLocked(s *shard, e *entry) {
 func (c *Cache) remove(e *entry) {
 	s := c.shardOf(e.key)
 	s.mu.Lock()
-	ok := c.link(s, e.key).Load() == e
+	p := c.link(s, e.key)
+	ok := p.Load() == e
 	if ok {
-		c.unlinkLocked(s, e)
+		p.Store(e.next.Load())
+		// Swap-remove, so the ring stays dense.
+		last := len(s.ring) - 1
+		moved := s.ring[last]
+		s.ring[e.slot] = moved
+		moved.e.slot = e.slot
+		s.ring[last] = slot{}
+		s.ring = s.ring[:last]
+		if s.hand >= last {
+			s.hand = 0
+		}
 	}
 	s.mu.Unlock()
 	if ok {
@@ -374,7 +409,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.ring)
 		s.mu.Unlock()
 	}
 	return n

@@ -390,6 +390,172 @@ func TestTouchedKeyGetsSecondChance(t *testing.T) {
 	}
 }
 
+// checkRing verifies that every entry on each shard's ring names its own
+// slot and is the entry its key finds.
+func checkRing(t *testing.T, c *Cache) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for j, sl := range s.ring {
+			if sl.e.slot != j || sl.expires != sl.e.expires || c.find(sl.e.key) != sl.e {
+				t.Errorf("shard %d slot %d: entry %v names slot %d, or is no longer its key's", i, j, sl.e.key, sl.e.slot)
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestLapsedDropsKeepRingDense drops lapsed entries from the middle of a
+// full ring through Lookup, then fills past the bound: Len, the entries
+// gauge and the bound agree throughout, and every live key stays found.
+func TestLapsedDropsKeepRingDense(t *testing.T) {
+	const bound = 8
+	fc := newFakeClock()
+	ctrs, gauges := metrics.NewCounters(), metrics.NewGauges()
+	c := newCache(Config{Clock: fc.now, Counters: ctrs, Gauges: gauges}, 1, bound)
+	key := func(i int) hashkey.Key { return hashkey.FromName(fmt.Sprintf("k%d", i)) }
+	lapsing := map[int]bool{2: true, 3: true, 5: true}
+	for i := 0; i < bound; i++ {
+		ttl := time.Hour
+		if lapsing[i] {
+			ttl = time.Second
+		}
+		c.Put(key(i), "addr", ttl)
+	}
+	fc.advance(2 * time.Second)
+	for i := range lapsing {
+		if _, st := c.Lookup(key(i)); st != Miss {
+			t.Fatalf("lapsed k%d: %v, want Miss", i, st)
+		}
+	}
+	agree := func(want int) {
+		t.Helper()
+		if n, g := c.Len(), gauges.Get("loccache.entries"); n != want || g != int64(want) {
+			t.Fatalf("Len %d, entries gauge %d, want %d", n, g, want)
+		}
+		checkRing(t, c)
+	}
+	agree(bound - len(lapsing))
+
+	// Refill to the bound: the freed slots take the new keys, no eviction.
+	for i := bound; i < bound+len(lapsing); i++ {
+		c.Put(key(i), "addr", time.Hour)
+	}
+	agree(bound)
+	if got := ctrs.Get("loccache.evicted"); got != 0 {
+		t.Fatalf("refilling dropped slots evicted %d entries", got)
+	}
+	for i := 0; i < bound+len(lapsing); i++ {
+		if _, st := c.Peek(key(i)); st != Fresh && !lapsing[i] {
+			t.Errorf("live k%d: %v, want Fresh", i, st)
+		}
+	}
+
+	// Past the bound each fill evicts one.
+	const past = 5
+	first := bound + len(lapsing)
+	for i := first; i < first+past; i++ {
+		c.Put(key(i), "addr", time.Hour)
+	}
+	agree(bound)
+	if got := ctrs.Get("loccache.evicted"); got != past {
+		t.Fatalf("loccache.evicted = %d after %d fills past the bound, want %d", got, past, past)
+	}
+	found := 0
+	for i := 0; i < first+past; i++ {
+		if _, st := c.Peek(key(i)); st == Fresh {
+			found++
+		}
+	}
+	if found != bound {
+		t.Errorf("%d keys found in a cache of %d entries", found, bound)
+	}
+}
+
+// TestAllTouchedEvictsInOneSweep: in a shard whose entries are all
+// touched, the hand clears every bit in one turn of the ring and takes
+// the first entry it comes back to.
+func TestAllTouchedEvictsInOneSweep(t *testing.T) {
+	const bound = 4
+	ctrs := metrics.NewCounters()
+	c := newCache(Config{Counters: ctrs}, 1, bound)
+	var keys []hashkey.Key
+	for i := 0; i < bound; i++ {
+		keys = append(keys, hashkey.FromName(fmt.Sprintf("k%d", i)))
+		c.Put(keys[i], "addr", time.Hour)
+	}
+	for _, k := range keys {
+		c.Lookup(k)
+	}
+	c.Put(hashkey.FromName("new"), "addr", time.Hour)
+	if got := ctrs.Get("loccache.evicted"); got != 1 {
+		t.Fatalf("loccache.evicted = %d, want 1", got)
+	}
+	if _, st := c.Peek(keys[0]); st != Miss {
+		t.Errorf("k0, first under the hand, survived: %v", st)
+	}
+	s := &c.shards[0]
+	for j, sl := range s.ring {
+		if sl.e.touched.Load() {
+			t.Errorf("slot %d (%v) still touched after the sweep", j, sl.e.key)
+		}
+	}
+	checkRing(t, c)
+}
+
+// TestEvictionOfTheChainsTail: the victim is the last entry of the chain
+// the new key joins, where the new key was about to be linked; the new key
+// must be linked behind the victim's predecessor instead.
+func TestEvictionOfTheChainsTail(t *testing.T) {
+	const bound = 4
+	c := newCache(Config{}, 1, bound)
+	// One shard of four buckets: keys that differ only above bit 1 share
+	// bucket 0, linked in insertion order.
+	key := func(i int) hashkey.Key { return hashkey.Key(i << 2) }
+	for i := 0; i < bound; i++ {
+		c.Put(key(i), "addr", time.Hour)
+	}
+	for i := 0; i < bound-1; i++ {
+		c.Lookup(key(i)) // the hand passes these, and takes the tail
+	}
+	c.Put(key(bound), "addr", time.Hour)
+	if _, st := c.Peek(key(bound - 1)); st != Miss {
+		t.Fatalf("the chain's tail survived: %v", st)
+	}
+	if _, st := c.Peek(key(bound)); st != Fresh {
+		t.Fatalf("the key that took the tail's place is lost: %v", st)
+	}
+	checkRing(t, c)
+}
+
+// TestReplacementIsAUseNearTheHand: rewriting a key's binding marks it
+// touched only when the hand is within half a turn of its slot. A key
+// replaced right after its insert goes when an insert of that moment would,
+// not a turn later; one replaced just ahead of the hand is passed over.
+func TestReplacementIsAUseNearTheHand(t *testing.T) {
+	const bound = 4
+	c := newCache(Config{}, 1, bound)
+	key := func(i int) hashkey.Key { return hashkey.FromName(fmt.Sprintf("k%d", i)) }
+	for i := 0; i <= bound; i++ {
+		c.Put(key(i), "addr", time.Hour) // k4 evicts k0 and lands behind the hand
+	}
+	c.Put(key(bound), "again", time.Hour) // far from the hand: no second chance
+	for i := bound + 1; i <= 2*bound; i++ {
+		c.Put(key(i), "addr", time.Hour) // k5-k7 take k1-k3's slots, k8 takes k4's
+	}
+	if _, st := c.Peek(key(bound)); st != Miss {
+		t.Fatalf("k%d, replaced right after its insert, outlived the inserts of its turn: %v", bound, st)
+	}
+	c.Put(key(5), "again", time.Hour) // the hand is on k5's slot: a use
+	c.Put(key(9), "addr", time.Hour)
+	for i, want := range map[int]State{5: Fresh, 6: Miss, 9: Fresh} {
+		if _, st := c.Peek(key(i)); st != want {
+			t.Errorf("k%d: %v, want %v", i, st, want)
+		}
+	}
+}
+
 // TestReadersNeverSeeTornState runs 8 lock-free readers against writers
 // that replace, invalidate and overflow-evict entries of one bucket chain.
 // Every address encodes its key and epoch, so a reader can tell an address
@@ -526,4 +692,23 @@ func BenchmarkLookupHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPutEvict is the fill layer's own rung: a write-through fill
+// into a full cache of live leases, counters and the entries gauge on,
+// each fill a new key that evicts one. It allocates only the entry.
+func BenchmarkPutEvict(b *testing.B) {
+	c := New(Config{Counters: metrics.NewCounters(), Gauges: metrics.NewGauges()})
+	keys := make([]hashkey.Key, 16*maxEntries)
+	for i := range keys {
+		keys[i] = hashkey.FromName(fmt.Sprintf("fill-%d", i))
+	}
+	for _, k := range keys[:4*maxEntries] {
+		c.PutEpoch(k, "addr", time.Hour, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.PutEpoch(keys[i%len(keys)], "addr", time.Hour, 1)
+	}
 }
