@@ -191,11 +191,13 @@ func (u *UpdateDelivery) AtQuiescence(c *Cluster) error {
 }
 
 // CounterConservation asserts the metrics tell a consistent story:
-// every cache lookup is classified as exactly one of hit/miss, every
-// publish-ingested record as accepted or stale-rejected, and
-// every received update as applied or stale-rejected (≤ while work is in
-// flight, == once the world is at rest). The pool gauges must return to
-// zero after Close.
+// every publish-ingested record is classified as accepted or
+// stale-rejected, and every received update as applied or stale-rejected
+// (≤ while work is in flight, == once the world is at rest). The pool
+// gauges must return to zero after Close. A cache lookup needs no law
+// here: loccache.lookups is the total of hit and miss, so it partitions
+// by construction, and loccache's own tests count their Lookup calls
+// against hit+miss.
 type CounterConservation struct{ NopChecker }
 
 func (CounterConservation) Name() string { return "counter-conservation" }
@@ -209,7 +211,6 @@ func conservationLaws(c *Cluster, atRest bool) error {
 		input    string
 		outcomes []string
 	}{
-		{"loccache.lookups", []string{"loccache.hit", "loccache.miss"}},
 		{"publish.records", []string{"publish.accepted", "publish.stale_rejected"}},
 		{"updates.received", []string{"updates.applied", "updates.stale_rejected"}},
 	}

@@ -146,7 +146,7 @@ type Cache struct {
 	perShard   int
 	shards     []shard
 
-	lookups, hit, miss     *metrics.Counter
+	hit, miss              *metrics.Counter
 	evicted, epochRejected *metrics.Counter
 	entries                *metrics.Gauge
 }
@@ -161,6 +161,8 @@ func newCache(cfg Config, nShards, perShard int) *Cache {
 	if cfg.Clock != nil {
 		base = cfg.Clock()
 	}
+	hit, miss := cfg.Counters.Counter("loccache.hit"), cfg.Counters.Counter("loccache.miss")
+	cfg.Counters.Total("loccache.lookups", hit, miss)
 	return &Cache{
 		clock:      cfg.Clock,
 		base:       base,
@@ -170,9 +172,8 @@ func newCache(cfg Config, nShards, perShard int) *Cache {
 		perShard:   perShard,
 		shards:     make([]shard, nShards),
 
-		lookups:       cfg.Counters.Counter("loccache.lookups"),
-		hit:           cfg.Counters.Counter("loccache.hit"),
-		miss:          cfg.Counters.Counter("loccache.miss"),
+		hit:           hit,
+		miss:          miss,
 		evicted:       cfg.Counters.Counter("loccache.evicted"),
 		epochRejected: cfg.Counters.Counter("loccache.epoch_rejected"),
 		entries:       cfg.Gauges.Gauge("loccache.entries"),
@@ -238,12 +239,11 @@ func (c *Cache) link(s *shard, key hashkey.Key) *atomic.Pointer[entry] {
 
 // Lookup classifies key and returns its cached address (empty unless
 // Fresh). A hit is marked touched, a second chance against the clock
-// hand, and counted (loccache.hit/miss). Every call also counts
-// loccache.lookups, so hit+miss == lookups is a checkable conservation
-// invariant (≤ while lookups are in flight, == at rest). Only a lookup that finds a lapsed
-// entry takes the shard's lock, to drop it.
+// hand. Every call makes one counter add, loccache.hit or loccache.miss;
+// loccache.lookups is their total, so the two partition the lookups by
+// construction. Only a lookup that finds a lapsed entry takes the shard's
+// lock, to drop it.
 func (c *Cache) Lookup(key hashkey.Key) (string, State) {
-	c.lookups.Inc()
 	e := c.find(key)
 	if e == nil {
 		c.miss.Inc()

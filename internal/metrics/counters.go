@@ -39,6 +39,22 @@ func (c *Counters) Counter(name string) *Counter {
 	return c.ix.get(name, newCounter)
 }
 
+// Total returns name's handle like Counter, registering it on first use
+// as a total: it reads as its own adds plus its parts' values. Parts are
+// plain counters. The first registration of a name decides what it is:
+// Total of a registered name returns that handle, plain or not, and
+// Counter of a total returns the total.
+func (c *Counters) Total(name string, parts ...*Counter) *Counter {
+	if c == nil {
+		return nil
+	}
+	return c.ix.get(name, func() *Counter {
+		h := newCounter()
+		h.parts = parts
+		return h
+	})
+}
+
 // Inc adds 1 to the named counter.
 func (c *Counters) Inc(name string) { c.Counter(name).Add(1) }
 
@@ -116,9 +132,11 @@ func (c *Counters) String() string { return render(c.Snapshot(), "(no events)") 
 // Counter is one named counter's handle. Its value is spread over one
 // cache-line-sized cell per processor (rounded up to a power of two), so
 // concurrent adds from different processors write different lines; the
-// value is the sum of the cells. A nil *Counter is a valid no-op sink.
+// value is the sum of the cells, plus its parts' values for a total. A
+// nil *Counter is a valid no-op sink.
 type Counter struct {
 	cells []cell
+	parts []*Counter // a total's parts (Counters.Total); nil for a plain counter
 }
 
 // cell fills a cache line. The cells of one counter are a single
@@ -158,7 +176,8 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n to the running processor's cell: one atomic add, made while
 // the caller cannot migrate, to a line no other processor writes unless
-// GOMAXPROCS was raised past the cell count.
+// GOMAXPROCS was raised past the cell count. On a total it adds to the
+// total's own cells, never to a part.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -167,7 +186,8 @@ func (c *Counter) Add(n uint64) {
 	procUnpin()
 }
 
-// Value returns the counter's current value (0 for a nil handle).
+// Value returns the counter's current value (0 for a nil handle): its own
+// cells, plus each part's value for a total.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -175,6 +195,9 @@ func (c *Counter) Value() uint64 {
 	var v uint64
 	for i := range c.cells {
 		v += c.cells[i].n.Load()
+	}
+	for _, p := range c.parts {
+		v += p.Value()
 	}
 	return v
 }

@@ -162,13 +162,101 @@ func TestCountersReadSurface(t *testing.T) {
 	}
 }
 
+// TestTotalReadSurface: a total reads as its own adds plus its parts
+// through every read form, stays hidden while that sum is zero, and an
+// add by its name counts into its own cells.
+func TestTotalReadSurface(t *testing.T) {
+	c := NewCounters()
+	hit, miss := c.Counter("hit"), c.Counter("miss")
+	lookups := c.Total("lookups", hit, miss)
+	if got := c.Snapshot(); len(got) != 0 || c.String() != "(no events)" {
+		t.Fatalf("a total of zero shows: %v", got)
+	}
+	hit.Add(3)
+	miss.Inc()
+	if got := c.Snapshot(); len(got) != 3 || got["lookups"] != 4 || got["hit"] != 3 || got["miss"] != 1 {
+		t.Fatalf("Snapshot = %v, want hit=3 lookups=4 miss=1", got)
+	}
+	if got := c.String(); got != "hit=3 lookups=4 miss=1" {
+		t.Fatalf("String = %q", got)
+	}
+	if c.Get("lookups") != 4 || lookups.Value() != 4 || c.Sum("lookups", "hit") != 7 {
+		t.Fatalf("Get %d, Value %d, Sum %d", c.Get("lookups"), lookups.Value(), c.Sum("lookups", "hit"))
+	}
+	prev := c.Snapshot()
+	miss.Inc()
+	c.Inc("lookups")
+	if got := c.Diff(prev); len(got) != 2 || got["lookups"] != 2 || got["miss"] != 1 {
+		t.Fatalf("Diff = %v, want lookups=2 miss=1", got)
+	}
+	if hit.Value() != 3 || miss.Value() != 2 {
+		t.Fatalf("an add by the total's name reached a part: hit %d miss %d", hit.Value(), miss.Value())
+	}
+}
+
+// TestTotalFirstRegistrationDecides: whichever of Counter and Total
+// registers a name first decides what it is, and the other returns that
+// same handle.
+func TestTotalFirstRegistrationDecides(t *testing.T) {
+	c := NewCounters()
+	part := c.Counter("part")
+	part.Inc()
+	plain := c.Counter("plain")
+	if h := c.Total("plain", part); h != plain || h.Value() != 0 {
+		t.Fatalf("Total of a plain counter: %p (value %d), want %p", h, h.Value(), plain)
+	}
+	total := c.Total("total", part)
+	if h := c.Counter("total"); h != total || h.Value() != 1 {
+		t.Fatalf("Counter of a total: %p (value %d), want %p reading 1", h, h.Value(), total)
+	}
+}
+
+// TestTotalReadsWhileItsPartsCount: adds land on a total's parts from
+// several goroutines while Snapshot reads the total; under -race this is
+// the total's reads of its parts' cells. Reads never go backwards or
+// past the adds made, and the total is exact at rest.
+func TestTotalReadsWhileItsPartsCount(t *testing.T) {
+	c := NewCounters()
+	parts := []*Counter{c.Counter("a"), c.Counter("b")}
+	c.Total("all", parts...)
+	const workers, adds = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(p *Counter) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				p.Inc()
+			}
+		}(parts[w%len(parts)])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last := uint64(0); ; {
+		select {
+		case <-done:
+			if got := c.Get("all"); got != workers*adds {
+				t.Fatalf("at rest all = %d, want %d", got, workers*adds)
+			}
+			return
+		default:
+		}
+		v := c.Snapshot()["all"]
+		if v < last || v > workers*adds {
+			t.Fatalf("all read %d after %d (at most %d)", v, last, workers*adds)
+		}
+		last = v
+	}
+}
+
 func TestNilHandlesAreNoOpSinks(t *testing.T) {
 	var c *Counters
-	h := c.Counter("x")
-	h.Inc() // must not panic
-	h.Add(5)
-	if h != nil || h.Value() != 0 {
-		t.Fatalf("nil registry handed out %v (value %d)", h, h.Value())
+	for _, h := range []*Counter{c.Counter("x"), c.Total("y", c.Counter("x"))} {
+		h.Inc() // must not panic
+		h.Add(5)
+		if h != nil || h.Value() != 0 {
+			t.Fatalf("nil registry handed out %v (value %d)", h, h.Value())
+		}
 	}
 	var g *Gauges
 	l := g.Gauge("x")
