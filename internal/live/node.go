@@ -544,9 +544,7 @@ func (n *Node) acceptLoop(ls *listenerState) {
 // queued on the conn: the replies to a burst of pipelined requests leave
 // in one write, when the read buffer has drained and Recv is about to
 // block (transport.Conn.Queue). TUpdate's forwarding too only enqueues
-// (store.go). While the conn's sends may stall (transport.Conn.SendStalls),
-// a reply is sent from a goroutine of its own, so a sleeping send holds up
-// neither the reads behind it nor the other replies.
+// (store.go), and no Queue waits on the link: no reply holds up a read.
 //
 // Fully handled frames (and shipped responses) go back to the wire
 // codec's message pool: the handlers copy everything they keep, so the
@@ -556,7 +554,6 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	defer n.wg.Done()
 	defer ls.forget(conn)
 	defer conn.Close()
-	var sends sync.WaitGroup
 	// batch counts the replies queued since the last write this loop saw;
 	// they all leave in one write, reported once it has happened.
 	var batch uint64
@@ -577,17 +574,6 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 		if resp == nil {
 			continue
 		}
-		if conn.SendStalls() {
-			sends.Add(1)
-			go func() {
-				defer sends.Done()
-				// A failed Send needs no handling here: the conn is broken
-				// and the Recv loop is failing too.
-				_ = conn.Send(resp)
-				wire.PutMessage(resp)
-			}()
-			continue
-		}
 		pending, err := conn.Queue(resp)
 		wire.PutMessage(resp)
 		if err != nil {
@@ -599,7 +585,6 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 		batch++
 	}
 	wrote()
-	sends.Wait()
 }
 
 // handle dispatches one inbound message and returns the response frame

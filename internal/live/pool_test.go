@@ -412,17 +412,19 @@ func startUpdateSink(t *testing.T, tr transport.Transport) (transport.Listener, 
 // then does the pool shed its way back inside the cap.
 func TestPoolOneWayFramesPinSession(t *testing.T) {
 	const pushes = 4
-	// The injected delay stalls the writer inside its first frame while
-	// the rest sit in the queue.
-	faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{
-		Seed: 3, DelayMin: 150 * time.Millisecond, DelayMax: 150 * time.Millisecond,
-	})
-	sink, got := startUpdateSink(t, faulty.Endpoint("sink"))
-	other := startPingServer(t, faulty.Endpoint("other"))
+	mem := transport.NewMem()
+	sink, got := startUpdateSink(t, mem)
+	other := startPingServer(t, mem)
+	// The writer parks in its first write, as behind a full socket buffer,
+	// while the pushes wait to be written.
+	gate := &gatedFlush{Mem: mem, open: make(chan struct{})}
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate.open) }) }
 
 	counters := metrics.NewCounters()
-	p, peers := newTestPool(faulty.Endpoint("client"), PoolConfig{MaxSessions: 1}, counters)
+	p, peers := newTestPool(gate, PoolConfig{MaxSessions: 1}, counters)
 	defer p.Close()
+	defer open() // before p.Close, which waits for the parked writer
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < pushes; i++ {
@@ -437,6 +439,7 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
 		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session kept (0) and the acquire over the cap (1)", evicted, over)
 	}
+	open()
 	deadline := time.Now().Add(5 * time.Second)
 	for got.Load() != pushes {
 		if time.Now().After(deadline) {
@@ -452,6 +455,31 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// gatedFlush is a Mem transport whose dialed conns hold every Flush until
+// open closes.
+type gatedFlush struct {
+	*transport.Mem
+	open chan struct{}
+}
+
+func (g *gatedFlush) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := g.Mem.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedFlushConn{Conn: c, open: g.open}, nil
+}
+
+type gatedFlushConn struct {
+	transport.Conn
+	open chan struct{}
+}
+
+func (c *gatedFlushConn) Flush() error {
+	<-c.open
+	return c.Conn.Flush()
 }
 
 // gatedDial is a Mem transport whose dials wait until open closes, then
@@ -629,8 +657,7 @@ func TestPoolWriterDrainsQueueIntoOneWrite(t *testing.T) {
 }
 
 // startDiscoverEcho is a hand-rolled peer that answers every discover with
-// its own key, each reply sent on its own goroutine: a reply delayed on
-// the wire holds up no other.
+// its own key, on the conn's reader.
 func startDiscoverEcho(t *testing.T, tr transport.Transport) transport.Listener {
 	t.Helper()
 	l, err := tr.Listen("")
@@ -649,7 +676,9 @@ func startDiscoverEcho(t *testing.T, tr transport.Transport) transport.Listener 
 					if err != nil {
 						return
 					}
-					go c.Send(&wire.Message{Type: wire.TDiscoverResp, Seq: m.Seq, Key: m.Key, Found: true})
+					if err := c.Send(&wire.Message{Type: wire.TDiscoverResp, Seq: m.Seq, Key: m.Key, Found: true}); err != nil {
+						return
+					}
 				}
 			}(c)
 		}

@@ -2,8 +2,8 @@ package live
 
 // Tests for serveConn over real sockets: every frame is answered on the
 // reader goroutine with the replies coalesced into one write per burst;
-// the two things that leave the reader — a TUpdate's forwarding and the
-// sends of a conn that may stall — cannot delay the rest.
+// neither a TUpdate's forwarding nor a reply over a slow link delays the
+// rest.
 
 import (
 	"bufio"
@@ -290,13 +290,13 @@ func TestServeParkedForwardDoesNotDelayReplies(t *testing.T) {
 	}
 }
 
-// While a conn's sends may stall (transport.Faulty with a delay profile),
-// each reply leaves from a goroutine of its own: pipelined requests are
-// answered in about one delay, not one delay per frame.
-func TestServeStallingSendsLeaveSideBySide(t *testing.T) {
+// Over a slow link (transport.Faulty with a delay profile) each reply is
+// held in flight, not its sender: pipelined requests are answered in about
+// one delay, not one delay per frame.
+func TestServeDelayedRepliesLeaveSideBySide(t *testing.T) {
 	const burst, delay = 10, 50 * time.Millisecond
 	faulty := transport.NewFaulty(&transport.TCP{}, transport.FaultConfig{Seed: 1, DelayMin: delay, DelayMax: delay})
-	_, peer := serveFixture(t, Config{Name: "serve-stalls"}, faulty.Endpoint("server"), 0)
+	_, peer := serveFixture(t, Config{Name: "serve-delayed"}, faulty.Endpoint("server"), 0)
 
 	var frames []*wire.Message
 	for i := 0; i < burst; i++ {

@@ -55,7 +55,7 @@ func TestMemDialContextDeadlineBeatsBacklogWait(t *testing.T) {
 func TestFaultyDialContextPropagates(t *testing.T) {
 	m := NewMem()
 	m.BacklogWait = 5 * time.Second
-	f := NewFaulty(m, FaultConfig{})
+	f := NewFaulty(m, FaultConfig{}).Endpoint("")
 	if _, err := f.Listen("busy"); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,18 +37,18 @@ type FaultConfig struct {
 	Corrupt float64
 	// RefuseDial is P(a Dial fails immediately with ErrRefused).
 	RefuseDial float64
-	// DelayMin/DelayMax bound a uniform per-frame injected latency,
-	// applied synchronously on the send path (a slow link stalls its
-	// sender). DelayMax 0 disables delay.
+	// DelayMin/DelayMax bound a uniform per-frame injected latency: the
+	// frame is held in flight, FIFO per direction, and its sender goes on.
+	// DelayMax 0 disables delay.
 	DelayMin, DelayMax time.Duration
 	// Latency, if set, returns a deterministic per-link latency for each
 	// frame on the directed link from → to (endpoint names; to is "" on
 	// the accepted/response side of a connection, so a topology-derived
 	// function typically charges the full round trip on the forward
-	// direction and returns 0 for unknown pairs). It composes with the
-	// uniform DelayMin/DelayMax jitter and is applied synchronously like
-	// it. This is how harness scenarios give each node pair a stable
-	// "distance" for proximity-aware ordering to discover.
+	// direction and returns 0 for unknown pairs). It adds to the uniform
+	// DelayMin/DelayMax jitter: the two make one hold, held in flight, FIFO
+	// per direction. This is how harness scenarios give each node pair a
+	// stable "distance" for proximity-aware ordering to discover.
 	Latency func(from, to string) time.Duration
 	// Counters optionally records every injected fault (fault.drop,
 	// fault.delay, fault.duplicate, fault.corrupt, fault.refuse,
@@ -157,18 +158,6 @@ func (f *Faulty) Config() FaultConfig {
 // fault streams and partitions are keyed by these names.
 func (f *Faulty) Endpoint(name string) Transport {
 	return &faultyEndpoint{f: f, name: name}
-}
-
-// Listen and Dial let a Faulty be used directly as an anonymous endpoint
-// (partition rules can still match its peers by listener address).
-func (f *Faulty) Listen(addr string) (Listener, error) { return f.Endpoint("").Listen(addr) }
-
-// Dial implements Transport for the anonymous endpoint.
-func (f *Faulty) Dial(addr string) (Conn, error) { return f.Endpoint("").Dial(addr) }
-
-// DialContext implements Transport for the anonymous endpoint.
-func (f *Faulty) DialContext(ctx context.Context, addr string) (Conn, error) {
-	return f.Endpoint("").DialContext(ctx, addr)
 }
 
 // Partition installs (or extends) a named one-way partition: dials and
@@ -337,11 +326,25 @@ func (l *faultyListener) Addr() string { return l.inner.Addr() }
 
 // --- conn ---
 
+// faultyConn injects its link's faults into each frame it sends. A
+// delayed frame is held in flight on the conn's delay line: a slow link
+// delays the frame, not its sender.
 type faultyConn struct {
 	f        *Faulty
 	from, to string // endpoint names; to == "" on the accepted side
 	link     *linkState
 	inner    Conn
+
+	mu     sync.Mutex  // guards the fields below; taken before inner's lock
+	line   []heldFrame // frames in flight, oldest first; dues never decrease
+	timer  *time.Timer // lets the due frames out; armed while line is not empty
+	closed bool
+}
+
+// heldFrame copies a frame in flight: its sender recycles the original.
+type heldFrame struct {
+	m   wire.Message
+	due time.Time
 }
 
 // Send is Queue and an immediate flush: one fault pipeline serves both.
@@ -354,16 +357,10 @@ func (c *faultyConn) Send(m *wire.Message) error {
 
 func (c *faultyConn) Flush() error { return c.inner.Flush() }
 
-// SendStalls holds while the profile delays frames: Queue sleeps on the
-// sender's goroutine.
-func (c *faultyConn) SendStalls() bool {
-	cfg := c.f.Config()
-	return cfg.DelayMax > 0 || cfg.Latency != nil || c.inner.SendStalls()
-}
-
 // Queue decides and counts this frame's faults — drop, delay, corruption,
 // duplication, once per frame however the caller batches — and queues
-// what survives on the inner conn. A lost frame reports zero pending.
+// what survives on the inner conn, or on the delay line when it is held.
+// A lost or held frame reports zero pending.
 func (c *faultyConn) Queue(m *wire.Message) (int, error) {
 	f := c.f
 	if c.to != "" && f.partitioned(c.from, c.to) {
@@ -377,34 +374,71 @@ func (c *faultyConn) Queue(m *wire.Message) (int, error) {
 		f.ctr.Load().drop.Inc()
 		return 0, nil
 	}
-	if d := c.link.delay(cfg.DelayMin, cfg.DelayMax); d > 0 {
+	hold := c.link.delay(cfg.DelayMin, cfg.DelayMax)
+	if hold > 0 {
 		f.ctr.Load().delay.Inc()
-		c.stall(d)
 	}
 	if cfg.Latency != nil {
 		if d := cfg.Latency(c.from, c.to); d > 0 {
 			f.ctr.Load().latency.Inc()
-			c.stall(d)
+			hold += d
 		}
 	}
-	if c.link.chance(cfg.Corrupt) {
+	corrupt := c.link.chance(cfg.Corrupt)
+	if corrupt {
 		f.ctr.Load().corrupt.Inc()
-		return c.inner.Queue(&wire.Message{Type: poisonType, Seq: m.Seq})
+		m = &wire.Message{Type: poisonType, Seq: m.Seq}
 	}
-	pending, err := c.inner.Queue(m)
-	if err == nil && c.link.chance(cfg.Duplicate) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pending, err := c.put(m, hold)
+	if err == nil && !corrupt && c.link.chance(cfg.Duplicate) {
 		f.ctr.Load().duplicate.Inc()
-		return c.inner.Queue(m)
+		return c.put(m, hold)
 	}
 	return pending, err
 }
 
-// stall holds the sender for d. Frames queued ahead of the delayed one
-// leave first: the slow link delays this frame, not its predecessors. (A
-// flush that fails is sticky and surfaces at the caller's next write.)
-func (c *faultyConn) stall(d time.Duration) {
+// put queues m on the inner conn, or holds a copy of it for hold on the
+// delay line. A frame that is not delayed still waits behind the frames
+// in flight ahead of it, so each direction stays FIFO. Caller holds mu.
+func (c *faultyConn) put(m *wire.Message, hold time.Duration) (int, error) {
+	if c.closed {
+		hold = 0 // Close is letting the line out
+	}
+	if hold == 0 && len(c.line) == 0 {
+		return c.inner.Queue(m)
+	}
+	h := heldFrame{m: *m, due: time.Now().Add(hold)}
+	h.m.Entries, h.m.Pub, h.m.Sig = slices.Clone(m.Entries), slices.Clone(m.Pub), slices.Clone(m.Sig)
+	if n := len(c.line); n > 0 && c.line[n-1].due.After(h.due) {
+		h.due = c.line[n-1].due
+	} else if n == 0 && c.timer == nil {
+		c.timer = time.AfterFunc(hold, c.letOut)
+	} else if n == 0 {
+		c.timer.Reset(hold)
+	}
+	c.line = append(c.line, h)
+	return 0, nil
+}
+
+// letOut is the delay line's timer: it writes every due frame — every
+// frame, once the conn is closed — in order and in one flush, and re-arms
+// for the next. (A failed write is sticky and surfaces at the sender's
+// next write.)
+func (c *faultyConn) letOut() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now, n := time.Now(), 0
+	for n < len(c.line) && (c.closed || !c.line[n].due.After(now)) {
+		_, _ = c.inner.Queue(&c.line[n].m)
+		n++
+	}
 	_ = c.inner.Flush()
-	time.Sleep(d)
+	clear(c.line[:n])
+	if c.line = c.line[n:]; len(c.line) > 0 {
+		c.timer.Reset(c.line[0].due.Sub(now))
+	}
 }
 
 func (c *faultyConn) Recv() (*wire.Message, error) {
@@ -420,4 +454,12 @@ func (c *faultyConn) Recv() (*wire.Message, error) {
 	return m, nil
 }
 
-func (c *faultyConn) Close() error { return c.inner.Close() }
+// Close lets out every frame still in flight, in order, then closes the
+// inner conn — as a closing socket still sends what was written to it.
+func (c *faultyConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.letOut()
+	return c.inner.Close()
+}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -33,6 +34,68 @@ func faultyPair(t *testing.T, f *Faulty, from, to string) (Conn, Conn) {
 func TestFaultyCleanPassesContract(t *testing.T) {
 	f := NewFaulty(NewMem(), FaultConfig{Seed: 1})
 	exerciseTransport(t, f.Endpoint("n"), "node-a")
+}
+
+// Under per-frame jitter each direction still keeps its order: the
+// contract's pipelined burst comes back in sequence.
+func TestFaultyJitteredPassesContract(t *testing.T) {
+	f := NewFaulty(NewMem(), FaultConfig{Seed: 1, DelayMax: 5 * time.Millisecond})
+	exerciseTransport(t, f.Endpoint("n"), "node-a")
+}
+
+// A slow link delays the frames, not their sender: five sends over a
+// 200 ms link return at once, and Close lets out what is still in flight,
+// in order, before the peer reads EOF.
+func TestFaultyDelayHoldsFramesNotSender(t *testing.T) {
+	const frames, delay = 5, 200 * time.Millisecond
+	f := NewFaulty(NewMem(), FaultConfig{Seed: 7, DelayMin: delay, DelayMax: delay})
+	client, server := faultyPair(t, f, "a", "b")
+	start := time.Now()
+	for i := 1; i <= frames; i++ {
+		if err := client.Send(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("%d sends over a %v link took %v: the sender waited on the link", frames, delay, took)
+	}
+	start = time.Now()
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("Close took %v, want it to let the held frames out at once", took)
+	}
+	for i := 1; i <= frames; i++ {
+		m, err := server.Recv()
+		if err != nil || m.Seq != uint32(i) {
+			t.Fatalf("frame %d: seq %v, %v", i, m, err)
+		}
+	}
+	if _, err := server.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the held frames: %v, want EOF", err)
+	}
+}
+
+// A frame sent after the delay is switched off still waits behind the
+// frames in flight ahead of it.
+func TestFaultyUndelayedFrameWaitsBehindHeldOnes(t *testing.T) {
+	f := NewFaulty(NewMem(), FaultConfig{Seed: 7, DelayMin: 30 * time.Millisecond, DelayMax: 30 * time.Millisecond})
+	client, server := faultyPair(t, f, "a", "b")
+	for seq := uint32(1); seq <= 3; seq++ {
+		if err := client.Send(&wire.Message{Type: wire.TPing, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.SetConfig(FaultConfig{Seed: 7})
+	if err := client.Send(&wire.Message{Type: wire.TPing, Seq: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint32(1); want <= 4; want++ {
+		if m, err := server.Recv(); err != nil || m.Seq != want {
+			t.Fatalf("frame %d: %v, %v", want, m, err)
+		}
+	}
 }
 
 func TestFaultyDropLosesFrames(t *testing.T) {

@@ -193,9 +193,6 @@ func TestFaultyQueueCountsPerFrame(t *testing.T) {
 			}
 			defer server.Close()
 
-			if got, want := client.SendStalls(), tc.cfg.DelayMax > 0; got != want {
-				t.Errorf("SendStalls = %v, want %v", got, want)
-			}
 			for i := 0; i < frames; i++ {
 				if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
 					t.Fatal(err)

@@ -48,6 +48,8 @@ func IsTimeout(err error) bool {
 //
 // Send, Queue and Flush are safe for any number of concurrent callers:
 // frames never interleave and leave in the order the calls were admitted.
+// None of them waits on the link (Faulty holds a delayed frame in flight,
+// not its sender), so a conn's reader may answer on it inline.
 // A failed write is sticky — the stream's framing is gone, so every later
 // Send, Queue and Flush reports the same error. Recv has one caller at a
 // time.
@@ -60,15 +62,11 @@ type Conn interface {
 	// blocks — so a reader that answers requests with Queue pays one write
 	// per burst of requests and never holds a reply while it waits for
 	// input. pending counts the frames now buffered, this one included: 1
-	// means everything queued earlier has already left, in one write.
+	// means everything queued earlier has already left, in one write. A
+	// frame the transport drops or holds in flight reports 0.
 	Queue(*wire.Message) (pending int, err error)
 	// Flush writes everything queued, in one write.
 	Flush() error
-	// SendStalls reports whether Send and Queue may pause for something
-	// other than the peer's own backpressure — Faulty's injected link
-	// delay. A goroutine that must stay responsive, such as the conn's
-	// reader, hands its sends to another goroutine while this holds.
-	SendStalls() bool
 	// Recv blocks for the next message.
 	Recv() (*wire.Message, error)
 	// Close tears the connection down; pending Recv returns an error.
@@ -218,7 +216,6 @@ func (sc *streamConn) Flush() error {
 	return sc.flush()
 }
 
-func (sc *streamConn) SendStalls() bool             { return false }
 func (sc *streamConn) Recv() (*wire.Message, error) { return wire.Decode(sc.r) }
 func (sc *streamConn) Close() error                 { return sc.rw.Close() }
 
