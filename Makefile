@@ -139,7 +139,7 @@ soak:
 		-run 'TestSoak$$' -timeout 20m -v ./internal/harness
 
 # soak-10k boots the production-scale fabric — a 64-node stationary core
-# fronting 9936 verified observer mobiles — and drives it through a
+# fronting 9936 verified mobiles — and drives it through a
 # Weibull-churn schedule with event-budgeted invariant checking. Wall
 # clock is bounded by SOAK_EVENTS, not cluster size. Runs without the
 # race detector (10k nodes under -race needs more memory than CI has);

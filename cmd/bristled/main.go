@@ -62,7 +62,6 @@ func main() {
 	identitySeed := flag.String("identity-seed", "", "derive a self-certifying identity from this seed string (key becomes H(pubkey); joins carry a signed proof)")
 	freshIdentity := flag.Bool("identity", false, "generate a fresh random self-certifying identity for this run")
 	verifyJoins := flag.Bool("verify-joins", false, "reject join requests that carry no valid identity proof")
-	observer := flag.Bool("observer", false, "join as an observer: fetch the stationary directory without entering ring membership")
 	rebind := flag.Duration("rebind", 0, "mobile: re-bind to a new port at this interval")
 	watch := flag.String("watch", "", "register interest in this node and print its updates (a name, or the 16-digit hex key a node prints at startup — the handle for identity-keyed nodes)")
 	gossip := flag.Duration("gossip", 2*time.Second, "anti-entropy gossip interval")
@@ -117,9 +116,6 @@ func main() {
 	}
 	if *verifyJoins {
 		opts = append(opts, live.WithVerifiedJoins())
-	}
-	if *observer {
-		opts = append(opts, live.WithObserverJoin())
 	}
 	if *verbose {
 		opts = append(opts, live.WithLogger(log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)))

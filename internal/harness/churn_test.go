@@ -77,7 +77,7 @@ func TestWeibullSample(t *testing.T) {
 }
 
 // TestChurn200Weibull is the race-mode churn regression: a 200-member
-// fabric (16 stationary, 184 verified observer mobiles) rides a
+// fabric (16 stationary, 184 verified mobiles) rides a
 // Weibull-churn schedule with the full invariant set — resolvability,
 // update delivery, counter conservation, no-resurrection, and the
 // exact-zero drainer book — under an event-budgeted checker sample.

@@ -78,11 +78,12 @@ type Config struct {
 	// Fabric switches bootstrap to the production-scale shape: only the
 	// stationary core is joined into ring membership and gossiped to full
 	// convergence; mobile members boot concurrently (BootWorkers wide),
-	// admit as observers — they receive the stationary directory without
-	// being ingested into any COW membership view — and skip gossip
-	// entirely, so per-mobile bootstrap cost is O(1) and a 10k-member
-	// cluster boots in seconds instead of cloning 10k-entry membership
-	// maps 10k times. Fabric implies Verified.
+	// each with one join RPC that hands it the ring, and skip gossip
+	// entirely. No frame puts a mobile into membership in either shape;
+	// what Fabric saves is cost — one gossip RPC per mobile per round
+	// would be 10k RPCs a round at production scale — so per-mobile
+	// bootstrap cost is O(1) and a 10k-member cluster boots in seconds.
+	// Fabric implies Verified.
 	Fabric bool
 	// BootWorkers bounds the concurrency of the Fabric mobile bootstrap
 	// and of PublishAll (default 128).
@@ -159,7 +160,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.OpTimeout = 30 * time.Second
 	}
 	if cfg.Fabric {
-		cfg.Verified = true // observer admission is only meaningful verified
+		cfg.Verified = true // the production shape: every member proves its key
 	}
 	if cfg.BootWorkers <= 0 {
 		// Oversubscribing a small box turns boot concurrency into queueing
@@ -234,8 +235,8 @@ func (c *Cluster) addMember(name string, mobile bool) {
 
 // ringNames returns the members that join and gossip with the ring:
 // everyone in the classic shape, only the stationary core under Fabric
-// (mobiles are observers there). Either way the ring itself holds the
-// stationaries only.
+// (its mobiles join once and never gossip). Either way the ring itself
+// holds the stationaries only.
 func (c *Cluster) ringNames() []string {
 	if !c.cfg.Fabric {
 		return c.names
@@ -246,9 +247,9 @@ func (c *Cluster) ringNames() []string {
 // bootstrap boots and connects the whole cluster on the clean transport.
 // Classic shape: every member boots sequentially, joins through the
 // first node, and gossips to full convergence. Fabric shape: only the
-// stationary core does that; the mobile fleet then boots and observer-
-// joins concurrently, each mobile costing one node start plus one join
-// RPC — no gossip, no membership ingestion anywhere.
+// stationary core does that; the mobile fleet then boots and joins
+// concurrently, each mobile costing one node start plus one join RPC —
+// no gossip.
 func (c *Cluster) bootstrap() error {
 	ring := c.ringNames()
 	for _, name := range ring {
@@ -273,7 +274,7 @@ func (c *Cluster) bootstrap() error {
 }
 
 // bootFabricMobiles boots the mobile fleet BootWorkers wide. Each mobile
-// observer-joins through a stationary seed chosen round-robin, spreading
+// joins through a stationary seed chosen round-robin, spreading
 // admission load across the core.
 func (c *Cluster) bootFabricMobiles() error {
 	seeds := make([]string, len(c.cfg.Stationary))
@@ -299,7 +300,7 @@ func (c *Cluster) bootFabricMobiles() error {
 				}
 				m := c.members[name]
 				if err := m.node.JoinViaContext(c.opCtxDo(), seeds[i%len(seeds)]); err != nil {
-					errs <- fmt.Errorf("harness: observer join %s: %w", name, err)
+					errs <- fmt.Errorf("harness: join %s: %w", name, err)
 				}
 			}
 		}()
@@ -339,15 +340,14 @@ func (c *Cluster) nodeOptions(m *member) []live.Option {
 		opts = append(opts, live.WithIdentity(m.ident), live.WithVerifiedJoins())
 	}
 	if c.cfg.Fabric && m.mobile {
-		// Observers keep no ring membership and at rest no connection: at
-		// production scale the per-mobile steady-state cost must stay O(1),
-		// so the pool keeps one session — its few record owners take turns
-		// on it, or ride a short-lived one over the cap — and drops that
-		// one after a second unused. Their request timeout is boot-scale,
-		// not chaos-scale: thousands of concurrent admissions queue on real
+		// At rest a fabric mobile keeps no connection: at production scale
+		// the per-mobile steady-state cost must stay O(1), so the pool
+		// keeps one session — its few record owners take turns on it, or
+		// ride a short-lived one over the cap — and drops that one after a
+		// second unused. Their request timeout is boot-scale, not
+		// chaos-scale: thousands of concurrent admissions queue on real
 		// hardware, and a 250ms deadline measures that queue, not the peer.
 		opts = append(opts,
-			live.WithObserverJoin(),
 			live.WithPool(live.PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}),
 			live.WithRequestTimeout(2*time.Second))
 	}
@@ -450,7 +450,7 @@ func (c *Cluster) startMaintenance(m *member) {
 
 // gossipUntilFull runs anti-entropy rounds until every ring member knows
 // every stationary — the ring never holds a mobile, though classic-shape
-// mobiles join and gossip — bounded at 16 rounds. Fabric observers take no
+// mobiles join and gossip — bounded at 16 rounds. Fabric mobiles take no
 // part.
 func (c *Cluster) gossipUntilFull() error {
 	ring := c.ringNames()
@@ -866,13 +866,13 @@ func (c *Cluster) Restart(name string) error {
 	wasPublished := m.published
 	m.mu.Unlock()
 
-	// Fabric observers rejoin through a live stationary seed directly (no
-	// scan over 10k mobiles) and never gossip — gossip would hand the
-	// observer's own entry to a ring member and ingest it into the COW
-	// membership the observer mode exists to stay out of.
-	observer := c.cfg.Fabric && m.mobile
+	// Fabric mobiles rejoin through a live stationary seed directly (no
+	// scan over 10k mobiles) and never gossip: the ring drops a mobile's
+	// entry anyway, so at 10k a round would be 10k RPCs that change
+	// nothing.
+	fabricMobile := c.cfg.Fabric && m.mobile
 	var bootstrap string
-	if observer {
+	if fabricMobile {
 		for _, other := range c.cfg.Stationary {
 			if other != name && c.Alive(other) {
 				bootstrap = c.Addr(other)
@@ -897,7 +897,7 @@ func (c *Cluster) Restart(name string) error {
 	if err := nd.JoinViaContext(c.opCtxDo(), bootstrap); err != nil {
 		return fmt.Errorf("harness: restart %s: rejoin: %w", name, err)
 	}
-	if !observer {
+	if !fabricMobile {
 		for i := 0; i < 3; i++ {
 			if _, err := nd.GossipOnce(c.rng); err != nil {
 				c.logf("restart %s: gossip round %d: %v", name, i, err)
@@ -997,9 +997,8 @@ func (c *Cluster) ResolveKey(from string, key hashkey.Key) (string, error) {
 }
 
 // Gossip runs anti-entropy rounds across every live ring member. Fabric
-// observers are excluded: a gossip exchange sends the sender's own entry,
-// which would ingest the observer into the COW membership views the
-// observer mode exists to stay out of.
+// mobiles are excluded for cost: the ring drops a mobile's entry, so at
+// 10k one gossip RPC per mobile per round would change nothing.
 func (c *Cluster) Gossip(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		for _, name := range c.ringNames() {

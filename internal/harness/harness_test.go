@@ -29,7 +29,18 @@ func maintain() *live.MaintainConfig {
 // one mobility/fault story and every entry is judged by the same four
 // invariants (plus scenario-specific checks). All run under -race.
 func TestScenarios(t *testing.T) {
-	scenarios := []harness.Scenario{
+	for _, sc := range scenarioTable() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			harness.Run(t, sc)
+		})
+	}
+}
+
+// scenarioTable is the acceptance suite's table, run in real time by
+// TestScenarios and in virtual time by TestBubbleScenarios.
+func scenarioTable() []harness.Scenario {
+	return []harness.Scenario{
 		ringChurn(),
 		flashCrowdResolveStorm(),
 		partitionDuringRebind(),
@@ -46,12 +57,6 @@ func TestScenarios(t *testing.T) {
 		// partition, this seed's step 19 (restart m2, islanded from the
 		// node it rejoins through) was refused on every run.
 		pinnedSoak(1790809329530286746, 25),
-	}
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			harness.Run(t, sc)
-		})
 	}
 }
 

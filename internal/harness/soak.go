@@ -220,9 +220,9 @@ func sortedKeys(m map[string]bool) []string {
 
 // FabricCluster is the production-shaped topology: a stationary ring
 // core of nStationary members (s1…) and a fleet of nMobile verified
-// observer mobiles (m1…) booted fabric-style — concurrent observer
-// admission, no per-mobile gossip or membership ingestion — so cluster
-// cost scales O(core² + fleet), not O(members²).
+// mobiles (m1…) booted fabric-style — concurrent admission, one join RPC
+// and no gossip per mobile — so cluster cost scales O(core² + fleet),
+// not O(members²).
 func FabricCluster(seed int64, nStationary, nMobile int) Config {
 	cfg := Config{
 		Seed:        seed,
@@ -241,7 +241,7 @@ func FabricCluster(seed int64, nStationary, nMobile int) Config {
 }
 
 // Soak10kCluster is the nightly 10k-member soak topology: a 64-node
-// stationary core fronting a 9936-mobile observer fleet, verified
+// stationary core fronting a 9936-mobile fleet, verified
 // admission everywhere, and event-budgeted invariant checking (the
 // exhaustive pair products would be ~10⁸ probes). No fault injection:
 // at this scale the churn schedule itself is the chaos, and a clean

@@ -1,6 +1,8 @@
 package harness_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"strconv"
@@ -100,7 +102,7 @@ func TestSoak(t *testing.T) {
 }
 
 // TestSoak10k is the production-scale nightly soak: a 10,000-member
-// fabric (64-node stationary core, 9936 verified observer mobiles)
+// fabric (64-node stationary core, 9936 verified mobiles)
 // boots, rides a Weibull-churn schedule, and must satisfy the full
 // invariant set under event-budgeted sampling. Wall clock is bounded by
 // the event budget (BRISTLE_SOAK_EVENTS), not the cluster size, so the
@@ -148,4 +150,47 @@ func envInt(name string, def int) int {
 		return def
 	}
 	return n
+}
+
+// TestSoakSeed1140IsLossNotAWedge pins what seed 1140's step 5 failure
+// is (DESIGN.md §11): the 10 % drop takes one frame of each of register
+// s4→m2's six attempts — the request of two, the reply of four — so the
+// register runs out of attempts. Nothing is stuck: the same register
+// right after succeeds, and every pooled exchange settles.
+func TestSoakSeed1140IsLossNotAWedge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time soak prefix skipped in -short mode")
+	}
+	const seed = 1140
+	cfg := harness.SoakCluster(seed)
+	ops := harness.GenSchedule(cfg, rand.New(rand.NewSource(seed)), harness.SoakOptions{Ops: 25})
+	if got := ops[4].String(); got != "register s4→m2" {
+		t.Fatalf("step 5 of seed %d is %q, want register s4→m2", seed, got)
+	}
+	c, err := harness.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	for i, op := range ops[:4] {
+		if err := op.Apply(c); err != nil {
+			t.Fatalf("step %d (%s): %v", i+1, op, err)
+		}
+	}
+	if err := ops[4].Apply(c); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("step 5 (%s): %v, want %v", ops[4], err, context.DeadlineExceeded)
+	}
+	if err := ops[4].Apply(c); err != nil {
+		t.Fatalf("step 5 (%s) again: %v", ops[4], err)
+	}
+	for _, name := range c.Names() {
+		c.StopMaintenance(name)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Gauges.Get("pool.inflight") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool.inflight = %d with the ring at rest, want 0\n%s", c.Gauges.Get("pool.inflight"), c.DumpState())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

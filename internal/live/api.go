@@ -12,17 +12,14 @@ import (
 	"fmt"
 
 	"bristle/internal/hashkey"
-	"bristle/internal/loccache"
 	"bristle/internal/wire"
 )
 
 // JoinViaContext contacts a bootstrap node, announces this node, and
 // adopts the returned membership. With an Identity configured the join
-// carries a signed proof of the node's self-certifying key (join.go);
-// with JoinAsObserver it requests the stationary directory without being
-// ingested into the bootstrap's ring membership.
+// carries a signed proof of the node's self-certifying key (join.go).
 func (n *Node) JoinViaContext(ctx context.Context, bootstrapAddr string) error {
-	req := &wire.Message{Type: wire.TJoin, Self: n.SelfEntry(), Observer: n.cfg.JoinAsObserver}
+	req := &wire.Message{Type: wire.TJoin, Self: n.SelfEntry()}
 	n.joinProof(req)
 	resp, err := n.request(ctx, bootstrapAddr, req)
 	if err != nil {
@@ -68,8 +65,7 @@ func (n *Node) PingContext(ctx context.Context, addr string) error {
 // still fresh. A read-only probe: it neither promotes the entry nor
 // records cache metrics.
 func (n *Node) CachedAddr(key hashkey.Key) (string, bool) {
-	addr, state := n.loc.Peek(key)
-	return addr, state == loccache.Fresh
+	return n.loc.Peek(key)
 }
 
 // Stats is a coherent point-in-time snapshot of a node's observable

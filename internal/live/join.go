@@ -121,9 +121,9 @@ func (n *Node) verifyJoin(m *wire.Message) joinReject {
 }
 
 // handleJoin admits (or rejects) a joining node. An admitted stationary
-// joiner enters the ring unless it asked only to observe; a mobile joiner
-// never does (membership.go). Every admitted joiner receives the ring, so
-// the reply is sized by the stationary layer, not by the mobile fleet.
+// joiner enters the ring; a mobile joiner never does (membership.go).
+// Every admitted joiner receives the ring, so the reply is sized by the
+// stationary layer, not by the mobile fleet.
 func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 	n.ctr.joinRequests.Inc()
 	if why := n.verifyJoin(m); why != "" {
@@ -135,9 +135,7 @@ func (n *Node) handleJoin(m *wire.Message) *wire.Message {
 	if n.cfg.Logger != nil {
 		n.logf("join from %v (%s)", m.Self.Key, m.Self.Addr)
 	}
-	if !m.Observer {
-		n.members.apply(direct, m.Self)
-	}
+	n.members.apply(direct, m.Self)
 	// A copy: the reply's Entries are recycled with it (wire.PutMessage).
 	return &wire.Message{Type: wire.TJoinResp, Seq: m.Seq, Found: true, Entries: n.KnownPeers()}
 }

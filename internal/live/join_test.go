@@ -6,6 +6,7 @@ package live
 // the counters each one increments and the admission conservation law.
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -225,30 +226,41 @@ func startVerifierWithoutRequirement(t *testing.T) (*Node, func()) {
 	return nd, func() { nd.Close() }
 }
 
-// TestJoinObserverNotIngested pins the scalable admission mode: an
-// observer join returns the stationary directory but must not grow the
-// bootstrap's membership view.
-func TestJoinObserverNotIngested(t *testing.T) {
-	v, stop := startVerifier(t)
-	defer stop()
-	before := v.Stats().Peers
-	id := hashkey.IdentityFromSeed([]byte("observer"))
-	m := signedJoin(id, hashkey.IDKey(id.Public(), "", nil), true, "", "o:1")
-	m.Observer = true
-	resp := v.handleJoin(m)
-	if !resp.Found {
-		t.Fatalf("observer join rejected: %v", v.Stats().Counters)
-	}
-	if got := v.Stats().Peers; got != before {
-		t.Fatalf("observer join grew membership: %d -> %d", before, got)
-	}
-	for _, e := range resp.Entries {
-		if e.Mobile {
-			t.Fatalf("observer directory contains a mobile entry: %+v", e)
-		}
-	}
-	if len(resp.Entries) == 0 {
-		t.Fatal("observer directory empty: expected at least the bootstrap")
+// TestJoinPlacedByLayerWhateverItsFlags decodes a TJoin whose flags byte
+// has its 0x02 bit set, as an older revision-3 peer's observer join sends
+// it, and hands it to the join handler: the joiner is placed by its layer
+// alone. A stationary enters the ring at the join; a mobile does not.
+func TestJoinPlacedByLayerWhateverItsFlags(t *testing.T) {
+	for layer, mobile := range map[string]bool{"stationary": false, "mobile": true} {
+		t.Run(layer, func(t *testing.T) {
+			v, stop := startVerifier(t)
+			defer stop()
+			id := hashkey.IdentityFromSeed([]byte("flagged"))
+			region := "west"
+			if mobile {
+				region = ""
+			}
+			frame, err := wire.Encode(signedJoin(id, hashkey.IDKey(id.Public(), region, testRegions), mobile, region, "o:1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame[8+8+4] |= 2 // past the header, key and seq: the flags byte
+			m, err := wire.Decode(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatalf("a join with the reserved flag set did not decode: %v", err)
+			}
+			before := v.Stats().Peers
+			if !v.handleJoin(m).Found {
+				t.Fatalf("flagged join rejected: %v", v.Stats().Counters)
+			}
+			want := before + 1
+			if mobile {
+				want = before
+			}
+			if got := v.Stats().Peers; got != want {
+				t.Errorf("the join left the ring at %d entries, want %d", got, want)
+			}
+		})
 	}
 }
 

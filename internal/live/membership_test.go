@@ -123,7 +123,7 @@ func TestJoinAdoptsDirectoryInOneView(t *testing.T) {
 		t.Fatalf("a leaf exchange of %d entries swapped the view %d times, want 1", ring, got)
 	}
 
-	joiner := mustNode(t, Config{Name: "joiner", Capacity: 1, Mobile: true, JoinAsObserver: true}, mem)
+	joiner := mustNode(t, Config{Name: "joiner", Capacity: 1, Mobile: true}, mem)
 	if err := joiner.Start(""); err != nil {
 		t.Fatal(err)
 	}

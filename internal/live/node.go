@@ -79,10 +79,6 @@ type Config struct {
 	// no identity proof. (Joins that carry a proof are always verified,
 	// with or without this flag.)
 	RequireVerifiedJoins bool
-	// JoinAsObserver makes this node's joins request the stationary ring
-	// without entering it. Mobile nodes never enter a ring (membership.go):
-	// they are found through their location records, not the directory.
-	JoinAsObserver bool
 	// Capacity is the advertised C_X used to schedule LDTs.
 	Capacity float64
 	// Mobile marks the node as relocatable (Rebind allowed).

@@ -51,12 +51,12 @@ func WithVerifiedJoins() Option {
 	return func(cfg *Config) { cfg.RequireVerifiedJoins = true }
 }
 
-// WithObserverJoin makes the node's joins request the stationary ring
-// without entering it. A mobile never enters a ring anyway; this lets a
-// stationary node use the ring as a client.
-func WithObserverJoin() Option {
-	return func(cfg *Config) { cfg.JoinAsObserver = true }
-}
+// WithObserverJoin does nothing: a joiner's layer alone decides whether
+// it enters the ring (membership.go).
+//
+// Deprecated: a mobile never enters the ring and a stationary always
+// does; drop the option.
+func WithObserverJoin() Option { return func(*Config) {} }
 
 // WithLease bounds how long published locations and caches stay valid.
 func WithLease(ttl time.Duration) Option { return func(cfg *Config) { cfg.LeaseTTL = ttl } }

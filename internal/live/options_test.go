@@ -51,7 +51,7 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 
 // TestNewAcceptsHarnessOptionSets runs the two option sets the scenario
 // harness boots its members with (harness.nodeOptions: a stationary ring
-// member, and a fabric observer on a one-session pool) through New — every
+// member, and a fabric mobile on a one-session pool) through New — every
 // construction is validated, so a set the validator rejected would take the
 // whole harness down.
 func TestNewAcceptsHarnessOptionSets(t *testing.T) {
@@ -71,13 +71,12 @@ func TestNewAcceptsHarnessOptionSets(t *testing.T) {
 		WithIdentity(id),
 		WithVerifiedJoins(),
 	}
-	observer := append(append([]Option(nil), stationary...),
+	mobile := append(append([]Option(nil), stationary...),
 		WithMobile(),
-		WithObserverJoin(),
 		WithPool(PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}),
 		WithRequestTimeout(2*time.Second),
 	)
-	for name, opts := range map[string][]Option{"stationary": stationary, "observer": observer} {
+	for name, opts := range map[string][]Option{"stationary": stationary, "mobile": mobile} {
 		n, err := New(name, transport.NewMem(), opts...)
 		if err != nil {
 			t.Fatalf("%s option set rejected: %v", name, err)
@@ -88,13 +87,13 @@ func TestNewAcceptsHarnessOptionSets(t *testing.T) {
 			t.Errorf("%s: RetryBudget = %v, want the default attempts x timeout = %v", name, cfg.RetryBudget, want)
 		}
 		wantPool := PoolConfig{MaxSessions: 64, IdleTimeout: 60 * time.Second}
-		if name == "observer" {
+		if name == "mobile" {
 			wantPool = PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}
 		}
 		if cfg.Pool != wantPool {
 			t.Errorf("%s: pool = %+v, want %+v", name, cfg.Pool, wantPool)
 		}
-		if cfg.JoinAsObserver != (name == "observer") || !cfg.RequireVerifiedJoins || cfg.Identity != id {
+		if cfg.Mobile != (name == "mobile") || !cfg.RequireVerifiedJoins || cfg.Identity != id {
 			t.Errorf("%s: admission options not applied: %+v", name, cfg)
 		}
 	}

@@ -7,16 +7,16 @@ package live
 // Figure 2). Both feed the same lease-aware sharded cache
 // (internal/loccache), and ResolveContext reads it first:
 //
-//   Fresh → answer from the lease; no lock shared with the protocol
-//           path, no network.
-//   Miss  → no entry, or one whose lease has lapsed: go to the network,
-//           as the paper's correspondent asks the location repository
-//           once its binding lapses, but through a singleflight group:
-//           concurrent misses for one key share a single _discovery
-//           RPC (counted as loccache.coalesced), which the caller that
-//           missed first runs itself, under its own context and one
-//           RetryBudget across the record's replicas. A lapsed address
-//           is never answered.
+//   hit  → a live lease: answer from it; no lock shared with the
+//          protocol path, no network.
+//   miss → no entry, or one whose lease has lapsed: go to the network,
+//          as the paper's correspondent asks the location repository
+//          once its binding lapses, but through a singleflight group:
+//          concurrent misses for one key share a single _discovery RPC
+//          (counted as loccache.coalesced), which the caller that
+//          missed first runs itself, under its own context and one
+//          RetryBudget across the record's replicas. A lapsed address
+//          is never answered.
 //
 // DiscoverContext remains the always-network form (late binding forced);
 // it now write-throughs its answer — with the replica's remaining lease —
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"bristle/internal/hashkey"
-	"bristle/internal/loccache"
 	"bristle/internal/wire"
 )
 
@@ -39,7 +38,7 @@ import (
 // context bounds only this caller's wait — a discovery others wait on
 // keeps running when the caller that started it gives up.
 func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, error) {
-	if addr, state := n.loc.Lookup(key); state == loccache.Fresh {
+	if addr, ok := n.loc.Lookup(key); ok {
 		return addr, nil
 	}
 	// The first run is this caller's, under ctx. A second is Group.Do
@@ -69,7 +68,7 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 // cache answer instead of a second _discovery. Nothing is cached from a
 // failed discovery, a "no record" answer included.
 func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, error) {
-	if addr, state := n.loc.Lookup(key); state == loccache.Fresh {
+	if addr, ok := n.loc.Lookup(key); ok {
 		return addr, nil
 	}
 	n.ctr.discoveries.Inc()

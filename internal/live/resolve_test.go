@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bristle/internal/hashkey"
-	"bristle/internal/loccache"
 	"bristle/internal/metrics"
 	"bristle/internal/transport"
 	"bristle/internal/wire"
@@ -198,8 +197,8 @@ func TestDiscoveredAddressGoesStale(t *testing.T) {
 	if got, ok := watcher.CachedAddr(mob.Key()); ok {
 		t.Fatalf("discovered address still fresh after its lease lapsed: %q", got)
 	}
-	if got, state := watcher.loc.Peek(mob.Key()); state != loccache.Miss || got != "" {
-		t.Fatalf("entry %q %v after lease lapse, want Miss", got, state)
+	if got, ok := watcher.loc.Peek(mob.Key()); ok || got != "" {
+		t.Fatalf("entry %q %v after lease lapse, want a miss", got, ok)
 	}
 }
 

@@ -2,12 +2,10 @@
 // stack's resolve hot path. It holds the <key, addr> state-pairs a node
 // has *learned* about other nodes — pushed through dissemination trees
 // (early binding) or fetched reactively via _discovery (late binding,
-// Figure 2) — and classifies every lookup into one of two states:
-//
-//   - Fresh: a live lease; serve it without touching the network.
-//   - Miss:  nothing usable — no entry, or one whose lease has lapsed;
-//     the caller must go to the network. A lapsed entry is dropped by
-//     the lookup that finds it.
+// Figure 2). A lookup either finds a live lease, which the caller serves
+// without touching the network, or misses: no entry, or one whose lease
+// has lapsed, and the caller goes to the network. A lapsed entry is
+// dropped by the lookup that finds it.
 //
 // The cache is sharded by key. A lookup that finds a usable answer takes
 // no lock and writes no memory another resolver writes: each shard's
@@ -30,23 +28,6 @@ import (
 	"bristle/internal/hashkey"
 	"bristle/internal/metrics"
 )
-
-// State classifies a lookup result.
-type State int
-
-const (
-	// Miss: no usable entry; resolve over the network.
-	Miss State = iota
-	// Fresh: the lease is live; the address is authoritative enough to use.
-	Fresh
-)
-
-func (s State) String() string {
-	if s == Fresh {
-		return "fresh"
-	}
-	return "miss"
-}
 
 const (
 	// numShards is the number of independently locked segments, a power of
@@ -105,7 +86,7 @@ type entry struct {
 }
 
 // expired reports whether e's lease has lapsed at instant now: a lookup
-// reads it as a Miss, and eviction takes it ahead of a live entry.
+// misses it, and eviction takes it ahead of a live entry.
 func (e *entry) expired(now int64) bool { return now >= e.expires }
 
 // used records a hit. On an entry already touched it writes nothing, so
@@ -237,38 +218,38 @@ func (c *Cache) link(s *shard, key hashkey.Key) *atomic.Pointer[entry] {
 	return p
 }
 
-// Lookup classifies key and returns its cached address (empty unless
-// Fresh). A hit is marked touched, a second chance against the clock
-// hand. Every call makes one counter add, loccache.hit or loccache.miss;
-// loccache.lookups is their total, so the two partition the lookups by
-// construction. Only a lookup that finds a lapsed entry takes the shard's
-// lock, to drop it.
-func (c *Cache) Lookup(key hashkey.Key) (string, State) {
+// Lookup returns key's cached address and true while its lease is live,
+// or "" and false. A hit is marked touched, a second chance against the
+// clock hand. Every call makes one counter add, loccache.hit or
+// loccache.miss; loccache.lookups is their total, so the two partition
+// the lookups by construction. Only a lookup that finds a lapsed entry
+// takes the shard's lock, to drop it.
+func (c *Cache) Lookup(key hashkey.Key) (string, bool) {
 	e := c.find(key)
 	if e == nil {
 		c.miss.Inc()
-		return "", Miss
+		return "", false
 	}
 	// The clock is read after the entry was found, on every lookup that
-	// found one: an answer is Fresh as of an instant inside the call.
+	// found one: an answer is live as of an instant inside the call.
 	if e.expired(c.now()) {
 		c.remove(e)
 		c.miss.Inc()
-		return "", Miss
+		return "", false
 	}
 	e.used()
 	c.hit.Inc()
-	return e.addr, Fresh
+	return e.addr, true
 }
 
-// Peek classifies key without promoting it, dropping it or recording
+// Peek is Lookup without promoting the entry, dropping it or recording
 // metrics — a read-only probe for introspection (CachedAddr, tests).
-func (c *Cache) Peek(key hashkey.Key) (string, State) {
+func (c *Cache) Peek(key hashkey.Key) (string, bool) {
 	e := c.find(key)
 	if e == nil || e.expired(c.now()) {
-		return "", Miss
+		return "", false
 	}
-	return e.addr, Fresh
+	return e.addr, true
 }
 
 // Put stores addr for key under a lease of ttl (0 = no expiry), replacing

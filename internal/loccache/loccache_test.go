@@ -47,18 +47,18 @@ func TestLookupStates(t *testing.T) {
 	c := New(Config{Clock: fc.now, Counters: ctrs})
 	k := hashkey.FromName("a")
 
-	if _, st := c.Lookup(k); st != Miss {
-		t.Fatalf("empty cache: state %v, want Miss", st)
+	if _, ok := c.Lookup(k); ok {
+		t.Fatalf("empty cache: state %v, want a miss", ok)
 	}
 
 	c.Put(k, "addr1", 2*time.Second)
-	if addr, st := c.Lookup(k); st != Fresh || addr != "addr1" {
-		t.Fatalf("fresh lookup: %q %v", addr, st)
+	if addr, ok := c.Lookup(k); !ok || addr != "addr1" {
+		t.Fatalf("fresh lookup: %q %v", addr, ok)
 	}
 
 	fc.advance(3 * time.Second) // lease lapsed
-	if addr, st := c.Lookup(k); st != Miss || addr != "" {
-		t.Fatalf("lapsed lookup: %q %v, want Miss", addr, st)
+	if addr, ok := c.Lookup(k); ok || addr != "" {
+		t.Fatalf("lapsed lookup: %q %v, want a miss", addr, ok)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("lapsed entry not dropped: len %d", c.Len())
@@ -81,32 +81,32 @@ func TestNoTTLNeverExpires(t *testing.T) {
 	k := hashkey.FromName("forever")
 	c.Put(k, "addr", 0)
 	fc.advance(1000 * time.Hour)
-	if addr, st := c.Lookup(k); st != Fresh || addr != "addr" {
-		t.Fatalf("no-TTL entry: %q %v, want Fresh", addr, st)
+	if addr, ok := c.Lookup(k); !ok || addr != "addr" {
+		t.Fatalf("no-TTL entry: %q %v, want a hit", addr, ok)
 	}
 }
 
-// TestLeaseBoundariesToTheNanosecond: a lease is Fresh up to the last
-// nanosecond before it lapses and a Miss from that instant; a lease too
+// TestLeaseBoundariesToTheNanosecond: a lease is a hit up to the last
+// nanosecond before it lapses and a miss from that instant; a lease too
 // long to represent saturates to no expiry instead of wrapping into the
 // past.
 func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
 	const lease = 2 * time.Second
 	for _, tc := range []struct {
 		at   time.Duration
-		want State
+		want bool
 	}{
-		{0, Fresh},
-		{lease - 1, Fresh},
-		{lease, Miss},
+		{0, true},
+		{lease - 1, true},
+		{lease, false},
 	} {
 		fc := newFakeClock()
 		c := New(Config{Clock: fc.now})
 		k := hashkey.FromName("bounded")
 		c.Put(k, "addr", lease)
 		fc.advance(tc.at)
-		if _, st := c.Peek(k); st != tc.want {
-			t.Errorf("lease %v read at +%v: %v, want %v", lease, tc.at, st, tc.want)
+		if _, ok := c.Peek(k); ok != tc.want {
+			t.Errorf("lease %v read at +%v: %v, want %v", lease, tc.at, ok, tc.want)
 		}
 	}
 	fc := newFakeClock()
@@ -115,8 +115,8 @@ func TestLeaseBoundariesToTheNanosecond(t *testing.T) {
 	fc.advance(time.Hour)
 	c.Put(k, "addr", math.MaxInt64)
 	fc.advance(1000 * time.Hour)
-	if _, st := c.Peek(k); st != Fresh {
-		t.Fatalf("a lease past the clock's range read %v, want Fresh", st)
+	if _, ok := c.Peek(k); !ok {
+		t.Fatalf("a lease past the clock's range read %v, want a hit", ok)
 	}
 }
 
@@ -129,11 +129,11 @@ func TestHitReadsTheClockOnce(t *testing.T) {
 	k := hashkey.FromName("hot")
 	c.Put(k, "addr", time.Minute)
 	reads.Store(0)
-	if _, st := c.Lookup(k); st != Fresh || reads.Load() != 1 {
-		t.Fatalf("a hit read the clock %d times (%v), want once", reads.Load(), st)
+	if _, ok := c.Lookup(k); !ok || reads.Load() != 1 {
+		t.Fatalf("a hit read the clock %d times (%v), want once", reads.Load(), ok)
 	}
-	if _, st := c.Lookup(hashkey.FromName("cold")); st != Miss || reads.Load() != 1 {
-		t.Fatalf("an empty lookup read the clock (%d reads, %v)", reads.Load()-1, st)
+	if _, ok := c.Lookup(hashkey.FromName("cold")); ok || reads.Load() != 1 {
+		t.Fatalf("an empty lookup read the clock (%d reads, %v)", reads.Load()-1, ok)
 	}
 }
 
@@ -153,24 +153,24 @@ func TestEvictionPrefersExpired(t *testing.T) {
 	}
 	// Touch the entry while it is live, so plain LRU would evict a live
 	// one instead.
-	if _, st := c.Lookup(expired); st != Fresh {
-		t.Fatalf("setup: expected fresh, got %v", st)
+	if _, ok := c.Lookup(expired); !ok {
+		t.Fatalf("setup: expected fresh, got %v", ok)
 	}
 	fc.advance(2 * time.Second) // only "expired" has lapsed
 
 	over := hashkey.FromName("overflow")
 	c.Put(over, "new", time.Hour)
 
-	if _, st := c.Peek(expired); st != Miss {
-		t.Fatalf("expired entry survived eviction: %v", st)
+	if _, ok := c.Peek(expired); ok {
+		t.Fatalf("expired entry survived eviction: %v", ok)
 	}
 	for _, k := range live {
-		if _, st := c.Peek(k); st != Fresh {
-			t.Fatalf("live entry %v evicted: %v", k, st)
+		if _, ok := c.Peek(k); !ok {
+			t.Fatalf("live entry %v evicted: %v", k, ok)
 		}
 	}
-	if _, st := c.Peek(over); st != Fresh {
-		t.Fatalf("inserted entry missing: %v", st)
+	if _, ok := c.Peek(over); !ok {
+		t.Fatalf("inserted entry missing: %v", ok)
 	}
 	if got := ctrs.Get("loccache.evicted"); got != 1 {
 		t.Fatalf("loccache.evicted = %d, want 1", got)
@@ -187,11 +187,11 @@ func TestEvictionFallsBackToLRU(t *testing.T) {
 	// Touch k0 so k1 becomes the LRU tail.
 	c.Lookup(keys[0])
 	c.Put(hashkey.FromName("k3"), "addr", time.Hour)
-	if _, st := c.Peek(keys[1]); st != Miss {
-		t.Fatalf("LRU tail k1 not evicted: %v", st)
+	if _, ok := c.Peek(keys[1]); ok {
+		t.Fatalf("LRU tail k1 not evicted: %v", ok)
 	}
-	if _, st := c.Peek(keys[0]); st != Fresh {
-		t.Fatalf("recently used k0 evicted: %v", st)
+	if _, ok := c.Peek(keys[0]); !ok {
+		t.Fatalf("recently used k0 evicted: %v", ok)
 	}
 }
 
@@ -267,8 +267,8 @@ func TestPutEpochNewestWins(t *testing.T) {
 	if c.PutEpoch(k, "A", time.Minute, 1) {
 		t.Fatal("older epoch accepted over newer")
 	}
-	if addr, st := c.Peek(k); st != Fresh || addr != "B" {
-		t.Fatalf("after stale write: %q %v, want fresh B", addr, st)
+	if addr, ok := c.Peek(k); !ok || addr != "B" {
+		t.Fatalf("after stale write: %q %v, want fresh B", addr, ok)
 	}
 	if got := ctrs.Get("loccache.epoch_rejected"); got != 1 {
 		t.Fatalf("epoch_rejected = %d, want 1", got)
@@ -292,7 +292,7 @@ func TestPutEpochNewestWins(t *testing.T) {
 
 // TestPutEpochRemembersLapsedEpoch: epoch memory survives the lease
 // lapsing — the guard holds until a lookup drops the entry — while the
-// lapsed address itself reads as a Miss.
+// lapsed address itself reads as a miss.
 func TestPutEpochRemembersLapsedEpoch(t *testing.T) {
 	fc := newFakeClock()
 	c := New(Config{Clock: fc.now})
@@ -305,11 +305,11 @@ func TestPutEpochRemembersLapsedEpoch(t *testing.T) {
 	if c.PutEpoch(k, "OLD", time.Second, 4) {
 		t.Fatal("lapsed entry lost its epoch memory")
 	}
-	if addr, st := c.Peek(k); st != Miss || addr != "" {
-		t.Fatalf("lapsed peek: %q %v, want Miss", addr, st)
+	if addr, ok := c.Peek(k); ok || addr != "" {
+		t.Fatalf("lapsed peek: %q %v, want a miss", addr, ok)
 	}
-	if _, st := c.Lookup(k); st != Miss {
-		t.Fatalf("lapsed lookup: %v, want Miss", st)
+	if _, ok := c.Lookup(k); ok {
+		t.Fatalf("lapsed lookup: %v, want a miss", ok)
 	}
 	if !c.PutEpoch(k, "OLD", time.Second, 4) {
 		t.Fatal("a write was rejected after the lapsed entry was dropped")
@@ -333,17 +333,17 @@ func TestHitTakesNoLock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if addr, st := c.Lookup(k); st != Fresh || addr != "addr" {
-			t.Errorf("Lookup under a held shard lock: %q %v", addr, st)
+		if addr, ok := c.Lookup(k); !ok || addr != "addr" {
+			t.Errorf("Lookup under a held shard lock: %q %v", addr, ok)
 		}
-		if addr, st := c.Peek(k); st != Fresh || addr != "addr" {
-			t.Errorf("Peek under a held shard lock: %q %v", addr, st)
+		if addr, ok := c.Peek(k); !ok || addr != "addr" {
+			t.Errorf("Peek under a held shard lock: %q %v", addr, ok)
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("a Fresh Lookup/Peek waited for the shard mutex")
+		t.Fatal("a hit by Lookup/Peek waited for the shard mutex")
 	}
 
 	e := c.find(k)
@@ -352,8 +352,8 @@ func TestHitTakesNoLock(t *testing.T) {
 	}
 	before := image()
 	fc.advance(5 * time.Second)
-	if _, st := c.Lookup(k); st != Fresh {
-		t.Fatalf("second hit: %v", st)
+	if _, ok := c.Lookup(k); !ok {
+		t.Fatalf("second hit: %v", ok)
 	}
 	if image() != before {
 		t.Error("a hit on an already-touched entry wrote to it")
@@ -377,17 +377,17 @@ func TestTouchedKeyGetsSecondChance(t *testing.T) {
 	c.Lookup(keys[1])
 	c.Put(keys[4], "addr", time.Hour) // evicts k0
 	c.Put(keys[5], "addr", time.Hour) // k1's second chance; evicts k2
-	for i, want := range []State{Miss, Fresh, Miss, Fresh, Fresh, Fresh} {
-		if _, st := c.Peek(keys[i]); st != want {
-			t.Errorf("k%d: %v, want %v", i, st, want)
+	for i, want := range []bool{false, true, false, true, true, true} {
+		if _, ok := c.Peek(keys[i]); ok != want {
+			t.Errorf("k%d: %v, want %v", i, ok, want)
 		}
 	}
 	// The chance is spent: untouched since, k1 goes once k3 and k4 have.
 	for i := 6; i < 9; i++ {
 		c.Put(hashkey.FromName(fmt.Sprintf("k%d", i)), "addr", time.Hour)
 	}
-	if _, st := c.Peek(keys[1]); st != Miss {
-		t.Errorf("k1 kept a second chance it did not earn again: %v", st)
+	if _, ok := c.Peek(keys[1]); ok {
+		t.Errorf("k1 kept a second chance it did not earn again: %v", ok)
 	}
 }
 
@@ -426,8 +426,8 @@ func TestLapsedDropsKeepRingDense(t *testing.T) {
 	}
 	fc.advance(2 * time.Second)
 	for i := range lapsing {
-		if _, st := c.Lookup(key(i)); st != Miss {
-			t.Fatalf("lapsed k%d: %v, want Miss", i, st)
+		if _, ok := c.Lookup(key(i)); ok {
+			t.Fatalf("lapsed k%d: %v, want a miss", i, ok)
 		}
 	}
 	agree := func(want int) {
@@ -448,8 +448,8 @@ func TestLapsedDropsKeepRingDense(t *testing.T) {
 		t.Fatalf("refilling dropped slots evicted %d entries", got)
 	}
 	for i := 0; i < bound+len(lapsing); i++ {
-		if _, st := c.Peek(key(i)); st != Fresh && !lapsing[i] {
-			t.Errorf("live k%d: %v, want Fresh", i, st)
+		if _, ok := c.Peek(key(i)); !ok && !lapsing[i] {
+			t.Errorf("live k%d: %v, want a hit", i, ok)
 		}
 	}
 
@@ -465,7 +465,7 @@ func TestLapsedDropsKeepRingDense(t *testing.T) {
 	}
 	found := 0
 	for i := 0; i < first+past; i++ {
-		if _, st := c.Peek(key(i)); st == Fresh {
+		if _, ok := c.Peek(key(i)); ok {
 			found++
 		}
 	}
@@ -493,8 +493,8 @@ func TestAllTouchedEvictsInOneSweep(t *testing.T) {
 	if got := ctrs.Get("loccache.evicted"); got != 1 {
 		t.Fatalf("loccache.evicted = %d, want 1", got)
 	}
-	if _, st := c.Peek(keys[0]); st != Miss {
-		t.Errorf("k0, first under the hand, survived: %v", st)
+	if _, ok := c.Peek(keys[0]); ok {
+		t.Errorf("k0, first under the hand, survived: %v", ok)
 	}
 	s := &c.shards[0]
 	for j, sl := range s.ring {
@@ -521,11 +521,11 @@ func TestEvictionOfTheChainsTail(t *testing.T) {
 		c.Lookup(key(i)) // the hand passes these, and takes the tail
 	}
 	c.Put(key(bound), "addr", time.Hour)
-	if _, st := c.Peek(key(bound - 1)); st != Miss {
-		t.Fatalf("the chain's tail survived: %v", st)
+	if _, ok := c.Peek(key(bound - 1)); ok {
+		t.Fatalf("the chain's tail survived: %v", ok)
 	}
-	if _, st := c.Peek(key(bound)); st != Fresh {
-		t.Fatalf("the key that took the tail's place is lost: %v", st)
+	if _, ok := c.Peek(key(bound)); !ok {
+		t.Fatalf("the key that took the tail's place is lost: %v", ok)
 	}
 	checkRing(t, c)
 }
@@ -545,14 +545,14 @@ func TestReplacementIsAUseNearTheHand(t *testing.T) {
 	for i := bound + 1; i <= 2*bound; i++ {
 		c.Put(key(i), "addr", time.Hour) // k5-k7 take k1-k3's slots, k8 takes k4's
 	}
-	if _, st := c.Peek(key(bound)); st != Miss {
-		t.Fatalf("k%d, replaced right after its insert, outlived the inserts of its turn: %v", bound, st)
+	if _, ok := c.Peek(key(bound)); ok {
+		t.Fatalf("k%d, replaced right after its insert, outlived the inserts of its turn: %v", bound, ok)
 	}
 	c.Put(key(5), "again", time.Hour) // the hand is on k5's slot: a use
 	c.Put(key(9), "addr", time.Hour)
-	for i, want := range map[int]State{5: Fresh, 6: Miss, 9: Fresh} {
-		if _, st := c.Peek(key(i)); st != want {
-			t.Errorf("k%d: %v, want %v", i, st, want)
+	for i, want := range map[int]bool{5: true, 6: false, 9: true} {
+		if _, ok := c.Peek(key(i)); ok != want {
+			t.Errorf("k%d: %v, want %v", i, ok, want)
 		}
 	}
 }
@@ -569,7 +569,7 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 	// bucket 0, so every operation below edits the chain readers walk.
 	key := func(i int) hashkey.Key { return hashkey.Key(i << 3) }
 	const (
-		replaced = 1 // only ever replaced: must never read Miss
+		replaced = 1 // only ever replaced: must never miss
 		flapped  = 2 // put and invalidated in turns
 		overflow = 3 // first of the keys that push each other out
 		nOver    = 32
@@ -607,16 +607,16 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 		go func(r int) {
 			defer readers.Done()
 			lastEpoch := make(map[int]int)
-			check := func(k int, addr string, st State) {
-				if st == Miss {
+			check := func(k int, addr string, ok bool) {
+				if !ok {
 					if k == replaced {
-						t.Errorf("reader %d: the replaced-only key read Miss", r)
+						t.Errorf("reader %d: the replaced-only key missed", r)
 					}
 					return
 				}
 				var gotKey, epoch int
-				if _, err := fmt.Sscanf(addr, "k%d@%d", &gotKey, &epoch); err != nil || gotKey != k || st != Fresh {
-					t.Errorf("reader %d: key %d answered %q %v", r, k, addr, st)
+				if _, err := fmt.Sscanf(addr, "k%d@%d", &gotKey, &epoch); err != nil || gotKey != k || !ok {
+					t.Errorf("reader %d: key %d answered %q %v", r, k, addr, ok)
 					return
 				}
 				if epoch < lastEpoch[k] {
@@ -629,13 +629,13 @@ func TestReadersNeverSeeTornState(t *testing.T) {
 			// replaced one make that one the eviction's rightful victim.
 			for i := 0; !stop.Load(); i++ {
 				for _, k := range []int{replaced, flapped} {
-					addr, st := c.Lookup(key(k))
+					addr, ok := c.Lookup(key(k))
 					calls.Add(1)
-					check(k, addr, st)
+					check(k, addr, ok)
 				}
 				for _, k := range []int{replaced, flapped, overflow + i%nOver} {
-					addr, st := c.Peek(key(k))
-					check(k, addr, st)
+					addr, ok := c.Peek(key(k))
+					check(k, addr, ok)
 				}
 			}
 		}(r)
@@ -670,8 +670,8 @@ func BenchmarkLookupHit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, st := c.Lookup(hot); st != Fresh {
-					b.Fatalf("lookup: %v", st)
+				if _, ok := c.Lookup(hot); !ok {
+					b.Fatalf("lookup: %v", ok)
 				}
 			}
 		})
@@ -700,8 +700,8 @@ func BenchmarkLookupHitParallel(b *testing.B) {
 			if i%10 == 9 {
 				k = warm[i/10%len(warm)]
 			}
-			if _, st := c.Lookup(k); st != Fresh {
-				b.Errorf("lookup: %v", st)
+			if _, ok := c.Lookup(k); !ok {
+				b.Errorf("lookup: %v", ok)
 				return
 			}
 		}

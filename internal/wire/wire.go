@@ -25,9 +25,10 @@ const (
 	Magic uint16 = 0xB215
 	// Version is the protocol revision. Revision 2 added the per-publisher
 	// Epoch to Entry (and the TPublishBatch message); revision 3 added the
-	// join-proof fields (Pub, Sig, Region) and the Observer flag to every
-	// message body. Each changed the framing, so older peers are rejected
-	// rather than misparsed.
+	// join-proof fields (Pub, Sig, Region) to every message body. Each
+	// changed the framing, so older peers are rejected rather than
+	// misparsed. The flags byte's 0x02 bit is reserved: an older
+	// revision-3 peer may set it on a join, and decode ignores it.
 	Version uint8 = 3
 	// MaxFrame bounds a frame's payload to keep malicious peers from
 	// forcing huge allocations.
@@ -147,10 +148,6 @@ type Message struct {
 	Pub    []byte
 	Sig    []byte
 	Region string
-	// Observer marks a join that wants the stationary directory without
-	// being ingested into ring membership — the scalable client/mobile
-	// admission mode.
-	Observer bool
 }
 
 // headerSize is the fixed frame preamble: magic (2), version (1),
@@ -223,9 +220,6 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	var flags byte
 	if m.Found {
 		flags |= 1
-	}
-	if m.Observer {
-		flags |= 2
 	}
 	dst = append(dst, flags)
 	var err error
@@ -307,7 +301,6 @@ func decodeBody(m *Message, mtype MsgType, p []byte) error {
 	m.Key = hashkey.Key(binary.BigEndian.Uint64(p))
 	m.Seq = binary.BigEndian.Uint32(p[8:])
 	m.Found = p[12]&1 != 0
-	m.Observer = p[12]&2 != 0
 	p = p[13:]
 	e, p, err := readEntry(p, "")
 	if err != nil {

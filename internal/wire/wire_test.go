@@ -86,32 +86,30 @@ func TestEpochSurvivesRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripJoinProof pins the v3 join-proof framing: a TJoin carrying
-// the sender's public key, signature, region claim, and observer flag
-// survives a round trip, and a proof-free message decodes with all four
-// fields empty (not zero-length slices).
+// the sender's public key, signature and region claim survives a round
+// trip, with and without Found, and a proof-free message decodes with all
+// three fields empty (not zero-length slices).
 func TestRoundTripJoinProof(t *testing.T) {
 	pub := bytes.Repeat([]byte{0xAB}, 32)
 	sig := bytes.Repeat([]byte{0xCD}, 64)
 	m := &Message{
-		Type:     TJoin,
-		Self:     Entry{Key: 9, Addr: "joiner:1", Epoch: 3},
-		Pub:      pub,
-		Sig:      sig,
-		Region:   "us-east",
-		Observer: true,
+		Type:   TJoin,
+		Self:   Entry{Key: 9, Addr: "joiner:1", Epoch: 3},
+		Pub:    pub,
+		Sig:    sig,
+		Region: "us-east",
 	}
 	got := roundTrip(t, m)
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("join proof round trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
-	// Observer must ride independently of Found.
-	m.Found, m.Observer = true, false
+	m.Found = true
 	got = roundTrip(t, m)
-	if !got.Found || got.Observer {
-		t.Fatalf("flags mixed up: Found=%v Observer=%v", got.Found, got.Observer)
+	if !reflect.DeepEqual(m, got) {
+		t.Fatalf("found join proof round trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
 	plain := roundTrip(t, &Message{Type: TJoin, Self: Entry{Addr: "j:2"}})
-	if plain.Pub != nil || plain.Sig != nil || plain.Region != "" || plain.Observer {
+	if plain.Pub != nil || plain.Sig != nil || plain.Region != "" {
 		t.Fatalf("proof-free message decoded proof fields: %+v", plain)
 	}
 }
