@@ -1,17 +1,18 @@
 // Package integration drives the whole simulated stack end to end: the
-// discrete-event clock, the mobility workload generator, Bristle's
+// discrete-event clock, a Poisson movement workload, Bristle's
 // lease-based location management, churn, and the session traffic of a
 // real application — asserting system-level invariants none of the unit
 // suites can see.
 package integration
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bristle/internal/core"
-	"bristle/internal/mobility"
 	"bristle/internal/overlay"
 	"bristle/internal/simnet"
 	"bristle/internal/topology"
@@ -77,27 +78,38 @@ func buildWorld(t testing.TB, stationary, mobile int, leaseTTL simnet.Time, seed
 func TestSessionsSurviveScheduledMobility(t *testing.T) {
 	w := buildWorld(t, 80, 60, 0, 1)
 
-	hosts := make([]simnet.HostID, len(w.mob))
-	byHost := map[simnet.HostID]*core.Peer{}
-	for i, p := range w.mob {
-		hosts[i] = p.Host
-		byHost[p.Host] = p
+	// Each mobile moves at exponential gaps of mean 40 after a uniform
+	// offset in [0, 40), until time 100; at each move it re-attaches to a
+	// random stub router and runs the update protocol.
+	const horizon, mean = 100, 40
+	type move struct {
+		at simnet.Time
+		p  *core.Peer
 	}
-	sched, err := mobility.Generate(hosts, mobility.Params{
-		Horizon:      100,
-		MeanInterval: 40,
-		Jitter:       true,
-	}, w.rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves := 0
-	sched.Apply(w.sim, w.net, w.rng, func(h simnet.HostID, _ simnet.Addr) {
-		moves++
-		if _, err := w.bn.UpdateLocation(byHost[h]); err != nil {
-			t.Errorf("update after move: %v", err)
+	var sched []move
+	for _, p := range w.mob {
+		at := simnet.Time(w.rng.Float64()) * mean
+		for {
+			at += simnet.Time(w.rng.ExpFloat64()) * mean
+			if at > horizon {
+				break
+			}
+			sched = append(sched, move{at, p})
 		}
+	}
+	slices.SortFunc(sched, func(a, b move) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.p.Host, b.p.Host))
 	})
+	moves := 0
+	for _, mv := range sched {
+		w.sim.At(mv.at, func() {
+			w.net.MoveRandom(mv.p.Host, w.rng)
+			moves++
+			if _, err := w.bn.UpdateLocation(mv.p); err != nil {
+				t.Errorf("update after move: %v", err)
+			}
+		})
+	}
 
 	// Sessions: every 5 time units, 20 random correspondents message
 	// their mobile targets.

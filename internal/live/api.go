@@ -102,20 +102,16 @@ type Stats struct {
 	// node's own exchanges with it — no probe traffic), its sample count,
 	// and whether its breaker currently marks it suspect. Ascending by RTT.
 	PeerRTTs []PeerRTT
-	// ServeFramesPerWrite and PoolFramesPerWrite say how well the two
-	// coalescing points are working, over the node's lifetime: the replies
-	// an accepted conn's reader queued per write that carried them, and
-	// the frames a pooled session's writer put into each write. 1 means
-	// one syscall per frame; 0 means no such write yet (or no Counters).
-	ServeFramesPerWrite float64
-	PoolFramesPerWrite  float64
 	// Counters is a snapshot of the node's counter registry (empty when
 	// no Counters were configured).
 	Counters map[string]uint64
 }
 
 // FramesPerWrite reads one coalescing point's frames-per-write ratio out
-// of a counter snapshot or interval delta; side is "serve" or "pool".
+// of a counter snapshot or interval delta; side is "serve" (the replies an
+// accepted conn's reader queued per write) or "pool" (the frames a pooled
+// session's writer put into each write). 1 means one syscall per frame; 0
+// means no such write (or no Counters).
 func FramesPerWrite(counters map[string]uint64, side string) float64 {
 	writes := counters[side+".flushes"]
 	if writes == 0 {
@@ -141,8 +137,6 @@ func (n *Node) Stats() Stats {
 		Counters:      n.cfg.Counters.Snapshot(),
 	}
 	s.Suspects, s.PeerRTTs = n.peers.peerStats()
-	s.ServeFramesPerWrite = FramesPerWrite(s.Counters, "serve")
-	s.PoolFramesPerWrite = FramesPerWrite(s.Counters, "pool")
 	n.ownedMu.Lock()
 	s.OwnedKeys = len(n.owned)
 	n.ownedMu.Unlock()

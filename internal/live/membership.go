@@ -39,7 +39,7 @@ import (
 // will be recycled, copy first.
 type memberView struct {
 	ring []wire.Entry
-	gen  int // the swaps that led to this view; tests count them per frame
+	gen  int // the swaps that led to this view: a publish asks it whether the ring changed
 }
 
 // source says whose word an entry is, which decides how it is admitted.
@@ -378,6 +378,7 @@ func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[strin
 // is not closed; nil when nobody's is, which one atomic load decides.
 type ranking struct {
 	ring    []wire.Entry // ascending by key; shared with the view, never written
+	gen     int          // the view's generation, which a move compares (publish.go)
 	regions int
 	eff     []time.Duration
 	suspect []bool
@@ -396,8 +397,9 @@ type rankScratch struct {
 // stationary peers, as OrderReplicas reads them: an unmeasured peer
 // ranks at 0, ahead of every measured one.
 func (n *Node) rank(s *rankScratch) (ranking, error) {
-	ring := n.members.snapshot().ring
-	r := ranking{ring: ring, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
+	v := n.members.snapshot()
+	ring := v.ring
+	r := ranking{ring: ring, gen: v.gen, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
 	if len(ring) == 0 {
 		return r, errors.New("live: no known stationary peers")
 	}

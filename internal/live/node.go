@@ -294,8 +294,8 @@ type Node struct {
 	// leaves some replica owed a full publish — every OwnKeys and
 	// DisownKeys, every holder that missed a frame — and full is the last
 	// full publish that reached every holder: while full.gen == ownedGen
-	// (and the ring and the leases agree, publish.go) a move sends one
-	// record.
+	// (and the membership generation and the leases agree, publish.go) a
+	// move sends one record.
 	ownedMu  sync.Mutex
 	owned    map[hashkey.Key]struct{}
 	ownedGen uint64

@@ -18,11 +18,11 @@ package live
 //
 // A peer's session hangs off its record in the peer table (peer.go), under
 // that record's mutex: acquiring a session for one peer never contends
-// with exchanges against another. The global MaxSessions cap is enforced
-// with an atomic reservation counter rather than a pool-wide lock, and it
-// bounds the sessions kept, not the exchanges admitted: an exchange that
-// finds every session busy gets one over the cap, and the pool sheds a
-// session the moment one goes idle while it is over.
+// with exchanges against another. The MaxSessions cap bounds the sessions
+// kept, not the exchanges admitted: a newcomer is always admitted, and one
+// rule, trim, sheds the least-recently-used idle session while the pool is
+// over the cap — after an admission, after every exchange or write that
+// leaves a session idle, and on each janitor tick.
 
 import (
 	"context"
@@ -40,10 +40,11 @@ import (
 
 // PoolConfig tunes the per-peer multiplexed connection pool.
 type PoolConfig struct {
-	// MaxSessions caps how many peers keep a pooled session. At the cap the
-	// least-recently-used idle session is evicted; if every session is busy
-	// the exchange gets a session over the cap (counted as pool.fallbacks),
-	// and the next session to go idle is closed. Default 64.
+	// MaxSessions caps how many peers keep a pooled session. Past the cap
+	// the least-recently-used idle session is evicted (pool.evictions.cap);
+	// an admission that finds every session busy stays over the cap
+	// (pool.fallbacks) until a session goes idle, which is then evicted.
+	// Default 64.
 	MaxSessions int
 	// IdleTimeout evicts sessions with no traffic for this long. Default 60s.
 	IdleTimeout time.Duration
@@ -81,12 +82,12 @@ type pool struct {
 	// registry, which counts nothing).
 	dials, broken, orphans      *metrics.Counter
 	evictionsCap, evictionsIdle *metrics.Counter
-	fallbacks                   *metrics.Counter // exchanges that found no slot
+	fallbacks                   *metrics.Counter // admissions left over the cap: every session busy
 	frames, flushes             *metrics.Counter // frames sent, and the writes that carried them
 	sessions, inflight          *metrics.Gauge
 
 	closed atomic.Bool
-	nsess  atomic.Int64 // reserved session slots (the MaxSessions cap)
+	nsess  atomic.Int64 // len(held), written under mu, read by trim without it
 
 	// held is every session a peer holds, so the janitor, cap eviction and
 	// Close walk the pool's own few sessions, not every address the node
@@ -213,70 +214,53 @@ func (w *waiter) release() {
 	}
 }
 
-// idle reports whether evicting s would lose nothing: no exchange awaits
-// a reply and no one-way frame awaits the writer. Caller holds s.mu.
+// idle reports whether evicting s would lose nothing: it has dialed (a
+// session still dialing was made for an exchange about to register on it),
+// no exchange awaits a reply and no one-way frame awaits the writer.
+// Caller holds s.mu.
 func (s *session) idle() bool {
-	return !s.torn && s.inflight == 0 && s.oneWay == 0
+	return !s.torn && s.conn != nil && s.inflight == 0 && s.oneWay == 0
 }
 
 // acquire returns pr's session, creating one if absent and starting its
-// run, which dials by by. It never waits on a dial. At the MaxSessions cap
-// the least-recently-used idle session is evicted and the acquire retried;
-// with no idle victim the session is admitted over the cap, to be shed
-// when a session next goes idle (surplus).
+// run, which dials by by. It never waits on a dial. A session it creates
+// is admitted whatever the pool holds; trim then sheds back to the cap.
 func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
-	// Each round returns, fails, has evicted an idle victim (freeing a slot
-	// that a rival may steal first), or has decided to go over the cap: no
-	// session was idle, or rivals stole the freed slot three times running.
-	over := false
-	for tries := 0; ; tries++ {
-		pr.mu.Lock()
-		if s := pr.sess; s != nil {
-			pr.mu.Unlock()
-			return s, nil
-		}
-		// Absent: reserve a slot before inserting, so the cap holds
-		// globally without a pool-wide lock.
-		if p.nsess.Add(1) > int64(p.cfg.MaxSessions) {
-			if !over {
-				p.nsess.Add(-1)
-				pr.mu.Unlock()
-				if victim := p.lruIdle(); victim != nil && tries < 3 {
-					victim.teardown(errEvictedCap) // its drop releases the slot
-				} else {
-					over = true
-				}
-				continue
-			}
-			p.fallbacks.Inc()
-		}
-		s := &session{
-			p:       p,
-			peer:    pr,
-			done:    make(chan struct{}),
-			writeCh: make(chan *waiter, sessionInflight),
-			pending: make(map[uint32]*waiter),
-			lastUse: time.Now(),
-		}
-		// Close marks closed before it snapshots held, so a session joins
-		// held before that snapshot — to be torn down with the rest — or
-		// not at all; its run is counted before Close can wait.
-		p.mu.Lock()
-		if p.closed.Load() {
-			p.mu.Unlock()
-			p.nsess.Add(-1)
-			pr.mu.Unlock()
-			return nil, ErrPoolClosed
-		}
-		p.held[s] = struct{}{}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		pr.sess = s
-		p.sessions.Set(p.nsess.Load())
+	pr.mu.Lock()
+	if s := pr.sess; s != nil {
 		pr.mu.Unlock()
-		go s.run(by)
 		return s, nil
 	}
+	s := &session{
+		p:       p,
+		peer:    pr,
+		done:    make(chan struct{}),
+		writeCh: make(chan *waiter, sessionInflight),
+		pending: make(map[uint32]*waiter),
+		lastUse: time.Now(),
+	}
+	// Close marks closed before it snapshots held, so a session joins held
+	// before that snapshot — to be torn down with the rest — or not at
+	// all; its run is counted before Close can wait.
+	p.mu.Lock()
+	if p.closed.Load() {
+		p.mu.Unlock()
+		pr.mu.Unlock()
+		return nil, ErrPoolClosed
+	}
+	p.held[s] = struct{}{}
+	p.sessions.Set(p.nsess.Add(1))
+	p.wg.Add(1)
+	p.mu.Unlock()
+	pr.sess = s
+	pr.mu.Unlock()
+	// Not under pr.mu: a victim's teardown takes its own peer's mutex. The
+	// newcomer has not started dialing, so it is never the victim.
+	if p.trim() {
+		p.fallbacks.Inc()
+	}
+	go s.run(by)
+	return s, nil
 }
 
 // run dials under the pool's life and by the creating attempt's deadline,
@@ -329,11 +313,8 @@ func (s *session) writeLoop() {
 			if oneWay > 0 {
 				s.mu.Lock()
 				s.oneWay -= oneWay
-				shed := s.surplus()
 				s.mu.Unlock()
-				if shed {
-					s.teardown(errEvictedCap)
-				}
+				s.p.trim()
 			}
 		}
 	}
@@ -482,21 +463,9 @@ func (s *session) abandon(w *waiter) error {
 func (s *session) endUse() {
 	s.mu.Lock()
 	s.inflight--
-	shed := s.surplus()
 	s.mu.Unlock()
 	s.p.inflight.Add(-1)
-	if shed {
-		s.teardown(errEvictedCap)
-	}
-}
-
-// surplus reports whether s, whose last exchange or one-way write has just
-// finished, should be closed: it is idle and the pool holds more sessions
-// than MaxSessions, because some acquire found every session busy and went
-// over the cap. Shedding the first session to go idle keeps an overflow at
-// the cost of one short-lived connection. Caller holds s.mu.
-func (s *session) surplus() bool {
-	return s.idle() && s.p.nsess.Load() > int64(s.p.cfg.MaxSessions)
+	s.p.trim()
 }
 
 // roundTrip runs one request/response exchange over the shared
@@ -582,8 +551,7 @@ func (p *pool) send(ctx context.Context, pr *peer, m *wire.Message, by time.Time
 	return s.send(ctx, m)
 }
 
-// drop forgets s unless a newer session already replaced it, releasing
-// its slot reservation.
+// drop forgets s unless a newer session already replaced it.
 func (p *pool) drop(s *session) {
 	pr := s.peer
 	pr.mu.Lock()
@@ -591,8 +559,8 @@ func (p *pool) drop(s *session) {
 		pr.sess = nil
 		p.mu.Lock()
 		delete(p.held, s)
-		p.mu.Unlock()
 		p.sessions.Set(p.nsess.Add(-1))
+		p.mu.Unlock()
 	}
 	pr.mu.Unlock()
 }
@@ -610,8 +578,23 @@ func (p *pool) current() []*session {
 	return out
 }
 
-// lruIdle returns the least-recently-used session with nothing in
-// flight, or nil.
+// trim is the cap's one rule: while the pool holds more sessions than
+// MaxSessions it evicts the least-recently-used idle one. It reports
+// whether the pool stays over the cap because every session is busy; the
+// next session to go idle trims again. Within the cap it costs one atomic
+// load. The caller holds no peer's mutex: a teardown takes its peer's.
+func (p *pool) trim() (over bool) {
+	for p.nsess.Load() > int64(p.cfg.MaxSessions) {
+		victim := p.lruIdle()
+		if victim == nil {
+			return true
+		}
+		victim.teardown(errEvictedCap) // its drop lowers nsess
+	}
+	return false
+}
+
+// lruIdle returns the least-recently-used idle session, or nil.
 func (p *pool) lruIdle() *session {
 	var oldest *session
 	var oldestUse time.Time
@@ -641,6 +624,7 @@ func (p *pool) janitor() {
 			return
 		case now := <-t.C:
 			p.evictIdle(now)
+			p.trim()
 		}
 	}
 }

@@ -2,8 +2,8 @@ package live
 
 // Tests for the multiplexed connection pool: correct demultiplexing under
 // concurrency and injected frame faults, idle eviction, transparent
-// re-dial of broken sessions, admission over the cap when every session is
-// busy, and the head-of-line-blocking regression (a slow exchange must not delay a fast
+// re-dial of broken sessions, the least-recently-used idle session shed at
+// the cap, admission over the cap when every session is busy, and the head-of-line-blocking regression (a slow exchange must not delay a fast
 // one sharing the connection).
 
 import (
@@ -349,6 +349,46 @@ func TestPoolSaturationGoesOverCap(t *testing.T) {
 	if got := client.Stats().PoolSessions; got != 1 {
 		t.Errorf("PoolSessions at rest = %d, want 1", got)
 	}
+}
+
+// TestPoolShedsLeastRecentlyUsedIdle fills a two-session pool with idle
+// sessions to a and b, then exchanges with c: the newcomer's admission
+// sheds the session used longest ago, a's, and nothing goes over the cap.
+func TestPoolShedsLeastRecentlyUsedIdle(t *testing.T) {
+	mem := transport.NewMem()
+	a, b, c := startPingServer(t, mem), startPingServer(t, mem), startPingServer(t, mem)
+
+	counters := metrics.NewCounters()
+	cfg := poolTestConfig("lru-client", counters, nil)
+	cfg.Pool.MaxSessions = 2
+	client := mustNode(t, cfg, mem)
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, srv := range []*pingServer{a, b, c} {
+		if err := client.PingContext(ctx, srv.l.Addr()); err != nil {
+			t.Fatalf("ping %s: %v", srv.l.Addr(), err)
+		}
+	}
+	for _, want := range []struct {
+		srv  *pingServer
+		held bool
+	}{{a, false}, {b, true}, {c, true}} {
+		if held := holdsSession(client.peers.get(want.srv.l.Addr(), true)); held != want.held {
+			t.Errorf("session to %s held = %v, want %v", want.srv.l.Addr(), held, want.held)
+		}
+	}
+	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 1 || over != 0 {
+		t.Errorf("evictions.cap = %d, fallbacks = %d: want a's idle session shed (1) and no admission over the cap (0)", evicted, over)
+	}
+}
+
+// holdsSession reports whether pr has a pooled session.
+func holdsSession(pr *peer) bool {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.sess != nil
 }
 
 // TestPoolClosedIsTerminal verifies exchanges racing Close fail with the

@@ -69,20 +69,10 @@ func (n *Node) ownedLocked() []hashkey.Key {
 // holder acknowledged: while it still describes the world, a move owes
 // those holders one record and nobody else anything.
 type fullPublish struct {
-	gen     uint64       // Node.ownedGen when it read the owned set
-	at      time.Time    // when it started; the owned records' leases run from here
-	ring    []wire.Entry // the stationary ring it placed records on
-	holders []string     // every replica address it stored at
-}
-
-// sameRing reports whether two stationary rings place every key on the
-// same replicas and those replicas still hold what they were sent: same
-// keys at the same addresses, none restarted (a restart is a new epoch
-// and an empty store).
-func sameRing(a, b []wire.Entry) bool {
-	return slices.EqualFunc(a, b, func(x, y wire.Entry) bool {
-		return x.Key == y.Key && x.Addr == y.Addr && x.Epoch == y.Epoch
-	})
+	gen     uint64    // Node.ownedGen when it read the owned set
+	at      time.Time // when it started; the owned records' leases run from here
+	ring    int       // the membership generation it ranked (memberView.gen)
+	holders []string  // every replica address it stored at
 }
 
 // publishBatchMax bounds the records per TPublishBatch frame, keeping a
@@ -104,7 +94,8 @@ func (n *Node) PublishContext(ctx context.Context) error { return n.publish(ctx,
 // one-record form — the binding alone, to the holders of the last full
 // publish and the replicas of the node's own key — when that is all the
 // replicas lack: the owned set is what the last full publish sent, the
-// ring is the one it sent it to, no holder has missed a frame since, and
+// membership view is the generation it ranked (a join, a restart or a
+// rejoin swaps the view), no holder has missed a frame since, and
 // the owned records' leases are less than half run (with no maintenance
 // loop renewing them, a node that keeps moving renews them here).
 // Anything else is a full publish, which is also what repairs a holder
@@ -135,7 +126,7 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 
 	n.ownedMu.Lock()
 	gen, last := n.ownedGen, n.full
-	full = full || last.holders == nil || last.gen != gen || !sameRing(last.ring, rk.ring) ||
+	full = full || last.holders == nil || last.gen != gen || last.ring != rk.gen ||
 		n.cfg.LeaseTTL > 0 && now.Sub(last.at) >= n.cfg.LeaseTTL/2
 	var keys []hashkey.Key
 	if full {
@@ -185,9 +176,7 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	case lastErr != nil:
 		n.ownedGen++ // a holder missed this frame: the next publish is full and repairs it
 	case full:
-		// The ring is copied: keeping the ranking's own slice would move the
-		// ranking's scratch to the heap on every publish, a move's included.
-		n.full = fullPublish{gen: gen, at: now, ring: slices.Clone(rk.ring), holders: holders}
+		n.full = fullPublish{gen: gen, at: now, ring: rk.gen, holders: holders}
 	}
 	n.ownedMu.Unlock()
 	if !bound {

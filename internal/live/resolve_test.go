@@ -270,10 +270,10 @@ func TestResolveHotPathServesFromCache(t *testing.T) {
 	}
 }
 
-// TestResolveNegativeCaching: a "no record" answer is not cached — each
+// TestResolveMissIsNotCached: a "no record" answer is not cached — each
 // resolve of a missing key asks the replicas again, so a record published
 // a moment later is found by the next resolve.
-func TestResolveNegativeCaching(t *testing.T) {
+func TestResolveMissIsNotCached(t *testing.T) {
 	client, _, ctrs, cleanup := resolveCluster(t, 2)
 	defer cleanup()
 	ghost := hashkey.FromName("ghost")
@@ -287,9 +287,9 @@ func TestResolveNegativeCaching(t *testing.T) {
 	}
 }
 
-// TestResolveStaleWhileRevalidate: a lapsed lease is never answered —
+// TestResolveNeverAnswersALapsedLease: a lapsed lease is never answered —
 // the resolve asks the replicas and returns the current address.
-func TestResolveStaleWhileRevalidate(t *testing.T) {
+func TestResolveNeverAnswersALapsedLease(t *testing.T) {
 	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
 	defer cleanup()
 	target := cluster[1]

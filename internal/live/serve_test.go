@@ -159,8 +159,8 @@ func TestServePipelinedDiscoversShareWrites(t *testing.T) {
 	if got := counters.Get("serve.flushes"); got != uint64(writes) {
 		t.Errorf("serve.flushes = %d, want the %d writes the socket saw", got, writes)
 	}
-	if got := server.Stats().ServeFramesPerWrite; got <= 1 {
-		t.Errorf("Stats().ServeFramesPerWrite = %.2f, want > 1", got)
+	if got := FramesPerWrite(server.Stats().Counters, "serve"); got <= 1 {
+		t.Errorf("serve frames per write = %.2f, want > 1", got)
 	}
 }
 
