@@ -6,10 +6,13 @@ GATETIME     ?= 1s
 SOAK_SECONDS ?= 60
 SOAK_EVENTS  ?= 400
 SOAK_SEED    ?= 0
+# bench-pair: the base tree to compare against, and the pairs of runs.
+BASE         ?=
+PAIRS        ?= 10
 # Measure phase of `make bench-run`; BENCHMARK.json's own runs use 15.
 SECONDS      ?= 3
 
-.PHONY: build test race bench bench-check bench-run bench-stretch bench-gate loc soak soak-10k clean
+.PHONY: build test race bench bench-check bench-run bench-stretch bench-gate bench-pair loc soak soak-10k clean
 
 build:
 	$(GO) build ./...
@@ -128,6 +131,16 @@ bench-gate:
 		-max-metric 'BenchmarkStretchProximity10k/median-stretch=1.5' \
 		-min-metric 'BenchmarkStretchRandom10k/median-stretch=1.2'
 	@rm -f stretch_gate.json
+
+# bench-pair judges this tree's timings against BASE, another checkout
+# (e.g. `git archive $(git merge-base origin/main HEAD) | tar -x -C
+# /tmp/base`): it builds the gate's micro benchmarks from both, runs the
+# two builds in turn PAIRS times on this host, and fails a benchmark only
+# if a sign test finds it slower and its median slowdown is over 25 %, or
+# if it allocates more (cmd/benchgate/pair.go).
+bench-pair:
+	@test -n "$(BASE)" || { echo "bench-pair: set BASE to the base tree"; exit 2; }
+	$(GO) run ./cmd/benchgate pair -n $(PAIRS) $(BASE) .
 
 # soak runs randomized seeded mobility/churn scenarios on the scenario
 # harness (internal/harness) under the race detector until the

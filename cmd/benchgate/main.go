@@ -23,7 +23,9 @@
 //	    -zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel
 //
 // Baselines are recorded by `make bench`; the gate is wired as
-// `make bench-gate` and runs in CI's bench-smoke job. A baseline file
+// `make bench-gate` and runs in CI's bench-smoke job. Timings are better
+// judged by `benchgate pair` (pair.go), which alternates a base tree's
+// build and a change tree's on one host. A baseline file
 // that does not exist yet is skipped with a warning so a suite's first
 // recorded run can bootstrap itself; -ignore-allocs drops the
 // allocation comparison for suites (like the stretch evaluation) whose
@@ -94,6 +96,10 @@ func load(path string) (report, error) {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "pair" {
+		pair(os.Args[2:])
+		return
+	}
 	newPath := flag.String("new", "", "fresh benchjson report to gate")
 	baselines := flag.String("baselines", "", "comma-separated committed baseline reports")
 	maxRegress := flag.Float64("max-regress-pct", 20, "max allowed ns/op regression, percent")

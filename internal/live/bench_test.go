@@ -5,6 +5,9 @@ package live
 // BenchmarkRPCPooled* time one exchange over a pooled session, the only
 // way a node sends a frame: through the retry/breaker wrapping, from one
 // goroutine and from GOMAXPROCS, and (Raw) the pool's round trip alone.
+// BenchmarkRPCPooledTCP is a lone discover through the pool over loopback
+// TCP — a cache miss's exchange — and BenchmarkRPCRawTCP its floor, the
+// same exchange over a bare framed conn.
 // Run with: go test -bench=BenchmarkRPC -benchmem ./internal/live
 //
 // BenchmarkDiscover and BenchmarkResolve* contrast address resolution
@@ -83,6 +86,66 @@ func BenchmarkRPCPooledRaw(b *testing.B) {
 			}
 		}
 	})
+}
+
+// tcpReplica starts a node over loopback TCP holding one location record,
+// and returns it with the record's key.
+func tcpReplica(b *testing.B) (*Node, hashkey.Key) {
+	b.Helper()
+	server := mustNode(b, Config{Name: "bench-replica"}, &transport.TCP{})
+	if err := server.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { server.Close() })
+	key := hashkey.FromName("bench-target")
+	server.store.apply(wire.Entry{Key: key, Addr: "192.0.2.1:9000", Epoch: 1}, key, monotime())
+	return server, key
+}
+
+// BenchmarkRPCPooledTCP: one caller's discover through the pool, under an
+// attempt's deadline, over loopback TCP.
+func BenchmarkRPCPooledTCP(b *testing.B) {
+	server, key := tcpReplica(b)
+	client := mustNode(b, Config{Name: "bench-pooled", RetryAttempts: 1}, &transport.TCP{})
+	b.Cleanup(func() { client.Close() })
+	peer := client.peers.get(server.Addr(), true)
+	ctx := context.Background()
+	req := &wire.Message{Type: wire.TDiscover, Key: key}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		resp, err := client.pool.roundTrip(ctx, peer, req, start, start.Add(time.Second))
+		if err != nil || !resp.Found {
+			b.Fatalf("discover: %v, %v", resp, err)
+		}
+		wire.PutMessage(resp)
+	}
+}
+
+// BenchmarkRPCRawTCP is BenchmarkRPCPooledTCP's floor: the same discover
+// over a bare framed conn, one Send and one Recv.
+func BenchmarkRPCRawTCP(b *testing.B) {
+	server, key := tcpReplica(b)
+	conn, err := (&transport.TCP{}).Dial(server.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { conn.Close() })
+	req := &wire.Message{Type: wire.TDiscover, Key: key}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Seq++
+		if err := conn.Send(req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := conn.Recv()
+		if err != nil || !resp.Found {
+			b.Fatalf("discover: %v, %v", resp, err)
+		}
+		wire.PutMessage(resp)
+	}
 }
 
 // instrumented turns a node's counters and gauges on, each node with

@@ -2,19 +2,22 @@ package live
 
 // This file is the multiplexed connection pool under the RPC layer: one
 // long-lived transport.Conn per peer, shared by every concurrent exchange
-// with that peer. A writer goroutine puts every frame that is waiting
-// into one write, a reader goroutine demultiplexes replies back to
-// waiting callers by sequence number — so an exchange costs a frame, not
-// a dial, a burst of exchanges costs one syscall, and many requests are
-// in flight on one connection at once. A session dials on its own
-// goroutine, then becomes the writer: frames queue behind the dial, and no
-// caller waits on one. A caller parks on one channel, its waiter's reply,
-// which exactly one of four settles: the reader with the reply, the
-// attempt's deadline, the session's teardown or the caller's own context.
-// Broken sessions tear down, fail their waiters with retryable errors,
-// and are re-dialed by the next attempt, composing with the
-// retry/backoff and circuit-breaker machinery in rpc.go. This is the
-// only way a node sends a frame: there is no unpooled exchange.
+// with that peer, which runs on its caller's goroutine. The caller whose
+// frame finds nobody writing becomes the writer and writes every frame
+// staged behind it in one write; one waiting caller at a time reads the
+// conn and demultiplexes replies to the others by sequence number, then
+// hands the reading on (leader/follower). So an exchange costs a frame,
+// not a dial, a burst of exchanges costs one syscall, many requests are
+// in flight on one connection at once, and a lone exchange is one write
+// and one read on its own goroutine. A session dials on its own
+// goroutine: frames are staged behind the dial, and no caller waits on
+// one, nor on another caller's write. A caller's reply is settled by
+// exactly one of four: the reader with the reply, the attempt's deadline,
+// the session's teardown or the caller's own context; every read and
+// write on the link runs under the deadline of a caller it serves. Broken sessions tear down, fail their waiters with retryable
+// errors, and are re-dialed by the next attempt, composing with the
+// retry/backoff and circuit-breaker machinery in rpc.go. This is the only
+// way a node sends a frame: there is no unpooled exchange.
 //
 // A peer's session hangs off its record in the peer table (peer.go), under
 // that record's mutex: acquiring a session for one peer never contends
@@ -60,10 +63,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// sessionInflight bounds the outbound frames queued to one session's
-// writer; enqueues past it wait (backpressure).
-const sessionInflight = 128
-
 // errEvictedIdle and errEvictedCap mark the teardown of a session nothing
 // was riding: unused for IdleTimeout, or given up for the MaxSessions cap.
 // A caller sees one only by losing a race with the eviction, and retries.
@@ -101,7 +100,7 @@ type pool struct {
 
 	life context.Context // bounds every dial and the janitor; Close cancels it
 	stop context.CancelFunc
-	wg   sync.WaitGroup // janitor + per-session run and read loops
+	wg   sync.WaitGroup // janitor + dials
 }
 
 func newPool(tr transport.Transport, cfg PoolConfig, oneWayResult func(*peer, error), counters *metrics.Counters, gauges *metrics.Gauges) *pool {
@@ -129,45 +128,65 @@ func newPool(tr transport.Transport, cfg PoolConfig, oneWayResult func(*peer, er
 	return p
 }
 
-// session is one peer's long-lived multiplexed connection.
+// session is one peer's long-lived multiplexed connection. Once dialed it
+// holds no goroutine: its exchanges write and read it themselves.
+//
+// Writes: a caller stages a copy of its frame. The caller whose frame
+// finds nobody writing takes the writer role: it moves the staged batch
+// to the conn and writes it in one write, under its own deadline and ctx.
+// Whatever it leaves — a batch staged meanwhile, or the rest of a write
+// its bounds cut — goes to a drain goroutine, which writes it under the
+// latest deadline of the frames it carries. Reads: one waiting
+// exchange at a time, the reader, reads the session and settles every
+// reply by Seq; when its own exchange ends it hands the role to an
+// exchange still waiting (leader/follower).
 type session struct {
-	p       *pool
-	peer    *peer
-	writeCh chan *waiter // frames wait here for the writer, the dial first
+	p    *pool
+	peer *peer
+
+	// wmu orders the write side: frames are staged under it, and the
+	// writer moves each batch to the conn under it. Staged frames stay off
+	// the conn until the writer gathers them, so a reader's flush before
+	// its read never writes half a batch. Taken before mu.
+	wmu          sync.Mutex
+	staged       []wire.Message // the next batch, in order; frames registered while dialing wait here
+	stagedBy     time.Time      // the latest deadline of the callers it carries
+	stagedOneWay int            // one-way frames in it
+	writing      bool           // someone holds the writer role
+	queuedBy     time.Time      // the latest deadline of the frames moved to the conn and not yet written; zero when none
+	queuedOneWay int            // one-way frames among them
+	cut          error          // the cut that left them mid-frame, if one did; the writer's
 
 	mu       sync.Mutex
-	conn     transport.Conn // nil until the dial succeeds
+	conn     transport.Conn // nil until the dial succeeds; set under wmu too
 	torn     bool
-	err      error              // teardown cause, set before done closes
+	err      error              // teardown cause
 	pending  map[uint32]*waiter // exchanges awaiting a reply, by Seq
+	reader   *waiter            // the exchange that holds, or was handed, the reader role
 	nextSeq  uint32
-	inflight int       // exchanges between register and endUse
-	oneWay   int       // one-way frames enqueued and not yet written
+	inflight int       // exchanges between register and leave
+	oneWay   int       // one-way frames registered and not yet known written
 	lastUse  time.Time // when the latest exchange or one-way frame started
-
-	done chan struct{} // closed by teardown
 }
 
-// waiter is one exchange on a session: the frame on its way to the writer
-// (a private copy: an abandoned attempt's frame may still sit in the
-// queue when the retry re-stamps Seq), the channel its caller parks on,
-// and the timer that bounds the attempt. settle is the only send into
-// reply, and the first settler wins. A request's waiter is recycled once
-// writer and caller have both let go, and only after a reply whose
-// deadline was stopped before it fired: any other ending may leave its
-// frame queued, a reply on its way or the deadline's settle running.
+// waiter is one exchange on a session: its frame, the channels its caller
+// parks on, and the timer that bounds the attempt. settle is the only send
+// into reply, and the first settler wins. A request's waiter is recycled
+// only after a reply whose deadline was stopped before it fired: any other
+// ending may leave the deadline's or a teardown's settle running.
 type waiter struct {
 	wire.Message
-	oneWay  bool               // no exchange is waiting on it; see session.send
+	by      time.Time          // the attempt's deadline: it bounds the caller's write, and a drain's while the frame is on the conn
+	oneWay  bool               // no exchange waits on it
 	reply   chan *wire.Message // cap 1: the one settle never blocks
+	lead    chan struct{}      // cap 1: the reader role, handed to this exchange
 	timer   *time.Timer        // runs expire; stopped while pooled
 	settled atomic.Bool
-	cause   error        // why a nil reply ended the exchange; set by settle
-	holds   atomic.Int32 // 2: the writer's and the caller's
+	cause   error // why a nil reply ended the exchange; set by settle
 }
 
 var waiterPool = sync.Pool{New: func() interface{} {
-	w := &waiter{reply: make(chan *wire.Message, 1)}
+	w := &waiter{reply: make(chan *wire.Message, 1), lead: make(chan struct{}, 1)}
 	w.timer = time.AfterFunc(time.Hour, w.expire)
 	w.timer.Stop()
 	return w
@@ -188,43 +207,24 @@ func (w *waiter) settle(m *wire.Message, cause error) bool {
 // context.DeadlineExceeded (so transport.IsTimeout holds).
 func (w *waiter) expire() { w.settle(nil, context.DeadlineExceeded) }
 
-// wait parks until w is settled, settling it with ctx's error if ctx ends
-// first. A caller without a ctx to watch pays a plain receive.
-func (w *waiter) wait(ctx context.Context) *wire.Message {
-	done := ctx.Done()
-	if done == nil {
-		return <-w.reply
-	}
-	select {
-	case m := <-w.reply:
-		return m
-	case <-done:
-		w.settle(nil, ctx.Err()) // loses to a settler that came first
-		return <-w.reply
-	}
-}
-
-// release drops one hold; the last returns w to the pool.
-func (w *waiter) release() {
-	if w.holds.Add(-1) == 0 {
-		w.Message = wire.Message{}
-		w.settled.Store(false)
-		w.cause = nil
-		waiterPool.Put(w)
-	}
+func (w *waiter) recycle() {
+	w.Message, w.by = wire.Message{}, time.Time{}
+	w.settled.Store(false)
+	w.cause = nil
+	waiterPool.Put(w)
 }
 
 // idle reports whether evicting s would lose nothing: it has dialed (a
 // session still dialing was made for an exchange about to register on it),
-// no exchange awaits a reply and no one-way frame awaits the writer.
+// no exchange awaits a reply and every one-way frame has been written.
 // Caller holds s.mu.
 func (s *session) idle() bool {
 	return !s.torn && s.conn != nil && s.inflight == 0 && s.oneWay == 0
 }
 
 // acquire returns pr's session, creating one if absent and starting its
-// run, which dials by by. It never waits on a dial. A session it creates
-// is admitted whatever the pool holds; trim then sheds back to the cap.
+// dial by by. It never waits on a dial. A session it creates is admitted
+// whatever the pool holds; trim then sheds back to the cap.
 func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 	pr.mu.Lock()
 	if s := pr.sess; s != nil {
@@ -234,14 +234,12 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 	s := &session{
 		p:       p,
 		peer:    pr,
-		done:    make(chan struct{}),
-		writeCh: make(chan *waiter, sessionInflight),
 		pending: make(map[uint32]*waiter),
 		lastUse: time.Now(),
 	}
 	// Close marks closed before it snapshots held, so a session joins held
 	// before that snapshot — to be torn down with the rest — or not at
-	// all; its run is counted before Close can wait.
+	// all; its dial is counted before Close can wait.
 	p.mu.Lock()
 	if p.closed.Load() {
 		p.mu.Unlock()
@@ -259,15 +257,16 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 	if p.trim() {
 		p.fallbacks.Inc()
 	}
-	go s.run(by)
+	go s.dial(by)
 	return s, nil
 }
 
-// run dials under the pool's life and by the creating attempt's deadline,
-// then starts the reader and becomes the writer. A failed dial tears the
-// session down, which a waiting request sees and records; the pool records
-// it when only one-way frames were waiting.
-func (s *session) run(by time.Time) {
+// dial connects under the pool's life and by the creating attempt's
+// deadline, hands the reader role to a request registered meanwhile, and
+// writes the frames staged meanwhile. A failed dial tears the session
+// down, which a waiting request sees and records; the pool records it when
+// only one-way frames were waiting.
+func (s *session) dial(by time.Time) {
 	defer s.p.wg.Done()
 	ctx, cancel := context.WithDeadline(s.p.life, by)
 	conn, err := s.p.tr.DialContext(ctx, s.peer.addr)
@@ -278,108 +277,287 @@ func (s *session) run(by time.Time) {
 		}
 		return
 	}
+	s.wmu.Lock()
 	s.mu.Lock()
-	if s.torn { // pool closed or session evicted while dialing
-		s.mu.Unlock()
+	torn := s.torn // pool closed or session evicted while dialing
+	if !torn {
+		s.conn = conn
+		s.promote()
+	}
+	oneWayOnly := s.inflight == 0 && s.oneWay > 0
+	s.mu.Unlock()
+	write := !torn && len(s.staged) > 0 // nobody takes the writer role before the conn is set
+	s.writing = write
+	s.wmu.Unlock()
+	if torn {
 		conn.Close()
 		return
 	}
-	s.conn = conn
-	oneWayOnly := s.inflight == 0 && s.oneWay > 0
-	s.mu.Unlock()
 	s.p.dials.Inc()
 	if oneWayOnly {
 		s.p.oneWayResult(s.peer, nil)
 	}
-	s.p.wg.Add(1)
-	go s.readLoop()
-	s.writeLoop()
+	if write {
+		s.drain()
+	}
 }
 
-// writeLoop puts every frame that is waiting into one write.
-func (s *session) writeLoop() {
+// stage adds a copy of w's frame to the next batch. It reports whether
+// w's caller takes the writer role, which it does if nobody holds it while
+// the session is dialed.
+func (s *session) stage(w *waiter) (writer bool) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.staged = append(s.staged, w.Message)
+	if w.by.After(s.stagedBy) {
+		s.stagedBy = w.by
+	}
+	if w.oneWay {
+		s.stagedOneWay++
+	}
+	writer = !s.writing && s.conn != nil
+	s.writing = s.writing || writer
+	return writer
+}
+
+// write is an exchange's turn in the writer role: it writes the staged
+// batch in one write, under w's deadline and ctx, and then each batch
+// staged meanwhile for as long as w is a follower still waiting for its
+// reply, its ctx live — writing costs it nothing then, and a frame staged
+// behind a write starts no goroutine. A reader does not: nobody would read
+// while it wrote. What it leaves — a batch w must not write, or the rest
+// of a write its bounds cut — goes to drain, so no other caller's frame
+// rides on w's bounds. A failure that breaks the stream tears the session
+// down.
+func (s *session) write(ctx context.Context, w *waiter, lead bool) {
+	conn := s.conn
+	conn.SetWriteDeadline(w.by)
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { conn.SetWriteDeadline(longAgo) })
+		defer stop()
+	}
 	for {
-		select {
-		case <-s.done:
-			return
-		case f := <-s.writeCh:
-			frames, oneWay, err := s.writeBurst(f)
-			if err != nil {
-				s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, err))
+		_, err := s.take()
+		if err == nil {
+			err = conn.Flush()
+		}
+		if err == nil {
+			if s.release(true) {
 				return
 			}
-			s.p.frames.Add(frames)
-			s.p.flushes.Inc()
-			if oneWay > 0 {
-				s.mu.Lock()
-				s.oneWay -= oneWay
-				s.mu.Unlock()
-				s.p.trim()
+			if !lead && len(w.lead) == 0 && !w.settled.Load() && ctx.Err() == nil {
+				continue
+			}
+		} else if broken(err) {
+			s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, err))
+			return
+		} else if errors.Is(err, transport.ErrPartialWrite) {
+			s.cut = err
+		}
+		go s.drain()
+		return
+	}
+}
+
+// drain holds the writer role for no exchange: it writes what is staged
+// and what a writer before it left on the conn, each write under the
+// latest deadline of the frames on the conn, so it outlives no caller
+// whose frame it carries. Once that deadline passes, whole frames stay
+// queued for the next writer to carry. A stream a cut left mid-frame is
+// stuck instead: the peer took part of a frame and then nothing for as
+// long as any caller waited, and the session tears down. A teardown's
+// Close fails a write in progress at once; Close does not wait for a
+// drain.
+func (s *session) drain() {
+	conn := s.conn
+	for {
+		by, err := s.take()
+		switch {
+		case err != nil:
+		case !time.Now().Before(by): // nothing left to write, or nobody left to write it for
+			if s.cut == nil {
+				if s.release(by.IsZero()) {
+					return
+				}
+				continue
+			}
+			err = s.cut
+		default:
+			conn.SetWriteDeadline(by)
+			if err = conn.Flush(); err == nil {
+				if s.release(true) {
+					return
+				}
+				continue
+			}
+			if !broken(err) {
+				if errors.Is(err, transport.ErrPartialWrite) {
+					s.cut = err
+				}
+				continue // take looks again: the deadline passed, or a cut an earlier writer's ctx left
 			}
 		}
+		s.teardown(fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, err))
+		return
 	}
 }
 
-// writeBurst queues f and every frame behind it, then flushes once. When
-// the queue first runs dry it yields the processor before looking again:
-// callers made runnable together (a burst of replies just woke them)
-// enqueue ahead of the syscall instead of each paying their own. Nothing
-// waits on a timer — a lone frame leaves after one yield with nobody else
-// to run.
-func (s *session) writeBurst(f *waiter) (frames uint64, oneWay int, err error) {
-	yielded := false
-	for f != nil {
-		_, err = s.conn.Queue(&f.Message)
-		if f.oneWay {
-			oneWay++
-		} else {
-			f.release()
+// take moves the staged batch to the conn, and returns the latest
+// deadline of the frames on the conn — zero when it holds none — or the
+// error that broke the stream. A batch whose callers all gave up — every
+// deadline it carries has passed, say behind a slow dial — is dropped, not
+// written. Caller holds the writer role.
+func (s *session) take() (time.Time, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	var err error
+	if len(s.staged) > 0 && time.Now().Before(s.stagedBy) {
+		for i := range s.staged {
+			var n int
+			if n, err = s.conn.Queue(&s.staged[i]); err != nil {
+				break
+			}
+			if n == 1 { // the frame that starts the conn's buffer starts a write
+				s.p.flushes.Inc()
+			}
 		}
-		if err != nil {
-			return
+		s.p.frames.Add(uint64(len(s.staged)))
+		if s.stagedBy.After(s.queuedBy) {
+			s.queuedBy = s.stagedBy
 		}
-		frames++
-		if f = s.waiting(); f == nil && !yielded {
-			yielded = true
-			runtime.Gosched()
-			f = s.waiting()
-		}
-	}
-	return frames, oneWay, s.conn.Flush()
-}
-
-// waiting takes the next queued frame, or nil when there is none.
-func (s *session) waiting() *waiter {
-	select {
-	case f := <-s.writeCh:
-		return f
-	default:
-		return nil
-	}
-}
-
-// readLoop demultiplexes inbound frames to their waiting callers by
-// sequence number. Replies nobody is waiting for — a duplicated frame's
-// second answer, or the answer to a request already settled otherwise
-// (timed out, or its caller gone) — are counted and dropped. Any receive
-// error tears the session down: on a real stream a framing error is
-// unrecoverable, and a fresh connection is one retry away.
-func (s *session) readLoop() {
-	defer s.p.wg.Done()
-	for {
-		m, err := s.conn.Recv()
-		if err != nil {
-			s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.peer.addr, err))
-			return
-		}
+		s.queuedOneWay += s.stagedOneWay
+	} else if s.stagedOneWay > 0 {
 		s.mu.Lock()
-		w, ok := s.pending[m.Seq]
-		if ok {
-			delete(s.pending, m.Seq)
-		}
+		s.oneWay -= s.stagedOneWay
 		s.mu.Unlock()
-		if !ok || !w.settle(m, nil) {
-			s.p.orphans.Inc()
+	}
+	clear(s.staged) // the frames' entries belong to their callers
+	s.staged, s.stagedBy, s.stagedOneWay = s.staged[:0], time.Time{}, 0
+	return s.queuedBy, err
+}
+
+// release gives the writer role up if nothing is staged, and reports
+// whether it did. written says every frame moved to the conn has left;
+// one-way frames that leave a session idle may make it the one trim
+// sheds. Frames still on the conn wait for the next writer.
+func (s *session) release(written bool) (released bool) {
+	s.wmu.Lock()
+	oneWay := 0
+	if written {
+		oneWay = s.queuedOneWay
+		s.queuedBy, s.queuedOneWay, s.cut = time.Time{}, 0, nil
+	}
+	released = len(s.staged) == 0
+	s.writing = !released
+	s.wmu.Unlock()
+	if oneWay > 0 {
+		s.mu.Lock()
+		s.oneWay -= oneWay
+		s.mu.Unlock()
+		s.p.trim()
+	}
+	return released
+}
+
+// read holds the reader role for w. It reads the session under w's
+// deadline and ctx, settling every reply by Seq, until w's own exchange
+// ends; a reader whose reply came while others wait first settles what
+// its read buffer already holds. A deadline or a ctx ends the read, not
+// the session: the next reader resumes a frame it cut. Any other receive
+// error tears the session down: on a real stream a framing error is
+// unrecoverable, and a fresh connection is one retry away. read returns
+// w's outcome.
+func (s *session) read(ctx context.Context, conn transport.Conn, w *waiter, by time.Time) *wire.Message {
+	if !w.settled.Load() {
+		conn.SetReadDeadline(by)
+		if ctx.Done() != nil {
+			stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(longAgo) })
+			defer stop()
+		}
+		s.readFor(ctx, conn, w, by)
+	}
+	return <-w.reply
+}
+
+// broken reports whether err ends the session: any failure but a
+// deadline, which costs the stream nothing.
+func broken(err error) bool {
+	return err != nil && !transport.IsTimeout(err)
+}
+
+// longAgo is a deadline that has passed.
+var longAgo = time.Unix(1, 0)
+
+func (s *session) readFor(ctx context.Context, conn transport.Conn, w *waiter, by time.Time) {
+	for {
+		m, err := conn.Recv()
+		if err != nil {
+			switch {
+			case broken(err):
+				s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.peer.addr, err))
+				return
+			case w.settled.Load():
+				return
+			case ctx.Err() != nil:
+				w.settle(nil, ctx.Err())
+				return
+			case !time.Now().Before(by):
+				w.expire()
+				return
+			}
+			conn.SetReadDeadline(by) // a wake-up an earlier reader's ctx left
+			continue
+		}
+		if others := s.deliver(m); w.settled.Load() && (!others || !conn.Buffered()) {
+			return
+		}
+	}
+}
+
+// deliver settles the exchange m answers and reports whether others still
+// wait. A reply nobody waits for — a duplicated frame's second answer, or
+// the answer to an exchange already settled (timed out, or its caller
+// gone) — is counted and dropped.
+func (s *session) deliver(m *wire.Message) (others bool) {
+	s.mu.Lock()
+	w, ok := s.pending[m.Seq]
+	if ok {
+		delete(s.pending, m.Seq)
+	}
+	others = len(s.pending) > 0
+	s.mu.Unlock()
+	if !ok || !w.settle(m, nil) {
+		s.p.orphans.Inc()
+	}
+	return others
+}
+
+// promote hands the reader role to an exchange still waiting, if there is
+// one. Caller holds s.mu, and nobody holds the role.
+func (s *session) promote() {
+	for _, w := range s.pending {
+		if !w.settled.Load() {
+			s.reader = w
+			w.lead <- struct{}{}
+			return
+		}
+	}
+}
+
+// wait parks until w is settled, or until w is handed the reader role,
+// which it then holds until its exchange ends. A caller without a ctx to
+// watch pays no ctx case.
+func (s *session) wait(ctx context.Context, w *waiter, by time.Time) *wire.Message {
+	done := ctx.Done()
+	for {
+		select {
+		case m := <-w.reply:
+			return m
+		case <-w.lead:
+			return s.read(ctx, s.conn, w, by) // set before the role was handed on
+		case <-done:
+			w.settle(nil, ctx.Err()) // loses to a settler that came first
+			done = nil
 		}
 	}
 }
@@ -404,7 +582,6 @@ func (s *session) teardown(err error) (oneWayOnly bool) {
 	for _, w := range pending {
 		w.settle(nil, err)
 	}
-	close(s.done)
 	if conn != nil {
 		conn.Close()
 	}
@@ -422,15 +599,16 @@ func (s *session) teardown(err error) (oneWayOnly bool) {
 }
 
 // register assigns w the next sequence number and counts it against the
-// session: parked for its reply, or as a one-way frame the writer has yet
-// to write. start, when the exchange began, becomes the session's
-// lastUse. It reports whether the session's dial had succeeded, and fails
+// session: parked for its reply, or as a one-way frame not yet written.
+// start, when the exchange began, becomes the session's lastUse. A
+// request that finds the session dialed and nobody reading takes the
+// reader role (lead); crowded reports other exchanges in flight. It fails
 // if the session is already torn.
-func (s *session) register(w *waiter, start time.Time) (dialed bool, err error) {
+func (s *session) register(w *waiter, start time.Time) (conn transport.Conn, lead, crowded bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.torn {
-		return false, s.err
+		return nil, false, false, s.err
 	}
 	s.nextSeq++
 	w.Seq = s.nextSeq
@@ -441,94 +619,163 @@ func (s *session) register(w *waiter, start time.Time) (dialed bool, err error) 
 		s.pending[w.Seq] = w
 		s.inflight++
 		s.p.inflight.Add(1)
+		if lead = s.conn != nil && s.reader == nil; lead {
+			s.reader = w
+		}
 	}
-	return s.conn != nil, nil
+	return s.conn, lead, s.inflight > 1, nil
 }
 
-// abandon ends w's exchange, settled without a reply: it forgets w and
-// returns the cause. The deadline and the caller's ctx settle with the
-// bare context errors, which gain the peer's name; a teardown's cause
-// already names it.
-func (s *session) abandon(w *waiter) error {
-	w.timer.Stop()
+// leave ends w's exchange on the session: it forgets w, and passes the
+// reader role on if w holds it or was handed it. A session it leaves idle
+// may be the one trim sheds.
+func (s *session) leave(w *waiter) {
 	s.mu.Lock()
-	delete(s.pending, w.Seq) // a no-op once teardown has dropped the table
-	s.mu.Unlock()
-	if w.cause == context.DeadlineExceeded || w.cause == context.Canceled {
-		return fmt.Errorf("live: pooled request to %s: %w", s.peer.addr, w.cause)
+	delete(s.pending, w.Seq) // a no-op once delivered, or once teardown dropped the table
+	if s.reader == w {
+		s.reader = nil
+		s.promote()
 	}
-	return w.cause
-}
-
-func (s *session) endUse() {
-	s.mu.Lock()
 	s.inflight--
 	s.mu.Unlock()
+	select {
+	case <-w.lead: // handed the role as it left; promote passed it on
+	default:
+	}
 	s.p.inflight.Add(-1)
 	s.p.trim()
 }
 
 // roundTrip runs one request/response exchange over the shared
 // connection, begun at start and bounded by ctx and by the attempt's
-// deadline by. A slow reply to another caller cannot block this one: each
-// parks on its own waiter.
+// deadline by. A slow reply to another caller cannot block this one: the
+// reader settles every reply as it comes.
 func (s *session) roundTrip(ctx context.Context, m *wire.Message, start, by time.Time) (*wire.Message, error) {
 	w := waiterPool.Get().(*waiter)
-	w.Message = *m
-	w.holds.Store(2)
-	if _, err := s.register(w, start); err != nil {
+	w.Message, w.by = *m, by
+	conn, lead, crowded, err := s.register(w, start)
+	if err != nil {
+		w.recycle()
 		return nil, err
 	}
-	defer s.endUse()
 	w.timer.Reset(by.Sub(start))
-	var resp *wire.Message
-	select {
-	case s.writeCh <- w:
-		resp = w.wait(ctx)
-	default: // a full queue
-		select {
-		case s.writeCh <- w:
-			resp = w.wait(ctx)
-		case resp = <-w.reply:
-		case <-ctx.Done():
-			w.settle(nil, ctx.Err())
-			resp = <-w.reply
+	if s.stage(w) {
+		if crowded {
+			// Callers made runnable together — a burst of replies just woke
+			// them — stage behind this frame before the one write. A lone
+			// exchange does not yield: it would wake the idle processor.
+			runtime.Gosched()
 		}
+		s.write(ctx, w, lead) // a failure settles w
 	}
+	var resp *wire.Message
+	if lead {
+		resp = s.read(ctx, conn, w, by)
+	} else {
+		resp = s.wait(ctx, w, by)
+	}
+	s.leave(w)
 	if resp == nil {
-		return nil, s.abandon(w)
+		w.timer.Stop()
+		return nil, s.cause(w)
 	}
 	if w.timer.Stop() {
-		w.release()
+		w.recycle()
 	}
 	return resp, nil
 }
 
-// send enqueues a one-way frame (no reply expected) on the shared
-// connection. Until the writer has written it the session counts as in
-// use: evicting it would drop the frame, and nobody is waiting on a reply
-// to notice. A frame queued behind the dial is recorded with its outcome.
-func (s *session) send(ctx context.Context, m *wire.Message) error {
-	f := &waiter{Message: *m, oneWay: true}
-	dialed, err := s.register(f, time.Now())
+// cause returns why w's exchange ended without a reply. The deadline and
+// the caller's ctx settle with the bare context errors, which gain the
+// peer's name; a teardown's cause already names it.
+func (s *session) cause(w *waiter) error {
+	if w.cause == context.DeadlineExceeded || w.cause == context.Canceled {
+		return fmt.Errorf("live: pooled request to %s: %w", s.peer.addr, w.cause)
+	}
+	return w.cause
+}
+
+// send stages a one-way frame (no reply expected) on the shared
+// connection. Until the frame is written the session counts as in use:
+// evicting it would drop the frame, and nobody is waiting on a reply to
+// notice. A frame staged behind the dial is written and recorded with the
+// dial; a one-way frame that takes the writer role writes on a goroutine
+// of its own, push, so a sender never waits on the link.
+func (s *session) send(m *wire.Message, by time.Time) error {
+	f := &waiter{Message: *m, by: by, oneWay: true}
+	conn, _, _, err := s.register(f, time.Now())
 	if err != nil {
 		return err
 	}
-	select {
-	case s.writeCh <- f:
-		if dialed {
-			s.p.oneWayResult(s.peer, nil)
+	if s.stage(f) {
+		go s.push()
+	}
+	if conn != nil {
+		s.p.oneWayResult(s.peer, nil)
+	}
+	return nil
+}
+
+// push is a one-way frame's turn in the writer role: it drains, unless
+// the peer closed the session, and then it stages the batch on a fresh
+// session instead.
+func (s *session) push() {
+	if !s.peerClosed() {
+		s.drain()
+		return
+	}
+	s.wmu.Lock()
+	batch, by, oneWayOnly := s.staged, s.stagedBy, s.stagedOneWay == len(s.staged)
+	s.staged = nil
+	s.wmu.Unlock()
+	if oneWayOnly { // a request staged meanwhile was failed by the teardown, and retries
+		for i := range batch {
+			s.p.send(s.peer, &batch[i], by)
 		}
-		return nil
-	case <-s.done:
-		err = s.err // written before done closed
-	case <-ctx.Done():
-		err = fmt.Errorf("live: pooled send to %s: %w", s.peer.addr, ctx.Err())
+	}
+}
+
+// probeWait bounds peerClosed's read: a closed peer's EOF is already
+// waiting, and a live one has nothing to say.
+const probeWait = 100 * time.Microsecond
+
+// prober holds the reader role while peerClosed reads.
+var prober waiter
+
+// peerClosed reads a session that no exchange is reading, for probeWait,
+// and reports whether the peer has closed it. Nothing else would notice
+// before a write: a session holds no goroutine, and on TCP the first write
+// after the peer's close succeeds while its frame is lost. The read
+// settles what it finds, a late reply, as any reader would; anything but
+// its deadline ending it tears the session down.
+func (s *session) peerClosed() bool {
+	s.mu.Lock()
+	probe := !s.torn && s.reader == nil && s.inflight == 0
+	if probe {
+		s.reader = &prober
+	}
+	s.mu.Unlock()
+	if !probe {
+		return false
+	}
+	conn := s.conn
+	conn.SetReadDeadline(time.Now().Add(probeWait))
+	var err error
+	for err == nil {
+		var m *wire.Message
+		if m, err = conn.Recv(); err == nil {
+			s.deliver(m)
+		}
 	}
 	s.mu.Lock()
-	s.oneWay--
+	s.reader = nil
+	s.promote()
 	s.mu.Unlock()
-	return err
+	if !broken(err) {
+		return false
+	}
+	s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.peer.addr, err))
+	return true
 }
 
 // roundTrip acquires pr's session and runs one exchange, begun at start,
@@ -541,14 +788,14 @@ func (p *pool) roundTrip(ctx context.Context, pr *peer, m *wire.Message, start, 
 	return s.roundTrip(ctx, m, start, by)
 }
 
-// send acquires pr's session and enqueues a one-way frame; a session it
-// creates dials by by.
-func (p *pool) send(ctx context.Context, pr *peer, m *wire.Message, by time.Time) error {
+// send acquires pr's session and stages a one-way frame, to be written by
+// by; a session it creates dials by by.
+func (p *pool) send(pr *peer, m *wire.Message, by time.Time) error {
 	s, err := p.acquire(pr, by)
 	if err != nil {
 		return err
 	}
-	return s.send(ctx, m)
+	return s.send(m, by)
 }
 
 // drop forgets s unless a newer session already replaced it.

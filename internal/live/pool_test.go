@@ -9,6 +9,8 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,16 +206,9 @@ func TestPoolRedialAfterBrokenSession(t *testing.T) {
 	first := <-server.conns
 	first.Close() // the peer's end of the pooled session dies
 
-	// The client's read loop notices and tears the session down.
-	deadline := time.Now().Add(2 * time.Second)
-	for client.Stats().PoolSessions != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("broken session never torn down")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The next exchange re-dials without caller involvement.
+	// A dialed session holds no goroutine to notice: the next exchange
+	// finds the session broken, tears it down and re-dials without caller
+	// involvement.
 	if err := client.PingContext(ctx, server.l.Addr()); err != nil {
 		t.Fatalf("ping after broken session: %v", err)
 	}
@@ -444,6 +439,64 @@ func startUpdateSink(t *testing.T, tr transport.Transport) (transport.Listener, 
 	return l, &got
 }
 
+// TestPoolPushAfterPeerClosedIdleSession: the peer closes a session that
+// only pushes ride, which has no reader to notice. A push that follows
+// still arrives: its writer finds the close first, and stages the push on
+// a fresh session.
+func TestPoolPushAfterPeerClosedIdleSession(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   transport.Transport
+		addr string
+	}{{"tcp", &transport.TCP{}, "127.0.0.1:0"}, {"mem", transport.NewMem(), ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := tc.tr.Listen(tc.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			conns := make(chan transport.Conn, 4)
+			var got atomic.Int64
+			go func() {
+				for {
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					conns <- c
+					go func() {
+						for {
+							if _, err := c.Recv(); err != nil {
+								return
+							}
+							got.Add(1)
+						}
+					}()
+				}
+			}()
+			counters := metrics.NewCounters()
+			p, peers := newTestPool(tc.tr, PoolConfig{}, counters)
+			defer p.Close()
+			pr := peers.get(l.Addr(), true)
+			push := func(key hashkey.Key) {
+				t.Helper()
+				if err := p.send(pr, &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: key, Addr: "192.0.2.1:1", Epoch: 1}}, farOff()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			push(1)
+			waitFor(t, "the first push", func() bool { return got.Load() == 1 })
+			(<-conns).Close()
+			time.Sleep(20 * time.Millisecond) // the close reaches the client
+			push(2)
+			waitFor(t, "the push after the peer's close", func() bool { return got.Load() == 2 })
+			if dials := counters.Get("pool.dials"); dials != 2 {
+				t.Errorf("pool.dials = %d, want 2: the closed session, and its replacement", dials)
+			}
+		})
+	}
+}
+
 // TestPoolOneWayFramesPinSession: one-way pushes wait for no reply, so
 // nothing but the write queue says the session is in use. At the
 // MaxSessions cap, acquiring a second peer while the first session's
@@ -464,12 +517,10 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(gate, PoolConfig{MaxSessions: 1}, counters)
 	defer p.Close()
-	defer open() // before p.Close, which waits for the parked writer
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+	defer open() // before p.Close, which waits for the parked dial
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
-		if err := p.send(ctx, peers.get(sink.Addr(), true), push, farOff()); err != nil {
+		if err := p.send(peers.get(sink.Addr(), true), push, farOff()); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
@@ -564,10 +615,8 @@ func TestPoolOneWayReturnsBeforeItsDial(t *testing.T) {
 	gate := &gatedDial{Mem: mem, open: make(chan struct{})}
 	p, peers := newTestPool(gate, PoolConfig{}, nil)
 	defer p.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
 	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
-	if err := p.send(ctx, peers.get(sink.Addr(), true), push, farOff()); err != nil {
+	if err := p.send(peers.get(sink.Addr(), true), push, farOff()); err != nil {
 		t.Fatalf("one-way send behind a parked dial: %v", err)
 	}
 	close(gate.open)
@@ -660,39 +709,70 @@ func TestPoolFailedDialCountsOnce(t *testing.T) {
 	}
 }
 
-// recordingConn records the writer's use of the batching surface.
-type recordingConn struct {
-	transport.Conn // nil: the writer may touch nothing else
-	queued         []uint32
-	flushes        int
+// gatedSockTCP dials TCP under a framed conn whose socket counts its
+// writes and holds the first until open closes, as a full socket buffer
+// would.
+type gatedSockTCP struct {
+	transport.TCP
+	open   chan struct{}
+	writes atomic.Int64
 }
 
-func (c *recordingConn) Queue(m *wire.Message) (int, error) {
-	c.queued = append(c.queued, m.Seq)
-	return len(c.queued), nil
+func (g *gatedSockTCP) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewConn(&gatedSock{Conn: c, g: g}), nil
 }
 
-func (c *recordingConn) Flush() error { c.flushes++; return nil }
+type gatedSock struct {
+	net.Conn
+	g *gatedSockTCP
+}
 
-// TestPoolWriterDrainsQueueIntoOneWrite: whatever is already waiting when
-// the writer wakes shares its flush, in queue order.
-func TestPoolWriterDrainsQueueIntoOneWrite(t *testing.T) {
-	rec := &recordingConn{}
-	s := &session{conn: rec, writeCh: make(chan *waiter, 8)}
-	for seq := uint32(1); seq <= 5; seq++ {
-		s.writeCh <- &waiter{Message: wire.Message{Type: wire.TUpdate, Seq: seq}, oneWay: seq%2 == 0}
+func (c *gatedSock) Write(p []byte) (int, error) {
+	if c.g.writes.Add(1) == 1 {
+		<-c.g.open
 	}
-	frames, oneWay, err := s.writeBurst(<-s.writeCh)
-	if err != nil || frames != 5 || oneWay != 2 {
-		t.Fatalf("writeBurst = (%d frames, %d one-way, %v), want (5, 2, nil)", frames, oneWay, err)
+	return c.Conn.Write(p)
+}
+
+// TestPoolParkedCallersShareWrites: callers that park behind a write in
+// progress leave together once it is done — 16 exchanges take fewer
+// socket writes than frames — and the pool counts every frame and every
+// write, the reader's flush before its read included.
+func TestPoolParkedCallersShareWrites(t *testing.T) {
+	const callers = 16
+	l := startDiscoverEcho(t, &transport.TCP{})
+	gate := &gatedSockTCP{open: make(chan struct{})}
+	counters := metrics.NewCounters()
+	p, peers := newTestPool(gate, PoolConfig{}, counters)
+	defer p.Close()
+	pr := peers.get(l.Addr(), true)
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func(key hashkey.Key) {
+			resp, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TDiscover, Key: key}, time.Now(), farOff())
+			if err == nil && resp.Key != key {
+				err = fmt.Errorf("discover of %v answered for %v", key, resp.Key)
+			}
+			errs <- err
+		}(hashkey.Key(i + 1))
 	}
-	if rec.flushes != 1 {
-		t.Errorf("5 waiting frames took %d flushes, want 1", rec.flushes)
-	}
-	for i, seq := range rec.queued {
-		if seq != uint32(i+1) {
-			t.Fatalf("frames left in order %v, want 1..5", rec.queued)
+	parkedSession(t, pr, callers)
+	close(gate.open)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
+	}
+	writes := gate.writes.Load()
+	if writes >= callers {
+		t.Errorf("%d exchanges took %d socket writes, want fewer than one each", callers, writes)
+	}
+	if frames, flushes := counters.Get("pool.frames"), counters.Get("pool.flushes"); frames != callers || flushes != uint64(writes) {
+		t.Errorf("pool.frames = %d, pool.flushes = %d; want %d frames in the %d writes the socket saw", frames, flushes, callers, writes)
 	}
 }
 
@@ -786,6 +866,11 @@ func TestRoundTripSettlesOnceAcrossDeadline(t *testing.T) {
 	wg.Wait()
 	if answered.Load() == 0 || timedOut.Load() == 0 {
 		t.Fatalf("%d answered, %d timed out: the delays must straddle the deadline", answered.Load(), timedOut.Load())
+	}
+	// Replies are read while an exchange waits. One more exchange reads the
+	// late replies still on their way, which the server sends ahead of its.
+	if _, err := p.roundTrip(context.Background(), pr, &wire.Message{Type: wire.TDiscover, Key: 1}, time.Now(), farOff()); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, "every late reply to be counted as an orphan", func() bool {
 		return counters.Get("pool.demux.orphans") == uint64(timedOut.Load())

@@ -148,19 +148,16 @@ func (n *Node) backoff(attempt int) time.Duration {
 	return time.Duration(rand.Int64N(int64(cap) + 1))
 }
 
-// oneWay enqueues m for addr, waiting on no reply and no dial: only on a
-// full session queue, for at most RequestTimeout. A suspect peer fails
-// fast (late binding covers the missed push); a failure to enqueue feeds
-// the breaker, and what follows is the pool's to record (oneWayResult).
+// oneWay stages m for addr, waiting on no reply, no dial and no write,
+// which RequestTimeout bounds. A suspect peer fails fast (late binding
+// covers the missed push); a failure to stage feeds the breaker, and what
+// follows is the pool's to record (oneWayResult).
 func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 	p := n.peers.get(addr, true)
 	if err := p.breakerAllow(n); err != nil {
 		return err
 	}
-	by := time.Now().Add(n.cfg.RequestTimeout)
-	actx, cancel := context.WithDeadline(ctx, by)
-	defer cancel()
-	err := n.pool.send(actx, p, m, by)
+	err := n.pool.send(p, m, time.Now().Add(n.cfg.RequestTimeout))
 	if err != nil {
 		p.breakerResult(n, err, ctx.Err() != nil)
 	}

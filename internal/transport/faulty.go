@@ -328,7 +328,8 @@ func (l *faultyListener) Addr() string { return l.inner.Addr() }
 
 // faultyConn injects its link's faults into each frame it sends. A
 // delayed frame is held in flight on the conn's delay line: a slow link
-// delays the frame, not its sender.
+// delays the frame, not its sender, and writes it under no deadline of
+// the sender's. Reads and the sender's own writes honour the deadlines.
 type faultyConn struct {
 	f        *Faulty
 	from, to string // endpoint names; to == "" on the accepted side
@@ -339,6 +340,7 @@ type faultyConn struct {
 	line   []heldFrame // frames in flight, oldest first; dues never decrease
 	timer  *time.Timer // lets the due frames out; armed while line is not empty
 	closed bool
+	wdl    atomic.Pointer[time.Time] // the sender's write deadline
 }
 
 // heldFrame copies a frame in flight: its sender recycles the original.
@@ -352,10 +354,29 @@ func (c *faultyConn) Send(m *wire.Message) error {
 	if _, err := c.Queue(m); err != nil {
 		return err
 	}
+	return c.Flush()
+}
+
+// Flush writes under the sender's deadline, which the delay line's own
+// writes leave unset on the inner conn.
+func (c *faultyConn) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if dl := c.wdl.Load(); dl != nil {
+		c.inner.SetWriteDeadline(*dl)
+	}
 	return c.inner.Flush()
 }
 
-func (c *faultyConn) Flush() error { return c.inner.Flush() }
+// SetWriteDeadline also reaches a write in progress, without waiting for
+// the lock it holds.
+func (c *faultyConn) SetWriteDeadline(t time.Time) error {
+	c.wdl.Store(&t)
+	return c.inner.SetWriteDeadline(t)
+}
+
+func (c *faultyConn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
+func (c *faultyConn) Buffered() bool                    { return c.inner.Buffered() }
 
 // Queue decides and counts this frame's faults — drop, delay, corruption,
 // duplication, once per frame however the caller batches — and queues
@@ -434,6 +455,7 @@ func (c *faultyConn) letOut() {
 		_, _ = c.inner.Queue(&c.line[n].m)
 		n++
 	}
+	c.inner.SetWriteDeadline(time.Time{})
 	_ = c.inner.Flush()
 	clear(c.line[:n])
 	if c.line = c.line[n:]; len(c.line) > 0 {

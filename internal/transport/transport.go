@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -34,11 +35,15 @@ var (
 	// callers can treat it as backpressure (retry soon) rather than
 	// absence.
 	ErrBacklogFull = errors.New("transport: accept backlog full")
+	// ErrPartialWrite marks a write its deadline cut after it sent part
+	// of what was queued: the stream may stand mid-frame until a later
+	// write sends the rest. It comes wrapped with the timeout.
+	ErrPartialWrite = errors.New("transport: write cut part-way")
 )
 
 // IsTimeout reports whether err represents an exceeded deadline: a
-// net.Error timeout from the TCP stack, or context.DeadlineExceeded from
-// a bounded dial or exchange.
+// net.Error timeout from a conn's deadline or the TCP stack, or
+// context.DeadlineExceeded from a bounded dial or exchange.
 func IsTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
@@ -53,6 +58,15 @@ func IsTimeout(err error) bool {
 // A failed write is sticky — the stream's framing is gone, so every later
 // Send, Queue and Flush reports the same error. Recv has one caller at a
 // time.
+//
+// Deadlines bound the waits on the link. A read deadline bounds Recv,
+// including the flush it makes before it blocks; a write deadline bounds
+// Send and Flush. The zero time means no bound. A wait the deadline ends
+// fails with an error IsTimeout reports, and costs the stream nothing: a
+// Recv the deadline cuts keeps what it read of the frame in progress, and
+// the next Recv completes it; a write it cuts keeps what it did not send
+// queued, and the next write resumes the stream where the cut one stopped
+// (ErrPartialWrite marks a cut that sent part of it).
 type Conn interface {
 	// Send writes one message, behind anything queued before it, and
 	// returns once the transport has taken the bytes.
@@ -69,6 +83,13 @@ type Conn interface {
 	Flush() error
 	// Recv blocks for the next message.
 	Recv() (*wire.Message, error)
+	// Buffered reports whether Recv would return at once, from what has
+	// already been read off the link. Its caller is Recv's.
+	Buffered() bool
+	// SetReadDeadline bounds every later Recv by t.
+	SetReadDeadline(t time.Time) error
+	// SetWriteDeadline bounds every later Send and Flush by t.
+	SetWriteDeadline(t time.Time) error
 	// Close tears the connection down; pending Recv returns an error.
 	Close() error
 }
@@ -140,20 +161,38 @@ func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
 // of a pipe pair for Mem.
 type streamConn struct {
 	rw io.ReadWriteCloser
-	r  *bufio.Reader // fed by flushReader
+	dl deadliner        // rw's deadlines; nil if it has none, and then deadlines do nothing
+	br *bufio.Reader    // fed by flushReader
+	fr wire.FrameReader // over br
 
 	mu      sync.Mutex // serializes Send/Queue/Flush; guards the fields below
 	out     []byte     // encoded frames not yet written; reused across flushes
 	pending int        // frames in out
 	werr    error      // first failed write; sticky
+
+	// dmu guards the deadlines. It is never held across I/O, so a new
+	// deadline reaches a write it bounds that is blocked.
+	dmu      sync.Mutex
+	rdl, wdl time.Time  // the deadlines set
+	wset     time.Time  // the write deadline rw holds
+	writing  *time.Time // the deadline bounding the write in progress: &wdl, &rdl, or nil
+}
+
+// deadliner is the deadline half of net.Conn.
+type deadliner interface {
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
 }
 
 // NewConn frames any byte stream — what TCP's Dial and Accept return over
 // a socket, and Mem's over a pipe; exported so a test can put its own
-// net.Conn underneath.
+// net.Conn underneath. Deadlines reach the stream if it has
+// SetReadDeadline and SetWriteDeadline, as a net.Conn does.
 func NewConn(rw io.ReadWriteCloser) Conn {
 	sc := &streamConn{rw: rw}
-	sc.r = bufio.NewReader(flushReader{sc})
+	sc.dl, _ = rw.(deadliner)
+	sc.br = bufio.NewReader(flushReader{sc})
+	sc.fr.R = sc.br
 	return sc
 }
 
@@ -164,10 +203,23 @@ func NewConn(rw io.ReadWriteCloser) Conn {
 type flushReader struct{ sc *streamConn }
 
 func (fr flushReader) Read(p []byte) (int, error) {
-	if err := fr.sc.Flush(); err != nil {
+	if err := fr.sc.flushBeforeRead(); err != nil {
 		return 0, err
 	}
 	return fr.sc.rw.Read(p)
+}
+
+// flushBeforeRead writes what is queued under the read deadline, unless
+// that has passed: then the read fails at once and holds nothing back. A
+// write already in progress leaves the flush to its writer: the read does
+// not wait behind a write bounded by another deadline, and whoever holds
+// mu writes what it queues.
+func (sc *streamConn) flushBeforeRead() error {
+	if !sc.mu.TryLock() {
+		return nil
+	}
+	defer sc.mu.Unlock()
+	return sc.flush(true)
 }
 
 // enqueue appends m's frame to out. Caller holds mu.
@@ -184,12 +236,36 @@ func (sc *streamConn) enqueue(m *wire.Message) error {
 	return nil
 }
 
-// flush writes out in one Write. Caller holds mu.
-func (sc *streamConn) flush() error {
+// flush writes out in one Write, bounded by the write deadline, or by the
+// read deadline for the flush before a read. Caller holds mu.
+func (sc *streamConn) flush(beforeRead bool) error {
 	if sc.werr != nil || sc.pending == 0 {
 		return sc.werr
 	}
-	_, sc.werr = sc.rw.Write(sc.out)
+	if sc.dl != nil {
+		due, err := sc.writeDeadline(beforeRead)
+		if due {
+			defer sc.wrote()
+		}
+		if err != nil {
+			sc.werr = err
+			return sc.werr
+		}
+		if !due {
+			return nil
+		}
+	}
+	n, err := sc.rw.Write(sc.out)
+	if err != nil && IsTimeout(err) {
+		// What the cut write did not send stays queued, in order: the
+		// next write resumes the stream, mid-frame or not.
+		sc.out = sc.out[:copy(sc.out, sc.out[n:])]
+		if n > 0 {
+			err = fmt.Errorf("%w: %w", ErrPartialWrite, err)
+		}
+		return err
+	}
+	sc.werr = err
 	sc.out, sc.pending = sc.out[:0], 0
 	return sc.werr
 }
@@ -200,7 +276,7 @@ func (sc *streamConn) Send(m *wire.Message) error {
 	if err := sc.enqueue(m); err != nil {
 		return err
 	}
-	return sc.flush()
+	return sc.flush(false)
 }
 
 func (sc *streamConn) Queue(m *wire.Message) (int, error) {
@@ -213,11 +289,76 @@ func (sc *streamConn) Queue(m *wire.Message) (int, error) {
 func (sc *streamConn) Flush() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.flush()
+	return sc.flush(false)
 }
 
-func (sc *streamConn) Recv() (*wire.Message, error) { return wire.Decode(sc.r) }
+// writeDeadline puts the write about to run under its deadline: the write
+// deadline, or the read deadline for the flush before a read. It reports
+// false for a flush before read whose deadline has passed: that read fails
+// at once, so it holds nothing back while it waits.
+func (sc *streamConn) writeDeadline(beforeRead bool) (due bool, err error) {
+	sc.dmu.Lock()
+	defer sc.dmu.Unlock()
+	sc.writing = &sc.wdl
+	if beforeRead {
+		if !sc.rdl.IsZero() && !time.Now().Before(sc.rdl) {
+			sc.writing = nil
+			return false, nil
+		}
+		sc.writing = &sc.rdl
+	}
+	if dl := *sc.writing; !dl.Equal(sc.wset) {
+		sc.wset = dl
+		err = sc.dl.SetWriteDeadline(dl)
+	}
+	return true, err
+}
+
+func (sc *streamConn) wrote() {
+	sc.dmu.Lock()
+	sc.writing = nil
+	sc.dmu.Unlock()
+}
+
+// setDeadline sets *dl to t and, if it bounds the write in progress, moves
+// that write's deadline too. Caller holds dmu.
+func (sc *streamConn) setDeadline(dl *time.Time, t time.Time) {
+	*dl = t
+	if sc.writing == dl {
+		sc.wset = t
+		sc.dl.SetWriteDeadline(t)
+	}
+}
+
+func (sc *streamConn) Recv() (*wire.Message, error) { return sc.fr.Next() }
 func (sc *streamConn) Close() error                 { return sc.rw.Close() }
+
+func (sc *streamConn) Buffered() bool {
+	ahead, _ := sc.br.Peek(sc.br.Buffered())
+	return sc.fr.Buffered(ahead)
+}
+
+func (sc *streamConn) SetReadDeadline(t time.Time) error {
+	if sc.dl == nil {
+		return nil
+	}
+	sc.dmu.Lock()
+	defer sc.dmu.Unlock()
+	sc.setDeadline(&sc.rdl, t)
+	return sc.dl.SetReadDeadline(t)
+}
+
+// SetWriteDeadline reaches rw at the next write, or at once if a write it
+// bounds is in progress: a deadline no write runs under costs rw nothing.
+func (sc *streamConn) SetWriteDeadline(t time.Time) error {
+	if sc.dl == nil {
+		return nil
+	}
+	sc.dmu.Lock()
+	defer sc.dmu.Unlock()
+	sc.setDeadline(&sc.wdl, t)
+	return nil
+}
 
 // --- In-memory ---
 
@@ -385,6 +526,16 @@ type memEnd struct{ in, out *pipe }
 func (e *memEnd) Read(p []byte) (int, error)  { return e.in.read(p) }
 func (e *memEnd) Write(p []byte) (int, error) { return e.out.write(p) }
 
+func (e *memEnd) SetReadDeadline(t time.Time) error {
+	e.in.setDeadline(&e.in.rdl, t)
+	return nil
+}
+
+func (e *memEnd) SetWriteDeadline(t time.Time) error {
+	e.out.setDeadline(&e.out.wdl, t)
+	return nil
+}
+
 // Close drops this end's unread input and lets the peer drain what this
 // end already wrote before it reads EOF.
 func (e *memEnd) Close() error {
@@ -397,11 +548,53 @@ func (e *memEnd) Close() error {
 // written and not yet read, bounded at wire.MaxFrame the way a socket
 // buffer is bounded, so a writer ahead of its reader waits.
 type pipe struct {
-	mu      sync.Mutex
-	cond    sync.Cond // signals every change of buf, rclosed or wclosed
-	buf     bytes.Buffer
-	rclosed bool // the reading end closed: input is dropped, writes fail
-	wclosed bool // the writing end closed: the reader drains, then EOF
+	mu       sync.Mutex
+	cond     sync.Cond // signals every change of buf, rclosed or wclosed, and a deadline passing
+	buf      bytes.Buffer
+	rclosed  bool     // the reading end closed: input is dropped, writes fail
+	wclosed  bool     // the writing end closed: the reader drains, then EOF
+	rdl, wdl deadline // the reading end's and the writing end's
+}
+
+// deadline bounds one end's waits on a pipe, as a socket's deadline does:
+// past it, the end's reads or writes fail at once. Its timer is armed
+// only when the end waits, and left armed while it would fire no later
+// than t: an earlier wake-up finds t still ahead and waits on, so a
+// deadline that moves on each exchange costs no timer until a wait.
+type deadline struct {
+	t     time.Time
+	armed time.Time   // when the timer fires; zero when it is not armed
+	timer *time.Timer // wakes the waiters
+}
+
+func (d *deadline) passed() bool { return !d.t.IsZero() && !time.Now().Before(d.t) }
+
+func (p *pipe) setDeadline(d *deadline, t time.Time) {
+	p.mu.Lock()
+	d.t = t
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// wait parks the caller until the pipe changes or d passes. Caller holds
+// p.mu.
+func (p *pipe) wait(d *deadline) {
+	if !d.t.IsZero() && (d.armed.IsZero() || d.armed.After(d.t)) {
+		d.armed = d.t
+		if d.timer == nil {
+			d.timer = time.AfterFunc(time.Until(d.t), func() { p.fire(d) })
+		} else {
+			d.timer.Reset(time.Until(d.t))
+		}
+	}
+	p.cond.Wait()
+}
+
+func (p *pipe) fire(d *deadline) {
+	p.mu.Lock()
+	d.armed = time.Time{}
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 func newPipe() *pipe {
@@ -420,10 +613,12 @@ func (p *pipe) write(b []byte) (int, error) {
 			return n, ErrClosed
 		case p.rclosed:
 			return n, io.ErrClosedPipe
+		case p.wdl.passed():
+			return n, os.ErrDeadlineExceeded
 		}
 		room := wire.MaxFrame - p.buf.Len()
 		if room == 0 {
-			p.cond.Wait()
+			p.wait(&p.wdl)
 			continue
 		}
 		chunk := min(room, len(b)-n)
@@ -441,6 +636,8 @@ func (p *pipe) read(b []byte) (int, error) {
 		switch {
 		case p.rclosed:
 			return 0, ErrClosed
+		case p.rdl.passed():
+			return 0, os.ErrDeadlineExceeded
 		case p.buf.Len() > 0:
 			n, _ := p.buf.Read(b)
 			p.cond.Broadcast()
@@ -448,7 +645,7 @@ func (p *pipe) read(b []byte) (int, error) {
 		case p.wclosed:
 			return 0, io.EOF
 		}
-		p.cond.Wait()
+		p.wait(&p.rdl)
 	}
 }
 

@@ -261,30 +261,106 @@ func Decode(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
-		return nil, ErrBadMagic
-	}
-	if hdr[2] != Version {
-		return nil, ErrBadVersion
-	}
-	mtype := MsgType(hdr[3])
-	size := binary.BigEndian.Uint32(hdr[4:8])
-	if size > MaxFrame {
-		return nil, ErrTooLarge
+	mtype, size, err := parseHeader(&hdr)
+	if err != nil {
+		return nil, err
 	}
 	pb := payloadPool.Get().(*[]byte)
-	if cap(*pb) < int(size) {
-		*pb = make([]byte, size)
-	}
-	payload := (*pb)[:size]
+	payload := payloadOf(pb, size)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		*pb = payload[:0]
 		payloadPool.Put(pb)
 		return nil, err
 	}
+	return decodePayload(mtype, pb)
+}
+
+// FrameReader decodes frames from a stream and survives a read that fails
+// part-way through a frame, as one cut by a deadline does: it keeps what it
+// read of the frame, and the next Next resumes where that read left off.
+// Decode, which starts every call at a frame boundary, cannot resume.
+type FrameReader struct {
+	R io.Reader
+
+	hdr [headerSize]byte
+	got int     // bytes of the frame in progress read so far, header first
+	pb  *[]byte // its payload's scratch, from payloadPool once the header is in
+}
+
+// Next reads the next frame, or the rest of the one a failed read cut.
+func (fr *FrameReader) Next() (*Message, error) {
+	for fr.got < headerSize {
+		n, err := fr.R.Read(fr.hdr[fr.got:])
+		fr.got += n
+		if err != nil {
+			return nil, err
+		}
+	}
+	mtype, size, err := parseHeader(&fr.hdr)
+	if err != nil {
+		return nil, err
+	}
+	if fr.pb == nil {
+		fr.pb = payloadPool.Get().(*[]byte)
+		payloadOf(fr.pb, size)
+	}
+	payload := *fr.pb
+	for off := fr.got - headerSize; off < size; off = fr.got - headerSize {
+		n, err := fr.R.Read(payload[off:])
+		fr.got += n
+		if err != nil {
+			return nil, err
+		}
+	}
+	pb := fr.pb
+	fr.got, fr.pb = 0, nil
+	return decodePayload(mtype, pb)
+}
+
+// Buffered reports whether Next would return without reading R: ahead
+// holds the bytes R has already read past the frame in progress, and they
+// complete it, or hold a whole frame.
+func (fr *FrameReader) Buffered(ahead []byte) bool {
+	hdr := fr.hdr
+	if fr.got < headerSize && fr.got+copy(hdr[fr.got:], ahead) < headerSize {
+		return false
+	}
+	_, size, err := parseHeader(&hdr)
+	return err != nil || fr.got+len(ahead) >= headerSize+size // an error returns at once too
+}
+
+// parseHeader checks a frame's preamble and returns its type and payload
+// size.
+func parseHeader(hdr *[headerSize]byte) (MsgType, int, error) {
+	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	if hdr[2] != Version {
+		return 0, 0, ErrBadVersion
+	}
+	size := binary.BigEndian.Uint32(hdr[4:8])
+	if size > MaxFrame {
+		return 0, 0, ErrTooLarge
+	}
+	return MsgType(hdr[3]), int(size), nil
+}
+
+// payloadOf resizes pb's buffer to size, growing it if it is short, and
+// returns it.
+func payloadOf(pb *[]byte, size int) []byte {
+	if cap(*pb) < size {
+		*pb = make([]byte, size)
+	}
+	*pb = (*pb)[:size]
+	return *pb
+}
+
+// decodePayload decodes a whole payload, held in pb's buffer, and returns
+// the buffer to payloadPool.
+func decodePayload(mtype MsgType, pb *[]byte) (*Message, error) {
 	m := GetMessage()
-	err := decodeBody(m, mtype, payload)
-	*pb = payload[:0]
+	err := decodeBody(m, mtype, *pb)
+	*pb = (*pb)[:0]
 	payloadPool.Put(pb)
 	if err != nil {
 		PutMessage(m)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -234,5 +235,52 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 	if !strings.Contains(MsgType(200).String(), "200") {
 		t.Error("unknown MsgType should include numeric value")
+	}
+}
+
+// cutReader hands out its bytes up to a cut, then fails the read as a
+// deadline would; moving the cut lets the rest through.
+type cutReader struct {
+	b   []byte
+	cut int
+}
+
+var errCut = errors.New("cut")
+
+func (r *cutReader) Read(p []byte) (int, error) {
+	if r.cut == 0 {
+		return 0, errCut
+	}
+	n := copy(p[:min(len(p), r.cut)], r.b)
+	r.b, r.cut = r.b[n:], r.cut-n
+	return n, nil
+}
+
+// TestFrameReaderResumesAtEveryCut: a frame cut at any byte — in the
+// header or in the payload — comes out whole from the next Next, and
+// Buffered says whether the bytes read ahead complete it.
+func TestFrameReaderResumesAtEveryCut(t *testing.T) {
+	want := &Message{Type: TDiscoverResp, Seq: 9, Found: true, Self: Entry{Key: 3, Addr: "192.0.2.1:9000", Epoch: 2}}
+	frame, err := Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut < len(frame); cut++ {
+		r := &cutReader{b: frame, cut: cut}
+		fr := FrameReader{R: r}
+		if _, err := fr.Next(); !errors.Is(err, errCut) {
+			t.Fatalf("cut at %d: Next = %v, want the cut", cut, err)
+		}
+		if fr.Buffered(frame[cut : len(frame)-1]) {
+			t.Fatalf("cut at %d: Buffered with a byte still missing", cut)
+		}
+		if !fr.Buffered(frame[cut:]) {
+			t.Fatalf("cut at %d: not Buffered with the rest ahead", cut)
+		}
+		r.cut = len(frame)
+		got, err := fr.Next()
+		if err != nil || got.Seq != want.Seq || got.Self != want.Self || !got.Found {
+			t.Fatalf("cut at %d: Next after the cut = (%+v, %v)", cut, got, err)
+		}
 	}
 }
