@@ -202,44 +202,44 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	}
 	// Designate the replica set's near/far roles by injecting latency:
 	// whatever order ownersOf returned, owners[0] becomes the low-RTT
-	// replica from the prober's vantage point and owners[1] the high-RTT
+	// replica from the asker's vantage point and owners[1] the high-RTT
 	// one.
 	near, far := owners[0], owners[1]
-	var prober *Node
+	var asker *Node
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
 		nd := nodes[name]
 		if nd.Key() != near.Key && nd.Key() != far.Key {
-			prober = nd
+			asker = nd
 			break
 		}
 	}
-	if prober == nil {
-		t.Fatal("no stationary prober outside the replica set")
+	if asker == nil {
+		t.Fatal("no stationary asker outside the replica set")
 	}
 	latMu.Lock()
-	lat[[2]string{prober.cfg.Name, byKey[near.Key].cfg.Name}] = 2 * time.Millisecond
-	lat[[2]string{prober.cfg.Name, byKey[far.Key].cfg.Name}] = 25 * time.Millisecond
+	lat[[2]string{asker.cfg.Name, byKey[near.Key].cfg.Name}] = 2 * time.Millisecond
+	lat[[2]string{asker.cfg.Name, byKey[far.Key].cfg.Name}] = 25 * time.Millisecond
 	latMu.Unlock()
-	// Warm the prober's estimators over ordinary exchanges (pings — no
+	// Warm the asker's estimators over ordinary exchanges (pings — no
 	// probe machinery). Several rounds, because bootstrap-era exchanges
 	// already seeded the EWMAs at in-memory-transport speed and the
 	// injected latency has to pull them up.
 	for round := 0; round < 8; round++ {
 		for _, owner := range owners {
-			if err := prober.PingContext(context.Background(), owner.Addr); err != nil {
+			if err := asker.PingContext(context.Background(), owner.Addr); err != nil {
 				t.Fatalf("warm ping: %v", err)
 			}
 		}
 	}
-	nearEst, okNear := prober.peers.get(near.Addr, false).estimate()
-	farEst, okFar := prober.peers.get(far.Addr, false).estimate()
+	nearEst, okNear := asker.peers.get(near.Addr, false).estimate()
+	farEst, okFar := asker.peers.get(far.Addr, false).estimate()
 	if !okNear || !okFar || nearEst < time.Millisecond || farEst <= nearEst {
 		t.Fatalf("warmed estimates near=%v far=%v, want 1ms <= near < far", nearEst, farEst)
 	}
 
 	// With both replicas measured, ordering is deterministic: the
 	// low-latency replica leads.
-	ordered, err := prober.ownersOf(mob.Key(), 2)
+	ordered, err := asker.ownersOf(mob.Key(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	// replica first and falls over to the next-nearest; after
 	// SuspicionThreshold failed exchanges the near breaker trips.
 	for i := 0; i < 3; i++ {
-		addr, err := prober.DiscoverContext(context.Background(), mob.Key())
+		addr, err := asker.DiscoverContext(context.Background(), mob.Key())
 		if err != nil {
 			t.Fatalf("discover %d with dead nearest replica: %v", i, err)
 		}
@@ -261,12 +261,12 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 			t.Fatalf("discover %d resolved %s", i, addr)
 		}
 	}
-	if !prober.peers.get(near.Addr, false).suspect() {
+	if !asker.peers.get(near.Addr, false).suspect() {
 		t.Fatal("dead nearest replica never became suspect")
 	}
 	// Suspicion outranks RTT: the dead replica's estimate is still the
 	// most attractive, but the suspect sorts last.
-	reordered, err := prober.ownersOf(mob.Key(), 2)
+	reordered, err := asker.ownersOf(mob.Key(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +277,14 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	// With the suspect deprioritized (and failing fast when reached), the
 	// next discovery costs exactly one successful exchange.
 	before := counters.Get("rpc.attempts")
-	if _, err := prober.DiscoverContext(context.Background(), mob.Key()); err != nil {
+	if _, err := asker.DiscoverContext(context.Background(), mob.Key()); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters.Get("rpc.attempts") - before; got != 1 {
 		t.Fatalf("suspicion-aware discovery used %d attempts, want 1", got)
 	}
 	// The Stats RTT table surfaces both estimates, suspect flag included.
-	stats := prober.Stats()
+	stats := asker.Stats()
 	found := map[string]PeerRTT{}
 	for _, pr := range stats.PeerRTTs {
 		found[pr.Addr] = pr

@@ -195,7 +195,7 @@ func (s *silentListener) stop() {
 func TestAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	mem := transport.NewMem()
 	counters := metrics.NewCounters()
-	client := mustNode(t, Config{Name: "prober", RetryAttempts: 1, RequestTimeout: 30 * time.Millisecond,
+	client := mustNode(t, Config{Name: "asker", RetryAttempts: 1, RequestTimeout: 30 * time.Millisecond,
 		SuspicionThreshold: 1, SuspicionCooldown: 50 * time.Millisecond, Counters: counters}, mem)
 	defer client.Close()
 	const addr = "mem:flaky"

@@ -436,13 +436,26 @@ func (n *Node) Start(listenAddr string) error {
 	n.lifeMu.Unlock()
 	n.members.apply(direct, n.SelfEntry()) // a stationary is in its own ring; a mobile is in none
 
-	n.wg.Add(1)
-	go n.acceptLoop(ls)
+	n.spawn(func() { n.acceptLoop(ls) }) // stopped meanwhile: Close closed ls
 	return nil
 }
 
+// spawn runs f on a goroutine that Close joins, unless the node has
+// stopped. Every WaitGroup.Add of the node happens under lifeMu after the
+// stopped check, so none races Close's Wait.
+func (n *Node) spawn(f func()) bool {
+	n.lifeMu.Lock()
+	defer n.lifeMu.Unlock()
+	if !n.stopped {
+		n.wg.Add(1)
+		go func() { defer n.wg.Done(); f() }()
+	}
+	return !n.stopped
+}
+
 // Close stops serving: the connection pool drains, the listener and every
-// accepted connection close, and all server goroutines exit.
+// accepted connection close, and every goroutine the node started — the
+// server's, and a publish's fan-out — has exited when it returns.
 func (n *Node) Close() error {
 	n.lifeMu.Lock()
 	if n.stopped {
@@ -497,8 +510,7 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if old != nil {
 		old.close() // the old attachment point disappears
 	}
-	n.wg.Add(1)
-	go n.acceptLoop(ls)
+	n.spawn(func() { n.acceptLoop(ls) }) // stopped meanwhile: Close closed ls
 	n.logf("rebound to %s", n.Addr())
 
 	pushed := n.UpdateRegistryContext(ctx)
@@ -512,7 +524,6 @@ func (n *Node) logf(format string, args ...interface{}) {
 }
 
 func (n *Node) acceptLoop(ls *listenerState) {
-	defer n.wg.Done()
 	for {
 		conn, err := ls.l.Accept()
 		if err != nil {

@@ -497,13 +497,13 @@ func TestPoolPushAfterPeerClosedIdleSession(t *testing.T) {
 	}
 }
 
-// TestPoolOneWayFramesPinSession: one-way pushes wait for no reply, so
-// nothing but the write queue says the session is in use. At the
-// MaxSessions cap, acquiring a second peer while the first session's
-// writer still holds queued pushes must go over the cap — evicting the
-// session would silently drop LDT updates. Every push arrives, and only
-// then does the pool shed its way back inside the cap.
-func TestPoolOneWayFramesPinSession(t *testing.T) {
+// TestPoolEvictionWritesWhatItHolds: one-way pushes wait for no reply, so
+// a session only pushes ride is idle, and at the MaxSessions cap a second
+// peer's admission evicts it while its writer still holds the pushes. The
+// eviction leaves the peer at once — the pool is back at its cap, with no
+// admission over it — and the pushes are still written before the conn
+// closes: every one arrives.
+func TestPoolEvictionWritesWhatItHolds(t *testing.T) {
 	const pushes = 4
 	mem := transport.NewMem()
 	sink, got := startUpdateSink(t, mem)
@@ -517,35 +517,25 @@ func TestPoolOneWayFramesPinSession(t *testing.T) {
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(gate, PoolConfig{MaxSessions: 1}, counters)
 	defer p.Close()
-	defer open() // before p.Close, which waits for the parked dial
+	defer open() // before p.Close, which waits for the parked writer
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
 		if err := p.send(peers.get(sink.Addr(), true), push, farOff()); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
+	waitFor(t, "the pushes' session to dial", func() bool { return counters.Get("pool.dials") == 1 })
 	if _, err := p.acquire(peers.get(other.l.Addr(), true), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
-	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
-		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session kept (0) and the acquire over the cap (1)", evicted, over)
+	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 1 || over != 0 {
+		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session evicted (1) and no admission over the cap (0)", evicted, over)
+	}
+	if got := p.sessionCount(); got != 1 {
+		t.Fatalf("sessions = %d after the eviction, want 1", got)
 	}
 	open()
-	deadline := time.Now().Add(5 * time.Second)
-	for got.Load() != pushes {
-		if time.Now().After(deadline) {
-			t.Fatalf("sink received %d/%d pushes", got.Load(), pushes)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Written frames no longer pin the session: it is idle in a pool over
-	// its cap, and goes.
-	for p.sessionCount() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d after the pushes were written, want 1", p.sessionCount())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "every push to arrive", func() bool { return got.Load() == pushes })
 }
 
 // gatedFlush is a Mem transport whose dialed conns hold every Flush until

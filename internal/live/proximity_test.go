@@ -170,7 +170,7 @@ func TestSelectReplicasRegionDiversity(t *testing.T) {
 // no draw involved — until one exchange measures it, and from then on it
 // ranks by its estimate.
 func TestPeerHealthExploresUnknownPeers(t *testing.T) {
-	n := mustNode(t, Config{Name: "prober"}, transport.NewMem())
+	n := mustNode(t, Config{Name: "asker"}, transport.NewMem())
 	defer n.Close()
 	n.peers.get("measured-a", true).observe(10 * time.Millisecond)
 	n.peers.get("measured-b", true).observe(30 * time.Millisecond)

@@ -156,7 +156,9 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	}
 	results := make(chan outcome, len(batches))
 	for addr, recs := range batches {
-		go func() { results <- outcome{addr, n.sendBatch(ctx, addr, self, recs)} }()
+		if !n.spawn(func() { results <- outcome{addr, n.sendBatch(ctx, addr, self, recs)} }) {
+			results <- outcome{addr, ErrStopped}
+		}
 	}
 	bound := false // the binding is stored at a replica of this node's own key
 	holders := make([]string, 0, len(batches))

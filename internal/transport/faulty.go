@@ -377,6 +377,7 @@ func (c *faultyConn) SetWriteDeadline(t time.Time) error {
 
 func (c *faultyConn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
 func (c *faultyConn) Buffered() bool                    { return c.inner.Buffered() }
+func (c *faultyConn) PeerClosed() bool                  { return c.inner.PeerClosed() }
 
 // Queue decides and counts this frame's faults — drop, delay, corruption,
 // duplication, once per frame however the caller batches — and queues
