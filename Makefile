@@ -62,11 +62,11 @@ bench:
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_resolve.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
-	$(GO) run ./cmd/benchjson -in bench_resolve.txt -out BENCH_resolve.json
+	$(GO) run ./cmd/benchgate json -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkMovePublish|BenchmarkPublishIngestParallel' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_publish.txt
-	$(GO) run ./cmd/benchjson -suite publish -in bench_publish.txt -out BENCH_publish.json
+	$(GO) run ./cmd/benchgate json -suite publish -in bench_publish.txt -out BENCH_publish.json
 	@rm -f bench_publish.txt
 
 # bench-stretch records the proximity stretch evaluation: one 10k-router
@@ -77,7 +77,7 @@ bench:
 bench-stretch:
 	$(GO) test -run '^$$' -bench BenchmarkStretch -benchtime 1x \
 		./internal/stretch | tee bench_stretch.txt
-	$(GO) run ./cmd/benchjson -suite stretch -in bench_stretch.txt -out BENCH_stretch.json
+	$(GO) run ./cmd/benchgate json -suite stretch -in bench_stretch.txt -out BENCH_stretch.json
 	@rm -f bench_stretch.txt
 
 # bench-gate re-measures the hot-path benchmarks and fails if any of them
@@ -107,30 +107,24 @@ bench-gate:
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/loccache | tee -a bench_gate.txt
-	$(GO) run ./cmd/benchjson -suite gate -in bench_gate.txt -out bench_gate.json
-	@rm -f bench_gate.txt
-	$(GO) run ./cmd/benchgate -new bench_gate.json \
+	$(GO) run ./cmd/benchgate -new bench_gate.txt \
 		-baselines BENCH_resolve.json,BENCH_publish.json -max-regress-pct 100 \
 		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel,BenchmarkLookupHitParallel \
 		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2,BenchmarkResolveHotScaling/scaling=0.7'
-	@rm -f bench_gate.json
+	@rm -f bench_gate.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkResolveColdMiss$$|^BenchmarkDiscover$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee cold_gate.txt
-	$(GO) run ./cmd/benchjson -suite gate -in cold_gate.txt -out cold_gate.json
-	@rm -f cold_gate.txt
-	$(GO) run ./cmd/benchgate -new cold_gate.json \
+	$(GO) run ./cmd/benchgate -new cold_gate.txt \
 		-baselines BENCH_resolve.json -max-regress-pct 100
-	@rm -f cold_gate.json
+	@rm -f cold_gate.txt
 	$(GO) test -run '^$$' -bench BenchmarkStretch -benchtime 1x \
 		./internal/stretch | tee stretch_gate.txt
-	$(GO) run ./cmd/benchjson -suite stretch -in stretch_gate.txt -out stretch_gate.json
-	@rm -f stretch_gate.txt
-	$(GO) run ./cmd/benchgate -new stretch_gate.json \
+	$(GO) run ./cmd/benchgate -new stretch_gate.txt \
 		-baselines BENCH_stretch.json \
 		-ignore-allocs -max-regress-pct 100 \
 		-max-metric 'BenchmarkStretchProximity10k/median-stretch=1.5' \
 		-min-metric 'BenchmarkStretchRandom10k/median-stretch=1.2'
-	@rm -f stretch_gate.json
+	@rm -f stretch_gate.txt
 
 # bench-pair judges this tree's timings against BASE, another checkout
 # (e.g. `git archive $(git merge-base origin/main HEAD) | tar -x -C
@@ -167,4 +161,4 @@ soak-10k:
 # clean removes the scratch files the targets above write and nothing that
 # is committed: BENCH_*.json are the baselines bench-gate compares against.
 clean:
-	rm -f bench_*.txt *_gate.txt *_gate.json soak10k.log
+	rm -f bench_*.txt *_gate.txt soak10k.log

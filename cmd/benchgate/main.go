@@ -1,10 +1,11 @@
-// Command benchgate compares a fresh benchjson report against committed
-// baselines and fails (exit 1) when the hot paths regress: a benchmark
-// present in both reports may not slow down by more than -max-regress-pct
-// in ns/op, and may never gain allocations. Benchmarks named in
-// -zero-alloc must additionally appear in the fresh report with exactly
-// 0 allocs/op — the zero-allocation guarantees of the serve and resolve
-// paths as an enforced gate rather than a comment.
+// Command benchgate is the one tool for `go test -bench` output. Its gate
+// mode compares fresh output against committed baselines and fails (exit
+// 1) when the hot paths regress: a benchmark present in both may not
+// slow down by more than -max-regress-pct in ns/op, and may never gain
+// allocations. Benchmarks named in -zero-alloc must additionally appear
+// in the fresh output with exactly 0 allocs/op — the zero-allocation
+// guarantees of the serve and resolve paths as an enforced gate rather
+// than a comment.
 //
 // Beyond relative comparisons, -max-metric and -min-metric assert
 // absolute bounds on custom b.ReportMetric columns, e.g.
@@ -14,18 +15,21 @@
 // fails unless that benchmark reports median-stretch/op ≤ 1.5 (and
 // -min-metric symmetrically enforces a floor — used to keep the
 // no-proximity baseline honest). A named benchmark or metric missing
-// from the fresh report is itself a violation.
+// from the fresh output is itself a violation.
 //
 // Usage:
 //
-//	go run ./cmd/benchgate -new /tmp/gate.json \
+//	go run ./cmd/benchgate -new bench_gate.txt \
 //	    -baselines BENCH_resolve.json,BENCH_publish.json \
 //	    -zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel
+//	go run ./cmd/benchgate json -suite publish -in bench.txt -out BENCH_publish.json
+//	go run ./cmd/benchgate pair -n 10 <base-tree> <change-tree>
 //
-// Baselines are recorded by `make bench`; the gate is wired as
-// `make bench-gate` and runs in CI's bench-smoke job. Timings are better
-// judged by `benchgate pair` (pair.go), which alternates a base tree's
-// build and a change tree's on one host. A baseline file
+// Baselines are recorded by `make bench` through `benchgate json`
+// (report.go); the gate is wired as `make bench-gate` and runs in CI's
+// bench-smoke job. Timings are better judged by `benchgate pair`
+// (pair.go), which alternates a base tree's build and a change tree's on
+// one host. A baseline file
 // that does not exist yet is skipped with a warning so a suite's first
 // recorded run can bootstrap itself; -ignore-allocs drops the
 // allocation comparison for suites (like the stretch evaluation) whose
@@ -40,19 +44,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-type result struct {
-	Name     string             `json:"name"`
-	NsPerOp  float64            `json:"ns_per_op"`
-	BPerOp   float64            `json:"b_per_op"`
-	AllocsOp int64              `json:"allocs_per_op"`
-	Metrics  map[string]float64 `json:"metrics"`
-}
-
-type report struct {
-	Suite      string   `json:"suite"`
-	Benchmarks []result `json:"benchmarks"`
-}
 
 // bound is one parsed -max-metric/-min-metric spec:
 // Bench/metric=value with ceiling or floor semantics.
@@ -96,11 +87,17 @@ func load(path string) (report, error) {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "pair" {
-		pair(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "pair":
+			pair(os.Args[2:])
+			return
+		case "json":
+			record(os.Args[2:])
+			return
+		}
 	}
-	newPath := flag.String("new", "", "fresh benchjson report to gate")
+	newPath := flag.String("new", "", "fresh `go test -bench` output to gate (- for stdin)")
 	baselines := flag.String("baselines", "", "comma-separated committed baseline reports")
 	maxRegress := flag.Float64("max-regress-pct", 20, "max allowed ns/op regression, percent")
 	zeroAlloc := flag.String("zero-alloc", "", "comma-separated benchmarks that must report 0 allocs/op")
@@ -122,7 +119,7 @@ func main() {
 	}
 	bounds = append(bounds, floors...)
 
-	fresh, err := load(*newPath)
+	fresh, err := parseFile(*newPath, "gate")
 	if err != nil {
 		fatal(err)
 	}

@@ -14,7 +14,6 @@ package main
 // one tree only is listed and not judged.
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -22,9 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -38,14 +35,6 @@ const (
 	pairBound     = 0.25 // the median slowdown a significant regression may not exceed
 	pairBenchtime = "200ms"
 )
-
-// benchRow matches one result row's name, ns/op and allocs/op.
-var benchRow = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.eE+]+) ns/op.*?(?:\s(\d+) allocs/op)?\s*$`)
-
-type sample struct {
-	ns     float64
-	allocs int64
-}
 
 func pair(args []string) {
 	fs := flag.NewFlagSet("pair", flag.ExitOnError)
@@ -76,8 +65,8 @@ func pair(args []string) {
 		}
 	}
 
-	// runs[t][name] holds tree t's samples, one per round.
-	runs := [2]map[string][]sample{{}, {}}
+	// runs[t][name] holds tree t's rows, one per round.
+	runs := [2]map[string][]result{{}, {}}
 	for round := 0; round < *n; round++ {
 		for k := 0; k < 2; k++ {
 			t := (round + k) % 2 // alternate which tree goes first
@@ -89,8 +78,10 @@ func pair(args []string) {
 				if err != nil {
 					fatal(fmt.Errorf("run %s in %s: %v\n%s", s.pkg, trees[t], err, out))
 				}
-				for name, smp := range parseRows(out) {
-					runs[t][name] = append(runs[t][name], smp)
+				// A tree without a row is judged below, as one tree only.
+				rep, _ := parse(bytes.NewReader(out), s.pkg, "pair")
+				for _, r := range rep.Benchmarks {
+					runs[t][r.Name] = append(runs[t][r.Name], r)
 				}
 			}
 		}
@@ -102,23 +93,8 @@ func pair(args []string) {
 	fmt.Println("benchgate pair: ok")
 }
 
-func parseRows(out []byte) map[string]sample {
-	rows := make(map[string]sample)
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		m := benchRow.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		allocs, _ := strconv.ParseInt(m[3], 10, 64)
-		rows[m[1]] = sample{ns: ns, allocs: allocs}
-	}
-	return rows
-}
-
 // judge prints one line per benchmark and returns the violations.
-func judge(runs [2]map[string][]sample) (violations int) {
+func judge(runs [2]map[string][]result) (violations int) {
 	var names []string
 	for name := range runs[0] {
 		names = append(names, name)
@@ -140,12 +116,12 @@ func judge(runs [2]map[string][]sample) (violations int) {
 		slower := 0
 		var maxBase, maxChange int64
 		for i := range base {
-			ratios[i] = change[i].ns / base[i].ns
+			ratios[i] = change[i].NsPerOp / base[i].NsPerOp
 			if ratios[i] > 1 {
 				slower++
 			}
-			maxBase = max(maxBase, base[i].allocs)
-			maxChange = max(maxChange, change[i].allocs)
+			maxBase = max(maxBase, base[i].AllocsOp)
+			maxChange = max(maxChange, change[i].AllocsOp)
 		}
 		pairs := len(ratios)
 		pSlower, pFaster := signTail(pairs, slower), signTail(pairs, pairs-slower)
@@ -171,10 +147,10 @@ func judge(runs [2]map[string][]sample) (violations int) {
 	return violations
 }
 
-func nsOf(s []sample) []float64 {
+func nsOf(s []result) []float64 {
 	out := make([]float64, len(s))
 	for i := range s {
-		out[i] = s[i].ns
+		out[i] = s[i].NsPerOp
 	}
 	return out
 }

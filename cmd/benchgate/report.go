@@ -1,12 +1,11 @@
-// Command benchjson converts `go test -bench` text output into a small
-// machine-readable JSON document, so benchmark results can be committed
-// (BENCH_resolve.json, BENCH_stretch.json) and diffed across PRs or
-// uploaded as CI artifacts without scraping log text.
+package main
+
+// report.go reads `go test -bench` text into a report, the shape the
+// committed BENCH_*.json baselines hold: the gate and pair read the text
+// they judge through it, and `benchgate json` records it.
 //
-// Usage:
-//
-//	go test -run '^$' -bench Resolve -benchmem ./internal/live | go run ./cmd/benchjson -out BENCH_resolve.json
-//	go run ./cmd/benchjson -in bench.txt -out BENCH_resolve.json
+//	go test -run '^$' -bench Resolve -benchmem ./internal/live | go run ./cmd/benchgate json -out BENCH_resolve.json
+//	go run ./cmd/benchgate json -in bench.txt -out BENCH_resolve.json
 //
 // Custom b.ReportMetric columns (rpcs/op, median-stretch/op, ...) are
 // captured generically into each benchmark's "metrics" map; the memory
@@ -14,7 +13,6 @@
 // BenchmarkResolveHot appear in the input, the output includes
 // derived.hot_speedup_vs_discover — the headline number for the
 // location cache.
-package main
 
 import (
 	"bufio"
@@ -46,6 +44,9 @@ var benchLine = regexp.MustCompile(
 // and so does a unit that is not a ratio at all ("scaling").
 var metricCol = regexp.MustCompile(`([\d.eE+-]+) ([\w-]+(?:/[\w-]+)?)`)
 
+var cpuLine = regexp.MustCompile(`^cpu: (.+)$`)
+
+// result is one benchmark row.
 type result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
@@ -64,70 +65,89 @@ type report struct {
 	Derived    map[string]float64 `json:"derived,omitempty"`
 }
 
-func main() {
-	in := flag.String("in", "-", "bench output to read (- for stdin)")
-	out := flag.String("out", "-", "JSON file to write (- for stdout)")
-	suite := flag.String("suite", "resolve", "suite label recorded in the output")
-	flag.Parse()
-
-	src := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		src = f
+// parseRow reads one result row, or reports false for any other line.
+func parseRow(line string) (result, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return result{}, false
 	}
+	r := result{Name: m[1]}
+	r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
+	r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
+	for _, col := range metricCol.FindAllStringSubmatch(m[4], -1) {
+		v, err := strconv.ParseFloat(col[1], 64)
+		if err != nil {
+			continue
+		}
+		unit := strings.TrimSuffix(col[2], "/op")
+		switch unit {
+		case "B":
+			r.BPerOp = v
+		case "allocs":
+			r.AllocsOp = int64(v)
+		case "rpcs":
+			// Keep the dedicated field earlier reports used, and the
+			// generic entry, so consumers of either shape keep working.
+			r.RPCsPerOp = v
+			fallthrough
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
+		}
+	}
+	return r, true
+}
 
-	rep := report{Suite: *suite, Go: runtime.Version()}
-	cpuLine := regexp.MustCompile(`^cpu: (.+)$`)
+// parse reads `go test -bench` text, labelled suite. Text without a
+// result row is an error: a gate or a record of nothing shows nothing.
+func parse(src io.Reader, name, suite string) (report, error) {
+	rep := report{Suite: suite, Go: runtime.Version()}
 	sc := bufio.NewScanner(src)
 	for sc.Scan() {
 		line := sc.Text()
 		if m := cpuLine.FindStringSubmatch(line); m != nil {
 			rep.CPU = m[1]
-			continue
+		} else if r, ok := parseRow(line); ok {
+			rep.Benchmarks = append(rep.Benchmarks, r)
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		r := result{Name: m[1]}
-		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		for _, col := range metricCol.FindAllStringSubmatch(m[4], -1) {
-			v, err := strconv.ParseFloat(col[1], 64)
-			if err != nil {
-				continue
-			}
-			unit := strings.TrimSuffix(col[2], "/op")
-			switch unit {
-			case "B":
-				r.BPerOp = v
-			case "allocs":
-				r.AllocsOp = int64(v)
-			case "rpcs":
-				// Keep the dedicated field earlier reports used, and the
-				// generic entry, so consumers of either shape keep working.
-				r.RPCsPerOp = v
-				fallthrough
-			default:
-				if r.Metrics == nil {
-					r.Metrics = make(map[string]float64)
-				}
-				r.Metrics[unit] = v
-			}
-		}
-		rep.Benchmarks = append(rep.Benchmarks, r)
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return rep, err
 	}
 	if len(rep.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in %s", *in))
+		return rep, fmt.Errorf("no benchmark lines found in %s", name)
 	}
+	return rep, nil
+}
 
+// parseFile parses the text in path, "-" for stdin.
+func parseFile(path, suite string) (report, error) {
+	if path == "-" {
+		return parse(os.Stdin, path, suite)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return report{}, err
+	}
+	defer f.Close()
+	return parse(f, path, suite)
+}
+
+// record is `benchgate json`: it writes the report of bench text as
+// indented JSON.
+func record(args []string) {
+	fs := flag.NewFlagSet("json", flag.ExitOnError)
+	in := fs.String("in", "-", "bench output to read (- for stdin)")
+	out := fs.String("out", "-", "JSON file to write (- for stdout)")
+	suite := fs.String("suite", "resolve", "suite label recorded in the output")
+	fs.Parse(args)
+
+	rep, err := parseFile(*in, *suite)
+	if err != nil {
+		fatal(err)
+	}
 	ns := func(name string) float64 {
 		for _, r := range rep.Benchmarks {
 			if r.Name == name {
@@ -138,7 +158,7 @@ func main() {
 	}
 	if cold, hot := ns("BenchmarkDiscover"), ns("BenchmarkResolveHot"); cold > 0 && hot > 0 {
 		rep.Derived = map[string]float64{
-			"hot_speedup_vs_discover": round2(cold / hot),
+			"hot_speedup_vs_discover": float64(int64(cold/hot*100+0.5)) / 100,
 		}
 	}
 
@@ -154,13 +174,4 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
-}
-
-func round2(f float64) float64 {
-	return float64(int64(f*100+0.5)) / 100
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
 }

@@ -1029,10 +1029,10 @@ func (c *Cluster) StopMaintenance(name string) {
 	}
 }
 
-// Shutdown stops maintenance, drainers, and every node, then waits for
-// the process's goroutine count to settle back to the pre-cluster
-// baseline (detached singleflight flights may outlive Close by up to a
-// retry budget). Idempotent; safe to defer alongside explicit calls.
+// Shutdown stops maintenance, drainers, and every node. Node.Close joins
+// every goroutine a node starts, so when Shutdown returns the world is at
+// rest as far as the counters go. Idempotent; safe to defer alongside
+// explicit calls.
 func (c *Cluster) Shutdown() error {
 	c.shutdownOnce.Do(func() {
 		for _, name := range c.names {
@@ -1043,23 +1043,8 @@ func (c *Cluster) Shutdown() error {
 				}
 			}
 		}
-		c.waitGoroutines()
 	})
 	return c.shutdownErr
-}
-
-// waitGoroutines blocks until the goroutine count returns to (near) the
-// pre-cluster baseline or a generous deadline passes. It does not fail —
-// the NoLeaks checker owns the assertion — it only quiesces the process
-// so post-shutdown counter checks see a world at rest.
-func (c *Cluster) waitGoroutines() {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= c.baseGoroutines+goroutineSlack {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // goroutineSlack absorbs runtime/testing helper goroutines that come and

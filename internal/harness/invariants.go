@@ -14,7 +14,8 @@ import (
 // op (cheap, monotone checks — background goroutines are still mutating
 // the world); AtQuiescence runs once the schedule is done and every
 // partition is healed, with the cluster still serving; AfterShutdown
-// runs after every node closed and the goroutine count settled.
+// runs once, after every node closed: Node.Close joins the goroutines a
+// node starts, so its counters are at rest.
 type Checker interface {
 	Name() string
 	AfterStep(c *Cluster, op Op) error
@@ -231,12 +232,7 @@ func (CounterConservation) AfterStep(c *Cluster, op Op) error {
 }
 
 func (CounterConservation) AfterShutdown(c *Cluster) error {
-	// Detached refresh flights and duplicated frames may still be landing;
-	// retry briefly before declaring the books unbalanced.
-	err := Eventually(5*time.Second, func() error {
-		return conservationLaws(c, true)
-	})
-	if err != nil {
+	if err := conservationLaws(c, true); err != nil {
 		return err
 	}
 	for _, g := range []string{"pool.sessions", "pool.inflight"} {
@@ -341,25 +337,21 @@ func (r *NoResurrection) observe(c *Cluster, point, target string, key hashkey.K
 //     it is what catches a drainer leaked by a crash/restart race, which
 //     the ±slack process-count check below could hide.
 //  2. The process goroutine count returns to the pre-cluster baseline
-//     (±slack for runtime helpers).
-type NoLeaks struct {
-	NopChecker
-	// Settle bounds how long to wait for stragglers (detached flights
-	// live up to a retry budget past Close). Default 10s.
-	Settle time.Duration
-}
+//     (±slack for runtime helpers) within leakSettle: a goroutine Close
+//     joined has returned, but the runtime may not have reaped it yet.
+type NoLeaks struct{ NopChecker }
+
+// leakSettle bounds NoLeaks' wait, in real time, for the process's
+// goroutine count to reach the baseline.
+const leakSettle = 10 * time.Second
 
 func (*NoLeaks) Name() string { return "no-goroutine-leaks" }
 
-func (l *NoLeaks) AfterShutdown(c *Cluster) error {
-	settle := l.Settle
-	if settle <= 0 {
-		settle = 10 * time.Second
-	}
+func (*NoLeaks) AfterShutdown(c *Cluster) error {
 	if n := c.ActiveDrainers(); n != 0 {
 		return fmt.Errorf("%d update drainers alive after shutdown, want exactly 0", n)
 	}
-	err := Eventually(settle, func() error {
+	err := Eventually(leakSettle, func() error {
 		if n := runtime.NumGoroutine(); n > c.baseGoroutines+goroutineSlack {
 			return fmt.Errorf("%d goroutines alive, baseline %d", n, c.baseGoroutines)
 		}

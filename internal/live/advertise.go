@@ -18,9 +18,9 @@ package live
 //     running when the node closes ends with the pool's life.
 //   - A slow head is its session's: its frames wait behind its dial, not
 //     in front of the other heads', so an unreachable head costs its own
-//     subtree a late binding and nobody else anything. Only a head whose
-//     sessionInflight queue is full holds a sender up, for at most
-//     RequestTimeout.
+//     subtree a late binding and nobody else anything. No head holds a
+//     sender up: a send stages the frame under the session's locks, and
+//     the session's writer of last resort (drain) writes it.
 
 import (
 	"context"

@@ -230,7 +230,6 @@ func TestUpdateRegistrySameHeadsEveryMove(t *testing.T) {
 func TestFanOutUnreachableHeadDelaysNoOther(t *testing.T) {
 	const requestTimeout = time.Second
 	mem := transport.NewMem()
-	mem.BacklogWait = 30 * time.Second // a saturated dial blocks until its ctx ends
 	bl, err := mem.Listen("")
 	if err != nil {
 		t.Fatal(err)

@@ -12,12 +12,11 @@ package live
 //                        I/O happened. Clears after a successful probe.
 //   - ErrPoolClosed      terminal: the node's connection pool was shut down
 //                        (the node is closing).
-//   - ErrBacklogFull     transient backpressure from transport dial — the
-//                        peer exists but its accept queue stayed saturated;
-//                        re-exported from transport for discoverability.
-//   - ErrOverloaded      backpressure from the peer itself: a table it
+//   - ErrOverloaded      the one backpressure sentinel: a table the peer
 //                        bounds is full of live entries and it shed the
-//                        request. Back off before trying again.
+//                        request. Back off before trying again. A peer
+//                        whose accept queue is full holds a dial, on Mem
+//                        as on TCP, until it connects or times out.
 //   - wire.Fatal(err)    true for errors no retry can cure (protocol
 //                        version mismatch, unencodable local message);
 //                        everything else a live exchange returns is
@@ -29,7 +28,6 @@ package live
 import (
 	"errors"
 
-	"bristle/internal/transport"
 	"bristle/internal/wire"
 )
 
@@ -50,11 +48,6 @@ var (
 	// pool's shutdown during node Close.
 	ErrPoolClosed = errors.New("live: connection pool closed")
 
-	// ErrBacklogFull re-exports transport.ErrBacklogFull: the peer's
-	// accept queue stayed saturated for the bounded dial wait. Treat it as
-	// backpressure (retry soon), not absence.
-	ErrBacklogFull = transport.ErrBacklogFull
-
 	// ErrOverloaded is returned when a peer refused a request because a
 	// table it bounds — R(self), its registry — is full of live entries.
 	// Treat it as backpressure (retry after backing off), not absence.
@@ -65,8 +58,8 @@ var (
 // cure err. Protocol-fatal errors (wire.Fatal), local terminal states
 // (ErrStopped, ErrPoolClosed), and breaker fast-fails (ErrPeerSuspect —
 // retrying before the cooldown cannot help) are not retryable; transient
-// transport noise (timeouts, refused dials, torn or corrupted streams,
-// ErrBacklogFull) is.
+// transport noise (timeouts, refused dials, torn or corrupted streams)
+// is.
 func Retryable(err error) bool {
 	if err == nil {
 		return false

@@ -20,7 +20,8 @@ type MaintainConfig struct {
 	// probed so they can be readmitted without waiting for live traffic to
 	// half-open them. Zero disables background probing.
 	ProbeInterval time.Duration
-	// Rand seeds gossip partner selection; nil uses a time-seeded source.
+	// Rand seeds gossip partner selection; nil seeds it from the node's
+	// key, so nodes draw different partners without reading the clock.
 	Rand *rand.Rand
 }
 
@@ -37,7 +38,7 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	}
 	rng := cfg.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+		rng = rand.New(rand.NewSource(int64(n.key)))
 	}
 
 	ctx, cancel := context.WithCancel(n.runCtx)

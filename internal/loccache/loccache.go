@@ -13,9 +13,8 @@
 // immutable once linked, and recency is a per-entry flag a hit sets only
 // when it is clear. Writers (fills, invalidations, evictions) serialise
 // on the shard's mutex. Each shard is bounded and evicts with a CLOCK
-// ring that takes an expired entry near its hand before a live one: under
-// pressure the cache sheds dead weight and keeps leases that still save
-// round-trips.
+// ring: the hand takes the first entry no hit has touched since it last
+// passed.
 package loccache
 
 import (
@@ -86,7 +85,7 @@ type entry struct {
 }
 
 // expired reports whether e's lease has lapsed at instant now: a lookup
-// misses it, and eviction takes it ahead of a live entry.
+// misses it, and drops it.
 func (e *entry) expired(now int64) bool { return now >= e.expires }
 
 // used records a hit. On an entry already touched it writes nothing, so
@@ -104,16 +103,9 @@ func (e *entry) used() {
 // guarded by mu.
 type shard struct {
 	mu      sync.Mutex
-	ring    []slot
+	ring    []*entry
 	hand    int
 	buckets atomic.Pointer[[]atomic.Pointer[entry]]
-}
-
-// slot is one place on a shard's ring: an entry and a copy of its expiry,
-// so the expired-first scan reads contiguous memory and no entry.
-type slot struct {
-	e       *entry
-	expires int64
 }
 
 // Cache is a sharded, bounded, lease-aware location cache. All methods
@@ -287,8 +279,8 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 	old := p.Load()
 	switch {
 	case old == nil && len(s.ring) >= c.perShard:
-		e.slot = s.victim(now)
-		victim := s.ring[e.slot].e
+		e.slot = s.victim()
+		victim := s.ring[e.slot]
 		c.link(s, victim.key).Store(victim.next.Load())
 		c.evicted.Inc()
 		if c.bucketOf(victim.key) == c.bucketOf(e.key) {
@@ -296,10 +288,10 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 		}
 	case old == nil:
 		if s.ring == nil {
-			s.ring = make([]slot, 0, c.perShard)
+			s.ring = make([]*entry, 0, c.perShard)
 		}
 		e.slot = len(s.ring)
-		s.ring = append(s.ring, slot{})
+		s.ring = append(s.ring, nil)
 		c.entries.Add(1)
 	case ordered && old.epoch > e.epoch:
 		c.epochRejected.Inc()
@@ -318,34 +310,19 @@ func (c *Cache) store(e *entry, ttl time.Duration, ordered bool) bool {
 		}
 	}
 	p.Store(e)
-	s.ring[e.slot] = slot{e: e, expires: e.expires}
+	s.ring[e.slot] = e
 	return true
 }
 
-// evictScan bounds how far past the clock hand eviction looks for an
-// expired victim before it sweeps for an untouched one.
-const evictScan = 16
-
 // victim picks the slot of a full shard's entry to evict and moves the
-// hand past it: the first slot within evictScan of the hand whose lease
-// has lapsed, else the first untouched entry the hand reaches, clearing
-// the touched entries it passes — their second chance. The sweep ends
-// within one turn of the ring: by then it has cleared every bit. Caller
-// holds s.mu.
-func (s *shard) victim(now int64) int {
+// hand past it: the first untouched entry the hand reaches, clearing the
+// touched entries it passes — their second chance. The sweep ends within
+// one turn of the ring: by then it has cleared every bit. Caller holds
+// s.mu.
+func (s *shard) victim() int {
 	n := len(s.ring)
-	v := s.hand
-	for i := 0; i < evictScan && i < n; i++ {
-		if now >= s.ring[v].expires {
-			s.hand = (v + 1) % n
-			return v
-		}
-		if v++; v == n {
-			v = 0
-		}
-	}
-	for v = s.hand; ; {
-		e := s.ring[v].e
+	for v := s.hand; ; {
+		e := s.ring[v]
 		if !e.touched.Load() {
 			s.hand = (v + 1) % n
 			return v
@@ -371,8 +348,8 @@ func (c *Cache) remove(e *entry) {
 		last := len(s.ring) - 1
 		moved := s.ring[last]
 		s.ring[e.slot] = moved
-		moved.e.slot = e.slot
-		s.ring[last] = slot{}
+		moved.slot = e.slot
+		s.ring[last] = nil
 		s.ring = s.ring[:last]
 		if s.hand >= last {
 			s.hand = 0

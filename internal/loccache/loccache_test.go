@@ -137,46 +137,6 @@ func TestHitReadsTheClockOnce(t *testing.T) {
 	}
 }
 
-func TestEvictionPrefersExpired(t *testing.T) {
-	fc := newFakeClock()
-	ctrs := metrics.NewCounters()
-	// Single shard, capacity 4, so eviction order is fully observable.
-	c := newCache(Config{Clock: fc.now, Counters: ctrs}, 1, 4)
-
-	expired := hashkey.FromName("expired")
-	c.Put(expired, "old", time.Second)
-	var live []hashkey.Key
-	for i := 0; i < 3; i++ {
-		k := hashkey.FromName(fmt.Sprintf("live%d", i))
-		live = append(live, k)
-		c.Put(k, "addr", time.Hour)
-	}
-	// Touch the entry while it is live, so plain LRU would evict a live
-	// one instead.
-	if _, ok := c.Lookup(expired); !ok {
-		t.Fatalf("setup: expected fresh, got %v", ok)
-	}
-	fc.advance(2 * time.Second) // only "expired" has lapsed
-
-	over := hashkey.FromName("overflow")
-	c.Put(over, "new", time.Hour)
-
-	if _, ok := c.Peek(expired); ok {
-		t.Fatalf("expired entry survived eviction: %v", ok)
-	}
-	for _, k := range live {
-		if _, ok := c.Peek(k); !ok {
-			t.Fatalf("live entry %v evicted: %v", k, ok)
-		}
-	}
-	if _, ok := c.Peek(over); !ok {
-		t.Fatalf("inserted entry missing: %v", ok)
-	}
-	if got := ctrs.Get("loccache.evicted"); got != 1 {
-		t.Fatalf("loccache.evicted = %d, want 1", got)
-	}
-}
-
 func TestEvictionFallsBackToLRU(t *testing.T) {
 	fc := newFakeClock()
 	c := newCache(Config{Clock: fc.now}, 1, 3)
@@ -398,9 +358,9 @@ func checkRing(t *testing.T, c *Cache) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for j, sl := range s.ring {
-			if sl.e.slot != j || sl.expires != sl.e.expires || c.find(sl.e.key) != sl.e {
-				t.Errorf("shard %d slot %d: entry %v names slot %d, or is no longer its key's", i, j, sl.e.key, sl.e.slot)
+		for j, e := range s.ring {
+			if e.slot != j || c.find(e.key) != e {
+				t.Errorf("shard %d slot %d: entry %v names slot %d, or is no longer its key's", i, j, e.key, e.slot)
 			}
 		}
 		s.mu.Unlock()
@@ -497,9 +457,9 @@ func TestAllTouchedEvictsInOneSweep(t *testing.T) {
 		t.Errorf("k0, first under the hand, survived: %v", ok)
 	}
 	s := &c.shards[0]
-	for j, sl := range s.ring {
-		if sl.e.touched.Load() {
-			t.Errorf("slot %d (%v) still touched after the sweep", j, sl.e.key)
+	for j, e := range s.ring {
+		if e.touched.Load() {
+			t.Errorf("slot %d (%v) still touched after the sweep", j, e.key)
 		}
 	}
 	checkRing(t, c)

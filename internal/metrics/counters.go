@@ -18,7 +18,7 @@ import (
 //	hits := counters.Counter("loccache.hit") // once
 //	hits.Inc()                               // per event: one atomic add
 //
-// Inc/Add by name resolve the name through the registry's copy-on-write
+// Inc by name resolves the name through the registry's copy-on-write
 // index to the same handle, so a count made either way is one number.
 // Only registering a name the registry has not seen takes the mutex.
 type Counters struct {
@@ -29,7 +29,7 @@ type Counters struct {
 func NewCounters() *Counters { return &Counters{} }
 
 // Counter returns name's handle, registering the name on first use. A
-// registered name stays invisible to Snapshot, Names and String until it
+// registered name stays invisible to Snapshot and String until it
 // has counted something. A nil registry returns a nil handle, which is a
 // no-op sink like the registry itself.
 func (c *Counters) Counter(name string) *Counter {
@@ -55,11 +55,8 @@ func (c *Counters) Total(name string, parts ...*Counter) *Counter {
 	})
 }
 
-// Inc adds 1 to the named counter.
+// Inc adds 1 to the named counter. No-op on a nil registry.
 func (c *Counters) Inc(name string) { c.Counter(name).Add(1) }
-
-// Add adds n to the named counter. No-op on a nil registry.
-func (c *Counters) Add(name string, n uint64) { c.Counter(name).Add(n) }
 
 // Get returns the named counter's value (0 when absent or nil registry).
 func (c *Counters) Get(name string) uint64 {
@@ -115,14 +112,6 @@ func (c *Counters) Diff(prev map[string]uint64) map[string]uint64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Names returns the names that have counted something, in sorted order.
-func (c *Counters) Names() []string {
-	if c == nil {
-		return nil
-	}
-	return sortedNames(c.Snapshot())
 }
 
 // String renders the counters as "name=value" pairs in sorted order —

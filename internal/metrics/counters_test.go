@@ -13,7 +13,7 @@ func TestCountersBasics(t *testing.T) {
 		t.Fatalf("absent counter = %d, want 0", got)
 	}
 	c.Inc("a")
-	c.Add("a", 2)
+	c.Counter("a").Add(2)
 	c.Inc("b")
 	if got := c.Get("a"); got != 3 {
 		t.Fatalf("a = %d, want 3", got)
@@ -25,15 +25,12 @@ func TestCountersBasics(t *testing.T) {
 	if got := c.String(); got != "a=3 b=1" {
 		t.Fatalf("String() = %q", got)
 	}
-	if names := c.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names() = %v", names)
-	}
 }
 
 func TestCountersNilIsNoOpSink(t *testing.T) {
 	var c *Counters
 	c.Inc("x") // must not panic
-	c.Add("x", 5)
+	c.Counter("x").Add(5)
 	if got := c.Get("x"); got != 0 {
 		t.Fatalf("nil Get = %d", got)
 	}
@@ -47,11 +44,11 @@ func TestCountersNilIsNoOpSink(t *testing.T) {
 
 func TestCountersDiff(t *testing.T) {
 	c := NewCounters()
-	c.Add("steady", 5)
-	c.Add("busy", 10)
+	c.Counter("steady").Add(5)
+	c.Counter("busy").Add(10)
 	prev := c.Snapshot()
 
-	c.Add("busy", 7)
+	c.Counter("busy").Add(7)
 	c.Inc("fresh")
 	d := c.Diff(prev)
 	if len(d) != 2 || d["busy"] != 7 || d["fresh"] != 1 {
@@ -64,7 +61,7 @@ func TestCountersDiff(t *testing.T) {
 	// A prev entry above the current value (different registry / restart)
 	// reports the full current value rather than underflowing.
 	other := NewCounters()
-	other.Add("busy", 3)
+	other.Counter("busy").Add(3)
 	if d := other.Diff(prev); d["busy"] != 3 {
 		t.Fatalf("regressed counter Diff = %v, want busy=3", d)
 	}
@@ -94,9 +91,9 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-// TestCounterHandleAndNameAreOneNumber: 8 goroutines add to one counter,
-// half through its handle and half by name; nothing is lost and both
-// views read the same total.
+// TestCounterHandleAndNameAreOneNumber: 8 goroutines count into one
+// counter, half through its handle and half by name with Inc; nothing is
+// lost and both views read the same total.
 func TestCounterHandleAndNameAreOneNumber(t *testing.T) {
 	c := NewCounters()
 	h := c.Counter("shared")
@@ -107,16 +104,16 @@ func TestCounterHandleAndNameAreOneNumber(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				if g%2 == 0 {
-					h.Add(3)
+					h.Inc()
 				} else {
-					c.Add("shared", 3)
+					c.Inc("shared")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Get("shared"); got != 24000 || h.Value() != got {
-		t.Fatalf("by name %d, by handle %d, want 24000", got, h.Value())
+	if got := c.Get("shared"); got != 8000 || h.Value() != got {
+		t.Fatalf("by name %d, by handle %d, want 8000", got, h.Value())
 	}
 }
 
@@ -129,14 +126,11 @@ func TestCountersReadSurface(t *testing.T) {
 	c := NewCounters()
 	idle := c.Counter("idle") // registered, never counts
 	c.Inc("a")
-	c.Add("b", 5)
+	c.Counter("b").Add(5)
 	c.Counter("a").Add(2)
 
 	if got := c.Snapshot(); len(got) != 2 || got["a"] != 3 || got["b"] != 5 {
 		t.Fatalf("Snapshot = %v, want a=3 b=5", got)
-	}
-	if got := c.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Names = %v, want [a b]", got)
 	}
 	if got := c.String(); got != "a=3 b=5" {
 		t.Fatalf("String = %q", got)
@@ -147,12 +141,12 @@ func TestCountersReadSurface(t *testing.T) {
 	if got := c.Sum("a", "b", "idle", "never"); got != 8 {
 		t.Fatalf("Sum = %d, want 8", got)
 	}
-	if got := c.Names(); len(got) != 2 {
+	if got := c.Snapshot(); len(got) != 2 {
 		t.Fatalf("reading absent names registered them: %v", got)
 	}
 
 	prev := c.Snapshot()
-	c.Add("b", 1)
+	c.Counter("b").Add(1)
 	c.Inc("c")
 	if got := c.Diff(prev); len(got) != 2 || got["b"] != 1 || got["c"] != 1 {
 		t.Fatalf("Diff = %v, want b=1 c=1", got)
@@ -262,8 +256,6 @@ func TestNilHandlesAreNoOpSinks(t *testing.T) {
 	l := g.Gauge("x")
 	l.Add(1)
 	l.Set(7)
-	g.Add("x", 1)
-	g.Set("x", 7)
 	if l != nil || l.Value() != 0 || g.Get("x") != 0 || len(g.Snapshot()) != 0 {
 		t.Fatalf("nil gauges: handle %v value %d", l, l.Value())
 	}
@@ -286,7 +278,7 @@ func TestFirstUseRegistrationRace(t *testing.T) {
 				name := "n" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 				handles[w][i] = c.Counter(name)
 				handles[w][i].Inc()
-				g.Add(name, 1)
+				g.Gauge(name).Add(1)
 			}
 		}(w)
 	}
@@ -316,8 +308,8 @@ func TestGaugesBasics(t *testing.T) {
 	idle := g.Gauge("idle") // registered, never moved
 	h := g.Gauge("level")
 	h.Add(2)
-	g.Add("level", -2) // back to zero, but it has been used: still listed
-	g.Set("pinned", 7)
+	g.Gauge("level").Add(-2) // back to zero, but it has been used: still listed
+	g.Gauge("pinned").Set(7)
 	g.Gauge("pinned").Add(1)
 	if got := g.Snapshot(); len(got) != 2 || got["level"] != 0 || got["pinned"] != 8 {
 		t.Fatalf("Snapshot = %v, want level=0 pinned=8", got)

@@ -6,8 +6,7 @@ import "sync/atomic"
 // the level-style counterpart of Counters, used by the live connection
 // pool to expose how many sessions are open and how many requests are in
 // flight right now. Like Counters, a nil *Gauges is a valid no-op sink,
-// per-request sites hold a handle (Gauge) taken at construction, and
-// Add/Set by name resolve the name lock-free to the same handle.
+// and every write goes through a handle (Gauge) taken at construction.
 type Gauges struct {
 	ix index[Gauge]
 }
@@ -24,13 +23,6 @@ func (g *Gauges) Gauge(name string) *Gauge {
 	}
 	return g.ix.get(name, func() *Gauge { return new(Gauge) })
 }
-
-// Add moves the named gauge by d (negative to decrement). No-op on a nil
-// registry.
-func (g *Gauges) Add(name string, d int64) { g.Gauge(name).Add(d) }
-
-// Set pins the named gauge to v. No-op on a nil registry.
-func (g *Gauges) Set(name string, v int64) { g.Gauge(name).Set(v) }
 
 // Get returns the named gauge's value (0 when absent or nil registry).
 func (g *Gauges) Get(name string) int64 {

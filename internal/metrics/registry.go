@@ -56,23 +56,19 @@ func (ix *index[T]) all() map[string]*T {
 	return nil
 }
 
-func sortedNames[V any](snap map[string]V) []string {
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // render prints a snapshot as "name=value" pairs in sorted order, or
 // empty when there is nothing to print.
 func render[V uint64 | int64](snap map[string]V, empty string) string {
 	if len(snap) == 0 {
 		return empty
 	}
+	names := make([]string, 0, len(snap))
+	for k := range snap {
+		names = append(names, k)
+	}
+	sort.Strings(names)
 	var b strings.Builder
-	for i, k := range sortedNames(snap) {
+	for i, k := range names {
 		if i > 0 {
 			b.WriteByte(' ')
 		}

@@ -19,13 +19,12 @@ func TestDialContextCanceledBeforeDial(t *testing.T) {
 	}
 }
 
-// TestMemDialContextDeadlineBeatsBacklogWait saturates a never-accepting
-// listener and dials with a context deadline much shorter than
-// BacklogWait: the dial must honor the caller's deadline, and the error
-// must classify as a timeout for the retry layer.
-func TestMemDialContextDeadlineBeatsBacklogWait(t *testing.T) {
+// TestMemFullBacklogDialEndsAtItsDeadline saturates a never-accepting
+// listener's 64-slot backlog: the next dial waits, as a TCP dial does,
+// until its ctx ends, and fails as a timeout the retry layer classifies
+// as TCP's — not as a refusal, which would say nobody listens.
+func TestMemFullBacklogDialEndsAtItsDeadline(t *testing.T) {
 	m := NewMem()
-	m.BacklogWait = 5 * time.Second
 	if _, err := m.Listen("busy"); err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +38,14 @@ func TestMemDialContextDeadlineBeatsBacklogWait(t *testing.T) {
 	start := time.Now()
 	_, err := m.DialContext(ctx, "busy")
 	waited := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	if !errors.Is(err, context.DeadlineExceeded) || !IsTimeout(err) {
+		t.Fatalf("err = %v, want a timeout wrapping context.DeadlineExceeded", err)
 	}
-	if !IsTimeout(err) {
-		t.Errorf("context deadline on dial must classify as timeout, got %v", err)
+	if errors.Is(err, ErrRefused) {
+		t.Fatalf("err = %v: a full backlog is not a refusal", err)
 	}
-	if waited >= time.Second {
-		t.Errorf("dial waited %v; the context deadline (30ms) should have cut the 5s backlog wait", waited)
+	if waited < 30*time.Millisecond || waited >= time.Second {
+		t.Errorf("dial returned after %v, want at its 30ms deadline", waited)
 	}
 }
 
@@ -54,7 +53,6 @@ func TestMemDialContextDeadlineBeatsBacklogWait(t *testing.T) {
 // forwards the caller's context to the inner transport.
 func TestFaultyDialContextPropagates(t *testing.T) {
 	m := NewMem()
-	m.BacklogWait = 5 * time.Second
 	f := NewFaulty(m, FaultConfig{}).Endpoint("")
 	if _, err := f.Listen("busy"); err != nil {
 		t.Fatal(err)

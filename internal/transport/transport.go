@@ -31,11 +31,6 @@ var (
 	// ErrRefused means no listener answers at the address — transient in a
 	// mobile network, where the peer may be mid-rebind.
 	ErrRefused = errors.New("transport: connection refused")
-	// ErrBacklogFull means the listener exists but its accept queue stayed
-	// saturated for the bounded dial wait. Distinct from ErrRefused so
-	// callers can treat it as backpressure (retry soon) rather than
-	// absence.
-	ErrBacklogFull = errors.New("transport: accept backlog full")
 	// ErrPartialWrite marks a write its deadline cut after it sent part
 	// of what was queued: the stream may stand mid-frame until a later
 	// write sends the rest. It comes wrapped with the timeout.
@@ -124,8 +119,9 @@ type Transport interface {
 // The zero value is ready to use.
 type TCP struct{}
 
-// tcpDialTimeout bounds a connection attempt whose context does not.
-const tcpDialTimeout = 5 * time.Second
+// dialTimeout bounds a connection attempt whose context does not, on TCP
+// and on Mem alike.
+const dialTimeout = 5 * time.Second
 
 // Listen binds a TCP listener; addr ":0" picks a free port.
 func (t *TCP) Listen(addr string) (Listener, error) {
@@ -142,9 +138,9 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 }
 
 // DialContext connects to a listener address, bounded by both ctx and
-// tcpDialTimeout — whichever expires first aborts the attempt.
+// dialTimeout — whichever expires first aborts the attempt.
 func (t *TCP) DialContext(ctx context.Context, addr string) (Conn, error) {
-	d := net.Dialer{Timeout: tcpDialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -384,10 +380,6 @@ func (sc *streamConn) SetWriteDeadline(t time.Time) error {
 // for concurrent use. Its conns are the same framed conns TCP hands out,
 // over a pair of in-process byte pipes instead of a socket.
 type Mem struct {
-	// BacklogWait bounds how long Dial waits for a saturated accept
-	// backlog to drain before failing with ErrBacklogFull (default 100ms).
-	BacklogWait time.Duration
-
 	mu        sync.Mutex
 	listeners map[string]*memListener
 	nextAuto  int
@@ -420,18 +412,15 @@ func (m *Mem) Listen(addr string) (Listener, error) {
 	return l, nil
 }
 
-// Dial connects to a registered listener. When the listener's accept
-// backlog is saturated, Dial waits up to BacklogWait for the accepter to
-// drain it — a briefly busy peer is backpressure, not failure — and only
-// then fails with ErrBacklogFull (distinct from ErrRefused so callers can
-// classify retryable congestion vs an absent peer).
+// Dial connects to a registered listener.
 func (m *Mem) Dial(addr string) (Conn, error) {
 	return m.DialContext(context.Background(), addr)
 }
 
-// DialContext dials like Dial but also aborts — including during the
-// backlog wait — as soon as ctx is cancelled or its deadline passes, so
-// the caller's deadline bounds the whole dial, not just post-dial I/O.
+// DialContext dials as TCP's does: a listener whose accept backlog is
+// full holds the dial until the accepter frees a slot, the listener
+// closes (ErrRefused), or ctx or dialTimeout ends, which fails it with
+// the context's error.
 func (m *Mem) DialContext(ctx context.Context, addr string) (Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -450,12 +439,8 @@ func (m *Mem) DialContext(ctx context.Context, addr string) (Conn, error) {
 		return l.admitted(client, addr)
 	default:
 	}
-	wait := m.BacklogWait
-	if wait <= 0 {
-		wait = 100 * time.Millisecond
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	defer cancel()
 	select {
 	case <-l.closed:
 		return nil, fmt.Errorf("%w: %s", ErrRefused, addr)
@@ -463,8 +448,6 @@ func (m *Mem) DialContext(ctx context.Context, addr string) (Conn, error) {
 		return l.admitted(client, addr)
 	case <-ctx.Done():
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, ctx.Err())
-	case <-timer.C:
-		return nil, fmt.Errorf("%w: %s", ErrBacklogFull, addr)
 	}
 }
 

@@ -327,40 +327,10 @@ func TestMemDialUnknownIsErrRefused(t *testing.T) {
 	}
 }
 
-// TestMemBacklogFullDistinctSentinel saturates a never-accepting
-// listener: the dialer must wait the bounded BacklogWait, then fail with
-// ErrBacklogFull — never with ErrRefused.
-func TestMemBacklogFullDistinctSentinel(t *testing.T) {
-	m := NewMem()
-	m.BacklogWait = 20 * time.Millisecond
-	if _, err := m.Listen("busy"); err != nil {
-		t.Fatal(err)
-	}
-	var conns []Conn
-	for i := 0; ; i++ {
-		c, err := m.Dial("busy")
-		if err == nil {
-			conns = append(conns, c)
-			continue
-		}
-		if !errors.Is(err, ErrBacklogFull) {
-			t.Fatalf("saturated dial err = %v, want ErrBacklogFull", err)
-		}
-		if errors.Is(err, ErrRefused) {
-			t.Fatal("ErrBacklogFull must be distinct from ErrRefused")
-		}
-		break
-	}
-	if len(conns) != 64 {
-		t.Fatalf("backlog accepted %d dials before filling, want 64", len(conns))
-	}
-}
-
 // TestMemDialWaitsForBacklogDrain fills the backlog, then frees one slot
 // while a dial is waiting: the dial must succeed instead of failing fast.
 func TestMemDialWaitsForBacklogDrain(t *testing.T) {
 	m := NewMem()
-	m.BacklogWait = 2 * time.Second
 	l, err := m.Listen("busy")
 	if err != nil {
 		t.Fatal(err)
