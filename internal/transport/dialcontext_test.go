@@ -19,11 +19,11 @@ func TestDialContextCanceledBeforeDial(t *testing.T) {
 	}
 }
 
-// TestMemFullBacklogDialEndsAtItsDeadline saturates a never-accepting
+// TestMemBacklogFullDistinctSentinel saturates a never-accepting
 // listener's 64-slot backlog: the next dial waits, as a TCP dial does,
 // until its ctx ends, and fails as a timeout the retry layer classifies
-// as TCP's — not as a refusal, which would say nobody listens.
-func TestMemFullBacklogDialEndsAtItsDeadline(t *testing.T) {
+// as TCP's — distinct from ErrRefused, which would say nobody listens.
+func TestMemBacklogFullDistinctSentinel(t *testing.T) {
 	m := NewMem()
 	if _, err := m.Listen("busy"); err != nil {
 		t.Fatal(err)
