@@ -207,10 +207,10 @@ func BenchmarkDiscover(b *testing.B) {
 // BenchmarkServePipelinedTCP is the serve path's capacity over a real
 // socket: one loopback conn keeps 16 discovers outstanding against a
 // node, the shape a busy pooled session gives a stationary replica. The
-// client batches the same way the pool's writer does (Queue, flushed when
-// its Recv runs dry), so each side pays one write per burst; frames/write
-// is the server's side of that — replies per socket write — which `make
-// bench-gate` holds at 2 or more.
+// client batches as the serve loop does (Queue, flushed before a Recv
+// when no whole reply is buffered), so each side pays one write per
+// burst; frames/write is the server's side of that — replies per socket
+// write — which `make bench-gate` holds at 2 or more.
 func BenchmarkServePipelinedTCP(b *testing.B) {
 	const depth = 16
 	counters := metrics.NewCounters()
@@ -231,11 +231,16 @@ func BenchmarkServePipelinedTCP(b *testing.B) {
 	req := &wire.Message{Type: wire.TDiscover, Key: key}
 	send := func() {
 		req.Seq++
-		if _, err := conn.Queue(req); err != nil {
+		if err := conn.Queue(req); err != nil {
 			b.Fatal(err)
 		}
 	}
 	recv := func() {
+		if !conn.Buffered() {
+			if err := conn.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		resp, err := conn.Recv()
 		if err != nil || !resp.Found {
 			b.Fatalf("reply: %v, %v", resp, err)

@@ -845,3 +845,55 @@ func TestBubbleCloseJoinsPublish(t *testing.T) {
 		}
 	})
 }
+
+// TestBubbleCloseJoinsFlight: a resolve whose caller gave up hands its
+// flight to a second run under the node's lifetime, here parked on the
+// first of three replicas that read nothing. Node.Close cuts that run,
+// returns at the instant it is called with the run ended — every replica
+// it had left to ask counted as failed — and leaves the bubble's exact
+// goroutine baseline: the detached flight is the node's to join. Once the
+// node has stopped, a flight its caller gives up on runs no second time.
+func TestBubbleCloseJoinsFlight(t *testing.T) {
+	const replicas = 3
+	inBubble(t, func(t *testing.T) {
+		mem := transport.NewMem()
+		var ring []wire.Entry
+		for i := 0; i < replicas; i++ {
+			silent := startSilentListener(t, mem, "")
+			defer silent.stop()
+			ring = append(ring, wire.Entry{Key: hashkey.FromName(fmt.Sprint("replica-", i)), Addr: silent.l.Addr(), Capacity: 1})
+		}
+		synctest.Wait()
+		baseline := bubbleGoroutines()
+		counters := metrics.NewCounters()
+		client := mustNode(t, Config{Name: "client", Mobile: true, Replication: replicas, RequestTimeout: time.Minute, Counters: counters}, mem)
+		client.members.apply(direct, ring...)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if _, err := client.ResolveContext(ctx, hashkey.FromName("target")); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("a resolve its ctx cut = %v, want the ctx's deadline", err)
+		}
+		time.Sleep(time.Second) // the second run waits on a silent replica
+		if got := counters.Get("resolve.discoveries"); got != 2 {
+			t.Fatalf("resolve.discoveries = %d, want 2: the caller's run and the detached one", got)
+		}
+		start := time.Now()
+		client.Close()
+		if d := time.Since(start); d != 0 {
+			t.Errorf("Node.Close took %v, want 0", d)
+		}
+		if got := counters.Get("rpc.failures") + counters.Get("rpc.fatal"); got != 2*replicas {
+			t.Errorf("%d replicas' exchanges had failed when Close returned, want each run's %d", got, replicas)
+		}
+		if _, err := client.ResolveContext(ctx, hashkey.FromName("other")); err == nil {
+			t.Error("a resolve on the closed node succeeded")
+		}
+		synctest.Wait()
+		if got := counters.Get("resolve.discoveries"); got != 3 {
+			t.Errorf("resolve.discoveries = %d after a resolve on the closed node, want 3: no second run", got)
+		}
+		if got := bubbleGoroutines(); got != baseline {
+			t.Errorf("%d goroutines after Node.Close, want the baseline %d", got, baseline)
+		}
+	})
+}

@@ -212,7 +212,7 @@ type tapConn struct {
 	tap *frameTap
 }
 
-func (c *tapConn) Queue(m *wire.Message) (int, error) {
+func (c *tapConn) Queue(m *wire.Message) error {
 	c.tap.mu.Lock()
 	c.tap.types = append(c.tap.types, m.Type)
 	c.tap.mu.Unlock()

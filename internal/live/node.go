@@ -436,19 +436,21 @@ func (n *Node) Start(listenAddr string) error {
 	n.lifeMu.Unlock()
 	n.members.apply(direct, n.SelfEntry()) // a stationary is in its own ring; a mobile is in none
 
-	n.spawn(func() { n.acceptLoop(ls) }) // stopped meanwhile: Close closed ls
+	if n.enter() { // stopped meanwhile: Close closed ls
+		go n.acceptLoop(ls)
+	}
 	return nil
 }
 
-// spawn runs f on a goroutine that Close joins, unless the node has
-// stopped. Every WaitGroup.Add of the node happens under lifeMu after the
-// stopped check, so none races Close's Wait.
-func (n *Node) spawn(f func()) bool {
+// enter counts a goroutine about to start in the wait group Close joins,
+// unless the node has stopped, and reports whether it did; the goroutine
+// calls n.wg.Done as it ends. Every Add of n.wg is here, or on a goroutine
+// counted here (an accept loop's, for its serve loops): none races Close.
+func (n *Node) enter() bool {
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()
 	if !n.stopped {
 		n.wg.Add(1)
-		go func() { defer n.wg.Done(); f() }()
 	}
 	return !n.stopped
 }
@@ -465,7 +467,7 @@ func (n *Node) Close() error {
 	n.stopped = true
 	ls := n.listener
 	n.lifeMu.Unlock()
-	n.runCancel() // abort in-flight LDT fan-out and detached flights
+	n.runCancel() // abort a publish's fan-out and a detached flight
 	n.pool.Close()
 	if ls != nil {
 		ls.close()
@@ -510,7 +512,9 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if old != nil {
 		old.close() // the old attachment point disappears
 	}
-	n.spawn(func() { n.acceptLoop(ls) }) // stopped meanwhile: Close closed ls
+	if n.enter() { // stopped meanwhile: Close closed ls
+		go n.acceptLoop(ls)
+	}
 	n.logf("rebound to %s", n.Addr())
 
 	pushed := n.UpdateRegistryContext(ctx)
@@ -524,6 +528,7 @@ func (n *Node) logf(format string, args ...interface{}) {
 }
 
 func (n *Node) acceptLoop(ls *listenerState) {
+	defer n.wg.Done()
 	for {
 		conn, err := ls.l.Accept()
 		if err != nil {
@@ -549,9 +554,11 @@ func (n *Node) acceptLoop(ls *listenerState) {
 // stationary ring, so no frame from the mobile fleet clones it — and runs
 // between two reads, in the order the frames arrived, with its reply
 // queued on the conn: the replies to a burst of pipelined requests leave
-// in one write, when the read buffer has drained and Recv is about to
-// block (transport.Conn.Queue). TUpdate's forwarding too only enqueues
+// in one write, flushed once the read buffer holds no whole frame, so
+// before a Recv that may block. TUpdate's forwarding too only enqueues
 // (store.go), and no Queue waits on the link: no reply holds up a read.
+// Only a failed read ends the loop: a peer that stops reading replies
+// still has its pushes applied.
 //
 // Fully handled frames (and shipped responses) go back to the wire
 // codec's message pool: the handlers copy everything they keep, so the
@@ -561,37 +568,25 @@ func (n *Node) serveConn(ls *listenerState, conn transport.Conn) {
 	defer n.wg.Done()
 	defer ls.forget(conn)
 	defer conn.Close()
-	// batch counts the replies queued since the last write this loop saw;
-	// they all leave in one write, reported once it has happened.
-	var batch uint64
-	wrote := func() {
-		if batch > 0 {
-			n.ctr.serveFrames.Add(batch)
-			n.ctr.serveFlushes.Inc()
-			batch = 0
-		}
-	}
+	var batch uint64 // replies queued since the last flush
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
-			break
+			return
 		}
 		resp := n.handle(msg)
 		wire.PutMessage(msg)
-		if resp == nil {
-			continue
+		if resp != nil && conn.Queue(resp) == nil {
+			batch++
 		}
-		pending, err := conn.Queue(resp)
 		wire.PutMessage(resp)
-		if err != nil {
-			break
+		if batch > 0 && !conn.Buffered() {
+			n.ctr.serveFrames.Add(batch)
+			n.ctr.serveFlushes.Inc()
+			batch = 0
+			conn.Flush() // a failed write is sticky: no later reply is queued
 		}
-		if pending <= 1 {
-			wrote() // the earlier replies have left
-		}
-		batch++
 	}
-	wrote()
 }
 
 // handle dispatches one inbound message and returns the response frame

@@ -133,9 +133,9 @@ type session struct {
 	peer *peer
 
 	// wmu orders the write side: frames are staged under it, and the
-	// writer moves each batch to the conn under it. Staged frames stay off
-	// the conn until the writer gathers them, so a reader's flush before
-	// its read never writes half a batch. Taken before mu.
+	// writer moves each batch to the conn under it — staged, not queued on
+	// the conn, whose mutex is held across a write, and a frame registered
+	// during a dial has no conn yet. Taken before mu.
 	wmu      sync.Mutex
 	staged   []wire.Message // the next batch, in order; frames registered while dialing wait here
 	stagedBy time.Time      // the latest deadline of the callers it carries
@@ -319,8 +319,9 @@ func (s *session) write(ctx context.Context, w *waiter, lead bool) {
 		defer stop()
 	}
 	for {
-		_, err := s.take()
-		if err == nil {
+		by, err := s.take()
+		if err == nil && !by.IsZero() { // frames on the conn
+			s.p.flushes.Inc()
 			err = conn.Flush()
 		}
 		if err == nil {
@@ -403,6 +404,7 @@ func (s *session) drain(probe bool) {
 			err = s.cut
 		default:
 			conn.SetWriteDeadline(by)
+			s.p.flushes.Inc()
 			if err = conn.Flush(); err == nil {
 				if s.release(true) {
 					return
@@ -431,12 +433,8 @@ func (s *session) take() (time.Time, error) {
 	var err error
 	if len(s.staged) > 0 && time.Now().Before(s.stagedBy) {
 		for i := range s.staged {
-			var n int
-			if n, err = s.conn.Queue(&s.staged[i]); err != nil {
+			if err = s.conn.Queue(&s.staged[i]); err != nil {
 				break
-			}
-			if n == 1 { // the frame that starts the conn's buffer starts a write
-				s.p.flushes.Inc()
 			}
 		}
 		s.p.frames.Add(uint64(len(s.staged)))

@@ -731,7 +731,7 @@ func (c *gatedSock) Write(p []byte) (int, error) {
 // TestPoolParkedCallersShareWrites: callers that park behind a write in
 // progress leave together once it is done — 16 exchanges take fewer
 // socket writes than frames — and the pool counts every frame and every
-// write, the reader's flush before its read included.
+// write.
 func TestPoolParkedCallersShareWrites(t *testing.T) {
 	const callers = 16
 	l := startDiscoverEcho(t, &transport.TCP{})

@@ -156,9 +156,11 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	}
 	results := make(chan outcome, len(batches))
 	for addr, recs := range batches {
-		if !n.spawn(func() { results <- outcome{addr, n.sendBatch(ctx, addr, self, recs)} }) {
+		if !n.enter() {
 			results <- outcome{addr, ErrStopped}
+			continue
 		}
+		go func() { defer n.wg.Done(); results <- outcome{addr, n.sendBatch(ctx, addr, self, recs)} }()
 	}
 	bound := false // the binding is stored at a replica of this node's own key
 	holders := make([]string, 0, len(batches))

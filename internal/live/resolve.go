@@ -41,15 +41,19 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 	if addr, ok := n.loc.Lookup(key); ok {
 		return addr, nil
 	}
-	// The first run is this caller's, under ctx. A second is Group.Do
-	// continuing a flight this caller gave up on, under the node's lifetime.
+	// The first run is this caller's, under ctx. A second, which Close joins,
+	// continues a flight this caller gave up on, under the node's lifetime.
 	flown := false
 	addr, shared, err := n.flights.Do(ctx, key, func() (string, error) {
-		if flown {
-			return n.flightDiscover(n.runCtx, key)
+		if !flown {
+			flown = true
+			return n.flightDiscover(ctx, key)
 		}
-		flown = true
-		return n.flightDiscover(ctx, key)
+		if !n.enter() {
+			return "", ErrStopped
+		}
+		defer n.wg.Done()
+		return n.flightDiscover(n.runCtx, key)
 	})
 	if shared {
 		n.ctr.coalesced.Inc()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -148,16 +149,22 @@ func TestServePipelinedDiscoversShareWrites(t *testing.T) {
 	if writes >= burst {
 		t.Errorf("%d replies took %d server writes, want strictly fewer", burst, writes)
 	}
-	// The burst's last write is reported when the next reply is queued.
-	peer.write(nil, &wire.Message{Type: wire.TPing, Seq: 1000})
-	if m := peer.read(); m.Type != wire.TPong || m.Seq != 1000 {
-		t.Fatalf("ping reply: %v seq=%d", m.Type, m.Seq)
-	}
+	// Each flush is counted as it is made, the ping's reply too.
 	if got := counters.Get("serve.frames"); got != burst {
 		t.Errorf("serve.frames = %d, want %d", got, burst)
 	}
 	if got := counters.Get("serve.flushes"); got != uint64(writes) {
 		t.Errorf("serve.flushes = %d, want the %d writes the socket saw", got, writes)
+	}
+	peer.write(nil, &wire.Message{Type: wire.TPing, Seq: 1000})
+	if m := peer.read(); m.Type != wire.TPong || m.Seq != 1000 {
+		t.Fatalf("ping reply: %v seq=%d", m.Type, m.Seq)
+	}
+	if got := counters.Get("serve.frames"); got != burst+1 {
+		t.Errorf("serve.frames = %d after the ping, want %d", got, burst+1)
+	}
+	if got, writes := counters.Get("serve.flushes"), ct.writes.Load(); got != uint64(writes) {
+		t.Errorf("serve.flushes = %d after the ping, want the %d writes the socket saw", got, writes)
 	}
 	if got := FramesPerWrite(server.Stats().Counters, "serve"); got <= 1 {
 		t.Errorf("serve frames per write = %.2f, want > 1", got)
@@ -178,6 +185,85 @@ func TestServeFlushesBehindPartialFrame(t *testing.T) {
 	}
 	peer.write(fourth[4:])
 	peer.expectDiscovered(3)
+}
+
+// A failed reply write ends no read. A peer sends rounds of a discover and
+// a run of pushes, and closes before the server reads any of it: the
+// replies flushed between the rounds find the peer gone, and every push
+// behind them is still applied.
+func TestServeFailedReplyEndsNoRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   transport.Transport
+		addr string
+	}{
+		{"tcp", &transport.TCP{}, "127.0.0.1:0"},
+		{"mem", transport.NewMem(), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rounds, pushes = 4, 100
+			gate := &gatedAccept{Transport: tc.tr, open: make(chan struct{})}
+			counters := metrics.NewCounters()
+			server := mustNode(t, Config{Name: "serve-gone-peer", Counters: counters}, gate)
+			if err := server.Start(tc.addr); err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			defer gate.release() // before Close, which waits for the accept loop
+			peer, err := tc.tr.Dial(server.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rounds; r++ {
+				if err := peer.Queue(discover(r)); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < pushes; i++ {
+					key := hashkey.Key(r*pushes + i + 1)
+					if err := peer.Queue(&wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: key, Addr: serveAddr(i), Epoch: 1}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := peer.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			peer.Close()
+			gate.release()
+			waitFor(t, "every push to be applied", func() bool { return counters.Get("updates.applied") == rounds*pushes })
+			// A failed write is sticky: the rounds behind it queue no reply.
+			if got := counters.Get("serve.flushes"); got == 0 || got >= rounds {
+				t.Errorf("serve.flushes = %d, want from 1 to %d: a reply flushed, and a write that failed", got, rounds-1)
+			}
+		})
+	}
+}
+
+// gatedAccept is a transport whose listeners accept nothing until release.
+type gatedAccept struct {
+	transport.Transport
+	open chan struct{}
+	once sync.Once
+}
+
+func (g *gatedAccept) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *gatedAccept) Listen(addr string) (transport.Listener, error) {
+	l, err := g.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedListener{Listener: l, open: g.open}, nil
+}
+
+type gatedListener struct {
+	transport.Listener
+	open chan struct{}
+}
+
+func (l *gatedListener) Accept() (transport.Conn, error) {
+	<-l.open
+	return l.Listener.Accept()
 }
 
 // An attachment point serves at most its bound of conns at once: one more

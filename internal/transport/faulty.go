@@ -351,7 +351,7 @@ type heldFrame struct {
 
 // Send is Queue and an immediate flush: one fault pipeline serves both.
 func (c *faultyConn) Send(m *wire.Message) error {
-	if _, err := c.Queue(m); err != nil {
+	if err := c.Queue(m); err != nil {
 		return err
 	}
 	return c.Flush()
@@ -382,19 +382,18 @@ func (c *faultyConn) PeerClosed() bool                  { return c.inner.PeerClo
 // Queue decides and counts this frame's faults — drop, delay, corruption,
 // duplication, once per frame however the caller batches — and queues
 // what survives on the inner conn, or on the delay line when it is held.
-// A lost or held frame reports zero pending.
-func (c *faultyConn) Queue(m *wire.Message) (int, error) {
+func (c *faultyConn) Queue(m *wire.Message) error {
 	f := c.f
 	if c.to != "" && f.partitioned(c.from, c.to) {
 		// A black-holed link: the frame is silently lost, the sender
 		// cannot tell. Retry layers above discover it via timeout.
 		f.ctr.Load().partitionDrop.Inc()
-		return 0, nil
+		return nil
 	}
 	cfg := f.Config()
 	if c.link.chance(cfg.Drop) {
 		f.ctr.Load().drop.Inc()
-		return 0, nil
+		return nil
 	}
 	hold := c.link.delay(cfg.DelayMin, cfg.DelayMax)
 	if hold > 0 {
@@ -413,18 +412,18 @@ func (c *faultyConn) Queue(m *wire.Message) (int, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending, err := c.put(m, hold)
+	err := c.put(m, hold)
 	if err == nil && !corrupt && c.link.chance(cfg.Duplicate) {
 		f.ctr.Load().duplicate.Inc()
 		return c.put(m, hold)
 	}
-	return pending, err
+	return err
 }
 
 // put queues m on the inner conn, or holds a copy of it for hold on the
 // delay line. A frame that is not delayed still waits behind the frames
 // in flight ahead of it, so each direction stays FIFO. Caller holds mu.
-func (c *faultyConn) put(m *wire.Message, hold time.Duration) (int, error) {
+func (c *faultyConn) put(m *wire.Message, hold time.Duration) error {
 	if c.closed {
 		hold = 0 // Close is letting the line out
 	}
@@ -441,7 +440,7 @@ func (c *faultyConn) put(m *wire.Message, hold time.Duration) (int, error) {
 		c.timer.Reset(hold)
 	}
 	c.line = append(c.line, h)
-	return 0, nil
+	return nil
 }
 
 // letOut is the delay line's timer: it writes every due frame — every
@@ -453,7 +452,7 @@ func (c *faultyConn) letOut() {
 	defer c.mu.Unlock()
 	now, n := time.Now(), 0
 	for n < len(c.line) && (c.closed || !c.line[n].due.After(now)) {
-		_, _ = c.inner.Queue(&c.line[n].m)
+		_ = c.inner.Queue(&c.line[n].m)
 		n++
 	}
 	c.inner.SetWriteDeadline(time.Time{})

@@ -1,8 +1,8 @@
 package transport
 
-// Tests for the batching surface of Conn: Queue, Flush, the flush before a
-// Recv that would block, the sticky write error, and Faulty's per-frame
-// fault accounting over it.
+// Tests for the batching surface of Conn: Queue, Flush, a Recv that
+// writes nothing, the sticky write error, and Faulty's per-frame fault
+// accounting over it.
 
 import (
 	"errors"
@@ -25,6 +25,15 @@ type countingRW struct {
 func (c *countingRW) Write(p []byte) (int, error) {
 	c.writes.Add(1)
 	return c.ReadWriteCloser.Write(p)
+}
+
+// The stream's deadlines pass through: a socket and a Mem pipe have them.
+func (c *countingRW) SetReadDeadline(t time.Time) error {
+	return c.ReadWriteCloser.(deadliner).SetReadDeadline(t)
+}
+
+func (c *countingRW) SetWriteDeadline(t time.Time) error {
+	return c.ReadWriteCloser.(deadliner).SetWriteDeadline(t)
 }
 
 // tcpCountedPair returns a framed client over a write-counting socket and
@@ -66,9 +75,8 @@ func TestMemQueueHoldsUntilFlush(t *testing.T) { queueHoldsUntilFlush(t, memCoun
 func queueHoldsUntilFlush(t *testing.T, pair func(*testing.T) (Conn, *countingRW, Conn)) {
 	client, counted, server := pair(t)
 	for i := 1; i <= 5; i++ {
-		pending, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)})
-		if err != nil || pending != i {
-			t.Fatalf("Queue %d: pending=%d err=%v", i, pending, err)
+		if err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+			t.Fatalf("Queue %d: %v", i, err)
 		}
 	}
 	if got := counted.writes.Load(); got != 0 {
@@ -87,46 +95,49 @@ func queueHoldsUntilFlush(t *testing.T, pair func(*testing.T) (Conn, *countingRW
 	if got := counted.writes.Load(); got != 1 {
 		t.Errorf("6 frames took %d writes, want 1", got)
 	}
-	if pending, _ := client.Queue(&wire.Message{Type: wire.TPing}); pending != 1 {
-		t.Errorf("pending after a flush = %d, want 1", pending)
-	}
 }
 
-// A reader that answers with Queue never holds a reply while it waits for
-// input: the flush happens before Recv blocks.
-func TestTCPQueueFlushesBeforeBlockingRecv(t *testing.T) {
-	queueFlushesBeforeBlockingRecv(t, tcpCountedPair)
-}
-func TestMemQueueFlushesBeforeBlockingRecv(t *testing.T) {
-	queueFlushesBeforeBlockingRecv(t, memCountedPair)
+// faultyCountedPair is memCountedPair with Faulty's conn, under a profile
+// that injects nothing, on the client.
+func faultyCountedPair(t *testing.T) (Conn, *countingRW, Conn) {
+	client, counted, server := memCountedPair(t)
+	f := NewFaulty(NewMem(), FaultConfig{})
+	return &faultyConn{f: f, from: "a", to: "b", link: f.linkFor("a", "b"), inner: client}, counted, server
 }
 
-func queueFlushesBeforeBlockingRecv(t *testing.T, pair func(*testing.T) (Conn, *countingRW, Conn)) {
-	client, counted, server := pair(t)
-	for i := 1; i <= 3; i++ {
-		if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recvDone := make(chan error, 1)
-	go func() {
-		_, err := client.Recv() // nothing is coming yet: this blocks
-		recvDone <- err
-	}()
-	for want := uint32(1); want <= 3; want++ {
-		m, err := server.Recv()
-		if err != nil || m.Seq != want {
-			t.Fatalf("frame %d: got %v, %v", want, m, err)
-		}
-	}
-	if got := counted.writes.Load(); got != 1 {
-		t.Errorf("3 queued frames took %d writes, want 1", got)
-	}
-	if err := server.Send(&wire.Message{Type: wire.TPong}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-recvDone; err != nil {
-		t.Fatalf("blocked Recv: %v", err)
+// A Recv only reads: one its read deadline cuts leaves the frames queued
+// before it unwritten, and the Flush after it sends them in one write.
+func TestRecvLeavesQueuedFramesUnwritten(t *testing.T) {
+	for name, pair := range map[string]func(*testing.T) (Conn, *countingRW, Conn){
+		"tcp": tcpCountedPair, "mem": memCountedPair, "faulty": faultyCountedPair,
+	} {
+		t.Run(name, func(t *testing.T) {
+			client, counted, server := pair(t)
+			for i := 1; i <= 3; i++ {
+				if err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			client.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+			if _, err := client.Recv(); !IsTimeout(err) {
+				t.Fatalf("Recv with nothing coming = %v, want a timeout", err)
+			}
+			if got := counted.writes.Load(); got != 0 {
+				t.Fatalf("a Recv wrote the queued frames: %d writes", got)
+			}
+			if err := client.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for want := uint32(1); want <= 3; want++ {
+				m, err := server.Recv()
+				if err != nil || m.Seq != want {
+					t.Fatalf("frame %d: got %v, %v", want, m, err)
+				}
+			}
+			if got := counted.writes.Load(); got != 1 {
+				t.Errorf("3 queued frames took %d writes, want 1", got)
+			}
+		})
 	}
 }
 
@@ -137,7 +148,7 @@ func writeErrorIsSticky(t *testing.T, pair func(*testing.T) (Conn, *countingRW, 
 	client, _, _ := pair(t)
 	// An encode failure queues nothing and leaves the conn usable.
 	tooMany := &wire.Message{Type: wire.TPublishBatch, Entries: make([]wire.Entry, 70000)}
-	if _, err := client.Queue(tooMany); !errors.Is(err, wire.ErrEncode) {
+	if err := client.Queue(tooMany); !errors.Is(err, wire.ErrEncode) {
 		t.Fatalf("oversized frame: err = %v, want ErrEncode", err)
 	}
 	if err := client.Send(&wire.Message{Type: wire.TPing}); err != nil {
@@ -148,7 +159,7 @@ func writeErrorIsSticky(t *testing.T, pair func(*testing.T) (Conn, *countingRW, 
 	if first == nil {
 		t.Fatal("send on a closed stream succeeded")
 	}
-	if _, err := client.Queue(&wire.Message{Type: wire.TPing}); err != first {
+	if err := client.Queue(&wire.Message{Type: wire.TPing}); err != first {
 		t.Errorf("Queue after a failed write: %v, want the first error %v", err, first)
 	}
 	if err := client.Flush(); err != first {
@@ -194,7 +205,7 @@ func TestFaultyQueueCountsPerFrame(t *testing.T) {
 			defer server.Close()
 
 			for i := 0; i < frames; i++ {
-				if _, err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
+				if err := client.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,8 +2,9 @@
 // frames: a TCP transport for real deployments and an in-memory transport
 // for fast, deterministic tests. Both hand out the same framed Conn over a
 // byte stream — a socket for TCP, an in-process pipe for Mem — so the
-// framing, batching and flush before a blocking read that internal/live
-// relies on are the same code on both.
+// framing and batching that internal/live relies on are the same code on
+// both. A conn writes only when its owner says so: Queue holds frames
+// until a Flush or a Send, and Recv only reads.
 package transport
 
 import (
@@ -53,28 +54,25 @@ func IsTimeout(err error) bool {
 // not its sender), so a conn's reader may answer on it inline.
 // A failed write is sticky — the stream's framing is gone, so every later
 // Send, Queue and Flush reports the same error. Recv has one caller at a
-// time.
+// time, and never writes: a reader that answers with Queue flushes its
+// replies itself before a Recv that may block.
 //
-// Deadlines bound the waits on the link. A read deadline bounds Recv,
-// including the flush it makes before it blocks; a write deadline bounds
-// Send and Flush. The zero time means no bound. A wait the deadline ends
-// fails with an error IsTimeout reports, and costs the stream nothing: a
-// Recv the deadline cuts keeps what it read of the frame in progress, and
-// the next Recv completes it; a write it cuts keeps what it did not send
-// queued, and the next write resumes the stream where the cut one stopped
-// (ErrPartialWrite marks a cut that sent part of it).
+// Deadlines bound the waits on the link. A read deadline bounds Recv
+// alone; a write deadline bounds Send and Flush. The zero time means no
+// bound. A wait the deadline ends fails with an error IsTimeout reports,
+// and costs the stream nothing: a Recv the deadline cuts keeps what it
+// read of the frame in progress, and the next Recv completes it; a write
+// it cuts keeps what it did not send queued, and the next write resumes
+// the stream where the cut one stopped (ErrPartialWrite marks a cut that
+// sent part of it).
 type Conn interface {
 	// Send writes one message, behind anything queued before it, and
 	// returns once the transport has taken the bytes.
 	Send(*wire.Message) error
-	// Queue encodes one message into the conn's output buffer. It reaches
-	// the peer with the next Flush or Send, or before a Recv on this conn
-	// blocks — so a reader that answers requests with Queue pays one write
-	// per burst of requests and never holds a reply while it waits for
-	// input. pending counts the frames now buffered, this one included: 1
-	// means everything queued earlier has already left, in one write. A
-	// frame the transport drops or holds in flight reports 0.
-	Queue(*wire.Message) (pending int, err error)
+	// Queue encodes one message into the conn's output buffer, where it
+	// waits for the next Flush or Send: frames queued together leave in
+	// one write.
+	Queue(*wire.Message) error
 	// Flush writes everything queued, in one write.
 	Flush() error
 	// Recv blocks for the next message.
@@ -165,20 +163,19 @@ func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
 type streamConn struct {
 	rw io.ReadWriteCloser
 	dl deadliner        // rw's deadlines; nil if it has none, and then deadlines do nothing
-	br *bufio.Reader    // fed by flushReader
+	br *bufio.Reader    // over rw
 	fr wire.FrameReader // over br
 
-	mu      sync.Mutex // serializes Send/Queue/Flush; guards the fields below
-	out     []byte     // encoded frames not yet written; reused across flushes
-	pending int        // frames in out
-	werr    error      // first failed write; sticky
+	mu   sync.Mutex // serializes Send/Queue/Flush; guards the fields below
+	out  []byte     // encoded frames not yet written; reused across flushes
+	werr error      // first failed write; sticky
 
-	// dmu guards the deadlines. It is never held across I/O, so a new
-	// deadline reaches a write it bounds that is blocked.
-	dmu      sync.Mutex
-	rdl, wdl time.Time  // the deadlines set
-	wset     time.Time  // the write deadline rw holds
-	writing  *time.Time // the deadline bounding the write in progress: &wdl, &rdl, or nil
+	// dmu guards the write deadline. It is never held across I/O, so a new
+	// deadline reaches a write that is blocked.
+	dmu     sync.Mutex
+	wdl     time.Time // the write deadline set
+	wset    time.Time // the write deadline rw holds
+	writing bool      // a write is in progress
 }
 
 // deadliner is the deadline half of net.Conn.
@@ -194,34 +191,9 @@ type deadliner interface {
 func NewConn(rw io.ReadWriteCloser) Conn {
 	sc := &streamConn{rw: rw}
 	sc.dl, _ = rw.(deadliner)
-	sc.br = bufio.NewReader(flushReader{sc})
+	sc.br = bufio.NewReader(rw)
 	sc.fr.R = sc.br
 	return sc
-}
-
-// flushReader is the source under a streamConn's read buffer. The buffer
-// comes here only when it has run out of bytes, which is the moment before
-// Recv can block — with input still buffered, even half a frame of it
-// followed by nothing, queued output is already on its way.
-type flushReader struct{ sc *streamConn }
-
-func (fr flushReader) Read(p []byte) (int, error) {
-	fr.sc.flushBeforeRead()
-	return fr.sc.rw.Read(p)
-}
-
-// flushBeforeRead writes what is queued under the read deadline, unless
-// that has passed: then the read fails at once and holds nothing back. A
-// write already in progress leaves the flush to its writer: the read does
-// not wait behind a write bounded by another deadline, and whoever holds
-// mu writes what it queues. A failed flush fails no read: a cut one's
-// deadline is the read's, which then fails on it, and a broken write side
-// leaves what the peer sent before it closed to be read.
-func (sc *streamConn) flushBeforeRead() {
-	if sc.mu.TryLock() {
-		_ = sc.flush(true) // the read decides, as above
-		sc.mu.Unlock()
-	}
 }
 
 // enqueue appends m's frame to out. Caller holds mu.
@@ -234,27 +206,19 @@ func (sc *streamConn) enqueue(m *wire.Message) error {
 		return err // nothing was queued; the conn stays usable
 	}
 	sc.out = out
-	sc.pending++
 	return nil
 }
 
-// flush writes out in one Write, bounded by the write deadline, or by the
-// read deadline for the flush before a read. Caller holds mu.
-func (sc *streamConn) flush(beforeRead bool) error {
-	if sc.werr != nil || sc.pending == 0 {
+// flush writes out in one Write, bounded by the write deadline. Caller
+// holds mu.
+func (sc *streamConn) flush() error {
+	if sc.werr != nil || len(sc.out) == 0 {
 		return sc.werr
 	}
 	if sc.dl != nil {
-		due, err := sc.writeDeadline(beforeRead)
-		if due {
-			defer sc.wrote()
-		}
-		if err != nil {
-			sc.werr = err
+		defer sc.wrote()
+		if sc.werr = sc.writeDeadline(); sc.werr != nil {
 			return sc.werr
-		}
-		if !due {
-			return nil
 		}
 	}
 	n, err := sc.rw.Write(sc.out)
@@ -268,7 +232,7 @@ func (sc *streamConn) flush(beforeRead bool) error {
 		return err
 	}
 	sc.werr = err
-	sc.out, sc.pending = sc.out[:0], 0
+	sc.out = sc.out[:0]
 	return sc.werr
 }
 
@@ -278,58 +242,37 @@ func (sc *streamConn) Send(m *wire.Message) error {
 	if err := sc.enqueue(m); err != nil {
 		return err
 	}
-	return sc.flush(false)
+	return sc.flush()
 }
 
-func (sc *streamConn) Queue(m *wire.Message) (int, error) {
+func (sc *streamConn) Queue(m *wire.Message) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	err := sc.enqueue(m)
-	return sc.pending, err
+	return sc.enqueue(m)
 }
 
 func (sc *streamConn) Flush() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.flush(false)
+	return sc.flush()
 }
 
-// writeDeadline puts the write about to run under its deadline: the write
-// deadline, or the read deadline for the flush before a read. It reports
-// false for a flush before read whose deadline has passed: that read fails
-// at once, so it holds nothing back while it waits.
-func (sc *streamConn) writeDeadline(beforeRead bool) (due bool, err error) {
+// writeDeadline puts the write about to run under the write deadline.
+func (sc *streamConn) writeDeadline() error {
 	sc.dmu.Lock()
 	defer sc.dmu.Unlock()
-	sc.writing = &sc.wdl
-	if beforeRead {
-		if !sc.rdl.IsZero() && !time.Now().Before(sc.rdl) {
-			sc.writing = nil
-			return false, nil
-		}
-		sc.writing = &sc.rdl
+	sc.writing = true
+	if sc.wdl.Equal(sc.wset) {
+		return nil
 	}
-	if dl := *sc.writing; !dl.Equal(sc.wset) {
-		sc.wset = dl
-		err = sc.dl.SetWriteDeadline(dl)
-	}
-	return true, err
+	sc.wset = sc.wdl
+	return sc.dl.SetWriteDeadline(sc.wdl)
 }
 
 func (sc *streamConn) wrote() {
 	sc.dmu.Lock()
-	sc.writing = nil
+	sc.writing = false
 	sc.dmu.Unlock()
-}
-
-// setDeadline sets *dl to t and, if it bounds the write in progress, moves
-// that write's deadline too. Caller holds dmu.
-func (sc *streamConn) setDeadline(dl *time.Time, t time.Time) {
-	*dl = t
-	if sc.writing == dl {
-		sc.wset = t
-		sc.dl.SetWriteDeadline(t)
-	}
 }
 
 // PeerClosed asks the stream: a socket by its TCP state, a Mem pipe by its
@@ -356,21 +299,22 @@ func (sc *streamConn) SetReadDeadline(t time.Time) error {
 	if sc.dl == nil {
 		return nil
 	}
-	sc.dmu.Lock()
-	defer sc.dmu.Unlock()
-	sc.setDeadline(&sc.rdl, t)
 	return sc.dl.SetReadDeadline(t)
 }
 
-// SetWriteDeadline reaches rw at the next write, or at once if a write it
-// bounds is in progress: a deadline no write runs under costs rw nothing.
+// SetWriteDeadline reaches rw at the next write, or at once if a write is
+// in progress: a deadline no write runs under costs rw nothing.
 func (sc *streamConn) SetWriteDeadline(t time.Time) error {
 	if sc.dl == nil {
 		return nil
 	}
 	sc.dmu.Lock()
 	defer sc.dmu.Unlock()
-	sc.setDeadline(&sc.wdl, t)
+	sc.wdl = t
+	if sc.writing {
+		sc.wset = t
+		sc.dl.SetWriteDeadline(t)
+	}
 	return nil
 }
 

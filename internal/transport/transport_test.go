@@ -65,7 +65,7 @@ func exerciseTransport(t *testing.T, tr Transport, addr string) {
 	// come back in order.
 	const burst = 32
 	for i := 0; i < burst; i++ {
-		if _, err := c.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(100 + i)}); err != nil {
+		if err := c.Queue(&wire.Message{Type: wire.TPing, Seq: uint32(100 + i)}); err != nil {
 			t.Fatalf("Queue %d: %v", i, err)
 		}
 	}
@@ -280,9 +280,9 @@ func TestTCPConcurrentSenders(t *testing.T) {
 				case 0:
 					err = c.Send(m)
 				case 1:
-					_, err = c.Queue(m)
+					err = c.Queue(m)
 				default:
-					if _, err = c.Queue(m); err == nil {
+					if err = c.Queue(m); err == nil {
 						err = c.Flush()
 					}
 				}
