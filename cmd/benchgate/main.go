@@ -24,12 +24,14 @@
 //	    -zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel
 //	go run ./cmd/benchgate json -suite publish -in bench.txt -out BENCH_publish.json
 //	go run ./cmd/benchgate pair -n 10 <base-tree> <change-tree>
+//	go run ./cmd/benchgate pair -loadgen cold_fanin -seconds 15 -n 10 <base-tree> <change-tree>
 //
 // Baselines are recorded by `make bench` through `benchgate json`
 // (report.go); the gate is wired as `make bench-gate` and runs in CI's
 // bench-smoke job. Timings are better judged by `benchgate pair`
 // (pair.go), which alternates a base tree's build and a change tree's on
-// one host. A baseline file
+// one host; `benchgate pair -loadgen` (loadgen.go) alternates their
+// loadgen runs and judges the end-to-end metrics of BENCHMARK.json. A baseline file
 // that does not exist yet is skipped with a warning so a suite's first
 // recorded run can bootstrap itself; -ignore-allocs drops the
 // allocation comparison for suites (like the stretch evaluation) whose

@@ -7,6 +7,8 @@ package main
 //
 //	go run ./cmd/benchgate pair -n 10 <base-tree> <change-tree>
 //
+// With -loadgen it runs the loadgen's workloads instead (loadgen.go).
+//
 // A benchmark regresses when a one-sided sign test finds the change
 // slower (p < 0.05) and its median slowdown over the pairs exceeds
 // pairBound. Each run lasts pairBenchtime per benchmark. Allocations stay a hard bound: the change may not
@@ -39,12 +41,18 @@ const (
 func pair(args []string) {
 	fs := flag.NewFlagSet("pair", flag.ExitOnError)
 	n := fs.Int("n", 10, "pairs of runs")
+	loadgen := fs.String("loadgen", "", "comma-separated loadgen workloads to pair instead of the micro benchmarks")
+	seconds := fs.Int("seconds", 15, "measure phase of each loadgen run")
 	fs.Parse(args)
-	if fs.NArg() != 2 || *n < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate pair [-n N] <base-tree> <change-tree>")
+	if fs.NArg() != 2 || *n < 1 || *seconds < 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate pair [-n N] [-loadgen W[,W...] [-seconds S]] <base-tree> <change-tree>")
 		os.Exit(2)
 	}
 	trees := [2]string{fs.Arg(0), fs.Arg(1)}
+	if *loadgen != "" {
+		pairLoadgen(trees, strings.Split(*loadgen, ","), *seconds, *n)
+		return
+	}
 	dir, err := os.MkdirTemp("", "benchgate-pair")
 	if err != nil {
 		fatal(err)

@@ -417,8 +417,8 @@ func (c *Cluster) ensureDrainer(m *member) {
 // last address this slot was told about key K?".
 func (c *Cluster) drainUpdates(m *member, nd *live.Node, stop <-chan struct{}, done chan<- struct{}) {
 	defer func() {
+		c.drainers.Add(-1) // before done: Crash's wait on done then sees the count
 		close(done)
-		c.drainers.Add(-1)
 	}()
 	for {
 		select {

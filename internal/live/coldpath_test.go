@@ -237,10 +237,10 @@ func TestAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 }
 
 // TestRankingMatchesReference: ranking.owners reads suspicion and RTT from
-// arrays parallel to the ring where OrderReplicas reads maps, and orders
-// only the selected; over rings of 1-40 stationaries, with and without
-// regions, suspects and partial RTT knowledge, it must return exactly
-// OrderReplicas(SelectReplicas(...)).
+// arrays parallel to the ring where OrderReplicas reads maps by address,
+// and orders only the selected; over rings of 1-40 stationaries, with and
+// without regions, suspects and partial RTT knowledge, it must return
+// exactly OrderReplicas(SelectReplicas(...)).
 func TestRankingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 1000; trial++ {

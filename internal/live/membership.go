@@ -349,24 +349,41 @@ func SelectReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.
 	return cands[:k]
 }
 
-// OrderReplicas stable-sorts a replica set into contact order: peers in
-// suspect sort after healthy ones regardless of RTT (a near but broken
-// replica still costs a timeout before the breaker trips), and within
-// each class peers sort by ascending effective RTT from eff. Addresses
-// missing from eff compare equal at zero, so with no estimates at all
-// the incoming (key-distance) order is preserved — exactly the
-// pre-proximity behavior. Exported so the simulation harness
-// (internal/stretch) measures the same ordering the live node runs.
-func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[string]time.Duration) {
-	slices.SortStableFunc(replicas, func(a, b wire.Entry) int {
-		if sa, sb := suspect[a.Addr], suspect[b.Addr]; sa != sb {
-			if sb {
-				return -1
-			}
-			return 1
+// Contact is what the contact order reads of one replica.
+type Contact struct {
+	Suspect bool          // its breaker is not closed
+	RTT     time.Duration // its effective RTT; 0 while unmeasured
+}
+
+// OrderContacts stable-sorts a replica set into contact order, reading
+// each replica's Contact from of: suspects after healthy peers whatever
+// their RTT (a near but broken replica still costs a timeout before the
+// breaker trips), and within each class by ascending effective RTT. An
+// unmeasured peer compares at zero, ahead of every measured one, which
+// seeds its estimate; with no estimates the incoming (key-distance) order
+// stays. The node's fan-outs (ranking.owners) and the simulation harness
+// (internal/stretch) both sort with it.
+func OrderContacts(replicas []wire.Entry, of func(wire.Entry) Contact) {
+	for i := 1; i < len(replicas); i++ { // stable insertion sort: a replica set is a handful
+		for j := i; j > 0 && contactBefore(of(replicas[j]), of(replicas[j-1])); j-- {
+			replicas[j], replicas[j-1] = replicas[j-1], replicas[j]
 		}
-		return cmp.Compare(eff[a.Addr], eff[b.Addr])
-	})
+	}
+}
+
+// contactBefore reports whether a is contacted strictly ahead of b.
+func contactBefore(a, b Contact) bool {
+	if a.Suspect != b.Suspect {
+		return b.Suspect
+	}
+	return a.RTT < b.RTT
+}
+
+// OrderReplicas is OrderContacts over maps: suspect and eff by address, a
+// missing address healthy and unmeasured. The loadgen's per-layer rung
+// times it.
+func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[string]time.Duration) {
+	OrderContacts(replicas, func(e wire.Entry) Contact { return Contact{suspect[e.Addr], eff[e.Addr]} })
 }
 
 // ranking is one fan-out's frozen view of replica quality over the
@@ -394,7 +411,7 @@ type rankScratch struct {
 }
 
 // rank samples suspicion and RTT once for a fan-out over the known
-// stationary peers, as OrderReplicas reads them: an unmeasured peer
+// stationary peers, as OrderContacts reads them: an unmeasured peer
 // ranks at 0, ahead of every measured one.
 func (n *Node) rank(s *rankScratch) (ranking, error) {
 	v := n.members.snapshot()
@@ -421,30 +438,19 @@ func (n *Node) rank(s *rankScratch) (ranking, error) {
 
 // owners returns key's k replicas in contact order: SelectReplicas's set
 // (the k closest stationary peers, replicated for §2.3.2 availability) in
-// OrderReplicas's order (suspects last, then ascending effective RTT),
-// read from the ranking's arrays instead of maps. Publish and discovery
-// so fall over across replicas nearest-healthy-first and pay a suspect
-// peer's timeout only when every healthy replica failed. Only the k
-// selected are ordered. The result aliases cands until the next call.
+// OrderContacts's order (suspects last, then ascending effective RTT),
+// read from the ranking's arrays. Publish and discovery so fall over
+// across replicas nearest-healthy-first and pay a suspect peer's timeout
+// only when every healthy replica failed. Only the k selected are
+// ordered. The result aliases cands until the next call.
 func (r *ranking) owners(key hashkey.Key, k int) []wire.Entry {
 	owners := SelectReplicas(r.cands, key, k, r.regions)
-	for i := 1; i < len(owners); i++ { // stable insertion sort
-		for j := i; j > 0 && r.before(owners[j].Key, owners[j-1].Key); j-- {
-			owners[j], owners[j-1] = owners[j-1], owners[j]
-		}
-	}
+	OrderContacts(owners, r.contact)
 	return owners
 }
 
-// before reports whether the peer with key a is contacted strictly ahead
-// of the one with key b.
-func (r *ranking) before(a, b hashkey.Key) bool {
-	row := func(k hashkey.Key) int {
-		return sort.Search(len(r.ring), func(i int) bool { return r.ring[i].Key >= k })
-	}
-	ia, ib := row(a), row(b)
-	if r.suspect != nil && r.suspect[ia] != r.suspect[ib] {
-		return r.suspect[ib]
-	}
-	return r.eff[ia] < r.eff[ib]
+// contact reads the ranking's row for the ring member e.
+func (r *ranking) contact(e wire.Entry) Contact {
+	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].Key >= e.Key })
+	return Contact{Suspect: r.suspect != nil && r.suspect[i], RTT: r.eff[i]}
 }

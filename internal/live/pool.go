@@ -19,8 +19,9 @@ package live
 // that record's mutex. The MaxSessions cap bounds the sessions kept, not
 // the exchanges admitted: a newcomer is always admitted, and one rule,
 // trim, sheds the least-recently-used idle session while the pool is over
-// the cap — after an admission, after a dial or an exchange that leaves a
-// session idle, and on each janitor tick.
+// the cap — after an admission, after a drain or an exchange that leaves a
+// session idle, and on each janitor tick. A session is idle when
+// nobody waits on it and nobody writes on it, so an eviction loses no frame.
 
 import (
 	"context"
@@ -150,9 +151,8 @@ type session struct {
 	pending  map[uint32]*waiter // exchanges awaiting a reply, by Seq
 	reader   *waiter            // the exchange that holds, or was handed, the reader role
 	nextSeq  uint32
-	inflight int         // exchanges between register and leave
-	lastUse  time.Time   // when the latest exchange or one-way frame started
-	linger   func() bool // set by an eviction that left drain the conn: stops the pool's end from closing it
+	inflight int       // exchanges between register and leave
+	lastUse  time.Time // when the latest exchange or one-way frame started
 }
 
 // waiter is one exchange on a session: its frame, the channels its caller
@@ -199,11 +199,12 @@ func (w *waiter) recycle() {
 	waiterPool.Put(w)
 }
 
-// idle reports whether evicting s would fail no exchange: it has dialed
-// (a session still dialing was made for an exchange about to register on
-// it) and no exchange awaits a reply. Caller holds s.mu.
+// idle reports whether evicting s would fail no exchange and lose no
+// frame: it has dialed (a session still dialing was made for an exchange
+// about to register on it), no exchange awaits a reply, and nobody holds
+// the writer role. Caller holds s.wmu and s.mu.
 func (s *session) idle() bool {
-	return !s.torn && s.conn != nil && s.inflight == 0
+	return !s.torn && s.conn != nil && s.inflight == 0 && !s.writing
 }
 
 // acquire returns pr's session, creating one if absent and starting its
@@ -249,7 +250,7 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 // deadline, hands the reader role to a request registered meanwhile, and
 // writes the frames staged meanwhile. Its outcome is the pool's to record
 // when only one-way frames were waiting — a waiting request records its
-// own — and such a session is then idle, so trim may shed it.
+// own.
 func (s *session) dial(by time.Time) {
 	defer s.p.wg.Done()
 	ctx, cancel := context.WithDeadline(s.p.life, by)
@@ -280,7 +281,6 @@ func (s *session) dial(by time.Time) {
 	s.p.dials.Inc()
 	if oneWayOnly {
 		s.p.oneWayResult(s.peer, nil)
-		s.p.trim()
 	}
 	if write {
 		s.drain(oneWayOnly)
@@ -345,8 +345,7 @@ func (s *session) write(ctx context.Context, w *waiter, lead bool) {
 // goDrain hands its caller's writer role to drain(probe), on a goroutine
 // counted under the pool's mu after the closed check, as acquire counts a
 // dial, so Close joins it. A closed pool has nobody left to write for, and
-// the conn closes without it: Close tears the session down, or an
-// eviction's linger ends with the pool's life.
+// Close tears the session down.
 func (s *session) goDrain(probe bool) {
 	p := s.p
 	p.mu.Lock()
@@ -365,19 +364,11 @@ func (s *session) goDrain(probe bool) {
 // fresh session. Then each write runs under the latest deadline of the
 // frames on the conn. Once that passes, whole frames stay queued for the
 // next writer, but a stream a cut left mid-frame is stuck, and the session
-// tears down. A session torn while it writes — an eviction leaves it the
-// conn — closes when drain ends, or when the pool's life does.
+// tears down. No eviction takes a session while drain writes, so drain
+// trims when it ends: the session it leaves may be idle.
 func (s *session) drain(probe bool) {
+	defer s.p.trim()
 	conn := s.conn
-	defer func() {
-		s.mu.Lock()
-		linger := s.linger
-		s.mu.Unlock()
-		if linger != nil {
-			linger()
-			conn.Close()
-		}
-	}()
 	if probe && conn.PeerClosed() {
 		if s.teardown(fmt.Errorf("live: pooled recv from %s: %w", s.peer.addr, io.EOF)) {
 			s.wmu.Lock()
@@ -566,31 +557,28 @@ func (s *session) wait(ctx context.Context, w *waiter, by time.Time) *wire.Messa
 
 // teardown ends the session exactly once: every pending waiter is settled
 // with err, the conn closes, and the pool forgets the session so the next
-// attempt re-dials. An eviction that finds drain holding the writer role
-// leaves the conn to it, so the one-way frames the session holds are
-// still written. teardown reports whether this call tore a session only
-// one-way frames were riding, whose callers will not hear of err.
+// attempt re-dials. An eviction backs off from a session that turned busy
+// after lruIdle picked it. teardown reports whether this call tore a
+// session only one-way frames were riding, whose callers will not hear of
+// err.
 func (s *session) teardown(err error) (oneWayOnly bool) {
 	s.wmu.Lock()
 	s.mu.Lock()
-	torn, conn, pending := s.torn, s.conn, s.pending
-	oneWayOnly = s.inflight == 0 && len(s.staged) > 0
-	linger := s.writing && (err == errEvictedCap || err == errEvictedIdle)
-	if !torn {
-		s.torn, s.err, s.pending = true, err, nil
-		if linger {
-			s.linger = context.AfterFunc(s.p.life, func() { conn.Close() })
-		}
-	}
-	s.mu.Unlock()
-	s.wmu.Unlock()
-	if torn {
+	evict := err == errEvictedCap || err == errEvictedIdle
+	if s.torn || evict && !s.idle() {
+		s.mu.Unlock()
+		s.wmu.Unlock()
 		return false
 	}
+	conn, pending := s.conn, s.pending
+	oneWayOnly = s.inflight == 0 && len(s.staged) > 0
+	s.torn, s.err, s.pending = true, err, nil
+	s.mu.Unlock()
+	s.wmu.Unlock()
 	for _, w := range pending {
 		w.settle(nil, err)
 	}
-	if conn != nil && !linger {
+	if conn != nil {
 		conn.Close()
 	}
 	s.p.drop(s)
@@ -776,10 +764,12 @@ func (p *pool) trim() (over bool) {
 // or nil.
 func (p *pool) lruIdle() (oldest *session, oldestUse time.Time) {
 	for _, s := range p.current() {
+		s.wmu.Lock()
 		s.mu.Lock()
 		idle := s.idle()
 		use := s.lastUse
 		s.mu.Unlock()
+		s.wmu.Unlock()
 		if idle && (oldest == nil || use.Before(oldestUse)) {
 			oldest, oldestUse = s, use
 		}

@@ -497,12 +497,13 @@ func TestPoolPushAfterPeerClosedIdleSession(t *testing.T) {
 	}
 }
 
-// TestPoolEvictionWritesWhatItHolds: one-way pushes wait for no reply, so
-// a session only pushes ride is idle, and at the MaxSessions cap a second
-// peer's admission evicts it while its writer still holds the pushes. The
-// eviction leaves the peer at once — the pool is back at its cap, with no
-// admission over it — and the pushes are still written before the conn
-// closes: every one arrives.
+// TestPoolEvictionWritesWhatItHolds: one-way pushes wait for no reply, but
+// a session whose writer still holds pushes is not idle. At the MaxSessions
+// cap a second peer's admission finds the pushing session being written,
+// evicts nothing and stays over the cap. Once the writer gives its role
+// up, every push has arrived, and the drain that wrote them trims the pool
+// back to its cap: the pushing session, now idle and the least recently
+// used, is the one evicted.
 func TestPoolEvictionWritesWhatItHolds(t *testing.T) {
 	const pushes = 4
 	mem := transport.NewMem()
@@ -528,14 +529,64 @@ func TestPoolEvictionWritesWhatItHolds(t *testing.T) {
 	if _, err := p.acquire(peers.get(other.l.Addr(), true), farOff()); err != nil {
 		t.Fatalf("acquire of a second peer over unwritten pushes: %v", err)
 	}
-	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 1 || over != 0 {
-		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session evicted (1) and no admission over the cap (0)", evicted, over)
+	if evicted, over := counters.Get("pool.evictions.cap"), counters.Get("pool.fallbacks"); evicted != 0 || over != 1 {
+		t.Fatalf("evictions.cap = %d, fallbacks = %d: want the pushing session kept (0) and the admission over the cap (1)", evicted, over)
 	}
-	if got := p.sessionCount(); got != 1 {
-		t.Fatalf("sessions = %d after the eviction, want 1", got)
+	if got := p.sessionCount(); got != 2 {
+		t.Fatalf("sessions = %d while the pushes are written, want 2", got)
 	}
 	open()
 	waitFor(t, "every push to arrive", func() bool { return got.Load() == pushes })
+	waitFor(t, "the drain to trim the pool to its cap", func() bool { return counters.Get("pool.evictions.cap") == 1 })
+	if got := p.sessionCount(); got != 1 {
+		t.Fatalf("sessions = %d after the trim, want 1", got)
+	}
+	pr := peers.get(sink.Addr(), true)
+	pr.mu.Lock()
+	kept := pr.sess
+	pr.mu.Unlock()
+	if kept != nil {
+		t.Error("the pushing session survived the trim: want it evicted as the least recently used")
+	}
+}
+
+// TestPoolEvictionBacksOffABusySession: lruIdle picks an idle session, an
+// exchange registers on it before the eviction takes its locks, and the
+// eviction then leaves the session and that exchange untouched.
+func TestPoolEvictionBacksOffABusySession(t *testing.T) {
+	mem := transport.NewMem()
+	srv := startPingServer(t, mem)
+	counters := metrics.NewCounters()
+	p, peers := newTestPool(mem, PoolConfig{}, counters)
+	defer p.Close()
+	pr := peers.get(srv.l.Addr(), true)
+	s, err := p.acquire(pr, farOff())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the session to dial", func() bool { return counters.Get("pool.dials") == 1 })
+	if victim, _ := p.lruIdle(); victim != s {
+		t.Fatalf("lruIdle = %p, want the dialed session %p", victim, s)
+	}
+	w := waiterPool.Get().(*waiter)
+	w.Message = wire.Message{Type: wire.TPing}
+	if _, _, _, err := s.register(&w.Message, w, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if s.teardown(errEvictedCap) {
+		t.Error("teardown of a busy session reported a one-way teardown")
+	}
+	s.mu.Lock()
+	torn, pending := s.torn, s.pending[w.Seq]
+	s.mu.Unlock()
+	if torn || pending != w || w.settled.Load() {
+		t.Fatalf("after the eviction backed off: torn %v, exchange pending %v, settled %v; want the session and its exchange untouched",
+			torn, pending == w, w.settled.Load())
+	}
+	if evicted, n := counters.Get("pool.evictions.cap"), p.sessionCount(); evicted != 0 || n != 1 {
+		t.Fatalf("evictions.cap = %d, sessions = %d: want 0 and 1", evicted, n)
+	}
+	s.leave(w)
 }
 
 // gatedFlush is a Mem transport whose dialed conns hold every Flush until

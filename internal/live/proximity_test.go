@@ -1,7 +1,7 @@
 package live
 
-// White-box tests for proximity-aware replica selection: the OrderReplicas
-// comparator (suspicion outranks RTT), unmeasured peers contacted first,
+// White-box tests for proximity-aware replica selection: the contact order
+// (suspicion outranks RTT), unmeasured peers contacted first,
 // and the sharded RTT estimator table.
 
 import (
@@ -34,34 +34,33 @@ func addrsOf(es []wire.Entry) []string {
 	return out
 }
 
+// TestOrderReplicas drives OrderContacts, the one contact order: a peer
+// missing from the case's table is healthy and unmeasured.
 func TestOrderReplicas(t *testing.T) {
 	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
 	cases := []struct {
-		name    string
-		in      []string
-		suspect map[string]bool
-		eff     map[string]time.Duration
-		want    []string
+		name string
+		in   []string
+		of   map[string]Contact
+		want []string
 	}{
 		{
 			name: "ascending RTT",
 			in:   []string{"c", "a", "b"},
-			eff:  map[string]time.Duration{"a": ms(1), "b": ms(2), "c": ms(3)},
+			of:   map[string]Contact{"a": {RTT: ms(1)}, "b": {RTT: ms(2)}, "c": {RTT: ms(3)}},
 			want: []string{"a", "b", "c"},
 		},
 		{
-			name:    "suspects last regardless of RTT",
-			in:      []string{"fast-dead", "slow-live"},
-			suspect: map[string]bool{"fast-dead": true},
-			eff:     map[string]time.Duration{"fast-dead": ms(1), "slow-live": ms(50)},
-			want:    []string{"slow-live", "fast-dead"},
+			name: "suspects last regardless of RTT",
+			in:   []string{"fast-dead", "slow-live"},
+			of:   map[string]Contact{"fast-dead": {Suspect: true, RTT: ms(1)}, "slow-live": {RTT: ms(50)}},
+			want: []string{"slow-live", "fast-dead"},
 		},
 		{
-			name:    "suspects keep RTT order among themselves",
-			in:      []string{"s-far", "ok", "s-near"},
-			suspect: map[string]bool{"s-far": true, "s-near": true},
-			eff:     map[string]time.Duration{"s-far": ms(9), "ok": ms(5), "s-near": ms(2)},
-			want:    []string{"ok", "s-near", "s-far"},
+			name: "suspects keep RTT order among themselves",
+			in:   []string{"s-far", "ok", "s-near"},
+			of:   map[string]Contact{"s-far": {Suspect: true, RTT: ms(9)}, "ok": {RTT: ms(5)}, "s-near": {Suspect: true, RTT: ms(2)}},
+			want: []string{"ok", "s-near", "s-far"},
 		},
 		{
 			name: "no data preserves input (key-distance) order",
@@ -71,16 +70,16 @@ func TestOrderReplicas(t *testing.T) {
 		{
 			name: "missing eff sorts first but stably",
 			in:   []string{"measured", "unknown1", "unknown2"},
-			eff:  map[string]time.Duration{"measured": ms(4)},
+			of:   map[string]Contact{"measured": {RTT: ms(4)}},
 			want: []string{"unknown1", "unknown2", "measured"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := entries(tc.in...)
-			OrderReplicas(got, tc.suspect, tc.eff)
+			OrderContacts(got, func(e wire.Entry) Contact { return tc.of[e.Addr] })
 			if fmt.Sprint(addrsOf(got)) != fmt.Sprint(tc.want) {
-				t.Errorf("OrderReplicas(%v) = %v, want %v", tc.in, addrsOf(got), tc.want)
+				t.Errorf("OrderContacts(%v) = %v, want %v", tc.in, addrsOf(got), tc.want)
 			}
 		})
 	}

@@ -6,7 +6,7 @@
 // It is the honest evaluation for proximity-aware resolution: the
 // replica placement is exactly the live node's (hashkey.RegionStriped
 // keys, live.SelectReplicas region-diverse k-closest sets) and the
-// contact ordering is exactly the live node's (live.OrderReplicas over
+// contact ordering is exactly the live node's (live.OrderContacts over
 // per-peer EWMA RTT estimates fed only by the client's own exchanges,
 // an unmeasured peer contacted first). Toggling
 // RegionPlacement and LatencyOrdering isolates each mechanism's
@@ -63,7 +63,7 @@ type Config struct {
 	// (region = serving transit domain) and selects replica sets with
 	// region diversity, as a live deployment configured WithRegion does.
 	RegionPlacement bool
-	// LatencyOrdering contacts replicas in live.OrderReplicas order
+	// LatencyOrdering contacts replicas in live.OrderContacts order
 	// (measured EWMA RTT, unmeasured replicas first). Off, clients
 	// contact replicas in placement (key-distance) order.
 	LatencyOrdering bool
@@ -174,7 +174,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// contact resolves one record for one client: it picks the contact
-	// order (live.OrderReplicas over the client's estimates when ordering
+	// order (live.OrderContacts over the client's estimates when ordering
 	// is on; placement order otherwise), "sends" to the first replica —
 	// every replica is alive here, so discovery succeeds on the first
 	// contact — and feeds the client's estimator exactly as the live RPC
@@ -185,17 +185,17 @@ func Run(cfg Config) (Result, error) {
 		replicas := ordered[:len(set)]
 		copy(replicas, set)
 		if cfg.LatencyOrdering {
-			// As the live node ranks: an unmeasured replica is missing
-			// from eff, so it compares at zero, ahead of every measured one.
-			eff := make(map[string]time.Duration, len(replicas))
-			for _, e := range replicas {
+			// As the live node ranks: an unmeasured replica compares at
+			// zero, ahead of every measured one.
+			live.OrderContacts(replicas, func(e wire.Entry) live.Contact {
+				var c live.Contact
 				if est, ok := cl.est[e.Addr]; ok {
 					if v, n := est.Load(); n > 0 {
-						eff[e.Addr] = time.Duration(v)
+						c.RTT = time.Duration(v)
 					}
 				}
-			}
-			live.OrderReplicas(replicas, nil, eff)
+				return c
+			})
 		}
 		chosen := replicas[0]
 		_, cost := net.SendSync(cl.host, net.AddrOf(hostOf[chosen.Addr]))

@@ -58,13 +58,14 @@ func IsTimeout(err error) bool {
 // replies itself before a Recv that may block.
 //
 // Deadlines bound the waits on the link. A read deadline bounds Recv
-// alone; a write deadline bounds Send and Flush. The zero time means no
-// bound. A wait the deadline ends fails with an error IsTimeout reports,
-// and costs the stream nothing: a Recv the deadline cuts keeps what it
-// read of the frame in progress, and the next Recv completes it; a write
-// it cuts keeps what it did not send queued, and the next write resumes
-// the stream where the cut one stopped (ErrPartialWrite marks a cut that
-// sent part of it).
+// alone; a write deadline bounds Send and Flush. Both pass straight to the
+// stream, so a new one also reaches a wait in progress. The zero time
+// means no bound. A wait the deadline ends fails with an error IsTimeout
+// reports, and costs the stream nothing: a Recv the deadline cuts keeps
+// what it read of the frame in progress, and the next Recv completes it;
+// a write it cuts keeps what it did not send queued, and the next write
+// resumes the stream where the cut one stopped (ErrPartialWrite marks a
+// cut that sent part of it).
 type Conn interface {
 	// Send writes one message, behind anything queued before it, and
 	// returns once the transport has taken the bytes.
@@ -80,9 +81,11 @@ type Conn interface {
 	// Buffered reports whether Recv would return at once, from what has
 	// already been read off the link. Its caller is Recv's.
 	Buffered() bool
-	// SetReadDeadline bounds every later Recv by t.
+	// SetReadDeadline bounds a Recv in progress and every later one by t.
 	SetReadDeadline(t time.Time) error
-	// SetWriteDeadline bounds every later Send and Flush by t.
+	// SetWriteDeadline bounds a write in progress and every later Send and
+	// Flush by t. It does not wait for the write: a writer sets its
+	// deadline before it flushes, and another caller may cut the write.
 	SetWriteDeadline(t time.Time) error
 	// PeerClosed reports, without waiting and without reading, whether
 	// the peer has closed the connection — also behind frames it sent
@@ -169,13 +172,6 @@ type streamConn struct {
 	mu   sync.Mutex // serializes Send/Queue/Flush; guards the fields below
 	out  []byte     // encoded frames not yet written; reused across flushes
 	werr error      // first failed write; sticky
-
-	// dmu guards the write deadline. It is never held across I/O, so a new
-	// deadline reaches a write that is blocked.
-	dmu     sync.Mutex
-	wdl     time.Time // the write deadline set
-	wset    time.Time // the write deadline rw holds
-	writing bool      // a write is in progress
 }
 
 // deadliner is the deadline half of net.Conn.
@@ -186,7 +182,7 @@ type deadliner interface {
 
 // NewConn frames any byte stream — what TCP's Dial and Accept return over
 // a socket, and Mem's over a pipe; exported so a test can put its own
-// net.Conn underneath. Deadlines reach the stream if it has
+// net.Conn underneath. Deadlines pass straight to the stream if it has
 // SetReadDeadline and SetWriteDeadline, as a net.Conn does.
 func NewConn(rw io.ReadWriteCloser) Conn {
 	sc := &streamConn{rw: rw}
@@ -214,12 +210,6 @@ func (sc *streamConn) enqueue(m *wire.Message) error {
 func (sc *streamConn) flush() error {
 	if sc.werr != nil || len(sc.out) == 0 {
 		return sc.werr
-	}
-	if sc.dl != nil {
-		defer sc.wrote()
-		if sc.werr = sc.writeDeadline(); sc.werr != nil {
-			return sc.werr
-		}
 	}
 	n, err := sc.rw.Write(sc.out)
 	if err != nil && IsTimeout(err) {
@@ -257,24 +247,6 @@ func (sc *streamConn) Flush() error {
 	return sc.flush()
 }
 
-// writeDeadline puts the write about to run under the write deadline.
-func (sc *streamConn) writeDeadline() error {
-	sc.dmu.Lock()
-	defer sc.dmu.Unlock()
-	sc.writing = true
-	if sc.wdl.Equal(sc.wset) {
-		return nil
-	}
-	sc.wset = sc.wdl
-	return sc.dl.SetWriteDeadline(sc.wdl)
-}
-
-func (sc *streamConn) wrote() {
-	sc.dmu.Lock()
-	sc.writing = false
-	sc.dmu.Unlock()
-}
-
 // PeerClosed asks the stream: a socket by its TCP state, a Mem pipe by its
 // closed flag. A stream that cannot tell reports false.
 func (sc *streamConn) PeerClosed() bool {
@@ -302,20 +274,11 @@ func (sc *streamConn) SetReadDeadline(t time.Time) error {
 	return sc.dl.SetReadDeadline(t)
 }
 
-// SetWriteDeadline reaches rw at the next write, or at once if a write is
-// in progress: a deadline no write runs under costs rw nothing.
 func (sc *streamConn) SetWriteDeadline(t time.Time) error {
 	if sc.dl == nil {
 		return nil
 	}
-	sc.dmu.Lock()
-	defer sc.dmu.Unlock()
-	sc.wdl = t
-	if sc.writing {
-		sc.wset = t
-		sc.dl.SetWriteDeadline(t)
-	}
-	return nil
+	return sc.dl.SetWriteDeadline(t)
 }
 
 // --- In-memory ---
