@@ -11,8 +11,6 @@ BASE         ?=
 PAIRS        ?= 10
 # Measure phase of `make bench-run`; BENCHMARK.json's own runs use 15.
 SECONDS      ?= 3
-# bench-pair-e2e: the loadgen workloads it pairs.
-WORKLOADS    ?= chunk_stream,cold_fanin,hot_key_storm,batch_mover
 
 .PHONY: build test race bench bench-check bench-run bench-stretch bench-gate bench-pair bench-pair-e2e loc soak soak-10k clean
 
@@ -142,13 +140,13 @@ bench-pair:
 
 # bench-pair-e2e judges this tree end to end against BASE: it runs every
 # loadgen workload (bench/run.sh) in the two trees in turn, PAIRS times
-# for SECONDS each, and fails on a run that is not correct or on an
-# end-to-end metric whose median is worse than BENCHMARK.json's bound
-# (cmd/benchgate/loadgen.go). Ten 15 s pairs of the four workloads take
-# about 25 minutes.
+# for BASE's BENCHMARK.json run_seconds (15 s) each, and fails on a run
+# that is not correct or on an end-to-end metric whose median is worse
+# than BENCHMARK.json's bound (cmd/benchgate/loadgen.go). Ten pairs of
+# the four workloads take about 25 minutes.
 bench-pair-e2e:
 	@test -n "$(BASE)" || { echo "bench-pair-e2e: set BASE to the base tree"; exit 2; }
-	$(GO) run ./cmd/benchgate pair -loadgen $(WORKLOADS) -seconds $(SECONDS) -n $(PAIRS) $(BASE) .
+	$(GO) run ./cmd/benchgate pair -loadgen chunk_stream,cold_fanin,hot_key_storm,batch_mover -n $(PAIRS) $(BASE) .
 
 # soak runs randomized seeded mobility/churn scenarios on the scenario
 # harness (internal/harness) under the race detector until the

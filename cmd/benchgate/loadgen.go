@@ -3,9 +3,11 @@ package main
 // pairLoadgen judges a change end to end: it runs the loadgen
 // (`bash bench/run.sh -workload W -seconds S`) in a base tree and a change
 // tree in turn, N pairs per workload with the first tree alternating, and
-// compares each end-to-end metric of BENCHMARK.json over the pairs.
+// compares each end-to-end metric of BENCHMARK.json over the pairs. Each
+// run lasts the base tree's BENCHMARK.json run_seconds, so both trees run
+// as the benchmark runs them.
 //
-//	go run ./cmd/benchgate pair -loadgen cold_fanin,chunk_stream -seconds 15 -n 10 <base-tree> <change-tree>
+//	go run ./cmd/benchgate pair -loadgen cold_fanin,chunk_stream -n 10 <base-tree> <change-tree>
 //
 // Per workload and metric it prints both medians, the base's quartiles,
 // the pairs the change won, and a verdict: regression when the change's
@@ -43,13 +45,17 @@ type loadgenRun struct {
 	} `json:"metrics"`
 }
 
-func pairLoadgen(trees [2]string, workloads []string, seconds, n int) {
+func pairLoadgen(trees [2]string, workloads []string, n int) {
 	var contract struct {
-		EndToEnd []e2eMetric `json:"end_to_end"`
+		RunSeconds int         `json:"run_seconds"`
+		EndToEnd   []e2eMetric `json:"end_to_end"`
 	}
 	data, err := os.ReadFile(filepath.Join(trees[0], "BENCHMARK.json"))
 	if err == nil {
 		err = json.Unmarshal(data, &contract)
+	}
+	if err == nil && contract.RunSeconds < 1 {
+		err = fmt.Errorf("run_seconds is %d", contract.RunSeconds)
 	}
 	if err != nil {
 		fatal(fmt.Errorf("the base tree's BENCHMARK.json: %v", err))
@@ -61,7 +67,7 @@ func pairLoadgen(trees [2]string, workloads []string, seconds, n int) {
 		for i := 0; i < n; i++ {
 			for k := 0; k < 2; k++ {
 				t := (i + k) % 2 // alternate which tree goes first
-				runs[t] = append(runs[t], runLoadgen(trees[t], wl, seconds))
+				runs[t] = append(runs[t], runLoadgen(trees[t], wl, contract.RunSeconds))
 			}
 			fmt.Fprintf(os.Stderr, "benchgate pair: %s pair %d/%d done\n", wl, i+1, n)
 		}
@@ -126,7 +132,7 @@ type e2eVerdict struct {
 
 // judgeE2E compares base[i] with change[i], pair by pair and in the median.
 func judgeE2E(m e2eMetric, base, change []float64) e2eVerdict {
-	v := e2eVerdict{baseMed: median(base), changeMed: median(change), q1: quantile(base, 0.25), q3: quantile(base, 0.75)}
+	v := e2eVerdict{baseMed: quantile(base, 0.5), changeMed: quantile(change, 0.5), q1: quantile(base, 0.25), q3: quantile(base, 0.75)}
 	// worse is how much worse than the base's median the change's is, as a
 	// share of the base's.
 	worse := (v.changeMed - v.baseMed) / math.Abs(v.baseMed)
@@ -150,7 +156,7 @@ func judgeE2E(m e2eMetric, base, change []float64) e2eVerdict {
 }
 
 // quantile interpolates the q-quantile of v linearly between order
-// statistics.
+// statistics; q 0.5 is the median.
 func quantile(v []float64, q float64) float64 {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)

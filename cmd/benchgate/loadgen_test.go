@@ -46,4 +46,7 @@ func TestQuantile(t *testing.T) {
 	if got := quantile([]float64{1, 2}, 0.25); got != 1.25 {
 		t.Errorf("quantile(0.25) of two = %v, want 1.25", got)
 	}
+	if got := quantile([]float64{10, 1, 3, 2}, 0.5); got != 2.5 {
+		t.Errorf("quantile(0.5) of four = %v, want their median 2.5", got)
+	}
 }

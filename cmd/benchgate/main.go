@@ -24,7 +24,7 @@
 //	    -zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel
 //	go run ./cmd/benchgate json -suite publish -in bench.txt -out BENCH_publish.json
 //	go run ./cmd/benchgate pair -n 10 <base-tree> <change-tree>
-//	go run ./cmd/benchgate pair -loadgen cold_fanin -seconds 15 -n 10 <base-tree> <change-tree>
+//	go run ./cmd/benchgate pair -loadgen cold_fanin -n 10 <base-tree> <change-tree>
 //
 // Baselines are recorded by `make bench` through `benchgate json`
 // (report.go); the gate is wired as `make bench-gate` and runs in CI's

@@ -42,15 +42,14 @@ func pair(args []string) {
 	fs := flag.NewFlagSet("pair", flag.ExitOnError)
 	n := fs.Int("n", 10, "pairs of runs")
 	loadgen := fs.String("loadgen", "", "comma-separated loadgen workloads to pair instead of the micro benchmarks")
-	seconds := fs.Int("seconds", 15, "measure phase of each loadgen run")
 	fs.Parse(args)
-	if fs.NArg() != 2 || *n < 1 || *seconds < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate pair [-n N] [-loadgen W[,W...] [-seconds S]] <base-tree> <change-tree>")
+	if fs.NArg() != 2 || *n < 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate pair [-n N] [-loadgen W[,W...]] <base-tree> <change-tree>")
 		os.Exit(2)
 	}
 	trees := [2]string{fs.Arg(0), fs.Arg(1)}
 	if *loadgen != "" {
-		pairLoadgen(trees, strings.Split(*loadgen, ","), *seconds, *n)
+		pairLoadgen(trees, strings.Split(*loadgen, ","), *n)
 		return
 	}
 	dir, err := os.MkdirTemp("", "benchgate-pair")
@@ -133,7 +132,7 @@ func judge(runs [2]map[string][]result) (violations int) {
 		}
 		pairs := len(ratios)
 		pSlower, pFaster := signTail(pairs, slower), signTail(pairs, pairs-slower)
-		med := median(ratios) - 1
+		med := quantile(ratios, 0.5) - 1
 		verdict := ""
 		switch {
 		case pSlower < 0.05 && med > pairBound:
@@ -149,7 +148,7 @@ func judge(runs [2]map[string][]result) (violations int) {
 			violations++
 		}
 		fmt.Printf("%-36s %12.1f %12.1f %+7.1f%% %3d/%-3d %7.4f  %d→%d %s\n", name,
-			median(nsOf(base)), median(nsOf(change)), 100*med, slower, pairs, min(pSlower, pFaster),
+			quantile(nsOf(base), 0.5), quantile(nsOf(change), 0.5), 100*med, slower, pairs, min(pSlower, pFaster),
 			maxBase, maxChange, strings.TrimSpace(verdict))
 	}
 	return violations
@@ -161,15 +160,6 @@ func nsOf(s []result) []float64 {
 		out[i] = s[i].NsPerOp
 	}
 	return out
-}
-
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // signTail is the sign test's one-sided p-value: the chance of k or more

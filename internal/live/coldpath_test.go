@@ -236,11 +236,27 @@ func TestAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	}
 }
 
+// referenceOrder is the contact order written out independently of
+// OrderContacts: a stable sort by the library, suspects last, then
+// ascending effective RTT, read from maps by address (missing: healthy,
+// 0).
+func referenceOrder(replicas []wire.Entry, suspect map[string]bool, eff map[string]time.Duration) {
+	slices.SortStableFunc(replicas, func(a, b wire.Entry) int {
+		if sa, sb := suspect[a.Addr], suspect[b.Addr]; sa != sb {
+			if sb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(eff[a.Addr], eff[b.Addr])
+	})
+}
+
 // TestRankingMatchesReference: ranking.owners reads suspicion and RTT from
-// arrays parallel to the ring where OrderReplicas reads maps by address,
-// and orders only the selected; over rings of 1-40 stationaries, with and
-// without regions, suspects and partial RTT knowledge, it must return
-// exactly OrderReplicas(SelectReplicas(...)).
+// arrays parallel to the ring, binary-searches the ring and orders only
+// the selected with OrderContacts; over rings of 1-40 stationaries, with
+// and without regions, suspects and partial RTT knowledge, it must return
+// exactly referenceOrder(SelectReplicas(...)).
 func TestRankingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 1000; trial++ {
@@ -280,7 +296,7 @@ func TestRankingMatchesReference(t *testing.T) {
 			key = ring[rng.Intn(n)].Key
 		}
 		want := SelectReplicas(slices.Clone(ring), key, k, rk.regions)
-		OrderReplicas(want, suspect, eff)
+		referenceOrder(want, suspect, eff)
 		got := rk.owners(key, k)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (ring %d, k %d, regions %d, suspects %v): owners = %v, reference = %v",
