@@ -50,7 +50,8 @@ loc:
 # lease-aware cache's hot/cold-miss paths, the hot path's scaling
 # from one goroutine to GOMAXPROCS, the cache's own hit path from every
 # processor and its fill into a full cache, and the serve path's
-# pipelined capacity over a loopback socket) and the publish benchmarks
+# pipelined capacity over a loopback socket, and a discover's owner
+# selection at rings of 4, 16 and 64) and the publish benchmarks
 # (RPCs per full publish, and per
 # move's one-record publish, at 1/100/10k owned records), recording the
 # results as BENCH_resolve.json and BENCH_publish.json. The nodes and the cache run with counters and
@@ -58,7 +59,7 @@ loc:
 # for a statistically meaningful local run; the 100x default is a CI
 # smoke.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$|^BenchmarkServePipelinedTCP$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$|^BenchmarkServePipelinedTCP$$|^BenchmarkOwners$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_resolve.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
@@ -69,15 +70,20 @@ bench:
 	$(GO) run ./cmd/benchgate json -suite publish -in bench_publish.txt -out BENCH_publish.json
 	@rm -f bench_publish.txt
 
-# bench-stretch records the proximity stretch evaluation: one 10k-router
+# bench-stretch re-runs the proximity stretch evaluation: one 10k-router
 # transit-stub run per variant (full proximity stack, latency ordering
 # only, random baseline), identical seed and workload, with
-# median-stretch/p90-stretch/mean-cost captured into BENCH_stretch.json.
-# The runs are deterministic, so -benchtime 1x is the whole measurement.
+# median-stretch/p90-stretch/mean-cost captured into bench_stretch.json
+# (not committed). The runs are deterministic, so -benchtime 1x is the
+# whole measurement, and the target fails unless every figure equals the
+# committed BENCH_stretch.json's; wall times are not compared. A change
+# that moves a figure on purpose copies bench_stretch.json over
+# BENCH_stretch.json and says why.
 bench-stretch:
 	$(GO) test -run '^$$' -bench BenchmarkStretch -benchtime 1x \
 		./internal/stretch | tee bench_stretch.txt
-	$(GO) run ./cmd/benchgate json -suite stretch -in bench_stretch.txt -out BENCH_stretch.json
+	$(GO) run ./cmd/benchgate json -suite stretch -in bench_stretch.txt -out bench_stretch.json \
+		-same-metrics BENCH_stretch.json
 	@rm -f bench_stretch.txt
 
 # bench-gate re-measures the hot-path benchmarks and fails if any of them
@@ -104,14 +110,16 @@ bench-stretch:
 # and leaves its timing, which does, the same factor of two. A move's
 # publish (BenchmarkMovePublish) is held to its baseline's allocations at
 # 1, 100 and 10k owned keys: a move costs the same whatever the node owns.
+# A discover's owner selection (BenchmarkOwners) walks the ring from the
+# key, so at a ring of 64 — the 10k soak's core — it allocates nothing.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$|^BenchmarkMovePublish' \
+	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$|^BenchmarkMovePublish|^BenchmarkOwners$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/loccache | tee -a bench_gate.txt
 	$(GO) run ./cmd/benchgate -new bench_gate.txt \
 		-baselines BENCH_resolve.json,BENCH_publish.json -max-regress-pct 100 \
-		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel,BenchmarkLookupHitParallel \
+		-zero-alloc BenchmarkResolveHotParallel,BenchmarkPublishIngestParallel,BenchmarkLookupHitParallel,BenchmarkOwners/ring=64 \
 		-min-metric 'BenchmarkServePipelinedTCP/frames/write=2,BenchmarkResolveHotScaling/scaling=0.7'
 	@rm -f bench_gate.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkResolveColdMiss$$|^BenchmarkDiscover$$' \
@@ -173,4 +181,4 @@ soak-10k:
 # clean removes the scratch files the targets above write and nothing that
 # is committed: BENCH_*.json are the baselines bench-gate compares against.
 clean:
-	rm -f bench_*.txt *_gate.txt soak10k.log
+	rm -f bench_*.txt bench_stretch.json *_gate.txt soak10k.log

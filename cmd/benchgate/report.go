@@ -6,6 +6,12 @@ package main
 //
 //	go test -run '^$' -bench Resolve -benchmem ./internal/live | go run ./cmd/benchgate json -out BENCH_resolve.json
 //	go run ./cmd/benchgate json -in bench.txt -out BENCH_resolve.json
+//	go run ./cmd/benchgate json -suite stretch -in bench_stretch.txt -out bench_stretch.json -same-metrics BENCH_stretch.json
+//
+// -same-metrics names a committed report whose custom metrics the new one
+// must reproduce exactly — what a deterministic suite (the stretch
+// evaluation) owes — and fails (exit 1) on any difference after writing
+// the new report; timings and memory columns are not compared.
 //
 // Custom b.ReportMetric columns (rpcs/op, median-stretch/op, ...) are
 // captured generically into each benchmark's "metrics" map; the memory
@@ -23,6 +29,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -142,6 +149,7 @@ func record(args []string) {
 	in := fs.String("in", "-", "bench output to read (- for stdin)")
 	out := fs.String("out", "-", "JSON file to write (- for stdout)")
 	suite := fs.String("suite", "resolve", "suite label recorded in the output")
+	same := fs.String("same-metrics", "", "committed report whose custom metrics the output must equal")
 	fs.Parse(args)
 
 	rep, err := parseFile(*in, *suite)
@@ -174,4 +182,50 @@ func record(args []string) {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
+	if *same == "" {
+		return
+	}
+	base, err := load(*same)
+	if err != nil {
+		fatal(err)
+	}
+	if diffs := metricDiffs(base, rep); len(diffs) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: %d figure(s) differ from %s:\n  %s\n", len(diffs), *same, strings.Join(diffs, "\n  "))
+		os.Exit(1)
+	}
+	fmt.Printf("benchgate: every figure of %s reproduced\n", *same)
+}
+
+// metricDiffs lists, sorted, every custom metric that rep reports
+// differently from base, lacks, or adds, and every benchmark either one
+// lacks.
+func metricDiffs(base, rep report) []string {
+	fresh := make(map[string]result, len(rep.Benchmarks))
+	for _, r := range rep.Benchmarks {
+		fresh[r.Name] = r
+	}
+	var diffs []string
+	for _, b := range base.Benchmarks {
+		r, ok := fresh[b.Name]
+		if !ok {
+			diffs = append(diffs, b.Name+": missing")
+			continue
+		}
+		delete(fresh, b.Name)
+		for m, v := range b.Metrics {
+			if got, ok := r.Metrics[m]; !ok || got != v {
+				diffs = append(diffs, fmt.Sprintf("%s/%s: %v, committed %v", b.Name, m, got, v))
+			}
+		}
+		for m, got := range r.Metrics {
+			if _, ok := b.Metrics[m]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s/%s: %v, not committed", b.Name, m, got))
+			}
+		}
+	}
+	for name := range fresh {
+		diffs = append(diffs, name+": not committed")
+	}
+	sort.Strings(diffs)
+	return diffs
 }

@@ -951,14 +951,31 @@ func (c *Cluster) HealAll() {
 	}
 }
 
+// registerCalls bounds the calls Register makes while the cluster's
+// transport drops frames, so that a register fails with odds of at most
+// 10⁻⁹. One call is the node's six attempts (nodeOptions' retry budget),
+// and an attempt is lost when the drop takes its request or its reply: at
+// the soak's 10 % drop that is p = 1 − 0.9² = 0.19, all six go with
+// 0.19⁶ ≈ 4.7·10⁻⁵, and three calls fail together with ≈ 10⁻¹³. Two
+// would give ≈ 2.2·10⁻⁹; at the 15 % drop of the lossiest scenarios three
+// give ≈ 10⁻¹⁰.
+const registerCalls = 3
+
 // Register records watcher's interest in target's movement (renewing the
-// registration lease when called again).
+// registration lease when called again). While the cluster's transport
+// drops frames, a register that ran out of attempts on timeouts is issued
+// again, up to registerCalls calls: a lost frame is the fault injection
+// working, not the op failing.
 func (c *Cluster) Register(watcher, target string) error {
 	wn, tn := c.Node(watcher), c.Node(target)
 	if wn == nil || tn == nil || !c.Alive(watcher) || !c.Alive(target) {
 		return fmt.Errorf("harness: register %s→%s: both must be live", watcher, target)
 	}
-	if err := wn.RegisterWithContext(c.opCtxDo(), tn.Addr()); err != nil {
+	err := wn.RegisterWithContext(c.opCtxDo(), tn.Addr())
+	for calls := 1; calls < registerCalls && c.cfg.Faults.Drop > 0 && errors.Is(err, context.DeadlineExceeded); calls++ {
+		err = wn.RegisterWithContext(c.opCtxDo(), tn.Addr())
+	}
+	if err != nil {
 		return fmt.Errorf("harness: register %s→%s: %w", watcher, target, err)
 	}
 	// A registrant is about to be pushed updates: attach the lazy drainer

@@ -13,8 +13,9 @@ package live
 // BenchmarkDiscover and BenchmarkResolve* contrast address resolution
 // with and without the lease-aware location cache: Discover always pays
 // a network round trip; ResolveHot answers from a fresh lease,
-// ResolveColdMiss pays the network plus the cache fill. `make bench` records these in
-// BENCH_resolve.json for cross-PR comparison.
+// ResolveColdMiss pays the network plus the cache fill, and BenchmarkOwners
+// the owner selection a discover starts with. `make bench` records these
+// in BENCH_resolve.json for cross-PR comparison.
 import (
 	"context"
 	"fmt"
@@ -201,6 +202,32 @@ func BenchmarkDiscover(b *testing.B) {
 		if _, err := client.DiscoverContext(ctx, key); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOwners is one discover's owner selection — the replica set
+// walked out of the ring, then put in contact order from the replicas'
+// peer records — at rings of 4, 16 and 64 measured stationaries, on
+// uniform keys. Its cost does not grow with the ring, and it allocates
+// nothing.
+func BenchmarkOwners(b *testing.B) {
+	for _, size := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("ring=%d", size), func(b *testing.B) {
+			n := ringNode(b, size)
+			defer n.Close()
+			keys := make([]hashkey.Key, 1024)
+			for i := range keys {
+				keys[i] = hashkey.FromName(fmt.Sprintf("key-%d", i))
+			}
+			var buf [8]wire.Entry
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := n.owners(buf[:0], keys[i%len(keys)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

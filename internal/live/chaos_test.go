@@ -196,7 +196,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	for _, nd := range nodes {
 		byKey[nd.Key()] = nd
 	}
-	owners, err := mob.ownersOf(mob.Key(), 2)
+	owners, err := mob.ownersOf(mob.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 
 	// With both replicas measured, ordering is deterministic: the
 	// low-latency replica leads.
-	ordered, err := asker.ownersOf(mob.Key(), 2)
+	ordered, err := asker.ownersOf(mob.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestDiscoverSuspicionAwareReplicaOrder(t *testing.T) {
 	}
 	// Suspicion outranks RTT: the dead replica's estimate is still the
 	// most attractive, but the suspect sorts last.
-	reordered, err := asker.ownersOf(mob.Key(), 2)
+	reordered, err := asker.ownersOf(mob.Key())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@ package live
 
 // Tests for the cold resolve's shape: the flight that outlives its
 // impatient leader, the one pooled timer per attempt, the breaker probe
-// whose outcome is discarded, and the ranking against its reference.
+// whose outcome is discarded, and replica selection against its
+// reference.
 
 import (
 	"cmp"
@@ -73,7 +74,7 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	owners, err := client.ownersOf(target.Key(), 2)
+	owners, err := client.ownersOf(target.Key())
 	if err != nil || len(owners) != 2 {
 		t.Fatalf("owners = %v, %v", owners, err)
 	}
@@ -252,55 +253,137 @@ func referenceOrder(replicas []wire.Entry, suspect map[string]bool, eff map[stri
 	})
 }
 
-// TestRankingMatchesReference: ranking.owners reads suspicion and RTT from
-// arrays parallel to the ring, binary-searches the ring and orders only
-// the selected with OrderContacts; over rings of 1-40 stationaries, with
-// and without regions, suspects and partial RTT knowledge, it must return
-// exactly referenceOrder(SelectReplicas(...)).
-func TestRankingMatchesReference(t *testing.T) {
+// referenceReplicas is replica selection written out independently of
+// the ring walk: every candidate sorted by hashkey.Closer, then one stable
+// pass that bubbles the closest candidate of each region not yet seen to
+// the front, cut at k.
+func referenceReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.Entry {
+	slices.SortFunc(cands, func(a, b wire.Entry) int {
+		switch {
+		case hashkey.Closer(key, a.Key, b.Key):
+			return -1
+		case hashkey.Closer(key, b.Key, a.Key):
+			return 1
+		}
+		return 0
+	})
+	if k >= len(cands) {
+		return cands
+	}
+	if regions < 2 {
+		return cands[:k]
+	}
+	region := func(e wire.Entry) int { return hashkey.RegionIndex(hashkey.FullRing(), e.Key, regions) }
+	taken := 0 // cands[:taken] are of distinct regions: the regions seen
+	for i := 0; i < len(cands) && taken < k && taken < regions; i++ {
+		ri := region(cands[i])
+		if ri < 0 || slices.ContainsFunc(cands[:taken], func(e wire.Entry) bool { return region(e) == ri }) {
+			continue
+		}
+		e := cands[i]
+		copy(cands[taken+1:i+1], cands[taken:i])
+		cands[taken] = e
+		taken++
+	}
+	return cands[:k]
+}
+
+// TestReplicasMatchReference: SelectReplicas, and the node's owner
+// selection (the ring walk in contact order), must return exactly what
+// referenceReplicas and referenceOrder do. The rings have 1-80
+// stationaries, past any fixed scratch size; regions are 0 or 2-5, k runs
+// 1-6 (k at or past the ring's size included), the key sometimes equals a
+// member's, and sometimes the two nearest members tie, reflected around
+// it. The node reads suspicion and RTT from its peer records, some
+// suspect, some unmeasured, the rest measured with ties.
+func TestReplicasMatchReference(t *testing.T) {
+	n := mustNode(t, Config{Name: "asker", SuspicionThreshold: 1}, transport.NewMem())
+	defer n.Close()
 	rng := rand.New(rand.NewSource(18))
+	has := func(ring []wire.Entry, k hashkey.Key) bool {
+		return slices.ContainsFunc(ring, func(e wire.Entry) bool { return e.Key == k })
+	}
 	for trial := 0; trial < 1000; trial++ {
-		n := 1 + rng.Intn(40)
-		ring := make([]wire.Entry, 0, n)
-		for len(ring) < n {
-			k := hashkey.Random(rng)
-			if !slices.ContainsFunc(ring, func(e wire.Entry) bool { return e.Key == k }) {
+		size := 1 + rng.Intn(80)
+		ring := make([]wire.Entry, 0, size+1)
+		for len(ring) < size {
+			if k := hashkey.Random(rng); !has(ring, k) {
 				ring = append(ring, wire.Entry{Key: k, Addr: fmt.Sprintf("peer-%d", len(ring))})
 			}
 		}
-		slices.SortFunc(ring, func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) })
-		rk := ranking{ring: ring, eff: make([]time.Duration, n), cands: slices.Clone(ring)}
-		if rng.Intn(2) == 0 {
-			rk.regions = 2 + rng.Intn(4)
-		}
-		eff := map[string]time.Duration{}
-		for i, e := range ring {
-			if rng.Intn(3) > 0 { // measured, with ties; the rest compare at zero
-				rk.eff[i] = time.Duration(1+rng.Intn(3)) * time.Millisecond
-				eff[e.Addr] = rk.eff[i]
-			}
-		}
-		var suspect map[string]bool
-		if rng.Intn(2) == 0 {
-			suspect = map[string]bool{}
-			rk.suspect = make([]bool, n)
-			for i, e := range ring {
-				if rk.suspect[i] = rng.Intn(4) == 0; rk.suspect[i] {
-					suspect[e.Addr] = true
-				}
-			}
-		}
-		k := 1 + rng.Intn(5)
 		key := hashkey.Random(rng)
-		if rng.Intn(8) == 0 {
-			key = ring[rng.Intn(n)].Key
+		switch rng.Intn(8) {
+		case 0:
+			key = ring[rng.Intn(size)].Key
+		case 1: // the nearest member's reflection around key ties with it
+			near := referenceReplicas(slices.Clone(ring), key, 1, 0)[0]
+			if mirror := key - (near.Key - key); !has(ring, mirror) {
+				ring = append(ring, wire.Entry{Key: mirror, Addr: fmt.Sprintf("peer-%d", len(ring))})
+			}
 		}
-		want := SelectReplicas(slices.Clone(ring), key, k, rk.regions)
+		slices.SortFunc(ring, func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) })
+		k, regions := 1+rng.Intn(6), []int{0, 2, 3, 4, 5}[rng.Intn(5)]
+		want := referenceReplicas(slices.Clone(ring), key, k, regions)
+
+		shuffled := slices.Clone(ring)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := SelectReplicas(shuffled, key, k, regions); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (ring %d, k %d, regions %d): SelectReplicas = %v, reference = %v",
+				trial, len(ring), k, regions, addrsOf(got), addrsOf(want))
+		}
+
+		n.peers.init()
+		n.members.view.Store(&memberView{ring: ring})
+		n.cfg.Replication, n.cfg.Regions = k, make([]string, regions)
+		suspect, eff := map[string]bool{}, map[string]time.Duration{}
+		for _, e := range ring {
+			switch rng.Intn(4) {
+			case 0: // never reached: healthy, unmeasured
+			case 1:
+				n.peers.get(e.Addr, true).breakerResult(n, errors.New("lost"), false)
+				suspect[e.Addr] = true
+			default: // measured, with ties
+				p := n.peers.get(e.Addr, true)
+				p.observe(time.Duration(1+rng.Intn(3)) * time.Millisecond)
+				eff[e.Addr], _ = p.estimate()
+			}
+		}
 		referenceOrder(want, suspect, eff)
-		got := rk.owners(key, k)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (ring %d, k %d, regions %d, suspects %v): owners = %v, reference = %v",
-				trial, n, k, rk.regions, suspect != nil, addrsOf(got), addrsOf(want))
+		got, err := n.ownersOf(key)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("trial %d (ring %d, k %d, regions %d): owners = %v, %v; reference = %v",
+				trial, len(ring), k, regions, addrsOf(got), err, addrsOf(want))
 		}
+	}
+}
+
+// ringNode is a node that knows a ring of size stationaries and has
+// measured every one of them, as a node that has run for a while does.
+func ringNode(tb testing.TB, size int) *Node {
+	n := mustNode(tb, Config{Name: "asker"}, transport.NewMem())
+	rng := rand.New(rand.NewSource(int64(size)))
+	for n.members.size() < size {
+		e := wire.Entry{Key: hashkey.Random(rng), Addr: fmt.Sprintf("mem:peer-%d", n.members.size())}
+		n.members.apply(direct, e)
+		n.peers.get(e.Addr, true).observe(time.Duration(1+rng.Intn(5)) * time.Millisecond)
+	}
+	return n
+}
+
+// TestOwnersAllocateNothing: one discover's owner selection allocates
+// nothing at a ring of 64 stationaries, which no fixed scratch sized for
+// a small ring would hold.
+func TestOwnersAllocateNothing(t *testing.T) {
+	n := ringNode(t, 64)
+	defer n.Close()
+	rng := rand.New(rand.NewSource(64))
+	var buf [8]wire.Entry
+	allocs := testing.AllocsPerRun(200, func() {
+		if owners, err := n.owners(buf[:0], hashkey.Random(rng)); err != nil || len(owners) != n.cfg.Replication {
+			t.Fatalf("owners = %v, %v", addrsOf(owners), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("owner selection at a ring of 64: %.1f allocs per discover, want 0", allocs)
 	}
 }

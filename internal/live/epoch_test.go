@@ -282,7 +282,7 @@ func TestKeylessMobilePublishesOneBatchPerReplica(t *testing.T) {
 	// larger batch would be.
 	later := mob.SelfEntry()
 	later.Epoch++
-	owners, err := mob.ownersOf(mob.Key(), 2)
+	owners, err := mob.ownersOf(mob.Key())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 	// anything but the final binding.
 	regressed := func() string {
 		for _, k := range append(owned, mob.Key()) {
-			owners, err := mob.ownersOf(k, mob.cfg.Replication)
+			owners, err := mob.ownersOf(k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -391,12 +391,9 @@ func mustNode(tb testing.TB, cfg Config, tr transport.Transport) *Node {
 // mean their ctx to decide.
 func farOff() time.Time { return time.Now().Add(time.Minute) }
 
-// ownersOf is key's replica set in contact order, as one discover ranks it.
-func (n *Node) ownersOf(key hashkey.Key, k int) ([]wire.Entry, error) {
-	var scratch rankScratch
-	rk, err := n.rank(&scratch)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(rk.owners(key, k)), nil
+// ownersOf is key's replica set in contact order, as one discover orders it.
+func (n *Node) ownersOf(key hashkey.Key) ([]wire.Entry, error) {
+	var buf [8]wire.Entry
+	owners, err := n.owners(buf[:0], key)
+	return slices.Clone(owners), err
 }

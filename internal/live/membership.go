@@ -10,13 +10,13 @@ package live
 // grows, and no publish, register or update writes membership at all. The
 // ring is read by every publish and discover (replica selection) and
 // written only when a join or gossip frame carries news: one immutable
-// key-sorted slice behind an atomic pointer, so readers (KnownPeers, rank)
-// load a pointer and walk it with no lock, and a writer applies a whole
-// frame to one clone and swaps once. R(self) is the opposite: written by
+// key-sorted slice behind an atomic pointer, so readers (KnownPeers,
+// replicas) load a pointer and walk it with no lock, and a writer applies
+// a whole frame to one clone and swaps once. R(self) is the opposite: written by
 // every registrant every half lease and read once per move, so it is a
 // mutex and a map, held to registryMax entries.
-// Replica selection (ranking, below) reads the ring with no heap copy and
-// no map per key.
+// Replica selection (replicas, below) walks the ring outward from a key,
+// with no copy of it and no lookup beyond the replicas it picks.
 
 import (
 	"cmp"
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +61,8 @@ const (
 // is or belongs, known whether it is there, and news whether e changes
 // the ring of the node with key self. A mobile entry is never news.
 func admit(ring []wire.Entry, e wire.Entry, from source, self hashkey.Key) (i int, known, news bool) {
-	i, known = slices.BinarySearchFunc(ring, e.Key, func(cur wire.Entry, k hashkey.Key) int {
-		return cmp.Compare(cur.Key, k)
-	})
+	i = position(ring, e.Key)
+	known = i < len(ring) && ring[i].Key == e.Key
 	switch {
 	case e.Mobile: // found through its record, never through the directory
 	case from == hearsay && e.Key == self: // a node knows itself best
@@ -76,6 +74,21 @@ func admit(ring []wire.Entry, e wire.Entry, from source, self hashkey.Key) (i in
 		news = e.Epoch >= ring[i].Epoch && e != ring[i]
 	}
 	return i, known, news
+}
+
+// position is where key is or belongs in ring, which is ascending by key:
+// the first index whose key is not below it.
+func position(ring []wire.Entry, key hashkey.Key) int {
+	lo, hi := 0, len(ring)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ring[mid].Key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // membership is the COW membership table of the node with key self.
@@ -296,57 +309,71 @@ func (n *Node) gossipOnce(ctx context.Context, rng *rand.Rand) (int, error) {
 	return n.members.size() - before, nil
 }
 
-// SelectReplicas picks key's k-replica set from cands: the k closest by
-// ring distance, diversified across regions when the deployment is
-// region-striped (regions = len(Config.Regions), 0 or 1 disables it).
-//
-// Under region-striped placement (hashkey.RegionStriped) a stationary
-// peer's region is recoverable from its key alone (hashkey.RegionIndex),
-// so diversification needs no wire metadata and every node — publisher
-// or resolver — computes the identical set from the same membership:
-// walking outward from key, the closest candidate of each distinct
-// region is taken first; remaining slots fill with the closest passed-
-// over candidates. Plain k-closest placement can put a record's whole
-// replica set in one region (labels are i.i.d. across the sorted ring —
-// only k!/k^k of sets span k regions); diversified selection makes every
-// set span min(k, regions) regions, which is what gives every resolver a
-// near replica for latency-ordered contact to find.
-//
-// cands is re-sorted in place; the result aliases it. Exported so the
-// stretch evaluation (internal/stretch) places records exactly as the
-// live node does.
+// SelectReplicas picks key's k-replica set from cands by the live node's
+// own placement (replicas), so the stretch evaluation (internal/stretch)
+// and the loadgen place records exactly as a node does. cands is sorted
+// by key in place when it is not already, and the set is copied into its
+// head: the result is cands[:k].
 func SelectReplicas(cands []wire.Entry, key hashkey.Key, k, regions int) []wire.Entry {
-	slices.SortFunc(cands, func(a, b wire.Entry) int {
-		switch {
-		case hashkey.Closer(key, a.Key, b.Key):
-			return -1
-		case hashkey.Closer(key, b.Key, a.Key):
-			return 1
-		}
-		return 0
-	})
-	if k >= len(cands) {
-		return cands
+	byKey := func(a, b wire.Entry) int { return cmp.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(cands, byKey) {
+		slices.SortFunc(cands, byKey)
 	}
-	if regions < 2 {
-		return cands[:k]
+	var buf [8]wire.Entry
+	return cands[:copy(cands, replicas(buf[:0], cands, key, k, regions))]
+}
+
+// replicas writes key's k-replica set from ring (ascending by key) into
+// buf, an array on the caller's stack, and returns it: the k members
+// closest to key by ring distance, in distance order, a tie going
+// clockwise as hashkey.Closer breaks it; all of ring when k covers it.
+// A region-striped deployment (regions = len(Config.Regions) ≥ 2) carries
+// each stationary's region in its key (hashkey.RegionIndex), so every node
+// computes the same region-diverse set: the closest member of each region
+// leads, up to min(k, regions) of them, and the closest others fill the
+// rest. A plain k-closest set can sit in one region; a diverse one gives
+// every resolver a near replica for the contact order to find. Two
+// cursors walk outward from key, the nearer head next, and stop once the
+// set is whole: about k steps at any ring size, more only to reach a
+// region's closest member.
+func replicas(buf, ring []wire.Entry, key hashkey.Key, k, regions int) []wire.Entry {
+	n, want := len(ring), 0 // want: region representatives to take first
+	if k >= n {
+		k = n
+	} else if regions >= 2 {
+		want = min(k, regions)
 	}
-	// One in-place stable pass: bubble the closest candidate of each
-	// not-yet-seen region forward into the take region [0, taken), keeping
-	// everything else in distance order, then cut at k.
 	region := func(e wire.Entry) int { return hashkey.RegionIndex(hashkey.FullRing(), e.Key, regions) }
-	taken := 0 // cands[:taken] are of distinct regions: the regions seen
-	for i := 0; i < len(cands) && taken < k && taken < regions; i++ {
-		ri := region(cands[i])
-		if ri < 0 || slices.ContainsFunc(cands[:taken], func(e wire.Entry) bool { return region(e) == ri }) {
-			continue
+	cw := position(ring, key)
+	ccw := cw - 1
+	out, taken := buf[:0], 0 // out[:taken] are of distinct regions
+	for seen := 0; seen < n && (len(out) < k || taken < want); seen++ {
+		if cw == n {
+			cw = 0
 		}
-		e := cands[i]
-		copy(cands[taken+1:i+1], cands[taken:i])
-		cands[taken] = e
-		taken++
+		if ccw < 0 {
+			ccw = n - 1
+		}
+		e := ring[cw]
+		if far := ring[ccw]; hashkey.Clockwise(far.Key, key) < hashkey.Clockwise(key, e.Key) {
+			e = far
+			ccw--
+		} else {
+			cw++
+		}
+		switch ri := region(e); {
+		case taken < want && ri >= 0 && !slices.ContainsFunc(out[:taken], func(o wire.Entry) bool { return region(o) == ri }):
+			if len(out) < k { // else the farthest other member makes room
+				out = append(out, wire.Entry{})
+			}
+			copy(out[taken+1:], out[taken:])
+			out[taken] = e
+			taken++
+		case len(out) < k:
+			out = append(out, e)
+		}
 	}
-	return cands[:k]
+	return out
 }
 
 // Contact is what the contact order reads of one replica.
@@ -361,7 +388,7 @@ type Contact struct {
 // breaker trips), and within each class by ascending effective RTT. An
 // unmeasured peer compares at zero, ahead of every measured one, which
 // seeds its estimate; with no estimates the incoming (key-distance) order
-// stays. The node's fan-outs (ranking.owners) and the simulation harness
+// stays. The node's discover (Node.owners) and the simulation harness
 // (internal/stretch) both sort with it.
 func OrderContacts(replicas []wire.Entry, of func(wire.Entry) Contact) {
 	for i := 1; i < len(replicas); i++ { // stable insertion sort: a replica set is a handful
@@ -386,71 +413,23 @@ func OrderReplicas(replicas []wire.Entry, suspect map[string]bool, eff map[strin
 	OrderContacts(replicas, func(e wire.Entry) Contact { return Contact{suspect[e.Addr], eff[e.Addr]} })
 }
 
-// ranking is one fan-out's frozen view of replica quality over the
-// stationary ring — the only legal owners of location records (Section
-// 2.1; mobile peers' addresses are exactly what's being resolved). eff[i]
-// is ring[i]'s measured EWMA RTT, or 0 when it has none: an unmeasured
-// replica is contacted first, which is how its estimate gets seeded, and
-// ranks by that estimate from then on. suspect[i] says ring[i]'s breaker
-// is not closed; nil when nobody's is, which one atomic load decides.
-type ranking struct {
-	ring    []wire.Entry // ascending by key; shared with the view, never written
-	gen     int          // the view's generation, which a move compares (publish.go)
-	regions int
-	eff     []time.Duration
-	suspect []bool
-	cands   []wire.Entry // a copy of ring for owners to re-sort, key after key
-}
+// errNoStationaries: a node that knows no stationary peer has nobody to
+// hold or serve a record.
+var errNoStationaries = errors.New("live: no known stationary peers")
 
-// rankScratch holds a ranking's arrays while the ring is small: declared
-// on its caller's stack, the ranking costs no allocation.
-type rankScratch struct {
-	eff     [16]time.Duration
-	suspect [16]bool
-	cands   [16]wire.Entry
-}
-
-// rank samples suspicion and RTT once for a fan-out over the known
-// stationary peers, as OrderContacts reads them: an unmeasured peer
-// ranks at 0, ahead of every measured one.
-func (n *Node) rank(s *rankScratch) (ranking, error) {
-	v := n.members.snapshot()
-	ring := v.ring
-	r := ranking{ring: ring, gen: v.gen, regions: len(n.cfg.Regions), eff: s.eff[:0], cands: append(s.cands[:0], ring...)}
+// owners writes key's replicas into buf in contact order, read from each
+// replica's own peer record: discovery so falls over nearest-healthy-first
+// and pays a suspect's timeout only once every healthy replica failed.
+func (n *Node) owners(buf []wire.Entry, key hashkey.Key) ([]wire.Entry, error) {
+	ring := n.members.snapshot().ring
 	if len(ring) == 0 {
-		return r, errors.New("live: no known stationary peers")
+		return nil, errNoStationaries
 	}
-	// One lookup per ring member answers both questions about it.
-	anySuspect := n.peers.suspects.Load() != 0
-	if anySuspect {
-		r.suspect = s.suspect[:0]
-	}
-	for _, e := range r.ring {
-		p := n.peers.get(e.Addr, false)
-		est, _ := p.estimate()
-		r.eff = append(r.eff, est)
-		if anySuspect {
-			r.suspect = append(r.suspect, p.suspect())
-		}
-	}
-	return r, nil
-}
-
-// owners returns key's k replicas in contact order: SelectReplicas's set
-// (the k closest stationary peers, replicated for §2.3.2 availability) in
-// OrderContacts's order (suspects last, then ascending effective RTT),
-// read from the ranking's arrays. Publish and discovery so fall over
-// across replicas nearest-healthy-first and pay a suspect peer's timeout
-// only when every healthy replica failed. Only the k selected are
-// ordered. The result aliases cands until the next call.
-func (r *ranking) owners(key hashkey.Key, k int) []wire.Entry {
-	owners := SelectReplicas(r.cands, key, k, r.regions)
-	OrderContacts(owners, r.contact)
-	return owners
-}
-
-// contact reads the ranking's row for the ring member e.
-func (r *ranking) contact(e wire.Entry) Contact {
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].Key >= e.Key })
-	return Contact{Suspect: r.suspect != nil && r.suspect[i], RTT: r.eff[i]}
+	owners := replicas(buf, ring, key, n.cfg.Replication, len(n.cfg.Regions))
+	OrderContacts(owners, func(e wire.Entry) Contact {
+		p := n.peers.get(e.Addr, false) // nil for an address never reached: healthy, unmeasured
+		rtt, _ := p.estimate()
+		return Contact{Suspect: p.suspect(), RTT: rtt}
+	})
+	return owners, nil
 }

@@ -8,7 +8,7 @@ package live
 // instead of burning a timeout, until a probe succeeds: §2.3.2's graceful
 // degradation applied to the transport itself) and the pooled session
 // (pool.go) — is one record, looked up once per exchange and handed down
-// from requestBy/oneWay to the session. Stats, replica ranking and the
+// from requestBy/oneWay to the session. Stats, the contact order and the
 // suspect probe read estimate, suspicion and session from that same
 // record, so they cannot disagree about which peers exist.
 //
@@ -62,9 +62,6 @@ type peerShard struct {
 // peerTable holds every peer this node has tried to reach.
 type peerTable struct {
 	shards [stateShards]peerShard
-	// suspects counts the peers whose breaker is not closed, so "nobody is
-	// suspect" is answered by one load.
-	suspects atomic.Int64
 }
 
 func (t *peerTable) init() {
@@ -194,7 +191,6 @@ func (p *peer) breakerResult(n *Node, err error, abandoned bool) {
 	case err == nil:
 		if state != bkClosed {
 			p.state.Store(bkClosed)
-			n.peers.suspects.Add(-1)
 			n.ctr.breakerCloses.Inc()
 			n.logf("peer %s healthy again; breaker closed", p.addr)
 		}
@@ -209,9 +205,6 @@ func (p *peer) breakerResult(n *Node, err error, abandoned bool) {
 	}
 	fails := p.fails.Add(1)
 	if state == bkHalfOpen || int(fails) >= n.cfg.SuspicionThreshold {
-		if state == bkClosed {
-			n.peers.suspects.Add(1)
-		}
 		if state != bkOpen {
 			n.ctr.breakerTrips.Inc()
 			n.logf("peer %s suspect after %d consecutive failures", p.addr, fails)

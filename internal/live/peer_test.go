@@ -105,9 +105,9 @@ func TestOnePeerRecordSurvivesSessionAndBreaker(t *testing.T) {
 }
 
 // TestSuspicionViewsAgree: Stats().Suspects, PeerRTTs[i].Suspect and the
-// ranking's suspect flags are three readings of one record. While peers
+// contact order's suspect reading are three readings of one record. While peers
 // trip and recover under concurrent exchanges, every Stats snapshot agrees
-// with itself; at rest, all three and the table's count agree.
+// with itself; at rest, all three agree.
 func TestSuspicionViewsAgree(t *testing.T) {
 	mem := transport.NewMem()
 	client := mustNode(t, Config{Name: "client", RetryAttempts: 1, RequestTimeout: 100 * time.Millisecond,
@@ -185,8 +185,7 @@ func TestSuspicionViewsAgree(t *testing.T) {
 		st := client.Stats()
 		selfConsistent(st)
 		tripped = tripped || len(st.Suspects) > 0
-		var scratch rankScratch
-		if _, err := client.rank(&scratch); err != nil {
+		if _, err := client.ownersOf(hashkey.Key(5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,18 +197,10 @@ func TestSuspicionViewsAgree(t *testing.T) {
 
 	st := client.Stats()
 	selfConsistent(st)
-	if n := client.peers.suspects.Load(); int(n) != len(st.Suspects) {
-		t.Fatalf("suspects count %d, Suspects %v", n, st.Suspects)
-	}
-	var scratch rankScratch
-	rk, err := client.rank(&scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range rk.ring {
-		flag := rk.suspect != nil && rk.suspect[i]
+	for _, e := range client.KnownPeers() {
+		flag := client.peers.get(e.Addr, false).suspect() // what the contact order reads
 		if listed := slices.Contains(st.Suspects, e.Addr); listed != flag {
-			t.Fatalf("%s: in Suspects %v, ranked suspect %v", e.Addr, listed, flag)
+			t.Fatalf("%s: in Suspects %v, contacted as suspect %v", e.Addr, listed, flag)
 		}
 	}
 }

@@ -169,21 +169,20 @@ func TestSelectReplicasRegionDiversity(t *testing.T) {
 // no draw involved — until one exchange measures it, and from then on it
 // ranks by its estimate.
 func TestPeerHealthExploresUnknownPeers(t *testing.T) {
-	n := mustNode(t, Config{Name: "asker"}, transport.NewMem())
+	n := mustNode(t, Config{Name: "asker", Replication: 3}, transport.NewMem())
 	defer n.Close()
 	n.peers.get("measured-a", true).observe(10 * time.Millisecond)
 	n.peers.get("measured-b", true).observe(30 * time.Millisecond)
 	for i, e := range entries("measured-a", "measured-b", "unknown") {
-		e.Key = hashkey.Key(i + 1) // the ring, and eff with it, is ascending by key
+		e.Key = hashkey.Key(i + 1)
 		n.members.apply(direct, e)
 	}
 	order := func() []string {
-		var scratch rankScratch
-		r, err := n.rank(&scratch)
+		owners, err := n.ownersOf(hashkey.Key(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return addrsOf(r.owners(hashkey.Key(2), 3))
+		return addrsOf(owners)
 	}
 
 	want := []string{"unknown", "measured-a", "measured-b"}

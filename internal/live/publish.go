@@ -71,7 +71,7 @@ func (n *Node) ownedLocked() []hashkey.Key {
 type fullPublish struct {
 	gen     uint64    // Node.ownedGen when it read the owned set
 	at      time.Time // when it started; the owned records' leases run from here
-	ring    int       // the membership generation it ranked (memberView.gen)
+	ring    int       // the membership generation it placed by (memberView.gen)
 	holders []string  // every replica address it stored at
 }
 
@@ -94,7 +94,7 @@ func (n *Node) PublishContext(ctx context.Context) error { return n.publish(ctx,
 // one-record form — the binding alone, to the holders of the last full
 // publish and the replicas of the node's own key — when that is all the
 // replicas lack: the owned set is what the last full publish sent, the
-// membership view is the generation it ranked (a join, a restart or a
+// membership view is the generation it placed by (a join, a restart or a
 // rejoin swaps the view), no holder has missed a frame since, and
 // the owned records' leases are less than half run (with no maintenance
 // loop renewing them, a node that keeps moving renews them here).
@@ -105,28 +105,31 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	// One atomic read of (addr, epoch): every record of this publication
 	// asserts the same binding, even against a concurrent rebind.
 	self := n.SelfEntry()
-	// One ranking serves the whole fan-out: suspicion is sampled once (not
-	// one lock round per record) and every candidate's RTT estimate is
-	// frozen, so replica ordering cannot flap mid-batch.
-	var scratch rankScratch
-	rk, err := n.rank(&scratch)
-	if err != nil {
-		return err
+	// One membership snapshot serves the whole fan-out. A publish writes
+	// to every owner of each record, so it takes each set unordered: no
+	// contact order, and no RTT or suspicion read.
+	v := n.members.snapshot()
+	if len(v.ring) == 0 {
+		return errNoStationaries
+	}
+	var buf [8]wire.Entry
+	replicasOf := func(k hashkey.Key) []wire.Entry {
+		return replicas(buf[:0], v.ring, k, n.cfg.Replication, len(n.cfg.Regions))
 	}
 	// Every batch leads with the binding: it is the record the others
 	// resolve through, and the whole of a move's batch. The batches share
 	// this one until a record is appended, which copies (its capacity is 1).
 	binding := []wire.Entry{self}
-	batches := make(map[string][]wire.Entry, len(rk.ring))
+	batches := make(map[string][]wire.Entry, len(v.ring))
 	identity := make([]string, 0, n.cfg.Replication)
-	for _, o := range rk.owners(self.Key, n.cfg.Replication) {
+	for _, o := range replicasOf(self.Key) {
 		identity = append(identity, o.Addr)
 		batches[o.Addr] = binding
 	}
 
 	n.ownedMu.Lock()
 	gen, last := n.ownedGen, n.full
-	full = full || last.holders == nil || last.gen != gen || last.ring != rk.gen ||
+	full = full || last.holders == nil || last.gen != gen || last.ring != v.gen ||
 		n.cfg.LeaseTTL > 0 && now.Sub(last.at) >= n.cfg.LeaseTTL/2
 	var keys []hashkey.Key
 	if full {
@@ -141,7 +144,7 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	slices.Sort(keys)
 	for _, k := range keys {
 		rec := wire.Entry{Key: k, TTLMilli: self.TTLMilli, Epoch: self.Epoch}
-		for _, o := range rk.owners(k, n.cfg.Replication) {
+		for _, o := range replicasOf(k) {
 			b := batches[o.Addr]
 			if b == nil {
 				b = binding
@@ -180,7 +183,7 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	case lastErr != nil:
 		n.ownedGen++ // a holder missed this frame: the next publish is full and repairs it
 	case full:
-		n.full = fullPublish{gen: gen, at: now, ring: rk.gen, holders: holders}
+		n.full = fullPublish{gen: gen, at: now, ring: v.gen, holders: holders}
 	}
 	n.ownedMu.Unlock()
 	if !bound {

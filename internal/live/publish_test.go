@@ -129,7 +129,7 @@ func (r *pubRing) holders() uint64 {
 // places it.
 func (r *pubRing) replicasOf(key hashkey.Key) []*Node {
 	r.t.Helper()
-	owners, err := r.mob.ownersOf(key, r.mob.cfg.Replication)
+	owners, err := r.mob.ownersOf(key)
 	if err != nil {
 		r.t.Fatal(err)
 	}

@@ -111,13 +111,13 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 // address, the remaining lease the serving replica reported (0 = no
 // lease), and the publish epoch the record was bound under.
 func (n *Node) discoverNetwork(ctx context.Context, budget time.Time, key hashkey.Key) (string, time.Duration, uint64, error) {
-	var scratch rankScratch
-	rk, err := n.rank(&scratch)
+	var buf [8]wire.Entry
+	owners, err := n.owners(buf[:0], key)
 	if err != nil {
 		return "", 0, 0, err
 	}
 	var lastErr error = ErrNotFound
-	for _, owner := range rk.owners(key, n.cfg.Replication) {
+	for _, owner := range owners {
 		req := wire.Message{Type: wire.TDiscover, Key: key}
 		var resp *wire.Message
 		if owner.Key == n.key {

@@ -31,9 +31,6 @@ import (
 // maintenance loop. (The suspect list itself is surfaced through
 // Stats().Suspects.)
 func (n *Node) ProbeSuspects(ctx context.Context) {
-	if n.peers.suspects.Load() == 0 {
-		return
-	}
 	n.peers.each(func(p *peer) {
 		if p.probeDue() && n.PingContext(ctx, p.addr) == nil {
 			n.logf("probe of suspect %s succeeded", p.addr)

@@ -1,6 +1,7 @@
 package stretch
 
-// The recorded stretch evaluation (make bench-stretch → BENCH_stretch.json):
+// The recorded stretch evaluation (BENCH_stretch.json, which make
+// bench-stretch must reproduce figure for figure):
 // one 10k-router transit-stub run per variant, same seed and workload, so
 // the three metric sets are directly comparable. benchgate holds the
 // proximity median under its ceiling and the random baseline above its
