@@ -12,7 +12,7 @@ PAIRS        ?= 10
 # Measure phase of `make bench-run`; BENCHMARK.json's own runs use 15.
 SECONDS      ?= 3
 
-.PHONY: build test race bench bench-check bench-run bench-stretch bench-gate bench-pair bench-pair-e2e loc soak soak-10k clean
+.PHONY: build test race bench BENCH_resolve.json BENCH_publish.json bench-check bench-run bench-stretch bench-gate bench-pair bench-pair-e2e loc soak soak-10k clean
 
 build:
 	$(GO) build ./...
@@ -46,25 +46,32 @@ loc:
 		printf '%-20s %s\n' $$p $$n; \
 	done; printf '%-20s %s\n' total $$total
 
-# bench runs the address-resolution benchmarks (cold discovery vs the
-# lease-aware cache's hot/cold-miss paths, the hot path's scaling
-# from one goroutine to GOMAXPROCS, the cache's own hit path from every
-# processor and its fill into a full cache, and the serve path's
-# pipelined capacity over a loopback socket, and a discover's owner
-# selection at rings of 4, 16 and 64) and the publish benchmarks
-# (RPCs per full publish, and per
-# move's one-record publish, at 1/100/10k owned records), recording the
-# results as BENCH_resolve.json and BENCH_publish.json. The nodes and the cache run with counters and
-# gauges on, as bristled runs them. Override BENCHTIME (e.g. BENCHTIME=2s)
-# for a statistically meaningful local run; the 100x default is a CI
-# smoke.
-bench:
+# bench records both baselines; each file target below runs only its own
+# suite, so re-recording one leaves the other as committed (e.g. `make
+# BENCH_resolve.json BENCHTIME=2s`). Both are phony: a baseline is
+# always re-measured, never judged up to date by its timestamp.
+# BENCH_resolve.json holds the address-resolution benchmarks: cold
+# discovery vs the lease-aware cache's hot/cold-miss paths, the hot
+# path's scaling from one goroutine to GOMAXPROCS, the cache's own hit
+# path from every processor and its fill into a full cache, the serve
+# path's pipelined capacity over a loopback socket, and a discover's
+# owner selection at rings of 4, 16 and 64. BENCH_publish.json holds the
+# publish benchmarks: RPCs per full publish, and per move's one-record
+# publish, at 1/100/10k owned records. The nodes and the cache run with
+# counters and gauges on, as bristled runs them. Override BENCHTIME
+# (e.g. BENCHTIME=2s) for a statistically meaningful local run; the 100x
+# default is a CI smoke.
+bench: BENCH_resolve.json BENCH_publish.json
+
+BENCH_resolve.json:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolve|^BenchmarkDiscover$$|^BenchmarkServePipelinedTCP$$|^BenchmarkOwners$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_resolve.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/loccache | tee -a bench_resolve.txt
 	$(GO) run ./cmd/benchgate json -in bench_resolve.txt -out BENCH_resolve.json
 	@rm -f bench_resolve.txt
+
+BENCH_publish.json:
 	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkMovePublish|BenchmarkPublishIngestParallel' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_publish.txt
 	$(GO) run ./cmd/benchgate json -suite publish -in bench_publish.txt -out BENCH_publish.json

@@ -328,7 +328,7 @@ func (c *Cluster) nodeOptions(m *member) []live.Option {
 		live.WithReplication(c.cfg.Replication),
 		live.WithLease(c.cfg.LeaseTTL),
 		live.WithRequestTimeout(250 * time.Millisecond),
-		live.WithRetryBudget(6, 5*time.Millisecond, 50*time.Millisecond, 0),
+		live.WithRetries(6, 5*time.Millisecond, 50*time.Millisecond),
 		live.WithSuspicion(3, suspicionCooldown),
 		live.WithCounters(c.Counters),
 		live.WithGauges(c.Gauges),
@@ -953,7 +953,7 @@ func (c *Cluster) HealAll() {
 
 // registerCalls bounds the calls Register makes while the cluster's
 // transport drops frames, so that a register fails with odds of at most
-// 10⁻⁹. One call is the node's six attempts (nodeOptions' retry budget),
+// 10⁻⁹. One call is the node's six attempts (nodeOptions' WithRetries),
 // and an attempt is lost when the drop takes its request or its reply: at
 // the soak's 10 % drop that is p = 1 − 0.9² = 0.19, all six go with
 // 0.19⁶ ≈ 4.7·10⁻⁵, and three calls fail together with ≈ 10⁻¹³. Two

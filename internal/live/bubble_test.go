@@ -499,12 +499,12 @@ func TestBubbleDialedSessionHoldsNoGoroutine(t *testing.T) {
 		p, peers := newTestPool(mem, PoolConfig{}, nil)
 		defer p.Close()
 		synctest.Wait()
-		before := runtime.NumGoroutine()
+		before := bubbleGoroutines()
 		if _, err := p.roundTrip(context.Background(), peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
 			t.Fatal(err)
 		}
 		synctest.Wait()
-		if after := runtime.NumGoroutine(); after != before+1 || p.sessionCount() != 1 {
+		if after := bubbleGoroutines(); after != before+1 || p.sessionCount() != 1 {
 			t.Errorf("goroutines %d → %d with %d sessions, want one more: the peer's, none for the session", before, after, p.sessionCount())
 		}
 	})
@@ -894,6 +894,42 @@ func TestBubbleCloseJoinsFlight(t *testing.T) {
 		}
 		if got := bubbleGoroutines(); got != baseline {
 			t.Errorf("%d goroutines after Node.Close, want the baseline %d", got, baseline)
+		}
+	})
+}
+
+// TestBubbleFlightOverSilentReplicasEnds: a resolve under a ctx that never
+// ends, over two replicas that read nothing, gives each replica its own
+// three attempts of RequestTimeout (1s) and fails once both have had
+// them: after 6s plus the pauses, each at most 10ms then 20ms, so within
+// 6.06s. Each replica has one failed exchange on record.
+func TestBubbleFlightOverSilentReplicasEnds(t *testing.T) {
+	const replicas = 2
+	inBubble(t, func(t *testing.T) {
+		mem := transport.NewMem()
+		var ring []wire.Entry
+		for i := 0; i < replicas; i++ {
+			silent := startSilentListener(t, mem, "")
+			defer silent.stop()
+			ring = append(ring, wire.Entry{Key: hashkey.FromName(fmt.Sprint("replica-", i)), Addr: silent.l.Addr(), Capacity: 1})
+		}
+		counters := metrics.NewCounters()
+		client := mustNode(t, Config{Name: "client", Mobile: true, Replication: replicas, RequestTimeout: time.Second,
+			RetryAttempts: 3, RetryBase: 10 * time.Millisecond, RetryMax: 40 * time.Millisecond, Counters: counters}, mem)
+		defer client.Close()
+		client.members.apply(direct, ring...)
+		start := time.Now()
+		_, err := client.ResolveContext(context.Background(), hashkey.FromName("target"))
+		if d := time.Since(start); err == nil || d < 6*time.Second || d > 6060*time.Millisecond {
+			t.Fatalf("resolve over two silent replicas = %v after %v, want a failure within [6s, 6.06s]", err, d)
+		}
+		if got := counters.Get("rpc.attempts"); got != 2*3 {
+			t.Errorf("rpc.attempts = %d, want each replica's 3", got)
+		}
+		for _, e := range ring {
+			if got := client.peers.get(e.Addr, true).fails.Load(); got != 1 {
+				t.Errorf("failures on record against %s = %d, want its one exchange", e.Addr, got)
+			}
 		}
 	})
 }

@@ -22,23 +22,21 @@ import (
 	"bristle/internal/wire"
 )
 
-// TestImpatientResolverStillFailsOver: a caller whose ctx is shorter than
-// RequestTimeout gives up on a silent first replica, and the resolution
-// goes on without it — the breaker gets its evidence against the silent
-// replica, the second replica answers, the cache is filled.
-func TestImpatientResolverStillFailsOver(t *testing.T) {
-	counters := metrics.NewCounters()
+// ringWithASilentReplica boots two replicas (chaosNodeConfig, as adjusted
+// by configure), a target that publishes to both and a client, and makes
+// the client ping both: both replicas measured and their sessions up, so
+// the order a resolve uses is fixed, and the partition it then installs
+// between the client and the replica asked first swallows frames on an
+// established session instead of refusing a dial. It returns the client,
+// the target and the silent replica's address.
+func ringWithASilentReplica(t *testing.T, counters *metrics.Counters, configure func(*Config)) (client, target *Node, silent string) {
+	t.Helper()
 	faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{Seed: 1})
 	names := []string{"r1", "r2", "target", "client"}
-	cfg := func(name string) Config {
-		c := chaosNodeConfig(name, name == "target" || name == "client", nil)
-		c.RetryAttempts = 1
-		c.RetryBudget = 2 * time.Second // one budget per discover: room for the second replica
-		return c
-	}
 	nodes := map[string]*Node{}
 	for _, name := range names {
-		c := cfg(name)
+		c := chaosNodeConfig(name, name == "target" || name == "client", nil)
+		configure(&c)
 		if name == "client" {
 			c.Counters = counters
 		}
@@ -46,7 +44,7 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 		if err := nd.Start(""); err != nil {
 			t.Fatal(err)
 		}
-		defer nd.Close()
+		t.Cleanup(func() { nd.Close() })
 		nodes[name] = nd
 		if name != "r1" {
 			if err := nd.JoinViaContext(context.Background(), nodes["r1"].Addr()); err != nil {
@@ -54,7 +52,7 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 			}
 		}
 	}
-	client, target := nodes["client"], nodes["target"]
+	client, target = nodes["client"], nodes["target"]
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 3; round++ {
 		for _, name := range names {
@@ -66,9 +64,6 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 	if err := target.PublishContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Both replicas measured and their sessions up: the order below is the
-	// order the resolve will use, and a partition now swallows frames on an
-	// established session instead of refusing a dial.
 	for _, r := range []string{"r1", "r2"} {
 		if err := client.PingContext(context.Background(), nodes[r].Addr()); err != nil {
 			t.Fatal(err)
@@ -78,11 +73,21 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 	if err != nil || len(owners) != 2 {
 		t.Fatalf("owners = %v, %v", owners, err)
 	}
-	silent := "r1"
+	name := "r1"
 	if owners[0].Addr == nodes["r2"].Addr() {
-		silent = "r2"
+		name = "r2"
 	}
-	faulty.Partition("silence", []string{"client"}, []string{silent})
+	faulty.Partition("silence", []string{"client"}, []string{name})
+	return client, target, owners[0].Addr
+}
+
+// TestImpatientResolverStillFailsOver: a caller whose ctx is shorter than
+// RequestTimeout gives up on a silent first replica, and the resolution
+// goes on without it — the breaker gets its evidence against the silent
+// replica, the second replica answers, the cache is filled.
+func TestImpatientResolverStillFailsOver(t *testing.T) {
+	counters := metrics.NewCounters()
+	client, target, silent := ringWithASilentReplica(t, counters, func(c *Config) { c.RetryAttempts = 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -103,8 +108,8 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if client.peers.get(owners[0].Addr, true).fails.Load() == 0 {
-		t.Fatalf("no failure on record against the silent replica %s: %s", owners[0].Addr, counters)
+	if client.peers.get(silent, true).fails.Load() == 0 {
+		t.Fatalf("no failure on record against the silent replica %s: %s", silent, counters)
 	}
 	before := counters.Get("resolve.discoveries")
 	addr, err := client.ResolveContext(context.Background(), target.Key())
@@ -113,6 +118,26 @@ func TestImpatientResolverStillFailsOver(t *testing.T) {
 	}
 	if got := counters.Get("resolve.discoveries"); got != before {
 		t.Fatalf("later resolve went to the network (%d -> %d discoveries)", before, got)
+	}
+}
+
+// TestResolveFailsOverPastASilentReplica: a cache-miss resolve under a ctx
+// that never ends spends the silent first replica's attempts on it alone,
+// then asks the second replica, which answers — as a forced discover
+// does. With chaosNodeConfig's six attempts of 250ms the answer comes
+// after about 1.6s.
+func TestResolveFailsOverPastASilentReplica(t *testing.T) {
+	counters := metrics.NewCounters()
+	client, target, silent := ringWithASilentReplica(t, counters, func(*Config) {})
+	start := time.Now()
+	addr, err := client.ResolveContext(context.Background(), target.Key())
+	if err != nil || addr != target.Addr() {
+		t.Fatalf("resolve past the silent replica %s = %q, %v after %v; want %q: %s",
+			silent, addr, err, time.Since(start), target.Addr(), counters)
+	}
+	if client.peers.get(silent, true).fails.Load() != 1 {
+		t.Errorf("failures on record against the silent replica %s = %d, want its one exchange: %s",
+			silent, client.peers.get(silent, true).fails.Load(), counters)
 	}
 }
 

@@ -137,7 +137,7 @@ func TestMaintenanceStopIdempotent(t *testing.T) {
 // TestMaintenanceStopCancelsBlockedRenew: stop() cancels the exchange a
 // duty has in flight instead of waiting it out. The renew here publishes
 // to a replica that accepts and never answers, which without cancellation
-// holds stop() for the whole RetryBudget (4 attempts of RequestTimeout).
+// holds stop() for the exchange's 4 attempts of RequestTimeout.
 func TestMaintenanceStopCancelsBlockedRenew(t *testing.T) {
 	mem := transport.NewMem()
 	hole, err := mem.Listen("")

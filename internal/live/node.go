@@ -31,7 +31,7 @@
 //     its session
 //   - peer.go       — the one per-peer table: RTT estimate, circuit
 //     breaker and pooled session of every address
-//   - rpc.go        — retries, backoff, the retry budget
+//   - rpc.go        — the exchange: breaker, attempts and backoff
 //   - pool.go       — the multiplexed connection pool
 //
 // Every public operation that can touch the network is called one way: a
@@ -115,9 +115,6 @@ type Config struct {
 	RetryBase time.Duration
 	// RetryMax caps a single backoff pause. Default 1s.
 	RetryMax time.Duration
-	// RetryBudget bounds the total wall time of one exchange across all
-	// attempts and pauses. Default RetryAttempts × RequestTimeout.
-	RetryBudget time.Duration
 	// SuspicionThreshold is how many consecutive failed exchanges trip a
 	// peer's circuit breaker; tripped peers fail fast and are deprioritized
 	// as replicas until a probe succeeds. Default 3.
@@ -157,9 +154,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = time.Second
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = time.Duration(cfg.RetryAttempts) * cfg.RequestTimeout
 	}
 	if cfg.SuspicionThreshold == 0 {
 		cfg.SuspicionThreshold = 3

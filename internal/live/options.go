@@ -70,15 +70,14 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(cfg *Config) { cfg.RequestTimeout = d }
 }
 
-// WithRetryBudget shapes the whole retry policy in one call: at most
-// attempts tries, full-jitter backoff capped per pause at [base, max]
-// doubling from base, all attempts bounded by total wall time.
-func WithRetryBudget(attempts int, base, max, total time.Duration) Option {
+// WithRetries shapes the whole retry policy in one call: at most attempts
+// tries, full-jitter backoff capped per pause at [base, max] doubling from
+// base.
+func WithRetries(attempts int, base, max time.Duration) Option {
 	return func(cfg *Config) {
 		cfg.RetryAttempts = attempts
 		cfg.RetryBase = base
 		cfg.RetryMax = max
-		cfg.RetryBudget = total
 	}
 }
 
@@ -135,7 +134,7 @@ func (cfg Config) validate() error {
 	if cfg.RetryAttempts < 0 {
 		return fmt.Errorf("live: retry attempts must be >= 0, got %d", cfg.RetryAttempts)
 	}
-	if cfg.RetryBase < 0 || cfg.RetryMax < 0 || cfg.RetryBudget < 0 {
+	if cfg.RetryBase < 0 || cfg.RetryMax < 0 {
 		return errors.New("live: retry durations must be >= 0")
 	}
 	if cfg.RetryBase > 0 && cfg.RetryMax > 0 && cfg.RetryBase > cfg.RetryMax {

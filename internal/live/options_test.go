@@ -19,7 +19,7 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 		WithLease(5*time.Second),
 		WithReplication(3),
 		WithRequestTimeout(2*time.Second),
-		WithRetryBudget(6, 10*time.Millisecond, 500*time.Millisecond, 20*time.Second),
+		WithRetries(6, 10*time.Millisecond, 500*time.Millisecond),
 		WithSuspicion(5, 3*time.Second),
 		WithCounters(counters),
 		WithGauges(gauges),
@@ -33,8 +33,7 @@ func TestNewAppliesOptionsAndDefaults(t *testing.T) {
 		t.Errorf("identity options not applied: %+v", cfg)
 	}
 	if cfg.RequestTimeout != 2*time.Second || cfg.RetryAttempts != 6 ||
-		cfg.RetryBase != 10*time.Millisecond || cfg.RetryMax != 500*time.Millisecond ||
-		cfg.RetryBudget != 20*time.Second {
+		cfg.RetryBase != 10*time.Millisecond || cfg.RetryMax != 500*time.Millisecond {
 		t.Errorf("retry options not applied: %+v", cfg)
 	}
 	if cfg.SuspicionThreshold != 5 || cfg.SuspicionCooldown != 3*time.Second {
@@ -64,7 +63,7 @@ func TestNewAcceptsHarnessOptionSets(t *testing.T) {
 		WithReplication(3),
 		WithLease(2 * time.Second),
 		WithRequestTimeout(250 * time.Millisecond),
-		WithRetryBudget(6, 5*time.Millisecond, 50*time.Millisecond, 0),
+		WithRetries(6, 5*time.Millisecond, 50*time.Millisecond),
 		WithSuspicion(3, 150*time.Millisecond),
 		WithCounters(metrics.NewCounters()),
 		WithGauges(metrics.NewGauges()),
@@ -83,9 +82,6 @@ func TestNewAcceptsHarnessOptionSets(t *testing.T) {
 		}
 		cfg := n.cfg
 		n.Close()
-		if want := 6 * cfg.RequestTimeout; cfg.RetryBudget != want {
-			t.Errorf("%s: RetryBudget = %v, want the default attempts x timeout = %v", name, cfg.RetryBudget, want)
-		}
 		wantPool := PoolConfig{MaxSessions: 64, IdleTimeout: 60 * time.Second}
 		if name == "mobile" {
 			wantPool = PoolConfig{MaxSessions: 1, IdleTimeout: time.Second}
@@ -112,7 +108,7 @@ func TestNewValidation(t *testing.T) {
 		{"negative replication", "x", mem, []Option{WithReplication(-1)}},
 		{"negative capacity", "x", mem, []Option{WithCapacity(-2)}},
 		{"negative timeout", "x", mem, []Option{WithRequestTimeout(-time.Second)}},
-		{"base above max", "x", mem, []Option{WithRetryBudget(3, time.Second, time.Millisecond, time.Minute)}},
+		{"base above max", "x", mem, []Option{WithRetries(3, time.Second, time.Millisecond)}},
 		{"negative pool limits", "x", mem, []Option{WithPool(PoolConfig{MaxSessions: -1})}},
 		{"negative idle timeout", "x", mem, []Option{WithPool(PoolConfig{IdleTimeout: -time.Second})}},
 		{"negative suspicion threshold", "x", mem, []Option{WithSuspicion(-1, time.Second)}},

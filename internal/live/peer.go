@@ -8,7 +8,7 @@ package live
 // instead of burning a timeout, until a probe succeeds: §2.3.2's graceful
 // degradation applied to the transport itself) and the pooled session
 // (pool.go) — is one record, looked up once per exchange and handed down
-// from requestBy/oneWay to the session. Stats, the contact order and the
+// from request/oneWay to the session. Stats, the contact order and the
 // suspect probe read estimate, suspicion and session from that same
 // record, so they cannot disagree about which peers exist.
 //

@@ -33,7 +33,6 @@ func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gau
 		RetryAttempts:      8,
 		RetryBase:          2 * time.Millisecond,
 		RetryMax:           20 * time.Millisecond,
-		RetryBudget:        10 * time.Second,
 		SuspicionThreshold: 1 << 30,
 		Counters:           counters,
 		Gauges:             gauges,

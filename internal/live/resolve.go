@@ -14,9 +14,9 @@ package live
 //          once its binding lapses, but through a singleflight group:
 //          concurrent misses for one key share a single _discovery RPC
 //          (counted as loccache.coalesced), which the caller that
-//          missed first runs itself, under its own context and one
-//          RetryBudget across the record's replicas. A lapsed address
-//          is never answered.
+//          missed first runs itself, under its own context, asking
+//          the record's replicas in turn, each with its own attempts.
+//          A lapsed address is never answered.
 //
 // DiscoverContext remains the always-network form (late binding forced);
 // it now write-throughs its answer — with the replica's remaining lease —
@@ -62,9 +62,10 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 }
 
 // flightDiscover is the body of one singleflight discovery: one network
-// resolution written through the cache, bounded by ctx and by one retry
-// budget that starts now — so a flight under a context that never ends
-// (the node's own) still ends.
+// resolution written through the cache, bounded by ctx. A flight under a
+// context that never ends (the node's own) still ends: each of the k
+// replicas costs at most RetryAttempts × RequestTimeout plus the capped
+// pauses, and a replica whose breaker is open costs nothing.
 //
 // A flight double-checks the cache first: a caller can miss, lose its
 // timeslice, and only start its flight after a concurrent flight for the
@@ -76,7 +77,7 @@ func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, err
 		return addr, nil
 	}
 	n.ctr.discoveries.Inc()
-	addr, ttl, epoch, err := n.discoverNetwork(ctx, time.Now().Add(n.cfg.RetryBudget), key)
+	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
 	if err != nil {
 		return "", err
 	}
@@ -94,7 +95,7 @@ func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, err
 // location cache, so a subsequent ResolveContext answers locally until
 // the lease lapses. Prefer ResolveContext on hot paths.
 func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, error) {
-	addr, ttl, epoch, err := n.discoverNetwork(ctx, time.Time{}, key)
+	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
 	if err != nil {
 		return "", err
 	}
@@ -106,11 +107,11 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 // over across them (§2.3.2) in suspicion-aware order. The replicas are
 // tried sequentially on purpose: the common case is answered by the
 // first healthy replica for the cost of one exchange, and the ordering
-// (healthy first) already bounds the tail. All of them share budget (the
-// zero time gives each exchange a RetryBudget of its own). Returns the
+// (healthy first) already bounds the tail. Each replica gets an exchange
+// of its own, so a silent one costs its attempts and no more. Returns the
 // address, the remaining lease the serving replica reported (0 = no
 // lease), and the publish epoch the record was bound under.
-func (n *Node) discoverNetwork(ctx context.Context, budget time.Time, key hashkey.Key) (string, time.Duration, uint64, error) {
+func (n *Node) discoverNetwork(ctx context.Context, key hashkey.Key) (string, time.Duration, uint64, error) {
 	var buf [8]wire.Entry
 	owners, err := n.owners(buf[:0], key)
 	if err != nil {
@@ -122,7 +123,7 @@ func (n *Node) discoverNetwork(ctx context.Context, budget time.Time, key hashke
 		var resp *wire.Message
 		if owner.Key == n.key {
 			resp = n.handleDiscover(&req)
-		} else if resp, err = n.requestBy(ctx, budget, owner.Addr, &req); err != nil {
+		} else if resp, err = n.request(ctx, owner.Addr, &req); err != nil {
 			lastErr = fmt.Errorf("live: discover via %s: %w", owner.Addr, err)
 			continue
 		}

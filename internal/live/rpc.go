@@ -2,17 +2,17 @@ package live
 
 // This file is the resilient RPC layer: every request/response exchange
 // a live node makes gets capped exponential backoff with full jitter
-// under an overall deadline, behind its peer's suspicion circuit breaker
+// under the caller's context, behind its peer's suspicion circuit breaker
 // (peer.go), which is looked up once here and handed down to the session.
 //
 // Every exchange, request or one-way, rides the multiplexed connection
 // pool (pool.go): one long-lived connection per peer, demultiplexed by
-// sequence number. Every exchange is bounded by the caller's context, by
-// its retry budget (an instant) and per attempt by RequestTimeout; the
-// earlier of the last two is the one timer an attempt arms (pool.go's
-// waiter), and it covers the dial of a session the attempt finds new:
-// the session dials on its own goroutine, and the attempt waits on its
-// reply, not on the dial.
+// sequence number. Every exchange is bounded by the caller's context and
+// per attempt by RequestTimeout, so by RetryAttempts × RequestTimeout plus
+// the capped pauses between attempts. An attempt's deadline is the one
+// timer it arms (pool.go's waiter), and it covers the dial of a session
+// the attempt finds new: the session dials on its own goroutine, and the
+// attempt waits on its reply, not on the dial.
 
 import (
 	"context"
@@ -41,51 +41,33 @@ func (n *Node) ProbeSuspects(ctx context.Context) {
 // request performs one request/response exchange with addr under the full
 // resilience policy: breaker fail-fast, then up to RetryAttempts attempts
 // with capped exponential backoff and full jitter, each attempt bounded
-// by RequestTimeout, all attempts bounded by RetryBudget and by ctx.
+// by RequestTimeout and all of them by ctx.
 func (n *Node) request(ctx context.Context, addr string, m *wire.Message) (*wire.Message, error) {
-	return n.requestBy(ctx, time.Time{}, addr, m)
-}
-
-// requestBy is request under a budget the exchanges of one operation
-// share; the zero time starts a RetryBudget now.
-func (n *Node) requestBy(ctx context.Context, budget time.Time, addr string, m *wire.Message) (*wire.Message, error) {
 	p := n.peers.get(addr, true)
 	if err := p.breakerAllow(n); err != nil {
 		return nil, err
 	}
-	resp, err := n.requestRetry(ctx, budget, p, m)
-	// A failure caused by the caller giving up — its ctx ended, or the
-	// budget it brought ran out — is not evidence against the peer.
-	gaveUp := err != nil && (ctx.Err() != nil || !budget.IsZero() && !time.Now().Before(budget))
-	p.breakerResult(n, err, gaveUp)
+	resp, err := n.requestRetry(ctx, p, m)
+	// A failure once the caller's ctx has ended is the caller giving up,
+	// not evidence against the peer.
+	p.breakerResult(n, err, err != nil && ctx.Err() != nil)
 	return resp, err
 }
 
 // requestRetry reads the clock once per attempt, at its start, plus once
-// more on a success to time it and once before each backoff.
-func (n *Node) requestRetry(ctx context.Context, budget time.Time, p *peer, m *wire.Message) (*wire.Message, error) {
+// more on a success to time it.
+func (n *Node) requestRetry(ctx context.Context, p *peer, m *wire.Message) (*wire.Message, error) {
 	start := time.Now()
-	if budget.IsZero() {
-		budget = start.Add(n.cfg.RetryBudget)
-	}
 	var lastErr error
 	for attempt := 0; attempt < n.cfg.RetryAttempts; attempt++ {
 		if attempt > 0 {
-			pause := n.backoff(attempt)
-			if time.Now().Add(pause).After(budget) {
-				break // budget exhausted: report the last real error
-			}
-			if err := sleepCtx(ctx, pause); err != nil {
+			if err := sleepCtx(ctx, n.backoff(attempt)); err != nil {
 				break // caller gave up mid-backoff
 			}
 			n.ctr.rpcRetries.Inc()
 			start = time.Now()
 		}
-		err := ctx.Err()
-		if err == nil && !start.Before(budget) {
-			err = context.DeadlineExceeded
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("live: request to %s: %w", p.addr, err)
 			}
@@ -96,11 +78,7 @@ func (n *Node) requestRetry(ctx context.Context, budget time.Time, p *peer, m *w
 		// time into p's RTT estimate — proximity data comes for free with the
 		// traffic the node already sends. Failures feed nothing: a timeout's
 		// duration measures the timeout.
-		by := start.Add(n.cfg.RequestTimeout)
-		if budget.Before(by) {
-			by = budget
-		}
-		resp, err := n.pool.roundTrip(ctx, p, m, start, by)
+		resp, err := n.pool.roundTrip(ctx, p, m, start, start.Add(n.cfg.RequestTimeout))
 		if err == nil {
 			p.observe(time.Since(start))
 			return resp, nil
