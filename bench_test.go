@@ -226,7 +226,7 @@ func BenchmarkAblationProximity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net := simnet.NewNetwork(g, nil)
+			net := simnet.NewNetwork(g)
 			ring := overlay.NewRing(overlay.Config{LeafSize: 4, ProximityChoices: prox}, net)
 			for i := 0; i < 400; i++ {
 				host := net.AttachHostRandom(rng)
@@ -305,7 +305,7 @@ func BenchmarkAblationBinding(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		net := simnet.NewNetwork(g, nil)
+		net := simnet.NewNetwork(g)
 		bn := core.NewNetwork(core.Config{
 			Naming:             core.Clustered,
 			StationaryFraction: 0.6,

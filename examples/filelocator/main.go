@@ -53,7 +53,7 @@ func main() {
 // runBristle registers each file with its mobile owner; lookups resolve
 // the owner's key through the stationary layer after every move.
 func runBristle(graph *topology.Graph, files []string, rng *rand.Rand) int {
-	net := simnet.NewNetwork(graph, nil)
+	net := simnet.NewNetwork(graph)
 	bn := core.NewNetwork(core.Config{
 		Naming:             core.Clustered,
 		StationaryFraction: float64(numStationary) / (numStationary + numMobile),
@@ -118,7 +118,7 @@ func runBristle(graph *topology.Graph, files []string, rng *rand.Rand) int {
 // runTypeA captures owner identities before movement; moves re-key the
 // owners, so old bindings dangle.
 func runTypeA(graph *topology.Graph, files []string, rng *rand.Rand) int {
-	net := simnet.NewNetwork(graph, nil)
+	net := simnet.NewNetwork(graph)
 	a := baseline.NewTypeA(overlay.DefaultConfig(), net, rng)
 
 	var stationary []*baseline.APeer

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net := simnet.NewNetwork(graph, nil)
+	net := simnet.NewNetwork(graph)
 
 	// 2. A Bristle deployment: 60 stationary peers form the location
 	// layer; 40 mobile peers roam. Clustered naming keeps stationary

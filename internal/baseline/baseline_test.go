@@ -23,7 +23,7 @@ func testNet(t testing.TB, seed int64) (*simnet.Network, *rand.Rand) {
 	if err != nil {
 		t.Fatalf("topology: %v", err)
 	}
-	return simnet.NewNetwork(g, nil), rng
+	return simnet.NewNetwork(g), rng
 }
 
 func buildTypeA(t testing.TB, stationary, mobile int, seed int64) (*TypeA, []*APeer, []*APeer) {

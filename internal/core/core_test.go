@@ -27,7 +27,7 @@ func buildNetwork(t testing.TB, cfg Config, stationary, mobile int, seed int64) 
 		t.Fatalf("topology: %v", err)
 	}
 	sim := &simnet.Simulator{}
-	net := simnet.NewNetwork(g, sim)
+	net := simnet.NewNetwork(g)
 	if cfg.StationaryFraction == 0 && stationary+mobile > 0 {
 		cfg.StationaryFraction = float64(stationary) / float64(stationary+mobile)
 	}

@@ -20,7 +20,7 @@ func propTopology(t *testing.T) *simnet.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return simnet.NewNetwork(g, nil)
+	return simnet.NewNetwork(g)
 }
 
 // TestPropertyPublishDiscoverRoundTrip: after any silent move followed by

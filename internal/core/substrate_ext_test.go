@@ -31,7 +31,7 @@ func buildOnChord(t testing.TB, stationary, mobile int, seed int64) (*core.Netwo
 	if err != nil {
 		t.Fatalf("topology: %v", err)
 	}
-	net := simnet.NewNetwork(g, nil)
+	net := simnet.NewNetwork(g)
 	bn := core.NewNetwork(core.Config{
 		Naming:             core.Clustered,
 		StationaryFraction: float64(stationary) / float64(stationary+mobile),
@@ -181,7 +181,7 @@ func TestSubstratesAgreeOnProtocolOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := simnet.NewNetwork(g, nil)
+		net := simnet.NewNetwork(g)
 		bn := core.NewNetwork(core.Config{
 			Naming:             core.Clustered,
 			StationaryFraction: 0.6,

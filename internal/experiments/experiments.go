@@ -26,7 +26,7 @@ func newUnderlay(nRouters int, seed int64) (*simnet.Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: underlay: %w", err)
 	}
-	return simnet.NewNetwork(g, nil), nil
+	return simnet.NewNetwork(g), nil
 }
 
 // capRNG draws the capacity values used throughout Section 4.2/4.3: the

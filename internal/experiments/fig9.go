@@ -76,7 +76,7 @@ func RunFig9(cfg Fig9Config) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := simnet.NewNetwork(g, nil)
+	net := simnet.NewNetwork(g)
 
 	rows := make([]Fig9Row, 0, len(cfg.Fracs))
 	for i, frac := range cfg.Fracs {

@@ -35,7 +35,7 @@ func buildWorld(t testing.TB, stationary, mobile int, leaseTTL simnet.Time, seed
 		t.Fatalf("topology: %v", err)
 	}
 	sim := &simnet.Simulator{}
-	net := simnet.NewNetwork(g, sim)
+	net := simnet.NewNetwork(g)
 	bn := core.NewNetwork(core.Config{
 		Naming:             core.Clustered,
 		StationaryFraction: float64(stationary) / float64(stationary+mobile),

@@ -161,11 +161,27 @@ func Build(root Member, registry []Member, p Params) (*Tree, error) {
 	return &Tree{Root: rootNode, size: 1 + len(registry)}, nil
 }
 
-// advertise implements Figure 4: node parent must deliver the update to
-// every member of list, delegating according to its available capacity.
+// advertise implements Figure 4 recursively: node parent must deliver the
+// update to every member of list, and each head it delegates to does the
+// same for the rest of its partition.
 func advertise(parent *Node, list []Member, p Params) {
+	for _, part := range Deal(parent.Member, list, p) {
+		child := &Node{Member: part[0], Level: parent.Level + 1, Assigned: len(part) - 1}
+		parent.Children = append(parent.Children, child)
+		advertise(child, part[1:], p)
+	}
+}
+
+// Deal is one step of Figure 4: parent, which must deliver an update to
+// every member of list, delegates according to its available capacity. It
+// sorts list in place, in decreasing order of capacity and then by ID, and
+// returns the non-empty partitions, each head first and the rest in that
+// order; each head delivers to the rest of its partition by the same step.
+// An overloaded parent returns one partition, the whole list, headed by its
+// most capable member. p must be valid, as Build checks.
+func Deal(parent Member, list []Member, p Params) [][]Member {
 	if len(list) == 0 {
-		return
+		return nil
 	}
 	// sort R(i) in decreasing order of capacity (stable on ID for
 	// determinism).
@@ -176,31 +192,17 @@ func advertise(parent *Node, list []Member, p Params) {
 		return list[i].ID < list[j].ID
 	})
 
-	avail := parent.Member.Avail()
+	avail := parent.Avail()
 	k := int(math.Floor(avail / p.UnitCost))
 	if avail-p.UnitCost <= 0 || k < 1 {
 		// Overloaded: report only to the registry node with the maximum
 		// capacity; it advertises to the others on our behalf.
-		head := list[0]
-		child := &Node{Member: head, Level: parent.Level + 1, Assigned: len(list) - 1}
-		parent.Children = append(parent.Children, child)
-		advertise(child, list[1:], p)
-		return
+		return [][]Member{list}
 	}
 	if k > len(list) {
 		k = len(list)
 	}
-
-	partitions := partition(list, k, p)
-	for _, part := range partitions {
-		if len(part) == 0 {
-			continue
-		}
-		head := part[0]
-		child := &Node{Member: head, Level: parent.Level + 1, Assigned: len(part) - 1}
-		parent.Children = append(parent.Children, child)
-		advertise(child, part[1:], p)
-	}
+	return partition(list, k, p)
 }
 
 // partition splits the capacity-sorted list into k near-equal lists.

@@ -2,6 +2,7 @@ package ldt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,65 @@ func TestPropertyLocalityNeverChangesMembership(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyDealHopByHopIsBuild: Build's tree is its hops' deals. Each
+// hop here knows only its own member and the list it was handed, numbers
+// that list by position as a live relay does, deals it once and hands each
+// head the rest of its partition in the deal's order; over random
+// registries with tied capacities, workloads (Used > 0, overloaded members
+// among them) and locality on or off, the hops reproduce Build's tree.
+func TestPropertyDealHopByHopIsBuild(t *testing.T) {
+	dist := func(a, b topology.RouterID) float64 {
+		d := float64(a - b)
+		if d < 0 {
+			d = -d
+		}
+		return d
+	}
+	var hop func(parent *Node, handed []Member, p Params)
+	hop = func(parent *Node, handed []Member, p Params) {
+		byPos := make([]Member, len(handed))
+		for i, m := range handed {
+			byPos[i] = m
+			byPos[i].ID = int32(i)
+		}
+		for _, part := range Deal(parent.Member, byPos, p) {
+			rest := make([]Member, len(part)-1)
+			for i, m := range part[1:] {
+				rest[i] = handed[m.ID]
+			}
+			child := &Node{Member: handed[part[0].ID], Level: parent.Level + 1, Assigned: len(rest)}
+			parent.Children = append(parent.Children, child)
+			hop(child, rest, p)
+		}
+	}
+	f := func(seed int64, n uint8, locality bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		member := func(id int32) Member {
+			m := Member{ID: id, Capacity: float64(1 + rng.Intn(4)), Router: topology.RouterID(rng.Intn(20))}
+			if rng.Intn(3) == 0 {
+				m.Used = float64(rng.Intn(3))
+			}
+			return m
+		}
+		reg := make([]Member, int(n%80)+1)
+		for i := range reg {
+			reg[i] = member(int32(i))
+		}
+		p := Params{UnitCost: 1, Locality: locality, Dist: dist}
+		root := member(-1)
+		tree, err := Build(root, reg, p)
+		if err != nil {
+			return false
+		}
+		hops := &Node{Member: root, Level: 1, Assigned: len(reg)}
+		hop(hops, reg, p)
+		return reflect.DeepEqual(tree.Root, hops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,11 +2,12 @@ package live
 
 // This file is the LDT push path: UpdateRegistryContext (the paper's
 // Figure 4 fan-out to registered correspondents) and the re-delegation
-// each tree level performs on receiving an update (store.go), both one
-// fanOut that hands each head's frame, head by head, to the head's pooled
-// session. The tree is the load-spreading mechanism; nothing else sits
-// between it and the socket, so what a sender-side queue might promise
-// is kept elsewhere:
+// each head performs on receiving an update (store.go), both one fanOut
+// that deals one Figure-4 level (ldt.Deal) and hands each head's frame,
+// head by head, to the head's pooled session. No hop builds a tree: the
+// tree is the hops' deals, and it is ldt.Build's. It is the
+// load-spreading mechanism; nothing else sits between it and the socket,
+// so what a sender-side queue might promise is kept elsewhere:
 //
 //   - Ordering is FIFO along each tree path: a move's fanOut enqueues
 //     before the next move's, a session writes one sender's frames in
@@ -42,42 +43,30 @@ func (n *Node) UpdateRegistryContext(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// fanOut is one level of Figure 4, run by the mover on its registry and by
-// every receiver of an update on the subset it was delegated: it schedules
-// recipients into a capacity-aware tree under this node and sends each of
-// the tree's first-level heads one TUpdate about subject that delegates
-// the head's whole subtree to it. It returns when every head's frame is
-// queued on its session or has failed; a failed head is logged, not
-// returned (§2.3.2: its subtree recovers through late binding).
+// fanOut is one step of Figure 4, run by the mover on its registry and by
+// every receiver of an update on the subset it was delegated: it deals
+// recipients into capacity-aware partitions under this node (ldt.Deal) and
+// sends each partition's head one TUpdate about subject that delegates the
+// rest of the partition to it, in the step's order. The head re-deals that
+// rest as ldt.Build recurses, so a push travels Build's tree, registrant
+// for registrant. It returns when every head's frame is queued on its
+// session or has failed; a failed head is logged, not returned (§2.3.2:
+// its partition recovers through late binding).
 func (n *Node) fanOut(ctx context.Context, subject wire.Entry, recipients []wire.Entry) {
-	if len(recipients) == 0 {
-		return
-	}
-	// Member i+1 is recipients[i]; 0 is this node, the root.
+	// Member i is recipients[i]: the step breaks capacity ties by ID, so by
+	// position, which is key order at the mover and, at a head, the order
+	// its parent's step handed it.
 	members := make([]ldt.Member, len(recipients))
 	for i, e := range recipients {
-		members[i] = ldt.Member{ID: int32(i + 1), Capacity: e.Capacity}
+		members[i] = ldt.Member{ID: int32(i), Capacity: e.Capacity}
 	}
-	tree, err := ldt.Build(ldt.Member{ID: 0, Capacity: n.cfg.Capacity}, members, ldt.Params{UnitCost: 1})
-	if err != nil {
-		n.logf("ldt fan-out: %v", err)
-		return
-	}
-	// A head's subtree is every node strictly below it: the head itself is
-	// the frame's recipient.
-	var sub []wire.Entry
-	var below func(*ldt.Node)
-	below = func(t *ldt.Node) {
-		for _, c := range t.Children {
-			sub = append(sub, recipients[c.Member.ID-1])
-			below(c)
+	for _, part := range ldt.Deal(ldt.Member{Capacity: n.cfg.Capacity}, members, ldt.Params{UnitCost: 1}) {
+		rest := make([]wire.Entry, len(part)-1) // each frame owns its entries
+		for i, m := range part[1:] {
+			rest[i] = recipients[m.ID]
 		}
-	}
-	for _, head := range tree.Root.Children {
-		sub = nil // each frame owns its entries
-		below(head)
-		addr := recipients[head.Member.ID-1].Addr
-		msg := &wire.Message{Type: wire.TUpdate, Self: subject, Entries: sub}
+		addr := recipients[part[0].ID].Addr
+		msg := &wire.Message{Type: wire.TUpdate, Self: subject, Entries: rest}
 		if err := n.oneWay(ctx, addr, msg); err != nil {
 			n.logf("update push to %s failed: %v", addr, err)
 		}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"bristle/internal/hashkey"
+	"bristle/internal/ldt"
 	"bristle/internal/metrics"
 	"bristle/internal/transport"
 	"bristle/internal/wire"
@@ -218,6 +219,100 @@ func TestUpdateRegistrySameHeadsEveryMove(t *testing.T) {
 	}
 	if got := counters.Get("pool.dials") - dials; got != 0 {
 		t.Errorf("the second push dialed %d new heads, want 0", got)
+	}
+}
+
+// TestFanOutTravelsBuildsTree: a push reaches every registrant from the
+// parent ldt.Build gives it over the mover's registry, since each hop deals
+// one Figure-4 level and each head re-deals the rest of its partition as
+// Build recurses. Faulty's Latency hook sees every frame's link, so each
+// registrant's sender is read off the wire, at 32 and 256 registrants of
+// equal capacity (ties left to the tie-break alone) and of mixed ones
+// (overloaded capacity-1 heads among them).
+func TestFanOutTravelsBuildsTree(t *testing.T) {
+	equal := func(int) float64 { return 4 }
+	mixed := func(i int) float64 { return float64(1 + i*5%7) }
+	for _, tc := range []struct {
+		registrants int
+		caps        string
+		capacity    func(i int) float64
+	}{{32, "equal", equal}, {32, "mixed", mixed}, {256, "equal", equal}, {256, "mixed", mixed}} {
+		t.Run(fmt.Sprintf("%d/%s", tc.registrants, tc.caps), func(t *testing.T) {
+			faulty := transport.NewFaulty(transport.NewMem(), transport.FaultConfig{Seed: 1})
+			mover := mustNode(t, Config{Name: "mover", Capacity: 4, RequestTimeout: time.Second}, faulty.Endpoint("mover"))
+			if err := mover.Start(""); err != nil {
+				t.Fatal(err)
+			}
+			defer mover.Close()
+			received := metrics.NewCounters()
+			nameOf := map[string]string{} // listener address → endpoint name
+			for i := 0; i < tc.registrants; i++ {
+				cfg := Config{Name: fmt.Sprintf("r%03d", i), Capacity: tc.capacity(i), RequestTimeout: time.Second, Counters: received}
+				nd := mustNode(t, cfg, faulty.Endpoint(cfg.Name))
+				if err := nd.Start(""); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { nd.Close() })
+				if err := nd.RegisterWithContext(context.Background(), mover.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				nameOf[nd.Addr()] = cfg.Name
+			}
+
+			// From here on, every frame a dialer sends is the push's.
+			var mu sync.Mutex
+			senders := map[string][]string{} // endpoint → who sent it frames
+			faulty.SetConfig(transport.FaultConfig{Seed: 1, Latency: func(from, to string) time.Duration {
+				if to != "" {
+					mu.Lock()
+					senders[to] = append(senders[to], from)
+					mu.Unlock()
+				}
+				return 0
+			}})
+			reg := mover.Registry()
+			if err := mover.UpdateRegistryContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the push to reach every registrant", func() bool {
+				return received.Get("updates.received") == uint64(tc.registrants)
+			})
+
+			members := make([]ldt.Member, len(reg))
+			for i, e := range reg {
+				members[i] = ldt.Member{ID: int32(i + 1), Capacity: e.Capacity}
+			}
+			tree, err := ldt.Build(ldt.Member{Capacity: mover.cfg.Capacity}, members, ldt.Params{UnitCost: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent := map[string]string{}
+			var walk func(*ldt.Node, string)
+			walk = func(nd *ldt.Node, name string) {
+				for _, c := range nd.Children {
+					child := nameOf[reg[c.Member.ID-1].Addr]
+					parent[child] = name
+					walk(c, child)
+				}
+			}
+			walk(tree.Root, "mover")
+			if len(parent) != tc.registrants {
+				t.Fatalf("ldt.Build placed %d of %d registrants", len(parent), tc.registrants)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			wrong := 0
+			for name, want := range parent {
+				if got := senders[name]; len(got) != 1 || got[0] != want {
+					if wrong++; wrong <= 3 {
+						t.Errorf("%s got the push from %v, want %s", name, got, want)
+					}
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d registrants got the push from a parent other than ldt.Build's", wrong, tc.registrants)
+			}
+		})
 	}
 }
 

@@ -407,6 +407,15 @@ func nextEpoch(prev uint64) uint64 {
 // begins serving the protocol. A node starts once: a mobile moves with
 // RebindContext.
 func (n *Node) Start(listenAddr string) error {
+	return n.attach(listenAddr, false)
+}
+
+// attach binds a listener on listenAddr and makes it the node's attachment
+// point: the binding takes its address — under a new epoch when the node
+// moves — the ring learns it, and an accept loop serves it. A move closes
+// the attachment point it leaves; a stopped node, or a started one that
+// does not move, attaches nothing.
+func (n *Node) attach(listenAddr string, move bool) error {
 	l, err := n.tr.Listen(listenAddr)
 	if err != nil {
 		return err
@@ -416,7 +425,7 @@ func (n *Node) Start(listenAddr string) error {
 	switch {
 	case n.stopped:
 		err = ErrStopped
-	case n.listener != nil: // a second accept loop would orphan the first
+	case n.listener != nil && !move: // a second accept loop would orphan the first
 		err = errors.New("live: node already started")
 	}
 	if err != nil {
@@ -424,10 +433,21 @@ func (n *Node) Start(listenAddr string) error {
 		ls.close()
 		return err
 	}
+	old := n.listener
 	n.listener = ls
-	b := n.self.Load()
-	n.self.Store(&binding{addr: ls.addr(), epoch: b.epoch})
+	// A move's binding supersedes every frame sent for the old one: the
+	// epoch bumps atomically with the address, before any peer can learn
+	// it, so a delayed or duplicated pre-move frame can never displace it
+	// anywhere.
+	epoch := n.self.Load().epoch
+	if move {
+		epoch = nextEpoch(epoch)
+	}
+	n.self.Store(&binding{addr: ls.addr(), epoch: epoch})
 	n.lifeMu.Unlock()
+	if old != nil {
+		old.close() // the old attachment point disappears
+	}
 	n.members.apply(direct, n.SelfEntry()) // a stationary is in its own ring; a mobile is in none
 
 	if n.enter() { // stopped meanwhile: Close closed ls
@@ -483,31 +503,8 @@ func (n *Node) RebindContext(ctx context.Context, listenAddr string) error {
 	if !n.cfg.Mobile {
 		return errors.New("live: node is not mobile")
 	}
-	newL, err := n.tr.Listen(listenAddr)
-	if err != nil {
+	if err := n.attach(listenAddr, true); err != nil {
 		return err
-	}
-	ls := newListenerState(newL)
-	n.lifeMu.Lock()
-	if n.stopped {
-		n.lifeMu.Unlock()
-		ls.close()
-		return ErrStopped
-	}
-	old := n.listener
-	n.listener = ls
-	// The new binding supersedes every frame sent for the old one: the
-	// epoch bumps atomically with the address, before any peer can learn
-	// it, so a delayed or duplicated pre-move frame can never displace it
-	// anywhere.
-	b := n.self.Load()
-	n.self.Store(&binding{addr: ls.addr(), epoch: nextEpoch(b.epoch)})
-	n.lifeMu.Unlock()
-	if old != nil {
-		old.close() // the old attachment point disappears
-	}
-	if n.enter() { // stopped meanwhile: Close closed ls
-		go n.acceptLoop(ls)
 	}
 	n.logf("rebound to %s", n.Addr())
 

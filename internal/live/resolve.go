@@ -77,16 +77,7 @@ func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, err
 		return addr, nil
 	}
 	n.ctr.discoveries.Inc()
-	addr, ttl, epoch, err := n.discoverNetwork(ctx, key)
-	if err != nil {
-		return "", err
-	}
-	// Epoch-aware fill: if an LDT push raced this discovery with a newer
-	// binding, the cache keeps the push and this stale answer is dropped
-	// on the floor (the caller still gets it once; the next resolve hits
-	// the newer cached address).
-	n.loc.PutEpoch(key, addr, ttl, epoch)
-	return addr, nil
+	return n.DiscoverContext(ctx, key)
 }
 
 // DiscoverContext resolves key's current address through the location
@@ -99,6 +90,10 @@ func (n *Node) DiscoverContext(ctx context.Context, key hashkey.Key) (string, er
 	if err != nil {
 		return "", err
 	}
+	// Epoch-aware fill: if an LDT push raced this discovery with a newer
+	// binding, the cache keeps the push and this stale answer is dropped
+	// on the floor (the caller still gets it once; the next resolve hits
+	// the newer cached address).
 	n.loc.PutEpoch(key, addr, ttl, epoch)
 	return addr, nil
 }

@@ -28,7 +28,7 @@ func buildRing(t testing.TB, n int, seed int64, withNet bool) (*Ring, *rand.Rand
 		if err != nil {
 			t.Fatalf("topology: %v", err)
 		}
-		net = simnet.NewNetwork(g, nil)
+		net = simnet.NewNetwork(g)
 	}
 	ring := NewRing(DefaultConfig(), net)
 	for i := 0; i < n; i++ {
@@ -354,7 +354,7 @@ func TestProximitySelectionReducesHopCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := simnet.NewNetwork(g, nil)
+		net := simnet.NewNetwork(g)
 		ring := NewRing(Config{LeafSize: 4, ProximityChoices: prox}, net)
 		for i := 0; i < n; i++ {
 			host := net.AttachHostRandom(rng)

@@ -46,42 +46,28 @@ type Counters struct {
 	MessagesDelivered uint64  // reached a live host at a current address
 	MessagesStale     uint64  // sent to an out-of-date address
 	MessagesDead      uint64  // sent to a departed host
-	MessagesLost      uint64  // dropped by loss injection
 	TotalCost         float64 // sum of underlay path costs of delivered messages
 }
 
 // Network models the underlay: hosts attached to stub routers of a weighted
 // transit-stub graph. It provides address management, movement, distance
-// queries, and (optionally clocked) message delivery with cost accounting.
+// queries, and synchronous message delivery with cost accounting.
 type Network struct {
 	Graph *topology.Graph
 	Dist  *topology.DistanceCache
-	Sim   *Simulator // may be nil for purely synchronous use
 
 	hosts []hostState
 	stubs []topology.RouterID
 
-	// LatencyScale converts underlay path cost to seconds of delivery
-	// latency for clocked sends. Default 1e-3 (cost 10 → 10 ms).
-	LatencyScale float64
-
-	// lossRate drops clocked sends with this probability (failure
-	// injection); lossRNG supplies the coin flips.
-	lossRate float64
-	lossRNG  *rand.Rand
-
 	Counters Counters
 }
 
-// NewNetwork wraps a generated topology. sim may be nil when only
-// synchronous cost queries are needed.
-func NewNetwork(g *topology.Graph, sim *Simulator) *Network {
+// NewNetwork wraps a generated topology.
+func NewNetwork(g *topology.Graph) *Network {
 	return &Network{
-		Graph:        g,
-		Dist:         topology.NewDistanceCache(g, 0),
-		Sim:          sim,
-		stubs:        g.StubRouters(),
-		LatencyScale: 1e-3,
+		Graph: g,
+		Dist:  topology.NewDistanceCache(g, 0),
+		stubs: g.StubRouters(),
 	}
 }
 
@@ -198,64 +184,6 @@ func (n *Network) SendSync(src HostID, addr Addr) (delivered bool, cost float64)
 		n.Counters.TotalCost += cost
 		return true, cost
 	}
-}
-
-// Send delivers payload to addr after the latency implied by underlay cost,
-// invoking onDeliver on success or onFail (which may be nil) if the address
-// is stale or dead at delivery time. It requires a Simulator.
-func (n *Network) Send(src HostID, addr Addr, onDeliver func(), onFail func()) {
-	if n.Sim == nil {
-		panic("simnet: Send requires a Simulator; use SendSync")
-	}
-	n.Counters.MessagesSent++
-	if addr.IsZero() {
-		n.Counters.MessagesStale++
-		if onFail != nil {
-			n.Sim.Schedule(0, onFail)
-		}
-		return
-	}
-	if n.lossRate > 0 && n.lossRNG.Float64() < n.lossRate {
-		n.Counters.MessagesLost++
-		if onFail != nil {
-			n.Sim.Schedule(0, onFail)
-		}
-		return
-	}
-	cost := n.CostToAddr(src, addr)
-	n.Sim.Schedule(Time(cost*n.LatencyScale), func() {
-		if n.Valid(addr) {
-			n.Counters.MessagesDelivered++
-			n.Counters.TotalCost += cost
-			onDeliver()
-			return
-		}
-		if n.hosts[addr.Host].alive {
-			n.Counters.MessagesStale++
-		} else {
-			n.Counters.MessagesDead++
-		}
-		if onFail != nil {
-			onFail()
-		}
-	})
-}
-
-// SetLoss enables loss injection for clocked sends: each Send is dropped
-// with probability rate using rng's coin flips. rate 0 disables; rng may
-// be nil only when rate is 0.
-func (n *Network) SetLoss(rate float64, rng *rand.Rand) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	if rate > 0 && rng == nil {
-		panic("simnet: SetLoss with positive rate needs an rng")
-	}
-	n.lossRate = rate
-	n.lossRNG = rng
 }
 
 // StubRouters exposes the underlay's stub routers (host attachment points).

@@ -2,8 +2,7 @@
 // Bristle evaluation: a virtual clock with an event heap, and an underlay
 // network model in which hosts attach to stub routers of a transit-stub
 // topology, move between attachment points, and exchange messages whose
-// latency and cost are shortest-path link-weight sums (Section 4 of the
-// paper).
+// cost is a shortest-path link-weight sum (Section 4 of the paper).
 //
 // The simulator is deliberately single-threaded: experiments are
 // deterministic functions of (topology seed, workload seed), which makes

@@ -154,7 +154,7 @@ func TestClockMonotonicProperty(t *testing.T) {
 
 func TestNetworkAttachMoveValid(t *testing.T) {
 	g := testGraph(t, 1)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	rng := rand.New(rand.NewSource(2))
 	h := net.AttachHostRandom(rng)
 	a1 := net.AddrOf(h)
@@ -179,7 +179,7 @@ func TestNetworkAttachMoveValid(t *testing.T) {
 
 func TestZeroAddrInvalid(t *testing.T) {
 	g := testGraph(t, 1)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	if net.Valid(Addr{}) {
 		t.Fatal("zero address must be invalid (paper's null addr)")
 	}
@@ -190,7 +190,7 @@ func TestZeroAddrInvalid(t *testing.T) {
 
 func TestSendSyncAccounting(t *testing.T) {
 	g := testGraph(t, 3)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	rng := rand.New(rand.NewSource(4))
 	a := net.AttachHostRandom(rng)
 	b := net.AttachHostRandom(rng)
@@ -222,85 +222,22 @@ func TestSendSyncAccounting(t *testing.T) {
 	}
 }
 
-func TestSendClockedDelivery(t *testing.T) {
-	g := testGraph(t, 5)
-	var sim Simulator
-	net := NewNetwork(g, &sim)
-	rng := rand.New(rand.NewSource(6))
+func TestSendZeroAddrFailsFast(t *testing.T) {
+	g := testGraph(t, 9)
+	net := NewNetwork(g)
+	rng := rand.New(rand.NewSource(10))
 	a := net.AttachHostRandom(rng)
-	b := net.AttachHostRandom(rng)
-
-	delivered := false
-	var deliveredAt Time
-	net.Send(a, net.AddrOf(b), func() {
-		delivered = true
-		deliveredAt = sim.Now()
-	}, nil)
-	sim.RunAll()
-	if !delivered {
-		t.Fatal("clocked send not delivered")
-	}
-	wantLatency := Time(net.Cost(a, b) * net.LatencyScale)
-	if deliveredAt != wantLatency {
-		t.Fatalf("delivered at %v, want %v", deliveredAt, wantLatency)
-	}
-}
-
-func TestSendClockedStaleAtDeliveryTime(t *testing.T) {
-	// The address is valid when the packet leaves but the host moves
-	// in-flight: delivery must fail. This models the late-binding race in
-	// Section 2.3.2.
-	g := testGraph(t, 7)
-	var sim Simulator
-	net := NewNetwork(g, &sim)
-	rng := rand.New(rand.NewSource(8))
-	a := net.AttachHostRandom(rng)
-	b := net.AttachHostRandom(rng)
-
-	failed := false
-	addrB := net.AddrOf(b)
-	net.Send(a, addrB, func() { t.Error("delivered to moved host") }, func() { failed = true })
-	// Move b before the packet lands (latency > 0 since hosts differ).
-	sim.Schedule(0, func() { net.MoveRandom(b, rng) })
-	sim.RunAll()
-	if !failed {
-		t.Fatal("in-flight move did not fail delivery")
+	if ok, cost := net.SendSync(a, Addr{}); ok || cost != 0 {
+		t.Fatalf("null-address send = (%v, %v), want (false, 0)", ok, cost)
 	}
 	if net.Counters.MessagesStale != 1 {
 		t.Fatalf("stale counter = %d", net.Counters.MessagesStale)
 	}
 }
 
-func TestSendZeroAddrFailsFast(t *testing.T) {
-	g := testGraph(t, 9)
-	var sim Simulator
-	net := NewNetwork(g, &sim)
-	rng := rand.New(rand.NewSource(10))
-	a := net.AttachHostRandom(rng)
-	failed := false
-	net.Send(a, Addr{}, func() { t.Error("delivered to null addr") }, func() { failed = true })
-	sim.RunAll()
-	if !failed {
-		t.Fatal("null-address send did not fail")
-	}
-}
-
-func TestSendWithoutSimulatorPanics(t *testing.T) {
-	g := testGraph(t, 9)
-	net := NewNetwork(g, nil)
-	rng := rand.New(rand.NewSource(10))
-	a := net.AttachHostRandom(rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send without Simulator did not panic")
-		}
-	}()
-	net.Send(a, Addr{}, func() {}, nil)
-}
-
 func TestCostSymmetricAndZeroSelf(t *testing.T) {
 	g := testGraph(t, 11)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	rng := rand.New(rand.NewSource(12))
 	a := net.AttachHostRandom(rng)
 	b := net.AttachHostRandom(rng)
@@ -314,7 +251,7 @@ func TestCostSymmetricAndZeroSelf(t *testing.T) {
 
 func TestMoveChangesOnlyTarget(t *testing.T) {
 	g := testGraph(t, 13)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	rng := rand.New(rand.NewSource(14))
 	a := net.AttachHostRandom(rng)
 	b := net.AttachHostRandom(rng)
@@ -325,52 +262,9 @@ func TestMoveChangesOnlyTarget(t *testing.T) {
 	}
 }
 
-func TestLossInjection(t *testing.T) {
-	g := testGraph(t, 17)
-	var sim Simulator
-	net := NewNetwork(g, &sim)
-	rng := rand.New(rand.NewSource(18))
-	a := net.AttachHostRandom(rng)
-	b := net.AttachHostRandom(rng)
-
-	net.SetLoss(0.5, rand.New(rand.NewSource(19)))
-	delivered, failed := 0, 0
-	const sends = 400
-	for i := 0; i < sends; i++ {
-		net.Send(a, net.AddrOf(b), func() { delivered++ }, func() { failed++ })
-	}
-	sim.RunAll()
-	if delivered+failed != sends {
-		t.Fatalf("accounting: %d+%d != %d", delivered, failed, sends)
-	}
-	frac := float64(net.Counters.MessagesLost) / sends
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("loss fraction %v, want ≈0.5", frac)
-	}
-	// Disabling restores full delivery.
-	net.SetLoss(0, nil)
-	ok := false
-	net.Send(a, net.AddrOf(b), func() { ok = true }, nil)
-	sim.RunAll()
-	if !ok {
-		t.Fatal("delivery failed after disabling loss")
-	}
-}
-
-func TestSetLossValidation(t *testing.T) {
-	g := testGraph(t, 17)
-	net := NewNetwork(g, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetLoss(0.5, nil) did not panic")
-		}
-	}()
-	net.SetLoss(0.5, nil)
-}
-
 func TestResetCounters(t *testing.T) {
 	g := testGraph(t, 15)
-	net := NewNetwork(g, nil)
+	net := NewNetwork(g)
 	rng := rand.New(rand.NewSource(16))
 	a := net.AttachHostRandom(rng)
 	b := net.AttachHostRandom(rng)

@@ -32,8 +32,8 @@ import (
 const rttAlpha = 0.25
 
 // costToRTT converts an underlay one-way path cost to the round-trip
-// duration a client would measure (cost 10 → 20ms), matching simnet's
-// LatencyScale convention of cost-as-milliseconds.
+// duration a client would measure, reading a unit of cost as a millisecond
+// (cost 10 → 20ms).
 func costToRTT(cost float64) time.Duration {
 	return time.Duration(2 * cost * float64(time.Millisecond))
 }
@@ -102,7 +102,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	net := simnet.NewNetwork(g, nil)
+	net := simnet.NewNetwork(g)
 
 	// Region labels come from the underlay itself: every host behind the
 	// same transit domain shares a geography.
