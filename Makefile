@@ -57,10 +57,11 @@ loc:
 # path's pipelined capacity over a loopback socket, and a discover's
 # owner selection at rings of 4, 16 and 64. BENCH_publish.json holds the
 # publish benchmarks: RPCs per full publish, and per move's one-record
-# publish, at 1/100/10k owned records. The nodes and the cache run with
-# counters and gauges on, as bristled runs them. Override BENCHTIME
-# (e.g. BENCHTIME=2s) for a statistically meaningful local run; the 100x
-# default is a CI smoke.
+# publish, at 1/100/10k owned records, a first full publish of 10k
+# records into empty replicas, and a node's construction. The nodes and
+# the cache run with counters and gauges on, as bristled runs them.
+# Override BENCHTIME (e.g. BENCHTIME=2s) for a statistically meaningful
+# local run; the 100x default is a CI smoke.
 bench: BENCH_resolve.json BENCH_publish.json
 
 BENCH_resolve.json:
@@ -72,7 +73,7 @@ BENCH_resolve.json:
 	@rm -f bench_resolve.txt
 
 BENCH_publish.json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|BenchmarkMovePublish|BenchmarkPublishIngestParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPublishBatch|^BenchmarkPublishFirst10k$$|BenchmarkMovePublish|BenchmarkPublishIngestParallel|^BenchmarkNodeNew$$' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/live | tee bench_publish.txt
 	$(GO) run ./cmd/benchgate json -suite publish -in bench_publish.txt -out BENCH_publish.json
 	@rm -f bench_publish.txt
@@ -119,8 +120,11 @@ bench-stretch:
 # 1, 100 and 10k owned keys: a move costs the same whatever the node owns.
 # A discover's owner selection (BenchmarkOwners) walks the ring from the
 # key, so at a ring of 64 — the 10k soak's core — it allocates nothing.
+# A node's construction (BenchmarkNodeNew) is held to its baseline's
+# allocations: registering a metric name costs the same however many the
+# registry holds.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$|^BenchmarkMovePublish|^BenchmarkOwners$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkResolveHot|BenchmarkPublishIngestParallel|^BenchmarkServePipelinedTCP$$|^BenchmarkMovePublish|^BenchmarkOwners$$|^BenchmarkNodeNew$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/live | tee bench_gate.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLookupHitParallel$$|^BenchmarkPutEvict$$' \
 		-benchtime $(GATETIME) -benchmem ./internal/loccache | tee -a bench_gate.txt

@@ -404,26 +404,34 @@ func BenchmarkResolveColdMiss(b *testing.B) {
 // benchPublishCluster starts three stationary replicas plus one mobile
 // publisher that owns ownedKeys resource records beyond its identity key
 // and places every record on replication of the three (0: the default).
-func benchPublishCluster(b *testing.B, ownedKeys, replication int) (*Node, *metrics.Counters) {
+// stop closes all four nodes.
+func benchPublishCluster(b *testing.B, ownedKeys, replication int) (pub *Node, counters *metrics.Counters, stop func()) {
 	b.Helper()
-	counters := metrics.NewCounters()
+	counters = metrics.NewCounters()
 	mem := transport.NewMem()
-	var servers []*Node
+	var nodes []*Node
+	stop = func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	}
 	for _, name := range []string{"bench-r1", "bench-r2", "bench-r3"} {
 		nd := mustNode(b, Config{Name: name, Capacity: 4, RetryAttempts: 1}, mem)
+		nodes = append(nodes, nd)
 		if err := nd.Start(""); err != nil {
+			stop()
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { nd.Close() })
-		servers = append(servers, nd)
 	}
-	pub := mustNode(b, Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Replication: replication, Counters: counters}, mem)
+	pub = mustNode(b, Config{Name: "bench-pub", Capacity: 2, Mobile: true, RetryAttempts: 1, Replication: replication, Counters: counters}, mem)
+	nodes = append(nodes, pub)
 	if err := pub.Start(""); err != nil {
+		stop()
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { pub.Close() })
-	for _, nd := range append(servers[1:], pub) {
-		if err := nd.JoinViaContext(context.Background(), servers[0].Addr()); err != nil {
+	for _, nd := range nodes[1:] {
+		if err := nd.JoinViaContext(context.Background(), nodes[0].Addr()); err != nil {
+			stop()
 			b.Fatal(err)
 		}
 	}
@@ -432,7 +440,7 @@ func benchPublishCluster(b *testing.B, ownedKeys, replication int) (*Node, *metr
 		keys[i] = hashkey.FromName(fmt.Sprintf("bench-obj-%d", i))
 	}
 	pub.OwnKeys(keys...)
-	return pub, counters
+	return pub, counters, stop
 }
 
 // benchmarkPublish measures one publication by a publisher of 1, 100 or
@@ -450,7 +458,8 @@ func benchmarkPublish(b *testing.B, ownedKeys int, full bool) {
 	if !full {
 		replication = 3
 	}
-	pub, counters := benchPublishCluster(b, ownedKeys, replication)
+	pub, counters, stop := benchPublishCluster(b, ownedKeys, replication)
+	b.Cleanup(stop)
 	ctx := context.Background()
 	if err := pub.PublishContext(ctx); err != nil {
 		b.Fatal(err)
@@ -471,6 +480,26 @@ func benchmarkPublish(b *testing.B, ownedKeys int, full bool) {
 func BenchmarkPublishBatch1(b *testing.B)   { benchmarkPublish(b, 0, true) }
 func BenchmarkPublishBatch100(b *testing.B) { benchmarkPublish(b, 99, true) }
 func BenchmarkPublishBatch10k(b *testing.B) { benchmarkPublish(b, 9999, true) }
+
+// BenchmarkPublishFirst10k is a node's first full publish of 10k owned
+// records, into replicas that hold nothing yet: every record is a new
+// slot at its holders. Each iteration starts a fresh cluster, off the
+// clock. `make bench` records it in BENCH_publish.json.
+func BenchmarkPublishFirst10k(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pub, _, stop := benchPublishCluster(b, 9999, 0)
+		b.StartTimer()
+		err := pub.PublishContext(ctx)
+		b.StopTimer()
+		stop()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkMovePublish1(b *testing.B)   { benchmarkPublish(b, 0, false) }
 func BenchmarkMovePublish100(b *testing.B) { benchmarkPublish(b, 99, false) }
@@ -506,4 +535,21 @@ func BenchmarkPublishIngestParallel(b *testing.B) {
 			n.handlePublishBatch(msg)
 		}
 	})
+}
+
+// BenchmarkNodeNew builds a node with counters and gauges on, each with
+// registries of its own, the way cmd/bristled and the loadgen's cluster
+// do, and closes it: what a node costs before it joins. `make bench`
+// records it in BENCH_publish.json and `make bench-gate` holds its
+// allocations.
+func BenchmarkNodeNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nd, err := New("bench-new", &transport.TCP{},
+			WithCounters(metrics.NewCounters()), WithGauges(metrics.NewGauges()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nd.Close()
+	}
 }

@@ -195,26 +195,35 @@ func TestPublishBatchRPCCountAndAtomicIngest(t *testing.T) {
 	}
 }
 
-// frameTap records the type of every frame its node's sessions write.
+// frameTap records the type of every frame its node's sessions write, and
+// the records of every TPublishBatch by the address it went to.
 type frameTap struct {
 	transport.Transport
-	mu    sync.Mutex
-	types []wire.MsgType
+	mu      sync.Mutex
+	types   []wire.MsgType
+	records map[string][]wire.Entry
 }
 
 func (t *frameTap) DialContext(ctx context.Context, addr string) (transport.Conn, error) {
 	c, err := t.Transport.DialContext(ctx, addr)
-	return &tapConn{Conn: c, tap: t}, err
+	return &tapConn{Conn: c, tap: t, addr: addr}, err
 }
 
 type tapConn struct {
 	transport.Conn
-	tap *frameTap
+	tap  *frameTap
+	addr string
 }
 
 func (c *tapConn) Queue(m *wire.Message) error {
 	c.tap.mu.Lock()
 	c.tap.types = append(c.tap.types, m.Type)
+	if m.Type == wire.TPublishBatch {
+		if c.tap.records == nil {
+			c.tap.records = make(map[string][]wire.Entry)
+		}
+		c.tap.records[c.addr] = append(c.tap.records[c.addr], m.Entries...)
+	}
 	c.tap.mu.Unlock()
 	return c.Conn.Queue(m)
 }

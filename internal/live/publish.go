@@ -118,7 +118,7 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 	}
 	// Every batch leads with the binding: it is the record the others
 	// resolve through, and the whole of a move's batch. The batches share
-	// this one until a record is appended, which copies (its capacity is 1).
+	// this one, a batch of length 1, until a holder's first owned record.
 	binding := []wire.Entry{self}
 	batches := make(map[string][]wire.Entry, len(v.ring))
 	identity := make([]string, 0, n.cfg.Replication)
@@ -142,12 +142,15 @@ func (n *Node) publish(ctx context.Context, full bool) error {
 		}
 	}
 	slices.Sort(keys)
+	// A holder's batch is sized once: its expected share, plus an eighth.
+	size := 1 + len(keys)*min(n.cfg.Replication, len(v.ring))/len(v.ring)
+	size += size / 8
 	for _, k := range keys {
 		rec := wire.Entry{Key: k, TTLMilli: self.TTLMilli, Epoch: self.Epoch}
 		for _, o := range replicasOf(k) {
 			b := batches[o.Addr]
-			if b == nil {
-				b = binding
+			if len(b) < 2 {
+				b = append(make([]wire.Entry, 0, size), self)
 			}
 			batches[o.Addr] = append(b, rec)
 		}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -208,6 +209,59 @@ func TestMoveSendsOneRecordPerHolder(t *testing.T) {
 				}
 				r.wantEverywhere(r.mob, keys[:min(len(keys), 500)])
 				r.wantEverywhere(r.mob, []hashkey.Key{r.mob.Key()})
+			}
+		})
+	}
+}
+
+// TestFullPublishBatchesPerHolder: a full publish sends each holder the
+// binding and then, in key order, exactly the owned keys it replicates —
+// at rings smaller than, equal to and larger than the replication factor.
+func TestFullPublishBatchesPerHolder(t *testing.T) {
+	const k = 2
+	for _, size := range []int{1, 2, 4, 16} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			mem := transport.NewMem()
+			tap := &frameTap{Transport: mem}
+			tr := func(name string) transport.Transport {
+				if name == "mob" {
+					return tap
+				}
+				return mem
+			}
+			r := startPubRing(t, tr, size, Config{Capacity: 4, Replication: k, RequestTimeout: time.Second})
+			keys := testKeys("obj", 300)
+			slices.Sort(keys)
+			r.mob.OwnKeys(keys...)
+			tap.mu.Lock()
+			tap.records = nil
+			tap.mu.Unlock()
+			if err := r.mob.PublishContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			self, ring := r.mob.SelfEntry(), r.mob.members.snapshot().ring
+			want := make(map[string][]wire.Entry)
+			for _, o := range replicas(nil, ring, self.Key, k, 0) {
+				want[o.Addr] = []wire.Entry{self}
+			}
+			for _, key := range keys {
+				for _, o := range replicas(nil, ring, key, k, 0) {
+					if want[o.Addr] == nil {
+						want[o.Addr] = []wire.Entry{self}
+					}
+					want[o.Addr] = append(want[o.Addr], wire.Entry{Key: key, TTLMilli: self.TTLMilli, Epoch: self.Epoch})
+				}
+			}
+			tap.mu.Lock()
+			defer tap.mu.Unlock()
+			if len(tap.records) != len(want) {
+				t.Fatalf("publish reached %d holders, want %d", len(tap.records), len(want))
+			}
+			for addr, recs := range want {
+				if got := tap.records[addr]; !slices.Equal(got, recs) {
+					t.Fatalf("holder %s got %d records, want %d: the binding, then its keys in key order", addr, len(got), len(recs))
+				}
 			}
 		})
 	}

@@ -18,9 +18,9 @@ import (
 //	hits := counters.Counter("loccache.hit") // once
 //	hits.Inc()                               // per event: one atomic add
 //
-// Inc by name resolves the name through the registry's copy-on-write
-// index to the same handle, so a count made either way is one number.
-// Only registering a name the registry has not seen takes the mutex.
+// Inc by name resolves the name through the registry's index to the same
+// handle, so a count made either way is one number. Only a name missing
+// from the index's read copy (registry.go) takes the mutex.
 type Counters struct {
 	ix index[Counter]
 }
@@ -63,7 +63,7 @@ func (c *Counters) Get(name string) uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.ix.lookup(name).Value()
+	return c.ix.get(name, nil).Value()
 }
 
 // Sum returns the total of the named counters — the building block of

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -263,7 +264,8 @@ func TestNilHandlesAreNoOpSinks(t *testing.T) {
 
 // TestFirstUseRegistrationRace: goroutines that meet a name for the first
 // time at the same moment agree on one handle, and no count made through
-// a handle that lost the race is dropped.
+// a handle that lost the race, or by name while other names register and
+// Snapshot walks the table, is dropped.
 func TestFirstUseRegistrationRace(t *testing.T) {
 	c := NewCounters()
 	g := NewGauges()
@@ -278,28 +280,63 @@ func TestFirstUseRegistrationRace(t *testing.T) {
 				name := "n" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 				handles[w][i] = c.Counter(name)
 				handles[w][i].Inc()
+				c.Inc(name)
 				g.Gauge(name).Add(1)
+				c.Snapshot()
+				g.Snapshot()
 			}
 		}(w)
 	}
 	wg.Wait()
+	snap := c.Snapshot()
 	for i := 0; i < names; i++ {
 		for w := 1; w < workers; w++ {
 			if handles[w][i] != handles[0][i] {
 				t.Fatalf("name %d: two handles for one name", i)
 			}
 		}
-		if got := handles[0][i].Value(); got != workers {
-			t.Fatalf("name %d counted %d, want %d", i, got, workers)
+		if got := handles[0][i].Value(); got != 2*workers {
+			t.Fatalf("name %d counted %d, want %d", i, got, 2*workers)
 		}
 	}
-	if got := len(c.Snapshot()); got != names {
-		t.Fatalf("%d names registered, want %d", got, names)
+	if len(snap) != names {
+		t.Fatalf("%d names registered, want %d", len(snap), names)
+	}
+	for name, v := range snap {
+		if v != 2*workers {
+			t.Fatalf("counter %s = %d, want %d", name, v, 2*workers)
+		}
 	}
 	for name, v := range g.Snapshot() {
 		if v != workers {
 			t.Fatalf("gauge %s = %d, want %d", name, v, workers)
 		}
+	}
+}
+
+// TestRegisterCostIsFlat: registering a new name allocates as much with
+// 1,000 names registered as with 10 — a registration does not copy the
+// table.
+func TestRegisterCostIsFlat(t *testing.T) {
+	const runs = 100
+	cost := func(registered int) float64 {
+		c := NewCounters()
+		for i := 0; i < registered; i++ {
+			c.Counter(fmt.Sprintf("old%d", i))
+		}
+		c.Inc("old0")                   // a by-name read: the lock-free copy holds every name
+		names := make([]string, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range names {
+			names[i] = fmt.Sprintf("new%d", i)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			c.Counter(names[i])
+			i++
+		})
+	}
+	if few, many := cost(10), cost(1000); few != many {
+		t.Fatalf("registering a name: %v allocs with 10 registered, %v with 1000", few, many)
 	}
 }
 
@@ -375,6 +412,27 @@ func BenchmarkCounterAddParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			h.Inc()
+		}
+	})
+}
+
+// BenchmarkCountersInc is one add by name on one processor: a read of the
+// index's lock-free copy, then the handle's add.
+func BenchmarkCountersInc(b *testing.B) {
+	c := NewCounters()
+	c.Inc("x")
+	for i := 0; i < b.N; i++ {
+		c.Inc("x")
+	}
+}
+
+// BenchmarkCountersIncParallel is one add by name from every processor.
+func BenchmarkCountersIncParallel(b *testing.B) {
+	c := NewCounters()
+	c.Inc("x")
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Inc("x")
 		}
 	})
 }

@@ -29,7 +29,7 @@ func (g *Gauges) Get(name string) int64 {
 	if g == nil {
 		return 0
 	}
-	return g.ix.lookup(name).Value()
+	return g.ix.get(name, nil).Value()
 }
 
 // Snapshot copies every gauge that has been moved or set.

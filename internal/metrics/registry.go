@@ -2,58 +2,64 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// index is the name table shared by Counters and Gauges: a copy-on-write
-// map behind an atomic pointer. Resolving a registered name is one load
-// and one map read; registering a new one clones the map under mu. Names
-// are never removed, so a handle stays valid for the registry's life.
+// index is the name table shared by Counters and Gauges: every name in
+// names, under mu, and a copy of it behind an atomic pointer that a read
+// resolves through with one load and one map read. Registering a name
+// copies nothing; the first read that misses the copy afterwards
+// republishes it. Names are never removed, so a handle stays valid for
+// the registry's life.
 type index[T any] struct {
-	m  atomic.Pointer[map[string]*T]
-	mu sync.Mutex // serialises registration only
+	read  atomic.Pointer[map[string]*T] // never modified once stored
+	mu    sync.Mutex
+	names map[string]*T // every registered name; guarded by mu
 }
 
-// lookup returns name's handle, or nil when it was never registered.
-func (ix *index[T]) lookup(name string) *T {
-	if m := ix.m.Load(); m != nil {
-		return (*m)[name]
-	}
-	return nil
-}
-
-// get returns name's handle, registering a fresh one on first use.
-// Concurrent first uses of one name agree on a single handle.
+// get returns name's handle, registering a fresh one on first use unless
+// fresh is nil. Concurrent first uses of one name agree on a single handle.
 func (ix *index[T]) get(name string, fresh func() *T) *T {
-	if h := ix.lookup(name); h != nil {
-		return h
+	if m := ix.read.Load(); m != nil {
+		if h := (*m)[name]; h != nil {
+			return h
+		}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if h := ix.lookup(name); h != nil {
+	if h := ix.names[name]; h != nil || fresh == nil {
+		ix.publish()
 		return h
 	}
-	next := make(map[string]*T)
-	if m := ix.m.Load(); m != nil {
-		for k, v := range *m {
-			next[k] = v
-		}
+	if ix.names == nil {
+		ix.names = make(map[string]*T)
 	}
 	h := fresh()
-	next[name] = h
-	ix.m.Store(&next)
+	ix.names[name] = h
 	return h
 }
 
-// all returns the current name table; the caller must not modify it.
+// all returns every registered name's handle; the caller must not modify
+// the map.
 func (ix *index[T]) all() map[string]*T {
-	if m := ix.m.Load(); m != nil {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.publish()
+}
+
+// publish returns the read copy, first replacing it with a copy of names
+// if a name was registered since it was made. The caller holds mu.
+func (ix *index[T]) publish() map[string]*T {
+	if m := ix.read.Load(); m != nil && len(*m) == len(ix.names) {
 		return *m
 	}
-	return nil
+	m := maps.Clone(ix.names)
+	ix.read.Store(&m)
+	return m
 }
 
 // render prints a snapshot as "name=value" pairs in sorted order, or
