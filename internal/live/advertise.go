@@ -15,8 +15,8 @@ package live
 //     an unchanged registry every move takes the same paths, so no push
 //     overtakes another; epochTable.observe drops what a changed tree or
 //     the network still reorders before it is applied or re-delegated.
-//   - Shutdown is the pool's: a send only enqueues, and a dial still
-//     running when the node closes ends with the pool's life.
+//   - Shutdown is the node's: a send only enqueues, and a dial still
+//     running when the node closes ends with the node's lifetime.
 //   - A slow head is its session's: its frames wait behind its dial, not
 //     in front of the other heads', so an unreachable head costs its own
 //     subtree a late binding and nobody else anything. No head holds a

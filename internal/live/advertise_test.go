@@ -4,7 +4,7 @@ package live
 // straight to the head's pooled session. What a sender-side queue once
 // promised is pinned here against the mechanisms that keep it — FIFO
 // sessions and forwarding on the reader (no registrant is pushed
-// backwards), the pool's life (epoch_test.go's TestCloseUnblocksLDTFanOut),
+// backwards), the node's lifetime (epoch_test.go's TestCloseUnblocksLDTFanOut),
 // sessions that dial on their own (a black-holed head delays nobody), and
 // the handler owning its sends (no goroutine is left behind).
 

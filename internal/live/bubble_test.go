@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
 	"strings"
 	"sync"
@@ -200,7 +201,7 @@ func TestBubbleExchangesStayBounded(t *testing.T) {
 			sink, _ := startUpdateSink(t, mem) // reads every frame, answers none
 			counters := metrics.NewCounters()
 			p, peers := newTestPool(mem, PoolConfig{}, counters)
-			defer p.Close()
+			defer p.n.Close()
 			start := time.Now()
 			_, err := p.roundTrip(context.Background(), peers.get(sink.Addr(), true), &wire.Message{Type: wire.TPing}, start, start.Add(time.Second))
 			if d := time.Since(start); d != time.Second || !transport.IsTimeout(err) {
@@ -229,7 +230,7 @@ func TestBubbleExchangesStayBounded(t *testing.T) {
 			l := startDiscoverEcho(t, faulty.Endpoint("server")) // the replies cross the faults
 			counters := metrics.NewCounters()
 			p, peers := newTestPool(mem, PoolConfig{}, counters)
-			defer p.Close()
+			defer p.n.Close()
 			pr := peers.get(l.Addr(), true)
 			start := time.Now()
 			type outcome struct {
@@ -279,7 +280,7 @@ func TestBubbleExchangesStayBounded(t *testing.T) {
 				defer silent.stop()
 				counters := metrics.NewCounters()
 				p, peers := newTestPool(mem, PoolConfig{}, counters)
-				defer p.Close()
+				defer p.n.Close()
 				pr := peers.get(silent.l.Addr(), true)
 				big := halfPipeFrame()
 				start := time.Now()
@@ -322,7 +323,7 @@ func TestBubbleExchangesStayBounded(t *testing.T) {
 			l := startLateEcho(t, mem, 2*time.Second)
 			counters := metrics.NewCounters()
 			p, peers := newTestPool(mem, PoolConfig{}, counters)
-			defer p.Close()
+			defer p.n.Close()
 			pr := peers.get(l.Addr(), true)
 			start := time.Now()
 			type outcome struct {
@@ -373,7 +374,7 @@ func TestBubbleExchangesStayBounded(t *testing.T) {
 			defer silent.stop()
 			counters := metrics.NewCounters()
 			p, peers := newTestPool(mem, PoolConfig{}, counters)
-			defer p.Close()
+			defer p.n.Close()
 			pr := peers.get(silent.l.Addr(), true)
 			pushBy := time.Now().Add(10 * time.Second)
 			for i := 0; i < 2; i++ {
@@ -451,7 +452,7 @@ func TestBubbleTeardownSettlesReaderAndFollowers(t *testing.T) {
 		mem := transport.NewMem()
 		sink, _ := startUpdateSink(t, mem)
 		p, peers := newTestPool(mem, PoolConfig{}, nil)
-		defer p.Close()
+		defer p.n.Close()
 		pr := peers.get(sink.Addr(), true)
 		start := time.Now()
 		errs := make(chan error, callers)
@@ -497,7 +498,7 @@ func TestBubbleDialedSessionHoldsNoGoroutine(t *testing.T) {
 		mem := transport.NewMem()
 		server := startPingServer(t, mem)
 		p, peers := newTestPool(mem, PoolConfig{}, nil)
-		defer p.Close()
+		defer p.n.Close()
 		synctest.Wait()
 		before := bubbleGoroutines()
 		if _, err := p.roundTrip(context.Background(), peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
@@ -516,13 +517,13 @@ func TestBubbleDialedSessionHoldsNoGoroutine(t *testing.T) {
 // and closes its conns (C); the pool evicts its idle sessions (E). Every
 // order of those seven events is run, each event at its own virtual
 // instant a step apart — R after S, and A before B, since the pushes are
-// alike — and pool.Close ends each schedule a step after the last. The
-// exchange's ctx ends 1.25 steps after it starts and its deadline is 2.75
-// steps; a push's deadline is 3.5 steps after its send. Every frame takes
-// over half of what a peer leaves unread before a writer waits, so a
-// stopped peer blocks the second write. After each schedule:
+// alike — and the pool's node's Close ends each schedule a step after the
+// last. The exchange's ctx ends 1.25 steps after it starts and its
+// deadline is 2.75 steps; a push's deadline is 3.5 steps after its send.
+// Every frame takes over half of what a peer leaves unread before a writer
+// waits, so a stopped peer blocks the second write. After each schedule:
 //   - the exchange returned once, and no later than its ctx's end;
-//   - pool.Close returned at the instant it was called;
+//   - Node.Close returned at the instant it was called;
 //   - the peer received each push once, or the schedule explains the
 //     loss: the peer closed after the send, or was not reading at the
 //     push's deadline;
@@ -577,10 +578,12 @@ func runPoolSchedule(schedule string) (faults []string) {
 	mem := transport.NewMem()
 	sp := startScriptedPeer(mem, step/4)
 	gauges := metrics.NewGauges()
-	peers := &peerTable{}
-	peers.init()
-	p := newPool(mem, PoolConfig{}, func(*peer, error) {}, metrics.NewCounters(), gauges)
-	pr := peers.get(sp.l.Addr(), true)
+	n, err := newNode(Config{Name: "pool", SuspicionThreshold: 1 << 30, Counters: metrics.NewCounters(), Gauges: gauges}, mem)
+	if err != nil {
+		panic(err)
+	}
+	p := n.pool
+	pr := n.peers.get(sp.l.Addr(), true)
 
 	type outcome struct {
 		err  error
@@ -625,9 +628,9 @@ func runPoolSchedule(schedule string) (faults []string) {
 	}
 	time.Sleep(time.Until(instant(len(schedule))))
 	closing := time.Now()
-	p.Close()
+	n.Close()
 	if d := time.Since(closing); d != 0 {
-		fault("pool.Close took %v", d)
+		fault("Node.Close took %v", d)
 	}
 	synctest.Wait() // the peer reads what the pipe still holds, then EOF
 
@@ -762,9 +765,10 @@ func (sp *scriptedPeer) stop() {
 }
 
 // TestBubbleCloseJoinsPool: with the writer of last resort blocked on a
-// peer that reads nothing and a dial in flight, pool.Close returns at the
-// instant it is called, and leaves the bubble's exact goroutine baseline:
-// the teardown's close ends the blocked write, the pool's end the dial.
+// peer that reads nothing and a dial in flight, the pool's node's Close
+// returns at the instant it is called, and leaves the bubble's exact
+// goroutine baseline: the teardown's close ends the blocked write, the
+// end of the node's lifetime the dial.
 func TestBubbleCloseJoinsPool(t *testing.T) {
 	inBubble(t, func(t *testing.T) {
 		mem := transport.NewMem()
@@ -787,15 +791,82 @@ func TestBubbleCloseJoinsPool(t *testing.T) {
 			t.Fatalf("%d goroutines over the baseline before Close, want 3: the janitor, the blocked writer, the dial", got-baseline)
 		}
 		start := time.Now()
-		p.Close()
+		p.n.Close()
 		if d := time.Since(start); d != 0 {
-			t.Errorf("pool.Close took %v, want 0", d)
+			t.Errorf("Node.Close took %v, want 0", d)
 		}
 		synctest.Wait()
 		if got := bubbleGoroutines(); got != baseline {
-			t.Errorf("%d goroutines after pool.Close, want the baseline %d", got, baseline)
+			t.Errorf("%d goroutines after Node.Close, want the baseline %d", got, baseline)
 		}
 	})
+}
+
+// TestBubbleCloseJoinsNode: a started node runs its accept loop, the
+// pool's janitor, two maintenance loops whose stop is never called — the
+// gossip one parked in an exchange on a session dialing a peer that never
+// answers the dial — and the writer of last resort blocked on a peer that
+// reads nothing. Node.Close returns at the instant it is called, with the
+// gossip's exchange already ended by the teardown, ErrStopped, and logged
+// by its loop: Close joins the maintenance loops as it joins everything
+// else the node started, and the bubble is back at its exact baseline.
+func TestBubbleCloseJoinsNode(t *testing.T) {
+	inBubble(t, func(t *testing.T) {
+		mem := transport.NewMem()
+		silent := startSilentListener(t, mem, "")
+		defer silent.stop()
+		synctest.Wait()
+		baseline := bubbleGoroutines()
+		var logged lockedLog
+		n := mustNode(t, Config{Name: "node", RequestTimeout: time.Minute, Logger: log.New(&logged, "", 0)},
+			stuckDial{Mem: mem, stuck: "mem:stuck"})
+		if err := n.Start(""); err != nil {
+			t.Fatal(err)
+		}
+		n.members.apply(direct, wire.Entry{Key: hashkey.FromName("stuck"), Addr: "mem:stuck", Capacity: 1})
+		n.StartMaintenance(MaintainConfig{GossipInterval: 100 * time.Millisecond, ProbeInterval: time.Second})
+		pr := n.peers.get(silent.l.Addr(), true)
+		for i := 0; i < 2; i++ { // the second cannot fit: its write blocks
+			if err := n.pool.send(pr, halfPipeFrame(), farOff()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(time.Second)
+		if got := bubbleGoroutines(); got != baseline+6 {
+			t.Fatalf("%d goroutines over the baseline before Close, want 6: the accept loop, the janitor, two maintenance loops, the blocked writer, the dial", got-baseline)
+		}
+		start := time.Now()
+		n.Close()
+		if d := time.Since(start); d != 0 {
+			t.Errorf("Node.Close took %v, want 0", d)
+		}
+		if got, want := logged.String(), "maintenance gossip: "+ErrStopped.Error(); !strings.Contains(got, want) {
+			t.Errorf("when Close returned, the gossip loop had logged %q, want its exchange ended with %q", got, want)
+		}
+		synctest.Wait()
+		if got := bubbleGoroutines(); got != baseline {
+			t.Errorf("%d goroutines after Node.Close, want the baseline %d", got, baseline)
+		}
+	})
+}
+
+// lockedLog is a Logger's sink a test reads while the node may still be
+// writing to it.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // stuckDial is a Mem transport whose dials to stuck wait for their ctx.

@@ -444,8 +444,8 @@ func TestNoStaleResurrectionUnderDuplication(t *testing.T) {
 
 // TestCloseUnblocksLDTFanOut: a node handling a TUpdate whose delegated
 // subtree includes an unreachable peer re-advertises to it, and the peer's
-// session parks in the dial. The dial is bounded by the pool's life, not
-// by RequestTimeout alone: Close ends it, and returns promptly, leaking no
+// session parks in the dial. The dial is bounded by the node's lifetime,
+// not by RequestTimeout alone: Close ends it, and returns promptly, leaking no
 // goroutines.
 func TestCloseUnblocksLDTFanOut(t *testing.T) {
 	baseline := runtime.NumGoroutine()

@@ -7,11 +7,11 @@ package live
 //
 //   - ErrNotFound        terminal for this exchange; the record may appear
 //                        later (late binding), so poll, don't retry inline.
-//   - ErrStopped         terminal: the local node was closed.
+//   - ErrStopped         terminal: the local node was closed; an exchange
+//                        its pooled session carried when it closed ends
+//                        with it too.
 //   - ErrPeerSuspect     fail-fast from an open circuit breaker; no network
 //                        I/O happened. Clears after a successful probe.
-//   - ErrPoolClosed      terminal: the node's connection pool was shut down
-//                        (the node is closing).
 //   - ErrOverloaded      the one backpressure sentinel: a table the peer
 //                        bounds is full of live entries and it shed the
 //                        request. Back off before trying again. A peer
@@ -36,17 +36,14 @@ var (
 	// (unexpired) location record for the key.
 	ErrNotFound = errors.New("live: no valid location record")
 
-	// ErrStopped is returned when an operation races the node's Close.
+	// ErrStopped is returned when an operation races the node's Close,
+	// which tears down every pooled session with it.
 	ErrStopped = errors.New("live: node stopped")
 
 	// ErrPeerSuspect is returned without any network I/O when the target
 	// peer's circuit breaker is open: recent exchanges failed repeatedly,
 	// and the cooldown before the next probe has not elapsed.
 	ErrPeerSuspect = errors.New("live: peer suspect (circuit open)")
-
-	// ErrPoolClosed is returned by exchanges that race the connection
-	// pool's shutdown during node Close.
-	ErrPoolClosed = errors.New("live: connection pool closed")
 
 	// ErrOverloaded is returned when a peer refused a request because a
 	// table it bounds — R(self), its registry — is full of live entries.
@@ -55,16 +52,15 @@ var (
 )
 
 // Retryable reports whether a backed-off retry of the same exchange may
-// cure err. Protocol-fatal errors (wire.Fatal), local terminal states
-// (ErrStopped, ErrPoolClosed), and breaker fast-fails (ErrPeerSuspect —
-// retrying before the cooldown cannot help) are not retryable; transient
-// transport noise (timeouts, refused dials, torn or corrupted streams)
-// is.
+// cure err. Protocol-fatal errors (wire.Fatal), the local terminal state
+// (ErrStopped), and breaker fast-fails (ErrPeerSuspect — retrying before
+// the cooldown cannot help) are not retryable; transient transport noise
+// (timeouts, refused dials, torn or corrupted streams) is.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, ErrPeerSuspect) || errors.Is(err, ErrStopped) || errors.Is(err, ErrPoolClosed) {
+	if errors.Is(err, ErrPeerSuspect) || errors.Is(err, ErrStopped) {
 		return false
 	}
 	return wire.Retryable(err)

@@ -27,11 +27,13 @@ type MaintainConfig struct {
 
 // StartMaintenance launches the node's periodic duties — anti-entropy
 // gossip, lease renewal, suspect probing and the registry sweep — and
-// returns a stop function. Stopping is
-// idempotent, cancels whatever exchange a duty has in flight, and waits
-// for the loops to exit; closing the node stops them too. Errors inside
-// the loops are logged (when a Logger is configured) and do not stop
-// maintenance: a missed gossip round or renewal retries on the next tick.
+// returns a stop function. Stopping is idempotent, cancels whatever
+// exchange a duty has in flight, and waits for the loops to exit. The
+// loops are goroutines the node counts (enter), so Close ends and joins
+// them too, whether or not stop was called; a stopped node starts none.
+// Errors inside the loops are logged (when a Logger is configured) and do
+// not stop maintenance: a missed gossip round or renewal retries on the
+// next tick.
 func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	if cfg.RenewInterval == 0 && n.cfg.LeaseTTL > 0 {
 		cfg.RenewInterval = n.cfg.LeaseTTL / 2
@@ -42,16 +44,17 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 	}
 
 	ctx, cancel := context.WithCancel(n.runCtx)
-	var wg sync.WaitGroup
+	var loops sync.WaitGroup // what stop waits for; Close waits on the node's
 	// every runs duty once per interval until ctx ends; a zero interval
 	// disables the duty.
 	every := func(interval time.Duration, duty func()) {
-		if interval <= 0 {
+		if interval <= 0 || !n.enter() {
 			return
 		}
-		wg.Add(1)
+		loops.Add(1)
 		go func() {
-			defer wg.Done()
+			defer n.wg.Done()
+			defer loops.Done()
 			t := time.NewTicker(interval)
 			defer t.Stop()
 			for {
@@ -82,6 +85,6 @@ func (n *Node) StartMaintenance(cfg MaintainConfig) (stop func()) {
 
 	return func() {
 		cancel()
-		wg.Wait()
+		loops.Wait()
 	}
 }

@@ -242,8 +242,9 @@ type binding struct {
 // guards itself, and no request-path operation (publish ingest, discover,
 // update, register, resolve) takes a lock shared with any other concern:
 //
-//   - lifeMu guards lifecycle transitions only (listener swaps, the stop
-//     flag); handlers never touch it.
+//   - lifeMu guards lifecycle transitions (listener swaps, the stop flag)
+//     and the pool's set of sessions, and orders every goroutine start
+//     the node counts (enter) against Close; it is never held across I/O.
 //   - self is the atomically published (addr, epoch) binding.
 //   - members, the stationary ring, is one immutable key-sorted slice
 //     behind an atomic pointer (membership.go): reads are lock-free, and a
@@ -251,7 +252,8 @@ type binding struct {
 //     private writer mutex and swaps once.
 //   - registry, written far more often than read, is a map under its own
 //     mutex.
-//   - store and seen are sixteen-way key-sharded tables (store.go).
+//   - store is a sixteen-way key-sharded table, seen one map under one
+//     mutex (store.go).
 //   - owned, and what the node remembers of its last full publish, have
 //     their own small mutex (publish.go).
 //   - peers is the one per-address table (peer.go): RTT estimates and
@@ -273,7 +275,7 @@ type Node struct {
 	members  membership    // the stationary ring (incl. self if stationary); one COW slice
 	registry registryTable // R(self): interested nodes, leased; locked map
 	store    recordStore   // sharded repository of published records
-	seen     epochTable    // sharded newest-ingested TUpdate epochs
+	seen     epochTable    // newest-ingested TUpdate epochs
 
 	// ids binds each verified joiner's key to a fingerprint of the public
 	// identity that earned it (join.go): a later join may re-present the
@@ -310,8 +312,8 @@ type Node struct {
 
 	// runCtx is the node's lifecycle context: canceled by Close, it bounds
 	// every background send the node originates on its own behalf (LDT
-	// re-advertisement, detached flights) so shutdown never stalls on
-	// in-flight fan-out.
+	// re-advertisement, detached flights, maintenance) and every dial of
+	// the pool, so shutdown never stalls on in-flight fan-out.
 	runCtx    context.Context
 	runCancel context.CancelFunc
 }
@@ -352,16 +354,14 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
 	n.peers.init()
-	oneWayResult := func(p *peer, err error) { p.breakerResult(n, err, false) }
-	n.pool = newPool(tr, cfg.Pool, oneWayResult, cfg.Counters, cfg.Gauges)
+	n.runCtx, n.runCancel = context.WithCancel(context.Background())
+	n.pool = newPool(n)
 	// The epoch is seeded from the wall clock so a restarted node (fresh
 	// process, same name) still outranks its pre-crash publications.
 	n.self.Store(&binding{epoch: nextEpoch(0)})
 	n.members.init(key)
 	n.registry.init(registryMax)
 	n.store.init()
-	n.seen.init()
-	n.runCtx, n.runCancel = context.WithCancel(context.Background())
 	return n, nil
 }
 
@@ -463,15 +463,26 @@ func (n *Node) attach(listenAddr string, move bool) error {
 func (n *Node) enter() bool {
 	n.lifeMu.Lock()
 	defer n.lifeMu.Unlock()
+	return n.enterLocked()
+}
+
+// enterLocked is enter for a caller that holds lifeMu, so that what it
+// admits with the goroutine — the pool's new session — is admitted in the
+// same critical section as the stopped check.
+func (n *Node) enterLocked() bool {
 	if !n.stopped {
 		n.wg.Add(1)
 	}
 	return !n.stopped
 }
 
-// Close stops serving: the connection pool drains, the listener and every
-// accepted connection close, and every goroutine the node started — the
-// server's, and a publish's fan-out — has exited when it returns.
+// Close stops the node, the one way it stops: every pooled session tears
+// down with ErrStopped, the node's lifetime ends — the pool's dials and
+// janitor, a publish's fan-out, a detached flight and the maintenance
+// loops — the listener and every accepted connection close, and every
+// goroutine the node started has exited when it returns. Teardown comes
+// before the cancel, so a dial cut short fails its waiters with
+// ErrStopped, not with the cancellation.
 func (n *Node) Close() error {
 	n.lifeMu.Lock()
 	if n.stopped {
@@ -481,8 +492,10 @@ func (n *Node) Close() error {
 	n.stopped = true
 	ls := n.listener
 	n.lifeMu.Unlock()
-	n.runCancel() // abort a publish's fan-out and a detached flight
-	n.pool.Close()
+	for _, s := range n.pool.current() { // no session joins once stopped
+		s.teardown(ErrStopped) // its drop releases the slot
+	}
+	n.runCancel()
 	if ls != nil {
 		ls.close()
 	}

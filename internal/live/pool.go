@@ -22,6 +22,12 @@ package live
 // the cap — after an admission, after a drain or an exchange that leaves a
 // session idle, and on each janitor tick. A session is idle when
 // nobody waits on it and nobody writes on it, so an eviction loses no frame.
+//
+// The pool has no lifetime of its own; it lives in its node's. A dial, a
+// drain and the janitor are goroutines the node counts (enter) and
+// Node.Close joins, a dial runs under the node's lifetime context, and a
+// session is admitted only while the node runs: Close tears down every
+// session admitted before it stopped the node.
 
 import (
 	"context"
@@ -72,7 +78,7 @@ var (
 // pool owns at most one session per peer: the sess of its record in the
 // peer table.
 type pool struct {
-	tr  transport.Transport
+	n   *Node // whose lifetime the pool's goroutines run in, and whose breakers hear of one-way frames
 	cfg PoolConfig
 
 	// Event and level handles, taken once at construction (nil without a
@@ -83,29 +89,23 @@ type pool struct {
 	frames, flushes             *metrics.Counter // frames sent, and the writes that carried them
 	sessions, inflight          *metrics.Gauge
 
-	closed atomic.Bool
-	nsess  atomic.Int64 // len(held), written under mu, read by trim without it
+	nsess atomic.Int64 // len(held), written under the node's lifeMu, read by trim without it
 
 	// held is every session a peer holds, so the janitor, cap eviction and
 	// Close walk the pool's own few sessions, not every address the node
-	// has ever tried. mu is taken under a peer's mutex, never around one.
-	mu   sync.Mutex
+	// has ever tried. It is guarded by the node's lifeMu, taken under a
+	// peer's mutex, never around one: a session joins it in the critical
+	// section that checks the node has not stopped.
 	held map[*session]struct{}
-
-	// oneWayResult feeds a peer's breaker what only the pool sees of a
-	// one-way frame: queued on a connected session, or its dial's outcome.
-	oneWayResult func(*peer, error)
-
-	life context.Context // bounds every dial, drain and the janitor; Close cancels it
-	stop context.CancelFunc
-	wg   sync.WaitGroup // janitor, dials and drains
 }
 
-func newPool(tr transport.Transport, cfg PoolConfig, oneWayResult func(*peer, error), counters *metrics.Counters, gauges *metrics.Gauges) *pool {
+// newPool builds n's pool and starts its janitor. n's lifetime context
+// must exist.
+func newPool(n *Node) *pool {
+	counters, gauges := n.cfg.Counters, n.cfg.Gauges
 	p := &pool{
-		tr:           tr,
-		cfg:          cfg.withDefaults(),
-		oneWayResult: oneWayResult,
+		n:   n,
+		cfg: n.cfg.Pool,
 
 		dials:         counters.Counter("pool.dials"),
 		broken:        counters.Counter("pool.broken"),
@@ -120,9 +120,9 @@ func newPool(tr transport.Transport, cfg PoolConfig, oneWayResult func(*peer, er
 
 		held: make(map[*session]struct{}),
 	}
-	p.life, p.stop = context.WithCancel(context.Background())
-	p.wg.Add(1)
-	go p.janitor()
+	if n.enter() {
+		go p.janitor()
+	}
 	return p
 }
 
@@ -222,19 +222,21 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 		pending: make(map[uint32]*waiter),
 		lastUse: time.Now(),
 	}
-	// Close marks closed before it snapshots held, so a session joins held
+	// Close sets stopped before it snapshots held, so a session joins held
 	// before that snapshot — to be torn down with the rest — or not at
 	// all; its dial is counted before Close can wait.
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		pr.mu.Unlock()
-		return nil, ErrPoolClosed
+	n := p.n
+	n.lifeMu.Lock()
+	admitted := n.enterLocked()
+	if admitted {
+		p.held[s] = struct{}{}
+		p.sessions.Set(p.nsess.Add(1))
 	}
-	p.held[s] = struct{}{}
-	p.sessions.Set(p.nsess.Add(1))
-	p.wg.Add(1)
-	p.mu.Unlock()
+	n.lifeMu.Unlock()
+	if !admitted {
+		pr.mu.Unlock()
+		return nil, ErrStopped
+	}
 	pr.sess = s
 	pr.mu.Unlock()
 	// Not under pr.mu: a victim's teardown takes its own peer's mutex. The
@@ -246,25 +248,25 @@ func (p *pool) acquire(pr *peer, by time.Time) (*session, error) {
 	return s, nil
 }
 
-// dial connects under the pool's life and by the creating attempt's
+// dial connects under the node's lifetime and by the creating attempt's
 // deadline, hands the reader role to a request registered meanwhile, and
 // writes the frames staged meanwhile. Its outcome is the pool's to record
 // when only one-way frames were waiting — a waiting request records its
 // own.
 func (s *session) dial(by time.Time) {
-	defer s.p.wg.Done()
-	ctx, cancel := context.WithDeadline(s.p.life, by)
-	conn, err := s.p.tr.DialContext(ctx, s.peer.addr)
+	defer s.p.n.wg.Done()
+	ctx, cancel := context.WithDeadline(s.p.n.runCtx, by)
+	conn, err := s.p.n.tr.DialContext(ctx, s.peer.addr)
 	cancel()
 	if err != nil {
 		if s.teardown(err) {
-			s.p.oneWayResult(s.peer, err)
+			s.peer.breakerResult(s.p.n, err, false)
 		}
 		return
 	}
 	s.wmu.Lock()
 	s.mu.Lock()
-	torn := s.torn // pool closed while dialing
+	torn := s.torn // the node stopped while dialing
 	if !torn {
 		s.conn = conn
 		s.promote()
@@ -280,7 +282,7 @@ func (s *session) dial(by time.Time) {
 	}
 	s.p.dials.Inc()
 	if oneWayOnly {
-		s.p.oneWayResult(s.peer, nil)
+		s.peer.breakerResult(s.p.n, nil, false)
 	}
 	if write {
 		s.drain(oneWayOnly)
@@ -343,16 +345,11 @@ func (s *session) write(ctx context.Context, w *waiter, lead bool) {
 }
 
 // goDrain hands its caller's writer role to drain(probe), on a goroutine
-// counted under the pool's mu after the closed check, as acquire counts a
-// dial, so Close joins it. A closed pool has nobody left to write for, and
-// Close tears the session down.
+// the node counts, so Close joins it. A stopped node has nobody left to
+// write for, and Close tears the session down.
 func (s *session) goDrain(probe bool) {
-	p := s.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed.Load() {
-		p.wg.Add(1)
-		go func() { defer p.wg.Done(); s.drain(probe) }()
+	if n := s.p.n; n.enter() {
+		go func() { defer n.wg.Done(); s.drain(probe) }()
 	}
 }
 
@@ -587,7 +584,7 @@ func (s *session) teardown(err error) (oneWayOnly bool) {
 		s.p.evictionsIdle.Inc()
 	case errEvictedCap:
 		s.p.evictionsCap.Inc()
-	case ErrPoolClosed:
+	case ErrStopped:
 	default:
 		s.p.broken.Inc()
 	}
@@ -712,7 +709,7 @@ func (p *pool) send(pr *peer, m *wire.Message, by time.Time) error {
 		s.goDrain(true)
 	}
 	if conn != nil {
-		p.oneWayResult(pr, nil)
+		pr.breakerResult(p.n, nil, false)
 	}
 	return nil
 }
@@ -723,10 +720,10 @@ func (p *pool) drop(s *session) {
 	pr.mu.Lock()
 	if pr.sess == s {
 		pr.sess = nil
-		p.mu.Lock()
+		p.n.lifeMu.Lock()
 		delete(p.held, s)
 		p.sessions.Set(p.nsess.Add(-1))
-		p.mu.Unlock()
+		p.n.lifeMu.Unlock()
 	}
 	pr.mu.Unlock()
 }
@@ -735,8 +732,8 @@ func (p *pool) drop(s *session) {
 // from it is a best effort under concurrent churn, which eviction tolerates
 // by design: tearing down a session that was replaced meanwhile is a no-op.
 func (p *pool) current() []*session {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.n.lifeMu.Lock()
+	defer p.n.lifeMu.Unlock()
 	out := make([]*session, 0, len(p.held))
 	for s := range p.held {
 		out = append(out, s)
@@ -778,12 +775,12 @@ func (p *pool) lruIdle() (oldest *session, oldestUse time.Time) {
 }
 
 func (p *pool) janitor() {
-	defer p.wg.Done()
+	defer p.n.wg.Done()
 	t := time.NewTicker(max(p.cfg.IdleTimeout/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
-		case <-p.life.Done():
+		case <-p.n.runCtx.Done():
 			return
 		case now := <-t.C:
 			p.evictIdle(now)
@@ -801,18 +798,3 @@ func (p *pool) evictIdle(now time.Time) {
 
 // sessionCount reports the current number of pooled sessions.
 func (p *pool) sessionCount() int { return int(p.nsess.Load()) }
-
-// Close tears down every session, then ends the pool's life — the dials
-// and drains still running and the janitor — and waits for all pool
-// goroutines to exit. Tearing down first makes a dial cut short by Close fail its
-// waiters with ErrPoolClosed, not with the cancellation. Idempotent.
-func (p *pool) Close() {
-	if !p.closed.CompareAndSwap(false, true) {
-		return
-	}
-	for _, s := range p.current() {
-		s.teardown(ErrPoolClosed) // its drop releases the slot
-	}
-	p.stop()
-	p.wg.Wait()
-}

@@ -39,12 +39,15 @@ func poolTestConfig(name string, counters *metrics.Counters, gauges *metrics.Gau
 	}
 }
 
-// newTestPool is a pool without a node, hence without breakers, and a peer
-// table of its own for the sessions to hang off.
+// newTestPool is the pool of a node that never starts, with a suspicion
+// threshold out of reach, and the node's peer table for the sessions to
+// hang off. The node's Close (p.n.Close) is the pool's shutdown.
 func newTestPool(tr transport.Transport, cfg PoolConfig, counters *metrics.Counters) (*pool, *peerTable) {
-	peers := &peerTable{}
-	peers.init()
-	return newPool(tr, cfg, func(*peer, error) {}, counters, nil), peers
+	n, err := newNode(Config{Name: "pool", Pool: cfg, SuspicionThreshold: 1 << 30, Counters: counters}, tr)
+	if err != nil {
+		panic(err)
+	}
+	return n.pool, &n.peers
 }
 
 // TestPoolConcurrentDemuxUnderFaults hammers one pooled session from many
@@ -270,7 +273,7 @@ func TestPoolNoHeadOfLineBlocking(t *testing.T) {
 	l := startSlowServer(t, mem, slowFor)
 
 	p, peers := newTestPool(mem, PoolConfig{}, nil)
-	defer p.Close()
+	defer p.n.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -385,8 +388,8 @@ func holdsSession(pr *peer) bool {
 	return pr.sess != nil
 }
 
-// TestPoolClosedIsTerminal verifies exchanges racing Close fail with the
-// non-retryable ErrPoolClosed instead of hanging or retrying.
+// TestPoolClosedIsTerminal verifies exchanges racing the node's Close fail
+// with the non-retryable ErrStopped instead of hanging or retrying.
 func TestPoolClosedIsTerminal(t *testing.T) {
 	mem := transport.NewMem()
 	server := startPingServer(t, mem)
@@ -396,13 +399,13 @@ func TestPoolClosedIsTerminal(t *testing.T) {
 	if _, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff()); err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
+	p.n.Close()
 	_, err := p.roundTrip(ctx, peers.get(server.l.Addr(), true), &wire.Message{Type: wire.TPing}, time.Now(), farOff())
-	if err != ErrPoolClosed {
-		t.Fatalf("roundTrip after Close: err = %v, want ErrPoolClosed", err)
+	if err != ErrStopped {
+		t.Fatalf("roundTrip after Close: err = %v, want ErrStopped", err)
 	}
 	if Retryable(err) {
-		t.Error("ErrPoolClosed must not be retryable")
+		t.Error("ErrStopped must not be retryable")
 	}
 }
 
@@ -475,7 +478,7 @@ func TestPoolPushAfterPeerClosedIdleSession(t *testing.T) {
 			}()
 			counters := metrics.NewCounters()
 			p, peers := newTestPool(tc.tr, PoolConfig{}, counters)
-			defer p.Close()
+			defer p.n.Close()
 			pr := peers.get(l.Addr(), true)
 			push := func(key hashkey.Key) {
 				t.Helper()
@@ -516,7 +519,7 @@ func TestPoolEvictionWritesWhatItHolds(t *testing.T) {
 
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(gate, PoolConfig{MaxSessions: 1}, counters)
-	defer p.Close()
+	defer p.n.Close()
 	defer open() // before p.Close, which waits for the parked writer
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
@@ -557,7 +560,7 @@ func TestPoolEvictionBacksOffABusySession(t *testing.T) {
 	srv := startPingServer(t, mem)
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(mem, PoolConfig{}, counters)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(srv.l.Addr(), true)
 	s, err := p.acquire(pr, farOff())
 	if err != nil {
@@ -654,7 +657,7 @@ func TestPoolOneWayReturnsBeforeItsDial(t *testing.T) {
 	sink, got := startUpdateSink(t, mem)
 	gate := &gatedDial{Mem: mem, open: make(chan struct{})}
 	p, peers := newTestPool(gate, PoolConfig{}, nil)
-	defer p.Close()
+	defer p.n.Close()
 	push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: 1, Addr: "192.0.2.1:1", Epoch: 1}}
 	if err := p.send(peers.get(sink.Addr(), true), push, farOff()); err != nil {
 		t.Fatalf("one-way send behind a parked dial: %v", err)
@@ -670,7 +673,7 @@ func TestPoolRequestBehindFailedDial(t *testing.T) {
 	server := startPingServer(t, mem)
 	gate := &gatedDial{Mem: mem, open: make(chan struct{}), fail: transport.ErrRefused}
 	p, peers := newTestPool(gate, PoolConfig{}, nil)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(server.l.Addr(), true)
 	done := make(chan error, 1)
 	go func() {
@@ -788,7 +791,7 @@ func TestPoolParkedCallersShareWrites(t *testing.T) {
 	gate := &gatedSockTCP{open: make(chan struct{})}
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(gate, PoolConfig{}, counters)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(l.Addr(), true)
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -876,7 +879,7 @@ func TestRoundTripSettlesOnceAcrossDeadline(t *testing.T) {
 	l := startDiscoverEcho(t, faulty.Endpoint("server"))
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(faulty.Endpoint("client"), PoolConfig{}, counters)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(l.Addr(), true)
 
 	const workers, each = 16, 25
@@ -925,7 +928,7 @@ func TestTeardownSettlesParkedCallers(t *testing.T) {
 	mem := transport.NewMem()
 	sink, _ := startUpdateSink(t, mem) // reads every frame, answers none
 	p, peers := newTestPool(mem, PoolConfig{}, nil)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(sink.Addr(), true)
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -954,7 +957,7 @@ func TestRoundTripCancelledWhileParked(t *testing.T) {
 	mem := transport.NewMem()
 	sink, _ := startUpdateSink(t, mem)
 	p, peers := newTestPool(mem, PoolConfig{}, nil)
-	defer p.Close()
+	defer p.n.Close()
 	pr := peers.get(sink.Addr(), true)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

@@ -126,7 +126,7 @@ func (n *Node) backoff(attempt int) time.Duration {
 // oneWay stages m for addr, waiting on no reply, no dial and no write,
 // which RequestTimeout bounds. A suspect peer fails fast (late binding
 // covers the missed push); a failure to stage feeds the breaker, and what
-// follows is the pool's to record (oneWayResult).
+// follows is the pool's to record (the session's dial, or send).
 func (n *Node) oneWay(ctx context.Context, addr string, m *wire.Message) error {
 	p := n.peers.get(addr, true)
 	if err := p.breakerAllow(n); err != nil {

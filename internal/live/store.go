@@ -10,14 +10,15 @@ package live
 // answered through the owner's record on the same replica: a move
 // rewrites one record per replica however many keys follow the mover.
 //
-// Both tables are sharded sixteen ways by key, mirroring loccache's
+// The record store is sharded sixteen ways by key, mirroring loccache's
 // layout: a publish batch ingesting thousands of records contends only
 // per shard, never with concurrent discovers for unrelated keys, and
-// never with membership, registry, or lifecycle state. The handlers are
-// deliberately allocation-free in steady state (re-publishing a known
-// record overwrites a map slot; logging is gated before the variadic
-// call boxes its arguments), which is what keeps the hot serve path at
-// 0 allocs/op (BenchmarkPublishIngestParallel).
+// never with membership, registry, or lifecycle state. The push-epoch
+// table, written once per TUpdate, is one map under one mutex. The
+// handlers are deliberately allocation-free in steady state
+// (re-publishing a known record overwrites a map slot; logging is gated
+// before the variadic call boxes its arguments), which is what keeps the
+// hot serve path at 0 allocs/op (BenchmarkPublishIngestParallel).
 
 import (
 	"math"
@@ -28,9 +29,8 @@ import (
 	"bristle/internal/wire"
 )
 
-// stateShards is the shard count of the node's keyed protocol tables
-// (record store, seen-update epochs). Power of two so shard selection is
-// a mask.
+// stateShards is the shard count of the node's keyed tables (record
+// store, peer table). Power of two so shard selection is a mask.
 const stateShards = 16
 
 // clockBase is the instant monotime counts from.
@@ -129,51 +129,41 @@ func (s *recordStore) size() int {
 	return total
 }
 
-type epochShard struct {
+// epochTable tracks, per subject, the newest epoch this node has
+// ingested through TUpdate — the guard that keeps a delayed or
+// duplicated push from regressing the cache/peers to a pre-move address.
+// It is one map under one mutex: it is written once per TUpdate the node
+// receives, far less often than the record store is. The zero value is
+// ready.
+type epochTable struct {
 	mu sync.Mutex
 	m  map[hashkey.Key]uint64
 }
 
-// epochTable tracks, per subject, the newest epoch this node has
-// ingested through TUpdate — the guard that keeps a delayed or
-// duplicated push from regressing the cache/peers to a pre-move address.
-type epochTable struct {
-	shards [stateShards]epochShard
-}
-
-func (t *epochTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[hashkey.Key]uint64)
-	}
-}
-
-func (t *epochTable) shard(k hashkey.Key) *epochShard {
-	return &t.shards[uint64(k)&(stateShards-1)]
-}
-
 // observe admits epoch for key unless a strictly newer epoch was already
 // ingested; admission records it and runs apply. Check, record and apply
-// are one step under the key's shard lock, so two pushes racing on two
+// are one step under the table's lock, so two pushes racing on two
 // connections' readers take effect in epoch order no matter the
 // interleaving — in what apply writes and in what it hands the
 // application. apply must not block.
 func (t *epochTable) observe(k hashkey.Key, epoch uint64, apply func()) bool {
-	sh := t.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if seen, ok := sh.m[k]; ok && seen > epoch {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if seen, ok := t.m[k]; ok && seen > epoch {
 		return false
 	}
-	sh.m[k] = epoch
+	if t.m == nil {
+		t.m = make(map[hashkey.Key]uint64)
+	}
+	t.m[k] = epoch
 	apply()
 	return true
 }
 
 func (t *epochTable) get(k hashkey.Key) uint64 {
-	sh := t.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.m[k]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
 }
 
 // handlePublishBatch ingests a publish — every publish is a batch — record
