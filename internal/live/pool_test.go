@@ -520,7 +520,7 @@ func TestPoolEvictionWritesWhatItHolds(t *testing.T) {
 	counters := metrics.NewCounters()
 	p, peers := newTestPool(gate, PoolConfig{MaxSessions: 1}, counters)
 	defer p.n.Close()
-	defer open() // before p.Close, which waits for the parked writer
+	defer open() // before Close, which waits for the parked writer
 	for i := 0; i < pushes; i++ {
 		push := &wire.Message{Type: wire.TUpdate, Self: wire.Entry{Key: hashkey.Key(i + 1), Addr: "192.0.2.1:1", Epoch: 1}}
 		if err := p.send(peers.get(sink.Addr(), true), push, farOff()); err != nil {
