@@ -253,11 +253,15 @@ func (CounterConservation) AfterShutdown(c *Cluster) error {
 // are still in flight — which is exactly when a resurrection would slip
 // through.
 //
-// The invariant is sound because both sinks keep epoch memory: the
-// location cache rejects older-epoch writes even for entries past their
-// lease (expiry hides an entry, it does not forget its epoch), and
-// handleUpdate tracks the newest epoch seen per subject for the node's
-// lifetime.
+// The invariant rests on the sinks' epoch memory, which is not the same
+// in both. handleUpdate tracks the newest epoch seen per subject for the
+// node's lifetime, so no push regresses either probe. The location cache
+// rejects an older-epoch write only while it still holds the key's entry,
+// lapsed or not: a lookup that finds the entry lapsed drops it, CLOCK
+// eviction drops entries too, and with the entry goes its epoch. After
+// that a push still cannot bring an older binding back, but a discovery
+// fills the key with what a replica stores, which newest-epoch-wins keeps
+// from going back only while the stored record's lease lives.
 type NoResurrection struct {
 	NopChecker
 	// Owned extends the probe from each mover's own key to up to this many

@@ -86,7 +86,7 @@ type Stats struct {
 	// beyond its identity key.
 	OwnedKeys int
 	// StoreRecords counts the location records this node holds as an
-	// owner/replica (including not-yet-lapsed leases).
+	// owner/replica, lapsed leases included: the store deletes none.
 	StoreRecords int
 	// CacheEntries counts the location cache's entries.
 	CacheEntries int

@@ -357,7 +357,7 @@ func TestReplicasMatchReference(t *testing.T) {
 				trial, len(ring), k, regions, addrsOf(got), addrsOf(want))
 		}
 
-		n.peers.init()
+		n.peers = peerTable{}
 		n.members.view.Store(&memberView{ring: ring})
 		n.cfg.Replication, n.cfg.Regions = k, make([]string, regions)
 		suspect, eff := map[string]bool{}, map[string]time.Duration{}

@@ -256,9 +256,9 @@ type binding struct {
 //     mutex (store.go).
 //   - owned, and what the node remembers of its last full publish, have
 //     their own small mutex (publish.go).
-//   - peers is the one per-address table (peer.go): RTT estimates and
-//     breaker state are atomics, each record's mutex guards its breaker
-//     transitions and its pooled session.
+//   - peers is the one per-address table, a sync.Map (peer.go): RTT
+//     estimates and breaker state are atomics, each record's mutex guards
+//     its breaker transitions and its pooled session.
 type Node struct {
 	cfg  Config
 	key  hashkey.Key
@@ -353,7 +353,6 @@ func newNode(cfg Config, tr transport.Transport) (*Node, error) {
 		ids:     make(map[hashkey.Key][32]byte),
 		loc:     loccache.New(loccache.Config{Counters: cfg.Counters, Gauges: cfg.Gauges}),
 	}
-	n.peers.init()
 	n.runCtx, n.runCancel = context.WithCancel(context.Background())
 	n.pool = newPool(n)
 	// The epoch is seeded from the wall clock so a restarted node (fresh

@@ -12,10 +12,10 @@ package live
 // suspect probe read estimate, suspicion and session from that same
 // record, so they cannot disagree about which peers exist.
 //
-// The table is sharded by address hash, each shard an immutable map behind
-// an atomic pointer: a lookup is one hash and one load — no lock, no
-// allocation. Only admitting a previously unseen address takes the shard's
-// writer mutex, to clone the map. A record lives as long as the node.
+// The table is one sync.Map keyed by address: a lookup allocates nothing
+// and, in the steady state, takes no lock, and admitting an unseen address
+// costs one store, not a copy of the table. A record lives as long as the
+// node.
 
 import (
 	"errors"
@@ -54,66 +54,30 @@ type peer struct {
 	sess    *session   // the pooled session, nil while there is none (pool.go)
 }
 
-type peerShard struct {
-	mu   sync.Mutex // serializes admissions only
-	view atomic.Pointer[map[string]*peer]
-}
-
-// peerTable holds every peer this node has tried to reach.
-type peerTable struct {
-	shards [stateShards]peerShard
-}
-
-func (t *peerTable) init() {
-	for i := range t.shards {
-		t.shards[i].view.Store(&map[string]*peer{})
-	}
-}
-
-// addrShard hashes an address to a shard index by FNV-1a — addresses are
-// short strings, and the keyed tables' mask trick needs a well-mixed
-// integer first.
-func addrShard(addr string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(addr); i++ {
-		h ^= uint32(addr[i])
-		h *= 16777619
-	}
-	return h & (stateShards - 1)
-}
+// peerTable maps every address this node has tried to reach to its *peer.
+// The zero value is an empty table.
+type peerTable struct{ m sync.Map }
 
 // get returns addr's record; admit says whether to create it when the node
 // has none (an exchange does, a reader of estimates and suspicion gets nil).
+// Racing admissions of one address end in one record.
 func (t *peerTable) get(addr string, admit bool) *peer {
-	sh := &t.shards[addrShard(addr)]
-	p := (*sh.view.Load())[addr]
-	if p != nil || !admit {
-		return p
+	if p, ok := t.m.Load(addr); ok {
+		return p.(*peer)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.view.Load()
-	if p = old[addr]; p != nil {
-		return p
+	if !admit {
+		return nil
 	}
-	// The records are shared between views, so the clone resets nothing.
-	view := make(map[string]*peer, len(old)+1)
-	for a, q := range old {
-		view[a] = q
-	}
-	p = &peer{addr: addr}
-	view[addr] = p
-	sh.view.Store(&view)
-	return p
+	p, _ := t.m.LoadOrStore(addr, &peer{addr: addr})
+	return p.(*peer)
 }
 
-// each calls f on every record admitted before the walk reached its shard.
+// each calls f on every record; one admitted during the walk may be missed.
 func (t *peerTable) each(f func(*peer)) {
-	for i := range t.shards {
-		for _, p := range *t.shards[i].view.Load() {
-			f(p)
-		}
-	}
+	t.m.Range(func(_, p any) bool {
+		f(p.(*peer))
+		return true
+	})
 }
 
 // observe folds one measured round trip into p's estimate. Lock-free.
@@ -228,7 +192,7 @@ type PeerRTT struct {
 // peerStats snapshots the table for Stats in one walk that reads each
 // record's suspicion once: the sorted addresses of the suspect peers, and
 // the measured peers ascending by RTT (address as tiebreak), whose Suspect
-// flags therefore agree with the list. Lock-free.
+// flags therefore agree with the list. It takes no record's lock.
 func (t *peerTable) peerStats() (suspects []string, rtts []PeerRTT) {
 	t.each(func(p *peer) {
 		suspect := p.suspect()

@@ -7,6 +7,8 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -238,5 +240,36 @@ func TestProbeSuspectsWaitsOutTheCooldown(t *testing.T) {
 	client.ProbeSuspects(ctx)
 	if got := counters.Get("breaker.probes"); got != 1 {
 		t.Fatalf("breaker.probes = %d after the cooldown, want 1", got)
+	}
+}
+
+// TestPeerAdmissionLinear: admitting an unseen address costs the same
+// however many the table already holds — a mobile peer takes a new address
+// on every move, so admissions grow with the fleet. Ten times the
+// admissions allocate about ten times the bytes; a table that copied
+// itself on each admission would allocate about a hundred times.
+func TestPeerAdmissionLinear(t *testing.T) {
+	admit := func(n int) uint64 {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("mem:mobile-%d", i)
+		}
+		least := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ { // the least of three sheds other goroutines' allocations
+			var tbl peerTable
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, a := range addrs {
+				tbl.get(a, true)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := admit(1_000), admit(10_000)
+	if ratio := float64(large) / float64(small); ratio > 30 {
+		t.Fatalf("admitting 10,000 addresses allocated %d B, 1,000 allocated %d B: %.0f×, want at most 30×",
+			large, small, ratio)
 	}
 }

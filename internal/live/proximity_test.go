@@ -200,7 +200,6 @@ func TestPeerHealthExploresUnknownPeers(t *testing.T) {
 
 func TestRTTTableObserveEstimate(t *testing.T) {
 	var tbl peerTable
-	tbl.init()
 	if _, ok := tbl.get("nobody", false).estimate(); ok {
 		t.Fatal("estimate for unseen peer should be absent")
 	}
@@ -235,7 +234,6 @@ func TestRTTTableObserveEstimate(t *testing.T) {
 // discipline, and that racing admissions of one address end in one record.
 func TestRTTTableConcurrent(t *testing.T) {
 	var tbl peerTable
-	tbl.init()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -41,43 +41,40 @@ func (n *Node) ResolveContext(ctx context.Context, key hashkey.Key) (string, err
 	if addr, ok := n.loc.Lookup(key); ok {
 		return addr, nil
 	}
-	// The first run is this caller's, under ctx. A second, which Close joins,
-	// continues a flight this caller gave up on, under the node's lifetime.
+	// A flight re-checks the cache first: a caller can miss, lose its
+	// timeslice, and start its flight only after a concurrent one for the
+	// key landed. The re-check is a Peek, as the caller's miss was counted,
+	// and an answer it gives the first run counts as coalesced: a discovery
+	// this caller did not make served it. The first run is this caller's,
+	// under ctx. A second, which Close joins, continues a flight this caller
+	// gave up on, under the node's lifetime, and still ends: each of the k
+	// replicas costs at most RetryAttempts × RequestTimeout plus the capped
+	// pauses. Nothing is cached from a failed discovery.
 	flown := false
 	addr, shared, err := n.flights.Do(ctx, key, func() (string, error) {
-		if !flown {
-			flown = true
-			return n.flightDiscover(ctx, key)
+		first := !flown
+		flown = true
+		if addr, ok := n.loc.Peek(key); ok {
+			if first {
+				n.ctr.coalesced.Inc()
+			}
+			return addr, nil
 		}
-		if !n.enter() {
-			return "", ErrStopped
+		fctx := ctx
+		if !first {
+			if !n.enter() {
+				return "", ErrStopped
+			}
+			defer n.wg.Done()
+			fctx = n.runCtx
 		}
-		defer n.wg.Done()
-		return n.flightDiscover(n.runCtx, key)
+		n.ctr.discoveries.Inc()
+		return n.DiscoverContext(fctx, key)
 	})
 	if shared {
 		n.ctr.coalesced.Inc()
 	}
 	return addr, err
-}
-
-// flightDiscover is the body of one singleflight discovery: one network
-// resolution written through the cache, bounded by ctx. A flight under a
-// context that never ends (the node's own) still ends: each of the k
-// replicas costs at most RetryAttempts × RequestTimeout plus the capped
-// pauses, and a replica whose breaker is open costs nothing.
-//
-// A flight double-checks the cache first: a caller can miss, lose its
-// timeslice, and only start its flight after a concurrent flight for the
-// same key already completed — the re-lookup turns that duplicate into a
-// cache answer instead of a second _discovery. Nothing is cached from a
-// failed discovery, a "no record" answer included.
-func (n *Node) flightDiscover(ctx context.Context, key hashkey.Key) (string, error) {
-	if addr, ok := n.loc.Lookup(key); ok {
-		return addr, nil
-	}
-	n.ctr.discoveries.Inc()
-	return n.DiscoverContext(ctx, key)
 }
 
 // DiscoverContext resolves key's current address through the location

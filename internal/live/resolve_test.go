@@ -95,6 +95,31 @@ func TestResolveStormSingleDiscovery(t *testing.T) {
 	}
 }
 
+// TestColdResolveCountsOneLookup: a lone cold resolve of a published key
+// is one cache lookup, a miss, however its flight re-checks the cache
+// before it discovers; loccache.hit_ratio reads from these counts.
+func TestColdResolveCountsOneLookup(t *testing.T) {
+	client, cluster, ctrs, cleanup := resolveCluster(t, 3)
+	defer cleanup()
+	target := cluster[1]
+	if err := target.PublishContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	miss, lookups := ctrs.Get("loccache.miss"), ctrs.Get("loccache.lookups")
+	if addr, err := client.ResolveContext(context.Background(), target.Key()); err != nil || addr != target.Addr() {
+		t.Fatalf("cold resolve: %q %v, want %q", addr, err, target.Addr())
+	}
+	if d := ctrs.Get("loccache.miss") - miss; d != 1 {
+		t.Errorf("loccache.miss moved by %d, want 1", d)
+	}
+	if d := ctrs.Get("loccache.lookups") - lookups; d != 1 {
+		t.Errorf("loccache.lookups moved by %d, want 1", d)
+	}
+	if got := ctrs.Get("resolve.discoveries"); got != 1 {
+		t.Errorf("resolve.discoveries = %d, want 1", got)
+	}
+}
+
 // TestResolveCoalescesWaiters pins the join path: with a flight already
 // in progress for the key, ResolveContext callers join it and zero
 // network discoveries happen. (Exact N-waiters/1-fn coalescing is pinned

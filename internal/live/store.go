@@ -29,8 +29,8 @@ import (
 	"bristle/internal/wire"
 )
 
-// stateShards is the shard count of the node's keyed tables (record
-// store, peer table). Power of two so shard selection is a mask.
+// stateShards is the record store's shard count. Power of two so shard
+// selection is a mask.
 const stateShards = 16
 
 // clockBase is the instant monotime counts from.
